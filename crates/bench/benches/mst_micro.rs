@@ -4,6 +4,12 @@
 //! ≈330 µs on 1000×1000 (M2 MacBook Air). This bench measures our
 //! `IncrementalMst` on the same shapes, plus the full-rebuild alternative the
 //! incremental scheme replaces.
+//!
+//! The simulator applies a whole completed recomputation at once, and
+//! activity changes a large share of the weights between snapshots (≈665
+//! of ≈2.5k edges per completion on ising_n420). `mst_completion_*`
+//! compares applying such a snapshot per edge against one
+//! `set_weights` Kruskal pass on the fabric-sized grid.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{Rng, SeedableRng};
@@ -59,6 +65,51 @@ fn bench_rebuild(c: &mut Criterion, side: u32) {
     });
 }
 
+fn bench_completion(c: &mut Criterion, side: u32) {
+    let edges = grid_edges(side, side);
+    let mut rng = ChaCha8Rng::seed_from_u64(55);
+    let before: Vec<(u32, u32, u32)> = edges
+        .iter()
+        .map(|&(a, b, _)| (a, b, rng.gen_range(0..100u32)))
+        .collect();
+    let mst = IncrementalMst::new((side * side) as usize, &before);
+    // A snapshot in which about a quarter of the weights changed.
+    let snapshot: Vec<u32> = before
+        .iter()
+        .map(|&(_, _, w)| {
+            if rng.gen_range(0..4u32) == 0 {
+                rng.gen_range(0..100u32)
+            } else {
+                w
+            }
+        })
+        .collect();
+    c.bench_function(&format!("mst_completion_per_edge_{side}x{side}"), |b| {
+        b.iter_batched(
+            || mst.clone(),
+            |mut m| {
+                for (id, &w) in snapshot.iter().enumerate() {
+                    if m.weight(id as u32) != w {
+                        m.update_weight(id as u32, w);
+                    }
+                }
+                m
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    c.bench_function(&format!("mst_completion_set_weights_{side}x{side}"), |b| {
+        b.iter_batched(
+            || mst.clone(),
+            |mut m| {
+                m.set_weights(&snapshot);
+                m
+            },
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 fn benches(c: &mut Criterion) {
     // The paper's two measurement points at k = 200.
     bench_updates(c, 100, 200);
@@ -69,6 +120,7 @@ fn benches(c: &mut Criterion) {
     }
     // A fabric-sized grid (420-qubit benchmark ⇒ ~36×36 ancilla network).
     bench_updates(c, 36, 200);
+    bench_completion(c, 36);
 }
 
 criterion_group! {

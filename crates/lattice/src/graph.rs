@@ -20,6 +20,14 @@ impl UnionFind {
         }
     }
 
+    /// Resets to `n` singleton sets, reusing the existing capacity.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+    }
+
     /// Representative of `x`'s set.
     pub fn find(&mut self, x: u32) -> u32 {
         let mut root = x;
@@ -263,6 +271,9 @@ mod tests {
         uf.union(2, 3);
         uf.union(0, 3);
         assert!(uf.connected(1, 2));
+        uf.reset(4);
+        assert!(!uf.connected(0, 1));
+        assert!(uf.union(0, 1));
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //!
 //! Ties are broken by edge id so the tree equals the unique Kruskal MST under
 //! the `(weight, id)` total order — property-tested in this module.
+//!
+//! [`IncrementalMst::update_weight`] is that per-edge API. The simulator
+//! instead hands each completed recomputation to
+//! [`IncrementalMst::set_weights`], which stores the whole snapshot and, if
+//! any weight changed, rebuilds with one Kruskal pass. Because the MST under
+//! a strict total order is unique, both paths yield the same edge set, and
+//! since a path in a tree is unique too, every route read through
+//! [`IncrementalMst::tree_path_into`] is identical.
 
 use crate::graph::UnionFind;
 use std::collections::VecDeque;
@@ -45,7 +53,9 @@ pub struct TreePathScratch {
 /// A dynamically maintained minimum spanning forest over a fixed edge set.
 ///
 /// Construction runs Kruskal; [`IncrementalMst::update_weight`] applies the
-/// §5.4.1 cases. On a connected graph the structure is a spanning tree.
+/// §5.4.1 cases one edge at a time, and [`IncrementalMst::set_weights`]
+/// applies a whole snapshot as one Kruskal pass. On a connected graph the
+/// structure is a spanning tree.
 ///
 /// # Example
 ///
@@ -80,6 +90,11 @@ pub struct IncrementalMst {
     upd_seen: Vec<bool>,
     /// BFS queue paired with `upd_seen`.
     upd_queue: VecDeque<NodeId>,
+    /// Kruskal scan order, a permutation of the edge ids re-sorted in place
+    /// by [`Self::rebuild`]; held so batch applies do not allocate.
+    kruskal_order: Vec<EdgeId>,
+    /// Kruskal's component forest, reset (capacity kept) per rebuild.
+    kruskal_uf: UnionFind,
 }
 
 impl IncrementalMst {
@@ -97,10 +112,19 @@ impl IncrementalMst {
                 Edge { a, b, weight }
             })
             .collect();
+        // A node's tree degree never exceeds its graph degree, so sizing
+        // each adjacency list to the latter keeps rebuilds allocation-free.
+        let mut degree = vec![0usize; num_nodes];
+        for e in &edges {
+            degree[e.a as usize] += 1;
+            degree[e.b as usize] += 1;
+        }
         let mut mst = IncrementalMst {
             num_nodes,
             in_tree: vec![false; edges.len()],
-            tree_adj: vec![Vec::new(); num_nodes],
+            tree_adj: degree.into_iter().map(Vec::with_capacity).collect(),
+            kruskal_order: (0..edges.len() as EdgeId).collect(),
+            kruskal_uf: UnionFind::new(num_nodes),
             edges,
             upd_scratch: TreePathScratch::default(),
             upd_path: Vec::new(),
@@ -111,24 +135,52 @@ impl IncrementalMst {
         mst
     }
 
-    /// Recomputes the tree from scratch (Kruskal). Exposed for benchmarking
-    /// against the incremental path.
+    /// Recomputes the tree from scratch (Kruskal) with the held scratch, so
+    /// it allocates nothing. Exposed for benchmarking against the
+    /// incremental path.
     pub fn rebuild(&mut self) {
-        for v in &mut self.in_tree {
-            *v = false;
-        }
+        self.in_tree.fill(false);
         for adj in &mut self.tree_adj {
             adj.clear();
         }
-        let mut order: Vec<u32> = (0..self.edges.len() as u32).collect();
-        order.sort_by_key(|&i| (self.edges[i as usize].weight, i));
-        let mut uf = UnionFind::new(self.num_nodes);
-        for id in order {
-            let e = self.edges[id as usize];
-            if uf.union(e.a, e.b) {
-                self.link(id);
+        let edges = &self.edges;
+        // `(weight, id)` keys are distinct, so an unstable (non-allocating)
+        // sort gives the same order as a stable one.
+        self.kruskal_order
+            .sort_unstable_by_key(|&i| (edges[i as usize].weight, i));
+        self.kruskal_uf.reset(self.num_nodes);
+        for &id in &self.kruskal_order {
+            let e = edges[id as usize];
+            if self.kruskal_uf.union(e.a, e.b) {
+                self.in_tree[id as usize] = true;
+                self.tree_adj[e.a as usize].push((e.b, id));
+                self.tree_adj[e.b as usize].push((e.a, id));
             }
         }
+    }
+
+    /// Stores a whole weight snapshot (`weights[id]` for every edge) and
+    /// returns how many weights changed. If any did, the tree is rebuilt by
+    /// one Kruskal pass; the result is the same edge set as applying
+    /// [`Self::update_weight`] to each changed edge, at `O(E log E)` for the
+    /// batch instead of up to `O(V + E)` per changed edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` differs from the edge count.
+    pub fn set_weights(&mut self, weights: &[u32]) -> u64 {
+        assert_eq!(weights.len(), self.edges.len(), "one weight per edge");
+        let mut changed = 0;
+        for (e, &w) in self.edges.iter_mut().zip(weights) {
+            if e.weight != w {
+                e.weight = w;
+                changed += 1;
+            }
+        }
+        if changed > 0 {
+            self.rebuild();
+        }
+        changed
     }
 
     fn link(&mut self, id: EdgeId) {
@@ -451,28 +503,115 @@ mod tests {
         assert_eq!(mst.bottleneck(0, 1), Some(1));
     }
 
+    /// A fixed pseudo-random stream (64-bit LCG, high bits).
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 16
+    }
+
+    fn edge_set(mst: &IncrementalMst) -> Vec<bool> {
+        (0..mst.num_edges() as EdgeId)
+            .map(|id| mst.contains_edge(id))
+            .collect()
+    }
+
     #[test]
     fn incremental_matches_fresh_kruskal_on_sequence() {
         let mut edges = grid_edges(4, 4);
         let mut inc = IncrementalMst::new(16, &edges);
-        // A fixed pseudo-random weight stream.
         let mut state = 0x12345678u64;
         for step in 0..200 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let eid = (state >> 33) as usize % edges.len();
-            let w = ((state >> 16) % 50) as u32;
+            let eid = (lcg(&mut state) >> 17) as usize % edges.len();
+            let w = (lcg(&mut state) % 50) as u32;
             edges[eid].2 = w;
             inc.update_weight(eid as u32, w);
             let fresh = IncrementalMst::new(16, &edges);
-            assert_eq!(
-                inc.total_weight(),
-                fresh.total_weight(),
-                "diverged at step {step}"
-            );
+            assert_eq!(edge_set(&inc), edge_set(&fresh), "diverged at step {step}");
             assert_eq!(inc.tree_size(), 15);
         }
+    }
+
+    /// Applies `batches` snapshots, each changing about a quarter of the
+    /// weights to values in `0..max_weight`, both through
+    /// [`IncrementalMst::set_weights`] and through per-edge
+    /// [`IncrementalMst::update_weight`] calls in id order; the edge sets
+    /// and changed counts must agree after every batch.
+    fn assert_batch_matches_per_edge(
+        num_nodes: usize,
+        edges: &[(NodeId, NodeId, u32)],
+        max_weight: u64,
+        seed: u64,
+        batches: usize,
+    ) {
+        let mut batch = IncrementalMst::new(num_nodes, edges);
+        let mut per_edge = batch.clone();
+        let mut weights: Vec<u32> = edges.iter().map(|e| e.2).collect();
+        let mut state = seed;
+        for step in 0..batches {
+            for w in &mut weights {
+                if lcg(&mut state).is_multiple_of(4) {
+                    *w = (lcg(&mut state) % max_weight) as u32;
+                }
+            }
+            let mut changed = 0;
+            for (id, &w) in weights.iter().enumerate() {
+                if per_edge.weight(id as EdgeId) != w {
+                    per_edge.update_weight(id as EdgeId, w);
+                    changed += 1;
+                }
+            }
+            assert_eq!(batch.set_weights(&weights), changed, "step {step}");
+            assert_eq!(edge_set(&batch), edge_set(&per_edge), "step {step}");
+        }
+    }
+
+    #[test]
+    fn set_weights_matches_per_edge_updates_on_tied_grids() {
+        // Weights 0..4 on a grid make most Kruskal decisions tie-breaks by
+        // id, which is where a different order would show.
+        for (seed, (w, h)) in [(1u64, (3, 3)), (2, (6, 5)), (3, (12, 12))] {
+            let edges = grid_edges(w, h);
+            assert_batch_matches_per_edge((w * h) as usize, &edges, 4, seed, 40);
+        }
+        // Wide weights as well, like activity snapshots.
+        assert_batch_matches_per_edge(64, &grid_edges(8, 8), 200, 4, 40);
+    }
+
+    #[test]
+    fn set_weights_matches_per_edge_updates_on_a_forest() {
+        // Two grid components plus an isolated node.
+        let mut edges = grid_edges(4, 3);
+        edges.extend(
+            grid_edges(3, 3)
+                .into_iter()
+                .map(|(a, b, w)| (a + 12, b + 12, w)),
+        );
+        assert_batch_matches_per_edge(22, &edges, 4, 5, 40);
+        let mst = IncrementalMst::new(22, &edges);
+        assert_eq!(mst.tree_size(), 22 - 3);
+    }
+
+    #[test]
+    fn unchanged_snapshot_skips_the_rebuild() {
+        // A tree shaped by per-edge updates keeps its adjacency order; a
+        // rebuild would re-derive it in Kruskal order.
+        let edges = grid_edges(5, 5);
+        let mut mst = IncrementalMst::new(25, &edges);
+        let mut state = 9u64;
+        for _ in 0..60 {
+            let eid = (lcg(&mut state) >> 17) as usize % edges.len();
+            mst.update_weight(eid as EdgeId, (lcg(&mut state) % 4) as u32);
+        }
+        let weights: Vec<u32> = (0..edges.len() as EdgeId)
+            .map(|id| mst.weight(id))
+            .collect();
+        let adj = mst.tree_adj.clone();
+        assert_eq!(mst.set_weights(&weights), 0);
+        assert_eq!(mst.tree_adj, adj, "no change must mean no rebuild");
+        mst.rebuild();
+        assert_ne!(mst.tree_adj, adj, "the check above can tell a rebuild");
     }
 
     #[test]

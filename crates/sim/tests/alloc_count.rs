@@ -128,4 +128,14 @@ fn steady_state_cycles_allocate_nothing_on_ising_n34() {
         "longest zero-allocation streak was {best_streak} of {n} cycles \
          ({zero_cycles} clean in total) — the hot loop has started allocating"
     );
+    // MST computations complete every k cycles, so a streak longer than k
+    // spans at least one completion; changed weights mean completions
+    // really rebuild the tree (the batch Kruskal apply) rather than skip.
+    assert!(report.counters.mst_computations >= 1);
+    assert!(report.counters.mst_incremental_updates > 0);
+    assert!(
+        best_streak as u64 > u64::from(report.k_used),
+        "streak {best_streak} does not span an MST completion (k = {})",
+        report.k_used
+    );
 }

@@ -5,7 +5,7 @@ use rescq_circuit::{Angle, Circuit};
 use rescq_core::{KPolicy, SchedulerKind};
 use rescq_decoder::DecoderConfig;
 use rescq_rus::PrepCalibration;
-use rescq_sim::{simulate, SimConfig};
+use rescq_sim::{simulate, ExecutionReport, SimConfig};
 
 /// A rotation-heavy program: alternating single-qubit rotation layers and a
 /// CNOT chain, like the dnn benchmark family.
@@ -164,6 +164,74 @@ fn uncompressed_runs_bit_identical_to_pre_ledger_engine() {
             "rz_heavy({qubits},{layers}) seed={seed} diverged from the pre-ledger engine"
         );
     }
+}
+
+/// `r` as one row of the reports CSV (`sim run --csv`), in the column order
+/// of `rescq-cli`'s `write_reports_csv`.
+fn reports_csv_row(r: &ExecutionReport) -> String {
+    let c = &r.counters;
+    format!(
+        "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        r.scheduler,
+        r.seed,
+        r.distance,
+        r.total_cycles(),
+        r.idle_fraction(),
+        r.gates_executed,
+        c.injections,
+        c.injection_failures,
+        c.preps_started,
+        c.preps_cancelled,
+        c.edge_rotations,
+        c.mst_computations,
+        r.k_used,
+        r.tau_used,
+        c.decode_windows,
+        r.decoder_stall_cycles(),
+        c.decoder_peak_backlog,
+        c.preemptions,
+        c.preemptions_rejected_cycle,
+        c.preemptions_cross_shard,
+        c.claims_cross_shard,
+        c.waitgraph_peak_edges,
+        c.preemptions_class,
+        c.preemptions_by_class[0],
+        c.preemptions_by_class[1],
+        c.preemptions_by_class[2],
+        c.preemptions_by_class[3],
+        c.stall_ancilla_cycles,
+        c.stall_decoder_cycles,
+        c.stall_route_cycles,
+        c.stall_class_cycles,
+        c.decode_defects,
+        c.decode_growth_steps,
+        c.decode_failures,
+        r.engine_threads,
+    )
+}
+
+#[test]
+fn union_find_realtime_run_is_pinned() {
+    // The goldens above all use the ideal decoder, which never holds a
+    // gate back. A `union_find:1.0` run is decoder-bound: it stretches over
+    // many more cycles and MST completions, so this pins that path too.
+    // Values captured before MST completions were applied as one Kruskal
+    // pass; the batch apply must reproduce them exactly.
+    let c = rescq_workloads::generate("ising_n34", 1).expect("known benchmark");
+    let cfg = SimConfig::builder()
+        .scheduler(SchedulerKind::Rescq)
+        .decoder(DecoderConfig::union_find(1.0))
+        .seed(7)
+        .build();
+    let r = simulate(&c, &cfg).unwrap();
+    assert_eq!(r.total_rounds, 6318);
+    assert_eq!(r.counters.mst_computations, 35);
+    assert_eq!(r.counters.mst_incremental_updates, 2334);
+    assert_eq!(
+        reports_csv_row(&r),
+        "rescq,7,7,902.571,0.9819,217,158,75,633,327,2,35,25,11,158,9447.000,34,0,0,0,62,103,\
+         0,0,0,0,0,317,8947,1186,0,44,252,0,1"
+    );
 }
 
 #[test]
