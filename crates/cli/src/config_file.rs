@@ -13,7 +13,6 @@
 //! compression = 0.0
 //! seeds = 10
 //! base_seed = 1
-//! engine_threads = 4       # realtime-engine shards; 0 = auto, schedule unchanged
 //! priority_classes = factory>injection>compute>speculative  # or `off` (default)
 //! decoder = adaptive       # ideal | fixed | adaptive | union_find
 //! decoder_throughput = 0.5 # syndrome rounds decoded per round
@@ -120,9 +119,6 @@ pub fn parse_config(text: &str) -> Result<RunSpec, ConfigError> {
             "seeds" | "number_of_runs" => spec.seeds = parse_u64(value)?.max(1),
             "base_seed" | "seed" => spec.base_seed = parse_u64(value)?,
             "max_cycles" => spec.config.max_cycles = parse_u64(value)?,
-            "engine_threads" => {
-                spec.config.engine_threads = parse_u64(value)? as usize;
-            }
             "priority_classes" => {
                 spec.config.priority_classes =
                     ClassLattice::parse_setting(value).map_err(|e| err(lineno, e))?;
@@ -175,12 +171,6 @@ pub fn write_config(spec: &RunSpec) -> String {
     );
     if let Some(cols) = spec.config.block_columns {
         out.push_str(&format!("block_columns = {cols}\n"));
-    }
-    if spec.config.engine_threads != 1 {
-        out.push_str(&format!(
-            "engine_threads = {}\n",
-            spec.config.engine_threads
-        ));
     }
     if let Some(lattice) = &spec.config.priority_classes {
         out.push_str(&format!("priority_classes = {lattice}\n"));
@@ -237,6 +227,10 @@ base_seed = 7
         let e = parse_config("warp_speed = 9\n").unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("warp_speed"));
+        // The removed engine-thread knob is an unknown key, not a no-op.
+        let e = parse_config("benchmark = x\nengine_threads = 4\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(e.message, "unknown key `engine_threads`");
     }
 
     #[test]
@@ -279,24 +273,6 @@ base_seed = 7
     #[test]
     fn default_config_omits_decoder_keys() {
         assert!(!write_config(&RunSpec::default()).contains("decoder"));
-    }
-
-    #[test]
-    fn engine_threads_key_parses_and_round_trips() {
-        let spec = parse_config("engine_threads = 4\n").unwrap();
-        assert_eq!(spec.config.engine_threads, 4);
-        let text = write_config(&spec);
-        assert!(text.contains("engine_threads = 4"));
-        assert_eq!(parse_config(&text).unwrap(), spec);
-        // 0 = auto-detect; the default (1) stays out of written configs.
-        assert_eq!(
-            parse_config("engine_threads = 0\n")
-                .unwrap()
-                .config
-                .engine_threads,
-            0
-        );
-        assert!(!write_config(&RunSpec::default()).contains("engine_threads"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ```
 
 use rescq_bench::experiments::{self, ExperimentScale};
-use rescq_cli::{output, parse_config, RunSpec};
+use rescq_cli::{flags, output, parse_config, RunSpec};
 use rescq_core::SchedulerKind;
 use rescq_sim::runner::run_seeds;
 use std::path::PathBuf;
@@ -49,7 +49,7 @@ fn print_usage() {
     println!("sim — RESCQ scheduling simulator (paper reproduction)");
     println!();
     println!("Usage:");
-    println!("  sim run <config-file> [--csv DIR] [--engine-threads N]");
+    println!("  sim run <config-file> [--csv DIR]");
     println!("            [--priority-classes SPEC]   class lattice, e.g.");
     println!("                                   factory>injection>compute>speculative | off");
     println!("            [--trace-out FILE]     write a Chrome trace-event JSON of one");
@@ -73,8 +73,6 @@ fn print_usage() {
     println!("  sim bench <name> [--seeds N] [--compression F] [--distance D] [--csv DIR]");
     println!("            [--decoder ideal|fixed|adaptive|union_find] [--decoder-throughput F]");
     println!("            [--decoder-workers N] [--decoder-prep]");
-    println!("            [--engine-threads N]   realtime-engine shards (0 = auto;");
-    println!("                                   schedule is bit-identical for any N)");
     println!("            [--priority-classes SPEC]  class-aware ledger arbitration");
     println!("  sim bench --baseline FILE [--seeds N]   record a perf baseline (BENCH_*.json)");
     println!("            of the standard suite (ising_n420 + factory_n12 @ 25%); with a");
@@ -157,20 +155,28 @@ fn apply_priority_flag(args: &[String], config: &mut rescq_sim::SimConfig) -> Re
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let path = args.first().filter(|a| !a.starts_with("--")).ok_or(
-        "usage: sim run <config-file> [--csv DIR] [--engine-threads N] [--trace-out FILE]",
+    const USAGE: &str = "usage: sim run <config-file> [--csv DIR] [--priority-classes SPEC] \
+                         [--trace-out FILE] [--metrics-out FILE]";
+    flags::positionals(
+        args,
+        &[
+            "--csv",
+            "--priority-classes",
+            "--trace-out",
+            "--metrics-out",
+        ],
+        &[],
+        USAGE,
     )?;
+    let path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = parse_config(&text).map_err(|e| e.to_string())?;
-    if let Some(t) = flag_value(args, "--engine-threads") {
-        spec.config.engine_threads = t.parse().map_err(|_| "bad --engine-threads")?;
-    }
     apply_priority_flag(args, &mut spec.config)?;
     let summary = run_spec(&spec, flag_value(args, "--csv").map(PathBuf::from))?;
     if let Some(out) = flag_value(args, "--metrics-out") {
         // The base seed's report, as a versioned snapshot. Every metric in
         // it is schedule-derived, so the file is identical whether or not
-        // the run was traced, at any engine thread count.
+        // the run was traced.
         let report = summary
             .reports
             .first()
@@ -196,7 +202,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// (tracing is inert, so this reproduces the main run's schedule exactly).
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     use rescq_telemetry::{analyze_events, parse_trace, RingRecorder};
-    const USAGE: &str = "usage: sim analyze <trace.json|run-config> [--json FILE] [--top K]";
+    const USAGE: &str = "usage: sim analyze <trace.json|run-config> [--json FILE] [--top K] \
+                         [--priority-classes SPEC]";
+    flags::positionals(args, &["--json", "--top", "--priority-classes"], &[], USAGE)?;
     let path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
     let top_k: usize = match flag_value(args, "--top") {
         Some(k) => k.parse().map_err(|_| "bad --top")?,
@@ -208,9 +216,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         analyze_events(&parsed.events, parsed.dropped, parsed.truncated)
     } else {
         let mut spec = parse_config(&text).map_err(|e| e.to_string())?;
-        if let Some(t) = flag_value(args, "--engine-threads") {
-            spec.config.engine_threads = t.parse().map_err(|_| "bad --engine-threads")?;
-        }
         apply_priority_flag(args, &mut spec.config)?;
         let circuit = load_circuit(&spec.benchmark)?;
         let mut config = spec.config.clone();
@@ -273,10 +278,23 @@ fn write_trace(spec: &RunSpec, out: &std::path::Path) -> Result<(), String> {
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     use rescq_harness::{run_sweep, ProgressMode, RunOptions, Shard, SweepSpec};
-    let path = args.first().filter(|a| !a.starts_with("--")).ok_or(
-        "usage: sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE] \
-         [--checkpoint FILE] [--shard i/n] [--layout-cache DIR] [--quiet | --progress]",
+    const USAGE: &str = "usage: sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE] \
+                         [--checkpoint FILE] [--shard i/n] [--layout-cache DIR] \
+                         [--quiet | --progress]";
+    flags::positionals(
+        args,
+        &[
+            "--threads",
+            "--csv",
+            "--json",
+            "--checkpoint",
+            "--shard",
+            "--layout-cache",
+        ],
+        &["--quiet", "--progress"],
+        USAGE,
     )?;
+    let path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let spec = SweepSpec::parse(&text).map_err(|e| e.to_string())?;
     let mut opts = RunOptions::default();
@@ -382,25 +400,9 @@ fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
     use rescq_harness::{merge_checkpoints, SweepSpec};
     const USAGE: &str = "usage: sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...> \
                          [--json FILE] [--allow-missing]";
-    // Collect positionals by position, skipping flag *values* by index (a
-    // checkpoint path that happens to equal the `--json` value must not be
-    // dropped).
-    let mut positional: Vec<&String> = Vec::new();
-    let mut skip_value = false;
-    for a in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        match a.as_str() {
-            "--json" => skip_value = true,
-            "--allow-missing" => {}
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag `{other}`\n{USAGE}"));
-            }
-            _ => positional.push(a),
-        }
-    }
+    // Positionals by position, flag *values* skipped by index (a checkpoint
+    // path that happens to equal the `--json` value must not be dropped).
+    let positional = flags::positionals(args, &["--json"], &["--allow-missing"], USAGE)?;
     let json_out = flag_value(args, "--json");
     let [spec_path, out, inputs @ ..] = positional.as_slice() else {
         return Err(USAGE.into());
@@ -439,6 +441,28 @@ fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
+    const USAGE: &str = "usage: sim bench <name> [--seeds N] [--compression F] [--distance D] \
+                         [--csv DIR] [--decoder KIND] [--decoder-throughput F] \
+                         [--decoder-workers N] [--decoder-prep] [--priority-classes SPEC] \
+                         | sim bench --baseline FILE | sim bench --compare BASE.json NEW.json";
+    flags::positionals(
+        args,
+        &[
+            "--seeds",
+            "--compression",
+            "--distance",
+            "--csv",
+            "--decoder",
+            "--decoder-throughput",
+            "--decoder-workers",
+            "--priority-classes",
+            "--baseline",
+            "--warn-pct",
+            "--fail-pct",
+        ],
+        &["--decoder-prep", "--compare"],
+        USAGE,
+    )?;
     if args.iter().any(|a| a == "--compare") {
         return cmd_bench_compare(args);
     }
@@ -446,10 +470,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     if let Some(out) = flag_value(args, "--baseline") {
         return cmd_bench_baseline(args, name, &PathBuf::from(out));
     }
-    let name = name.ok_or(
-        "usage: sim bench <name> [--seeds N] [--compression F] [--distance D] \
-         | sim bench --baseline FILE | sim bench --compare BASE.json NEW.json",
-    )?;
+    let name = name.ok_or(USAGE)?;
     let mut spec = RunSpec {
         benchmark: name.clone(),
         ..RunSpec::default()
@@ -474,9 +495,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
     if args.iter().any(|a| a == "--decoder-prep") {
         spec.config.decoder.decode_prep = true;
-    }
-    if let Some(t) = flag_value(args, "--engine-threads") {
-        spec.config.engine_threads = t.parse().map_err(|_| "bad --engine-threads")?;
     }
     apply_priority_flag(args, &mut spec.config)?;
     let csv = flag_value(args, "--csv").map(PathBuf::from);

@@ -11,23 +11,17 @@ use std::path::Path;
 /// Propagates I/O errors.
 pub fn write_reports_csv(path: &Path, reports: &[ExecutionReport]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
-    // The union-find decode-work counters sit LAST among the
-    // schedule-derived columns (strip-last-column convention: newest
-    // additions go last, so older tooling keeps its column positions), and
-    // `engine_threads` is deliberately the very LAST column overall: it is
-    // the one field that varies with the execution resource rather than the
-    // schedule, so determinism checks (CI's engine-thread smoke) can strip
-    // it with a single `cut` and byte-compare everything else. Stall and
-    // decode-work columns are sim-time derived — NO wall-clock ever enters
-    // this file, so traced and untraced runs produce byte-identical CSVs.
+    // Newest columns go last, so older tooling keeps its column positions.
+    // Every column is sim-time derived — NO wall-clock ever enters this
+    // file, so traced and untraced runs produce byte-identical CSVs.
     writeln!(
         f,
-        "scheduler,seed,distance,total_cycles,idle_fraction,gates,injections,injection_failures,preps_started,preps_cancelled,edge_rotations,mst_computations,k,tau,decode_windows,decoder_stall_cycles,decoder_peak_backlog,preemptions,preemptions_rejected_cycle,preemptions_cross_shard,claims_cross_shard,waitgraph_peak_edges,preemptions_class,preempt_speculative,preempt_compute,preempt_injection,preempt_factory,stall_ancilla,stall_decoder,stall_route,stall_class,decode_defects,decode_growth_steps,decode_failures,engine_threads"
+        "scheduler,seed,distance,total_cycles,idle_fraction,gates,injections,injection_failures,preps_started,preps_cancelled,edge_rotations,mst_computations,k,tau,decode_windows,decoder_stall_cycles,decoder_peak_backlog,preemptions,preemptions_rejected_cycle,waitgraph_peak_edges,preemptions_class,preempt_speculative,preempt_compute,preempt_injection,preempt_factory,stall_ancilla,stall_decoder,stall_route,stall_class,decode_defects,decode_growth_steps,decode_failures"
     )?;
     for r in reports {
         writeln!(
             f,
-            "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             r.scheduler,
             r.seed,
             r.distance,
@@ -47,8 +41,6 @@ pub fn write_reports_csv(path: &Path, reports: &[ExecutionReport]) -> std::io::R
             r.counters.decoder_peak_backlog,
             r.counters.preemptions,
             r.counters.preemptions_rejected_cycle,
-            r.counters.preemptions_cross_shard,
-            r.counters.claims_cross_shard,
             r.counters.waitgraph_peak_edges,
             r.counters.preemptions_class,
             r.counters.preemptions_by_class[0],
@@ -62,7 +54,6 @@ pub fn write_reports_csv(path: &Path, reports: &[ExecutionReport]) -> std::io::R
             r.counters.decode_defects,
             r.counters.decode_growth_steps,
             r.counters.decode_failures,
-            r.engine_threads,
         )?;
     }
     Ok(())

@@ -46,8 +46,7 @@ pub use arena::{for_each_set_bit, Bitset, VecPool};
 pub use dynmst::{KPolicy, MstPipeline, TauModel};
 pub use queue::{AncillaQueue, EntryStatus, QueueEntry, Role};
 pub use reservation::{
-    ClassLattice, LedgerEvent, LedgerStats, Preemption, ReservationId, ReservationLedger, ShardId,
-    TaskClass,
+    ClassLattice, LedgerEvent, LedgerStats, Preemption, ReservationId, ReservationLedger, TaskClass,
 };
 pub use routing::{
     plan_cnot_route, plan_cnot_route_into, plan_static_route, PathCache, RoutePlan, RoutePlanMeta,

@@ -56,10 +56,9 @@
 //! 2. **Seniority** — plain pushes append in arrival order, and equal-class
 //!    arbitration only ever lets *older* tasks overtake (or whatever the
 //!    caller's stricter test allows), so FIFO runs are reorder-free.
-//! 3. **Determinism** — the ledger holds no clocks, no randomness and no
-//!    thread identity: the same op sequence yields the same queues, ids,
-//!    graph and counters, which is what lets a sharded engine commit
-//!    through it at a barrier and stay bit-identical for any thread count.
+//! 3. **Determinism** — the ledger holds no clocks and no randomness: the
+//!    same op sequence yields the same queues, ids, graph and counters, so
+//!    a run is byte-identical from one execution to the next.
 
 use crate::queue::{AncillaQueue, EntryStatus, QueueEntry, Role};
 use crate::types::TaskId;
@@ -78,19 +77,6 @@ pub struct ReservationId(pub u64);
 impl ReservationId {
     /// Placeholder for entries not (yet) registered with a ledger.
     pub const UNREGISTERED: ReservationId = ReservationId(0);
-}
-
-/// Identifier of one scheduling shard: a contiguous region of the ancilla
-/// network served by one scheduling worker (the partition itself lives with
-/// the engine; the ledger only tags claims and preemptions with the shards
-/// involved so cross-shard arbitration is observable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ShardId(pub u32);
-
-impl std::fmt::Display for ShardId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard{}", self.0)
-    }
 }
 
 /// Priority class of one queue reservation: the rank of a task in the
@@ -342,12 +328,6 @@ pub struct LedgerStats {
     /// Preemptions rejected because the reversed wait-for edges would have
     /// created a cycle (the naive-yield deadlock, caught).
     pub preemptions_rejected_cycle: u64,
-    /// Applied preemptions whose target ancilla lay outside the preempting
-    /// task's home shard ([`ReservationLedger::try_preempt_across`]).
-    pub preemptions_cross_shard: u64,
-    /// Claims registered on an ancilla hosted outside the claiming task's
-    /// home shard ([`ReservationLedger::push_claim`]).
-    pub claims_cross_shard: u64,
     /// Applied preemptions where the preemptor's [`TaskClass`] strictly
     /// outranked at least one displaced entry — reorders that seniority (or
     /// the caller's equal-class test) alone would not have granted. Always 0
@@ -384,8 +364,6 @@ pub enum LedgerEvent {
         task: TaskId,
         /// The claimed ancilla.
         ancilla: u32,
-        /// The ancilla lies outside the claiming task's home shard.
-        cross_shard: bool,
     },
     /// A preemption was applied (queue reorder; graph proven acyclic).
     Preempted {
@@ -682,16 +660,11 @@ impl ReservationLedger {
 
     /// Appends `entry` to ancilla `a`'s queue, assigning it a fresh
     /// reservation id and inserting its wait-for edges. Returns the id.
-    pub fn push(&mut self, a: u32, entry: QueueEntry) -> ReservationId {
-        self.push_inner(a, entry, false)
-    }
-
-    fn push_inner(&mut self, a: u32, mut entry: QueueEntry, cross_shard: bool) -> ReservationId {
+    pub fn push(&mut self, a: u32, mut entry: QueueEntry) -> ReservationId {
         self.mark_dirty(a);
         self.log_event(LedgerEvent::Claim {
             task: entry.task,
             ancilla: a,
-            cross_shard,
         });
         self.next_id += 1;
         let id = ReservationId(self.next_id);
@@ -718,27 +691,6 @@ impl ReservationLedger {
         self.queues[a as usize].push(entry);
         self.set_nonempty_bit(a);
         id
-    }
-
-    /// [`Self::push`] tagged with the shards involved: `owner` is the home
-    /// shard of the claiming task, `host` the shard hosting ancilla `a`.
-    /// The claim itself is identical to a plain push — arbitration is by
-    /// queue seniority and the wait-for graph, never by shard — but
-    /// cross-shard claims are counted so a sharded engine can observe how
-    /// often work crosses region boundaries (e.g. a CNOT route leaving its
-    /// home region).
-    pub fn push_claim(
-        &mut self,
-        a: u32,
-        entry: QueueEntry,
-        owner: ShardId,
-        host: ShardId,
-    ) -> ReservationId {
-        let cross_shard = owner != host;
-        if cross_shard {
-            self.stats.claims_cross_shard += 1;
-        }
-        self.push_inner(a, entry, cross_shard)
     }
 
     /// Pops the top entry of ancilla `a`, releasing the edges it held.
@@ -808,33 +760,6 @@ impl ReservationLedger {
     /// this is precisely the case where a naive yield would have deadlocked.
     pub fn try_preempt(&mut self, task: TaskId, a: u32) -> Preemption {
         self.try_preempt_with(task, a, |e| e.task > task)
-    }
-
-    /// [`Self::try_preempt_with`] tagged with the shards involved: `owner`
-    /// is the preempting task's home shard, `host` the shard hosting
-    /// ancilla `a`.
-    ///
-    /// Cross-shard preemptions go through exactly the same ledger-level
-    /// arbitration — the structural eligibility check and the incremental
-    /// acyclicity proof are shard-agnostic, which is what makes them safe
-    /// regardless of which scheduling worker proposed the reorder — but
-    /// applied reorders that crossed a shard boundary are counted in
-    /// [`LedgerStats::preemptions_cross_shard`].
-    pub fn try_preempt_across(
-        &mut self,
-        task: TaskId,
-        a: u32,
-        owner: ShardId,
-        host: ShardId,
-        may_displace: impl Fn(&QueueEntry) -> bool,
-    ) -> Preemption {
-        let outcome = self.try_preempt_with(task, a, may_displace);
-        if owner != host {
-            if let Preemption::Applied { .. } = outcome {
-                self.stats.preemptions_cross_shard += 1;
-            }
-        }
-        outcome
     }
 
     /// [`Self::try_preempt`] with a caller-supplied *equal-class*
@@ -1142,25 +1067,6 @@ impl ReservationLedger {
     }
 }
 
-// Send/Sync audit: a sharded engine hands read-only views of the ledger and
-// its queues to scheduling workers on other threads, so every type on that
-// path must be `Send + Sync`. Asserted at compile time — a field change that
-// introduces interior mutability or a thread-bound type fails the build
-// here, not in a data race.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ReservationLedger>();
-    assert_send_sync::<AncillaQueue>();
-    assert_send_sync::<QueueEntry>();
-    assert_send_sync::<EntryStatus>();
-    assert_send_sync::<ReservationId>();
-    assert_send_sync::<ShardId>();
-    assert_send_sync::<TaskClass>();
-    assert_send_sync::<ClassLattice>();
-    assert_send_sync::<Preemption>();
-    assert_send_sync::<LedgerStats>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1295,45 +1201,6 @@ mod tests {
         assert_eq!(l.try_preempt(TaskId(0), 0), Preemption::NotEligible);
         l.push(0, route(0));
         assert_eq!(l.try_preempt(TaskId(0), 0), Preemption::NotEligible);
-    }
-
-    #[test]
-    fn cross_shard_preemptions_are_counted_but_arbitrated_identically() {
-        // The same reorder, once within a shard and once across shards:
-        // identical queue outcome, the cross-shard one counted.
-        let mut l = ReservationLedger::new(2);
-        l.push(0, prep(3));
-        l.push(0, route(1));
-        l.push(1, prep(4));
-        l.push(1, route(2));
-        let same =
-            l.try_preempt_across(TaskId(1), 0, ShardId(0), ShardId(0), |e| e.task > TaskId(1));
-        assert!(matches!(same, Preemption::Applied { .. }));
-        let cross =
-            l.try_preempt_across(TaskId(2), 1, ShardId(0), ShardId(1), |e| e.task > TaskId(2));
-        assert!(matches!(cross, Preemption::Applied { .. }));
-        assert_eq!(l.stats().preemptions, 2);
-        assert_eq!(l.stats().preemptions_cross_shard, 1);
-        // Rejections never count as cross-shard applications.
-        let mut l2 = ReservationLedger::new(2);
-        for a in 0..2u32 {
-            l2.push(a, prep(2));
-            l2.push(a, route(1));
-        }
-        let out =
-            l2.try_preempt_across(TaskId(1), 0, ShardId(0), ShardId(1), |e| e.task > TaskId(1));
-        assert_eq!(out, Preemption::RejectedCycle);
-        assert_eq!(l2.stats().preemptions_cross_shard, 0);
-    }
-
-    #[test]
-    fn cross_shard_claims_are_counted() {
-        let mut l = ReservationLedger::new(2);
-        let id = l.push_claim(0, route(0), ShardId(0), ShardId(0));
-        assert_ne!(id, ReservationId::UNREGISTERED);
-        l.push_claim(1, route(0), ShardId(0), ShardId(1));
-        assert_eq!(l.stats().claims_cross_shard, 1);
-        assert_eq!(l.queue(1).top().unwrap().task, TaskId(0));
     }
 
     #[test]
@@ -1570,7 +1437,7 @@ mod tests {
         l.push(0, prep(3));
         assert!(l.take_events().is_empty());
         l.enable_event_log();
-        l.push_claim(1, route(1), ShardId(0), ShardId(1));
+        l.push(1, route(1));
         l.push(0, route(1));
         assert_eq!(l.try_preempt(TaskId(2), 0), Preemption::NotEligible);
         assert!(matches!(
@@ -1583,13 +1450,11 @@ mod tests {
             vec![
                 LedgerEvent::Claim {
                     task: TaskId(1),
-                    ancilla: 1,
-                    cross_shard: true
+                    ancilla: 1
                 },
                 LedgerEvent::Claim {
                     task: TaskId(1),
-                    ancilla: 0,
-                    cross_shard: false
+                    ancilla: 0
                 },
                 // Task 1 queued behind task 3's pre-existing prep.
                 LedgerEvent::WaitEdge {

@@ -49,9 +49,9 @@ pub struct DecoderRuntime {
     decode_prep: bool,
 }
 
-// The sharded realtime engine hands `&DecoderRuntime` (inside its frozen
-// state view) to scheduling workers on other threads; the model box is
-// `Send + Sync` precisely so that view is shareable.
+// The sweep harness builds and runs each job's engine — decoder included —
+// on one of its worker threads; the model box is `Send + Sync` so every
+// decoder model stays usable there.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<DecoderRuntime>();

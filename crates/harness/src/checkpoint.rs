@@ -25,11 +25,8 @@ const HEADER: &str = "# rescq-harness checkpoint v1";
 /// deterministic).
 pub fn job_fingerprint(job: &JobSpec, circuit_hash: u64, circuit_seed: u64) -> u64 {
     let c = &job.config;
-    // `engine_threads` is part of the fingerprint even though schedules are
-    // thread-count invariant: the checkpoint stores the raw CSV row, whose
-    // engine_threads grid column must echo the job that wrote it.
     let canonical = format!(
-        "w={}|ch={circuit_hash}|cs={circuit_seed}|s={}|d={}|p={}|k={:?}|aw={}|layout={:?}|bc={:?}|comp={}|compseed={}|dec={:?}|seed={}|mc={}|tau={:?}|costs={:?}|cal={:?}|et={}|prio={}",
+        "w={}|ch={circuit_hash}|cs={circuit_seed}|s={}|d={}|p={}|k={:?}|aw={}|layout={:?}|bc={:?}|comp={}|compseed={}|dec={:?}|seed={}|mc={}|tau={:?}|costs={:?}|cal={:?}|prio={}",
         job.workload,
         c.scheduler,
         c.distance,
@@ -46,7 +43,6 @@ pub fn job_fingerprint(job: &JobSpec, circuit_hash: u64, circuit_seed: u64) -> u
         c.tau_model,
         c.costs,
         c.calibration,
-        c.engine_threads,
         crate::spec::fmt_priority(&c.priority_classes),
     );
     rescq_circuit::fnv1a_64(canonical.bytes())
@@ -292,9 +288,11 @@ mod tests {
 
     #[test]
     fn resume_skips_old_schema_rows_and_keeps_current_ones() {
-        // A checkpoint written before the decode-work columns existed holds
-        // 30-column rows. Resuming against it must silently drop those rows
-        // (the jobs simply re-run) while current-width rows restore fine.
+        // Checkpoints written before the decode-work columns existed hold
+        // 30-column rows, and those written before the engine-thread column
+        // was dropped hold 33. Resuming against them must silently drop
+        // those rows (the jobs simply re-run) while current-width rows
+        // restore fine.
         let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("schema_resume.ckpt");
@@ -340,11 +338,20 @@ mod tests {
             .nth(3)
             .expect("row has more than 3 columns")
             .to_string();
+        // The engine-thread schema: a `1` column after the decoder column.
+        let mut cols: Vec<&str> = current_row.split(',').collect();
+        cols.insert(7, "1");
+        let threads_row = cols.join(",");
+        assert_eq!(threads_row.split(',').count(), 33);
         let fp_old = job_fingerprint(&jobs[1], 42, 1);
+        let fp_threads = job_fingerprint(&jobs[1], 43, 1);
         let fp_new = job_fingerprint(&jobs[0], 42, 1);
         std::fs::write(
             &path,
-            format!("{HEADER}\n{fp_old:016x} {old_row}\n{fp_new:016x} {current_row}\n"),
+            format!(
+                "{HEADER}\n{fp_old:016x} {old_row}\n{fp_threads:016x} {threads_row}\n\
+                 {fp_new:016x} {current_row}\n"
+            ),
         )
         .unwrap();
 
@@ -352,6 +359,7 @@ mod tests {
         assert_eq!(ckpt.loaded(), 1, "only the current-width row restores");
         assert_eq!(ckpt.lookup(fp_new), Some(&metrics));
         assert_eq!(ckpt.lookup(fp_old), None, "old-schema row must re-run");
+        assert_eq!(ckpt.lookup(fp_threads), None, "33-column row must re-run");
         let _ = std::fs::remove_file(&path);
     }
 

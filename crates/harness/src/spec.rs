@@ -134,11 +134,6 @@ pub struct SweepSpec {
     pub compressions: Vec<f64>,
     /// Decoder points swept.
     pub decoders: Vec<DecoderPoint>,
-    /// Engine worker-thread counts swept (`0` = auto). The schedule is
-    /// bit-identical for every value — this axis exists so sweeps can trade
-    /// job-level parallelism (harness workers) against run-level
-    /// parallelism (engine shards) and measure the wall-clock frontier.
-    pub engine_threads: Vec<usize>,
     /// Priority-class lattices swept (`None` = class-blind arbitration,
     /// the spelling `"off"`; a lattice like
     /// `"factory>injection>compute>speculative"` enables class-aware
@@ -167,7 +162,6 @@ impl Default for SweepSpec {
             k_values: vec![KPolicy::Fixed(25)],
             compressions: vec![0.0],
             decoders: vec![DecoderPoint::ideal()],
-            engine_threads: vec![1],
             priority: vec![None],
             seeds: 3,
             base_seed: 1,
@@ -369,7 +363,6 @@ impl SweepSpec {
     /// | `k` | integer-or-`"dynamic"` array | `[25]` |
     /// | `compressions` | number array | `[0.0]` |
     /// | `decoders` | string array (`ideal`, `fixed:TP`, `adaptive:TPxW`, `union_find:TP`) | `["ideal"]` |
-    /// | `engine_threads` | integer array (`0` = auto; schedule-invariant) | `[1]` |
     /// | `priority_classes` | string array (`"off"`, or a lattice like `"factory>injection>compute>speculative"`) | `["off"]` |
     /// | `seeds` | integer | `3` |
     /// | `base_seed` | integer | `1` |
@@ -454,12 +447,6 @@ impl SweepSpec {
                         })
                         .collect::<Result<_, _>>()?;
                 }
-                "engine_threads" => {
-                    spec.engine_threads = values
-                        .iter()
-                        .map(|v| v.as_u64(lineno).map(|t| t as usize))
-                        .collect::<Result<_, _>>()?;
-                }
                 "priority_classes" => {
                     spec.priority = values
                         .iter()
@@ -517,7 +504,6 @@ impl SweepSpec {
             ("k", self.k_values.is_empty()),
             ("compressions", self.compressions.is_empty()),
             ("decoders", self.decoders.is_empty()),
-            ("engine_threads", self.engine_threads.is_empty()),
             ("priority_classes", self.priority.is_empty()),
         ] {
             if field.1 {
@@ -542,13 +528,12 @@ impl SweepSpec {
             * self.k_values.len()
             * self.compressions.len()
             * self.decoders.len()
-            * self.engine_threads.len()
             * self.priority.len()
     }
 
     /// Expands the grid into the deterministic job list (seed innermost;
     /// loop order workload → scheduler → distance → error rate → k →
-    /// compression → decoder → engine threads → priority classes → seed).
+    /// compression → decoder → priority classes → seed).
     pub fn expand(&self) -> Vec<JobSpec> {
         let mut jobs = Vec::with_capacity(self.num_points() * self.seeds as usize);
         let mut point = 0;
@@ -559,38 +544,34 @@ impl SweepSpec {
                         for &k in &self.k_values {
                             for &compression in &self.compressions {
                                 for &decoder in &self.decoders {
-                                    for &threads in &self.engine_threads {
-                                        for priority in &self.priority {
-                                            for i in 0..self.seeds {
-                                                let mut config = SimConfig::builder()
-                                                    .scheduler(scheduler)
-                                                    .distance(distance)
-                                                    .physical_error_rate(error_rate)
-                                                    .k_policy(k)
-                                                    .compression(compression)
-                                                    .engine_threads(threads)
-                                                    .priority_classes(priority.clone())
-                                                    .seed(self.base_seed + i)
-                                                    .build();
-                                                config.decoder = decoder.0;
-                                                // Spec-level flag turns prep
-                                                // decoding ON; it never
-                                                // clears a point that
-                                                // already opted in.
-                                                config.decoder.decode_prep |= self.decode_prep;
-                                                if let Some(mc) = self.max_cycles {
-                                                    config.max_cycles = mc;
-                                                }
-                                                jobs.push(JobSpec {
-                                                    index: jobs.len(),
-                                                    point,
-                                                    workload: workload.clone(),
-                                                    decoder,
-                                                    config,
-                                                });
+                                    for priority in &self.priority {
+                                        for i in 0..self.seeds {
+                                            let mut config = SimConfig::builder()
+                                                .scheduler(scheduler)
+                                                .distance(distance)
+                                                .physical_error_rate(error_rate)
+                                                .k_policy(k)
+                                                .compression(compression)
+                                                .priority_classes(priority.clone())
+                                                .seed(self.base_seed + i)
+                                                .build();
+                                            config.decoder = decoder.0;
+                                            // Spec-level flag turns prep
+                                            // decoding ON; it never clears a
+                                            // point that already opted in.
+                                            config.decoder.decode_prep |= self.decode_prep;
+                                            if let Some(mc) = self.max_cycles {
+                                                config.max_cycles = mc;
                                             }
-                                            point += 1;
+                                            jobs.push(JobSpec {
+                                                index: jobs.len(),
+                                                point,
+                                                workload: workload.clone(),
+                                                decoder,
+                                                config,
+                                            });
                                         }
+                                        point += 1;
                                     }
                                 }
                             }
@@ -664,24 +645,6 @@ max_cycles   = 500000
     }
 
     #[test]
-    fn engine_threads_axis_expands_per_point() {
-        let spec =
-            SweepSpec::parse("workloads = [\"dnn_n16\"]\nengine_threads = [1, 4]\nseeds = 2\n")
-                .unwrap();
-        assert_eq!(spec.engine_threads, vec![1, 4]);
-        assert_eq!(spec.num_points(), 2);
-        let jobs = spec.expand();
-        assert_eq!(jobs.len(), 4);
-        // Engine threads vary per point, outside the innermost seed loop.
-        let axis: Vec<usize> = jobs.iter().map(|j| j.config.engine_threads).collect();
-        assert_eq!(axis, vec![1, 1, 4, 4]);
-        assert!(jobs[..2].iter().all(|j| j.point == 0));
-        assert!(jobs[2..].iter().all(|j| j.point == 1));
-        // An empty axis is a validation error, like every other axis.
-        assert!(SweepSpec::parse("workloads = [\"x\"]\nengine_threads = []\n").is_err());
-    }
-
-    #[test]
     fn priority_axis_expands_per_point() {
         let spec = SweepSpec::parse(
             "workloads = [\"factory_n12\"]\npriority_classes = [\"off\", \"factory>injection>compute>speculative\"]\nseeds = 2\n",
@@ -725,6 +688,10 @@ max_cycles   = 500000
         let e = SweepSpec::parse("workloads = [\"x\"]\nwarp = 9\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("warp"));
+        // The removed engine-thread axis is an unknown key, not a no-op.
+        let e = SweepSpec::parse("workloads = [\"x\"]\nengine_threads = [1]\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(e.message, "unknown key `engine_threads`");
         let e = SweepSpec::parse("workloads = [\"x\"]\ndistances = [seven]\n").unwrap_err();
         assert_eq!(e.line, 2);
     }

@@ -1,32 +1,26 @@
-//! The RESCQ realtime engine (paper §4) — the coordinator of the sharded
-//! realtime architecture (worker machinery in [`crate::engine::shard`]).
+//! The RESCQ realtime engine (paper §4).
 //!
-//! # The cycle-phase protocol
+//! # The dispatch pass
 //!
-//! Sharding forced the engine's implicit ordering to become an explicit
-//! protocol shared by every scheduling worker. Event handling retires
-//! strictly in `(round, insertion-order)` sequence — inject outcomes,
-//! decode completions, preparation completions, surgeries — and each
-//! retirement triggers a *scheduling pass* with four phases:
+//! Event handling retires strictly in `(round, insertion-order)` sequence —
+//! inject outcomes, decode completions, preparation completions, surgeries
+//! — and each retirement triggers a *dispatch pass* with four phases:
 //!
 //! 1. **schedule** — the qubit worklist drains deepest-remaining-chain
 //!    first; new gate tasks enqueue their claims through the ledger;
 //! 2. **start** — live tasks attempt injections and surgeries; a stalled
-//!    CNOT may preempt younger speculative claims here, cross-shard
-//!    preemptions going through the ledger's arbitration
-//!    ([`rescq_core::ReservationLedger::try_preempt_across`]), which
-//!    preserves the acyclicity proof regardless of the shards involved;
-//! 3. **propose** — shard workers scan their regions of the *frozen*
-//!    engine state in parallel and propose candidate ancillas (reclaims,
-//!    preparation starts/restarts). Workers never mutate;
-//! 4. **commit** — the coordinator revalidates each proposal against
-//!    committed state and applies it through the ledger, in canonical
-//!    ascending-ancilla order. This is the deterministic barrier that
-//!    reconciles shard frontiers: commit order — and therefore the RNG
-//!    draw order, the event order and every counter — is independent of
-//!    the thread count, so the schedule is bit-identical for 1, 2 or N
-//!    engine threads (`engine_threads = 1` reproduces the historical
-//!    monolithic engine exactly; golden-pinned in `tests/engines.rs`).
+//!    CNOT may preempt younger speculative claims here, through the
+//!    ledger's arbitration
+//!    ([`rescq_core::ReservationLedger::try_preempt_with`]), which keeps
+//!    the wait-for graph provably acyclic;
+//! 3. **propose** — the dirty, nonempty ancillas are scanned against the
+//!    engine state as it stood at the start of the phase, collecting
+//!    candidate ancillas (reclaims, preparation starts/restarts) without
+//!    mutating anything;
+//! 4. **commit** — each candidate is revalidated against committed state
+//!    and applied through the ledger, in ascending-ancilla order, so the
+//!    RNG draw order, the event order and every counter are fixed by the
+//!    inputs alone (golden-pinned in `tests/engines.rs`).
 //!
 //! The pass repeats until a fixpoint (no phase made progress).
 //!
@@ -49,7 +43,7 @@
 //! - when several gates become schedulable simultaneously, qubits with
 //!   larger remaining circuit depth go first (Fig 7 caption).
 
-use crate::engine::shard::{RegionPartition, ShardExecutor};
+use crate::engine::region::RegionPartition;
 use crate::engine::EventQueue;
 use crate::fabric::Fabric;
 use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
@@ -58,9 +52,9 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, GateQubits, QubitId};
 use rescq_core::{
-    plan_cnot_route_into, ActivityTracker, Bitset, EntryStatus, LedgerEvent, MstPipeline,
-    PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch, SchedulerKind,
-    ShardId, SurgeryCosts, TaskClass, TaskId, VecPool,
+    for_each_set_bit, plan_cnot_route_into, ActivityTracker, Bitset, EntryStatus, LedgerEvent,
+    MstPipeline, PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch,
+    SchedulerKind, SurgeryCosts, TaskClass, TaskId, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::{AncillaIndex, DataAdjacency, EdgeType};
@@ -176,9 +170,9 @@ struct PriorityPolicy {
     factory_qubit: Vec<bool>,
 }
 
-/// A shard worker's proposal for one ancilla (the *propose* phase of the
-/// protocol). Proposals carry no payload: the commit phase recomputes the
-/// decision against committed state, so a stale proposal is simply dropped.
+/// The propose phase's decision for one ancilla. Proposals carry no
+/// payload: the commit phase recomputes the decision against committed
+/// state, so a stale proposal is simply dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AncillaAction {
     /// Return a still-preparing ancilla to the pool (§3.2 reclaim).
@@ -277,16 +271,10 @@ struct RtEngine<'a> {
     /// scarce ancillas stay available for injections and routing.
     constrained: bool,
 
-    /// Contiguous regions of the ancilla network, one per scheduling shard.
-    /// A function of the fabric alone (never the thread count), so every
-    /// region-derived quantity is thread-count invariant.
+    /// Contiguous regions of the ancilla network (a function of the fabric
+    /// alone): carries the priority-class region overrides and labels
+    /// traced occupancy.
     partition: RegionPartition,
-    /// Executes region scans: inline for one thread, over the persistent
-    /// shard worker pool otherwise. Invisible to the schedule by
-    /// construction (workers only propose; commits are canonical-order).
-    exec: ShardExecutor,
-    /// Resolved worker-thread count (reported).
-    engine_threads: u32,
     /// Class-aware arbitration policy (`None` = class-blind, the default).
     priority: Option<PriorityPolicy>,
 
@@ -309,7 +297,7 @@ struct RtEngine<'a> {
     phase_nanos: [u64; 4],
     /// Optional per-cycle observation hook (the allocation-regression
     /// harness); observes only, never feeds back into the schedule.
-    cycle_probe: Option<&'a (dyn Fn(u64) + Sync)>,
+    cycle_probe: Option<&'a dyn Fn(u64)>,
     /// Per-qubit tile adjacency, precomputed once from the static layout:
     /// the hot loop (injection starts, Rz site enqueueing, class lookups)
     /// borrows these instead of rebuilding — and heap-allocating — them
@@ -338,14 +326,6 @@ struct RtEngine<'a> {
     traced_occupancy: Vec<(u32, bool)>,
 }
 
-// Shard workers scan a frozen `&RtEngine` concurrently during the propose
-// phase, so the whole engine state must be `Sync`; asserted at compile time
-// (part of the sharding refactor's Send/Sync audit).
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<RtEngine<'static>>();
-};
-
 /// Runs the realtime RESCQ schedule. `recorder` attaches a structured
 /// trace sink; `None` runs untraced (identical schedule, no timing).
 pub(crate) fn run_realtime(
@@ -355,7 +335,7 @@ pub(crate) fn run_realtime(
     fabric: Fabric,
     rng: ChaCha8Rng,
     recorder: Option<&dyn Recorder>,
-    cycle_probe: Option<&(dyn Fn(u64) + Sync)>,
+    cycle_probe: Option<&dyn Fn(u64)>,
 ) -> Result<ExecutionReport, SimError> {
     let d = config.rounds_per_cycle();
     let prep_model = PreparationModel::with_calibration(config.rus_params(), config.calibration);
@@ -371,8 +351,6 @@ pub(crate) fn run_realtime(
     let adjacency: Vec<DataAdjacency> = (0..circuit.num_qubits())
         .map(|q| fabric.layout.data_adjacency(QubitId(q)))
         .collect();
-    // More executors than regions would idle; the clamp only affects the
-    // reported thread count, never the schedule.
     let mut partition = RegionPartition::for_fabric(num_ancillas);
     let priority = config
         .priority_classes
@@ -392,9 +370,7 @@ pub(crate) fn run_realtime(
         // with a larger compute block stays a compute region, otherwise a
         // coarse region (small fabrics are a single region) would promote
         // everything and collapse the lattice back to uniform seniority.
-        // A pure function of the circuit and fabric — regions, overrides
-        // and therefore every class-driven decision are identical for any
-        // thread count.
+        // A pure function of the circuit and fabric.
         let mut frontage = vec![(0u32, 0u32); partition.num_regions()];
         for q in 0..circuit.num_qubits() {
             let adj = &adjacency[q as usize];
@@ -415,10 +391,6 @@ pub(crate) fn run_realtime(
             }
         }
     }
-    let threads = config
-        .resolved_engine_threads()
-        .clamp(1, partition.num_regions());
-    let exec = ShardExecutor::new(threads, num_ancillas);
 
     let mut ledger = ReservationLedger::new(num_ancillas);
     // One task per non-free gate at most: sizing the ledger's edge lists
@@ -466,8 +438,6 @@ pub(crate) fn run_realtime(
         pools: VecPools::default(),
         constrained: 2 * num_ancillas <= 4 * circuit.num_qubits() as usize,
         partition,
-        engine_threads: exec.threads() as u32,
-        exec,
         priority,
         counters: RunCounters::default(),
         cnot_latency: LatencyHistogram::new(),
@@ -545,7 +515,6 @@ impl RtEngine<'_> {
         Ok(ExecutionReport {
             scheduler: SchedulerKind::Rescq,
             seed: config.seed,
-            engine_threads: self.engine_threads,
             distance: self.d,
             total_rounds: self.last_completion,
             gates_executed: self.gates_executed,
@@ -575,8 +544,6 @@ impl RtEngine<'_> {
                 let ls = self.ledger.stats();
                 c.preemptions = ls.preemptions;
                 c.preemptions_rejected_cycle = ls.preemptions_rejected_cycle;
-                c.preemptions_cross_shard = ls.preemptions_cross_shard;
-                c.claims_cross_shard = ls.claims_cross_shard;
                 c.preemptions_class = ls.preemptions_class;
                 c.preemptions_by_class = ls.preemptions_by_class;
                 c.preemptions_by_rank = ls.preemptions_by_rank.clone();
@@ -704,7 +671,8 @@ impl RtEngine<'_> {
                 progress |= self.try_start_task(id);
             }
             self.note_phase(Phase::Start, t1);
-            // Phases 3 + 4 — propose and commit (the shard barrier).
+            // Phases 3 + 4 — propose against the phase-start state, then
+            // commit in ascending-ancilla order.
             progress |= self.dispatch_ancillas();
             self.live_tasks.retain(|&id| !self.tasks[id.index()].done);
             if !progress {
@@ -748,15 +716,10 @@ impl RtEngine<'_> {
         let round = self.clock;
         for ev in self.ledger.take_events() {
             rec.record(match ev {
-                LedgerEvent::Claim {
-                    task,
-                    ancilla,
-                    cross_shard,
-                } => TraceEvent::Claim {
+                LedgerEvent::Claim { task, ancilla } => TraceEvent::Claim {
                     round,
                     task: task.0 as u64,
                     ancilla,
-                    cross_shard,
                 },
                 LedgerEvent::Preempted {
                     task,
@@ -787,11 +750,10 @@ impl RtEngine<'_> {
         }
     }
 
-    /// The shard phases of one scheduling pass: every region is scanned
-    /// (in parallel for `engine_threads > 1`) against the frozen pass-start
-    /// state, producing candidate ancillas; the coordinator then commits
-    /// the candidates serially in ascending-ancilla order, recomputing each
-    /// decision against committed state.
+    /// The propose and commit phases of one dispatch pass: the frontier is
+    /// scanned against the phase-start state, producing candidate
+    /// ancillas, which are then committed in ascending-ancilla order, each
+    /// decision recomputed against committed state.
     ///
     /// Why this is bit-identical to the historical mutate-as-you-scan loop
     /// (`for a in 0..n { dispatch_ancilla(a) }`): within the ancilla phase,
@@ -805,8 +767,7 @@ impl RtEngine<'_> {
     /// ascending order, as the sequential loop — and anything enabled by
     /// this pass's commits is picked up by the next pass of the fixpoint,
     /// again matching the sequential loop. RNG draws, event pushes and
-    /// counters therefore occur in an identical total order for any thread
-    /// count.
+    /// counters therefore occur in an identical total order.
     fn dispatch_ancillas(&mut self) -> bool {
         let traced = self.recorder.is_some();
         let t0 = traced.then(Instant::now);
@@ -828,17 +789,14 @@ impl RtEngine<'_> {
                 .map(|(d, n)| d & n),
         );
         self.ledger.clear_dirty();
-        {
-            let this = &*self;
-            // Word-parallel scan over the frontier words: 64 idle or
-            // untouched ancillas are skipped per word-compare.
-            this.exec.scan_words_into(
-                &this.partition,
-                &words,
-                &|a| this.ancilla_action(a).is_some(),
-                &mut candidates,
-            );
-        }
+        // Word-parallel scan over the frontier words: 64 idle or untouched
+        // ancillas are skipped per word-compare.
+        candidates.clear();
+        for_each_set_bit(&words, |a| {
+            if self.ancilla_action(a as u32).is_some() {
+                candidates.push(a as u32);
+            }
+        });
         words.clear();
         self.scratch.scan_words = words;
         self.note_phase(Phase::Propose, t0);
@@ -1219,70 +1177,54 @@ impl RtEngine<'_> {
         path
     }
 
-    /// Registers a CNOT path's Route claims with the ledger, tagged with
-    /// the shards involved: the task's home shard is the region of the
-    /// path's control-side endpoint, and every claim on an ancilla hosted
-    /// in another region is a cross-shard claim (counted by the ledger's
-    /// arbitration; the claims themselves are ordinary seniority-ordered
-    /// reservations). Each claim carries the proposing task's priority
-    /// class, so cross-shard arbitration is class-aware without any change
-    /// to the barrier protocol — the class travels with the reservation.
+    /// Registers a CNOT path's Route claims with the ledger. Each claim
+    /// carries the task's priority class, so arbitration is class-aware —
+    /// the class travels with the reservation.
     fn enqueue_route_claims(&mut self, id: TaskId, path: &[AncillaIndex], class: TaskClass) {
-        let Some(&first) = path.first() else { return };
-        let home = ShardId(self.partition.region_of(first));
         for &a in path {
-            let host = ShardId(self.partition.region_of(a));
-            self.ledger.push_claim(
+            self.ledger.push(
                 a,
                 QueueEntry::new(id, Role::Route, Angle::ZERO).with_class(class),
-                home,
-                host,
             );
         }
     }
 
     /// `E[f_a]` for every ancilla into `out`: the sum of expected durations
     /// of its queued operations (§4.2), excluding entries of `exclude`
-    /// itself. Per-ancilla terms are independent, so the shard executor
-    /// computes region slices in parallel — the planner's hottest read.
-    /// An empty queue's estimate is exactly `clock`, so the fill is sparse
-    /// over the ledger's nonempty bitmap: idle ancillas cost one word-wide
-    /// memset lane instead of a queue walk each.
+    /// itself — the planner's hottest read. An empty queue's estimate is
+    /// exactly `clock`, so the fill is sparse over the ledger's nonempty
+    /// bitmap: idle ancillas cost one memset lane instead of a queue walk
+    /// each.
     fn fill_expected_free(&self, exclude: TaskId, out: &mut Vec<u64>) {
         let d = self.d as u64;
         let cnot = self.costs.cnot_cycles as u64 * d;
         let inj = self.costs.cnot_injection_cycles as u64 * d;
         let rz = self.rz_entry_cost;
         let clock = self.clock;
-        self.exec.fill_u64_sparse_into(
-            &self.partition,
-            self.ledger.nonempty_words(),
-            clock,
-            &|a| {
-                clock
-                    + self.ledger.queue(a).expected_free_rounds(|e| {
-                        if e.task == exclude {
-                            return 0;
-                        }
-                        match e.role {
-                            Role::Route => cnot,
-                            Role::Helper => inj,
-                            Role::EdgeRotate => 3 * d,
-                            _ => rz,
-                        }
-                    })
-            },
-            out,
-        );
+        out.clear();
+        out.resize(self.fabric.num_ancillas(), clock);
+        for_each_set_bit(self.ledger.nonempty_words(), |a| {
+            out[a] = clock
+                + self.ledger.queue(a as u32).expected_free_rounds(|e| {
+                    if e.task == exclude {
+                        return 0;
+                    }
+                    match e.role {
+                        Role::Route => cnot,
+                        Role::Helper => inj,
+                        Role::EdgeRotate => 3 * d,
+                        _ => rz,
+                    }
+                });
+        });
     }
 
     // ------------------------------------------------------------------
     // Ancilla queue processing
     // ------------------------------------------------------------------
 
-    /// The pure per-ancilla scheduling decision — the shard workers'
-    /// *propose* half. Reads only frozen state (this runs concurrently on
-    /// worker threads), and is re-evaluated by [`Self::commit_ancilla`]
+    /// The pure per-ancilla scheduling decision — the *propose* half.
+    /// Reads state only, and is re-evaluated by [`Self::commit_ancilla`]
     /// against committed state before anything is applied.
     fn ancilla_action(&self, a: AncillaIndex) -> Option<AncillaAction> {
         let top = self.ledger.queue(a).top()?;
@@ -1347,7 +1289,7 @@ impl RtEngine<'_> {
         }
     }
 
-    /// The *commit* half: revalidates a shard proposal against committed
+    /// The *commit* half: revalidates a proposal against committed
     /// state (earlier commits of the same pass may have invalidated it, or
     /// changed which action applies) and executes it through the ledger.
     /// Always called in ascending-ancilla order — the canonical commit
@@ -1740,11 +1682,7 @@ impl RtEngine<'_> {
             // lacked): ask the ledger to reorder this stalled CNOT ahead of
             // the younger speculative preparations blocking its path. The
             // ledger commits a reorder only when the incremental cycle
-            // check proves the wait-for graph stays acyclic — the proof is
-            // shard-agnostic, so a path spanning several regions preempts
-            // across shard boundaries through the same arbitration (the
-            // ledger tags such reorders in its cross-shard counter).
-            let home = ShardId(self.partition.region_of(path[0]));
+            // check proves the wait-for graph stays acyclic.
             let mut preempted = false;
             let mut spec = std::mem::take(&mut self.scratch.spec_tasks);
             for &a in &path {
@@ -1766,10 +1704,9 @@ impl RtEngine<'_> {
                         spec.push(e.task);
                     }
                 }
-                let host = ShardId(self.partition.region_of(a));
-                let outcome = self.ledger.try_preempt_across(id, a, home, host, |e| {
-                    e.task > id || spec.contains(&e.task)
-                });
+                let outcome = self
+                    .ledger
+                    .try_preempt_with(id, a, |e| e.task > id || spec.contains(&e.task));
                 if let Preemption::Applied {
                     displaced_top,
                     class_won,
@@ -2030,8 +1967,7 @@ impl RtEngine<'_> {
     /// task that cannot make progress charges one cycle to the cause
     /// blocking it (ancilla contention, decoder backlog, route blocked, or
     /// class displacement). Derived purely from simulated state, so the
-    /// counters are bit-identical with or without a recorder and for any
-    /// thread count.
+    /// counters are bit-identical with or without a recorder.
     fn sample_stalls(&mut self) {
         for i in 0..self.live_tasks.len() {
             let id = self.live_tasks[i];
@@ -2104,7 +2040,7 @@ impl RtEngine<'_> {
     /// only). State is read at the deterministic tick point — fabric
     /// occupancy and ledger queue depth are pure schedule state — and
     /// ancillas are scanned in ascending order, so the emitted stream is
-    /// identical at any `engine_threads`.
+    /// deterministic.
     fn sample_occupancy(&mut self) {
         let Some(rec) = self.recorder else { return };
         let round = self.clock;

@@ -13,7 +13,7 @@
 //! layer's CNOTs by endpoint distance and routes them as an edge-disjoint
 //! batch, which extracts more parallelism.
 
-use crate::engine::shard::RegionPartition;
+use crate::engine::region::RegionPartition;
 use crate::engine::EventQueue;
 use crate::fabric::Fabric;
 use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
@@ -308,9 +308,6 @@ pub(crate) fn run_static(
     Ok(ExecutionReport {
         scheduler: kind,
         seed: config.seed,
-        // The static baselines are layer-synchronous single-threaded loops;
-        // `engine_threads` only shards the realtime engine.
-        engine_threads: 1,
         distance: d,
         total_rounds: clock,
         gates_executed,
@@ -343,15 +340,10 @@ fn drain_trace(
     let Some(rec) = recorder else { return };
     for ev in ledger.take_events() {
         rec.record(match ev {
-            LedgerEvent::Claim {
-                task,
-                ancilla,
-                cross_shard,
-            } => TraceEvent::Claim {
+            LedgerEvent::Claim { task, ancilla } => TraceEvent::Claim {
                 round,
                 task: task.0 as u64,
                 ancilla,
-                cross_shard,
             },
             LedgerEvent::Preempted {
                 task,

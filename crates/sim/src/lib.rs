@@ -28,6 +28,7 @@
 //! assert!(rescq.total_cycles() > 0.0 && greedy.total_cycles() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -118,13 +118,6 @@ pub struct RunCounters {
     /// Preemptions rejected because the reordered wait-for edges would have
     /// created a cycle (the naive-yield deadlock, caught by the ledger).
     pub preemptions_rejected_cycle: u64,
-    /// Applied preemptions whose target ancilla lay outside the preempting
-    /// task's home shard (region-partitioned RESCQ engine; thread-count
-    /// invariant because the region partition follows the fabric alone).
-    pub preemptions_cross_shard: u64,
-    /// Ledger claims registered on an ancilla hosted outside the claiming
-    /// task's home shard (CNOT routes leaving their home region).
-    pub claims_cross_shard: u64,
     /// Applied preemptions granted by the priority-class lattice — the
     /// preemptor's class strictly outranked a displaced entry, a reorder
     /// seniority alone would have refused. Always 0 in class-blind runs.
@@ -189,9 +182,6 @@ pub struct ExecutionReport {
     pub scheduler: SchedulerKind,
     /// The run seed.
     pub seed: u64,
-    /// Engine worker threads the run resolved to (always 1 for the static
-    /// baselines; never affects the schedule, only wall-clock).
-    pub engine_threads: u32,
     /// Code distance.
     pub distance: u32,
     /// Total execution time in measurement rounds.
@@ -277,7 +267,7 @@ fn summarize(h: &LatencyHistogram) -> HistogramSummary {
 /// Every metric is schedule-derived (rounds, cycles, counters) — the
 /// wall-clock `phase_nanos` are deliberately excluded — so the
 /// snapshot is a pure function of config + seed, byte-identical with
-/// tracing on or off at any engine thread count.
+/// tracing on or off.
 pub fn metrics_snapshot(report: &ExecutionReport) -> MetricsSnapshot {
     let mut s = MetricsSnapshot::new();
     let c = &report.counters;
@@ -293,7 +283,6 @@ pub fn metrics_snapshot(report: &ExecutionReport) -> MetricsSnapshot {
         .counter("rescq_preemptions", c.preemptions)
         .counter("rescq_preemptions_rejected", c.preemptions_rejected_cycle)
         .counter("rescq_preemptions_class", c.preemptions_class)
-        .counter("rescq_claims_cross_shard", c.claims_cross_shard)
         .counter("rescq_waitgraph_peak_edges", c.waitgraph_peak_edges)
         .counter("rescq_stall_ancilla_cycles", c.stall_ancilla_cycles)
         .counter("rescq_stall_decoder_cycles", c.stall_decoder_cycles)
@@ -372,7 +361,6 @@ mod tests {
         let r = ExecutionReport {
             scheduler: SchedulerKind::Rescq,
             seed: 1,
-            engine_threads: 1,
             distance: 7,
             total_rounds: 700,
             gates_executed: 10,
@@ -406,7 +394,6 @@ mod tests {
         let r = ExecutionReport {
             scheduler: SchedulerKind::Rescq,
             seed: 1,
-            engine_threads: 1,
             distance: 7,
             total_rounds: 700,
             gates_executed: 10,

@@ -20,8 +20,8 @@
 //!   a prepared state yet, so its claims yield to everyone.
 //!
 //! Classification is a pure function of the circuit and the fabric — never
-//! of thread count or timing — so classed runs stay deterministic and
-//! thread-count invariant like everything else in the engine.
+//! of timing — so classed runs stay deterministic like everything else in
+//! the engine.
 
 use rescq_circuit::Circuit;
 

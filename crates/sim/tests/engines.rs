@@ -171,7 +171,7 @@ fn uncompressed_runs_bit_identical_to_pre_ledger_engine() {
 fn reports_csv_row(r: &ExecutionReport) -> String {
     let c = &r.counters;
     format!(
-        "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         r.scheduler,
         r.seed,
         r.distance,
@@ -191,8 +191,6 @@ fn reports_csv_row(r: &ExecutionReport) -> String {
         c.decoder_peak_backlog,
         c.preemptions,
         c.preemptions_rejected_cycle,
-        c.preemptions_cross_shard,
-        c.claims_cross_shard,
         c.waitgraph_peak_edges,
         c.preemptions_class,
         c.preemptions_by_class[0],
@@ -206,7 +204,6 @@ fn reports_csv_row(r: &ExecutionReport) -> String {
         c.decode_defects,
         c.decode_growth_steps,
         c.decode_failures,
-        r.engine_threads,
     )
 }
 
@@ -229,56 +226,9 @@ fn union_find_realtime_run_is_pinned() {
     assert_eq!(r.counters.mst_incremental_updates, 2334);
     assert_eq!(
         reports_csv_row(&r),
-        "rescq,7,7,902.571,0.9819,217,158,75,633,327,2,35,25,11,158,9447.000,34,0,0,0,62,103,\
-         0,0,0,0,0,317,8947,1186,0,44,252,0,1"
+        "rescq,7,7,902.571,0.9819,217,158,75,633,327,2,35,25,11,158,9447.000,34,0,0,103,\
+         0,0,0,0,0,317,8947,1186,0,44,252,0"
     );
-}
-
-#[test]
-fn sharded_engine_reproduces_the_golden_schedules_for_any_thread_count() {
-    // The golden rounds pinned in
-    // `uncompressed_runs_bit_identical_to_pre_ledger_engine` must hold not
-    // just for the default single-threaded engine but for every engine
-    // thread count: the sharded dispatch (propose in parallel, commit in
-    // canonical order at the barrier) is bit-identical by construction.
-    for (qubits, layers, seed, rounds) in [
-        (9u32, 4u32, 11u64, 411u64),
-        (6, 3, 40, 284),
-        (9, 4, 41, 449),
-    ] {
-        let c = rz_heavy(qubits, layers);
-        let reference = simulate(&c, &config(SchedulerKind::Rescq, seed)).unwrap();
-        assert_eq!(reference.total_rounds, rounds, "golden moved");
-        for threads in [2usize, 4, 16] {
-            let cfg = SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .engine_threads(threads)
-                .seed(seed)
-                .build();
-            let mut r = simulate(&c, &cfg).unwrap();
-            assert!(r.engine_threads >= 1);
-            r.engine_threads = reference.engine_threads;
-            assert_eq!(
-                r, reference,
-                "rz_heavy({qubits},{layers}) seed={seed} threads={threads} diverged"
-            );
-        }
-    }
-    // Compressed fabrics drive the preemption machinery; identical there too.
-    let c = rz_heavy(8, 3);
-    for threads in [2usize, 4] {
-        let mk = |t: usize| {
-            SimConfig::builder()
-                .compression(1.0)
-                .engine_threads(t)
-                .seed(3)
-                .build()
-        };
-        let reference = simulate(&c, &mk(1)).unwrap();
-        let mut r = simulate(&c, &mk(threads)).unwrap();
-        r.engine_threads = reference.engine_threads;
-        assert_eq!(r, reference, "compressed run diverged at {threads} threads");
-    }
 }
 
 #[test]

@@ -73,7 +73,6 @@ fn event_from_json(ev: &Json) -> Option<Event> {
             round: num("round")?,
             task: num("task")?,
             ancilla: num32("ancilla")?,
-            cross_shard: flag("cross_shard")?,
         },
         "preemption" => Event::Preemption {
             round: num("round")?,
@@ -231,7 +230,7 @@ impl PathLink {
 pub struct AncillaUtil {
     /// Ancilla (dense index).
     pub ancilla: u32,
-    /// Its region in the shard partition.
+    /// Its region in the fabric's region partition.
     pub region: u32,
     /// Fraction of rounds the ancilla was occupied or held.
     pub busy_fraction: f64,
@@ -803,7 +802,6 @@ mod tests {
                 round: 0,
                 task: 0,
                 ancilla: 0,
-                cross_shard: false,
             },
             Event::RoutePlanned {
                 round: 0,
@@ -815,13 +813,11 @@ mod tests {
                 round: 100,
                 task: 0,
                 ancilla: 0,
-                cross_shard: false,
             },
             Event::Claim {
                 round: 100,
                 task: 1,
                 ancilla: 1,
-                cross_shard: false,
             },
             Event::Stall {
                 round: 150,
@@ -837,7 +833,6 @@ mod tests {
                 round: 300,
                 task: 1,
                 ancilla: 1,
-                cross_shard: false,
             },
             Event::WaitEdge {
                 round: 310,
@@ -854,7 +849,6 @@ mod tests {
                 round: 500,
                 task: 2,
                 ancilla: 1,
-                cross_shard: false,
             },
         ]
     }
@@ -960,6 +954,26 @@ mod tests {
         assert!(report.render_text(4).contains("WARNING"));
 
         assert!(parse_trace("not a trace").is_err());
+    }
+
+    #[test]
+    fn old_claim_events_with_cross_shard_still_parse() {
+        // Traces written before the engine became serial tag each claim
+        // with `cross_shard`; the extra key is ignored.
+        let doc = "{\"traceEvents\":[\n\
+            {\"name\":\"claim\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.000,\"pid\":0,\"tid\":2,\
+            \"args\":{\"round\":7,\"task\":2,\"ancilla\":5,\"cross_shard\":true}}\n\
+            ]}";
+        let parsed = parse_trace(doc).unwrap();
+        assert!(!parsed.truncated);
+        assert_eq!(
+            parsed.events,
+            vec![Event::Claim {
+                round: 7,
+                task: 2,
+                ancilla: 5
+            }]
+        );
     }
 
     #[test]

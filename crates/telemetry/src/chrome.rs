@@ -56,16 +56,13 @@ fn push_event(out: &mut String, te: &TimedEvent) {
             round,
             task,
             ancilla,
-            cross_shard,
         } => {
             instant(
                 out,
                 "claim",
                 TID_LEDGER,
                 te.at_ns,
-                &format!(
-                    "\"round\":{round},\"task\":{task},\"ancilla\":{ancilla},\"cross_shard\":{cross_shard}"
-                ),
+                &format!("\"round\":{round},\"task\":{task},\"ancilla\":{ancilla}"),
             );
         }
         Event::Preemption {
@@ -635,7 +632,6 @@ mod tests {
                     round: 7,
                     task: 2,
                     ancilla: 5,
-                    cross_shard: true,
                 },
             },
             TimedEvent {

@@ -16,8 +16,8 @@
 //! quantity that feeds back into reports is derived from simulation
 //! time (rounds/cycles), never wall-clock; wall-clock lives only in the
 //! trace, the phase histograms, and perf baselines. Schedules and
-//! reports are therefore byte-identical with tracing on or off, at any
-//! engine thread count (property `tracing_is_inert`).
+//! reports are therefore byte-identical with tracing on or off
+//! (property `tracing_is_inert`).
 //!
 //! ## Example
 //!
@@ -26,7 +26,7 @@
 //!
 //! let rec = RingRecorder::new();
 //! rec.record(Event::PhaseSpan { phase: Phase::Schedule, round: 7, dur_ns: 1200 });
-//! rec.record(Event::Claim { round: 7, task: 0, ancilla: 3, cross_shard: false });
+//! rec.record(Event::Claim { round: 7, task: 0, ancilla: 3 });
 //! assert_eq!(rec.len(), 2);
 //! let json = rec.to_chrome_trace();
 //! assert!(json.contains("\"traceEvents\""));
@@ -53,15 +53,16 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The four phases of one realtime-engine dispatch pass (the sharded
-/// schedule → start → propose → commit barrier protocol).
+/// The four phases of one realtime-engine dispatch pass
+/// (schedule → start → propose → commit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Phase 1: drain the scheduling worklist (newly ready gates).
     Schedule,
     /// Phase 2: try to start every live task.
     Start,
-    /// Phase 3: region workers scan their shards and propose actions.
+    /// Phase 3: scan the dirty, nonempty ancillas against the phase-start
+    /// state and collect candidate actions, mutating nothing.
     Propose,
     /// Phase 4: commit proposed actions in canonical ancilla order.
     Commit,
@@ -94,7 +95,7 @@ impl Phase {
 
 /// Why a live task failed to make progress during a cycle — the
 /// stall-attribution buckets. Attribution is derived from schedule
-/// state alone (deterministic, thread-count invariant).
+/// state alone (deterministic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallCause {
     /// The task's ancilla claims sit behind other holders on the
@@ -165,8 +166,6 @@ pub enum Event {
         task: u64,
         /// Claimed ancilla (dense index).
         ancilla: u32,
-        /// The ancilla lies outside the claiming task's home shard.
-        cross_shard: bool,
     },
     /// The ledger applied a preemption (queue reorder).
     Preemption {
@@ -249,7 +248,7 @@ pub enum Event {
         round: u64,
         /// Ancilla (dense index).
         ancilla: u32,
-        /// The ancilla's region in the shard partition.
+        /// The ancilla's region in the fabric's region partition.
         region: u32,
         /// Reservation-queue depth at the sample.
         depth: u32,
@@ -272,7 +271,7 @@ pub enum Event {
 /// A sink for trace [`Event`]s.
 ///
 /// `record` takes `&self` so a single recorder can be shared by
-/// concurrent producers (harness workers, engine threads);
+/// concurrent producers (harness workers);
 /// implementations synchronise internally. Implementations must never
 /// panic on any event and must not feed anything back into the
 /// simulation — see the crate-level determinism contract.

@@ -43,26 +43,6 @@ fn uncompressed_benchmark_run_matches_pre_ledger_golden() {
 }
 
 #[test]
-fn sharded_engine_matches_the_golden_on_every_thread_count() {
-    // The sharded-engine determinism contract pinned on a paper workload:
-    // the same golden round count (and the full report) for 1, 2 and 4
-    // engine threads, with 1-thread output matching the historical engine
-    // exactly. Multi-thread runs go through the lock-free proposal-ring
-    // handoff (serial runs bypass it), so this golden also pins the ring
-    // path against the PR 4 numbers.
-    let circuit = rescq_repro::workloads::generate("wstate_n27", 1).unwrap();
-    let mk = |threads: usize| SimConfig::builder().seed(7).engine_threads(threads).build();
-    let reference = simulate(&circuit, &mk(1)).unwrap();
-    assert_eq!(reference.total_rounds, 2391, "1-thread golden moved");
-    for threads in [2usize, 4] {
-        let mut r = simulate(&circuit, &mk(threads)).unwrap();
-        assert_eq!(r.total_rounds, 2391, "{threads}-thread run diverged");
-        r.engine_threads = reference.engine_threads;
-        assert_eq!(r, reference, "full report diverged at {threads} threads");
-    }
-}
-
-#[test]
 fn stall_breaker_retargets_lost_current_angle_states() {
     // Regression: on factory_n12 at 25% compression, seed 8, the stall
     // breaker used to discard a task's only |mθ⟩ holder *after* its sibling

@@ -13,7 +13,7 @@ use rescq_decoder::{DecodeBacklog, DecoderConfig};
 use rescq_repro::circuit::{parse_circuit, write_circuit, Angle, Circuit, DependencyDag, Gate};
 use rescq_repro::core::SchedulerKind;
 use rescq_repro::lattice::{Layout, LayoutKind};
-use rescq_repro::sim::{simulate, SimConfig};
+use rescq_repro::sim::{simulate, ExecutionReport, SimConfig};
 
 const CASES: u64 = 24;
 
@@ -246,19 +246,38 @@ fn constrained_preemption_terminates_and_stays_acyclic() {
     );
 }
 
-/// The sharded-engine determinism contract: for random shard counts ×
-/// constrained workloads, every run terminates with every gate executed,
-/// the ledger stays acyclic across cross-shard preemptions (the engine
+/// Runs `circuit` under `config` twice in one process: both runs must
+/// execute every gate and produce byte-identical reports. Returns the report.
+fn run_twice(circuit: &Circuit, config: &SimConfig, what: &str) -> ExecutionReport {
+    let first = simulate(circuit, config).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(first.gates_executed, circuit.len(), "{what}");
+    let second = simulate(circuit, config).unwrap_or_else(|e| panic!("{what} (rerun): {e}"));
+    assert_eq!(
+        format!("{first:?}"),
+        format!("{second:?}"),
+        "{what}: rerun diverged"
+    );
+    first
+}
+
+/// The realtime engine's determinism contract: random constrained
+/// workloads, congested compressed benchmarks and a class-aware run each
+/// terminate with every gate executed, keep the ledger acyclic (the engine
 /// `debug_assert`s `ReservationLedger::is_acyclic()` after every applied
-/// preemption, so these debug-profile runs abort on a violation), and the
-/// schedule is **byte-identical to the 1-thread run** — total rounds,
-/// latency histograms, RNG-dependent failure counts, every counter. The
-/// `engine_threads` report field is the one legitimate difference, so it is
-/// normalised before comparison. Thread counts above the region count
-/// exercise the executor clamp; `0` exercises auto-detection.
+/// preemption, so these debug-profile runs abort on a violation), and
+/// reproduce byte-identical reports run to run — total rounds, latency
+/// histograms, RNG-dependent failure counts, every counter.
 #[test]
-fn sharded_engine_is_thread_count_invariant() {
-    let mut cross_shard_activity = 0u64;
+fn realtime_engine_is_run_to_run_deterministic() {
+    let mut preemption_activity = 0u64;
+    let build = |compression: f64, seed: u64| {
+        SimConfig::builder()
+            .scheduler(SchedulerKind::Rescq)
+            .compression(compression)
+            .seed(seed)
+            .max_cycles(500_000)
+            .build()
+    };
     for case in 0..20u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5AAD_0000 ^ case);
         let n = rng.gen_range(4u32..12);
@@ -267,146 +286,39 @@ fn sharded_engine_is_thread_count_invariant() {
         let circuit = Circuit::from_gates(n, gates).unwrap();
         let compression = [0.0, 0.5, 0.75, 1.0][(case % 4) as usize];
         let seed = rng.gen_range(0u64..1000);
-        let threads = [2usize, 3, 4, 8, 0][(case % 5) as usize];
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .compression(compression)
-                .engine_threads(t)
-                .seed(seed)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1))
-            .unwrap_or_else(|e| panic!("case {case}: 1-thread run failed: {e}"));
-        assert_eq!(reference.gates_executed, circuit.len(), "case {case}");
-        let sharded = simulate(&circuit, &build(threads))
-            .unwrap_or_else(|e| panic!("case {case} ({threads} threads): {e}"));
-        let mut normalised = sharded.clone();
-        normalised.engine_threads = reference.engine_threads;
-        assert_eq!(
-            normalised, reference,
-            "case {case}: {threads}-thread schedule diverged from the 1-thread run"
-        );
-        cross_shard_activity +=
-            reference.counters.claims_cross_shard + reference.counters.preemptions_cross_shard;
+        let r = run_twice(&circuit, &build(compression, seed), &format!("case {case}"));
+        preemption_activity += r.counters.preemptions + r.counters.preemptions_rejected_cycle;
     }
-    // Structured benchmarks whose paths are known to span several regions,
-    // so the corpus provably exercises cross-shard arbitration.
-    for (name, compression, seed) in [("qft_n18", 0.5, 7u64), ("wstate_n27", 0.0, 7)] {
-        let circuit = rescq_repro::workloads::generate(name, 1).unwrap();
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .compression(compression)
-                .engine_threads(t)
-                .seed(seed)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1)).unwrap();
-        for threads in [2usize, 4] {
-            let mut sharded = simulate(&circuit, &build(threads)).unwrap();
-            sharded.engine_threads = reference.engine_threads;
-            assert_eq!(sharded, reference, "{name}@{compression} x{threads}");
-        }
-        cross_shard_activity +=
-            reference.counters.claims_cross_shard + reference.counters.preemptions_cross_shard;
-    }
-    assert!(
-        cross_shard_activity > 0,
-        "the corpus must cross shard boundaries at least once"
-    );
-    // Class-aware runs obey the same contract: classification, region
-    // overrides and class preemptions are pure functions of circuit +
-    // fabric, so a lattice-enabled schedule is thread-count invariant too —
-    // and the factory workload provably exercises class preemptions.
-    {
-        use rescq_repro::core::ClassLattice;
-        let circuit = rescq_repro::workloads::generate("factory_n12", 1).unwrap();
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .compression(0.25)
-                .priority_classes(Some(ClassLattice::default()))
-                .engine_threads(t)
-                .seed(5)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1)).unwrap();
-        assert!(
-            reference.counters.preemptions_class > 0,
-            "the priority case must exercise class preemption"
-        );
-        for threads in [2usize, 4] {
-            let mut sharded = simulate(&circuit, &build(threads)).unwrap();
-            sharded.engine_threads = reference.engine_threads;
-            assert_eq!(sharded, reference, "factory_n12 priority x{threads}");
-        }
-    }
-}
-
-/// Seeded stress for the lock-free proposal-ring handoff: congested
-/// compressed fabrics run at 2 and 4 threads for thousands of dispatch
-/// passes. The ring's capacity is the ancilla count rounded up to a power
-/// of two and its head index only ever grows (slots recycle by masking),
-/// so a run whose committed actions outnumber the fabric's ancillas — every
-/// one of these, by orders of magnitude — wraps the ring repeatedly; the
-/// wrap mechanics themselves are unit-pinned in `shard.rs`
-/// (`proposal_ring_wraps_across_passes`). On top of that the corpus must
-/// exercise cross-shard preemption, and every sharded schedule must stay
-/// byte-identical to the serial engine's.
-#[test]
-fn proposal_ring_stress_wraps_and_preserves_bit_identity() {
-    let mut cross_shard_preemptions = 0u64;
+    // Structured benchmarks, including congested compressed fabrics that
+    // run thousands of dispatch passes.
     for (name, compression, seed) in [
         ("qft_n18", 0.5, 7u64),
+        ("wstate_n27", 0.0, 7),
         ("qft_n18", 0.75, 11),
         ("factory_n12", 0.25, 5),
         ("wstate_n27", 0.5, 3),
     ] {
         let circuit = rescq_repro::workloads::generate(name, 1).unwrap();
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .compression(compression)
-                .engine_threads(t)
-                .seed(seed)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1))
-            .unwrap_or_else(|e| panic!("{name}@{compression} serial: {e}"));
-        assert_eq!(
-            reference.gates_executed,
-            circuit.len(),
-            "{name}@{compression}"
+        let r = run_twice(
+            &circuit,
+            &build(compression, seed),
+            &format!("{name}@{compression}"),
         );
-        // Far more committed proposals than any ring capacity for these
-        // fabrics (the largest here is 54 ancillas → 64 slots): the pooled
-        // runs below cannot avoid wrapping. Injections (RUS attempts) are
-        // the proposal count's dominant term — factory circuits have few
-        // gates but every rotation retries ~2 injections.
-        assert!(
-            reference.counters.injections > 128,
-            "{name}@{compression}: {} injections is too few to force a ring wrap",
-            reference.counters.injections
-        );
-        for threads in [2usize, 4] {
-            let mut sharded = simulate(&circuit, &build(threads))
-                .unwrap_or_else(|e| panic!("{name}@{compression} x{threads}: {e}"));
-            sharded.engine_threads = reference.engine_threads;
-            assert_eq!(
-                sharded, reference,
-                "{name}@{compression}: ring handoff diverged at {threads} threads"
-            );
-        }
-        cross_shard_preemptions += reference.counters.preemptions_cross_shard;
+        preemption_activity += r.counters.preemptions + r.counters.preemptions_rejected_cycle;
     }
     assert!(
-        cross_shard_preemptions > 0,
-        "the stress corpus must exercise cross-shard preemption"
+        preemption_activity > 0,
+        "the corpus must exercise the preemption machinery at least once"
+    );
+    // Class-aware runs obey the same contract, and the factory workload
+    // provably exercises class preemptions.
+    let circuit = rescq_repro::workloads::generate("factory_n12", 1).unwrap();
+    let mut config = build(0.25, 5);
+    config.priority_classes = Some(rescq_repro::core::ClassLattice::default());
+    let r = run_twice(&circuit, &config, "factory_n12 priority");
+    assert!(
+        r.counters.preemptions_class > 0,
+        "the priority case must exercise class preemption"
     );
 }
 
@@ -535,14 +447,14 @@ fn uniform_class_ledgers_reproduce_the_seed_arbitration() {
     );
 }
 
-/// The union-find decoder is thread-count invariant: its sampled error
+/// The union-find decoder is deterministic run to run: its sampled error
 /// stream, cluster-growth work and emergent window latencies are keyed on
 /// (channel seed, tile, per-tile window index), all functions of the
-/// schedule — so a sharded run's report, decode-work counters included,
-/// is byte-identical to the 1-thread run. The corpus must provably
-/// exercise the real decoder (nonzero defects and growth steps).
+/// schedule — so a rerun's report, decode-work counters included, is
+/// byte-identical. The corpus must provably exercise the real decoder
+/// (nonzero defects and growth steps).
 #[test]
-fn union_find_decoder_is_thread_count_invariant() {
+fn union_find_decoder_is_run_to_run_deterministic() {
     let mut decode_activity = 0u64;
     for case in 0..12u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0F1D_0000 ^ case);
@@ -551,44 +463,23 @@ fn union_find_decoder_is_thread_count_invariant() {
         let gates: Vec<Gate> = (0..len).map(|_| arb_gate(&mut rng, n)).collect();
         let circuit = Circuit::from_gates(n, gates).unwrap();
         // High physical error rates make every window carry defects, so the
-        // invariance claim covers real cluster growth, not empty syndromes.
+        // determinism claim covers real cluster growth, not empty syndromes.
         let p = [1e-4, 0.02, 0.05][(case % 3) as usize];
-        let seed = rng.gen_range(0u64..1000);
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .decoder(DecoderConfig::union_find(rng_free_throughput(case)))
-                .physical_error_rate(p)
-                .engine_threads(t)
-                .seed(seed)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1))
-            .unwrap_or_else(|e| panic!("case {case}: 1-thread run failed: {e}"));
-        assert_eq!(reference.gates_executed, circuit.len(), "case {case}");
-        decode_activity +=
-            reference.counters.decode_defects + reference.counters.decode_growth_steps;
-        for threads in [2usize, 4] {
-            let mut sharded = simulate(&circuit, &build(threads))
-                .unwrap_or_else(|e| panic!("case {case} ({threads} threads): {e}"));
-            sharded.engine_threads = reference.engine_threads;
-            assert_eq!(
-                sharded, reference,
-                "case {case}: {threads}-thread union-find schedule diverged"
-            );
-        }
+        let throughput = [2.0, 4.0, 8.0, 16.0][(case % 4) as usize];
+        let config = SimConfig::builder()
+            .scheduler(SchedulerKind::Rescq)
+            .decoder(DecoderConfig::union_find(throughput))
+            .physical_error_rate(p)
+            .seed(rng.gen_range(0u64..1000))
+            .max_cycles(500_000)
+            .build();
+        let r = run_twice(&circuit, &config, &format!("case {case}"));
+        decode_activity += r.counters.decode_defects + r.counters.decode_growth_steps;
     }
     assert!(
         decode_activity > 0,
         "the corpus must exercise real decode work at least once"
     );
-}
-
-/// Deterministic per-case throughput for the union-find invariance corpus
-/// (kept outside the closure so every thread count sees the same value).
-fn rng_free_throughput(case: u64) -> f64 {
-    [2.0, 4.0, 8.0, 16.0][(case % 4) as usize]
 }
 
 /// The union-find decoder's latency is emergent, so it must respond to the

@@ -55,7 +55,6 @@ error_rates  = [1e-4]                    # default [1e-4]
 k            = [25, "dynamic"]           # default [25]
 compressions = [0.0, 0.5]                # default [0.0]
 decoders     = ["ideal", "fixed:0.5", "adaptive:1x4"]  # default ["ideal"]
-engine_threads = [1, 4]                  # engine shards per run, default [1]
 priority_classes = ["off", "factory>injection>compute>speculative"]  # default ["off"]
 seeds        = 10                        # runs per point, default 3
 base_seed    = 1
@@ -63,8 +62,8 @@ decode_prep  = false                     # route prep verification through the d
 "#;
     let spec = rescq_repro::harness::SweepSpec::parse(snippet).expect("README sweep spec parses");
     // 2 workloads x 2 schedulers x 2 k x 2 compressions x 3 decoders x
-    // 2 engine-thread points x 2 priority points.
-    assert_eq!(spec.num_points(), 2 * 2 * 2 * 2 * 3 * 2 * 2);
+    // 2 priority points.
+    assert_eq!(spec.num_points(), 2 * 2 * 2 * 2 * 3 * 2);
     assert_eq!(spec.seeds, 10);
     assert_eq!(spec.priority.len(), 2);
     assert!(spec.priority[0].is_none());

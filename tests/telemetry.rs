@@ -69,8 +69,8 @@ fn reports_csv(reports: &[ExecutionReport]) -> Vec<u8> {
 }
 
 /// The central telemetry contract: attaching a recorder changes nothing
-/// observable. For random circuits, 1/2/4 engine threads and both the
-/// ideal and the union-find decoder, the reports CSV of a traced run is
+/// observable. For random circuits and both the ideal and the union-find
+/// decoder, the reports CSV of a traced run is
 /// byte-identical to the untraced run — including the stall-attribution
 /// and decode-work columns, which are computed whether or not anyone is
 /// recording. The union-find rows matter most: the decoder samples its
@@ -81,36 +81,33 @@ fn tracing_is_inert() {
     for_each_case("tracing_is_inert", |rng| {
         let circuit = arb_circuit(rng);
         let seed = rng.gen_range(1u64..1000);
-        for threads in [1usize, 2, 4] {
-            for decoder in [DecoderConfig::ideal(), DecoderConfig::union_find(4.0)] {
-                let config = SimConfig::builder()
-                    .scheduler(SchedulerKind::Rescq)
-                    .seed(seed)
-                    .engine_threads(threads)
-                    .decoder(decoder)
-                    .build();
-                let untraced = simulate_traced(&circuit, &config, None).unwrap();
-                let recorder = RingRecorder::new();
-                let traced = simulate_traced(&circuit, &config, Some(&recorder)).unwrap();
-                assert!(
-                    !recorder.events().is_empty(),
-                    "a traced realtime run must record events"
-                );
-                assert_eq!(
-                    reports_csv(std::slice::from_ref(&untraced)),
-                    reports_csv(std::slice::from_ref(&traced)),
-                    "reports CSV must be byte-identical with tracing on vs. off \
-                     (threads={threads}, decoder={decoder})"
-                );
-                // The metrics snapshot is schedule-derived end to end (no
-                // wall-clock fields), so it must be byte-identical too.
-                assert_eq!(
-                    metrics_snapshot(&untraced).to_json(),
-                    metrics_snapshot(&traced).to_json(),
-                    "metrics snapshot must be byte-identical with tracing on vs. \
-                     off (threads={threads}, decoder={decoder})"
-                );
-            }
+        for decoder in [DecoderConfig::ideal(), DecoderConfig::union_find(4.0)] {
+            let config = SimConfig::builder()
+                .scheduler(SchedulerKind::Rescq)
+                .seed(seed)
+                .decoder(decoder)
+                .build();
+            let untraced = simulate_traced(&circuit, &config, None).unwrap();
+            let recorder = RingRecorder::new();
+            let traced = simulate_traced(&circuit, &config, Some(&recorder)).unwrap();
+            assert!(
+                !recorder.events().is_empty(),
+                "a traced realtime run must record events"
+            );
+            assert_eq!(
+                reports_csv(std::slice::from_ref(&untraced)),
+                reports_csv(std::slice::from_ref(&traced)),
+                "reports CSV must be byte-identical with tracing on vs. off \
+                 (decoder={decoder})"
+            );
+            // The metrics snapshot is schedule-derived end to end (no
+            // wall-clock fields), so it must be byte-identical too.
+            assert_eq!(
+                metrics_snapshot(&untraced).to_json(),
+                metrics_snapshot(&traced).to_json(),
+                "metrics snapshot must be byte-identical with tracing on vs. \
+                 off (decoder={decoder})"
+            );
         }
     });
 }
@@ -125,58 +122,45 @@ fn analyze_run(circuit: &Circuit, config: &SimConfig) -> AnalyzeReport {
 
 /// Analytics invariants, for random circuits: every per-ancilla occupancy
 /// fraction is a valid fraction, and the whole analyze report — built
-/// from sim-time rounds only — is identical at 1, 2 and 4 engine threads
-/// (the trace stream is a function of the schedule, which is sharding-
-/// invariant). Half the cases run the union-find decoder, whose sampled
-/// error stream and emergent window latencies must obey the same
-/// invariance.
+/// from sim-time rounds only — is identical when the run is traced again.
+/// Half the cases run the union-find decoder, whose sampled error stream
+/// and emergent window latencies must obey the same contract.
 #[test]
-fn utilization_fractions_are_valid_and_thread_invariant() {
-    for_each_case(
-        "utilization_fractions_are_valid_and_thread_invariant",
-        |rng| {
-            let circuit = arb_circuit(rng);
-            let seed = rng.gen_range(1u64..1000);
-            let decoder = if rng.gen_bool(0.5) {
-                DecoderConfig::union_find(rng.gen_range(2.0f64..16.0))
-            } else {
-                DecoderConfig::ideal()
-            };
-            let mut reports = Vec::new();
-            for threads in [1usize, 2, 4] {
-                let config = SimConfig::builder()
-                    .scheduler(SchedulerKind::Rescq)
-                    .seed(seed)
-                    .engine_threads(threads)
-                    .decoder(decoder)
-                    .build();
-                let report = analyze_run(&circuit, &config);
-                for u in &report.utilization {
-                    assert!(
-                        (0.0..=1.0).contains(&u.busy_fraction),
-                        "busy fraction {} of a{} out of range (threads={threads})",
-                        u.busy_fraction,
-                        u.ancilla
-                    );
-                    assert!(
-                        (0.0..=1.0).contains(&u.contended_fraction),
-                        "contended fraction {} of a{} out of range (threads={threads})",
-                        u.contended_fraction,
-                        u.ancilla
-                    );
-                }
-                reports.push(report.to_json(usize::MAX));
-            }
-            assert_eq!(
-                reports[0], reports[1],
-                "analyze report must not depend on engine_threads (1 vs 2)"
+fn utilization_fractions_are_valid_and_deterministic() {
+    for_each_case("utilization_fractions_are_valid_and_deterministic", |rng| {
+        let circuit = arb_circuit(rng);
+        let seed = rng.gen_range(1u64..1000);
+        let decoder = if rng.gen_bool(0.5) {
+            DecoderConfig::union_find(rng.gen_range(2.0f64..16.0))
+        } else {
+            DecoderConfig::ideal()
+        };
+        let config = SimConfig::builder()
+            .scheduler(SchedulerKind::Rescq)
+            .seed(seed)
+            .decoder(decoder)
+            .build();
+        let report = analyze_run(&circuit, &config);
+        for u in &report.utilization {
+            assert!(
+                (0.0..=1.0).contains(&u.busy_fraction),
+                "busy fraction {} of a{} out of range",
+                u.busy_fraction,
+                u.ancilla
             );
-            assert_eq!(
-                reports[0], reports[2],
-                "analyze report must not depend on engine_threads (1 vs 4)"
+            assert!(
+                (0.0..=1.0).contains(&u.contended_fraction),
+                "contended fraction {} of a{} out of range",
+                u.contended_fraction,
+                u.ancilla
             );
-        },
-    );
+        }
+        assert_eq!(
+            report.to_json(usize::MAX),
+            analyze_run(&circuit, &config).to_json(usize::MAX),
+            "analyze report must be identical run to run"
+        );
+    });
 }
 
 /// The same run traced twice yields the same normalized trace: event
