@@ -142,6 +142,31 @@ impl Bitset {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// The smallest id `>= from` in the set, if any. Walking a set with
+    /// `next_from(last + 1)` visits ids in ascending order and sees
+    /// inserts and removals made between steps, unlike
+    /// [`for_each_set_bit`] over a borrowed word slice.
+    ///
+    /// ```
+    /// use rescq_core::Bitset;
+    ///
+    /// let mut s = Bitset::new();
+    /// s.insert(3);
+    /// s.insert(70);
+    /// assert_eq!(s.next_from(0), Some(3));
+    /// assert_eq!(s.next_from(4), Some(70));
+    /// assert_eq!(s.next_from(71), None);
+    /// ```
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut wi = from / 64;
+        let mut w = *self.words.get(wi)? & (!0u64 << (from % 64));
+        while w == 0 {
+            wi += 1;
+            w = *self.words.get(wi)?;
+        }
+        Some(wi * 64 + w.trailing_zeros() as usize)
+    }
 }
 
 /// Iterates the set bits of packed `u64` words in ascending id order.
@@ -228,5 +253,16 @@ mod tests {
         let mut seen = Vec::new();
         for_each_set_bit(s.words(), |id| seen.push(id));
         assert_eq!(seen, ids);
+        // `next_from` walks the same ids, including across word edges.
+        let mut walked = Vec::new();
+        let mut next = s.next_from(0);
+        while let Some(id) = next {
+            walked.push(id);
+            next = s.next_from(id + 1);
+        }
+        assert_eq!(walked, ids);
+        assert_eq!(s.next_from(64), Some(64));
+        assert_eq!(s.next_from(301), None);
+        assert_eq!(s.next_from(10_000), None);
     }
 }

@@ -23,8 +23,8 @@
 use crate::SurgeryCosts;
 use rescq_circuit::QubitId;
 use rescq_lattice::{
-    AncillaGraph, AncillaIndex, DataAdjacency, EdgeType, IncrementalMst, Layout, Orientation,
-    TreePathScratch,
+    AncillaGraph, AncillaIndex, BfsScratch, DataAdjacency, EdgeType, IncrementalMst, Layout,
+    Orientation,
 };
 use std::collections::HashMap;
 
@@ -99,7 +99,7 @@ struct TreeSlot {
 pub struct PathCache {
     paths: HashMap<(AncillaIndex, AncillaIndex), TreeSlot>,
     geo_paths: HashMap<(AncillaIndex, AncillaIndex), Option<Vec<AncillaIndex>>>,
-    bfs: TreePathScratch,
+    bfs: BfsScratch,
     hits: u64,
     misses: u64,
 }
@@ -145,7 +145,7 @@ impl PathCache {
             self.hits += 1;
         } else {
             self.misses += 1;
-            slot.has_path = mst.tree_path_into(key.0, key.1, &mut self.bfs, &mut slot.path);
+            slot.has_path = mst.tree_path_into(key.0, key.1, &mut slot.path);
             slot.generation = generation;
         }
         if !slot.has_path {
@@ -161,9 +161,12 @@ impl PathCache {
     }
 
     /// Copies the geometric shortest path between two ancillas (oriented to
-    /// start at `a`) into `out`; memoised forever (the graph never changes,
-    /// so neither does the answer).
-    fn get_geo_into(
+    /// start at `a`) into `out` and returns whether one exists; memoised
+    /// forever (the graph never changes, so neither does the answer). A
+    /// miss searches from the smaller id in the held BFS scratch, so the
+    /// only allocation it makes (beyond the memo's own growth) is the
+    /// cached copy of the path.
+    pub fn geo_path_into(
         &mut self,
         graph: &AncillaGraph,
         a: AncillaIndex,
@@ -171,10 +174,10 @@ impl PathCache {
         out: &mut Vec<AncillaIndex>,
     ) -> bool {
         let key = if a <= b { (a, b) } else { (b, a) };
-        let cached = self
-            .geo_paths
-            .entry(key)
-            .or_insert_with(|| graph.shortest_path(&[key.0], &[key.1], |_| false));
+        let cached = self.geo_paths.entry(key).or_insert_with(|| {
+            let found = graph.path_between_into(key.0, key.1, &mut self.bfs, out);
+            found.then(|| out.clone())
+        });
         let Some(p) = cached else {
             return false;
         };
@@ -298,7 +301,7 @@ pub fn plan_cnot_route_into(
             // long detours whose ancillas rarely all free up together;
             // Algorithm 1 picks whichever candidate finishes first.
             let has_tree = cache.get_into(mst, mst_generation, a_c, a_t, &mut scratch.tree);
-            let has_direct = cache.get_geo_into(graph, a_c, a_t, &mut scratch.direct);
+            let has_direct = cache.geo_path_into(graph, a_c, a_t, &mut scratch.direct);
             let candidates = [
                 has_tree.then_some(&scratch.tree),
                 has_direct.then_some(&scratch.direct),

@@ -70,6 +70,19 @@ impl UnionFind {
 /// Dense index of an ancilla within an [`AncillaGraph`].
 pub type AncillaIndex = u32;
 
+/// Reusable working set for [`AncillaGraph::path_between_into`]. Visit
+/// marks are stamped with a per-search generation, so a new search resets
+/// nothing: once the buffers have grown to the node count, searches
+/// allocate nothing.
+#[derive(Debug, Default, Clone)]
+pub struct BfsScratch {
+    /// `mark[v] == stamp` iff `v` was reached by the current search.
+    mark: Vec<u32>,
+    prev: Vec<AncillaIndex>,
+    queue: Vec<AncillaIndex>,
+    stamp: u32,
+}
+
 /// The routing graph over the fabric's ancilla tiles.
 ///
 /// Nodes are densely indexed `0..len`; edges connect grid-adjacent ancillas.
@@ -222,6 +235,67 @@ impl AncillaGraph {
         }
         None
     }
+
+    /// The shortest path from `a` to `b` written into `out` (cleared first);
+    /// returns whether one exists. It is the path
+    /// `self.shortest_path(&[a], &[b], |_| false)` finds — the same BFS in
+    /// the same adjacency order — but it runs in the held `scratch` and
+    /// stops when `b` is first reached.
+    pub fn path_between_into(
+        &self,
+        a: AncillaIndex,
+        b: AncillaIndex,
+        scratch: &mut BfsScratch,
+        out: &mut Vec<AncillaIndex>,
+    ) -> bool {
+        out.clear();
+        let n = self.nodes.len();
+        if scratch.mark.len() < n {
+            scratch.mark.resize(n, 0);
+            scratch.prev.resize(n, 0);
+            // Each node is queued at most once per search.
+            scratch.queue.reserve(n);
+        }
+        scratch.stamp = scratch.stamp.wrapping_add(1);
+        if scratch.stamp == 0 {
+            // Wrapped: clear stale stamps so none can equal a new one.
+            scratch.mark.fill(0);
+            scratch.stamp = 1;
+        }
+        let stamp = scratch.stamp;
+        scratch.mark[a as usize] = stamp;
+        scratch.queue.clear();
+        scratch.queue.push(a);
+        let mut head = 0;
+        let mut found = a == b;
+        while !found {
+            let Some(&u) = scratch.queue.get(head) else {
+                return false;
+            };
+            head += 1;
+            for &v in &self.adj[u as usize] {
+                if scratch.mark[v as usize] != stamp {
+                    scratch.mark[v as usize] = stamp;
+                    scratch.prev[v as usize] = u;
+                    if v == b {
+                        found = true;
+                        break;
+                    }
+                    scratch.queue.push(v);
+                }
+            }
+        }
+        // `prev` of `b` is fixed when `b` is first reached, so stopping
+        // there instead of when it is dequeued yields the same path.
+        let mut cur = b;
+        out.push(cur);
+        while cur != a {
+            cur = scratch.prev[cur as usize];
+            out.push(cur);
+        }
+        out.reverse();
+        true
+    }
 }
 
 /// Whether the grid's ancilla tiles form one connected component (used by
@@ -320,6 +394,42 @@ mod tests {
         let g = AncillaGraph::from_grid(&line_grid(3));
         let p = g.shortest_path(&[1], &[1], |_| false).unwrap();
         assert_eq!(p, vec![1]);
+    }
+
+    #[test]
+    fn single_pair_bfs_matches_shortest_path_on_a_compressed_layout() {
+        use crate::{Layout, LayoutKind};
+        let mut layout = Layout::new(LayoutKind::Star2x2, 16).unwrap();
+        layout.compress(0.5, 3);
+        // A full grid too: its many equal-length shortest paths make the
+        // adjacency order decide which one is found.
+        let graphs = [
+            AncillaGraph::from_grid(layout.grid()),
+            AncillaGraph::from_grid(&Grid::filled(6, 5, TileKind::Ancilla)),
+        ];
+        // One scratch and one output buffer across every query, as the
+        // path cache holds them.
+        let mut scratch = BfsScratch::default();
+        let mut out = Vec::new();
+        for g in &graphs {
+            assert!(g.len() > 20, "a non-trivial graph");
+            let n = g.len() as AncillaIndex;
+            for a in 0..n {
+                for b in 0..n {
+                    let found = g.path_between_into(a, b, &mut scratch, &mut out);
+                    let want = g.shortest_path(&[a], &[b], |_| false);
+                    assert_eq!(found.then(|| out.clone()), want, "{a} -> {b}");
+                }
+            }
+        }
+        // Across components there is no path.
+        let g = AncillaGraph::from_grid(&{
+            let mut grid = Grid::filled(5, 1, TileKind::Ancilla);
+            grid.set_kind(grid.tile_at(2, 0), TileKind::Void);
+            grid
+        });
+        assert!(!g.path_between_into(0, 3, &mut scratch, &mut out));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -30,8 +30,8 @@ mod layout;
 mod mst;
 mod tile;
 
-pub use graph::{ancilla_network_connected, AncillaGraph, AncillaIndex, UnionFind};
+pub use graph::{ancilla_network_connected, AncillaGraph, AncillaIndex, BfsScratch, UnionFind};
 pub use grid::Grid;
 pub use layout::{DataAdjacency, Layout, LayoutError, LayoutKind};
-pub use mst::{EdgeId, IncrementalMst, NodeId, TreePathScratch};
+pub use mst::{EdgeId, IncrementalMst, NodeId};
 pub use tile::{Corner, EdgeType, Orientation, Side, TileId, TileKind};

@@ -23,9 +23,14 @@
 //! a strict total order is unique, both paths yield the same edge set, and
 //! since a path in a tree is unique too, every route read through
 //! [`IncrementalMst::tree_path_into`] is identical.
+//!
+//! The forest is also kept in rooted form (`parent` + `depth`), re-derived
+//! by every rebuild and patched by every structural per-edge update (only
+//! the subtree that moved is re-hung). A path query then climbs both
+//! endpoints to their common ancestor in `O(path length)` instead of
+//! searching the whole forest.
 
 use crate::graph::UnionFind;
-use std::collections::VecDeque;
 
 /// Identifier of an edge within an [`IncrementalMst`] (its index in the edge
 /// list passed at construction).
@@ -39,15 +44,6 @@ struct Edge {
     a: NodeId,
     b: NodeId,
     weight: u32,
-}
-
-/// Reusable BFS working set for [`IncrementalMst::tree_path_into`]. Holding
-/// one of these across queries keeps repeated path lookups allocation-free
-/// once its capacity has plateaued at the node count.
-#[derive(Debug, Default, Clone)]
-pub struct TreePathScratch {
-    prev: Vec<u32>,
-    queue: VecDeque<NodeId>,
 }
 
 /// A dynamically maintained minimum spanning forest over a fixed edge set.
@@ -80,16 +76,22 @@ pub struct IncrementalMst {
     in_tree: Vec<bool>,
     /// Tree adjacency: `(neighbor, edge id)`.
     tree_adj: Vec<Vec<(NodeId, EdgeId)>>,
-    /// Reusable working set for [`Self::update_weight`]'s cycle query (case
-    /// 1) — per-cycle weight updates must not hit the allocator once warm.
-    upd_scratch: TreePathScratch,
-    /// Path-node buffer paired with `upd_scratch`.
+    /// Rooted form of the forest: each node's tree parent (a root is its
+    /// own parent). Rebuilt by [`Self::reroot`] after a Kruskal pass and
+    /// patched by [`Self::hang_subtree`] after each structural per-edge
+    /// update.
+    parent: Vec<NodeId>,
+    /// Tree depth of each node below its component's root.
+    depth: Vec<u32>,
+    /// Traversal queue shared by re-rooting and
+    /// [`Self::mark_component`], held so neither allocates.
+    queue: Vec<NodeId>,
+    /// Path-node buffer for [`Self::update_weight`]'s cycle query (case 1)
+    /// — per-cycle weight updates must not hit the allocator once warm.
     upd_path: Vec<NodeId>,
     /// Reusable reachability marks for [`Self::update_weight`]'s reconnect
     /// search (case 2).
     upd_seen: Vec<bool>,
-    /// BFS queue paired with `upd_seen`.
-    upd_queue: VecDeque<NodeId>,
     /// Kruskal scan order, a permutation of the edge ids re-sorted in place
     /// by [`Self::rebuild`]; held so batch applies do not allocate.
     kruskal_order: Vec<EdgeId>,
@@ -126,10 +128,11 @@ impl IncrementalMst {
             kruskal_order: (0..edges.len() as EdgeId).collect(),
             kruskal_uf: UnionFind::new(num_nodes),
             edges,
-            upd_scratch: TreePathScratch::default(),
-            upd_path: Vec::new(),
+            parent: vec![0; num_nodes],
+            depth: vec![0; num_nodes],
+            queue: Vec::with_capacity(num_nodes),
+            upd_path: Vec::with_capacity(num_nodes),
             upd_seen: vec![false; num_nodes],
-            upd_queue: VecDeque::new(),
         };
         mst.rebuild();
         mst
@@ -155,6 +158,40 @@ impl IncrementalMst {
                 self.in_tree[id as usize] = true;
                 self.tree_adj[e.a as usize].push((e.b, id));
                 self.tree_adj[e.b as usize].push((e.a, id));
+            }
+        }
+        self.reroot();
+    }
+
+    /// Re-derives the rooted form (`parent`, `depth`) from the tree
+    /// adjacency, rooting each component at its smallest node. `O(V)`.
+    fn reroot(&mut self) {
+        const UNSEEN: NodeId = NodeId::MAX;
+        self.parent.fill(UNSEEN);
+        for root in 0..self.num_nodes as NodeId {
+            if self.parent[root as usize] == UNSEEN {
+                self.relabel(root, root, 0);
+            }
+        }
+    }
+
+    /// Gives `x` the given parent and depth, then re-derives parent and
+    /// depth for everything reachable from `x` without passing through
+    /// that parent — a traversal of those nodes only, with the held queue.
+    fn relabel(&mut self, x: NodeId, parent: NodeId, depth: u32) {
+        self.parent[x as usize] = parent;
+        self.depth[x as usize] = depth;
+        self.queue.clear();
+        self.queue.push(x);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for &(v, _) in &self.tree_adj[u as usize] {
+                if v != self.parent[u as usize] {
+                    self.parent[v as usize] = u;
+                    self.depth[v as usize] = self.depth[u as usize] + 1;
+                    self.queue.push(v);
+                }
             }
         }
     }
@@ -248,18 +285,17 @@ impl IncrementalMst {
         if new_weight < old && !self.in_tree[id as usize] {
             // Case 1: cheaper non-tree edge. Insert and evict the heaviest
             // edge on the tree path between its endpoints (the cycle). The
-            // path query runs through the held scratch — weight updates
+            // path query writes into the held buffer — weight updates
             // arrive every cycle, so this must not hit the allocator warm.
             let e = self.edges[id as usize];
-            let mut scratch = std::mem::take(&mut self.upd_scratch);
             let mut nodes = std::mem::take(&mut self.upd_path);
-            let connected = self.tree_path_into(e.a, e.b, &mut scratch, &mut nodes);
-            self.upd_scratch = scratch;
+            let connected = self.tree_path_into(e.a, e.b, &mut nodes);
             if !connected {
                 // Endpoints were in different components: the edge now joins
-                // them.
+                // them, `a`'s component hanging below `b`.
                 self.upd_path = nodes;
                 self.link(id);
+                self.hang_subtree(e.a, e.b);
                 return;
             }
             let mut worst: Option<(u32, EdgeId)> = None;
@@ -277,12 +313,23 @@ impl IncrementalMst {
             self.upd_path = nodes;
             let worst_key = worst.expect("cycle has at least one edge");
             if (new_weight, id) < worst_key {
+                // Evicting the worst edge detaches the subtree below its
+                // deeper endpoint, which holds exactly one endpoint of the
+                // new edge; that subtree re-hangs from the other one.
+                let detached = self.lower_endpoint(worst_key.1);
+                let (x, y) = if self.is_descendant(e.a, detached) {
+                    (e.a, e.b)
+                } else {
+                    (e.b, e.a)
+                };
                 self.unlink(worst_key.1);
                 self.link(id);
+                self.hang_subtree(x, y);
             }
         } else if new_weight > old && self.in_tree[id as usize] {
             // Case 2: tree edge became heavier. Remove it and reconnect with
             // the lightest crossing edge (possibly itself).
+            let detached = self.lower_endpoint(id);
             self.unlink(id);
             let e = self.edges[id as usize];
             self.mark_component(e.a);
@@ -301,8 +348,46 @@ impl IncrementalMst {
             }
             if let Some((_, eid)) = best {
                 self.link(eid);
+                if eid != id {
+                    // The subtree below the removed edge re-hangs from the
+                    // reconnecting edge's endpoint on the other side (an
+                    // unchanged tree keeps its rooted form).
+                    let (a, b) = self.endpoints(eid);
+                    let detached_seen = self.upd_seen[detached as usize];
+                    let (x, y) = if self.upd_seen[a as usize] == detached_seen {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    self.hang_subtree(x, y);
+                }
             }
         }
+    }
+
+    /// The endpoint of tree edge `id` that is the other's child.
+    fn lower_endpoint(&self, id: EdgeId) -> NodeId {
+        let e = self.edges[id as usize];
+        if self.parent[e.a as usize] == e.b {
+            e.a
+        } else {
+            e.b
+        }
+    }
+
+    /// Whether `node` lies in the subtree rooted at `top`: `O(depth)`.
+    fn is_descendant(&self, mut node: NodeId, top: NodeId) -> bool {
+        while self.depth[node as usize] > self.depth[top as usize] {
+            node = self.parent[node as usize];
+        }
+        node == top
+    }
+
+    /// Patches the rooted form after a new tree edge `(x, y)` joined the
+    /// subtree (or component) holding `x` to the part holding `y`, whose
+    /// rooted form is still valid: the `x` side now hangs below `y`.
+    fn hang_subtree(&mut self, x: NodeId, y: NodeId) {
+        self.relabel(x, y, self.depth[y as usize] + 1);
     }
 
     /// Marks nodes reachable from `start` using tree edges in
@@ -310,14 +395,16 @@ impl IncrementalMst {
     fn mark_component(&mut self, start: NodeId) {
         self.upd_seen.clear();
         self.upd_seen.resize(self.num_nodes, false);
-        self.upd_queue.clear();
         self.upd_seen[start as usize] = true;
-        self.upd_queue.push_back(start);
-        while let Some(u) = self.upd_queue.pop_front() {
+        self.queue.clear();
+        self.queue.push(start);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
             for &(v, _) in &self.tree_adj[u as usize] {
                 if !self.upd_seen[v as usize] {
                     self.upd_seen[v as usize] = true;
-                    self.upd_queue.push_back(v);
+                    self.queue.push(v);
                 }
             }
         }
@@ -326,58 +413,56 @@ impl IncrementalMst {
     /// The unique tree path between `a` and `b` as node ids (inclusive), or
     /// `None` if they are in different components.
     pub fn tree_path(&self, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-        let mut scratch = TreePathScratch::default();
         let mut out = Vec::new();
-        self.tree_path_into(a, b, &mut scratch, &mut out)
-            .then_some(out)
+        self.tree_path_into(a, b, &mut out).then_some(out)
     }
 
     /// [`Self::tree_path`] into a caller-provided buffer: writes the path
-    /// into `out` (cleared first) and returns whether one exists. The BFS
-    /// working set lives in `scratch`, so repeated queries — e.g. path-cache
-    /// refills after an MST generation bump — allocate nothing once the
-    /// scratch capacity has plateaued.
-    pub fn tree_path_into(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        scratch: &mut TreePathScratch,
-        out: &mut Vec<NodeId>,
-    ) -> bool {
+    /// into `out` (cleared first) and returns whether one exists. Both
+    /// endpoints climb the rooted forest to their common ancestor, so a
+    /// query costs `O(path length)` and allocates nothing once `out` has
+    /// grown to the path length.
+    pub fn tree_path_into(&self, a: NodeId, b: NodeId, out: &mut Vec<NodeId>) -> bool {
         out.clear();
-        if a == b {
-            out.push(a);
-            return true;
+        let depth = &self.depth;
+        // One step towards the root (never called on a root). A stale
+        // rooted form fails here in debug builds instead of looping.
+        let up = |x: NodeId| {
+            let p = self.parent[x as usize];
+            debug_assert_eq!(depth[p as usize] + 1, depth[x as usize], "stale at {x}");
+            p
+        };
+        let (mut x, mut y) = (a, b);
+        while depth[x as usize] > depth[y as usize] {
+            x = up(x);
         }
-        // `prev` doubles as the seen-marker: `UNSEEN` = unvisited, `ROOT`
-        // marks the BFS source (node ids never reach either sentinel).
-        const UNSEEN: u32 = u32::MAX;
-        const ROOT: u32 = u32::MAX - 1;
-        scratch.prev.clear();
-        scratch.prev.resize(self.num_nodes, UNSEEN);
-        scratch.queue.clear();
-        scratch.prev[a as usize] = ROOT;
-        scratch.queue.push_back(a);
-        while let Some(u) = scratch.queue.pop_front() {
-            if u == b {
-                out.push(b);
-                let mut cur = b;
-                while scratch.prev[cur as usize] != ROOT {
-                    cur = scratch.prev[cur as usize];
-                    out.push(cur);
-                }
-                out.reverse();
-                return true;
-            }
-            for &(v, _) in &self.tree_adj[u as usize] {
-                if scratch.prev[v as usize] == UNSEEN {
-                    scratch.prev[v as usize] = u;
-                    scratch.queue.push_back(v);
-                }
-            }
+        while depth[y as usize] > depth[x as usize] {
+            y = up(y);
         }
-        out.clear();
-        false
+        while x != y {
+            if self.parent[x as usize] == x {
+                return false; // two different roots: different components
+            }
+            x = up(x);
+            y = up(y);
+        }
+        // `x` is the lowest common ancestor: write a's climb from the front
+        // and b's climb from the back.
+        let lca = x;
+        let up_a = (depth[a as usize] - depth[lca as usize]) as usize;
+        let up_b = (depth[b as usize] - depth[lca as usize]) as usize;
+        out.resize(up_a + up_b + 1, lca);
+        let mut x = a;
+        for slot in &mut out[..up_a] {
+            *slot = x;
+            x = up(x);
+        }
+        let mut y = b;
+        for slot in out[up_a + 1..].iter_mut().rev() {
+            *slot = y;
+            y = up(y);
+        }
+        true
     }
 
     /// The edge ids along the tree path between `a` and `b`.
@@ -411,6 +496,7 @@ impl IncrementalMst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn grid_edges(w: u32, h: u32) -> Vec<(NodeId, NodeId, u32)> {
         let mut edges = Vec::new();
@@ -612,6 +698,123 @@ mod tests {
         assert_eq!(mst.tree_adj, adj, "no change must mean no rebuild");
         mst.rebuild();
         assert_ne!(mst.tree_adj, adj, "the check above can tell a rebuild");
+    }
+
+    /// The forest's adjacency rebuilt from the public edge view alone
+    /// (`contains_edge` + `endpoints`), independent of the rooted form.
+    fn reference_adjacency(mst: &IncrementalMst) -> Vec<Vec<NodeId>> {
+        let mut adj = vec![Vec::new(); mst.num_nodes()];
+        for id in 0..mst.num_edges() as EdgeId {
+            if mst.contains_edge(id) {
+                let (a, b) = mst.endpoints(id);
+                adj[a as usize].push(b);
+                adj[b as usize].push(a);
+            }
+        }
+        adj
+    }
+
+    /// Reference tree path: a plain BFS from `a` over `adj`.
+    fn reference_path(adj: &[Vec<NodeId>], a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
+        let mut prev = vec![None; adj.len()];
+        prev[a as usize] = Some(a);
+        let mut queue = VecDeque::from([a]);
+        while let Some(u) = queue.pop_front() {
+            for &v in &adj[u as usize] {
+                if prev[v as usize].is_none() {
+                    prev[v as usize] = Some(u);
+                    queue.push_back(v);
+                }
+            }
+        }
+        prev[b as usize]?;
+        let mut path = vec![b];
+        let mut cur = b;
+        while cur != a {
+            cur = prev[cur as usize].expect("reached nodes have a predecessor");
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Every ordered pair's `tree_path_into` (one reused buffer) equals the
+    /// reference BFS path, including `a == b` and disconnected pairs.
+    fn assert_tree_paths_match_reference(mst: &IncrementalMst, label: &str) {
+        let adj = reference_adjacency(mst);
+        let mut out = vec![NodeId::MAX; 3]; // stale contents must be cleared
+        for a in 0..mst.num_nodes() as NodeId {
+            for b in 0..mst.num_nodes() as NodeId {
+                let got = mst.tree_path_into(a, b, &mut out).then(|| out.clone());
+                assert_eq!(got, reference_path(&adj, a, b), "{label}: path {a} -> {b}");
+            }
+        }
+    }
+
+    /// Drives `mst` through `steps` random changes — alternately a whole
+    /// `set_weights` snapshot and a run of per-edge `update_weight` calls,
+    /// weights in `0..max_weight` — checking every path after each
+    /// snapshot and after each single update (a later update could mask a
+    /// stale rooted form).
+    fn check_paths_through_random_updates(
+        mut mst: IncrementalMst,
+        max_weight: u64,
+        seed: u64,
+        steps: usize,
+    ) {
+        assert_tree_paths_match_reference(&mst, "initial");
+        let mut weights: Vec<u32> = (0..mst.num_edges() as EdgeId)
+            .map(|id| mst.weight(id))
+            .collect();
+        let mut state = seed;
+        for step in 0..steps {
+            if step % 2 == 0 {
+                for w in &mut weights {
+                    if lcg(&mut state).is_multiple_of(3) {
+                        *w = (lcg(&mut state) % max_weight) as u32;
+                    }
+                }
+                mst.set_weights(&weights);
+                assert_tree_paths_match_reference(&mst, &format!("seed {seed} step {step}"));
+            } else {
+                for i in 0..8 {
+                    let id = (lcg(&mut state) >> 17) as usize % weights.len();
+                    weights[id] = (lcg(&mut state) % max_weight) as u32;
+                    mst.update_weight(id as EdgeId, weights[id]);
+                    let label = format!("seed {seed} step {step} update {i}");
+                    assert_tree_paths_match_reference(&mst, &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rooted_tree_paths_match_bfs_on_random_grids() {
+        for (seed, (w, h), max_weight) in [(1u64, (4, 4), 4), (2, (7, 5), 4), (3, (6, 6), 200)] {
+            let mut state = seed;
+            let edges: Vec<_> = grid_edges(w, h)
+                .into_iter()
+                .map(|(a, b, _)| (a, b, (lcg(&mut state) % max_weight) as u32))
+                .collect();
+            let mst = IncrementalMst::new((w * h) as usize, &edges);
+            check_paths_through_random_updates(mst, max_weight, seed, 12);
+        }
+    }
+
+    #[test]
+    fn rooted_tree_paths_match_bfs_on_forests() {
+        // Two grid components plus an isolated node (22): cross-component
+        // pairs have no path, and `a == b` on the isolated node still does.
+        let mut edges = grid_edges(4, 3);
+        edges.extend(
+            grid_edges(3, 3)
+                .into_iter()
+                .map(|(a, b, w)| (a + 12, b + 12, w)),
+        );
+        let mst = IncrementalMst::new(22, &edges);
+        assert!(mst.tree_path(0, 12).is_none());
+        assert_eq!(mst.tree_path(21, 21), Some(vec![21]));
+        check_paths_through_random_updates(mst, 4, 7, 12);
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //!
 //! 1. **schedule** — the qubit worklist drains deepest-remaining-chain
 //!    first; new gate tasks enqueue their claims through the ledger;
-//! 2. **start** — live tasks attempt injections and surgeries; a stalled
-//!    CNOT may preempt younger speculative claims here, through the
-//!    ledger's arbitration
-//!    ([`rescq_core::ReservationLedger::try_preempt_with`]), which keeps
-//!    the wait-for graph provably acyclic;
+//! 2. **start** — the tasks of the *start frontier* attempt injections and
+//!    surgeries, in ascending task id order. A live task leaves the
+//!    frontier while its attempt is provably a no-op (a predecessor gate
+//!    is unfinished, or its operation is in flight) and is woken back by
+//!    the event that ends that state: predecessor completion, a decoded
+//!    injection outcome, an edge rotation finishing. A stalled CNOT may
+//!    preempt younger speculative claims here, through the ledger's
+//!    arbitration ([`rescq_core::ReservationLedger::try_preempt_with`]),
+//!    which keeps the wait-for graph provably acyclic;
 //! 3. **propose** — the dirty, nonempty ancillas are scanned against the
 //!    engine state as it stood at the start of the phase, collecting
 //!    candidate ancillas (reclaims, preparation starts/restarts) without
@@ -75,8 +79,8 @@ const STALL_BREAK_CYCLES: u64 = 300;
 struct EngineScratch {
     /// Propose-phase candidate ancillas (committed in ascending order).
     candidates: Vec<u32>,
-    /// Dense `E[f_a]` vector staged for route planning.
-    expected_free: Vec<u64>,
+    /// Per-plan `E[f_a]` memo for route planning.
+    expected_free: ExpectedFreeMemo,
     /// `(depth, insertion index, qubit)` triples for the schedule-phase
     /// priority sort (an unstable sort over this key reproduces the stable
     /// deepest-first order without a merge-sort buffer).
@@ -93,6 +97,42 @@ struct EngineScratch {
     /// taken at pass start (the ledger's dirty set is cleared immediately
     /// after, so commit-time mutations re-mark for the next pass).
     scan_words: Vec<u64>,
+}
+
+/// `E[f_a]` (§4.2) memoised for one route plan: an ancilla's expected-free
+/// round is computed the first time the planner asks for it and reused for
+/// the rest of that plan, so a plan touches only the ancillas of its ≤ 32
+/// candidate paths. Slots are stamped with the plan number, so starting a
+/// plan resets nothing.
+#[derive(Debug, Default)]
+struct ExpectedFreeMemo {
+    plan: u32,
+    /// `(plan stamp, E[f_a])` per ancilla.
+    slots: Vec<(u32, u64)>,
+}
+
+impl ExpectedFreeMemo {
+    /// Invalidates every memoised value (and sizes the slots once).
+    fn begin_plan(&mut self, num_ancillas: usize) {
+        if self.slots.len() < num_ancillas {
+            self.slots.resize(num_ancillas, (0, 0));
+        }
+        self.plan = self.plan.wrapping_add(1);
+        if self.plan == 0 {
+            // Wrapped: clear stale stamps so none can equal a new one.
+            self.slots.fill((0, 0));
+            self.plan = 1;
+        }
+    }
+
+    /// `a`'s value in the current plan, computed by `compute` on first use.
+    fn get(&mut self, a: AncillaIndex, compute: impl FnOnce() -> u64) -> u64 {
+        let slot = &mut self.slots[a as usize];
+        if slot.0 != self.plan {
+            *slot = (self.plan, compute());
+        }
+        slot.1
+    }
 }
 
 /// Capacity-recycling pools for the `Vec`s embedded in task bodies (CNOT
@@ -247,7 +287,20 @@ struct RtEngine<'a> {
     last_progress: u64,
 
     tasks: Vec<Task>,
-    live_tasks: Vec<TaskId>,
+    /// Tasks created and not yet completed.
+    live: Bitset,
+    /// The start phase's frontier: the live tasks whose
+    /// [`Self::try_start_task`] may do something. A live task is left out
+    /// only while the attempt is provably a no-op (see
+    /// [`Self::start_is_noop`]); the events that can end such a state —
+    /// task creation, predecessor completion, a decoded injection outcome,
+    /// an edge rotation finishing — put it back.
+    start_frontier: Bitset,
+    /// Per gate, how many of its DAG predecessor entries are unfinished
+    /// (zero ⇔ every predecessor is done).
+    unfinished_preds: Vec<u32>,
+    /// The task created for each scheduled gate.
+    task_of_gate: Vec<Option<TaskId>>,
     /// Every ancilla queue plus the explicit task wait-for graph over them;
     /// all queue mutations (claim, reclaim, re-plan, preemption) go through
     /// it so the acyclicity invariant is checkable instead of implicit.
@@ -409,6 +462,16 @@ pub(crate) fn run_realtime(
         ledger.enable_event_log();
     }
 
+    let unfinished_preds = (0..circuit.len())
+        .map(|g| dag.preds(GateId(g)).count() as u32)
+        .collect();
+    // One task per non-free gate at most, so sets sized to the gate count
+    // never grow.
+    let task_set = || {
+        let mut b = Bitset::default();
+        b.reserve(circuit.len());
+        b
+    };
     let mut engine = RtEngine {
         circuit,
         dag,
@@ -425,7 +488,10 @@ pub(crate) fn run_realtime(
         last_completion: 0,
         last_progress: 0,
         tasks: Vec::with_capacity(circuit.len()),
-        live_tasks: Vec::with_capacity(circuit.len()),
+        live: task_set(),
+        start_frontier: task_set(),
+        unfinished_preds,
+        task_of_gate: vec![None; circuit.len()],
         ledger,
         prep_epoch: vec![0; num_ancillas],
         prepping: vec![None; num_ancillas],
@@ -451,11 +517,7 @@ pub(crate) fn run_realtime(
         cycle_probe,
         adjacency: &adjacency,
         occupancy_expiries: std::collections::BinaryHeap::new(),
-        displaced_by_class: {
-            let mut b = Bitset::default();
-            b.reserve(circuit.len());
-            b
-        },
+        displaced_by_class: task_set(),
         traced_windows: HashMap::new(),
         traced_occupancy: if recorder.is_some() {
             vec![(0, false); num_ancillas]
@@ -665,21 +727,76 @@ impl RtEngine<'_> {
             self.note_phase(Phase::Schedule, t0);
             // Phase 2 — start: real work (injections, surgeries) grabs
             // resources before new speculative preparations are started.
+            // Frontier tasks are tried in ascending id order — the order
+            // of a scan over every live task, whose other members would
+            // all return `false` without mutating anything.
             let t1 = traced.then(Instant::now);
-            for i in 0..self.live_tasks.len() {
-                let id = self.live_tasks[i];
+            let mut next = self.start_frontier.next_from(0);
+            while let Some(i) = next {
+                let id = TaskId(i as u32);
                 progress |= self.try_start_task(id);
+                if self.start_is_noop(id) {
+                    self.start_frontier.remove(i);
+                }
+                next = self.start_frontier.next_from(i + 1);
             }
             self.note_phase(Phase::Start, t1);
+            #[cfg(debug_assertions)]
+            self.audit_start_frontier();
             // Phases 3 + 4 — propose against the phase-start state, then
             // commit in ascending-ancilla order.
             progress |= self.dispatch_ancillas();
-            self.live_tasks.retain(|&id| !self.tasks[id.index()].done);
             if !progress {
                 break;
             }
         }
         self.drain_ledger_events();
+    }
+
+    /// Whether [`Self::try_start_task`] on `id` is provably a no-op — it
+    /// returns `false` and mutates nothing — until one of the frontier's
+    /// wake points fires: the task is done, a predecessor gate is
+    /// unfinished, or its operation is in flight.
+    fn start_is_noop(&self, id: TaskId) -> bool {
+        let task = &self.tasks[id.index()];
+        task.done || self.unfinished_preds[task.gate.index()] > 0 || self.op_in_flight(task)
+    }
+
+    /// Whether `task`'s operation is in flight, which makes its start
+    /// attempt a no-op: an H started, a CNOT rotating an endpoint or in
+    /// surgery, an Rz injecting (which covers awaiting the decode; a
+    /// ladder that completes completes its task at once). The Rz case
+    /// holds for class-blind runs only: with a lattice, the attempt still
+    /// runs the class promotion and prep-site preemption.
+    fn op_in_flight(&self, task: &Task) -> bool {
+        match &task.body {
+            TaskBody::Hadamard { started, .. } => *started,
+            TaskBody::Cnot {
+                rotating,
+                surgery_started,
+                ..
+            } => *rotating || *surgery_started,
+            TaskBody::Rz { injecting, .. } => self.priority.is_none() && *injecting,
+        }
+    }
+
+    /// Debug audit of the start frontier: every live task outside it must
+    /// have an unfinished predecessor — walked through `gate_done`, not the
+    /// counter — or an operation in flight. A wake point the engine forgot
+    /// fails here instead of silently changing a schedule.
+    #[cfg(debug_assertions)]
+    fn audit_start_frontier(&self) {
+        let mut next = self.live.next_from(0);
+        while let Some(i) = next {
+            next = self.live.next_from(i + 1);
+            let task = &self.tasks[i];
+            let waiting = !self.dag.preds(task.gate).all(|p| self.gate_done[p.index()]);
+            assert!(
+                self.start_frontier.contains(i) || waiting || self.op_in_flight(task),
+                "task {i} left the start frontier while it could start: {:?}",
+                task.body
+            );
+        }
     }
 
     /// Closes a timed phase: accumulates its wall-clock and emits a
@@ -866,10 +983,10 @@ impl RtEngine<'_> {
                 continue;
             }
             let gate = self.circuit.gate(gid);
-            let preds_done = self.dag.preds(gid).all(|p| self.gate_done[p.index()]);
+            let preds_done = self.unfinished_preds[gid.index()] == 0;
             if gate.is_free() {
                 if preds_done {
-                    self.complete_free_gate(gid);
+                    self.finish_gate(gid);
                     progress = true;
                     continue;
                 }
@@ -902,7 +1019,11 @@ impl RtEngine<'_> {
         }
     }
 
-    fn complete_free_gate(&mut self, gid: GateId) {
+    /// Marks a gate done (a free gate directly, a task's gate through
+    /// [`Self::complete_task`]): requeues the qubits it and its successors
+    /// touch, and wakes each successor task whose last unfinished
+    /// predecessor this was.
+    fn finish_gate(&mut self, gid: GateId) {
         self.gate_done[gid.index()] = true;
         self.done_count += 1;
         self.gates_executed += 1;
@@ -914,6 +1035,15 @@ impl RtEngine<'_> {
         for s in self.dag.succs(gid) {
             for q in self.circuit.gate(*s).qubits() {
                 self.sched_worklist.push(q);
+            }
+            // `succs` lists a successor once per operand it shares with
+            // `gid`, exactly as `preds` counts it.
+            let unfinished = &mut self.unfinished_preds[s.index()];
+            *unfinished -= 1;
+            if *unfinished == 0 {
+                if let Some(t) = self.task_of_gate[s.index()] {
+                    self.start_frontier.insert(t.index());
+                }
             }
         }
     }
@@ -941,7 +1071,7 @@ impl RtEngine<'_> {
         } else {
             match gate {
                 Gate::Rz { .. } => {
-                    if self.dag.preds(gid).all(|pr| self.gate_done[pr.index()]) {
+                    if self.unfinished_preds[gid.index()] == 0 {
                         p.injection
                     } else {
                         p.speculative
@@ -1010,7 +1140,9 @@ impl RtEngine<'_> {
             class,
             body,
         });
-        self.live_tasks.push(id);
+        self.task_of_gate[gid.index()] = Some(id);
+        self.live.insert(id.index());
+        self.start_frontier.insert(id.index());
     }
 
     /// Enqueues a rotation into every valid neighbouring ancilla (Fig 7):
@@ -1134,10 +1266,33 @@ impl RtEngine<'_> {
         target: QubitId,
         best: &mut Vec<AncillaIndex>,
     ) {
-        let mut expected_free = std::mem::take(&mut self.scratch.expected_free);
-        self.fill_expected_free(id, &mut expected_free);
+        let mut memo = std::mem::take(&mut self.scratch.expected_free);
+        memo.begin_plan(self.fabric.num_ancillas());
         let mut route = std::mem::take(&mut self.scratch.route);
         let adjacency = self.adjacency;
+        // `E[f_a]`: the sum of expected durations of `a`'s queued
+        // operations (§4.2), excluding `id`'s own entries.
+        let d = self.d as u64;
+        let cnot = self.costs.cnot_cycles as u64 * d;
+        let inj = self.costs.cnot_injection_cycles as u64 * d;
+        let rz = self.rz_entry_cost;
+        let (clock, ledger) = (self.clock, &self.ledger);
+        let expected_free = |a: AncillaIndex| {
+            memo.get(a, || {
+                clock
+                    + ledger.queue(a).expected_free_rounds(|e| {
+                        if e.task == id {
+                            return 0;
+                        }
+                        match e.role {
+                            Role::Route => cnot,
+                            Role::Helper => inj,
+                            Role::EdgeRotate => 3 * d,
+                            _ => rz,
+                        }
+                    })
+            })
+        };
         let _ = plan_cnot_route_into(
             &self.fabric.graph,
             self.mst.current(),
@@ -1150,12 +1305,12 @@ impl RtEngine<'_> {
             &self.fabric.orientation,
             &self.costs,
             self.d,
-            |a| expected_free[a as usize],
+            expected_free,
             &mut route,
             best,
         );
         self.scratch.route = route;
-        self.scratch.expected_free = expected_free;
+        self.scratch.expected_free = memo;
     }
 
     fn plan_and_enqueue_cnot(
@@ -1187,36 +1342,6 @@ impl RtEngine<'_> {
                 QueueEntry::new(id, Role::Route, Angle::ZERO).with_class(class),
             );
         }
-    }
-
-    /// `E[f_a]` for every ancilla into `out`: the sum of expected durations
-    /// of its queued operations (§4.2), excluding entries of `exclude`
-    /// itself — the planner's hottest read. An empty queue's estimate is
-    /// exactly `clock`, so the fill is sparse over the ledger's nonempty
-    /// bitmap: idle ancillas cost one memset lane instead of a queue walk
-    /// each.
-    fn fill_expected_free(&self, exclude: TaskId, out: &mut Vec<u64>) {
-        let d = self.d as u64;
-        let cnot = self.costs.cnot_cycles as u64 * d;
-        let inj = self.costs.cnot_injection_cycles as u64 * d;
-        let rz = self.rz_entry_cost;
-        let clock = self.clock;
-        out.clear();
-        out.resize(self.fabric.num_ancillas(), clock);
-        for_each_set_bit(self.ledger.nonempty_words(), |a| {
-            out[a] = clock
-                + self.ledger.queue(a as u32).expected_free_rounds(|e| {
-                    if e.task == exclude {
-                        return 0;
-                    }
-                    match e.role {
-                        Role::Route => cnot,
-                        Role::Helper => inj,
-                        Role::EdgeRotate => 3 * d,
-                        _ => rz,
-                    }
-                });
-        });
     }
 
     // ------------------------------------------------------------------
@@ -1378,7 +1503,7 @@ impl RtEngine<'_> {
             return false;
         }
         let gate = self.tasks[id.index()].gate;
-        let preds_done = self.dag.preds(gate).all(|p| self.gate_done[p.index()]);
+        let preds_done = self.unfinished_preds[gate.index()] == 0;
         match &self.tasks[id.index()].body {
             TaskBody::Hadamard { qubit, started } => {
                 let (qubit, started) = (*qubit, *started);
@@ -1515,7 +1640,6 @@ impl RtEngine<'_> {
             qubit,
             ref ladder,
             ref holders,
-            ref helper_sites,
             injecting,
             ..
         } = self.tasks[id.index()].body
@@ -1525,7 +1649,6 @@ impl RtEngine<'_> {
         if injecting || ladder.is_complete() || !self.fabric.qubit_free(qubit, self.clock) {
             return false;
         }
-        let _ = helper_sites;
         let current = ladder.current_angle();
         let data = self.fabric.layout.data_tile(qubit);
         let orient = self.fabric.orientation[qubit.index()];
@@ -1847,7 +1970,7 @@ impl RtEngine<'_> {
     /// done, so it could not consume a prepared state yet.
     fn is_speculative(&self, t: TaskId) -> bool {
         let task = &self.tasks[t.index()];
-        !task.done && !self.dag.preds(task.gate).all(|p| self.gate_done[p.index()])
+        !task.done && self.unfinished_preds[task.gate.index()] > 0
     }
 
     /// The task whose *speculative* in-flight preparation holds ancilla `a`,
@@ -1969,13 +2092,12 @@ impl RtEngine<'_> {
     /// class displacement). Derived purely from simulated state, so the
     /// counters are bit-identical with or without a recorder.
     fn sample_stalls(&mut self) {
-        for i in 0..self.live_tasks.len() {
-            let id = self.live_tasks[i];
-            let task = &self.tasks[id.index()];
-            if task.done {
-                continue;
-            }
-            if !self.dag.preds(task.gate).all(|p| self.gate_done[p.index()]) {
+        let mut next = self.live.next_from(0);
+        while let Some(i) = next {
+            next = self.live.next_from(i + 1);
+            let id = TaskId(i as u32);
+            let task = &self.tasks[i];
+            if self.unfinished_preds[task.gate.index()] > 0 {
                 continue; // waiting on dependencies, not on resources
             }
             let cause = match &task.body {
@@ -2200,6 +2322,7 @@ impl RtEngine<'_> {
                 if let TaskBody::Cnot { rotating, .. } = &mut self.tasks[task.index()].body {
                     *rotating = false;
                 }
+                self.start_frontier.insert(task.index());
             }
             Ev::SurgeryDone { task } => {
                 let gate = self.tasks[task.index()].gate;
@@ -2327,6 +2450,8 @@ impl RtEngine<'_> {
             *awaiting_decode = false;
             step = ladder.record_outcome(success);
         }
+        // The injection is over: the next attempt may start one again.
+        self.start_frontier.insert(task.index());
         match step {
             LadderStep::Done => {
                 self.complete_rz(task, gate);
@@ -2421,18 +2546,8 @@ impl RtEngine<'_> {
         self.displaced_by_class.remove(task.0 as usize);
         self.ledger.recycle_task(task);
         self.tasks[task.index()].done = true;
-        self.gate_done[gate.index()] = true;
-        self.done_count += 1;
-        self.gates_executed += 1;
-        self.last_completion = self.last_completion.max(self.clock);
-        self.last_progress = self.clock;
-        for q in self.circuit.gate(gate).qubits() {
-            self.sched_worklist.push(q);
-        }
-        for s in self.dag.succs(gate) {
-            for q in self.circuit.gate(*s).qubits() {
-                self.sched_worklist.push(q);
-            }
-        }
+        self.live.remove(task.index());
+        self.start_frontier.remove(task.index());
+        self.finish_gate(gate);
     }
 }

@@ -1,6 +1,7 @@
 //! Allocation-regression harness: a counting [`GlobalAlloc`] shim wraps the
-//! system allocator, and a cycle probe snapshots the running allocation count
-//! at every fabric cycle tick. The steady-state contract is that the dispatch
+//! system allocator (counting per thread, so tests running side by side do
+//! not see each other's allocations), and a cycle probe snapshots the
+//! running allocation count at every fabric cycle tick. The steady-state contract is that the dispatch
 //! loop recycles everything — event slots, candidate lists, route scratch,
 //! ledger queue nodes — so whole cycles pass without a single heap allocation.
 //!
@@ -11,24 +12,35 @@
 //! the loop must be allocation-free.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rescq_core::SchedulerKind;
+use rescq_core::{PathCache, SchedulerKind};
+use rescq_lattice::{AncillaGraph, LayoutKind};
 use rescq_sim::{simulate_with_cycle_probe, SimConfig};
 
 /// Counts every `alloc`/`realloc` passed through to the system allocator.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialised without a
+    /// destructor, so the allocator may touch it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Diagnostic trap: while armed, this thread's next allocation prints
+    /// a backtrace (one-shot; capturing the backtrace itself allocates,
+    /// which is safe because the flag is already cleared). Armed past
+    /// warm-up so a failing run names the offending call site instead of
+    /// just a count.
+    static ARM: Cell<bool> = const { Cell::new(false) };
+}
 
-/// Diagnostic trap: while armed, the next allocation prints a backtrace
-/// (one-shot; capturing the backtrace itself allocates, which is safe
-/// because the flag is already cleared). Armed past warm-up so a failing
-/// run names the offending call site instead of just a count.
-static ARM: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
-fn trap(kind: &str, size: usize) {
-    if ARM.swap(false, Ordering::Relaxed) {
+fn count(kind: &str, size: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    if ARM.with(|armed| armed.replace(false)) {
         eprintln!(
             "{kind} TRAP size={size}:\n{}",
             std::backtrace::Backtrace::force_capture()
@@ -38,8 +50,7 @@ fn trap(kind: &str, size: usize) {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        trap("ALLOC", layout.size());
+        count("ALLOC", layout.size());
         System.alloc(layout)
     }
 
@@ -48,8 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        trap("REALLOC", new_size);
+        count("REALLOC", new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -89,18 +99,18 @@ fn steady_state_cycles_allocate_nothing_on_ising_n34() {
         // Arm the one-shot backtrace trap well past warm-up: if the steady
         // state regresses, the failure output names the allocation site.
         if cycle == 200 {
-            ARM.store(true, Ordering::Relaxed);
+            ARM.with(|armed| armed.set(true));
         }
         let i = cycle as usize;
         if i < MAX_CYCLES {
-            SNAPSHOTS[i].store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+            SNAPSHOTS[i].store(allocs(), Ordering::Relaxed);
             SNAPSHOT_COUNT.fetch_max(cycle + 1, Ordering::Relaxed);
         }
     };
     let report = simulate_with_cycle_probe(&circuit, &config, &probe).unwrap();
     // Disarm: allocations after the run (assert formatting, harness
     // teardown) are not the engine's.
-    ARM.store(false, Ordering::Relaxed);
+    ARM.with(|armed| armed.set(false));
     assert_eq!(report.gates_executed, circuit.len());
 
     let n = SNAPSHOT_COUNT.load(Ordering::Relaxed) as usize;
@@ -138,4 +148,38 @@ fn steady_state_cycles_allocate_nothing_on_ising_n34() {
         "streak {best_streak} does not span an MST completion (k = {})",
         report.k_used
     );
+}
+
+#[test]
+fn cold_geometric_path_miss_allocates_only_the_cached_path() {
+    let mut layout = rescq_lattice::Layout::new(LayoutKind::Star2x2, 16).unwrap();
+    layout.compress(0.5, 3);
+    let graph = AncillaGraph::from_grid(layout.grid());
+    let n = graph.len() as u32;
+    let mut cache = PathCache::new();
+    let mut out = Vec::with_capacity(graph.len());
+    // Warm-up miss: the BFS scratch grows to the node count once.
+    assert!(cache.geo_path_into(&graph, 0, 1, &mut out));
+
+    // Cold misses from one source to every other node (a fresh pair
+    // each). A miss may allocate the cached copy of its path, plus a new
+    // table whenever the memo map grows, which happens once per doubling.
+    let (mut total, mut misses) = (0u64, 0u64);
+    for b in 2..n {
+        let before = allocs();
+        assert!(cache.geo_path_into(&graph, 0, b, &mut out));
+        let delta = allocs() - before;
+        assert!(delta <= 2, "a cold miss 0 -> {b} allocated {delta} times");
+        total += delta;
+        misses += 1;
+    }
+    let growths = u64::from(misses.ilog2()) + 2;
+    assert!(
+        total <= misses + growths,
+        "{misses} cold misses allocated {total} times"
+    );
+    // A hit allocates nothing.
+    let before = allocs();
+    assert!(cache.geo_path_into(&graph, n - 1, 0, &mut out));
+    assert_eq!(allocs(), before);
 }

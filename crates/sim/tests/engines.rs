@@ -2,7 +2,7 @@
 //! rotation-heavy programs, compression robustness, and failure injection.
 
 use rescq_circuit::{Angle, Circuit};
-use rescq_core::{KPolicy, SchedulerKind};
+use rescq_core::{ClassLattice, KPolicy, SchedulerKind};
 use rescq_decoder::DecoderConfig;
 use rescq_rus::PrepCalibration;
 use rescq_sim::{simulate, ExecutionReport, SimConfig};
@@ -229,6 +229,149 @@ fn union_find_realtime_run_is_pinned() {
         "rescq,7,7,902.571,0.9819,217,158,75,633,327,2,35,25,11,158,9447.000,34,0,0,103,\
          0,0,0,0,0,317,8947,1186,0,44,252,0"
     );
+}
+
+/// One pinned dispatch golden: `name` generated with workload seed 1 and
+/// run by RESCQ with sim seed 1 at `compression`, optionally under a
+/// decoder and the default priority lattice.
+struct DispatchGolden {
+    name: &'static str,
+    compression: f64,
+    decoder: Option<DecoderConfig>,
+    lattice: bool,
+    total_rounds: u64,
+    counters: &'static str,
+    row: &'static str,
+}
+
+#[test]
+fn dispatch_goldens_are_pinned() {
+    // The realtime engine's schedule and start phases only start work whose
+    // inputs changed; these runs pin that such bookkeeping never changes a
+    // decision. Every value, including the path-cache hits/misses and the
+    // stall buckets, was recorded on the engine that rescanned every live
+    // task on every dispatch pass.
+    let goldens = [
+        DispatchGolden {
+            name: "ising_n420",
+            compression: 0.0,
+            decoder: None,
+            lattice: false,
+            total_rounds: 480,
+            counters: "RunCounters { preps_started: 8075, preps_succeeded: 5319, \
+                preps_cancelled: 4902, states_discarded: 3259, injections: 2060, \
+                injection_failures: 1012, edge_rotations: 14, cnot_surgeries: 838, \
+                cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
+                preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
+                waitgraph_peak_edges: 1559, preemptions_by_rank: [], \
+                stall_ancilla_cycles: 743, stall_decoder_cycles: 0, stall_route_cycles: 1765, \
+                stall_class_cycles: 0, mst_computations: 2, mst_incremental_updates: 3194, \
+                path_cache_hits: 6874, path_cache_misses: 5936, decode_windows: 2060, \
+                decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
+                decode_growth_steps: 0, decode_failures: 0 }",
+            row: "rescq,1,7,68.571,0.7550,2726,2060,1012,8075,4902,14,2,25,18,2060,0.000,1,0,0,\
+                1559,0,0,0,0,0,743,0,1765,0,0,0,0",
+        },
+        DispatchGolden {
+            name: "ising_n420",
+            compression: 0.0,
+            decoder: Some(DecoderConfig::union_find(1.0)),
+            lattice: false,
+            total_rounds: 10382,
+            counters: "RunCounters { preps_started: 8273, preps_succeeded: 6302, \
+                preps_cancelled: 4461, states_discarded: 4218, injections: 2084, \
+                injection_failures: 1036, edge_rotations: 17, cnot_surgeries: 838, \
+                cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
+                preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
+                waitgraph_peak_edges: 1559, preemptions_by_rank: [], \
+                stall_ancilla_cycles: 4647, stall_decoder_cycles: 116410, \
+                stall_route_cycles: 46958, stall_class_cycles: 0, mst_computations: 58, \
+                mst_incremental_updates: 36063, path_cache_hits: 184, \
+                path_cache_misses: 12626, decode_windows: 2084, decoder_stall_rounds: 871332, \
+                decoder_peak_backlog: 420, decode_defects: 406, decode_growth_steps: 2280, \
+                decode_failures: 0 }",
+            row: "rescq,1,7,1483.143,0.9886,2726,2084,1036,8273,4461,17,58,25,18,2084,\
+                124476.000,420,0,0,1559,0,0,0,0,0,4647,116410,46958,0,406,2280,0",
+        },
+        DispatchGolden {
+            name: "qft_n18",
+            compression: 0.75,
+            decoder: None,
+            lattice: false,
+            total_rounds: 5648,
+            counters: "RunCounters { preps_started: 1224, preps_succeeded: 1215, \
+                preps_cancelled: 4, states_discarded: 603, injections: 612, \
+                injection_failures: 333, edge_rotations: 2, cnot_surgeries: 306, \
+                cnot_replans: 7, preemptions: 0, preemptions_rejected_cycle: 0, \
+                preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
+                waitgraph_peak_edges: 23, preemptions_by_rank: [], \
+                stall_ancilla_cycles: 1451, stall_decoder_cycles: 0, stall_route_cycles: 1648, \
+                stall_class_cycles: 0, mst_computations: 31, mst_incremental_updates: 854, \
+                path_cache_hits: 2368, path_cache_misses: 790, decode_windows: 612, \
+                decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
+                decode_growth_steps: 0, decode_failures: 0 }",
+            row: "rescq,1,7,806.857,0.8622,647,612,333,1224,4,2,31,25,10,612,0.000,1,0,0,23,\
+                0,0,0,0,0,1451,0,1648,0,0,0,0",
+        },
+        DispatchGolden {
+            name: "gcm_n13",
+            compression: 0.5,
+            decoder: None,
+            lattice: false,
+            total_rounds: 21481,
+            counters: "RunCounters { preps_started: 6045, preps_succeeded: 6014, \
+                preps_cancelled: 11, states_discarded: 2992, injections: 3022, \
+                injection_failures: 1494, edge_rotations: 60, cnot_surgeries: 762, \
+                cnot_replans: 11, preemptions: 1, preemptions_rejected_cycle: 0, \
+                preemptions_class: 0, preemptions_by_class: [0, 1, 0, 0], \
+                waitgraph_peak_edges: 9, preemptions_by_rank: [0, 1], \
+                stall_ancilla_cycles: 3524, stall_decoder_cycles: 0, stall_route_cycles: 1348, \
+                stall_class_cycles: 0, mst_computations: 122, mst_incremental_updates: 2590, \
+                path_cache_hits: 3496, path_cache_misses: 2295, decode_windows: 3022, \
+                decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
+                decode_growth_steps: 0, decode_failures: 0 }",
+            row: "rescq,1,7,3068.714,0.8163,2290,3022,1494,6045,11,60,122,25,10,3022,0.000,1,\
+                1,0,9,0,0,1,0,0,3524,0,1348,0,0,0,0",
+        },
+        DispatchGolden {
+            name: "factory_n12",
+            compression: 0.25,
+            decoder: None,
+            lattice: true,
+            total_rounds: 832,
+            counters: "RunCounters { preps_started: 509, preps_succeeded: 383, \
+                preps_cancelled: 259, states_discarded: 214, injections: 169, \
+                injection_failures: 85, edge_rotations: 14, cnot_surgeries: 44, \
+                cnot_replans: 0, preemptions: 9, preemptions_rejected_cycle: 142, \
+                preemptions_class: 8, preemptions_by_class: [0, 1, 0, 8], \
+                waitgraph_peak_edges: 21, preemptions_by_rank: [0, 1, 0, 8], \
+                stall_ancilla_cycles: 144, stall_decoder_cycles: 0, stall_route_cycles: 95, \
+                stall_class_cycles: 1, mst_computations: 4, mst_incremental_updates: 116, \
+                path_cache_hits: 74, path_cache_misses: 264, decode_windows: 169, \
+                decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
+                decode_growth_steps: 0, decode_failures: 0 }",
+            row: "rescq,1,7,118.857,0.7111,128,169,85,509,259,14,4,25,10,169,0.000,1,9,142,\
+                21,8,0,1,0,8,144,0,95,1,0,0,0",
+        },
+    ];
+    for g in goldens {
+        let c = rescq_workloads::generate(g.name, 1).expect("known benchmark");
+        let mut b = SimConfig::builder()
+            .scheduler(SchedulerKind::Rescq)
+            .compression(g.compression)
+            .seed(1);
+        if let Some(d) = g.decoder {
+            b = b.decoder(d);
+        }
+        if g.lattice {
+            b = b.priority_classes(Some(ClassLattice::default()));
+        }
+        let r = simulate(&c, &b.build()).unwrap();
+        let label = format!("{}@{} {:?}", g.name, g.compression, g.decoder);
+        assert_eq!(r.total_rounds, g.total_rounds, "{label}");
+        assert_eq!(format!("{:?}", r.counters), g.counters, "{label}");
+        assert_eq!(reports_csv_row(&r), g.row, "{label}");
+    }
 }
 
 #[test]
