@@ -24,7 +24,7 @@
 //! Determinism contract: the pipeline is driven solely by the cycle counter
 //! its caller passes to [`MstPipeline::on_cycle`] — completion times are
 //! modelled, never measured — so schedules that consult the tree are
-//! reproducible run-to-run and independent of host speed or thread count.
+//! reproducible run-to-run and independent of host speed.
 
 use rescq_lattice::IncrementalMst;
 use std::collections::VecDeque;

@@ -48,6 +48,18 @@ impl ClusterDsu {
         self.boundary.resize(n as usize, false);
     }
 
+    /// Makes `v` a singleton again (size 1, even parity, no boundary).
+    /// Restoring every node a decode touched returns the whole forest to
+    /// its [`Self::reset`] state without walking the untouched ones.
+    pub(crate) fn reset_node(&mut self, v: u32) {
+        let v = v as usize;
+        self.parent[v] = v as u32;
+        self.rank[v] = 0;
+        self.size[v] = 1;
+        self.parity[v] = false;
+        self.boundary[v] = false;
+    }
+
     /// Number of elements.
     pub fn len(&self) -> u32 {
         self.parent.len() as u32
@@ -203,6 +215,24 @@ mod tests {
         }
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn reset_node_restores_singletons() {
+        let mut d = ClusterDsu::new(5);
+        d.flip_parity(0);
+        d.set_boundary(4);
+        d.union(0, 1);
+        d.union(1, 4);
+        for v in [0, 1, 4] {
+            d.reset_node(v);
+        }
+        for v in 0..5 {
+            assert_eq!(d.find(v), v);
+            assert_eq!(d.cluster_size(v), 1);
+            assert!(!d.cluster_parity(v) && !d.cluster_boundary(v));
+        }
+        assert_eq!(d.rank, vec![0; 5]);
     }
 
     #[test]

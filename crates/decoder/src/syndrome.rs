@@ -28,6 +28,14 @@ impl SyndromeBits {
         }
     }
 
+    /// Makes this an all-zero vector of `len` bits, keeping the
+    /// allocation (it grows only past the largest length seen).
+    pub(crate) fn reset(&mut self, len: u32) {
+        self.words.clear();
+        self.words.resize((len as usize).div_ceil(64), 0);
+        self.len = len;
+    }
+
     /// Number of addressable bits.
     pub fn len(&self) -> u32 {
         self.len
@@ -172,6 +180,16 @@ mod tests {
         // Self-inverse: XORing again restores the original.
         a.xor_with(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
+    }
+
+    #[test]
+    fn reset_changes_length_and_clears() {
+        let mut a = SyndromeBits::new(130);
+        a.set(129);
+        a.reset(65);
+        assert_eq!((a.len(), a.num_words(), a.popcount()), (65, 2, 0));
+        a.reset(200);
+        assert_eq!(a, SyndromeBits::new(200));
     }
 
     #[test]

@@ -11,15 +11,22 @@
 //!
 //! Everything is deterministic: the error stream of window `w` on tile `t`
 //! is a pure function of `(channel seed, t, w)`, and windows are submitted
-//! by the engines in schedule order, which is itself bit-identical for any
-//! engine thread count.
+//! by the engines in schedule order, which is itself a pure function of the
+//! seeded run.
+//!
+//! [`decode_chain`] / [`decode_syndrome`] are the reference implementation:
+//! pure functions that allocate their working state per call. The
+//! [`UnionFindDecoder`] model reaches the same result per window in held
+//! scratch whose cost follows the window's flipped edges: a window with no
+//! flip (≈92% of d = 7 windows at p = 1e-4) costs only its sampling, and
+//! steady-state decoding never allocates.
 
 use crate::dsu::ClusterDsu;
 use crate::graph::DetectorGraph;
 use crate::pauli_frame::PauliFrame;
 use crate::syndrome::SyndromeBits;
 use crate::{DecoderConfig, DecoderModel};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// The seeded physical error channel a union-find decoder samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +36,7 @@ pub struct ErrorChannel {
     pub error_rate: f64,
     /// Base seed of the channel. Window streams are derived from
     /// `(seed, tile, window index)`, so the channel is independent of the
-    /// scheduler's RNG and of engine threading.
+    /// scheduler's RNG.
     pub seed: u64,
 }
 
@@ -134,8 +141,15 @@ fn window_seed(channel: u64, tile: u32, window: u64) -> u64 {
 /// from the deterministic stream `seed`.
 pub fn sample_error(graph: &DetectorGraph, p: f64, seed: u64) -> SyndromeBits {
     let mut error = SyndromeBits::new(graph.num_edges());
+    sample_error_into(graph, p, seed, &mut error);
+    error
+}
+
+/// [`sample_error`] into a held vector, which is reset to `graph`'s edges.
+fn sample_error_into(graph: &DetectorGraph, p: f64, seed: u64, error: &mut SyndromeBits) {
+    error.reset(graph.num_edges());
     if p <= 0.0 {
-        return error;
+        return;
     }
     let mut rng = SplitMix64::new(seed);
     // Saturating f64→u64 cast: p ≥ 1 flips every edge.
@@ -146,7 +160,6 @@ pub fn sample_error(graph: &DetectorGraph, p: f64, seed: u64) -> SyndromeBits {
             error.set(e);
         }
     }
-    error
 }
 
 /// Decodes the syndrome of `error` on `graph` with union-find cluster
@@ -309,6 +322,253 @@ pub fn decode_syndrome(graph: &DetectorGraph, syndrome: &SyndromeBits) -> Decode
     }
 }
 
+/// The window decoder's held working state: every buffer one window needs,
+/// sized for the largest chunk seen and left clean after each window (the
+/// forest all singletons, every support zero). Cleaning up revisits only
+/// the nodes and edges the window's clusters touched, and steady-state
+/// decoding never allocates.
+#[derive(Debug)]
+struct WindowScratch {
+    /// The sampled error chain (edge space).
+    error: SyndromeBits,
+    /// The observed syndrome, consumed by peeling as the defect marks.
+    marks: SyndromeBits,
+    /// The correction chain (edge space).
+    correction: SyndromeBits,
+    dsu: ClusterDsu,
+    defects: Vec<u32>,
+    /// Growth half-steps per edge.
+    support: Vec<u8>,
+    /// Edges whose support left zero this window: what to reset.
+    grown: Vec<u32>,
+    to_union: Vec<[u32; 2]>,
+    /// Detectors incident to a fully grown edge, ascending: the peeling
+    /// BFS starts that can discover anything.
+    starts: Vec<u32>,
+    queue: VecDeque<u32>,
+    order: Vec<u32>,
+    parent_edge: Vec<u32>,
+    /// Per-node visit stamps; a node is visited this window iff its stamp
+    /// equals `stamp`, so starting a window resets nothing.
+    visited: Vec<u32>,
+    stamp: u32,
+}
+
+impl WindowScratch {
+    fn new() -> Self {
+        WindowScratch {
+            error: SyndromeBits::new(0),
+            marks: SyndromeBits::new(0),
+            correction: SyndromeBits::new(0),
+            dsu: ClusterDsu::new(0),
+            defects: Vec::new(),
+            support: Vec::new(),
+            grown: Vec::new(),
+            to_union: Vec::new(),
+            starts: Vec::new(),
+            queue: VecDeque::new(),
+            order: Vec::new(),
+            parent_edge: Vec::new(),
+            visited: Vec::new(),
+            stamp: 0,
+        }
+    }
+
+    /// Sizes every buffer for `graph`'s worst case (every node a defect,
+    /// every edge grown), so windows on graphs up to this size never
+    /// allocate. Graphs of one decoder grow with their round count.
+    fn grow_to(&mut self, graph: &DetectorGraph) {
+        let (n, edges) = (graph.num_nodes() as usize, graph.num_edges() as usize);
+        self.dsu.reset(n as u32);
+        self.parent_edge.resize(n, u32::MAX);
+        self.visited.resize(n, 0);
+        self.support.resize(edges, 0);
+        self.marks.reset(graph.num_detectors());
+        self.defects.reserve(n);
+        self.grown.reserve(edges);
+        self.to_union.reserve(edges);
+        self.starts.reserve(2 * edges);
+        self.order.reserve(n);
+        self.queue.reserve(n);
+    }
+
+    /// Decodes the chain in `self.error` on `graph` and leaves the
+    /// correction in `self.correction`. Same correction and counts as
+    /// [`decode_chain`], plus the logical verdict of the residual.
+    ///
+    /// A window with no flipped edge has a closed form: no defects, growth,
+    /// merges or peels, an empty correction, and `syndrome words +
+    /// num_nodes` work units, because the reference peeling BFS visits
+    /// every node exactly once (every node is a start). Otherwise only the
+    /// flipped edges' clusters are grown and peeled: the growth order
+    /// (ascending edges, `(size, root)` tie-break) and the BFS discovery
+    /// order are the reference's, and the BFS skips only starts with no
+    /// fully grown edge, which discover nothing.
+    fn decode(&mut self, graph: &DetectorGraph) -> DecodeWork {
+        let n = graph.num_nodes();
+        if self.dsu.len() < n {
+            self.grow_to(graph);
+        }
+        let scan_words = graph.num_detectors().div_ceil(64) as u64;
+        self.correction.reset(graph.num_edges());
+        if self.error.popcount() == 0 {
+            return DecodeWork {
+                work_units: scan_words + n as u64,
+                ..DecodeWork::default()
+            };
+        }
+        self.marks.reset(graph.num_detectors());
+        for e in self.error.iter_ones() {
+            for v in graph.endpoints(e) {
+                if !graph.is_boundary(v) {
+                    self.marks.toggle(v);
+                }
+            }
+        }
+        self.defects.clear();
+        self.defects.extend(self.marks.iter_ones());
+        let dsu = &mut self.dsu;
+        dsu.set_boundary(graph.top());
+        dsu.set_boundary(graph.bottom());
+        for &v in &self.defects {
+            dsu.flip_parity(v);
+        }
+
+        // Growth: the reference loop, recording which edges it touched.
+        let mut growth_steps = 0u64;
+        let mut merges = 0u64;
+        loop {
+            let mut smallest: Option<(u32, u32)> = None;
+            for &v in &self.defects {
+                if dsu.cluster_active(v) {
+                    let root = dsu.find(v);
+                    let key = (dsu.cluster_size(root), root);
+                    if smallest.is_none_or(|best| key < best) {
+                        smallest = Some(key);
+                    }
+                }
+            }
+            let Some((_, root)) = smallest else { break };
+            self.to_union.clear();
+            for e in 0..graph.num_edges() {
+                let support = self.support[e as usize];
+                if support >= 2 {
+                    continue;
+                }
+                let [a, b] = graph.endpoints(e);
+                if dsu.find(a) != root && dsu.find(b) != root {
+                    continue;
+                }
+                if support == 0 {
+                    self.grown.push(e);
+                }
+                self.support[e as usize] = support + 1;
+                growth_steps += 1;
+                if support + 1 >= 2 {
+                    self.to_union.push([a, b]);
+                }
+            }
+            for &[a, b] in &self.to_union {
+                if dsu.union(a, b).is_some() {
+                    merges += 1;
+                }
+            }
+        }
+
+        // Peeling: the reference BFS over the starts that have an erasure
+        // edge, in the reference's start order (boundaries, then ascending
+        // detectors).
+        self.starts.clear();
+        for &e in &self.grown {
+            if self.support[e as usize] >= 2 {
+                let [a, b] = graph.endpoints(e);
+                self.starts
+                    .extend([a, b].into_iter().filter(|&v| !graph.is_boundary(v)));
+            }
+        }
+        self.starts.sort_unstable();
+        self.starts.dedup();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: clear stale stamps so none can equal a new one.
+            self.visited.fill(0);
+            self.stamp = 1;
+        }
+        self.order.clear();
+        let roots = [graph.top(), graph.bottom()];
+        for start in roots.into_iter().chain(self.starts.iter().copied()) {
+            if self.visited[start as usize] == self.stamp {
+                continue;
+            }
+            self.visited[start as usize] = self.stamp;
+            self.queue.push_back(start);
+            while let Some(v) = self.queue.pop_front() {
+                for &e in graph.incident(v) {
+                    if self.support[e as usize] < 2 {
+                        continue;
+                    }
+                    let [a, b] = graph.endpoints(e);
+                    let w = if a == v { b } else { a };
+                    if self.visited[w as usize] != self.stamp {
+                        self.visited[w as usize] = self.stamp;
+                        self.parent_edge[w as usize] = e;
+                        self.order.push(w);
+                        self.queue.push_back(w);
+                    }
+                }
+            }
+        }
+        let mut peeled_edges = 0u64;
+        for &v in self.order.iter().rev() {
+            if graph.is_boundary(v) || !self.marks.get(v) {
+                continue;
+            }
+            let e = self.parent_edge[v as usize];
+            self.correction.set(e);
+            peeled_edges += 1;
+            self.marks.clear(v);
+            let [a, b] = graph.endpoints(e);
+            let u = if a == v { b } else { a };
+            if !graph.is_boundary(u) {
+                self.marks.toggle(u);
+            }
+        }
+        debug_assert_eq!(self.marks.popcount(), 0, "peeling consumes every defect");
+
+        // Leave the forest all singletons and every support zero: only
+        // erasure endpoints, defects and the boundaries ever left that
+        // state (path compression rewrites cluster members only).
+        for &e in &self.grown {
+            if self.support[e as usize] >= 2 {
+                let [a, b] = graph.endpoints(e);
+                self.dsu.reset_node(a);
+                self.dsu.reset_node(b);
+            }
+            self.support[e as usize] = 0;
+        }
+        self.grown.clear();
+        for &v in &self.defects {
+            self.dsu.reset_node(v);
+        }
+        self.dsu.reset_node(graph.top());
+        self.dsu.reset_node(graph.bottom());
+
+        // The residual's cut parity is linear: error ⊕ correction crosses
+        // the cut iff exactly one of them does.
+        let logical =
+            graph.crosses_logical_cut(&self.error) != graph.crosses_logical_cut(&self.correction);
+        let defects = self.defects.len() as u64;
+        DecodeWork {
+            defects,
+            growth_steps,
+            merges,
+            peeled_edges,
+            logical_failures: logical as u64,
+            work_units: scan_words + 2 * defects + growth_steps + n as u64 + peeled_edges,
+        }
+    }
+}
+
 /// Per-tile decoder state.
 #[derive(Debug)]
 struct TileState {
@@ -341,9 +601,12 @@ pub struct UnionFindDecoder {
     channel: ErrorChannel,
     base_latency: u64,
     throughput: f64,
-    /// Detector graphs cached per chunk length (1..=d rounds).
-    graphs: BTreeMap<u32, DetectorGraph>,
-    tiles: BTreeMap<u32, TileState>,
+    /// Detector graphs per chunk length: slot `r - 1` holds the `r`-round
+    /// graph once a chunk of that length has been decoded.
+    graphs: Vec<Option<DetectorGraph>>,
+    /// Per-tile state, indexed by tile id.
+    tiles: Vec<Option<TileState>>,
+    scratch: WindowScratch,
     last_work: DecodeWork,
 }
 
@@ -352,13 +615,15 @@ impl UnionFindDecoder {
     /// `throughput`/`base_latency` come from the configuration and define
     /// the work→rounds conversion.
     pub fn new(config: &DecoderConfig, distance: u32, channel: ErrorChannel) -> Self {
+        let distance = distance.max(2);
         UnionFindDecoder {
-            distance: distance.max(2),
+            distance,
             channel,
             base_latency: config.base_latency,
             throughput: config.throughput.max(1e-6),
-            graphs: BTreeMap::new(),
-            tiles: BTreeMap::new(),
+            graphs: (0..distance).map(|_| None).collect(),
+            tiles: Vec::new(),
+            scratch: WindowScratch::new(),
             last_work: DecodeWork::default(),
         }
     }
@@ -370,42 +635,42 @@ impl UnionFindDecoder {
 
     /// The accumulated Pauli frame of `tile`, if it has decoded anything.
     pub fn frame(&self, tile: u32) -> Option<&PauliFrame> {
-        self.tiles.get(&tile).map(|t| &t.frame)
+        self.tiles
+            .get(tile as usize)
+            .and_then(Option::as_ref)
+            .map(|t| &t.frame)
     }
 
     /// Decodes one `rounds`-round window on `tile`, returning the work
     /// performed (streamed as `≤ d`-round chunks).
     fn decode_window(&mut self, tile: u32, rounds: u32) -> DecodeWork {
+        let distance = self.distance;
+        if self.tiles.len() <= tile as usize {
+            self.tiles.resize_with(tile as usize + 1, || None);
+        }
         let mut total = DecodeWork::default();
         let mut remaining = rounds.max(1);
         while remaining > 0 {
-            let chunk = remaining.min(self.distance);
+            let chunk = remaining.min(distance);
             remaining -= chunk;
-            // Split borrows: the graph cache and tile map are disjoint.
-            let graph = self
-                .graphs
-                .entry(chunk)
-                .or_insert_with(|| DetectorGraph::new(self.distance, chunk));
-            let tile_state = self.tiles.entry(tile).or_insert_with(|| TileState {
+            let graph = self.graphs[chunk as usize - 1]
+                .get_or_insert_with(|| DetectorGraph::new(distance, chunk));
+            let tile_state = self.tiles[tile as usize].get_or_insert_with(|| TileState {
                 frame: PauliFrame::new(graph),
                 windows: 0,
                 busy_until: 0,
             });
             let seed = window_seed(self.channel.seed, tile, tile_state.windows);
             tile_state.windows += 1;
-            let error = sample_error(graph, self.channel.error_rate, seed);
-            let outcome = decode_chain(graph, &error);
-            tile_state.frame.absorb(graph, &outcome.correction);
-            let mut residual = error;
-            residual.xor_with(&outcome.correction);
-            total.add(&DecodeWork {
-                defects: outcome.defects as u64,
-                growth_steps: outcome.growth_steps,
-                merges: outcome.merges,
-                peeled_edges: outcome.peeled_edges,
-                logical_failures: graph.crosses_logical_cut(&residual) as u64,
-                work_units: outcome.work_units,
-            });
+            sample_error_into(
+                graph,
+                self.channel.error_rate,
+                seed,
+                &mut self.scratch.error,
+            );
+            let work = self.scratch.decode(graph);
+            tile_state.frame.absorb(graph, &self.scratch.correction);
+            total.add(&work);
         }
         total
     }
@@ -419,7 +684,9 @@ impl DecoderModel for UnionFindDecoder {
     fn decode_ready_at(&mut self, tile: u32, rounds: u32, now: u64) -> u64 {
         let work = self.decode_window(tile, rounds);
         let latency = self.base_latency + (work.work_units as f64 / self.throughput).ceil() as u64;
-        let tile_state = self.tiles.get_mut(&tile).expect("tile seen in decode");
+        let tile_state = self.tiles[tile as usize]
+            .as_mut()
+            .expect("tile seen in decode");
         let ready = now.max(tile_state.busy_until) + latency;
         tile_state.busy_until = ready;
         self.last_work.add(&work);
@@ -503,6 +770,58 @@ mod tests {
         residual.xor_with(&out.correction);
         assert_eq!(g.syndrome_of(&residual).popcount(), 0);
         assert!(!g.crosses_logical_cut(&residual));
+    }
+
+    /// The model's window path against the reference on every window of a
+    /// seeded stream: the same sampled chain, correction, counts and
+    /// logical verdict, including the closed form for flip-free windows.
+    /// One scratch serves every graph, interleaving chunk lengths, so a
+    /// reset that misses a touched node or edge shows up on a later window.
+    #[test]
+    fn window_scratch_matches_the_reference_on_every_window() {
+        let mut scratch = WindowScratch::new();
+        let (mut flip_free, mut flipped, mut merged) = (0, 0, 0);
+        for d in [3u32, 5, 7] {
+            let graphs: Vec<DetectorGraph> = (1..=d).map(|r| DetectorGraph::new(d, r)).collect();
+            for (pi, p) in [0.0, 1e-4, 0.003, 0.02, 0.2, 1.0].into_iter().enumerate() {
+                for w in 0..6 * d as u64 {
+                    let g = &graphs[(w % d as u64) as usize];
+                    let seed = window_seed(0xFACE ^ d as u64, pi as u32, w);
+                    let error = sample_error(g, p, seed);
+                    sample_error_into(g, p, seed, &mut scratch.error);
+                    assert_eq!(scratch.error, error);
+                    let reference = decode_chain(g, &error);
+                    let work = scratch.decode(g);
+                    let label = format!("d={d} rounds={} p={p} w={w}", g.rounds());
+                    assert_eq!(scratch.correction, reference.correction, "{label}");
+                    assert_eq!(work.defects, reference.defects as u64, "{label}");
+                    assert_eq!(work.growth_steps, reference.growth_steps, "{label}");
+                    assert_eq!(work.merges, reference.merges, "{label}");
+                    assert_eq!(work.peeled_edges, reference.peeled_edges, "{label}");
+                    assert_eq!(work.work_units, reference.work_units, "{label}");
+                    let mut residual = error.clone();
+                    residual.xor_with(&reference.correction);
+                    let logical = g.crosses_logical_cut(&residual) as u64;
+                    assert_eq!(work.logical_failures, logical, "{label}");
+                    // The scratch is clean again: all singletons, no support.
+                    assert!(scratch.support.iter().all(|&s| s == 0), "{label}");
+                    for v in 0..scratch.dsu.len() {
+                        assert_eq!(scratch.dsu.find(v), v, "{label}");
+                        assert_eq!(scratch.dsu.cluster_size(v), 1, "{label}");
+                        assert!(!scratch.dsu.cluster_parity(v), "{label}");
+                        assert!(!scratch.dsu.cluster_boundary(v), "{label}");
+                    }
+                    if error.popcount() == 0 {
+                        flip_free += 1;
+                    } else {
+                        flipped += 1;
+                    }
+                    merged += (work.merges > 0) as u32;
+                }
+            }
+        }
+        // The stream must exercise both paths, and real cluster merges.
+        assert!(flip_free >= 40 && flipped >= 40 && merged >= 20);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! 2. **start** — the tasks of the *start frontier* attempt injections and
 //!    surgeries, in ascending task id order. A live task leaves the
 //!    frontier while its attempt is provably a no-op (a predecessor gate
-//!    is unfinished, or its operation is in flight) and is woken back by
-//!    the event that ends that state: predecessor completion, a decoded
-//!    injection outcome, an edge rotation finishing. A stalled CNOT may
+//!    is unfinished, its operation is in flight, or it is parked on a
+//!    blocked route or a missing prepared state) and is woken back by the
+//!    event that ends that state: predecessor completion, a decoded
+//!    injection outcome, an edge rotation finishing, a dirty ancilla its
+//!    route claim tops, a preparation finishing. A stalled CNOT may
 //!    preempt younger speculative claims here, through the ledger's
 //!    arbitration ([`rescq_core::ReservationLedger::try_preempt_with`]),
 //!    which keeps the wait-for graph provably acyclic;
@@ -294,7 +296,8 @@ struct RtEngine<'a> {
     /// only while the attempt is provably a no-op (see
     /// [`Self::start_is_noop`]); the events that can end such a state —
     /// task creation, predecessor completion, a decoded injection outcome,
-    /// an edge rotation finishing — put it back.
+    /// an edge rotation finishing, a preparation finishing, and the
+    /// route-wake scan ([`Self::wake_route_claimants`]) — put it back.
     start_frontier: Bitset,
     /// Per gate, how many of its DAG predecessor entries are unfinished
     /// (zero ⇔ every predecessor is done).
@@ -731,6 +734,7 @@ impl RtEngine<'_> {
             // of a scan over every live task, whose other members would
             // all return `false` without mutating anything.
             let t1 = traced.then(Instant::now);
+            self.wake_route_claimants();
             let mut next = self.start_frontier.next_from(0);
             while let Some(i) = next {
                 let id = TaskId(i as u32);
@@ -756,10 +760,87 @@ impl RtEngine<'_> {
     /// Whether [`Self::try_start_task`] on `id` is provably a no-op — it
     /// returns `false` and mutates nothing — until one of the frontier's
     /// wake points fires: the task is done, a predecessor gate is
-    /// unfinished, or its operation is in flight.
+    /// unfinished, its operation is in flight, or it is parked.
     fn start_is_noop(&self, id: TaskId) -> bool {
         let task = &self.tasks[id.index()];
-        task.done || self.unfinished_preds[task.gate.index()] > 0 || self.op_in_flight(task)
+        task.done
+            || self.unfinished_preds[task.gate.index()] > 0
+            || self.op_in_flight(task)
+            || self.start_is_parked(id, task)
+    }
+
+    /// Whether a class-blind start attempt of `task` is a pure read that
+    /// only a parking wake point can change:
+    ///
+    /// - a CNOT on an unconstrained fabric whose qubits are free but whose
+    ///   path is not ready. The attempt reads only the path's ancilla
+    ///   occupancy and queue tops, and every change to those marks the
+    ///   ancilla dirty, which [`Self::wake_route_claimants`] turns into a
+    ///   wake. A CNOT on a busy qubit stays in the frontier: qubits free up
+    ///   by time passage alone, which wakes nothing. (Constrained runs
+    ///   preempt and re-plan inside the attempt.)
+    /// - an Rz none of whose holders holds the ladder's current angle, so
+    ///   [`Self::try_start_injection`] finds no option. The angle changes
+    ///   only with a decoded outcome ([`Self::apply_inject_outcome`]) and
+    ///   holders grow only in [`Self::on_prep_done`]; both wake the task.
+    fn start_is_parked(&self, id: TaskId, task: &Task) -> bool {
+        if self.priority.is_some() {
+            return false;
+        }
+        match &task.body {
+            TaskBody::Cnot {
+                control,
+                target,
+                path,
+                ..
+            } => {
+                self.parks_cnots()
+                    && !path.is_empty()
+                    && self.fabric.qubit_free(*control, self.clock)
+                    && self.fabric.qubit_free(*target, self.clock)
+                    && !self.cnot_path_ready(id, path)
+            }
+            TaskBody::Rz {
+                ladder, holders, ..
+            } => holders.iter().all(|&(_, a)| a != ladder.current_angle()),
+            TaskBody::Hadamard { .. } => false,
+        }
+    }
+
+    /// Whether blocked CNOT starts are parked: class-blind runs on
+    /// unconstrained fabrics (see [`Self::start_is_parked`]).
+    fn parks_cnots(&self) -> bool {
+        self.priority.is_none() && !self.constrained
+    }
+
+    /// The route-wake scan: puts back in the start frontier the task whose
+    /// `Route` claim tops a dirty ancilla. It runs at the top of every
+    /// start phase and again in [`Self::dispatch_ancillas`], just before
+    /// the propose phase clears the dirty set, so ledger and fabric changes
+    /// made by event handling, by commits and by the start phase itself all
+    /// reach the parked CNOTs whose path they touch. Only queue tops
+    /// matter: a path is ready only when its task tops every queue on it,
+    /// so a change that readies a path leaves a dirty ancilla topped by
+    /// that task's claim.
+    fn wake_route_claimants(&mut self) {
+        if !self.parks_cnots() {
+            return;
+        }
+        let (ledger, live) = (&self.ledger, &self.live);
+        let frontier = &mut self.start_frontier;
+        let words = ledger.dirty_words().iter().zip(ledger.nonempty_words());
+        for (wi, (&dirty, &nonempty)) in words.enumerate() {
+            let mut w = dirty & nonempty;
+            while w != 0 {
+                let a = (wi * 64) as u32 + w.trailing_zeros();
+                w &= w - 1;
+                if let Some(top) = ledger.queue(a).top() {
+                    if top.role == Role::Route && live.contains(top.task.index()) {
+                        frontier.insert(top.task.index());
+                    }
+                }
+            }
+        }
     }
 
     /// Whether `task`'s operation is in flight, which makes its start
@@ -782,8 +863,13 @@ impl RtEngine<'_> {
 
     /// Debug audit of the start frontier: every live task outside it must
     /// have an unfinished predecessor — walked through `gate_done`, not the
-    /// counter — or an operation in flight. A wake point the engine forgot
-    /// fails here instead of silently changing a schedule.
+    /// counter — or an operation in flight, or be a class-blind task whose
+    /// attempt fails without mutating: an unconstrained CNOT whose path is
+    /// empty, whose qubit is busy or whose path is not ready, or an Rz
+    /// with no holder at its current angle. Each condition is read from
+    /// fabric and ledger state, never from the wake bookkeeping. A wake
+    /// point the engine forgot fails here instead of silently changing a
+    /// schedule.
     #[cfg(debug_assertions)]
     fn audit_start_frontier(&self) {
         let mut next = self.live.next_from(0);
@@ -791,8 +877,27 @@ impl RtEngine<'_> {
             next = self.live.next_from(i + 1);
             let task = &self.tasks[i];
             let waiting = !self.dag.preds(task.gate).all(|p| self.gate_done[p.index()]);
+            let blocked = self.priority.is_none()
+                && match &task.body {
+                    TaskBody::Cnot {
+                        control,
+                        target,
+                        path,
+                        ..
+                    } => {
+                        !self.constrained
+                            && (path.is_empty()
+                                || !self.fabric.qubit_free(*control, self.clock)
+                                || !self.fabric.qubit_free(*target, self.clock)
+                                || !self.cnot_path_ready(TaskId(i as u32), path))
+                    }
+                    TaskBody::Rz {
+                        ladder, holders, ..
+                    } => holders.iter().all(|&(_, a)| a != ladder.current_angle()),
+                    TaskBody::Hadamard { .. } => false,
+                };
             assert!(
-                self.start_frontier.contains(i) || waiting || self.op_in_flight(task),
+                self.start_frontier.contains(i) || waiting || self.op_in_flight(task) || blocked,
                 "task {i} left the start frontier while it could start: {:?}",
                 task.body
             );
@@ -886,6 +991,9 @@ impl RtEngine<'_> {
     /// again matching the sequential loop. RNG draws, event pushes and
     /// counters therefore occur in an identical total order.
     fn dispatch_ancillas(&mut self) -> bool {
+        // The start phase's own ledger and fabric changes, before the dirty
+        // set they marked is cleared below.
+        self.wake_route_claimants();
         let traced = self.recorder.is_some();
         let t0 = traced.then(Instant::now);
         let mut candidates = std::mem::take(&mut self.scratch.candidates);
@@ -2363,6 +2471,8 @@ impl RtEngine<'_> {
         if let TaskBody::Rz { holders, .. } = &mut self.tasks[task.index()].body {
             holders.push((a, angle));
         }
+        // A new holder may carry the current angle: wake a parked start.
+        self.start_frontier.insert(task.index());
         if fresh_current && !next.is_clifford() {
             // First success for the needed angle: rewrite every sibling prep
             // entry in place to the correction state |m2θ⟩ (§4.1 / Fig 1e).

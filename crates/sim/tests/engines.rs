@@ -250,7 +250,8 @@ fn dispatch_goldens_are_pinned() {
     // inputs changed; these runs pin that such bookkeeping never changes a
     // decision. Every value, including the path-cache hits/misses and the
     // stall buckets, was recorded on the engine that rescanned every live
-    // task on every dispatch pass.
+    // task on every dispatch pass, except the `decode_prep` run, recorded
+    // before blocked starts were parked and decoder windows reused scratch.
     let goldens = [
         DispatchGolden {
             name: "ising_n420",
@@ -292,6 +293,31 @@ fn dispatch_goldens_are_pinned() {
                 decode_failures: 0 }",
             row: "rescq,1,7,1483.143,0.9886,2726,2084,1036,8273,4461,17,58,25,18,2084,\
                 124476.000,420,0,0,1559,0,0,0,0,0,4647,116410,46958,0,406,2280,0",
+        },
+        DispatchGolden {
+            // Preparation verification is decoded too (`--decoder-prep`):
+            // prepared states become usable through `PrepDecoded` events.
+            name: "ising_n34",
+            compression: 0.0,
+            decoder: Some(DecoderConfig {
+                decode_prep: true,
+                ..DecoderConfig::union_find(1.0)
+            }),
+            lattice: false,
+            total_rounds: 19637,
+            counters: "RunCounters { preps_started: 861, preps_succeeded: 495, \
+                preps_cancelled: 475, states_discarded: 318, injections: 177, \
+                injection_failures: 94, edge_rotations: 0, cnot_surgeries: 66, \
+                cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
+                preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
+                waitgraph_peak_edges: 103, preemptions_by_rank: [], \
+                stall_ancilla_cycles: 33, stall_decoder_cycles: 22880, stall_route_cycles: 1162, \
+                stall_class_cycles: 0, mst_computations: 111, mst_incremental_updates: 3231, \
+                path_cache_hits: 11, path_cache_misses: 883, decode_windows: 1038, \
+                decoder_stall_rounds: 435856, decoder_peak_backlog: 99, decode_defects: 163, \
+                decode_growth_steps: 942, decode_failures: 0 }",
+            row: "rescq,1,7,2805.286,0.9938,217,177,94,861,475,0,111,25,11,1038,62265.143,99,\
+                0,0,103,0,0,0,0,0,33,22880,1162,0,163,942,0",
         },
         DispatchGolden {
             name: "qft_n18",
