@@ -1,9 +1,9 @@
-//! The `sim` binary: config-driven RESCQ simulations and figure
+//! The `sim` binary: spec-driven RESCQ simulations and figure
 //! regeneration, mirroring the paper artifact's workflow.
 //!
 //! ```text
-//! sim run <config-file> [--csv DIR]        one experiment from a config file
-//! sim analyze <trace.json|config>          bottleneck report from a trace or config
+//! sim run <spec.toml> [--csv DIR]          one sweep point from a spec file
+//! sim analyze <trace.json|spec.toml>       bottleneck report from a trace or spec
 //! sim sweep <spec.toml> [options]          a declarative parameter sweep (rescq-harness)
 //! sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...>  merge shard checkpoints
 //! sim bench <name> [options]               one Table 3 benchmark, all schedulers
@@ -13,10 +13,13 @@
 //! ```
 
 use rescq_bench::experiments::{self, ExperimentScale};
-use rescq_cli::{flags, output, parse_config, RunSpec};
+use rescq_circuit::Circuit;
+use rescq_cli::{flags, output};
 use rescq_core::SchedulerKind;
-use rescq_sim::runner::run_seeds;
-use std::path::PathBuf;
+use rescq_harness::{JobSpec, SweepSpec};
+use rescq_sim::runner::{run_seeds, SweepSummary};
+use rescq_sim::SimConfig;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -49,7 +52,7 @@ fn print_usage() {
     println!("sim — RESCQ scheduling simulator (paper reproduction)");
     println!();
     println!("Usage:");
-    println!("  sim run <config-file> [--csv DIR]");
+    println!("  sim run <spec.toml> [--csv DIR]");
     println!("            [--priority-classes SPEC]   class lattice, e.g.");
     println!("                                   factory>injection>compute>speculative | off");
     println!("            [--trace-out FILE]     write a Chrome trace-event JSON of one");
@@ -57,12 +60,13 @@ fn print_usage() {
     println!("                                   chrome://tracing or Perfetto)");
     println!("            [--metrics-out FILE]   write the base-seed metrics snapshot");
     println!("                                   (.json = JSON, else text exposition)");
-    println!("                                      run an experiment from a config file");
-    println!("  sim analyze <trace.json|config> [--json FILE] [--top K]");
+    println!("                                      run the one point of a sweep spec");
+    println!("                                   (spec.toml syntax as for sim sweep)");
+    println!("  sim analyze <trace.json|spec.toml> [--json FILE] [--top K]");
     println!("                                      bottleneck report: critical path with");
     println!("                                   stall-cause attribution, hot ancillas,");
     println!("                                   region utilization. Accepts a --trace-out");
-    println!("                                   JSON or a run config (re-runs base seed");
+    println!("                                   JSON or a one-point spec (re-runs base seed");
     println!("                                   traced)");
     println!("  sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE]");
     println!("            [--checkpoint FILE] [--shard i/n] [--quiet | --progress]");
@@ -91,32 +95,58 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn load_circuit(name: &str) -> Result<rescq_circuit::Circuit, String> {
+fn load_circuit(name: &str, circuit_seed: u64) -> Result<Circuit, String> {
     if let Some(path) = name.strip_prefix("file:") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         return rescq_circuit::parse_circuit(&text, None).map_err(|e| e.to_string());
     }
-    rescq_workloads::generate(name, 1)
+    rescq_workloads::generate(name, circuit_seed)
         .ok_or_else(|| format!("unknown benchmark `{name}`; `sim list` shows the suite"))
 }
 
-fn run_spec(
-    spec: &RunSpec,
-    csv_dir: Option<PathBuf>,
-) -> Result<rescq_sim::runner::SweepSummary, String> {
-    let circuit = load_circuit(&spec.benchmark)?;
+/// Parses the spec text of `sim run`/`sim analyze` (read from `path`),
+/// which must have exactly one point. Returns the spec, the point's
+/// base-seed job with `--priority-classes` applied, and its circuit.
+fn load_point(
+    text: &str,
+    path: &str,
+    args: &[String],
+) -> Result<(SweepSpec, JobSpec, Circuit), String> {
+    let spec = SweepSpec::parse(text).map_err(|e| e.to_string())?;
+    if spec.num_points() != 1 {
+        return Err(format!(
+            "{path} has {} sweep points, but this command runs one; use `sim sweep` for a grid",
+            spec.num_points()
+        ));
+    }
+    let mut job = spec.expand().swap_remove(0);
+    apply_priority_flag(args, &mut job.config)?;
+    let circuit = load_circuit(&job.workload, spec.circuit_seed)?;
+    Ok((spec, job, circuit))
+}
+
+/// Runs `seeds` seeded runs of `circuit` under `config`, prints them and
+/// optionally writes the reports and histogram CSVs under `csv_dir`.
+fn run_point(
+    workload: &str,
+    circuit: &Circuit,
+    config: &SimConfig,
+    base_seed: u64,
+    seeds: u64,
+    csv_dir: Option<&Path>,
+) -> Result<SweepSummary, String> {
     println!(
         "{}: {} qubits, {} gates ({})",
-        spec.benchmark,
+        workload,
         circuit.num_qubits(),
         circuit.len(),
         circuit.stats()
     );
     let summary = run_seeds(
-        &circuit,
-        &spec.config,
-        spec.base_seed,
-        spec.seeds,
+        circuit,
+        config,
+        base_seed,
+        seeds,
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
@@ -127,27 +157,25 @@ fn run_spec(
     }
     println!("  => {summary}");
     if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        let base = dir.join(format!("{}_{}", spec.benchmark, spec.config.scheduler));
-        output::write_reports_csv(&base.with_extension("csv"), &summary.reports)
+        let base = dir.join(format!("{workload}_{}", config.scheduler));
+        std::fs::create_dir_all(dir)
+            .and_then(|()| output::write_reports_csv(&base.with_extension("csv"), &summary.reports))
+            .and_then(|()| {
+                let cnot = summary.merged_cnot_latency();
+                output::write_histogram_csv(&base.with_extension("cnot_hist.csv"), &cnot)
+            })
+            .and_then(|()| {
+                let rz = summary.merged_rz_latency();
+                output::write_histogram_csv(&base.with_extension("rz_hist.csv"), &rz)
+            })
             .map_err(|e| e.to_string())?;
-        output::write_histogram_csv(
-            &base.with_extension("cnot_hist.csv"),
-            &summary.merged_cnot_latency(),
-        )
-        .map_err(|e| e.to_string())?;
-        output::write_histogram_csv(
-            &base.with_extension("rz_hist.csv"),
-            &summary.merged_rz_latency(),
-        )
-        .map_err(|e| e.to_string())?;
         println!("  csv written under {}", dir.display());
     }
     Ok(summary)
 }
 
 /// Applies the shared `--priority-classes` flag (`off` = class-blind).
-fn apply_priority_flag(args: &[String], config: &mut rescq_sim::SimConfig) -> Result<(), String> {
+fn apply_priority_flag(args: &[String], config: &mut SimConfig) -> Result<(), String> {
     if let Some(spec) = flag_value(args, "--priority-classes") {
         config.priority_classes = rescq_core::ClassLattice::parse_setting(&spec)?;
     }
@@ -155,7 +183,7 @@ fn apply_priority_flag(args: &[String], config: &mut rescq_sim::SimConfig) -> Re
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: sim run <config-file> [--csv DIR] [--priority-classes SPEC] \
+    const USAGE: &str = "usage: sim run <spec.toml> [--csv DIR] [--priority-classes SPEC] \
                          [--trace-out FILE] [--metrics-out FILE]";
     flags::positionals(
         args,
@@ -170,9 +198,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     )?;
     let path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut spec = parse_config(&text).map_err(|e| e.to_string())?;
-    apply_priority_flag(args, &mut spec.config)?;
-    let summary = run_spec(&spec, flag_value(args, "--csv").map(PathBuf::from))?;
+    let (spec, job, circuit) = load_point(&text, path, args)?;
+    let csv = flag_value(args, "--csv").map(PathBuf::from);
+    let summary = run_point(
+        &job.workload,
+        &circuit,
+        &job.config,
+        spec.base_seed,
+        spec.seeds,
+        csv.as_deref(),
+    )?;
     if let Some(out) = flag_value(args, "--metrics-out") {
         // The base seed's report, as a versioned snapshot. Every metric in
         // it is schedule-derived, so the file is identical whether or not
@@ -191,18 +226,19 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         println!("  metrics snapshot written to {out}");
     }
     if let Some(out) = flag_value(args, "--trace-out") {
-        write_trace(&spec, &PathBuf::from(out))?;
+        write_trace(&circuit, &job.config, Path::new(&out))?;
     }
     Ok(())
 }
 
 /// Produces the bottleneck report of `sim analyze`: from a `--trace-out`
-/// Chrome trace file (first positional starting with `{`), or from a run
-/// config, in which case the base seed re-runs with a recorder attached
-/// (tracing is inert, so this reproduces the main run's schedule exactly).
+/// Chrome trace file (first positional starting with `{`), or from a
+/// one-point spec, in which case the base seed re-runs with a recorder
+/// attached (tracing is inert, so this reproduces the main run's schedule
+/// exactly).
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     use rescq_telemetry::{analyze_events, parse_trace, RingRecorder};
-    const USAGE: &str = "usage: sim analyze <trace.json|run-config> [--json FILE] [--top K] \
+    const USAGE: &str = "usage: sim analyze <trace.json|spec.toml> [--json FILE] [--top K] \
                          [--priority-classes SPEC]";
     flags::positionals(args, &["--json", "--top", "--priority-classes"], &[], USAGE)?;
     let path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
@@ -215,13 +251,9 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         let parsed = parse_trace(&text)?;
         analyze_events(&parsed.events, parsed.dropped, parsed.truncated)
     } else {
-        let mut spec = parse_config(&text).map_err(|e| e.to_string())?;
-        apply_priority_flag(args, &mut spec.config)?;
-        let circuit = load_circuit(&spec.benchmark)?;
-        let mut config = spec.config.clone();
-        config.seed = spec.base_seed;
+        let (_, job, circuit) = load_point(&text, path, args)?;
         let recorder = RingRecorder::new();
-        rescq_sim::simulate_traced(&circuit, &config, Some(&recorder))
+        rescq_sim::simulate_traced(&circuit, &job.config, Some(&recorder))
             .map_err(|e| e.to_string())?;
         let events: Vec<_> = recorder.events().iter().map(|t| t.event).collect();
         analyze_events(&events, recorder.dropped(), false)
@@ -237,18 +269,15 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Re-runs the spec's base seed with a [`rescq_telemetry::RingRecorder`]
+/// Re-runs `config` (the base seed) with a [`rescq_telemetry::RingRecorder`]
 /// attached and writes the captured stream as Chrome trace-event JSON.
 /// Tracing never perturbs the schedule, so this run reproduces the first
-/// seed of the main sweep exactly.
-fn write_trace(spec: &RunSpec, out: &std::path::Path) -> Result<(), String> {
+/// seed of the main run exactly.
+fn write_trace(circuit: &Circuit, config: &SimConfig, out: &Path) -> Result<(), String> {
     use rescq_telemetry::RingRecorder;
-    let circuit = load_circuit(&spec.benchmark)?;
-    let mut config = spec.config.clone();
-    config.seed = spec.base_seed;
     let recorder = RingRecorder::new();
-    let report = rescq_sim::simulate_traced(&circuit, &config, Some(&recorder))
-        .map_err(|e| e.to_string())?;
+    let report =
+        rescq_sim::simulate_traced(circuit, config, Some(&recorder)).map_err(|e| e.to_string())?;
     std::fs::write(out, recorder.to_chrome_trace())
         .map_err(|e| format!("{}: {e}", out.display()))?;
     println!(
@@ -277,7 +306,7 @@ fn write_trace(spec: &RunSpec, out: &std::path::Path) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    use rescq_harness::{run_sweep, ProgressMode, RunOptions, Shard, SweepSpec};
+    use rescq_harness::{run_sweep, ProgressMode, RunOptions, Shard};
     const USAGE: &str = "usage: sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE] \
                          [--checkpoint FILE] [--shard i/n] [--layout-cache DIR] \
                          [--quiet | --progress]";
@@ -312,23 +341,18 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         opts.progress = ProgressMode::Always;
     }
 
-    let jobs = spec.num_points() * spec.seeds as usize;
-    match opts.shard {
-        Some(shard) => println!(
-            "sweep: {} points x {} seeds = {} jobs (running shard {shard})",
-            spec.num_points(),
-            spec.seeds,
-            jobs
-        ),
-        None => println!(
-            "sweep: {} points x {} seeds = {} jobs",
-            spec.num_points(),
-            spec.seeds,
-            jobs
-        ),
-    }
+    let shard = opts
+        .shard
+        .map(|shard| format!(" (running shard {shard})"))
+        .unwrap_or_default();
+    println!(
+        "sweep: {} points x {} seeds = {} jobs{shard}",
+        spec.num_points(),
+        spec.seeds,
+        spec.num_points() * spec.seeds as usize,
+    );
     let results = run_sweep(&spec, &opts).map_err(|e| e.to_string())?;
-    print_sweep_results(&results)?;
+    print_sweep_results(&results);
 
     if let Some(csv) = flag_value(args, "--csv") {
         std::fs::write(&csv, results.to_csv()).map_err(|e| format!("{csv}: {e}"))?;
@@ -352,7 +376,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn print_sweep_results(results: &rescq_harness::SweepResults) -> Result<(), String> {
+fn print_sweep_results(results: &rescq_harness::SweepResults) {
     println!(
         "{:<20} {:<10} {:>5} {:>6} {:>8} {:>10} {:>10} {:>10} {:>8} {:>8} {:>7}",
         "workload",
@@ -391,13 +415,12 @@ fn print_sweep_results(results: &rescq_harness::SweepResults) -> Result<(), Stri
         resumed,
         results.cache
     );
-    Ok(())
 }
 
 /// Merges shard checkpoint files back into one CSV (and optionally JSON),
 /// validating fingerprints against the spec that produced them.
 fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
-    use rescq_harness::{merge_checkpoints, SweepSpec};
+    use rescq_harness::merge_checkpoints;
     const USAGE: &str = "usage: sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...> \
                          [--json FILE] [--allow-missing]";
     // Positionals by position, flag *values* skipped by index (a checkpoint
@@ -426,7 +449,7 @@ fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
             results.records.len()
         ));
     }
-    print_sweep_results(&results)?;
+    print_sweep_results(&results);
     std::fs::write(out, results.to_csv()).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "merged {} rows from {} checkpoint(s) into {out}",
@@ -471,36 +494,35 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         return cmd_bench_baseline(args, name, &PathBuf::from(out));
     }
     let name = name.ok_or(USAGE)?;
-    let mut spec = RunSpec {
-        benchmark: name.clone(),
-        ..RunSpec::default()
-    };
+    let mut config = SimConfig::default();
+    let mut seeds = 10;
     if let Some(s) = flag_value(args, "--seeds") {
-        spec.seeds = s.parse().map_err(|_| "bad --seeds")?;
+        seeds = s.parse().map_err(|_| "bad --seeds")?;
     }
     if let Some(c) = flag_value(args, "--compression") {
-        spec.config.compression = c.parse().map_err(|_| "bad --compression")?;
+        config.compression = c.parse().map_err(|_| "bad --compression")?;
     }
     if let Some(d) = flag_value(args, "--distance") {
-        spec.config.distance = d.parse().map_err(|_| "bad --distance")?;
+        config.distance = d.parse().map_err(|_| "bad --distance")?;
     }
     if let Some(d) = flag_value(args, "--decoder") {
-        spec.config.decoder.kind = d.parse().map_err(|e: String| e)?;
+        config.decoder.kind = d.parse().map_err(|e: String| e)?;
     }
     if let Some(t) = flag_value(args, "--decoder-throughput") {
-        spec.config.decoder.throughput = t.parse().map_err(|_| "bad --decoder-throughput")?;
+        config.decoder.throughput = t.parse().map_err(|_| "bad --decoder-throughput")?;
     }
     if let Some(w) = flag_value(args, "--decoder-workers") {
-        spec.config.decoder.workers = w.parse().map_err(|_| "bad --decoder-workers")?;
+        config.decoder.workers = w.parse().map_err(|_| "bad --decoder-workers")?;
     }
     if args.iter().any(|a| a == "--decoder-prep") {
-        spec.config.decoder.decode_prep = true;
+        config.decoder.decode_prep = true;
     }
-    apply_priority_flag(args, &mut spec.config)?;
+    apply_priority_flag(args, &mut config)?;
     let csv = flag_value(args, "--csv").map(PathBuf::from);
+    let circuit = load_circuit(name, 1)?;
     for sched in SchedulerKind::ALL {
-        spec.config.scheduler = sched;
-        run_spec(&spec, csv.clone())?;
+        config.scheduler = sched;
+        run_point(name, &circuit, &config, 1, seeds, csv.as_deref())?;
     }
     Ok(())
 }
@@ -510,11 +532,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// averaged over seeds. With no positional benchmark, the standard perf
 /// suite runs: `ising_n420` (uncompressed) + `factory_n12` at 25%
 /// compression, both under the RESCQ scheduler.
-fn cmd_bench_baseline(
-    args: &[String],
-    name: Option<&String>,
-    out: &std::path::Path,
-) -> Result<(), String> {
+fn cmd_bench_baseline(args: &[String], name: Option<&String>, out: &Path) -> Result<(), String> {
     use rescq_telemetry::{PerfBaseline, PerfEntry, RingRecorder};
     use std::time::Instant;
     let seeds: u32 = match flag_value(args, "--seeds") {
@@ -533,10 +551,8 @@ fn cmd_bench_baseline(
     };
     let mut baseline = PerfBaseline::new();
     for (bench, compression) in suite {
-        let circuit = load_circuit(&bench)?;
-        let mut config = rescq_sim::SimConfig::builder()
-            .compression(compression)
-            .build();
+        let circuit = load_circuit(&bench, 1)?;
+        let mut config = SimConfig::builder().compression(compression).build();
         let artifacts = rescq_sim::SimArtifacts::prepare(std::sync::Arc::new(circuit), &config)
             .map_err(|e| e.to_string())?;
         let mut wall_ns = 0u64;

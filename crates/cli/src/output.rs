@@ -1,6 +1,6 @@
 //! CSV and log emission for experiment results.
 
-use rescq_sim::{ExecutionReport, LatencyHistogram};
+use rescq_sim::{reports_csv_row, ExecutionReport, LatencyHistogram, REPORTS_CSV_HEADER};
 use std::io::Write;
 use std::path::Path;
 
@@ -11,50 +11,9 @@ use std::path::Path;
 /// Propagates I/O errors.
 pub fn write_reports_csv(path: &Path, reports: &[ExecutionReport]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
-    // Newest columns go last, so older tooling keeps its column positions.
-    // Every column is sim-time derived — NO wall-clock ever enters this
-    // file, so traced and untraced runs produce byte-identical CSVs.
-    writeln!(
-        f,
-        "scheduler,seed,distance,total_cycles,idle_fraction,gates,injections,injection_failures,preps_started,preps_cancelled,edge_rotations,mst_computations,k,tau,decode_windows,decoder_stall_cycles,decoder_peak_backlog,preemptions,preemptions_rejected_cycle,waitgraph_peak_edges,preemptions_class,preempt_speculative,preempt_compute,preempt_injection,preempt_factory,stall_ancilla,stall_decoder,stall_route,stall_class,decode_defects,decode_growth_steps,decode_failures"
-    )?;
+    writeln!(f, "{REPORTS_CSV_HEADER}")?;
     for r in reports {
-        writeln!(
-            f,
-            "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            r.scheduler,
-            r.seed,
-            r.distance,
-            r.total_cycles(),
-            r.idle_fraction(),
-            r.gates_executed,
-            r.counters.injections,
-            r.counters.injection_failures,
-            r.counters.preps_started,
-            r.counters.preps_cancelled,
-            r.counters.edge_rotations,
-            r.counters.mst_computations,
-            r.k_used,
-            r.tau_used,
-            r.counters.decode_windows,
-            r.decoder_stall_cycles(),
-            r.counters.decoder_peak_backlog,
-            r.counters.preemptions,
-            r.counters.preemptions_rejected_cycle,
-            r.counters.waitgraph_peak_edges,
-            r.counters.preemptions_class,
-            r.counters.preemptions_by_class[0],
-            r.counters.preemptions_by_class[1],
-            r.counters.preemptions_by_class[2],
-            r.counters.preemptions_by_class[3],
-            r.counters.stall_ancilla_cycles,
-            r.counters.stall_decoder_cycles,
-            r.counters.stall_route_cycles,
-            r.counters.stall_class_cycles,
-            r.counters.decode_defects,
-            r.counters.decode_growth_steps,
-            r.counters.decode_failures,
-        )?;
+        writeln!(f, "{}", reports_csv_row(r))?;
     }
     Ok(())
 }

@@ -159,16 +159,30 @@ pub fn read_checkpoint_rows(path: &Path) -> Result<HashMap<u64, (String, JobMetr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SweepSpec;
+    use crate::spec::{JobSpec, SweepSpec};
+
+    /// The jobs of a dnn_n16 spec with `seeds` seeds.
+    fn jobs(seeds: u64) -> Vec<JobSpec> {
+        let spec = SweepSpec {
+            workloads: vec!["dnn_n16".into()],
+            seeds,
+            ..SweepSpec::default()
+        };
+        spec.expand()
+    }
+
+    /// A fresh checkpoint path in the temp dir.
+    fn ckpt_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
 
     #[test]
     fn fingerprints_separate_jobs() {
-        let spec = SweepSpec {
-            workloads: vec!["dnn_n16".into()],
-            seeds: 2,
-            ..SweepSpec::default()
-        };
-        let jobs = spec.expand();
+        let jobs = jobs(2);
         let a = job_fingerprint(&jobs[0], 1234, 1);
         let b = job_fingerprint(&jobs[1], 1234, 1);
         assert_ne!(a, b, "different seeds must fingerprint differently");
@@ -182,42 +196,16 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trip() {
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let path = ckpt_path("roundtrip.ckpt");
 
-        let spec = SweepSpec {
-            workloads: vec!["dnn_n16".into()],
-            seeds: 1,
-            ..SweepSpec::default()
-        };
-        let job = spec.expand().remove(0);
+        let job = jobs(1).remove(0);
         let metrics = JobMetrics {
             seed: 1,
             total_cycles: 321.125,
             idle_fraction: 0.5,
-            stall_cycles: 0.0,
-            decode_windows: 3,
-            peak_backlog: 1,
             injections: 9,
-            injection_failures: 4,
-            preps_started: 12,
-            preps_cancelled: 0,
-            preemptions: 0,
-            preemptions_rejected: 0,
-            waitgraph_peak_edges: 0,
-            preemptions_class: 0,
-            stall_ancilla: 0,
-            stall_decoder: 0,
-            stall_route: 0,
-            stall_class: 0,
-            cnot_p50: 0,
-            cnot_p99: 0,
-            decode_p99: 0,
-            decode_defects: 5,
             decode_growth_steps: 40,
-            decode_failures: 0,
+            ..JobMetrics::default()
         };
         let fp = job_fingerprint(&job, 42, 1);
         {
@@ -234,43 +222,18 @@ mod tests {
 
     #[test]
     fn truncated_final_line_does_not_swallow_next_record() {
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("truncated.ckpt");
+        let path = ckpt_path("truncated.ckpt");
         // A kill mid-write left a partial line with no trailing newline.
         std::fs::write(&path, "# header\n0000000000000abc workload,trunc").unwrap();
 
-        let spec = SweepSpec {
-            workloads: vec!["dnn_n16".into()],
-            seeds: 1,
-            ..SweepSpec::default()
-        };
-        let job = spec.expand().remove(0);
+        let job = jobs(1).remove(0);
         let metrics = JobMetrics {
             seed: 1,
             total_cycles: 10.5,
             idle_fraction: 0.25,
-            stall_cycles: 0.0,
-            decode_windows: 0,
-            peak_backlog: 0,
             injections: 1,
-            injection_failures: 0,
             preps_started: 1,
-            preps_cancelled: 0,
-            preemptions: 0,
-            preemptions_rejected: 0,
-            waitgraph_peak_edges: 0,
-            preemptions_class: 0,
-            stall_ancilla: 0,
-            stall_decoder: 0,
-            stall_route: 0,
-            stall_class: 0,
-            cnot_p50: 0,
-            cnot_p99: 0,
-            decode_p99: 0,
-            decode_defects: 0,
-            decode_growth_steps: 0,
-            decode_failures: 0,
+            ..JobMetrics::default()
         };
         let fp = job_fingerprint(&job, 7, 1);
         {
@@ -293,42 +256,16 @@ mod tests {
         // was dropped hold 33. Resuming against them must silently drop
         // those rows (the jobs simply re-run) while current-width rows
         // restore fine.
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("schema_resume.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let path = ckpt_path("schema_resume.ckpt");
 
-        let spec = SweepSpec {
-            workloads: vec!["dnn_n16".into()],
-            seeds: 2,
-            ..SweepSpec::default()
-        };
-        let jobs = spec.expand();
+        let jobs = jobs(2);
         let metrics = JobMetrics {
             seed: 1,
             total_cycles: 55.0,
-            idle_fraction: 0.1,
             stall_cycles: 2.0,
-            decode_windows: 4,
-            peak_backlog: 1,
-            injections: 3,
-            injection_failures: 0,
-            preps_started: 3,
-            preps_cancelled: 0,
-            preemptions: 0,
-            preemptions_rejected: 0,
-            waitgraph_peak_edges: 0,
-            preemptions_class: 0,
-            stall_ancilla: 0,
-            stall_decoder: 2,
-            stall_route: 0,
-            stall_class: 0,
-            cnot_p50: 1,
-            cnot_p99: 2,
-            decode_p99: 3,
             decode_defects: 7,
             decode_growth_steps: 21,
-            decode_failures: 0,
+            ..JobMetrics::default()
         };
         let current_row = crate::results::csv_row(&jobs[0], &metrics);
         // Simulate the pre-decode-work schema by stripping the three newest
@@ -365,9 +302,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_skipped() {
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("malformed.ckpt");
+        let path = ckpt_path("malformed.ckpt");
         std::fs::write(&path, "# header\nnot a line\nzzzz bad,row\n").unwrap();
         let ckpt = Checkpoint::open(&path).unwrap();
         assert_eq!(ckpt.loaded(), 0);

@@ -57,7 +57,8 @@ mod spec;
 pub use cache::{ArtifactCache, CacheStats};
 pub use checkpoint::{job_fingerprint, read_checkpoint_rows, Checkpoint};
 pub use results::{
-    csv_row, parse_csv_metrics, JobMetrics, JobRecord, PointSummary, SweepResults, CSV_HEADER,
+    csv_row, parse_csv_metrics, JobMetrics, JobRecord, PointSummary, SweepResults, COLUMNS,
+    CSV_HEADER,
 };
 pub use run::{merge_checkpoints, run_sweep, HarnessError, ProgressMode, RunOptions, Shard};
 pub use spec::{fmt_k, fmt_priority, DecoderPoint, JobSpec, SpecError, SweepSpec};

@@ -11,90 +11,261 @@ use crate::spec::{fmt_k, fmt_priority, JobSpec, SweepSpec};
 use rescq_sim::ExecutionReport;
 use std::fmt::Write as _;
 
-/// The scalar metrics of one completed job (one seeded run).
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobMetrics {
-    /// The run seed.
-    pub seed: u64,
-    /// Makespan in lattice-surgery cycles.
-    pub total_cycles: f64,
-    /// Data-qubit idle fraction.
-    pub idle_fraction: f64,
-    /// Cycles feed-forward decisions stalled on the decoder.
-    pub stall_cycles: f64,
-    /// Syndrome windows submitted to the decoder.
-    pub decode_windows: u64,
-    /// Largest decode backlog observed.
-    pub peak_backlog: u64,
-    /// Injection attempts.
-    pub injections: u64,
-    /// Injection failures.
-    pub injection_failures: u64,
-    /// Preparations started.
-    pub preps_started: u64,
-    /// Preparations cancelled.
-    pub preps_cancelled: u64,
-    /// Ledger preemptions applied (constrained-fabric RESCQ).
-    pub preemptions: u64,
-    /// Preemptions the ledger rejected to keep the wait-for graph acyclic.
-    pub preemptions_rejected: u64,
-    /// Peak distinct edges in the task wait-for graph.
-    pub waitgraph_peak_edges: u64,
-    /// Preemptions granted by the priority-class lattice (the preemptor's
-    /// class strictly outranked a displaced entry; 0 in class-blind runs).
-    pub preemptions_class: u64,
-    /// Task-cycles stalled on ancilla contention (no free route tiles).
-    pub stall_ancilla: u64,
-    /// Task-cycles stalled on decoder backlog (feed-forward gated).
-    pub stall_decoder: u64,
-    /// Task-cycles stalled on a blocked CNOT route.
-    pub stall_route: u64,
-    /// Task-cycles stalled after displacement by a higher priority class.
-    pub stall_class: u64,
-    /// Median CNOT completion latency in cycles.
-    pub cnot_p50: u64,
-    /// 99th-percentile CNOT completion latency in cycles.
-    pub cnot_p99: u64,
-    /// 99th-percentile decode-window latency in cycles.
-    pub decode_p99: u64,
-    /// Defects the union-find decoder observed (0 for latency models).
-    pub decode_defects: u64,
-    /// Union-find cluster-growth half-steps performed.
-    pub decode_growth_steps: u64,
-    /// Windows whose residual error crossed the logical cut.
-    pub decode_failures: u64,
+/// Declares every column of a sweep row once and derives everything that
+/// lists the columns from that declaration: [`JobMetrics`] and its
+/// `from_report`, [`CSV_HEADER`], [`COLUMNS`], [`csv_row`],
+/// [`parse_csv_metrics`] and the per-point aggregates of
+/// [`PointSummary`] (in [`SweepResults::summaries`] and
+/// [`SweepResults::to_json`]).
+///
+/// `grid` columns are formatted from the [`JobSpec`]; `metrics` columns
+/// are typed [`JobMetrics`] fields extracted from an [`ExecutionReport`].
+/// A metric row may name a per-point aggregation after its extractor:
+/// `sum`, `max` or `mean` (the latter is an `f64` field); rows without one
+/// are kept per job only.
+macro_rules! sweep_columns {
+    (
+        grid |$job:ident| {
+            $( $(#[doc = $gdoc:literal])+ $gname:ident = $gget:expr; )+
+        }
+        metrics |$r:ident| {
+            $( $(#[doc = $mdoc:literal])+ $mname:ident: $mty:ident = $mget:expr $(, $agg:ident)?; )+
+        }
+    ) => {
+        /// The scalar metrics of one completed job (one seeded run): one
+        /// typed field per metric column of [`CSV_HEADER`].
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct JobMetrics {
+            $( $(#[doc = $mdoc])+ pub $mname: $mty, )+
+        }
+
+        impl JobMetrics {
+            /// Extracts the metrics a sweep keeps from a full report.
+            pub fn from_report($r: &ExecutionReport) -> Self {
+                JobMetrics { $( $mname: $mget, )+ }
+            }
+        }
+
+        /// Every column of a per-job row as `(name, doc)`, in row order:
+        /// the grid columns, then the [`JobMetrics`] columns.
+        pub const COLUMNS: &[(&str, &str)] = &[
+            $( (stringify!($gname), concat!($($gdoc),+).trim_ascii_start()), )+
+            $( (stringify!($mname), concat!($($mdoc),+).trim_ascii_start()), )+
+        ];
+
+        /// Number of leading grid columns in a row.
+        const GRID_COLUMNS: usize = [$(stringify!($gname)),+].len();
+
+        /// The CSV column header of per-job rows ([`COLUMNS`] joined by
+        /// commas). Every column is sim-time derived, so rows are
+        /// byte-identical whether or not a run was traced.
+        pub const CSV_HEADER: &str = {
+            let names = concat!($(stringify!($gname), ",",)+ $(stringify!($mname), ",",)+);
+            names.split_at(names.len() - 1).0
+        };
+
+        /// Formats one job + metrics as a CSV row (no trailing newline).
+        pub fn csv_row($job: &JobSpec, m: &JobMetrics) -> String {
+            let mut row = String::new();
+            $( let _ = write!(row, "{},", $gget); )+
+            $( let _ = write!(row, "{},", m.$mname); )+
+            row.pop();
+            row
+        }
+
+        /// Parses the metric columns of a [`csv_row`] back into
+        /// [`JobMetrics`] (used by checkpoint resume; the job columns are
+        /// identified by fingerprint, not re-parsed). A row of any other
+        /// width — a checkpoint written before a schema change — is an
+        /// error, so the checkpoint loader skips it and the job re-runs.
+        pub fn parse_csv_metrics(row: &str) -> Result<JobMetrics, String> {
+            let cols: Vec<&str> = row.split(',').collect();
+            if cols.len() != COLUMNS.len() {
+                return Err(format!(
+                    "expected {} columns, got {}",
+                    COLUMNS.len(),
+                    cols.len()
+                ));
+            }
+            let mut metric = cols.iter().enumerate().skip(GRID_COLUMNS);
+            Ok(JobMetrics { $( $mname: parse_column(metric.next())?, )+ })
+        }
+
+        /// Aggregate statistics of one sweep point across its seeds.
+        #[derive(Debug, Clone)]
+        pub struct PointSummary {
+            /// Index of the point in expansion order.
+            pub point: usize,
+            /// The point's first job (carries every grid coordinate).
+            pub job: JobSpec,
+            /// Seeds that completed successfully.
+            pub completed: u64,
+            /// Mean makespan in cycles.
+            pub mean_cycles: f64,
+            /// Median makespan.
+            pub p50_cycles: f64,
+            /// 99th-percentile makespan.
+            pub p99_cycles: f64,
+            /// Minimum makespan.
+            pub min_cycles: f64,
+            /// Maximum makespan.
+            pub max_cycles: f64,
+            /// Mean decoder stall cycles.
+            pub mean_stall_cycles: f64,
+            /// Mean stall fraction of the makespan (`stall / total`, averaged).
+            pub stall_fraction: f64,
+            $( $(
+                #[doc = concat!(
+                    "Per-point `", stringify!($agg), "` of [`JobMetrics::", stringify!($mname), "`]."
+                )]
+                pub $mname: aggregate!(@ty $agg $mty),
+            )? )+
+        }
+
+        impl PointSummary {
+            /// Aggregates the successful runs `ok` of one point.
+            fn new(point: usize, job: JobSpec, ok: &[&JobMetrics]) -> Self {
+                let mut cycles: Vec<f64> = ok.iter().map(|m| m.total_cycles).collect();
+                cycles.sort_by(f64::total_cmp);
+                let n = ok.len().max(1) as f64;
+                let stall_fraction = ok
+                    .iter()
+                    .map(|m| {
+                        if m.total_cycles > 0.0 {
+                            m.stall_cycles / m.total_cycles
+                        } else {
+                            0.0
+                        }
+                    })
+                    .sum::<f64>()
+                    / n;
+                PointSummary {
+                    point,
+                    job,
+                    completed: ok.len() as u64,
+                    mean_cycles: ok.iter().map(|m| m.total_cycles).sum::<f64>() / n,
+                    p50_cycles: percentile(&cycles, 0.5),
+                    p99_cycles: percentile(&cycles, 0.99),
+                    min_cycles: cycles.first().copied().unwrap_or(0.0),
+                    max_cycles: cycles.last().copied().unwrap_or(0.0),
+                    mean_stall_cycles: ok.iter().map(|m| m.stall_cycles).sum::<f64>() / n,
+                    stall_fraction,
+                    $( $( $mname: aggregate!($agg, ok, $mname, n), )? )+
+                }
+            }
+
+            /// Appends `, "name": value` for every aggregated column.
+            fn write_aggregates_json(&self, out: &mut String) {
+                $( $( let _ = write!(
+                    out,
+                    concat!(", \"", stringify!($mname), "\": {}"),
+                    aggregate!(@value $agg self.$mname)
+                ); )? )+
+            }
+        }
+    };
 }
 
-impl JobMetrics {
-    /// Extracts the metrics a sweep keeps from a full report.
-    pub fn from_report(report: &ExecutionReport) -> Self {
-        JobMetrics {
-            seed: report.seed,
-            total_cycles: report.total_cycles(),
-            idle_fraction: report.idle_fraction(),
-            stall_cycles: report.decoder_stall_cycles(),
-            decode_windows: report.counters.decode_windows,
-            peak_backlog: report.counters.decoder_peak_backlog,
-            injections: report.counters.injections,
-            injection_failures: report.counters.injection_failures,
-            preps_started: report.counters.preps_started,
-            preps_cancelled: report.counters.preps_cancelled,
-            preemptions: report.counters.preemptions,
-            preemptions_rejected: report.counters.preemptions_rejected_cycle,
-            waitgraph_peak_edges: report.counters.waitgraph_peak_edges,
-            preemptions_class: report.counters.preemptions_class,
-            stall_ancilla: report.counters.stall_ancilla_cycles,
-            stall_decoder: report.counters.stall_decoder_cycles,
-            stall_route: report.counters.stall_route_cycles,
-            stall_class: report.counters.stall_class_cycles,
-            cnot_p50: report.cnot_latency.percentile(0.5),
-            cnot_p99: report.cnot_latency.percentile(0.99),
-            decode_p99: report.decode_latency.percentile(0.99),
-            decode_defects: report.counters.decode_defects,
-            decode_growth_steps: report.counters.decode_growth_steps,
-            decode_failures: report.counters.decode_failures,
-        }
+/// The per-point aggregations a [`sweep_columns!`] metric row can name:
+/// the field type, and the value over a point's successful runs `ok`.
+macro_rules! aggregate {
+    (@ty mean $ty:ident) => {
+        f64
+    };
+    (@ty $agg:ident $ty:ident) => {
+        $ty
+    };
+    // Passes the value through; naming `$agg` lets an optional row repeat.
+    (@value $agg:ident $e:expr) => {
+        $e
+    };
+    (sum, $ok:ident, $f:ident, $n:ident) => {
+        $ok.iter().map(|m| m.$f).sum()
+    };
+    (max, $ok:ident, $f:ident, $n:ident) => {
+        $ok.iter().map(|m| m.$f).max().unwrap_or_default()
+    };
+    (mean, $ok:ident, $f:ident, $n:ident) => {
+        $ok.iter().map(|m| m.$f as f64).sum::<f64>() / $n
+    };
+}
+
+sweep_columns! {
+    grid |job| {
+        /// Benchmark name: a Table 3 name, a synthetic family, or `file:<path>`.
+        workload = job.workload;
+        /// Scheduler: `rescq`, `greedy` or `autobraid`.
+        scheduler = job.config.scheduler;
+        /// Code distance.
+        distance = job.config.distance;
+        /// Physical error rate.
+        error_rate = job.config.physical_error_rate;
+        /// MST period `k`: an integer or `dynamic`.
+        k = fmt_k(job.config.k_policy);
+        /// Requested grid compression fraction.
+        compression = job.config.compression;
+        /// Decoder point: `ideal`, `fixed:TP`, `adaptive:TPxW` or `union_find:TP`.
+        decoder = job.decoder;
+        /// Priority-class lattice the ledger arbitrated with (`off` = class-blind).
+        priority = fmt_priority(&job.config.priority_classes);
     }
+    metrics |r| {
+        /// The run seed.
+        seed: u64 = r.seed;
+        /// Makespan in lattice-surgery cycles.
+        total_cycles: f64 = r.total_cycles();
+        /// Data-qubit idle fraction.
+        idle_fraction: f64 = r.idle_fraction();
+        /// Cycles feed-forward decisions stalled on the decoder.
+        stall_cycles: f64 = r.decoder_stall_cycles();
+        /// Syndrome windows submitted to the decoder.
+        decode_windows: u64 = r.counters.decode_windows;
+        /// Largest decode backlog observed.
+        peak_backlog: u64 = r.counters.decoder_peak_backlog, max;
+        /// Injection attempts.
+        injections: u64 = r.counters.injections;
+        /// Injection failures.
+        injection_failures: u64 = r.counters.injection_failures;
+        /// Preparations started.
+        preps_started: u64 = r.counters.preps_started;
+        /// Preparations cancelled.
+        preps_cancelled: u64 = r.counters.preps_cancelled;
+        /// Ledger preemptions applied (constrained-fabric RESCQ).
+        preemptions: u64 = r.counters.preemptions, sum;
+        /// Preemptions the ledger rejected to keep the wait-for graph acyclic.
+        preemptions_rejected: u64 = r.counters.preemptions_rejected_cycle, sum;
+        /// Peak distinct edges in the task wait-for graph.
+        waitgraph_peak_edges: u64 = r.counters.waitgraph_peak_edges, max;
+        /// Preemptions granted by the priority-class lattice (0 in class-blind runs).
+        preemptions_class: u64 = r.counters.preemptions_class, sum;
+        /// Task-cycles stalled on ancilla contention (no free route tiles).
+        stall_ancilla: u64 = r.counters.stall_ancilla_cycles, sum;
+        /// Task-cycles stalled on decoder backlog (feed-forward gated).
+        stall_decoder: u64 = r.counters.stall_decoder_cycles, sum;
+        /// Task-cycles stalled on a blocked CNOT route.
+        stall_route: u64 = r.counters.stall_route_cycles, sum;
+        /// Task-cycles stalled after displacement by a higher priority class.
+        stall_class: u64 = r.counters.stall_class_cycles, sum;
+        /// Median CNOT completion latency in cycles.
+        cnot_p50: u64 = r.cnot_latency.percentile(0.5), mean;
+        /// 99th-percentile CNOT completion latency in cycles.
+        cnot_p99: u64 = r.cnot_latency.percentile(0.99), max;
+        /// 99th-percentile decode-window latency in cycles.
+        decode_p99: u64 = r.decode_latency.percentile(0.99), max;
+        /// Defects the union-find decoder observed (0 for latency models).
+        decode_defects: u64 = r.counters.decode_defects, sum;
+        /// Union-find cluster-growth half-steps performed.
+        decode_growth_steps: u64 = r.counters.decode_growth_steps, sum;
+        /// Windows whose residual error crossed the logical cut.
+        decode_failures: u64 = r.counters.decode_failures, sum;
+    }
+}
+
+/// Parses one `(index, text)` column of a row.
+fn parse_column<T: std::str::FromStr>(col: Option<(usize, &&str)>) -> Result<T, String> {
+    let (i, text) = col.ok_or("row ended early")?;
+    text.parse()
+        .map_err(|_| format!("bad value `{text}` in column {i}"))
 }
 
 /// One job with its outcome (metrics, or the error that stopped it).
@@ -106,162 +277,6 @@ pub struct JobRecord {
     pub outcome: Result<JobMetrics, String>,
     /// Whether the result was restored from a checkpoint instead of run.
     pub resumed: bool,
-}
-
-/// The CSV column header of per-job rows. `priority` sits with the grid
-/// columns (it is a spec axis, not a result: it names the arbitration
-/// policy a point ran under). The union-find decode-work
-/// counters are the last metric columns, per the strip-last-column
-/// convention for newly added counters; they are sim-time derived, so the
-/// rows stay byte-identical whether or not a run was traced.
-pub const CSV_HEADER: &str = "workload,scheduler,distance,error_rate,k,compression,decoder,\
-priority,seed,\
-total_cycles,idle_fraction,stall_cycles,decode_windows,peak_backlog,injections,\
-injection_failures,preps_started,preps_cancelled,preemptions,preemptions_rejected,\
-waitgraph_peak_edges,preemptions_class,stall_ancilla,stall_decoder,stall_route,stall_class,\
-cnot_p50,cnot_p99,decode_p99,decode_defects,decode_growth_steps,decode_failures";
-
-/// Formats one job + metrics as a CSV row (no trailing newline).
-pub fn csv_row(job: &JobSpec, m: &JobMetrics) -> String {
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-        job.workload,
-        job.config.scheduler,
-        job.config.distance,
-        job.config.physical_error_rate,
-        fmt_k(job.config.k_policy),
-        job.config.compression,
-        job.decoder,
-        fmt_priority(&job.config.priority_classes),
-        m.seed,
-        m.total_cycles,
-        m.idle_fraction,
-        m.stall_cycles,
-        m.decode_windows,
-        m.peak_backlog,
-        m.injections,
-        m.injection_failures,
-        m.preps_started,
-        m.preps_cancelled,
-        m.preemptions,
-        m.preemptions_rejected,
-        m.waitgraph_peak_edges,
-        m.preemptions_class,
-        m.stall_ancilla,
-        m.stall_decoder,
-        m.stall_route,
-        m.stall_class,
-        m.cnot_p50,
-        m.cnot_p99,
-        m.decode_p99,
-        m.decode_defects,
-        m.decode_growth_steps,
-        m.decode_failures,
-    )
-}
-
-/// Parses the metric columns of a [`csv_row`] back into [`JobMetrics`]
-/// (used by checkpoint resume; the job columns are identified by
-/// fingerprint, not re-parsed).
-pub fn parse_csv_metrics(row: &str) -> Result<JobMetrics, String> {
-    let cols: Vec<&str> = row.split(',').collect();
-    // 32 columns since the engine-thread column was dropped; older
-    // 20/21/23/27/30/33-column checkpoint rows fail here and are skipped
-    // gracefully by the checkpoint loader (the jobs simply re-run).
-    if cols.len() != 32 {
-        return Err(format!("expected 32 columns, got {}", cols.len()));
-    }
-    let f = |i: usize| -> Result<f64, String> {
-        cols[i]
-            .parse()
-            .map_err(|_| format!("bad float `{}` in column {i}", cols[i]))
-    };
-    let u = |i: usize| -> Result<u64, String> {
-        cols[i]
-            .parse()
-            .map_err(|_| format!("bad integer `{}` in column {i}", cols[i]))
-    };
-    Ok(JobMetrics {
-        seed: u(8)?,
-        total_cycles: f(9)?,
-        idle_fraction: f(10)?,
-        stall_cycles: f(11)?,
-        decode_windows: u(12)?,
-        peak_backlog: u(13)?,
-        injections: u(14)?,
-        injection_failures: u(15)?,
-        preps_started: u(16)?,
-        preps_cancelled: u(17)?,
-        preemptions: u(18)?,
-        preemptions_rejected: u(19)?,
-        waitgraph_peak_edges: u(20)?,
-        preemptions_class: u(21)?,
-        stall_ancilla: u(22)?,
-        stall_decoder: u(23)?,
-        stall_route: u(24)?,
-        stall_class: u(25)?,
-        cnot_p50: u(26)?,
-        cnot_p99: u(27)?,
-        decode_p99: u(28)?,
-        decode_defects: u(29)?,
-        decode_growth_steps: u(30)?,
-        decode_failures: u(31)?,
-    })
-}
-
-/// Aggregate statistics of one sweep point across its seeds.
-#[derive(Debug, Clone)]
-pub struct PointSummary {
-    /// Index of the point in expansion order.
-    pub point: usize,
-    /// The point's first job (carries every grid coordinate).
-    pub job: JobSpec,
-    /// Seeds that completed successfully.
-    pub completed: u64,
-    /// Mean makespan in cycles.
-    pub mean_cycles: f64,
-    /// Median makespan.
-    pub p50_cycles: f64,
-    /// 99th-percentile makespan.
-    pub p99_cycles: f64,
-    /// Minimum makespan.
-    pub min_cycles: f64,
-    /// Maximum makespan.
-    pub max_cycles: f64,
-    /// Mean decoder stall cycles.
-    pub mean_stall_cycles: f64,
-    /// Mean stall fraction of the makespan (`stall / total`, averaged).
-    pub stall_fraction: f64,
-    /// Largest decode backlog across seeds.
-    pub peak_backlog: u64,
-    /// Total ledger preemptions across seeds.
-    pub preemptions: u64,
-    /// Total cycle-rejected preemptions across seeds.
-    pub preemptions_rejected: u64,
-    /// Total class-lattice-granted preemptions across seeds.
-    pub preemptions_class: u64,
-    /// Largest wait-for-graph edge peak across seeds.
-    pub waitgraph_peak_edges: u64,
-    /// Total task-cycles stalled on ancilla contention across seeds.
-    pub stall_ancilla: u64,
-    /// Total task-cycles stalled on decoder backlog across seeds.
-    pub stall_decoder: u64,
-    /// Total task-cycles stalled on blocked routes across seeds.
-    pub stall_route: u64,
-    /// Total task-cycles stalled by class displacement across seeds.
-    pub stall_class: u64,
-    /// Mean of the per-seed median CNOT latencies (cycles).
-    pub cnot_p50: f64,
-    /// Worst per-seed p99 CNOT latency across seeds (cycles).
-    pub cnot_p99: u64,
-    /// Worst per-seed p99 decode-window latency across seeds (cycles).
-    pub decode_p99: u64,
-    /// Total defects the union-find decoder observed across seeds.
-    pub decode_defects: u64,
-    /// Total union-find growth half-steps across seeds.
-    pub decode_growth_steps: u64,
-    /// Total logical-cut crossings after correction across seeds.
-    pub decode_failures: u64,
 }
 
 /// Smallest value `v` in sorted `xs` such that at least `p` of samples ≤ `v`.
@@ -323,67 +338,16 @@ impl SweepResults {
     /// result sets — where a point may hold fewer than `seeds` records —
     /// aggregate correctly too.
     pub fn summaries(&self) -> Vec<PointSummary> {
-        let mut out = Vec::new();
-        let mut chunks: Vec<&[JobRecord]> = Vec::new();
-        let mut start = 0;
-        for i in 1..=self.records.len() {
-            if i == self.records.len() || self.records[i].job.point != self.records[start].job.point
-            {
-                chunks.push(&self.records[start..i]);
-                start = i;
-            }
-        }
-        for chunk in chunks {
-            let Some(first) = chunk.first() else { continue };
-            let ok: Vec<&JobMetrics> = chunk
-                .iter()
-                .filter_map(|r| r.outcome.as_ref().ok())
-                .collect();
-            let mut cycles: Vec<f64> = ok.iter().map(|m| m.total_cycles).collect();
-            cycles.sort_by(f64::total_cmp);
-            let n = ok.len().max(1) as f64;
-            let mean_cycles = ok.iter().map(|m| m.total_cycles).sum::<f64>() / n;
-            let mean_stall = ok.iter().map(|m| m.stall_cycles).sum::<f64>() / n;
-            let stall_fraction = ok
-                .iter()
-                .map(|m| {
-                    if m.total_cycles > 0.0 {
-                        m.stall_cycles / m.total_cycles
-                    } else {
-                        0.0
-                    }
-                })
-                .sum::<f64>()
-                / n;
-            out.push(PointSummary {
-                point: first.job.point,
-                job: first.job.clone(),
-                completed: ok.len() as u64,
-                mean_cycles,
-                p50_cycles: percentile(&cycles, 0.5),
-                p99_cycles: percentile(&cycles, 0.99),
-                min_cycles: cycles.first().copied().unwrap_or(0.0),
-                max_cycles: cycles.last().copied().unwrap_or(0.0),
-                mean_stall_cycles: mean_stall,
-                stall_fraction,
-                peak_backlog: ok.iter().map(|m| m.peak_backlog).max().unwrap_or(0),
-                preemptions: ok.iter().map(|m| m.preemptions).sum(),
-                preemptions_rejected: ok.iter().map(|m| m.preemptions_rejected).sum(),
-                preemptions_class: ok.iter().map(|m| m.preemptions_class).sum(),
-                waitgraph_peak_edges: ok.iter().map(|m| m.waitgraph_peak_edges).max().unwrap_or(0),
-                stall_ancilla: ok.iter().map(|m| m.stall_ancilla).sum(),
-                stall_decoder: ok.iter().map(|m| m.stall_decoder).sum(),
-                stall_route: ok.iter().map(|m| m.stall_route).sum(),
-                stall_class: ok.iter().map(|m| m.stall_class).sum(),
-                cnot_p50: ok.iter().map(|m| m.cnot_p50 as f64).sum::<f64>() / n,
-                cnot_p99: ok.iter().map(|m| m.cnot_p99).max().unwrap_or(0),
-                decode_p99: ok.iter().map(|m| m.decode_p99).max().unwrap_or(0),
-                decode_defects: ok.iter().map(|m| m.decode_defects).sum(),
-                decode_growth_steps: ok.iter().map(|m| m.decode_growth_steps).sum(),
-                decode_failures: ok.iter().map(|m| m.decode_failures).sum(),
-            });
-        }
-        out
+        self.records
+            .chunk_by(|a, b| a.job.point == b.job.point)
+            .map(|chunk| {
+                let ok: Vec<&JobMetrics> = chunk
+                    .iter()
+                    .filter_map(|r| r.outcome.as_ref().ok())
+                    .collect();
+                PointSummary::new(chunk[0].job.point, chunk[0].job.clone(), &ok)
+            })
+            .collect()
     }
 
     /// The whole result set as a JSON document: cache stats, per-point
@@ -410,7 +374,7 @@ impl SweepResults {
         for (i, s) in summaries.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"distance\": {}, \"error_rate\": {}, \"k\": \"{}\", \"compression\": {}, \"decoder\": \"{}\", \"priority\": \"{}\", \"completed\": {}, \"mean_cycles\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"min_cycles\": {}, \"max_cycles\": {}, \"mean_stall_cycles\": {}, \"stall_fraction\": {}, \"peak_backlog\": {}, \"preemptions\": {}, \"preemptions_rejected\": {}, \"preemptions_class\": {}, \"waitgraph_peak_edges\": {}, \"stall_ancilla\": {}, \"stall_decoder\": {}, \"stall_route\": {}, \"stall_class\": {}, \"cnot_p50\": {}, \"cnot_p99\": {}, \"decode_p99\": {}, \"decode_defects\": {}, \"decode_growth_steps\": {}, \"decode_failures\": {}}}",
+                "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"distance\": {}, \"error_rate\": {}, \"k\": \"{}\", \"compression\": {}, \"decoder\": \"{}\", \"priority\": \"{}\", \"completed\": {}, \"mean_cycles\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"min_cycles\": {}, \"max_cycles\": {}, \"mean_stall_cycles\": {}, \"stall_fraction\": {}",
                 json_escape(&s.job.workload),
                 s.job.config.scheduler,
                 s.job.config.distance,
@@ -427,22 +391,9 @@ impl SweepResults {
                 s.max_cycles,
                 s.mean_stall_cycles,
                 s.stall_fraction,
-                s.peak_backlog,
-                s.preemptions,
-                s.preemptions_rejected,
-                s.preemptions_class,
-                s.waitgraph_peak_edges,
-                s.stall_ancilla,
-                s.stall_decoder,
-                s.stall_route,
-                s.stall_class,
-                s.cnot_p50,
-                s.cnot_p99,
-                s.decode_p99,
-                s.decode_defects,
-                s.decode_growth_steps,
-                s.decode_failures
             );
+            s.write_aggregates_json(&mut out);
+            out.push('}');
             out.push_str(if i + 1 < summaries.len() { ",\n" } else { "\n" });
         }
         out.push_str("  ],\n  \"rows\": [\n");
@@ -483,38 +434,22 @@ mod tests {
             ..SweepSpec::default()
         };
         let job = spec.expand().remove(0);
-        let m = JobMetrics {
-            seed: 1,
-            total_cycles: 123.456789,
-            idle_fraction: 0.9876543210123,
-            stall_cycles: 1.0 / 3.0,
-            decode_windows: 42,
-            peak_backlog: 7,
-            injections: 100,
-            injection_failures: 49,
-            preps_started: 120,
-            preps_cancelled: 3,
-            preemptions: 2,
-            preemptions_rejected: 5,
-            waitgraph_peak_edges: 17,
-            preemptions_class: 3,
-            stall_ancilla: 11,
-            stall_decoder: 6,
-            stall_route: 4,
-            stall_class: 1,
-            cnot_p50: 21,
-            cnot_p99: 35,
-            decode_p99: 12,
-            decode_defects: 9,
-            decode_growth_steps: 88,
-            decode_failures: 1,
-        };
-        let row = csv_row(&job, &m);
-        assert_eq!(
-            parse_csv_metrics(&row).unwrap(),
-            m,
-            "floats must round-trip"
-        );
+        assert_eq!(CSV_HEADER.split(',').count(), COLUMNS.len());
+        // Distinct values in every metric column land back in the same
+        // column.
+        let grid = csv_row(&job, &JobMetrics::default());
+        let grid: Vec<&str> = grid.split(',').take(GRID_COLUMNS).collect();
+        let values: Vec<String> = (GRID_COLUMNS..COLUMNS.len())
+            .map(|i| (i * 7 + 1).to_string())
+            .collect();
+        let row = format!("{},{}", grid.join(","), values.join(","));
+        let mut m = parse_csv_metrics(&row).unwrap();
+        assert_eq!(csv_row(&job, &m), row);
+        // Floats round-trip exactly through shortest-round-trip `Display`.
+        m.total_cycles = 123.456789;
+        m.idle_fraction = 0.9876543210123;
+        m.stall_cycles = 1.0 / 3.0;
+        assert_eq!(parse_csv_metrics(&csv_row(&job, &m)).unwrap(), m);
         assert!(parse_csv_metrics("a,b,c").is_err());
     }
 }

@@ -71,28 +71,23 @@ impl FromStr for DecoderPoint {
         let (kind, rest) = s.split_once(':').ok_or_else(|| {
             format!("bad decoder point `{s}` (ideal | fixed:TP | adaptive:TPxW | union_find:TP)")
         })?;
+        let throughput = |tp: &str| tp.parse().map_err(|_| format!("bad throughput in `{s}`"));
         match kind.to_ascii_lowercase().as_str() {
-            "fixed" => {
-                let tp: f64 = rest
-                    .parse()
-                    .map_err(|_| format!("bad throughput in `{s}`"))?;
-                Ok(DecoderPoint(DecoderConfig::fixed(tp)))
-            }
+            "fixed" => Ok(DecoderPoint(DecoderConfig::fixed(throughput(rest)?))),
             "adaptive" => {
                 let (tp, workers) = rest
                     .split_once('x')
                     .ok_or_else(|| format!("bad adaptive point `{s}` (adaptive:TPxW)"))?;
-                let tp: f64 = tp.parse().map_err(|_| format!("bad throughput in `{s}`"))?;
                 let workers: usize = workers
                     .parse()
                     .map_err(|_| format!("bad worker count in `{s}`"))?;
-                Ok(DecoderPoint(DecoderConfig::adaptive(tp, workers)))
+                Ok(DecoderPoint(DecoderConfig::adaptive(
+                    throughput(tp)?,
+                    workers,
+                )))
             }
             "union_find" | "union-find" | "uf" => {
-                let tp: f64 = rest
-                    .parse()
-                    .map_err(|_| format!("bad throughput in `{s}`"))?;
-                Ok(DecoderPoint(DecoderConfig::union_find(tp)))
+                Ok(DecoderPoint(DecoderConfig::union_find(throughput(rest)?)))
             }
             other => Err(format!("unknown decoder kind `{other}` in `{s}`")),
         }
@@ -253,6 +248,10 @@ impl Scalar {
         }
     }
 
+    fn parse_as<T: FromStr<Err = String>>(&self, line: usize) -> Result<T, SpecError> {
+        self.as_str(line)?.parse().map_err(|e| err(line, e))
+    }
+
     fn as_f64(&self, line: usize) -> Result<f64, SpecError> {
         match self {
             Scalar::Num(n) => Ok(*n),
@@ -262,14 +261,24 @@ impl Scalar {
 
     fn as_u64(&self, line: usize) -> Result<u64, SpecError> {
         let n = self.as_f64(line)?;
-        if n < 0.0 || n.fract() != 0.0 {
+        // `u64::MAX as f64` rounds up to 2^64, the first value out of range.
+        if !(0.0..u64::MAX as f64).contains(&n) || n.fract() != 0.0 {
             return Err(err(
                 line,
-                format!("expected a non-negative integer, got {n}"),
+                format!("expected a non-negative integer below 2^64, got {n}"),
             ));
         }
         Ok(n as u64)
     }
+}
+
+/// Converts every value of a list-typed key with `f`.
+fn list<T>(
+    values: &[Scalar],
+    line: usize,
+    f: impl Fn(&Scalar, usize) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
+    values.iter().map(|v| f(v, line)).collect()
 }
 
 /// Splits a single-line array body on top-level commas.
@@ -358,13 +367,13 @@ impl SweepSpec {
     /// |-----|------|---------|
     /// | `workloads` | string array (required) | — |
     /// | `schedulers` | string array | `["rescq"]` |
-    /// | `distances` | integer array | `[7]` |
-    /// | `error_rates` | number array | `[1e-4]` |
+    /// | `distances` | integer array, each ≥ 2 | `[7]` |
+    /// | `error_rates` | number array, each in (0, 0.5) | `[1e-4]` |
     /// | `k` | integer-or-`"dynamic"` array | `[25]` |
-    /// | `compressions` | number array | `[0.0]` |
-    /// | `decoders` | string array (`ideal`, `fixed:TP`, `adaptive:TPxW`, `union_find:TP`) | `["ideal"]` |
+    /// | `compressions` | number array, each in [0, 1] | `[0.0]` |
+    /// | `decoders` | string array (`ideal`, `fixed:TP`, `adaptive:TPxW`, `union_find:TP`; TP > 0) | `["ideal"]` |
     /// | `priority_classes` | string array (`"off"`, or a lattice like `"factory>injection>compute>speculative"`) | `["off"]` |
-    /// | `seeds` | integer | `3` |
+    /// | `seeds` | integer ≥ 1; `base_seed + seeds` must fit in 64 bits | `3` |
     /// | `base_seed` | integer | `1` |
     /// | `circuit_seed` | integer | `1` |
     /// | `decode_prep` | bool | `false` |
@@ -398,63 +407,24 @@ impl SweepSpec {
             let (key, values) = (key.trim(), parse_value(value, lineno)?);
             match key {
                 "workloads" => {
-                    spec.workloads = values
-                        .iter()
-                        .map(|v| v.as_str(lineno).map(str::to_string))
-                        .collect::<Result<_, _>>()?;
+                    spec.workloads = list(&values, lineno, |v, l| v.as_str(l).map(str::to_string))?;
                 }
-                "schedulers" => {
-                    spec.schedulers = values
-                        .iter()
-                        .map(|v| {
-                            v.as_str(lineno)?
-                                .parse::<SchedulerKind>()
-                                .map_err(|e| err(lineno, e))
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
+                "schedulers" => spec.schedulers = list(&values, lineno, Scalar::parse_as)?,
                 "distances" => {
-                    spec.distances = values
-                        .iter()
-                        .map(|v| v.as_u64(lineno).map(|d| d as u32))
-                        .collect::<Result<_, _>>()?;
+                    spec.distances = list(&values, lineno, |v, l| {
+                        let d = v.as_u64(l)?;
+                        u32::try_from(d)
+                            .map_err(|_| err(l, format!("distances: {d} is out of range")))
+                    })?;
                 }
-                "error_rates" => {
-                    spec.error_rates = values
-                        .iter()
-                        .map(|v| v.as_f64(lineno))
-                        .collect::<Result<_, _>>()?;
-                }
-                "k" => {
-                    spec.k_values = values
-                        .iter()
-                        .map(|v| parse_k(v, lineno))
-                        .collect::<Result<_, _>>()?;
-                }
-                "compressions" => {
-                    spec.compressions = values
-                        .iter()
-                        .map(|v| v.as_f64(lineno))
-                        .collect::<Result<_, _>>()?;
-                }
-                "decoders" => {
-                    spec.decoders = values
-                        .iter()
-                        .map(|v| {
-                            v.as_str(lineno)?
-                                .parse::<DecoderPoint>()
-                                .map_err(|e| err(lineno, e))
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
+                "error_rates" => spec.error_rates = list(&values, lineno, Scalar::as_f64)?,
+                "k" => spec.k_values = list(&values, lineno, parse_k)?,
+                "compressions" => spec.compressions = list(&values, lineno, Scalar::as_f64)?,
+                "decoders" => spec.decoders = list(&values, lineno, Scalar::parse_as)?,
                 "priority_classes" => {
-                    spec.priority = values
-                        .iter()
-                        .map(|v| {
-                            ClassLattice::parse_setting(v.as_str(lineno)?)
-                                .map_err(|e| err(lineno, e))
-                        })
-                        .collect::<Result<_, _>>()?;
+                    spec.priority = list(&values, lineno, |v, l| {
+                        ClassLattice::parse_setting(v.as_str(l)?).map_err(|e| err(l, e))
+                    })?;
                 }
                 "seeds" => spec.seeds = one_scalar(&values, lineno)?.as_u64(lineno)?,
                 "base_seed" => spec.base_seed = one_scalar(&values, lineno)?.as_u64(lineno)?,
@@ -510,11 +480,37 @@ impl SweepSpec {
                 return Err(err(0, format!("{} must not be empty", field.0)));
             }
         }
+        if let Some(d) = self.distances.iter().find(|&&d| d < 2) {
+            return Err(err(
+                0,
+                format!("distances: {d} is below the minimum code distance 2"),
+            ));
+        }
+        if let Some(p) = self
+            .error_rates
+            .iter()
+            .find(|&&p| p.is_nan() || p <= 0.0 || p >= 0.5)
+        {
+            return Err(err(0, format!("error_rates: {p} outside (0, 0.5)")));
+        }
         if let Some(c) = self.compressions.iter().find(|c| !(0.0..=1.0).contains(*c)) {
-            return Err(err(0, format!("compression {c} outside [0, 1]")));
+            return Err(err(0, format!("compressions: {c} outside [0, 1]")));
+        }
+        // The ideal decoder ignores its throughput; every other kind
+        // divides by it.
+        if let Some(d) = self.decoders.iter().find(|d| {
+            d.0.kind != DecoderKind::Ideal && (d.0.throughput.is_nan() || d.0.throughput <= 0.0)
+        }) {
+            return Err(err(
+                0,
+                format!("decoders: `{d}` needs a positive throughput"),
+            ));
         }
         if self.seeds == 0 {
             return Err(err(0, "seeds must be at least 1"));
+        }
+        if self.base_seed.checked_add(self.seeds).is_none() {
+            return Err(err(0, "base_seed + seeds overflows a 64-bit seed"));
         }
         Ok(())
     }
@@ -701,12 +697,67 @@ max_cycles   = 500000
         assert!(SweepSpec::parse("").is_err()); // no workloads
         let e = SweepSpec::parse("workloads = [\"x\"]\ncompressions = [1.5]\n").unwrap_err();
         assert!(e.message.contains("outside"));
-        // Comma in a file: workload would shear the 17-column CSV rows.
+        // Comma in a file: workload would shear the CSV rows.
         let e = SweepSpec::parse("workloads = [\"file:/a,b.qasm\"]\n").unwrap_err();
         assert!(e.message.contains("CSV"));
         // seeds = 0 is an error, not a silent clamp to 1.
         let e = SweepSpec::parse("workloads = [\"x\"]\nseeds = 0\n").unwrap_err();
         assert!(e.message.contains("seeds"));
+    }
+
+    fn parse_err(body: &str) -> SpecError {
+        SweepSpec::parse(&format!("workloads = \"dnn_n16\"\n{body}\n")).unwrap_err()
+    }
+
+    #[test]
+    fn distance_below_two_is_rejected() {
+        let e = parse_err("distances = [7, 1]");
+        assert!(e.message.starts_with("distances:"), "{e}");
+    }
+
+    #[test]
+    fn distance_beyond_u32_is_rejected_not_wrapped() {
+        // 2^32 + 7 would wrap to d = 7 in a cast to u32.
+        let e = parse_err("distances = 4294967303");
+        assert_eq!(e.line, 2);
+        assert!(e.message.starts_with("distances:"), "{e}");
+    }
+
+    #[test]
+    fn error_rate_outside_open_interval_is_rejected() {
+        for p in ["0", "0.5", "-1e-4", "nan"] {
+            let e = parse_err(&format!("error_rates = [1e-4, {p}]"));
+            assert!(e.message.starts_with("error_rates:"), "{p}: {e}");
+        }
+    }
+
+    #[test]
+    fn non_positive_decoder_throughput_is_rejected() {
+        for d in ["fixed:0", "fixed:-1", "union_find:nan", "adaptive:0x4"] {
+            let e = parse_err(&format!("decoders = \"{d}\""));
+            assert!(e.message.starts_with("decoders:"), "{d}: {e}");
+        }
+        // An infinitely fast decoder is still a valid point.
+        assert!(SweepSpec::parse("workloads = \"dnn_n16\"\ndecoders = \"fixed:inf\"\n").is_ok());
+    }
+
+    #[test]
+    fn seed_range_overflow_is_rejected() {
+        let spec = SweepSpec {
+            workloads: vec!["dnn_n16".into()],
+            base_seed: u64::MAX - 1,
+            seeds: 2,
+            ..SweepSpec::default()
+        };
+        let e = spec.validate().unwrap_err();
+        assert!(e.message.contains("base_seed + seeds"), "{e}");
+        // Through the parser: 2^64 - 2048 is exact in the f64 the parser
+        // reads numbers through.
+        let e = parse_err("base_seed = 18446744073709549568\nseeds = 4096");
+        assert!(e.message.contains("base_seed + seeds"), "{e}");
+        assert!(parse_err("base_seed = 18446744073709551616")
+            .message
+            .contains("2^64"));
     }
 
     #[test]

@@ -44,5 +44,8 @@ pub use artifacts::{build_layout, simulate_prepared, simulate_prepared_traced, S
 pub use config::{SimConfig, SimConfigBuilder};
 pub use engine::{simulate, simulate_traced, simulate_with_cycle_probe, SimError};
 pub use fabric::Fabric;
-pub use metrics::{metrics_snapshot, ExecutionReport, LatencyHistogram, RunCounters};
+pub use metrics::{
+    metrics_snapshot, reports_csv_row, ExecutionReport, LatencyHistogram, RunCounters,
+    REPORTS_CSV_HEADER,
+};
 pub use priority::factory_qubits;

@@ -5,6 +5,7 @@ use rescq_core::SchedulerKind;
 use rescq_telemetry::{HistogramSummary, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Histogram of per-gate completion latencies in lattice-surgery cycles,
 /// measured from the moment the gate is *scheduled* (paper Fig 5).
@@ -249,6 +250,66 @@ impl ExecutionReport {
     }
 }
 
+/// Declares the reports-CSV columns once; [`REPORTS_CSV_HEADER`] and
+/// [`reports_csv_row`] both derive from the list. Each row names the
+/// column, its format and its value.
+macro_rules! report_columns {
+    (|$r:ident| $( $name:ident = $fmt:literal, $get:expr; )+) => {
+        /// Header of the per-run reports CSV that `sim run` and
+        /// `sim bench` write with `--csv`.
+        pub const REPORTS_CSV_HEADER: &str = {
+            let names = concat!($(stringify!($name), ",",)+);
+            names.split_at(names.len() - 1).0
+        };
+
+        /// Formats one report as a reports-CSV row (no trailing newline).
+        /// Every column is sim-time derived — no wall-clock ever enters the
+        /// file, so traced and untraced runs produce byte-identical rows.
+        pub fn reports_csv_row($r: &ExecutionReport) -> String {
+            let mut row = String::new();
+            $( let _ = write!(row, concat!($fmt, ","), $get); )+
+            row.pop();
+            row
+        }
+    };
+}
+
+// Newest columns go last, so older tooling keeps its column positions.
+report_columns! { |r|
+    scheduler = "{}", r.scheduler;
+    seed = "{}", r.seed;
+    distance = "{}", r.distance;
+    total_cycles = "{:.3}", r.total_cycles();
+    idle_fraction = "{:.4}", r.idle_fraction();
+    gates = "{}", r.gates_executed;
+    injections = "{}", r.counters.injections;
+    injection_failures = "{}", r.counters.injection_failures;
+    preps_started = "{}", r.counters.preps_started;
+    preps_cancelled = "{}", r.counters.preps_cancelled;
+    edge_rotations = "{}", r.counters.edge_rotations;
+    mst_computations = "{}", r.counters.mst_computations;
+    k = "{}", r.k_used;
+    tau = "{}", r.tau_used;
+    decode_windows = "{}", r.counters.decode_windows;
+    decoder_stall_cycles = "{:.3}", r.decoder_stall_cycles();
+    decoder_peak_backlog = "{}", r.counters.decoder_peak_backlog;
+    preemptions = "{}", r.counters.preemptions;
+    preemptions_rejected_cycle = "{}", r.counters.preemptions_rejected_cycle;
+    waitgraph_peak_edges = "{}", r.counters.waitgraph_peak_edges;
+    preemptions_class = "{}", r.counters.preemptions_class;
+    preempt_speculative = "{}", r.counters.preemptions_by_class[0];
+    preempt_compute = "{}", r.counters.preemptions_by_class[1];
+    preempt_injection = "{}", r.counters.preemptions_by_class[2];
+    preempt_factory = "{}", r.counters.preemptions_by_class[3];
+    stall_ancilla = "{}", r.counters.stall_ancilla_cycles;
+    stall_decoder = "{}", r.counters.stall_decoder_cycles;
+    stall_route = "{}", r.counters.stall_route_cycles;
+    stall_class = "{}", r.counters.stall_class_cycles;
+    decode_defects = "{}", r.counters.decode_defects;
+    decode_growth_steps = "{}", r.counters.decode_growth_steps;
+    decode_failures = "{}", r.counters.decode_failures;
+}
+
 /// Summarizes a [`LatencyHistogram`] to the snapshot's quantile form
 /// (exact quantiles — cycle histograms keep every bucket).
 fn summarize(h: &LatencyHistogram) -> HistogramSummary {
@@ -356,9 +417,9 @@ mod tests {
         assert_eq!(h.fraction_at_most(100), 0.0);
     }
 
-    #[test]
-    fn report_derived_quantities() {
-        let r = ExecutionReport {
+    /// A 700-round, 4-qubit RESCQ report at d = 7 with `counters`.
+    fn sample_report(counters: RunCounters) -> ExecutionReport {
+        ExecutionReport {
             scheduler: SchedulerKind::Rescq,
             seed: 1,
             distance: 7,
@@ -372,17 +433,26 @@ mod tests {
             achieved_compression: 0.0,
             k_used: 25,
             tau_used: 17,
-            counters: RunCounters {
-                stall_ancilla_cycles: 3,
-                stall_decoder_cycles: 2,
-                stall_route_cycles: 1,
-                ..RunCounters::default()
-            },
+            counters,
             phase_nanos: [0; 4],
-        };
+        }
+    }
+
+    #[test]
+    fn report_derived_quantities() {
+        let r = sample_report(RunCounters {
+            stall_ancilla_cycles: 3,
+            stall_decoder_cycles: 2,
+            stall_route_cycles: 1,
+            ..RunCounters::default()
+        });
         assert!((r.total_cycles() - 100.0).abs() < 1e-12);
         assert!((r.idle_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(r.stall_cycles(), 6);
+        assert_eq!(
+            reports_csv_row(&r).split(',').count(),
+            REPORTS_CSV_HEADER.split(',').count()
+        );
     }
 
     #[test]
@@ -392,27 +462,16 @@ mod tests {
             cnot.record(v);
         }
         let r = ExecutionReport {
-            scheduler: SchedulerKind::Rescq,
-            seed: 1,
-            distance: 7,
-            total_rounds: 700,
-            gates_executed: 10,
             cnot_latency: cnot,
-            rz_latency: LatencyHistogram::new(),
-            decode_latency: LatencyHistogram::new(),
-            data_busy_rounds: 1400,
-            num_qubits: 4,
             achieved_compression: 0.25,
-            k_used: 25,
-            tau_used: 17,
-            counters: RunCounters {
-                stall_decoder_cycles: 2,
-                decode_windows: 9,
-                ..RunCounters::default()
-            },
             // Wall-clock never reaches the snapshot: identical schedule,
             // different phase timings must snapshot identically.
             phase_nanos: [123, 456, 789, 1011],
+            ..sample_report(RunCounters {
+                stall_decoder_cycles: 2,
+                decode_windows: 9,
+                ..RunCounters::default()
+            })
         };
         let s = metrics_snapshot(&r);
         assert_eq!(s.get_counter("rescq_total_rounds"), Some(700));

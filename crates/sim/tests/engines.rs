@@ -5,7 +5,7 @@ use rescq_circuit::{Angle, Circuit};
 use rescq_core::{ClassLattice, KPolicy, SchedulerKind};
 use rescq_decoder::DecoderConfig;
 use rescq_rus::PrepCalibration;
-use rescq_sim::{simulate, ExecutionReport, SimConfig};
+use rescq_sim::{reports_csv_row, simulate, SimConfig};
 
 /// A rotation-heavy program: alternating single-qubit rotation layers and a
 /// CNOT chain, like the dnn benchmark family.
@@ -164,47 +164,6 @@ fn uncompressed_runs_bit_identical_to_pre_ledger_engine() {
             "rz_heavy({qubits},{layers}) seed={seed} diverged from the pre-ledger engine"
         );
     }
-}
-
-/// `r` as one row of the reports CSV (`sim run --csv`), in the column order
-/// of `rescq-cli`'s `write_reports_csv`.
-fn reports_csv_row(r: &ExecutionReport) -> String {
-    let c = &r.counters;
-    format!(
-        "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-        r.scheduler,
-        r.seed,
-        r.distance,
-        r.total_cycles(),
-        r.idle_fraction(),
-        r.gates_executed,
-        c.injections,
-        c.injection_failures,
-        c.preps_started,
-        c.preps_cancelled,
-        c.edge_rotations,
-        c.mst_computations,
-        r.k_used,
-        r.tau_used,
-        c.decode_windows,
-        r.decoder_stall_cycles(),
-        c.decoder_peak_backlog,
-        c.preemptions,
-        c.preemptions_rejected_cycle,
-        c.waitgraph_peak_edges,
-        c.preemptions_class,
-        c.preemptions_by_class[0],
-        c.preemptions_by_class[1],
-        c.preemptions_by_class[2],
-        c.preemptions_by_class[3],
-        c.stall_ancilla_cycles,
-        c.stall_decoder_cycles,
-        c.stall_route_cycles,
-        c.stall_class_cycles,
-        c.decode_defects,
-        c.decode_growth_steps,
-        c.decode_failures,
-    )
 }
 
 #[test]

@@ -149,9 +149,10 @@ fn rescq_latency_distribution_is_continuous_and_bounded() {
     // Fig 5: RESCQ's latency distribution is continuous (queue waits) with a
     // strong mass at low cycle counts. Our reproduction concentrates less
     // sharply at exactly 2 cycles than the paper (our baselines need fewer
-    // edge rotations; see EXPERIMENTS.md), so we assert the robust half of
-    // the claim: a solid fraction completes in ≤2 cycles and the bulk within
-    // ≤8, with the distribution spread over many distinct latencies.
+    // edge rotations; see README §"Regenerating the paper's figures"), so we
+    // assert the robust half of the claim: a solid fraction completes in
+    // ≤2 cycles and the bulk within ≤8, with the distribution spread over
+    // many distinct latencies.
     let circuit = rescq_repro::workloads::generate("qft_n18", 1).unwrap();
     let config = SimConfig::builder().build();
     let summary = run_seeds(&circuit, &config, 1, 3, 3).unwrap();

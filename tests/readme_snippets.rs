@@ -2,6 +2,8 @@
 //! examples cannot rot. Each test body mirrors one fenced block in
 //! `README.md` — when you edit one, edit the other.
 
+use rescq_repro::harness::{fmt_priority, SweepSpec};
+
 /// README "Quick start": the Rust snippet, verbatim.
 #[test]
 fn quick_start_snippet_runs() {
@@ -18,28 +20,46 @@ fn quick_start_snippet_runs() {
     assert!(report.total_cycles() > 0.0);
 }
 
-/// README "Priority classes": the config-file snippet, verbatim, through
-/// the real parser.
+/// README "Priority classes": the one-point spec `sim run` reads,
+/// verbatim, through the real parser.
 #[test]
 fn priority_classes_config_snippet_parses() {
-    let snippet = "\
-# rescq simulation config
-benchmark = factory_n12
-compression = 0.25
-priority_classes = factory>injection>compute>speculative
-seeds = 10
-";
-    let spec = rescq_cli::parse_config(snippet).expect("README config snippet must parse");
-    assert_eq!(spec.benchmark, "factory_n12");
-    assert!((spec.config.compression - 0.25).abs() < 1e-12);
+    let snippet = r#"
+# run.toml: one sweep point, which `sim run` runs
+workloads        = "factory_n12"
+compressions     = 0.25
+priority_classes = "factory>injection>compute>speculative"
+seeds            = 10
+"#;
+    let spec = SweepSpec::parse(snippet).expect("README run spec must parse");
+    assert_eq!(spec.num_points(), 1, "`sim run` takes one point");
     assert_eq!(spec.seeds, 10);
-    let lattice = spec
-        .config
-        .priority_classes
-        .expect("snippet enables the lattice");
-    assert_eq!(lattice.to_string(), "factory>injection>compute>speculative");
+    let job = &spec.expand()[0];
+    assert!((job.config.compression - 0.25).abs() < 1e-12);
+    assert_eq!(
+        fmt_priority(&job.config.priority_classes),
+        "factory>injection>compute>speculative"
+    );
     // The workload the snippet names must exist.
-    assert!(rescq_repro::workloads::generate(&spec.benchmark, 1).is_some());
+    assert!(rescq_repro::workloads::generate(&job.workload, 1).is_some());
+}
+
+/// README "Parameter sweeps": the column table lists every sweep CSV
+/// column with its doc, in row order, exactly as the harness declares them.
+#[test]
+fn sweep_column_table_matches_declaration() {
+    let readme = include_str!("../README.md");
+    let rows: Vec<(&str, &str)> = readme
+        .lines()
+        .skip_while(|l| *l != "| column | meaning |")
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            let cells: Vec<&str> = l.trim_matches('|').split(" | ").map(str::trim).collect();
+            (cells[0].trim_matches('`'), cells[1])
+        })
+        .collect();
+    assert_eq!(rows, rescq_repro::harness::COLUMNS);
 }
 
 /// README "Parameter sweeps": the spec-file snippet, verbatim, through the
@@ -60,7 +80,7 @@ seeds        = 10                        # runs per point, default 3
 base_seed    = 1
 decode_prep  = false                     # route prep verification through the decoder
 "#;
-    let spec = rescq_repro::harness::SweepSpec::parse(snippet).expect("README sweep spec parses");
+    let spec = SweepSpec::parse(snippet).expect("README sweep spec parses");
     // 2 workloads x 2 schedulers x 2 k x 2 compressions x 3 decoders x
     // 2 priority points.
     assert_eq!(spec.num_points(), 2 * 2 * 2 * 2 * 3 * 2);

@@ -12,10 +12,14 @@ use rand_chacha::ChaCha8Rng;
 use rescq_repro::circuit::{Angle, Circuit, Gate};
 use rescq_repro::core::SchedulerKind;
 use rescq_repro::decoder::DecoderConfig;
-use rescq_repro::sim::{metrics_snapshot, simulate_traced, ExecutionReport, SimConfig};
+use rescq_repro::harness::{csv_row, JobMetrics, SweepSpec, CSV_HEADER};
+use rescq_repro::sim::{
+    metrics_snapshot, reports_csv_row, simulate_traced, SimConfig, REPORTS_CSV_HEADER,
+};
 use rescq_repro::telemetry::{
     analyze_events, normalize_timestamps, parse_trace, validate_trace, AnalyzeReport, RingRecorder,
 };
+use std::collections::HashMap;
 use std::path::Path;
 
 const CASES: u64 = 8;
@@ -57,17 +61,6 @@ fn arb_circuit(rng: &mut ChaCha8Rng) -> Circuit {
     Circuit::from_gates(n, gates).unwrap()
 }
 
-/// Renders reports through the CLI's CSV writer and returns the bytes.
-fn reports_csv(reports: &[ExecutionReport]) -> Vec<u8> {
-    let dir = std::env::temp_dir().join("rescq_telemetry_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("reports_{}.csv", std::process::id()));
-    rescq_cli::output::write_reports_csv(&path, reports).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    bytes
-}
-
 /// The central telemetry contract: attaching a recorder changes nothing
 /// observable. For random circuits and both the ideal and the union-find
 /// decoder, the reports CSV of a traced run is
@@ -95,8 +88,8 @@ fn tracing_is_inert() {
                 "a traced realtime run must record events"
             );
             assert_eq!(
-                reports_csv(std::slice::from_ref(&untraced)),
-                reports_csv(std::slice::from_ref(&traced)),
+                reports_csv_row(&untraced),
+                reports_csv_row(&traced),
                 "reports CSV must be byte-identical with tracing on vs. off \
                  (decoder={decoder})"
             );
@@ -265,4 +258,76 @@ fn tiny_analyze_report_matches_golden() {
         "analyze report diverged from tests/golden/analyze_tiny.txt; \
          if the report format changed intentionally, re-bless with RESCQ_BLESS=1"
     );
+}
+
+/// Every sink of one run agrees: the reports-CSV row, the sweep CSV row
+/// and the metrics snapshot carry the same value for each quantity they
+/// share, each read back by its column or metric name.
+#[test]
+fn every_sink_agrees_per_run() {
+    // reports-CSV column, sweep-CSV column, snapshot metric
+    const SHARED: &str = "\
+        injections                 injections           rescq_injections
+        injection_failures         injection_failures   rescq_injection_failures
+        preps_started              preps_started        rescq_preps_started
+        preps_cancelled            preps_cancelled      rescq_preps_cancelled
+        preemptions                preemptions          rescq_preemptions
+        preemptions_rejected_cycle preemptions_rejected rescq_preemptions_rejected
+        preemptions_class          preemptions_class    rescq_preemptions_class
+        waitgraph_peak_edges       waitgraph_peak_edges rescq_waitgraph_peak_edges
+        stall_ancilla              stall_ancilla        rescq_stall_ancilla_cycles
+        stall_decoder              stall_decoder        rescq_stall_decoder_cycles
+        stall_route                stall_route          rescq_stall_route_cycles
+        stall_class                stall_class          rescq_stall_class_cycles
+        decode_windows             decode_windows       rescq_decode_windows
+        decode_defects             decode_defects       rescq_decode_defects
+        decode_growth_steps        decode_growth_steps  rescq_decode_growth_steps
+        decode_failures            decode_failures      rescq_decode_failures
+        decoder_peak_backlog       peak_backlog         rescq_decoder_peak_backlog
+        total_cycles               total_cycles         rescq_total_cycles";
+    // Each run must exercise the column named second, so agreement on it
+    // is not agreement on zero.
+    let runs = [
+        (
+            "workloads = \"ising_n34\"\ndecoders = \"union_find:1.0\"\nbase_seed = 7\nseeds = 1",
+            "decode_growth_steps",
+        ),
+        (
+            "workloads = \"factory_n12\"\ncompressions = 0.25\n\
+             priority_classes = \"factory>injection>compute>speculative\"\nseeds = 1",
+            "preemptions_class",
+        ),
+    ];
+    let named = |header: &'static str, row: String| -> HashMap<&'static str, f64> {
+        assert_eq!(header.split(',').count(), row.split(',').count());
+        let values = row.split(',').map(|v| v.parse().unwrap_or(f64::NAN));
+        header.split(',').zip(values).collect()
+    };
+    for (text, live) in runs {
+        let spec = SweepSpec::parse(text).unwrap();
+        let job = spec.expand().swap_remove(0);
+        let circuit = rescq_repro::workloads::generate(&job.workload, spec.circuit_seed).unwrap();
+        let report = simulate_traced(&circuit, &job.config, None).unwrap();
+        let reports = named(REPORTS_CSV_HEADER, reports_csv_row(&report));
+        let sweep = named(CSV_HEADER, csv_row(&job, &JobMetrics::from_report(&report)));
+        let snapshot = metrics_snapshot(&report);
+        assert!(sweep[live] > 0.0, "{}: {live} is 0", job.workload);
+        for line in SHARED.lines() {
+            let [report_col, sweep_col, metric] = line.split_whitespace().collect::<Vec<_>>()[..]
+            else {
+                panic!("bad SHARED line `{line}`");
+            };
+            let snap = match snapshot.get_counter(metric) {
+                Some(v) => v as f64,
+                None => snapshot.gauges.iter().find(|(n, _)| n == metric).unwrap().1,
+            };
+            let (r, s) = (reports[report_col], sweep[sweep_col]);
+            // The reports CSV rounds `total_cycles` to three decimals.
+            assert!(
+                (r - s).abs() <= 5e-4 && s == snap,
+                "{}: {report_col}={r} {sweep_col}={s} {metric}={snap}",
+                job.workload
+            );
+        }
+    }
 }
