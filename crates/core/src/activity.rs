@@ -5,6 +5,11 @@
 //! pairwise maxima of endpoint activities. The window `c` is 100 cycles in
 //! the evaluation (§5.1), which fits in one `u128` bitmask per ancilla —
 //! recording a cycle is a shift and the count a popcount.
+//!
+//! This tracker is the per-cycle model: it is told every cycle's flags. The
+//! realtime engine does not feed it; `rescq_sim::Fabric` derives the same
+//! counts from occupancy runs, folded only when an MST snapshot asks, and
+//! its equivalence test uses this tracker as the reference.
 
 /// Sliding-window activity tracker for every ancilla.
 ///
@@ -106,21 +111,10 @@ impl ActivityTracker {
     /// Snapshot of all edge weights for the given edge list (dense ancilla
     /// indices) — what an MST recomputation "reads" when it starts (Fig 8).
     pub fn edge_weights(&self, edges: &[(u32, u32)]) -> Vec<u32> {
-        let mut out = Vec::with_capacity(edges.len());
-        self.edge_weights_into(edges, &mut out);
-        out
-    }
-
-    /// [`Self::edge_weights`] into a caller-provided buffer (appended) —
-    /// the allocation-free path the realtime engine pairs with
-    /// [`MstPipeline::on_cycle`](crate::MstPipeline::on_cycle)'s recycled
-    /// snapshot buffers.
-    pub fn edge_weights_into(&self, edges: &[(u32, u32)], out: &mut Vec<u32>) {
-        out.extend(
-            edges
-                .iter()
-                .map(|&(a, b)| self.edge_weight(a as usize, b as usize)),
-        );
+        edges
+            .iter()
+            .map(|&(a, b)| self.edge_weight(a as usize, b as usize))
+            .collect()
     }
 }
 

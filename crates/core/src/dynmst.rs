@@ -60,7 +60,7 @@ pub struct TauModel {
 }
 
 impl Default for TauModel {
-    /// Fit through §5.4.1's two measurements (see `DESIGN.md` §4.5).
+    /// Fit through §5.4.1's two measurements (see the module docs).
     fn default() -> Self {
         TauModel {
             per_k: 0.328,
@@ -182,7 +182,7 @@ impl MstPipeline {
     }
 
     /// Monotone generation counter; bumps when a computation completes
-    /// (used to invalidate the path cache).
+    /// (each completion may reshape the tree that routes are read from).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -206,8 +206,9 @@ impl MstPipeline {
 
     /// Advances the pipeline at a cycle boundary. `snapshot` fills the
     /// provided (cleared, capacity-retaining) buffer with the current edge
-    /// weights when a new computation starts (it reads the activity
-    /// tracker); completions are applied in order. At steady state the
+    /// weights when a new computation starts — the only time activity is
+    /// read, so the caller may fold it lazily there; completions are
+    /// applied in order. At steady state the
     /// weight buffers cycle between in-flight computations and the spare
     /// pool without touching the allocator.
     pub fn on_cycle(&mut self, cycle: u64, snapshot: impl FnOnce(&[(u32, u32)], &mut Vec<u32>)) {

@@ -7,10 +7,12 @@
 //! class-aware preemption (the [`ClassLattice`] priority lattice —
 //! `factory > injection > compute > speculative` by default — decides who
 //! may overtake whom; an incremental cycle check decides whether the
-//! reorder is safe), the sliding-window [`ActivityTracker`] and the
-//! pipelined stale-tolerant [`MstPipeline`] (§4.2 / Fig 8), Algorithm-1
-//! routing with a per-generation [`PathCache`] ([`routing`]), and the
-//! baseline static-routing policy the evaluation compares against.
+//! reorder is safe), the pipelined stale-tolerant [`MstPipeline`] (§4.2 /
+//! Fig 8) with the per-cycle [`ActivityTracker`] that defines the activity
+//! counts its edge weights are built from (`rescq-sim`'s fabric derives the
+//! same counts from occupancy runs), Algorithm-1 routing over the MST with a
+//! geometric-path memo ([`PathCache`], [`routing`]), and the baseline
+//! static-routing policy the evaluation compares against.
 //!
 //! The cycle-accurate engine that drives these structures lives in
 //! `rescq-sim`; everything here is deterministic, pure scheduling logic and

@@ -5,16 +5,17 @@
 //! candidates — connect each pair along the activity-weighted MST, charge
 //! 3-cycle edge rotations when the touched side does not expose the required
 //! boundary, estimate the start time from the per-ancilla expected free
-//! times, and pick the earliest-finishing plan. Tree paths are cached per MST
-//! generation (§5.4.2's `O(1)` amortized claim).
+//! times, and pick the earliest-finishing plan. A tree path is read by
+//! climbing the rooted MST in `O(path length)`; geometric shortest paths are
+//! memoised in a [`PathCache`] for the whole run.
 //!
 //! [`plan_static_route`] is the baselines' routing: BFS shortest path over
 //! currently-free ancillas from the control's Z-edge neighbours to the
 //! target's X-edge neighbours, requesting an edge rotation when a side has no
 //! usable ancilla (paper Fig 4).
 //!
-//! Both planners are pure functions of their inputs (tree, cache
-//! generation, free-time estimates): candidates are enumerated in a fixed
+//! Both planners are pure functions of their inputs (tree, static graph,
+//! free-time estimates): candidates are enumerated in a fixed
 //! adjacency order and ties keep the first candidate — hash maps are only
 //! ever used for keyed lookups, never iterated — so route choice is
 //! deterministic and thread-count invariant, part of the engine's
@@ -26,7 +27,7 @@ use rescq_lattice::{
     AncillaGraph, AncillaIndex, BfsScratch, DataAdjacency, EdgeType, IncrementalMst, Layout,
     Orientation,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// A chosen CNOT route.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,23 +82,13 @@ impl RoutePlanMeta {
     }
 }
 
-/// A cached MST tree path. Slots are kept forever and refilled *in place*
-/// when the MST generation moves past their stamp, so steady-state lookups
-/// never touch the allocator (the map's key set plateaus at the set of
-/// endpoint pairs the circuit ever routes between).
-#[derive(Debug)]
-struct TreeSlot {
-    generation: u64,
-    has_path: bool,
-    path: Vec<AncillaIndex>,
-}
-
-/// Cache of MST tree paths, stamped per entry with the MST generation that
-/// produced them (§5.4.2), plus a permanent cache of geometric shortest
-/// paths (pure functions of the static graph).
+/// Memo of geometric shortest paths between ancilla pairs. The routing
+/// graph never changes, so neither does the answer: entries are kept for
+/// the whole run. MST tree paths are not cached — a query climbs the
+/// rooted tree in `O(path length)` ([`IncrementalMst::tree_path_into`]),
+/// which costs no more than copying a cached path would.
 #[derive(Debug, Default)]
 pub struct PathCache {
-    paths: HashMap<(AncillaIndex, AncillaIndex), TreeSlot>,
     geo_paths: HashMap<(AncillaIndex, AncillaIndex), Option<Vec<AncillaIndex>>>,
     bfs: BfsScratch,
     hits: u64,
@@ -110,54 +101,14 @@ impl PathCache {
         Self::default()
     }
 
-    /// Cache hits since construction.
+    /// Geometric-path lookups answered from the memo since construction.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Cache misses since construction.
+    /// Geometric-path lookups that ran a search since construction.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Copies the tree path from `a` to `b` (inclusive, oriented to start at
-    /// `a`) into `out` and returns whether one exists. Stale slots are
-    /// refilled in place rather than dropped.
-    fn get_into(
-        &mut self,
-        mst: &IncrementalMst,
-        generation: u64,
-        a: AncillaIndex,
-        b: AncillaIndex,
-        out: &mut Vec<AncillaIndex>,
-    ) -> bool {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let slot = self.paths.entry(key).or_insert_with(|| TreeSlot {
-            // Deliberately stale stamp: forces the refill branch below.
-            generation: generation.wrapping_add(1),
-            has_path: false,
-            // A tree path visits each node at most once, so this capacity
-            // is never outgrown: refills after MST reshapes (which change
-            // the path and can lengthen it) stay allocation-free.
-            path: Vec::with_capacity(mst.num_nodes()),
-        });
-        if slot.generation == generation {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            slot.has_path = mst.tree_path_into(key.0, key.1, &mut slot.path);
-            slot.generation = generation;
-        }
-        if !slot.has_path {
-            return false;
-        }
-        out.clear();
-        if slot.path.first() == Some(&a) {
-            out.extend_from_slice(&slot.path);
-        } else {
-            out.extend(slot.path.iter().rev().copied());
-        }
-        true
     }
 
     /// Copies the geometric shortest path between two ancillas (oriented to
@@ -174,10 +125,17 @@ impl PathCache {
         out: &mut Vec<AncillaIndex>,
     ) -> bool {
         let key = if a <= b { (a, b) } else { (b, a) };
-        let cached = self.geo_paths.entry(key).or_insert_with(|| {
-            let found = graph.path_between_into(key.0, key.1, &mut self.bfs, out);
-            found.then(|| out.clone())
-        });
+        let cached = match self.geo_paths.entry(key) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.misses += 1;
+                let found = graph.path_between_into(key.0, key.1, &mut self.bfs, out);
+                e.insert(found.then(|| out.clone()))
+            }
+        };
         let Some(p) = cached else {
             return false;
         };
@@ -207,13 +165,15 @@ pub struct RouteScratch {
 /// adjacent ancilla at all.
 ///
 /// Thin allocating wrapper over [`plan_cnot_route_into`] (which the engine's
-/// hot path calls with recycled buffers).
+/// hot path calls with recycled buffers). `_mst_generation` is unused: tree
+/// paths are no longer cached per MST generation. It stays so existing
+/// callers keep compiling.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_cnot_route(
     layout: &Layout,
     graph: &AncillaGraph,
     mst: &IncrementalMst,
-    mst_generation: u64,
+    _mst_generation: u64,
     cache: &mut PathCache,
     control: QubitId,
     target: QubitId,
@@ -227,7 +187,6 @@ pub fn plan_cnot_route(
     let meta = plan_cnot_route_into(
         graph,
         mst,
-        mst_generation,
         cache,
         control,
         target,
@@ -252,13 +211,12 @@ pub fn plan_cnot_route(
 /// first; left cleared when no route exists) and returning its metadata.
 /// The endpoint adjacencies (`c_adj`, `t_adj`) are passed in — the engine
 /// precomputes them per qubit — and candidate paths stage through `scratch`,
-/// so a steady-state call performs no heap allocation once cache slots and
-/// buffer capacities have plateaued.
+/// so a steady-state call performs no heap allocation once the geometric
+/// memo and buffer capacities have plateaued.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_cnot_route_into(
     graph: &AncillaGraph,
     mst: &IncrementalMst,
-    mst_generation: u64,
     cache: &mut PathCache,
     control: QubitId,
     target: QubitId,
@@ -300,7 +258,7 @@ pub fn plan_cnot_route_into(
             // path. On sparse compressed grids tree paths degenerate into
             // long detours whose ancillas rarely all free up together;
             // Algorithm 1 picks whichever candidate finishes first.
-            let has_tree = cache.get_into(mst, mst_generation, a_c, a_t, &mut scratch.tree);
+            let has_tree = mst.tree_path_into(a_c, a_t, &mut scratch.tree);
             let has_direct = cache.geo_path_into(graph, a_c, a_t, &mut scratch.direct);
             let candidates = [
                 has_tree.then_some(&scratch.tree),
@@ -542,22 +500,37 @@ mod tests {
         let (layout, graph, mst) = setup(9);
         let orientations = vec![Orientation::Standard; 9];
         let mut cache = PathCache::new();
-        for _ in 0..3 {
-            let _ = plan_cnot_route(
+        let plan = |cache: &mut PathCache| {
+            plan_cnot_route(
                 &layout,
                 &graph,
                 &mst,
                 0,
-                &mut cache,
+                cache,
                 QubitId(0),
                 QubitId(8),
                 &orientations,
                 &SurgeryCosts::default(),
                 7,
                 |_| 0,
-            );
+            )
+            .expect("route exists")
+        };
+        // The first plan searches each endpoint pair once; repeats are
+        // answered by the memo with the same route.
+        let first = plan(&mut cache);
+        let pairs = cache.misses();
+        assert!(pairs > 0);
+        assert_eq!(
+            cache.hits(),
+            0,
+            "each endpoint pair is looked up once per plan"
+        );
+        for round in 1..=2 {
+            assert_eq!(plan(&mut cache), first);
+            assert_eq!(cache.misses(), pairs, "a repeat must not search again");
+            assert_eq!(cache.hits(), round * pairs);
         }
-        assert!(cache.hits() > 0, "repeated queries should hit the cache");
     }
 
     #[test]

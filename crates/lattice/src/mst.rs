@@ -22,7 +22,9 @@
 //! any weight changed, rebuilds with one Kruskal pass. Because the MST under
 //! a strict total order is unique, both paths yield the same edge set, and
 //! since a path in a tree is unique too, every route read through
-//! [`IncrementalMst::tree_path_into`] is identical.
+//! [`IncrementalMst::tree_path_into`] is identical. The Kruskal scan order
+//! is kept sorted across rebuilds: a snapshot sorts only its changed edges
+//! and merges them into the unchanged order.
 //!
 //! The forest is also kept in rooted form (`parent` + `depth`), re-derived
 //! by every rebuild and patched by every structural per-edge update (only
@@ -92,9 +94,21 @@ pub struct IncrementalMst {
     /// Reusable reachability marks for [`Self::update_weight`]'s reconnect
     /// search (case 2).
     upd_seen: Vec<bool>,
-    /// Kruskal scan order, a permutation of the edge ids re-sorted in place
-    /// by [`Self::rebuild`]; held so batch applies do not allocate.
+    /// Kruskal scan order, a permutation of the edge ids sorted by
+    /// `(weight, id)` unless `order_stale`. [`Self::set_weights`] keeps it
+    /// sorted by merging in the changed edges; [`Self::rebuild`] re-sorts
+    /// it whole.
     kruskal_order: Vec<EdgeId>,
+    /// Set when [`Self::update_weight`] changed a weight without touching
+    /// `kruskal_order`: the next batch apply re-sorts it whole.
+    order_stale: bool,
+    /// The edges a snapshot changed, sorted by `(weight, id)` before the
+    /// merge (held scratch).
+    changed: Vec<EdgeId>,
+    /// Membership marks for `changed`, all `false` between applies.
+    is_changed: Vec<bool>,
+    /// Merge target swapped with `kruskal_order` (held scratch).
+    merged: Vec<EdgeId>,
     /// Kruskal's component forest, reset (capacity kept) per rebuild.
     kruskal_uf: UnionFind,
 }
@@ -126,6 +140,10 @@ impl IncrementalMst {
             in_tree: vec![false; edges.len()],
             tree_adj: degree.into_iter().map(Vec::with_capacity).collect(),
             kruskal_order: (0..edges.len() as EdgeId).collect(),
+            order_stale: true,
+            changed: Vec::with_capacity(edges.len()),
+            is_changed: vec![false; edges.len()],
+            merged: Vec::with_capacity(edges.len()),
             kruskal_uf: UnionFind::new(num_nodes),
             edges,
             parent: vec![0; num_nodes],
@@ -138,22 +156,28 @@ impl IncrementalMst {
         mst
     }
 
-    /// Recomputes the tree from scratch (Kruskal) with the held scratch, so
-    /// it allocates nothing. Exposed for benchmarking against the
-    /// incremental path.
+    /// Recomputes the tree from scratch (Kruskal, re-sorting every edge)
+    /// with the held scratch, so it allocates nothing. Exposed for
+    /// benchmarking against the incremental path.
     pub fn rebuild(&mut self) {
-        self.in_tree.fill(false);
-        for adj in &mut self.tree_adj {
-            adj.clear();
-        }
         let edges = &self.edges;
         // `(weight, id)` keys are distinct, so an unstable (non-allocating)
         // sort gives the same order as a stable one.
         self.kruskal_order
             .sort_unstable_by_key(|&i| (edges[i as usize].weight, i));
+        self.order_stale = false;
+        self.kruskal();
+    }
+
+    /// One Kruskal pass over the sorted `kruskal_order`, then re-rooting.
+    fn kruskal(&mut self) {
+        self.in_tree.fill(false);
+        for adj in &mut self.tree_adj {
+            adj.clear();
+        }
         self.kruskal_uf.reset(self.num_nodes);
         for &id in &self.kruskal_order {
-            let e = edges[id as usize];
+            let e = self.edges[id as usize];
             if self.kruskal_uf.union(e.a, e.b) {
                 self.in_tree[id as usize] = true;
                 self.tree_adj[e.a as usize].push((e.b, id));
@@ -161,6 +185,34 @@ impl IncrementalMst {
             }
         }
         self.reroot();
+    }
+
+    /// Restores the `(weight, id)` order after the edges in `changed` got
+    /// new weights: sorts just those and merges them with the unchanged
+    /// edges, which are still in order. `O(E + c log c)` for `c` changes.
+    fn merge_changed_into_order(&mut self) {
+        let edges = &self.edges;
+        let key = |i: EdgeId| (edges[i as usize].weight, i);
+        self.changed.sort_unstable_by_key(|&i| key(i));
+        for &i in &self.changed {
+            self.is_changed[i as usize] = true;
+        }
+        self.merged.clear();
+        let mut pending = self.changed.iter().copied().peekable();
+        for &i in &self.kruskal_order {
+            if self.is_changed[i as usize] {
+                continue;
+            }
+            while let Some(c) = pending.next_if(|&c| key(c) < key(i)) {
+                self.merged.push(c);
+            }
+            self.merged.push(i);
+        }
+        self.merged.extend(pending);
+        for &i in &self.changed {
+            self.is_changed[i as usize] = false;
+        }
+        std::mem::swap(&mut self.kruskal_order, &mut self.merged);
     }
 
     /// Re-derives the rooted form (`parent`, `depth`) from the tree
@@ -199,25 +251,32 @@ impl IncrementalMst {
     /// Stores a whole weight snapshot (`weights[id]` for every edge) and
     /// returns how many weights changed. If any did, the tree is rebuilt by
     /// one Kruskal pass; the result is the same edge set as applying
-    /// [`Self::update_weight`] to each changed edge, at `O(E log E)` for the
-    /// batch instead of up to `O(V + E)` per changed edge.
+    /// [`Self::update_weight`] to each changed edge. The scan order is
+    /// restored by merging the `c` changed edges into the kept order, so a
+    /// batch costs `O(E + c log c)` rather than a full `O(E log E)` sort.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len()` differs from the edge count.
     pub fn set_weights(&mut self, weights: &[u32]) -> u64 {
         assert_eq!(weights.len(), self.edges.len(), "one weight per edge");
-        let mut changed = 0;
-        for (e, &w) in self.edges.iter_mut().zip(weights) {
+        self.changed.clear();
+        for (id, (e, &w)) in self.edges.iter_mut().zip(weights).enumerate() {
             if e.weight != w {
                 e.weight = w;
-                changed += 1;
+                self.changed.push(id as EdgeId);
             }
         }
-        if changed > 0 {
-            self.rebuild();
+        if self.changed.is_empty() {
+            return 0;
         }
-        changed
+        if self.order_stale {
+            self.rebuild();
+        } else {
+            self.merge_changed_into_order();
+            self.kruskal();
+        }
+        self.changed.len() as u64
     }
 
     fn link(&mut self, id: EdgeId) {
@@ -282,6 +341,7 @@ impl IncrementalMst {
     pub fn update_weight(&mut self, id: EdgeId, new_weight: u32) {
         let old = self.edges[id as usize].weight;
         self.edges[id as usize].weight = new_weight;
+        self.order_stale |= new_weight != old;
         if new_weight < old && !self.in_tree[id as usize] {
             // Case 1: cheaper non-tree edge. Insert and evict the heaviest
             // edge on the tree path between its endpoints (the cycle). The
@@ -677,6 +737,45 @@ mod tests {
         assert_batch_matches_per_edge(22, &edges, 4, 5, 40);
         let mst = IncrementalMst::new(22, &edges);
         assert_eq!(mst.tree_size(), 22 - 3);
+    }
+
+    #[test]
+    fn merged_order_stays_sorted_through_mixed_updates() {
+        // Per-edge updates leave the scan order stale; batch applies must
+        // then re-sort it, and otherwise merge their changes into it.
+        let edges = grid_edges(6, 6);
+        let mut mst = IncrementalMst::new(36, &edges);
+        let mut weights: Vec<u32> = edges.iter().map(|e| e.2).collect();
+        let mut state = 11u64;
+        for step in 0..80 {
+            if step % 3 == 0 {
+                let eid = (lcg(&mut state) >> 17) as usize % edges.len();
+                weights[eid] = (lcg(&mut state) % 6) as u32;
+                mst.update_weight(eid as EdgeId, weights[eid]);
+            }
+            for w in &mut weights {
+                if lcg(&mut state).is_multiple_of(5) {
+                    *w = (lcg(&mut state) % 6) as u32;
+                }
+            }
+            mst.set_weights(&weights);
+            let fresh: Vec<_> = edges
+                .iter()
+                .zip(&weights)
+                .map(|(&(a, b, _), &w)| (a, b, w))
+                .collect();
+            let fresh = IncrementalMst::new(36, &fresh);
+            assert_eq!(edge_set(&mst), edge_set(&fresh), "step {step}");
+            if !mst.order_stale {
+                let keys: Vec<_> = mst
+                    .kruskal_order
+                    .iter()
+                    .map(|&i| (mst.weight(i), i))
+                    .collect();
+                assert!(keys.is_sorted(), "step {step}: scan order out of order");
+                assert_eq!(mst.kruskal_order, fresh.kruskal_order, "step {step}");
+            }
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl fmt::Display for RusParams {
     }
 }
 
-/// Calibration constants of the RUS preparation model (see `DESIGN.md` §4.2).
+/// Calibration constants of the RUS preparation model.
 ///
 /// The paper and \[1\] publish curves rather than closed forms; these constants
 /// are chosen so the model reproduces the *shape* of Fig 16: expected attempts

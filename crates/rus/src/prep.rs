@@ -42,7 +42,8 @@ pub struct PreparationModel {
 }
 
 impl PreparationModel {
-    /// Builds the model with the default calibration (see `DESIGN.md`).
+    /// Builds the model with the default calibration
+    /// ([`PrepCalibration::default`]).
     pub fn new(params: RusParams) -> Self {
         Self::with_calibration(params, PrepCalibration::default())
     }

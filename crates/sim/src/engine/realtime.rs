@@ -58,9 +58,9 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, GateQubits, QubitId};
 use rescq_core::{
-    for_each_set_bit, plan_cnot_route_into, ActivityTracker, Bitset, EntryStatus, LedgerEvent,
-    MstPipeline, PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch,
-    SchedulerKind, SurgeryCosts, TaskClass, TaskId, VecPool,
+    for_each_set_bit, plan_cnot_route_into, Bitset, EntryStatus, LedgerEvent, MstPipeline,
+    PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch, SchedulerKind,
+    SurgeryCosts, TaskClass, TaskId, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::{AncillaIndex, DataAdjacency, EdgeType};
@@ -194,6 +194,9 @@ struct Task {
     /// runs stay uniform and bit-identical).
     class: TaskClass,
     body: TaskBody,
+    /// The cause this task's stall is charged to at each cycle tick, kept
+    /// current by [`RtEngine::refresh_stall`] wherever an input changes.
+    stall: Option<StallCause>,
 }
 
 /// The resolved priority policy of one run: the canonical class ranks of
@@ -312,7 +315,8 @@ struct RtEngine<'a> {
     /// Angle currently being prepared on each ancilla, if any.
     prepping: Vec<Option<Angle>>,
 
-    activity: ActivityTracker,
+    /// Activity window `c` in cycles (§4.2), clamped to `1..=128`.
+    activity_window: u32,
     mst: MstPipeline,
     path_cache: PathCache,
     events: EventQueue<Ev>,
@@ -369,10 +373,12 @@ struct RtEngine<'a> {
     /// Tasks whose preparation was displaced by a class-won preemption and
     /// has not restarted yet — the `ClassDisplacement` stall bucket.
     /// Maintained unconditionally (it feeds deterministic counters); only
-    /// membership is queried, never iteration order. A packed bitset sized
-    /// to the task count, so the per-cycle stall sampler probes one word
-    /// instead of hashing.
+    /// membership is queried, never iteration order. Changed only through
+    /// [`Self::set_displaced`], which refreshes the task's stall cause.
     displaced_by_class: Bitset,
+    /// Live tasks per stall cause ([`StallCause::index`] order): what each
+    /// cycle tick adds to the stall counters.
+    stalled: [u64; 4],
     /// Submission round of each in-flight decoder window, kept only while
     /// traced (drives `WindowRetired::stalled_rounds`).
     traced_windows: HashMap<WindowId, u64>,
@@ -398,7 +404,6 @@ pub(crate) fn run_realtime(
     let num_ancillas = fabric.num_ancillas();
     let edges: Vec<(u32, u32)> = fabric.graph.edges().to_vec();
     let mst = MstPipeline::new(num_ancillas, &edges, config.k_policy, config.tau_model);
-    let activity = ActivityTracker::new(num_ancillas, config.activity_window.clamp(1, 128));
     let rz_entry_cost = prep_model.expected_rounds().ceil() as u64
         + 2 * config.costs.cnot_injection_cycles as u64 * d as u64;
     // Static per-qubit tile adjacency, computed once: geometry never
@@ -498,7 +503,7 @@ pub(crate) fn run_realtime(
         ledger,
         prep_epoch: vec![0; num_ancillas],
         prepping: vec![None; num_ancillas],
-        activity,
+        activity_window: config.activity_window.clamp(1, 128),
         mst,
         path_cache: PathCache::new(),
         events: EventQueue::new(),
@@ -521,6 +526,7 @@ pub(crate) fn run_realtime(
         adjacency: &adjacency,
         occupancy_expiries: std::collections::BinaryHeap::new(),
         displaced_by_class: task_set(),
+        stalled: [0; 4],
         traced_windows: HashMap::new(),
         traced_occupancy: if recorder.is_some() {
             vec![(0, false); num_ancillas]
@@ -1140,7 +1146,9 @@ impl RtEngine<'_> {
         for q in self.circuit.gate(gid).qubits() {
             self.sched_worklist.push(q);
         }
-        for s in self.dag.succs(gid) {
+        // A shared handle, so the loop may refresh the successors' tasks.
+        let dag = Arc::clone(&self.dag);
+        for s in dag.succs(gid) {
             for q in self.circuit.gate(*s).qubits() {
                 self.sched_worklist.push(q);
             }
@@ -1151,6 +1159,7 @@ impl RtEngine<'_> {
             if *unfinished == 0 {
                 if let Some(t) = self.task_of_gate[s.index()] {
                     self.start_frontier.insert(t.index());
+                    self.refresh_stall(t);
                 }
             }
         }
@@ -1247,10 +1256,12 @@ impl RtEngine<'_> {
             done: false,
             class,
             body,
+            stall: None,
         });
         self.task_of_gate[gid.index()] = Some(id);
         self.live.insert(id.index());
         self.start_frontier.insert(id.index());
+        self.refresh_stall(id);
     }
 
     /// Enqueues a rotation into every valid neighbouring ancilla (Fig 7):
@@ -1404,7 +1415,6 @@ impl RtEngine<'_> {
         let _ = plan_cnot_route_into(
             &self.fabric.graph,
             self.mst.current(),
-            self.mst.generation(),
             &mut self.path_cache,
             control,
             target,
@@ -1563,7 +1573,7 @@ impl RtEngine<'_> {
         let rounds = self.prep_model.sample_prep_rounds(&mut self.rng);
         // The task is preparing again: its class displacement (if any) is
         // over for stall-attribution purposes.
-        self.displaced_by_class.remove(task.0 as usize);
+        self.set_displaced(task, false);
         self.prepping[a as usize] = Some(angle);
         self.ledger.set_top_status(a, EntryStatus::Preparing);
         self.counters.preps_started += 1;
@@ -1735,7 +1745,7 @@ impl RtEngine<'_> {
                 );
                 self.cancel_displaced_prep(a, displaced_top);
                 if class_won {
-                    self.displaced_by_class.insert(displaced_top.0 as usize);
+                    self.set_displaced(displaced_top, true);
                 }
                 progress = true;
             }
@@ -1863,7 +1873,8 @@ impl RtEngine<'_> {
             *injecting = true;
         }
         self.ledger.set_top_status(holder, EntryStatus::Executing);
-        self.displaced_by_class.remove(id.0 as usize);
+        // Also refreshes the stall cause `injecting` changed.
+        self.set_displaced(id, false);
         self.counters.injections += 1;
         self.events.push(
             until,
@@ -1946,7 +1957,7 @@ impl RtEngine<'_> {
                     debug_assert!(self.ledger.is_acyclic(), "preemption broke acyclicity");
                     self.cancel_displaced_prep(a, displaced_top);
                     if class_won {
-                        self.displaced_by_class.insert(displaced_top.0 as usize);
+                        self.set_displaced(displaced_top, true);
                     }
                     preempted = true;
                 }
@@ -1992,6 +2003,7 @@ impl RtEngine<'_> {
                         *path = new_path;
                         *planned_round = self.clock;
                     }
+                    self.refresh_stall(id);
                     return false;
                 }
                 self.pools.paths.put(new_path);
@@ -2037,6 +2049,7 @@ impl RtEngine<'_> {
                 *p = path;
                 *rotating = true;
             }
+            self.refresh_stall(id);
             self.counters.edge_rotations += 1;
             self.events
                 .push(until, Ev::RotationDone { task: id, qubit });
@@ -2060,6 +2073,7 @@ impl RtEngine<'_> {
             *p = path;
             *surgery_started = true;
         }
+        self.refresh_stall(id);
         self.counters.cnot_surgeries += 1;
         self.events.push(until, Ev::SurgeryDone { task: id });
         true
@@ -2194,75 +2208,136 @@ impl RtEngine<'_> {
     // Stall attribution
     // ------------------------------------------------------------------
 
-    /// Samples stall attribution once per cycle tick: every live, runnable
-    /// task that cannot make progress charges one cycle to the cause
-    /// blocking it (ancilla contention, decoder backlog, route blocked, or
-    /// class displacement). Derived purely from simulated state, so the
-    /// counters are bit-identical with or without a recorder.
+    /// The cause a live, runnable task that cannot make progress is
+    /// blocked on (ancilla contention, decoder backlog, route blocked, or
+    /// class displacement); `None` for a task that is done, waits on a
+    /// predecessor, or is executing. Derived purely from simulated state,
+    /// so the counters are bit-identical with or without a recorder.
+    fn stall_cause(&self, id: TaskId) -> Option<StallCause> {
+        let task = &self.tasks[id.index()];
+        if task.done || self.unfinished_preds[task.gate.index()] > 0 {
+            return None; // waiting on dependencies, not on resources
+        }
+        match &task.body {
+            TaskBody::Cnot {
+                path,
+                rotating,
+                surgery_started,
+                ..
+            } => {
+                if *rotating || *surgery_started {
+                    None // executing
+                } else if path.is_empty() {
+                    // No route could even be planned: every candidate
+                    // channel was taken at planning time.
+                    Some(StallCause::AncillaContention)
+                } else {
+                    Some(StallCause::RouteBlocked)
+                }
+            }
+            TaskBody::Rz {
+                ladder,
+                injecting,
+                awaiting_decode,
+                pending_prep_decodes,
+                ..
+            } => {
+                if ladder.is_complete() {
+                    None // ladder finished, completion event in flight
+                } else if *awaiting_decode {
+                    Some(StallCause::DecoderBacklog)
+                } else if *injecting {
+                    None // executing
+                } else if *pending_prep_decodes > 0 {
+                    Some(StallCause::DecoderBacklog)
+                } else if self.displaced_by_class.contains(id.index()) {
+                    Some(StallCause::ClassDisplacement)
+                } else {
+                    Some(StallCause::AncillaContention)
+                }
+            }
+            // A Hadamard waits only on its own data qubit, never on
+            // shared resources — not a stall in this taxonomy.
+            TaskBody::Hadamard { .. } => None,
+        }
+    }
+
+    /// Re-derives `id`'s stall cause and moves it between the per-cause
+    /// counts. Called wherever an input of [`Self::stall_cause`] changes:
+    /// creation, the last predecessor finishing, a CNOT's path, rotation
+    /// or surgery changing, an Rz's injection, decode waits or ladder
+    /// moving, class displacement, and completion.
+    fn refresh_stall(&mut self, id: TaskId) {
+        let cause = self.stall_cause(id);
+        let slot = &mut self.tasks[id.index()].stall;
+        if *slot != cause {
+            if let Some(old) = std::mem::replace(slot, cause) {
+                self.stalled[old.index()] -= 1;
+            }
+            if let Some(new) = cause {
+                self.stalled[new.index()] += 1;
+            }
+        }
+    }
+
+    /// Marks `id` as displaced by a class-won preemption, or not.
+    fn set_displaced(&mut self, id: TaskId, displaced: bool) {
+        if displaced {
+            self.displaced_by_class.insert(id.index());
+        } else {
+            self.displaced_by_class.remove(id.index());
+        }
+        self.refresh_stall(id);
+    }
+
+    /// Charges one cycle per stalled live task to its cause's counter. The
+    /// counts are kept current by [`Self::refresh_stall`], so untraced
+    /// ticks do `O(1)` work; a recorder gets one [`TraceEvent::Stall`] per
+    /// stalled task, in ascending task order.
     fn sample_stalls(&mut self) {
+        #[cfg(debug_assertions)]
+        self.audit_stall_counts();
+        let [ancilla, decoder, route, class] = self.stalled;
+        self.counters.stall_ancilla_cycles += ancilla;
+        self.counters.stall_decoder_cycles += decoder;
+        self.counters.stall_route_cycles += route;
+        self.counters.stall_class_cycles += class;
+        let Some(rec) = self.recorder else { return };
         let mut next = self.live.next_from(0);
         while let Some(i) = next {
             next = self.live.next_from(i + 1);
-            let id = TaskId(i as u32);
-            let task = &self.tasks[i];
-            if self.unfinished_preds[task.gate.index()] > 0 {
-                continue; // waiting on dependencies, not on resources
+            if let Some(cause) = self.tasks[i].stall {
+                rec.record(TraceEvent::Stall {
+                    round: self.clock,
+                    task: i as u64,
+                    cause,
+                });
             }
-            let cause = match &task.body {
-                TaskBody::Cnot {
-                    path,
-                    rotating,
-                    surgery_started,
-                    ..
-                } => {
-                    if *rotating || *surgery_started {
-                        None // executing
-                    } else if path.is_empty() {
-                        // No route could even be planned: every candidate
-                        // channel was taken at planning time.
-                        Some(StallCause::AncillaContention)
-                    } else {
-                        Some(StallCause::RouteBlocked)
-                    }
-                }
-                TaskBody::Rz {
-                    ladder,
-                    injecting,
-                    awaiting_decode,
-                    pending_prep_decodes,
-                    ..
-                } => {
-                    if ladder.is_complete() {
-                        None // ladder finished, completion event in flight
-                    } else if *awaiting_decode {
-                        Some(StallCause::DecoderBacklog)
-                    } else if *injecting {
-                        None // executing
-                    } else if *pending_prep_decodes > 0 {
-                        Some(StallCause::DecoderBacklog)
-                    } else if self.displaced_by_class.contains(id.0 as usize) {
-                        Some(StallCause::ClassDisplacement)
-                    } else {
-                        Some(StallCause::AncillaContention)
-                    }
-                }
-                // A Hadamard waits only on its own data qubit, never on
-                // shared resources — not a stall in this taxonomy.
-                TaskBody::Hadamard { .. } => None,
-            };
-            let Some(cause) = cause else { continue };
-            match cause {
-                StallCause::AncillaContention => self.counters.stall_ancilla_cycles += 1,
-                StallCause::DecoderBacklog => self.counters.stall_decoder_cycles += 1,
-                StallCause::RouteBlocked => self.counters.stall_route_cycles += 1,
-                StallCause::ClassDisplacement => self.counters.stall_class_cycles += 1,
-            }
-            self.emit_with(|| TraceEvent::Stall {
-                round: self.clock,
-                task: id.0 as u64,
-                cause,
-            });
         }
+    }
+
+    /// Debug audit of the stall bookkeeping: every live task's kept cause
+    /// must equal the one derived from its state now, and the per-cause
+    /// counts must equal a recount. A change point that forgot
+    /// [`Self::refresh_stall`] fails here.
+    #[cfg(debug_assertions)]
+    fn audit_stall_counts(&self) {
+        let mut recount = [0u64; 4];
+        let mut next = self.live.next_from(0);
+        while let Some(i) = next {
+            next = self.live.next_from(i + 1);
+            let kept = self.tasks[i].stall;
+            assert_eq!(
+                kept,
+                self.stall_cause(TaskId(i as u32)),
+                "task {i} has a stale stall cause: {:?}",
+                self.tasks[i].body
+            );
+            if let Some(cause) = kept {
+                recount[cause.index()] += 1;
+            }
+        }
+        assert_eq!(recount, self.stalled, "stall counts drifted");
     }
 
     /// Emits [`TraceEvent::AncillaState`] transitions for every ancilla
@@ -2324,14 +2399,22 @@ impl RtEngine<'_> {
     fn handle_event(&mut self, ev: Ev) {
         match ev {
             Ev::CycleTick => {
-                let act = self.fabric.end_cycle_activity(self.clock);
-                self.activity.record_cycle(act);
+                self.fabric.end_cycle();
                 self.sample_stalls();
                 self.sample_occupancy();
                 let cycle = self.clock / self.d as u64;
-                let activity = &self.activity;
-                self.mst
-                    .on_cycle(cycle, |edges, out| activity.edge_weights_into(edges, out));
+                debug_assert_eq!(cycle, self.fabric.cycle(), "one tick per cycle boundary");
+                // The snapshot an MST computation reads (Fig 8): edge weight
+                // = the busier endpoint's activity count.
+                let (fabric, window) = (&mut self.fabric, self.activity_window);
+                self.mst.on_cycle(cycle, |edges, out| {
+                    let counts = fabric.activity_counts(window);
+                    out.extend(
+                        edges
+                            .iter()
+                            .map(|&(a, b)| counts[a as usize].max(counts[b as usize])),
+                    );
+                });
                 if self.clock.saturating_sub(self.last_progress)
                     > STALL_BREAK_CYCLES * self.d as u64
                 {
@@ -2371,6 +2454,7 @@ impl RtEngine<'_> {
                         {
                             *pending_prep_decodes += 1;
                         }
+                        self.refresh_stall(task);
                         self.events.push(
                             ready_at,
                             Ev::PrepDecoded {
@@ -2408,6 +2492,7 @@ impl RtEngine<'_> {
                 {
                     *pending_prep_decodes = pending_prep_decodes.saturating_sub(1);
                 }
+                self.refresh_stall(task);
                 self.on_prep_done(ancilla, task, angle, epoch);
             }
             Ev::InjectDone {
@@ -2430,6 +2515,7 @@ impl RtEngine<'_> {
                 if let TaskBody::Cnot { rotating, .. } = &mut self.tasks[task.index()].body {
                     *rotating = false;
                 }
+                self.refresh_stall(task);
                 self.start_frontier.insert(task.index());
             }
             Ev::SurgeryDone { task } => {
@@ -2524,6 +2610,7 @@ impl RtEngine<'_> {
             {
                 *awaiting_decode = true;
             }
+            self.refresh_stall(task);
             self.events.push(
                 ready_at,
                 Ev::DecodeDone {
@@ -2560,6 +2647,7 @@ impl RtEngine<'_> {
             *awaiting_decode = false;
             step = ladder.record_outcome(success);
         }
+        self.refresh_stall(task);
         // The injection is over: the next attempt may start one again.
         self.start_frontier.insert(task.index());
         match step {
@@ -2658,6 +2746,7 @@ impl RtEngine<'_> {
         self.tasks[task.index()].done = true;
         self.live.remove(task.index());
         self.start_frontier.remove(task.index());
+        self.refresh_stall(task);
         self.finish_gate(gate);
     }
 }

@@ -1,6 +1,17 @@
 //! Shared runtime state of the surface-code fabric during a simulation:
-//! busy windows for data qubits and ancillas, patch orientations, and
-//! per-cycle ancilla activity flags.
+//! busy windows for data qubits and ancillas, patch orientations, and the
+//! runs of cycles each ancilla was active.
+//!
+//! # Activity (paper §4.2)
+//!
+//! An ancilla is *active in cycle j* if it was occupied or held at some
+//! point during that cycle, or busy across either of its boundaries. Cycle
+//! 0 starts at construction and each [`Fabric::end_cycle`] call (the
+//! engine's tick) starts the next; cycle `j` closes at round `(j + 1)·d`. Instead of sampling every
+//! ancilla at every boundary, each occupy, hold and release extends a run
+//! of active cycles in `O(1)`, and [`Fabric::activity_counts`] folds the
+//! runs into a per-ancilla window bitmask only when it is asked — every
+//! `k` cycles, when an MST recomputation takes its snapshot.
 
 use rescq_circuit::QubitId;
 use rescq_lattice::{AncillaGraph, AncillaIndex, Layout, Orientation};
@@ -25,15 +36,76 @@ pub struct Fabric {
     ancilla_free_at: Vec<u64>,
     /// Accumulated busy rounds per data qubit (for idle fractions).
     qubit_busy_rounds: Vec<u64>,
-    /// Whether each ancilla was active at some point in the current cycle.
-    active_this_cycle: Vec<bool>,
     /// Ancillas currently *held* (claimed open-ended, e.g. holding a prepared
     /// state) and by whom; counted as active every cycle until released.
     held: Vec<Option<u64>>,
-    /// Double buffer for [`Self::end_cycle_activity`]: the finished cycle's
-    /// flags are assembled here while `active_this_cycle` is rewound to the
-    /// carry-over set, so ending a cycle allocates nothing.
-    activity_scratch: Vec<bool>,
+    /// Cycle boundaries passed so far: the index of the current cycle.
+    cycle: u64,
+    /// Per-ancilla activity: folded history plus the pending run.
+    activity: Vec<ActivityRun>,
+    /// Output buffer of [`Self::activity_counts`].
+    activity_counts: Vec<u32>,
+}
+
+/// One ancilla's activity record: the cycles before `folded` as a bitmask,
+/// and the pending run of active cycles from `start` on.
+#[derive(Debug, Clone, Copy)]
+struct ActivityRun {
+    /// Bit `k` says whether cycle `folded - 1 - k` was active.
+    bits: u128,
+    /// Cycles below this are in `bits`.
+    folded: u64,
+    /// The pending run: cycles `start..=end` are active, and while the
+    /// ancilla is held so is every cycle from `start` on. Empty when
+    /// `start > end` and not held.
+    start: u64,
+    end: u64,
+}
+
+impl ActivityRun {
+    const EMPTY: ActivityRun = ActivityRun {
+        bits: 0,
+        folded: 0,
+        start: 1,
+        end: 0,
+    };
+
+    /// Moves the run's cycles below `to` into `bits`; those cycles are
+    /// final once the current cycle is `to` or later.
+    fn fold(&mut self, to: u64, held: bool) {
+        if to <= self.folded {
+            return;
+        }
+        let shift = to - self.folded;
+        self.bits = if shift >= 128 { 0 } else { self.bits << shift };
+        // Active cycles `lo..hi` land on bits `to - hi .. to - lo`.
+        let lo = self.start.max(self.folded);
+        let hi = if held {
+            to
+        } else {
+            self.end.saturating_add(1).min(to)
+        };
+        if lo < hi && to - hi < 128 {
+            let low = to - hi;
+            let width = (to - lo).min(128) - low;
+            let ones = if width == 128 {
+                u128::MAX
+            } else {
+                (1u128 << width) - 1
+            };
+            self.bits |= ones << low;
+        }
+        self.folded = to;
+    }
+
+    /// Marks cycles `cycle..=end` active (`cycle` is the current cycle).
+    fn extend(&mut self, cycle: u64, end: u64, held: bool) {
+        // Cycles before `cycle` are final, so folding them leaves a pending
+        // run that starts at `cycle` — and joins the new one.
+        self.fold(cycle, held);
+        self.start = cycle;
+        self.end = self.end.max(end);
+    }
 }
 
 impl Fabric {
@@ -50,9 +122,10 @@ impl Fabric {
             qubit_free_at: vec![0; nq],
             ancilla_free_at: vec![0; na],
             qubit_busy_rounds: vec![0; nq],
-            active_this_cycle: vec![false; na],
             held: vec![None; na],
-            activity_scratch: vec![false; na],
+            cycle: 0,
+            activity: vec![ActivityRun::EMPTY; na],
+            activity_counts: vec![0; na],
         }
     }
 
@@ -92,24 +165,34 @@ impl Fabric {
         self.qubit_busy_rounds[q.index()] += until - now;
     }
 
-    /// Occupies ancilla `a` for `[now, until)` and marks it active.
+    /// Occupies ancilla `a` for `[now, until)` and marks it active: from
+    /// the current cycle through the last cycle whose closing boundary
+    /// round `(j + 1)·d` is still before `until`.
     pub fn occupy_ancilla(&mut self, a: AncillaIndex, now: u64, until: u64) {
         debug_assert!(self.ancilla_free(a, now), "ancilla {a} double-booked");
         self.ancilla_free_at[a as usize] = until;
-        self.active_this_cycle[a as usize] = true;
+        let last = until
+            .div_ceil(u64::from(self.rounds_per_cycle.max(1)))
+            .saturating_sub(1);
+        let held = self.held[a as usize].is_some();
+        self.activity[a as usize].extend(self.cycle, last.max(self.cycle), held);
     }
 
     /// Claims ancilla `a` open-endedly (preparing / holding a state) on
-    /// behalf of `owner`.
+    /// behalf of `owner`; it is active from the current cycle until the
+    /// cycle it is released in.
     pub fn hold_ancilla(&mut self, a: AncillaIndex, owner: u64) {
         debug_assert!(self.held[a as usize].is_none(), "ancilla {a} already held");
+        self.activity[a as usize].extend(self.cycle, self.cycle, false);
         self.held[a as usize] = Some(owner);
-        self.active_this_cycle[a as usize] = true;
     }
 
     /// Releases a held ancilla at round `now`.
     pub fn release_ancilla(&mut self, a: AncillaIndex, now: u64) {
-        self.held[a as usize] = None;
+        if self.held[a as usize].take().is_some() {
+            let run = &mut self.activity[a as usize];
+            run.end = run.end.max(self.cycle);
+        }
         self.ancilla_free_at[a as usize] = self.ancilla_free_at[a as usize].max(now);
     }
 
@@ -134,24 +217,48 @@ impl Fabric {
         self.qubit_busy_rounds.iter().sum()
     }
 
-    /// Ends a cycle: returns the per-ancilla activity flags (true if the
-    /// ancilla was busy or held at any point during it) and resets them for
-    /// the next cycle. The returned slice is a double buffer valid until
-    /// the next call — no allocation per cycle.
-    pub fn end_cycle_activity(&mut self, cycle_end_round: u64) -> &[bool] {
-        for i in 0..self.active_this_cycle.len() {
-            // Ancillas still busy across the boundary stay active next cycle.
-            let carry = self.held[i].is_some() || self.ancilla_free_at[i] > cycle_end_round;
-            self.activity_scratch[i] = self.active_this_cycle[i] || carry;
-            self.active_this_cycle[i] = carry;
+    /// Passes a cycle boundary (the engine's cycle tick, at round
+    /// `(cycle + 1)·d`). `O(1)`: activity is folded only on demand.
+    pub fn end_cycle(&mut self) {
+        self.cycle += 1;
+    }
+
+    /// The index of the current cycle (boundaries passed so far).
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// Per ancilla, how many of the last `window` completed cycles it was
+    /// active in — the activity count of §4.2 that MST edge weights are
+    /// built from. Folds each ancilla's pending run first; the returned
+    /// slice is a held buffer, so the call allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is 0 or exceeds 128.
+    pub fn activity_counts(&mut self, window: u32) -> &[u32] {
+        assert!(
+            (1..=128).contains(&window),
+            "activity window must be in 1..=128, got {window}"
+        );
+        let mask = u128::MAX >> (128 - window);
+        for ((run, held), count) in self
+            .activity
+            .iter_mut()
+            .zip(&self.held)
+            .zip(&mut self.activity_counts)
+        {
+            run.fold(self.cycle, held.is_some());
+            *count = (run.bits & mask).count_ones();
         }
-        &self.activity_scratch
+        &self.activity_counts
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescq_core::ActivityTracker;
     use rescq_lattice::LayoutKind;
 
     fn fabric() -> Fabric {
@@ -195,18 +302,125 @@ mod tests {
         assert_eq!(f.orientation[0], Orientation::Standard);
     }
 
+    /// The per-tick activity model the fabric's runs replace: a flag per
+    /// ancilla set by every occupy and hold, closed at each boundary round
+    /// `T` together with the carry (held, or busy past `T`) into an
+    /// [`ActivityTracker`] per window.
+    struct PerTickReference {
+        flags: Vec<bool>,
+        cycle: Vec<bool>,
+        trackers: Vec<ActivityTracker>,
+    }
+
+    impl PerTickReference {
+        fn new(num_ancillas: usize, windows: &[u32]) -> Self {
+            PerTickReference {
+                flags: vec![false; num_ancillas],
+                cycle: vec![false; num_ancillas],
+                trackers: windows
+                    .iter()
+                    .map(|&w| ActivityTracker::new(num_ancillas, w))
+                    .collect(),
+            }
+        }
+
+        fn end_cycle(&mut self, f: &Fabric, boundary_round: u64) {
+            for a in 0..self.flags.len() {
+                let carry = f.ancilla_free_at(a as AncillaIndex) > boundary_round;
+                self.cycle[a] = self.flags[a] || carry;
+                self.flags[a] = carry;
+            }
+            for t in &mut self.trackers {
+                t.record_cycle(&self.cycle);
+            }
+        }
+    }
+
+    /// SplitMix64: a self-contained stream for the seeded cases.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Drives one seeded sequence of occupy / hold / release / boundary
+    /// steps through a fabric and the per-tick reference, comparing the
+    /// activity counts for every window at each snapshot (every
+    /// `snapshot_every` boundaries, so folds also span long gaps).
+    fn check_activity_sequence(d: u32, seed: u64, snapshot_every: u64) {
+        const WINDOWS: [u32; 4] = [1, 7, 100, 128];
+        let layout = Arc::new(Layout::new(LayoutKind::Star2x2, 4).unwrap());
+        let graph = Arc::new(AncillaGraph::from_grid(layout.grid()));
+        let mut f = Fabric::new(layout, graph, d);
+        let n = f.num_ancillas();
+        let mut reference = PerTickReference::new(n, &WINDOWS);
+        let mut state = seed;
+        let d = u64::from(d);
+        let mut now = 0;
+        for cycle in 0..700u64 {
+            let boundary = (cycle + 1) * d;
+            for _ in 0..next(&mut state) % 5 {
+                // Events of this cycle happen at rounds up to and including
+                // its closing boundary, in nondecreasing order.
+                now += next(&mut state) % (boundary - now + 1);
+                let a = (next(&mut state) % n as u64) as AncillaIndex;
+                let op = next(&mut state) % 10;
+                if f.is_held(a) {
+                    // Ancilla 0 keeps its holds for 200 cycles at a time.
+                    if op < 2 && (a != 0 || cycle % 250 >= 200) {
+                        f.release_ancilla(a, now);
+                        if op == 0 && f.ancilla_free(a, now) {
+                            // Release then occupy in the same round (the
+                            // injection-channel handover).
+                            f.occupy_ancilla(a, now, now + d);
+                            reference.flags[a as usize] = true;
+                        }
+                    }
+                } else if op < 4 && f.ancilla_free(a, now) {
+                    let until = match op {
+                        // Ends exactly on a boundary round.
+                        0 => boundary + d * (next(&mut state) % 3),
+                        // Runs longer than the widest window.
+                        1 => now + d * (129 + next(&mut state) % 100),
+                        _ => now + next(&mut state) % (3 * d + 1),
+                    };
+                    f.occupy_ancilla(a, now, until);
+                    reference.flags[a as usize] = true;
+                } else if op < 8 {
+                    f.hold_ancilla(a, 7);
+                    reference.flags[a as usize] = true;
+                    if op == 4 {
+                        // Hold and release within one cycle.
+                        f.release_ancilla(a, now);
+                    }
+                }
+            }
+            now = boundary;
+            reference.end_cycle(&f, boundary);
+            f.end_cycle();
+            if (cycle + 1) % snapshot_every == 0 {
+                for (w, tracker) in WINDOWS.iter().zip(&reference.trackers) {
+                    let expect: Vec<u32> = (0..n).map(|a| tracker.count(a)).collect();
+                    assert_eq!(
+                        f.activity_counts(*w),
+                        &expect[..],
+                        "d={d} seed={seed} window={w} after cycle {cycle}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
-    fn cycle_activity_capture() {
-        let mut f = fabric();
-        f.occupy_ancilla(1, 0, 5); // within the first cycle (rounds 0..7)
-        f.hold_ancilla(2, 9);
-        let act = f.end_cycle_activity(7).to_vec();
-        assert!(act[1]);
-        assert!(act[2]);
-        assert!(!act[0]);
-        // Held ancilla remains active in the new cycle; the finished one not.
-        let act2 = f.end_cycle_activity(14);
-        assert!(!act2[1]);
-        assert!(act2[2]);
+    fn activity_runs_match_per_tick_reference() {
+        for d in [1, 7] {
+            for seed in 0..6 {
+                for snapshot_every in [1, 25, 150] {
+                    check_activity_sequence(d, seed, snapshot_every);
+                }
+            }
+        }
     }
 }

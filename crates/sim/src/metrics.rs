@@ -154,9 +154,12 @@ pub struct RunCounters {
     pub mst_computations: u64,
     /// Incremental MST edge updates applied (RESCQ, §5.4.1).
     pub mst_incremental_updates: u64,
-    /// Path-cache hits (RESCQ, §5.4.2).
+    /// Geometric-path lookups answered by the route planner's memo
+    /// ([`rescq_core::PathCache`]; RESCQ). MST tree paths are read from
+    /// the tree directly and are not counted.
     pub path_cache_hits: u64,
-    /// Path-cache misses.
+    /// Geometric-path lookups that ran a shortest-path search (one per
+    /// distinct endpoint pair routed between).
     pub path_cache_misses: u64,
     /// Syndrome windows submitted to the classical decoder.
     pub decode_windows: u64,

@@ -10,22 +10,30 @@
 //! and legitimately allocates the first time a novel latency bucket appears,
 //! and warm-up cycles grow the pools to their high-water marks. Once warm,
 //! the loop must be allocation-free.
+//!
+//! The shim also sums the bytes each allocation asks for, which pins the
+//! total a whole run requests, warm-up included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rescq_core::{PathCache, SchedulerKind};
+use rescq_decoder::DecoderConfig;
 use rescq_lattice::{AncillaGraph, LayoutKind};
-use rescq_sim::{simulate_with_cycle_probe, SimConfig};
+use rescq_sim::{simulate_prepared, simulate_with_cycle_probe, SimArtifacts, SimConfig};
 
-/// Counts every `alloc`/`realloc` passed through to the system allocator.
+/// Counts every `alloc`/`realloc` passed through to the system allocator,
+/// and the bytes each one requests.
 struct CountingAlloc;
 
 thread_local! {
     /// Allocations made by this thread. Const-initialised without a
     /// destructor, so the allocator may touch it without allocating.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by this thread's allocations (a `realloc` counts
+    /// its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     /// Diagnostic trap: while armed, this thread's next allocation prints
     /// a backtrace (one-shot; capturing the backtrace itself allocates,
     /// which is safe because the flag is already cleared). Armed past
@@ -38,8 +46,13 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 fn count(kind: &str, size: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + size as u64));
     if ARM.with(|armed| armed.replace(false)) {
         eprintln!(
             "{kind} TRAP size={size}:\n{}",
@@ -182,4 +195,31 @@ fn cold_geometric_path_miss_allocates_only_the_cached_path() {
     let before = allocs();
     assert!(cache.geo_path_into(&graph, n - 1, 0, &mut out));
     assert_eq!(allocs(), before);
+}
+
+#[test]
+fn ising_n420_union_find_run_requests_bounded_bytes() {
+    // The widest Table 3 circuit with the union-find decoder: every byte
+    // the run itself requests, from engine construction to the report.
+    // Per-run state is sized once from the circuit and fabric; nothing may
+    // grow with the number of endpoint pairs routed or cycles ticked.
+    let circuit = rescq_workloads::generate("ising_n420", 1).expect("known benchmark");
+    let config = SimConfig::builder()
+        .decoder(DecoderConfig::union_find(1.0))
+        .seed(1)
+        .build();
+    let artifacts = SimArtifacts::prepare(std::sync::Arc::new(circuit), &config).unwrap();
+    let (calls, requested) = (allocs(), bytes());
+    let report = simulate_prepared(&artifacts, &config).unwrap();
+    let (calls, requested) = (allocs() - calls, bytes() - requested);
+    assert_eq!(report.gates_executed, artifacts.circuit.len());
+    eprintln!("ising_n420 + union_find:1.0 run: {calls} allocations, {requested} bytes");
+    // Measured at 3.05 MB (15.2k allocations) when this bound was set; the
+    // bound leaves 2x headroom. With a tree-path cache slot per endpoint
+    // pair, the same run requested 32.2 MB.
+    const MAX_BYTES: u64 = 6_100_000;
+    assert!(
+        requested <= MAX_BYTES,
+        "the run requested {requested} bytes in {calls} allocations (bound {MAX_BYTES})"
+    );
 }

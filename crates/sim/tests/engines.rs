@@ -207,10 +207,12 @@ struct DispatchGolden {
 fn dispatch_goldens_are_pinned() {
     // The realtime engine's schedule and start phases only start work whose
     // inputs changed; these runs pin that such bookkeeping never changes a
-    // decision. Every value, including the path-cache hits/misses and the
-    // stall buckets, was recorded on the engine that rescanned every live
-    // task on every dispatch pass, except the `decode_prep` run, recorded
-    // before blocked starts were parked and decoder windows reused scratch.
+    // decision. Every value, including the stall buckets, was recorded on
+    // the engine that rescanned every live task on every dispatch pass,
+    // except the `decode_prep` run, recorded before blocked starts were
+    // parked and decoder windows reused scratch. The path-cache hits/misses
+    // count geometric-memo lookups; they were re-recorded when the
+    // per-generation tree-path cache was deleted (their sum is unchanged).
     let goldens = [
         DispatchGolden {
             name: "ising_n420",
@@ -226,7 +228,7 @@ fn dispatch_goldens_are_pinned() {
                 waitgraph_peak_edges: 1559, preemptions_by_rank: [], \
                 stall_ancilla_cycles: 743, stall_decoder_cycles: 0, stall_route_cycles: 1765, \
                 stall_class_cycles: 0, mst_computations: 2, mst_incremental_updates: 3194, \
-                path_cache_hits: 6874, path_cache_misses: 5936, decode_windows: 2060, \
+                path_cache_hits: 7183, path_cache_misses: 5627, decode_windows: 2060, \
                 decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                 decode_growth_steps: 0, decode_failures: 0 }",
             row: "rescq,1,7,68.571,0.7550,2726,2060,1012,8075,4902,14,2,25,18,2060,0.000,1,0,0,\
@@ -246,8 +248,8 @@ fn dispatch_goldens_are_pinned() {
                 waitgraph_peak_edges: 1559, preemptions_by_rank: [], \
                 stall_ancilla_cycles: 4647, stall_decoder_cycles: 116410, \
                 stall_route_cycles: 46958, stall_class_cycles: 0, mst_computations: 58, \
-                mst_incremental_updates: 36063, path_cache_hits: 184, \
-                path_cache_misses: 12626, decode_windows: 2084, decoder_stall_rounds: 871332, \
+                mst_incremental_updates: 36063, path_cache_hits: 7183, \
+                path_cache_misses: 5627, decode_windows: 2084, decoder_stall_rounds: 871332, \
                 decoder_peak_backlog: 420, decode_defects: 406, decode_growth_steps: 2280, \
                 decode_failures: 0 }",
             row: "rescq,1,7,1483.143,0.9886,2726,2084,1036,8273,4461,17,58,25,18,2084,\
@@ -272,7 +274,7 @@ fn dispatch_goldens_are_pinned() {
                 waitgraph_peak_edges: 103, preemptions_by_rank: [], \
                 stall_ancilla_cycles: 33, stall_decoder_cycles: 22880, stall_route_cycles: 1162, \
                 stall_class_cycles: 0, mst_computations: 111, mst_incremental_updates: 3231, \
-                path_cache_hits: 11, path_cache_misses: 883, decode_windows: 1038, \
+                path_cache_hits: 496, path_cache_misses: 398, decode_windows: 1038, \
                 decoder_stall_rounds: 435856, decoder_peak_backlog: 99, decode_defects: 163, \
                 decode_growth_steps: 942, decode_failures: 0 }",
             row: "rescq,1,7,2805.286,0.9938,217,177,94,861,475,0,111,25,11,1038,62265.143,99,\
@@ -292,7 +294,7 @@ fn dispatch_goldens_are_pinned() {
                 waitgraph_peak_edges: 23, preemptions_by_rank: [], \
                 stall_ancilla_cycles: 1451, stall_decoder_cycles: 0, stall_route_cycles: 1648, \
                 stall_class_cycles: 0, mst_computations: 31, mst_incremental_updates: 854, \
-                path_cache_hits: 2368, path_cache_misses: 790, decode_windows: 612, \
+                path_cache_hits: 2974, path_cache_misses: 184, decode_windows: 612, \
                 decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                 decode_growth_steps: 0, decode_failures: 0 }",
             row: "rescq,1,7,806.857,0.8622,647,612,333,1224,4,2,31,25,10,612,0.000,1,0,0,23,\
@@ -312,7 +314,7 @@ fn dispatch_goldens_are_pinned() {
                 waitgraph_peak_edges: 9, preemptions_by_rank: [0, 1], \
                 stall_ancilla_cycles: 3524, stall_decoder_cycles: 0, stall_route_cycles: 1348, \
                 stall_class_cycles: 0, mst_computations: 122, mst_incremental_updates: 2590, \
-                path_cache_hits: 3496, path_cache_misses: 2295, decode_windows: 3022, \
+                path_cache_hits: 5659, path_cache_misses: 132, decode_windows: 3022, \
                 decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                 decode_growth_steps: 0, decode_failures: 0 }",
             row: "rescq,1,7,3068.714,0.8163,2290,3022,1494,6045,11,60,122,25,10,3022,0.000,1,\
@@ -332,7 +334,7 @@ fn dispatch_goldens_are_pinned() {
                 waitgraph_peak_edges: 21, preemptions_by_rank: [0, 1, 0, 8], \
                 stall_ancilla_cycles: 144, stall_decoder_cycles: 0, stall_route_cycles: 95, \
                 stall_class_cycles: 1, mst_computations: 4, mst_incremental_updates: 116, \
-                path_cache_hits: 74, path_cache_misses: 264, decode_windows: 169, \
+                path_cache_hits: 227, path_cache_misses: 111, decode_windows: 169, \
                 decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                 decode_growth_steps: 0, decode_failures: 0 }",
             row: "rescq,1,7,118.857,0.7111,128,169,85,509,259,14,4,25,10,169,0.000,1,9,142,\

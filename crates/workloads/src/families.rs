@@ -1,5 +1,5 @@
 //! The benchmark families of Table 3, regenerated from their mathematical
-//! definitions (QASMBench sources are not vendored; see `DESIGN.md` §4.6).
+//! definitions (QASMBench sources are not vendored).
 //!
 //! Families marked *exact* reproduce the paper's `#Rz` / `#CNOT` columns
 //! gate-for-gate; the rest are structurally faithful and calibrated to the
