@@ -78,11 +78,8 @@ fn print_usage() {
     println!("            [--decoder ideal|fixed|adaptive|union_find] [--decoder-throughput F]");
     println!("            [--decoder-workers N] [--decoder-prep]");
     println!("            [--priority-classes SPEC]  class-aware ledger arbitration");
-    println!("  sim bench --baseline FILE [--seeds N]   record a perf baseline (BENCH_*.json)");
-    println!("            of the standard suite (ising_n420 + factory_n12 @ 25%); with a");
-    println!("            positional <name>, record that benchmark instead");
-    println!("  sim bench --compare BASE.json NEW.json [--warn-pct P] [--fail-pct P]");
-    println!("                                      diff two baselines (exit 1 above fail)");
+    println!("                                      one benchmark under all three schedulers;");
+    println!("                                   values obey the sweep-spec rules");
     println!("  sim list                            list Table 3 benchmarks");
     println!("  sim table3                          regenerate Table 3");
     println!("  sim fig <3|5|10|11|12|13|14|15|16|a2|decoder> [--full]");
@@ -286,14 +283,13 @@ fn write_trace(circuit: &Circuit, config: &SimConfig, out: &Path) -> Result<(), 
         recorder.dropped(),
         out.display()
     );
-    let totals = recorder.phase_totals_ns();
     let ms = |ns: u64| ns as f64 / 1e6;
     println!(
         "  phase wall-clock: schedule {:.1}ms, start {:.1}ms, propose {:.1}ms, commit {:.1}ms",
-        ms(totals[0]),
-        ms(totals[1]),
-        ms(totals[2]),
-        ms(totals[3]),
+        ms(report.phase_nanos[0]),
+        ms(report.phase_nanos[1]),
+        ms(report.phase_nanos[2]),
+        ms(report.phase_nanos[3]),
     );
     println!(
         "  stall attribution: ancilla {}cy, decoder {}cy, route {}cy, class {}cy",
@@ -466,8 +462,7 @@ fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: sim bench <name> [--seeds N] [--compression F] [--distance D] \
                          [--csv DIR] [--decoder KIND] [--decoder-throughput F] \
-                         [--decoder-workers N] [--decoder-prep] [--priority-classes SPEC] \
-                         | sim bench --baseline FILE | sim bench --compare BASE.json NEW.json";
+                         [--decoder-workers N] [--decoder-prep] [--priority-classes SPEC]";
     flags::positionals(
         args,
         &[
@@ -479,163 +474,56 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "--decoder-throughput",
             "--decoder-workers",
             "--priority-classes",
-            "--baseline",
-            "--warn-pct",
-            "--fail-pct",
         ],
-        &["--decoder-prep", "--compare"],
+        &["--decoder-prep"],
         USAGE,
     )?;
-    if args.iter().any(|a| a == "--compare") {
-        return cmd_bench_compare(args);
-    }
-    let name = args.first().filter(|a| !a.starts_with("--"));
-    if let Some(out) = flag_value(args, "--baseline") {
-        return cmd_bench_baseline(args, name, &PathBuf::from(out));
-    }
-    let name = name.ok_or(USAGE)?;
-    let mut config = SimConfig::default();
-    let mut seeds = 10;
+    let name = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
+    // The flags fill a one-workload spec with one point per scheduler, so
+    // they meet the same `validate` rules as a spec file.
+    let mut spec = SweepSpec {
+        workloads: vec![name.clone()],
+        schedulers: SchedulerKind::ALL.to_vec(),
+        seeds: 10,
+        decode_prep: args.iter().any(|a| a == "--decoder-prep"),
+        ..SweepSpec::default()
+    };
     if let Some(s) = flag_value(args, "--seeds") {
-        seeds = s.parse().map_err(|_| "bad --seeds")?;
+        spec.seeds = s.parse().map_err(|_| "bad --seeds")?;
     }
     if let Some(c) = flag_value(args, "--compression") {
-        config.compression = c.parse().map_err(|_| "bad --compression")?;
+        spec.compressions = vec![c.parse().map_err(|_| "bad --compression")?];
     }
     if let Some(d) = flag_value(args, "--distance") {
-        config.distance = d.parse().map_err(|_| "bad --distance")?;
+        spec.distances = vec![d.parse().map_err(|_| "bad --distance")?];
     }
+    let mut decoder = SimConfig::default().decoder;
     if let Some(d) = flag_value(args, "--decoder") {
-        config.decoder.kind = d.parse().map_err(|e: String| e)?;
+        decoder.kind = d.parse().map_err(|e: String| e)?;
     }
     if let Some(t) = flag_value(args, "--decoder-throughput") {
-        config.decoder.throughput = t.parse().map_err(|_| "bad --decoder-throughput")?;
+        decoder.throughput = t.parse().map_err(|_| "bad --decoder-throughput")?;
     }
     if let Some(w) = flag_value(args, "--decoder-workers") {
-        config.decoder.workers = w.parse().map_err(|_| "bad --decoder-workers")?;
+        decoder.workers = w.parse().map_err(|_| "bad --decoder-workers")?;
     }
-    if args.iter().any(|a| a == "--decoder-prep") {
-        config.decoder.decode_prep = true;
+    spec.decoders = vec![decoder.into()];
+    if let Some(p) = flag_value(args, "--priority-classes") {
+        spec.priority = vec![rescq_core::ClassLattice::parse_setting(&p)?];
     }
-    apply_priority_flag(args, &mut config)?;
+    spec.validate().map_err(|e| e.message)?;
     let csv = flag_value(args, "--csv").map(PathBuf::from);
-    let circuit = load_circuit(name, 1)?;
-    for sched in SchedulerKind::ALL {
-        config.scheduler = sched;
-        run_point(name, &circuit, &config, 1, seeds, csv.as_deref())?;
-    }
-    Ok(())
-}
-
-/// Records a schema-versioned perf baseline (`BENCH_*.json`): wall-clock
-/// per run, cycles per wall-second, and the traced per-phase breakdown,
-/// averaged over seeds. With no positional benchmark, the standard perf
-/// suite runs: `ising_n420` (uncompressed) + `factory_n12` at 25%
-/// compression, both under the RESCQ scheduler.
-fn cmd_bench_baseline(args: &[String], name: Option<&String>, out: &Path) -> Result<(), String> {
-    use rescq_telemetry::{PerfBaseline, PerfEntry, RingRecorder};
-    use std::time::Instant;
-    let seeds: u32 = match flag_value(args, "--seeds") {
-        Some(s) => s.parse().map_err(|_| "bad --seeds")?,
-        None => 2,
-    };
-    let suite: Vec<(String, f64)> = match name {
-        Some(n) => {
-            let comp = match flag_value(args, "--compression") {
-                Some(c) => c.parse().map_err(|_| "bad --compression")?,
-                None => 0.0,
-            };
-            vec![(n.clone(), comp)]
-        }
-        None => vec![("ising_n420".into(), 0.0), ("factory_n12".into(), 0.25)],
-    };
-    let mut baseline = PerfBaseline::new();
-    for (bench, compression) in suite {
-        let circuit = load_circuit(&bench, 1)?;
-        let mut config = SimConfig::builder().compression(compression).build();
-        let artifacts = rescq_sim::SimArtifacts::prepare(std::sync::Arc::new(circuit), &config)
-            .map_err(|e| e.to_string())?;
-        let mut wall_ns = 0u64;
-        let mut cycles = 0.0f64;
-        let mut phase_ns = [0u64; 4];
-        for s in 0..seeds {
-            config.seed = 1 + s as u64;
-            // A small ring suffices: the phase histograms and totals
-            // accumulate outside the ring, and the events themselves are
-            // discarded here.
-            let recorder = RingRecorder::with_capacity(1024);
-            let t0 = Instant::now();
-            let report = rescq_sim::simulate_prepared_traced(&artifacts, &config, Some(&recorder))
-                .map_err(|e| e.to_string())?;
-            wall_ns += t0.elapsed().as_nanos() as u64;
-            cycles += report.total_cycles();
-            for (acc, ns) in phase_ns.iter_mut().zip(report.phase_nanos) {
-                *acc += ns;
-            }
-        }
-        let n = seeds.max(1) as f64;
-        let wall_ms = wall_ns as f64 / 1e6 / n;
-        let total_cycles = cycles / n;
-        let entry = PerfEntry {
-            name: bench.clone(),
-            scheduler: "rescq".into(),
-            seeds,
-            total_cycles,
-            wall_ms,
-            cycles_per_sec: if wall_ms > 0.0 {
-                total_cycles / (wall_ms / 1000.0)
-            } else {
-                0.0
-            },
-            phase_ms: phase_ns.map(|ns| ns as f64 / 1e6 / n),
-        };
-        println!(
-            "bench {bench}: {:.1} ms/run, {:.0} cycles, {:.0} cycles/s",
-            entry.wall_ms, entry.total_cycles, entry.cycles_per_sec
-        );
-        baseline.entries.push(entry);
-    }
-    std::fs::write(out, baseline.to_json()).map_err(|e| format!("{}: {e}", out.display()))?;
-    println!("perf baseline written to {}", out.display());
-    Ok(())
-}
-
-/// Diffs two recorded perf baselines; exits non-zero when any entry is
-/// slower than the fail threshold. CI's `perf-baseline` job drives this.
-fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
-    use rescq_telemetry::{compare, delta_table, DeltaLevel, PerfBaseline};
-    const USAGE: &str =
-        "usage: sim bench --compare BASE.json NEW.json [--warn-pct P] [--fail-pct P]";
-    let i = args
-        .iter()
-        .position(|a| a == "--compare")
-        .expect("caller checked");
-    let (Some(base_path), Some(new_path)) = (args.get(i + 1), args.get(i + 2)) else {
-        return Err(USAGE.into());
-    };
-    let warn_pct: f64 = match flag_value(args, "--warn-pct") {
-        Some(p) => p.parse().map_err(|_| "bad --warn-pct")?,
-        None => 10.0,
-    };
-    let fail_pct: f64 = match flag_value(args, "--fail-pct") {
-        Some(p) => p.parse().map_err(|_| "bad --fail-pct")?,
-        None => 25.0,
-    };
-    let load = |p: &String| -> Result<PerfBaseline, String> {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
-        PerfBaseline::parse(&text).map_err(|e| format!("{p}: {e}"))
-    };
-    let base = load(base_path)?;
-    let new = load(new_path)?;
-    let deltas = compare(&base, &new, warn_pct, fail_pct);
-    if deltas.is_empty() {
-        return Err("no matching entries between the two baselines".into());
-    }
-    print!("{}", delta_table(&deltas));
-    if deltas.iter().any(|d| d.level == DeltaLevel::Fail) {
-        return Err(format!(
-            "perf regression above the {fail_pct:.0}% fail threshold"
-        ));
+    let circuit = load_circuit(name, spec.circuit_seed)?;
+    // Seeds are innermost, so every `seeds`-th job is a point's first.
+    for job in spec.expand().iter().step_by(spec.seeds as usize) {
+        run_point(
+            name,
+            &circuit,
+            &job.config,
+            spec.base_seed,
+            spec.seeds,
+            csv.as_deref(),
+        )?;
     }
     Ok(())
 }

@@ -25,12 +25,14 @@ impl SweepSummary {
         self.reports.iter().map(|r| r.total_cycles()).sum::<f64>() / self.reports.len() as f64
     }
 
-    /// Minimum total cycles (error-bar low).
+    /// Minimum total cycles (error-bar low; 0 for an empty sweep, like
+    /// the mean and the max).
     pub fn min_cycles(&self) -> f64 {
         self.reports
             .iter()
             .map(|r| r.total_cycles())
-            .fold(f64::INFINITY, f64::min)
+            .reduce(f64::min)
+            .unwrap_or(0.0)
     }
 
     /// Maximum total cycles (error-bar high).
@@ -168,6 +170,18 @@ mod tests {
         assert_eq!(seeds, vec![100, 101, 102, 103]);
         assert!(s.min_cycles() <= s.mean_cycles());
         assert!(s.mean_cycles() <= s.max_cycles());
+    }
+
+    #[test]
+    fn empty_sweep_statistics_are_zero() {
+        let s = SweepSummary {
+            reports: Vec::new(),
+        };
+        assert_eq!(
+            (s.min_cycles(), s.mean_cycles(), s.max_cycles()),
+            (0.0, 0.0, 0.0)
+        );
+        assert_eq!(s.to_string(), "0 runs: mean 0 cycles (min 0, max 0)");
     }
 
     #[test]

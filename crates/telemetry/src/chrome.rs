@@ -9,9 +9,9 @@
 //! harness) so Perfetto renders one track per subsystem.
 //!
 //! The module also carries a [mini JSON parser](parse_json) (the crate
-//! is dependency-free) used by [`validate_trace`] and the perf-baseline
-//! reader, plus [`normalize_timestamps`] for golden-pinning traces in
-//! tests.
+//! is dependency-free) used by [`validate_trace`], the trace analytics
+//! and the metrics-snapshot reader, plus [`normalize_timestamps`] for
+//! golden-pinning traces in tests.
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 

@@ -1,9 +1,9 @@
 //! # rescq-telemetry
 //!
 //! Zero-dependency instrumentation for the RESCQ reproduction: a
-//! [`Recorder`] sink trait, a bounded in-memory [`RingRecorder`] with
-//! per-phase wall-clock histograms, Chrome trace-event export
-//! ([`chrome`]), schema-versioned perf baselines ([`perf`]), and the
+//! [`Recorder`] sink trait, a bounded in-memory [`RingRecorder`],
+//! Chrome trace-event export ([`chrome`]), trace analytics
+//! ([`analyze`]), versioned metrics snapshots ([`snapshot`]), and the
 //! sweep progress heartbeat ([`progress`]).
 //!
 //! ## Determinism contract
@@ -15,7 +15,8 @@
 //! locking, no timing calls. With a recorder attached, every recorded
 //! quantity that feeds back into reports is derived from simulation
 //! time (rounds/cycles), never wall-clock; wall-clock lives only in the
-//! trace, the phase histograms, and perf baselines. Schedules and
+//! trace's timestamps and `PhaseSpan` durations (which the engine also
+//! sums into its report's per-phase nanoseconds). Schedules and
 //! reports are therefore byte-identical with tracing on or off
 //! (property `tracing_is_inert`).
 //!
@@ -37,15 +38,11 @@
 
 pub mod analyze;
 pub mod chrome;
-pub mod perf;
 pub mod progress;
 pub mod snapshot;
 
 pub use analyze::{analyze_events, parse_trace, AnalyzeReport, AncillaUtil, ParsedTrace, PathLink};
 pub use chrome::{normalize_timestamps, validate_trace, TraceStats};
-pub use perf::{
-    compare, delta_table, DeltaLevel, PerfBaseline, PerfDelta, PerfEntry, PERF_SCHEMA_VERSION,
-};
 pub use progress::{progress_line, Heartbeat};
 pub use snapshot::{HistogramSummary, MetricsSnapshot, METRICS_SCHEMA_VERSION};
 
@@ -280,118 +277,6 @@ pub trait Recorder: Send + Sync + std::fmt::Debug {
     fn record(&self, ev: Event);
 }
 
-/// Power-of-two-bucketed nanosecond histogram (for phase wall-clock
-/// timing). Bucket `i` holds samples in `[2^(i−1), 2^i)` ns.
-#[derive(Debug, Clone)]
-pub struct NsHistogram {
-    counts: [u64; 48],
-    count: u64,
-    total_ns: u64,
-}
-
-impl Default for NsHistogram {
-    fn default() -> Self {
-        NsHistogram {
-            counts: [0; 48],
-            count: 0,
-            total_ns: 0,
-        }
-    }
-}
-
-impl NsHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket(ns: u64) -> usize {
-        if ns == 0 {
-            0
-        } else {
-            (64 - ns.leading_zeros() as usize).min(47)
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, ns: u64) {
-        self.counts[Self::bucket(ns)] += 1;
-        self.count += 1;
-        self.total_ns += ns;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns
-    }
-
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Estimates the `q`-quantile (`q` in `[0, 1]`) by linear
-    /// interpolation inside the power-of-two bucket holding the
-    /// target rank. Exact for samples that are 0; otherwise accurate
-    /// to within the bucket (a factor of 2). Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // Nearest-rank target in 1..=count, then interpolate within
-        // the bucket that rank falls in.
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).max(1.0);
-        let mut cum = 0u64;
-        for (i, &n) in self.counts.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let next = cum + n;
-            if (next as f64) >= target {
-                if i == 0 {
-                    return 0; // bucket 0 holds exactly the value 0
-                }
-                let lo = 1u64 << (i - 1);
-                let hi = 1u64 << i;
-                let frac = (target - cum as f64) / n as f64;
-                return lo + ((hi - lo) as f64 * frac) as u64;
-            }
-            cum = next;
-        }
-        // Unreachable when counts are consistent; fall back to the
-        // top bucket's lower bound.
-        1u64 << 46
-    }
-
-    /// Adds every sample of `other` into `self` (bucket-wise; exact
-    /// for counts and totals, bucket-resolution for quantiles).
-    pub fn merge(&mut self, other: &NsHistogram) {
-        for (slot, &n) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *slot += n;
-        }
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-    }
-
-    /// Iterates the non-empty buckets as `(upper_bound_ns, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (if i == 0 { 0 } else { 1u64 << i }, n))
-    }
-}
-
 /// One event plus the wall-clock instant (nanoseconds since the
 /// recorder's creation) it was recorded at.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -406,13 +291,11 @@ pub struct TimedEvent {
 struct RingInner {
     events: VecDeque<TimedEvent>,
     dropped: u64,
-    phase_hist: [NsHistogram; 4],
 }
 
-/// A bounded in-memory [`Recorder`]: a ring buffer of [`TimedEvent`]s
-/// plus per-phase wall-clock histograms. When the ring is full the
-/// oldest events are dropped (and counted), so memory use is constant
-/// no matter how long the run.
+/// A bounded in-memory [`Recorder`]: a ring buffer of [`TimedEvent`]s.
+/// When the ring is full the oldest events are dropped (and counted), so
+/// memory use is constant no matter how long the run.
 #[derive(Debug)]
 pub struct RingRecorder {
     capacity: usize,
@@ -443,7 +326,6 @@ impl RingRecorder {
             inner: Mutex::new(RingInner {
                 events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
                 dropped: 0,
-                phase_hist: Default::default(),
             }),
         }
     }
@@ -472,22 +354,6 @@ impl RingRecorder {
         self.lock().events.iter().copied().collect()
     }
 
-    /// Per-phase wall-clock histograms, indexed by [`Phase::index`].
-    pub fn phase_histograms(&self) -> [NsHistogram; 4] {
-        self.lock().phase_hist.clone()
-    }
-
-    /// Total wall-clock nanoseconds per phase, indexed by
-    /// [`Phase::index`].
-    pub fn phase_totals_ns(&self) -> [u64; 4] {
-        let inner = self.lock();
-        let mut out = [0u64; 4];
-        for (slot, h) in out.iter_mut().zip(inner.phase_hist.iter()) {
-            *slot = h.total_ns();
-        }
-        out
-    }
-
     /// Renders the buffered events as a Chrome trace-event JSON
     /// document (`chrome://tracing` / Perfetto loadable).
     pub fn to_chrome_trace(&self) -> String {
@@ -501,9 +367,6 @@ impl Recorder for RingRecorder {
     fn record(&self, ev: Event) {
         let at_ns = self.epoch.elapsed().as_nanos() as u64;
         let mut inner = self.lock();
-        if let Event::PhaseSpan { phase, dur_ns, .. } = ev {
-            inner.phase_hist[phase.index()].record(dur_ns);
-        }
         if inner.events.len() == self.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
@@ -529,74 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_means() {
-        let mut h = NsHistogram::new();
-        for ns in [0, 1, 2, 3, 1000, 1_000_000] {
-            h.record(ns);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.total_ns(), 1_001_006);
-        assert!((h.mean_ns() - 1_001_006.0 / 6.0).abs() < 1e-9);
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        assert!(buckets.iter().map(|&(_, n)| n).sum::<u64>() == 6);
-        // 2 and 3 land in the same power-of-two bucket [2, 4).
-        assert!(buckets.iter().any(|&(ub, n)| ub == 4 && n == 2));
-    }
-
-    #[test]
-    fn quantiles_bracket_exact_small_samples() {
-        // All-zero samples: every quantile is exactly 0.
-        let mut zeros = NsHistogram::new();
-        for _ in 0..5 {
-            zeros.record(0);
-        }
-        assert_eq!(zeros.quantile(0.5), 0);
-        assert_eq!(zeros.quantile(0.99), 0);
-
-        // Exact sample set; the estimate must land in the same
-        // power-of-two bucket as the exact nearest-rank quantile.
-        let samples: [u64; 8] = [10, 20, 30, 40, 100, 200, 1000, 4000];
-        let mut h = NsHistogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        for (q, exact) in [(0.5, 40u64), (0.99, 4000u64), (0.0, 10u64)] {
-            let est = h.quantile(q);
-            let (lo, hi) = (exact.next_power_of_two() / 2, exact.next_power_of_two());
-            assert!(
-                est >= lo && est <= hi,
-                "q={q}: est {est} outside bucket [{lo}, {hi}] of exact {exact}"
-            );
-        }
-        // Monotone in q.
-        assert!(h.quantile(0.99) >= h.quantile(0.5));
-        assert!(h.quantile(0.5) >= h.quantile(0.1));
-        assert_eq!(NsHistogram::new().quantile(0.5), 0);
-    }
-
-    #[test]
-    fn merge_is_equivalent_to_recording_everything() {
-        let (mut a, mut b, mut all) = (NsHistogram::new(), NsHistogram::new(), NsHistogram::new());
-        for ns in [0u64, 3, 70, 900] {
-            a.record(ns);
-            all.record(ns);
-        }
-        for ns in [5u64, 60_000, 1_000_000] {
-            b.record(ns);
-            all.record(ns);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.total_ns(), all.total_ns());
-        assert_eq!(a.quantile(0.5), all.quantile(0.5));
-        assert_eq!(a.quantile(0.99), all.quantile(0.99));
-        assert_eq!(
-            a.nonzero_buckets().collect::<Vec<_>>(),
-            all.nonzero_buckets().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn ring_drops_oldest_when_full() {
         let rec = RingRecorder::with_capacity(2);
         for round in 0..5 {
@@ -611,25 +406,6 @@ mod tests {
         let evs = rec.events();
         assert!(matches!(evs[0].event, Event::Stall { round: 3, .. }));
         assert!(matches!(evs[1].event, Event::Stall { round: 4, .. }));
-    }
-
-    #[test]
-    fn phase_spans_feed_the_histograms() {
-        let rec = RingRecorder::new();
-        rec.record(Event::PhaseSpan {
-            phase: Phase::Commit,
-            round: 1,
-            dur_ns: 500,
-        });
-        rec.record(Event::PhaseSpan {
-            phase: Phase::Commit,
-            round: 2,
-            dur_ns: 1500,
-        });
-        let totals = rec.phase_totals_ns();
-        assert_eq!(totals[Phase::Commit.index()], 2000);
-        assert_eq!(totals[Phase::Schedule.index()], 0);
-        assert_eq!(rec.phase_histograms()[Phase::Commit.index()].count(), 2);
     }
 
     #[test]

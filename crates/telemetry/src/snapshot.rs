@@ -14,7 +14,7 @@
 //!
 //! The text exposition (`to_text`) is a stable `kind name value` line
 //! format; `to_json` / `parse` round-trip through the crate's mini
-//! JSON parser like the perf baselines do.
+//! JSON parser ([`crate::chrome::parse_json`]).
 
 use crate::chrome::{parse_json, Json};
 use std::fmt::Write as _;

@@ -14,7 +14,7 @@
 //! - [`decoder`] — realtime classical-decoder models and back-pressure
 //! - [`sim`] — cycle-accurate engine, metrics, multi-seed runner
 //! - [`harness`] — parallel sweep orchestration with shared artifact caching
-//! - [`telemetry`] — cycle-level tracing, stall attribution, perf baselines
+//! - [`telemetry`] — cycle-level tracing, stall attribution, trace analytics
 //!
 //! # Example
 //!

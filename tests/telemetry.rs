@@ -17,7 +17,8 @@ use rescq_repro::sim::{
     metrics_snapshot, reports_csv_row, simulate_traced, SimConfig, REPORTS_CSV_HEADER,
 };
 use rescq_repro::telemetry::{
-    analyze_events, normalize_timestamps, parse_trace, validate_trace, AnalyzeReport, RingRecorder,
+    analyze_events, normalize_timestamps, parse_trace, validate_trace, AnalyzeReport, Event,
+    RingRecorder,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -68,7 +69,9 @@ fn arb_circuit(rng: &mut ChaCha8Rng) -> Circuit {
 /// and decode-work columns, which are computed whether or not anyone is
 /// recording. The union-find rows matter most: the decoder samples its
 /// own error stream and reports real cluster-growth work, all of which
-/// must be a function of the schedule alone.
+/// must be a function of the schedule alone. The one wall-clock field,
+/// `phase_nanos`, must be the sum of the recorded phase spans traced and
+/// zero untraced.
 #[test]
 fn tracing_is_inert() {
     for_each_case("tracing_is_inert", |rng| {
@@ -83,10 +86,22 @@ fn tracing_is_inert() {
             let untraced = simulate_traced(&circuit, &config, None).unwrap();
             let recorder = RingRecorder::new();
             let traced = simulate_traced(&circuit, &config, Some(&recorder)).unwrap();
+            let events = recorder.events();
             assert!(
-                !recorder.events().is_empty(),
-                "a traced realtime run must record events"
+                !events.is_empty() && recorder.dropped() == 0,
+                "a traced realtime run must record every event"
             );
+            // Phase wall-clock is the one recorded quantity that is not
+            // schedule-derived: the report's per-phase nanoseconds are
+            // exactly the sums of the recorded spans, and zero untraced.
+            let mut span_ns = [0u64; 4];
+            for t in &events {
+                if let Event::PhaseSpan { phase, dur_ns, .. } = t.event {
+                    span_ns[phase.index()] += dur_ns;
+                }
+            }
+            assert_eq!(span_ns, traced.phase_nanos, "decoder={decoder}");
+            assert_eq!(untraced.phase_nanos, [0; 4], "decoder={decoder}");
             assert_eq!(
                 reports_csv_row(&untraced),
                 reports_csv_row(&traced),
