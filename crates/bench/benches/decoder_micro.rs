@@ -1,9 +1,9 @@
-//! Decoder-subsystem micro-benchmark: raw model submission throughput and
-//! the full runtime submit/retire cycle, for each decoder kind.
+//! Decoder-subsystem micro-benchmark: raw submission throughput of the
+//! latency models and the full runtime submit/retire cycle.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescq_decoder::{
-    AdaptiveDecoder, DecoderConfig, DecoderModel, DecoderRuntime, FixedLatencyDecoder, IdealDecoder,
+    DecoderConfig, DecoderModel, DecoderRuntime, FixedLatencyDecoder, IdealDecoder,
 };
 
 const WINDOWS: u32 = 1024;
@@ -26,13 +26,9 @@ fn benches(c: &mut Criterion) {
         b.iter(|| drive_model(&mut FixedLatencyDecoder::new(&DecoderConfig::fixed(0.5))))
     });
 
-    c.bench_function("model_adaptive_1k_windows", |b| {
-        b.iter(|| drive_model(&mut AdaptiveDecoder::new(&DecoderConfig::adaptive(0.5, 4))))
-    });
-
     c.bench_function("runtime_submit_retire_1k_windows", |b| {
         b.iter(|| {
-            let mut rt = DecoderRuntime::new(&DecoderConfig::adaptive(0.5, 4), 7);
+            let mut rt = DecoderRuntime::new(&DecoderConfig::fixed(0.5), 7);
             let mut consumed = 0u64;
             for i in 0..WINDOWS {
                 let (id, ready) = rt.submit(i % TILES, 14, (i as u64) * 2);

@@ -75,8 +75,8 @@ fn print_usage() {
     println!("  sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...> [--json FILE]");
     println!("            [--allow-missing]         merge shard checkpoints into one CSV/JSON");
     println!("  sim bench <name> [--seeds N] [--compression F] [--distance D] [--csv DIR]");
-    println!("            [--decoder ideal|fixed|adaptive|union_find] [--decoder-throughput F]");
-    println!("            [--decoder-workers N] [--decoder-prep]");
+    println!("            [--decoder ideal|fixed|union_find] [--decoder-throughput F]");
+    println!("            [--decoder-prep]");
     println!("            [--priority-classes SPEC]  class-aware ledger arbitration");
     println!("                                      one benchmark under all three schedulers;");
     println!("                                   values obey the sweep-spec rules");
@@ -462,7 +462,7 @@ fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: sim bench <name> [--seeds N] [--compression F] [--distance D] \
                          [--csv DIR] [--decoder KIND] [--decoder-throughput F] \
-                         [--decoder-workers N] [--decoder-prep] [--priority-classes SPEC]";
+                         [--decoder-prep] [--priority-classes SPEC]";
     flags::positionals(
         args,
         &[
@@ -472,7 +472,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "--csv",
             "--decoder",
             "--decoder-throughput",
-            "--decoder-workers",
             "--priority-classes",
         ],
         &["--decoder-prep"],
@@ -503,9 +502,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
     if let Some(t) = flag_value(args, "--decoder-throughput") {
         decoder.throughput = t.parse().map_err(|_| "bad --decoder-throughput")?;
-    }
-    if let Some(w) = flag_value(args, "--decoder-workers") {
-        decoder.workers = w.parse().map_err(|_| "bad --decoder-workers")?;
     }
     spec.decoders = vec![decoder.into()];
     if let Some(p) = flag_value(args, "--priority-classes") {

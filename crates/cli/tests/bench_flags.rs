@@ -25,6 +25,12 @@ fn invalid_flags_are_rejected_by_key() {
         ),
         (&["--seeds", "0"], "seeds"),
         (&["--baseline", "x.json"], "unknown flag `--baseline`"),
+        (&["--decoder", "adaptive"], "unknown decoder `adaptive`"),
+        (&["--decoder", "triage"], "unknown decoder `triage`"),
+        (
+            &["--decoder-workers", "4"],
+            "unknown flag `--decoder-workers`",
+        ),
     ] {
         let out = sim_bench(flags);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,4 +1,4 @@
-//! The decode backlog: in-flight syndrome windows, tracked per tile.
+//! The decode backlog: every in-flight syndrome window.
 
 use std::collections::BTreeMap;
 
@@ -22,12 +22,11 @@ pub struct SyndromeWindow {
     pub ready_at: u64,
 }
 
-/// Tracks every in-flight syndrome window, per tile, and enforces the
+/// Tracks every in-flight syndrome window and enforces the
 /// conservation invariant `enqueued == decoded + in_flight`.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeBacklog {
     in_flight: BTreeMap<u64, SyndromeWindow>,
-    per_tile: BTreeMap<u32, u64>,
     enqueued: u64,
     decoded: u64,
     next_id: u64,
@@ -44,7 +43,6 @@ impl DecodeBacklog {
         let id = WindowId(self.next_id);
         self.next_id += 1;
         self.enqueued += 1;
-        *self.per_tile.entry(tile).or_insert(0) += 1;
         self.in_flight.insert(
             id.0,
             SyndromeWindow {
@@ -70,11 +68,6 @@ impl DecodeBacklog {
             .remove(&id.0)
             .expect("retired window must be in flight");
         self.decoded += 1;
-        let n = self.per_tile.get_mut(&w.tile).expect("tile tracked");
-        *n -= 1;
-        if *n == 0 {
-            self.per_tile.remove(&w.tile);
-        }
         w
     }
 
@@ -86,11 +79,6 @@ impl DecodeBacklog {
     /// Number of windows currently in flight.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// Number of windows in flight for one tile.
-    pub fn in_flight_for_tile(&self, tile: u32) -> u64 {
-        self.per_tile.get(&tile).copied().unwrap_or(0)
     }
 
     /// Total windows ever enqueued.
@@ -120,12 +108,11 @@ mod tests {
         let c = b.enqueue(1, 7, 11, 20);
         let d = b.enqueue(0, 14, 12, 30);
         assert_eq!(b.in_flight(), 3);
-        assert_eq!(b.in_flight_for_tile(0), 2);
         assert!(b.is_conserved());
-        b.retire(a);
-        b.retire(d);
-        assert_eq!(b.in_flight_for_tile(0), 0);
-        assert_eq!(b.in_flight_for_tile(1), 1);
+        assert_eq!(b.retire(a).tile, 0);
+        assert_eq!(b.retire(d).rounds, 14);
+        assert_eq!(b.in_flight(), 1);
+        assert_eq!(b.get(c).map(|w| w.tile), Some(1));
         assert!(b.is_conserved());
         b.retire(c);
         assert_eq!(b.total_enqueued(), 3);

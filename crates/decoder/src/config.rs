@@ -14,10 +14,6 @@ pub enum DecoderKind {
     /// Union-find-style decoder with a constant reaction latency plus a
     /// per-syndrome-round cost, one sequential decode pipeline per tile.
     Fixed,
-    /// Triage-style adaptive parallel-window decoder: `W` workers drain a
-    /// bounded syndrome ring buffer, with throughput scaling up as the ring
-    /// fills (occupancy-adaptive window batching).
-    Adaptive,
     /// A real union-find syndrome decoder: every window samples a seeded
     /// error configuration on the tile's detector graph, decodes it with
     /// DSU cluster growth + peeling, and reports a latency derived from the
@@ -30,7 +26,6 @@ impl fmt::Display for DecoderKind {
         f.write_str(match self {
             DecoderKind::Ideal => "ideal",
             DecoderKind::Fixed => "fixed",
-            DecoderKind::Adaptive => "adaptive",
             DecoderKind::UnionFind => "union_find",
         })
     }
@@ -43,14 +38,17 @@ impl FromStr for DecoderKind {
         match s.to_ascii_lowercase().as_str() {
             "ideal" | "none" => Ok(DecoderKind::Ideal),
             "fixed" => Ok(DecoderKind::Fixed),
-            "adaptive" | "triage" => Ok(DecoderKind::Adaptive),
             "union_find" | "union-find" | "uf" => Ok(DecoderKind::UnionFind),
             other => Err(format!(
-                "unknown decoder `{other}` (expected ideal | fixed | adaptive | union_find)"
+                "unknown decoder `{other}` (expected ideal | fixed | union_find)"
             )),
         }
     }
 }
+
+/// Constant reaction latency in rounds that the `fixed` and `union_find`
+/// models add to every window on top of its decode cost.
+pub(crate) const BASE_LATENCY: u64 = 1;
 
 /// Full decoder configuration.
 ///
@@ -60,18 +58,11 @@ impl FromStr for DecoderKind {
 pub struct DecoderConfig {
     /// Which model to use.
     pub kind: DecoderKind,
-    /// Syndrome rounds decoded per wall-clock measurement round
-    /// (`fixed`/`adaptive`). Values below 1 mean the decoder cannot keep up
-    /// with the substrate and backlog grows on dense windows.
+    /// Syndrome rounds (`fixed`) or decode work units (`union_find`)
+    /// cleared per wall-clock measurement round. Values below 1 syndrome
+    /// round per round mean the decoder cannot keep up with the substrate
+    /// and backlog grows on dense windows.
     pub throughput: f64,
-    /// Constant reaction latency in rounds added to every window
-    /// (`fixed`/`adaptive`).
-    pub base_latency: u64,
-    /// Number of parallel decode workers (`adaptive` only).
-    pub workers: usize,
-    /// Capacity of the bounded syndrome ring buffer (`adaptive` only).
-    /// Submissions past capacity stall until a worker frees a slot.
-    pub ring_capacity: usize,
     /// Route `|mθ⟩` preparation-verification outcomes through the decoder
     /// too (in hardware the verification is itself a decoded measurement).
     /// Off by default so existing runs stay bit-identical; when on, every
@@ -85,9 +76,6 @@ impl Default for DecoderConfig {
         DecoderConfig {
             kind: DecoderKind::Ideal,
             throughput: 1.0,
-            base_latency: 1,
-            workers: 4,
-            ring_capacity: 64,
             decode_prep: false,
         }
     }
@@ -105,16 +93,6 @@ impl DecoderConfig {
         DecoderConfig {
             kind: DecoderKind::Fixed,
             throughput,
-            ..DecoderConfig::default()
-        }
-    }
-
-    /// A Triage-style adaptive decoder with `workers` parallel workers.
-    pub fn adaptive(throughput: f64, workers: usize) -> Self {
-        DecoderConfig {
-            kind: DecoderKind::Adaptive,
-            throughput,
-            workers: workers.max(1),
             ..DecoderConfig::default()
         }
     }
@@ -142,23 +120,10 @@ impl fmt::Display for DecoderConfig {
         match self.kind {
             DecoderKind::Ideal => write!(f, "ideal")?,
             DecoderKind::Fixed => {
-                write!(
-                    f,
-                    "fixed(tp={}, base={})",
-                    self.throughput, self.base_latency
-                )?;
+                write!(f, "fixed(tp={}, base={BASE_LATENCY})", self.throughput)?;
             }
-            DecoderKind::Adaptive => write!(
-                f,
-                "adaptive(tp={}, base={}, W={}, ring={})",
-                self.throughput, self.base_latency, self.workers, self.ring_capacity
-            )?,
             DecoderKind::UnionFind => {
-                write!(
-                    f,
-                    "union_find(tp={}, base={})",
-                    self.throughput, self.base_latency
-                )?;
+                write!(f, "union_find(tp={}, base={BASE_LATENCY})", self.throughput)?;
             }
         }
         if self.decode_prep {
@@ -195,11 +160,9 @@ mod tests {
             "union-find".parse::<DecoderKind>().unwrap(),
             DecoderKind::UnionFind
         );
-        assert_eq!(
-            "TRIAGE".parse::<DecoderKind>().unwrap(),
-            DecoderKind::Adaptive
-        );
-        assert!("warp".parse::<DecoderKind>().is_err());
+        for unknown in ["warp", "adaptive"] {
+            assert!(unknown.parse::<DecoderKind>().is_err(), "{unknown}");
+        }
     }
 
     #[test]
@@ -207,7 +170,6 @@ mod tests {
         for k in [
             DecoderKind::Ideal,
             DecoderKind::Fixed,
-            DecoderKind::Adaptive,
             DecoderKind::UnionFind,
         ] {
             assert_eq!(k.to_string().parse::<DecoderKind>().unwrap(), k);

@@ -8,7 +8,7 @@
 //! first-class subsystem the simulation engines consult before committing
 //! feed-forward decisions.
 //!
-//! Four [`DecoderModel`] implementations are provided:
+//! Three [`DecoderModel`] implementations are provided:
 //!
 //! - [`IdealDecoder`] — zero latency; reproduces the original RESCQ results
 //!   bit for bit (the default everywhere);
@@ -16,10 +16,6 @@
 //!   latency plus a per-round decode cost, one sequential pipeline per tile
 //!   (backlog accumulates when throughput < 1 syndrome round per wall-clock
 //!   round);
-//! - [`AdaptiveDecoder`] — a Triage-style adaptive parallel-window decoder:
-//!   `W` workers drain a bounded syndrome ring buffer, and decode throughput
-//!   scales with ring occupancy (the fuller the ring, the larger the batched
-//!   decode windows and the better the amortized cost);
 //! - [`UnionFindDecoder`] — a *real* union-find syndrome decoder: every
 //!   window samples a seeded error configuration on the tile's
 //!   [`DetectorGraph`] at the channel's physical error rate, decodes it
@@ -28,7 +24,7 @@
 //!   decode actually performed. Decode latency thereby *emerges* from `p`
 //!   and `d` instead of being assumed.
 //!
-//! The [`DecodeBacklog`] tracks in-flight windows per tile, and
+//! The [`DecodeBacklog`] tracks in-flight windows, and
 //! [`DecoderRuntime`] wraps a model + backlog + statistics behind the
 //! interface the engines consume: [`DecoderRuntime::submit`] returns the
 //! round at which a window's decode result becomes visible, and
@@ -78,7 +74,7 @@ pub use config::{DecoderConfig, DecoderKind};
 pub use dsu::ClusterDsu;
 pub use exact::{min_weight_correction, MAX_EXACT_DEFECTS};
 pub use graph::DetectorGraph;
-pub use models::{AdaptiveDecoder, DecoderModel, FixedLatencyDecoder, IdealDecoder};
+pub use models::{DecoderModel, FixedLatencyDecoder, IdealDecoder};
 pub use pauli_frame::PauliFrame;
 pub use runtime::{DecoderRuntime, DecoderStats};
 pub use syndrome::SyndromeBits;

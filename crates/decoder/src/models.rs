@@ -1,10 +1,10 @@
-//! The decoder models: ideal, fixed-latency union-find-style, and the
-//! Triage-style adaptive parallel-window decoder.
+//! The decoder model trait, the two latency models (ideal and
+//! fixed-latency), and the factory that builds any configured model.
 
+use crate::config::BASE_LATENCY;
 use crate::union_find::{DecodeWork, ErrorChannel, UnionFindDecoder};
 use crate::DecoderConfig;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A classical decoder latency model.
@@ -55,7 +55,6 @@ impl DecoderModel for IdealDecoder {
 /// each other and the backlog grows — the decoder-limited regime.
 #[derive(Debug, Clone)]
 pub struct FixedLatencyDecoder {
-    base_latency: u64,
     throughput: f64,
     tile_busy_until: BTreeMap<u32, u64>,
 }
@@ -64,14 +63,13 @@ impl FixedLatencyDecoder {
     /// Creates the model from a configuration.
     pub fn new(config: &DecoderConfig) -> Self {
         FixedLatencyDecoder {
-            base_latency: config.base_latency,
             throughput: config.throughput.max(1e-6),
             tile_busy_until: BTreeMap::new(),
         }
     }
 
     fn cost(&self, rounds: u32) -> u64 {
-        self.base_latency + (rounds as f64 / self.throughput).ceil() as u64
+        BASE_LATENCY + (rounds as f64 / self.throughput).ceil() as u64
     }
 }
 
@@ -88,79 +86,6 @@ impl DecoderModel for FixedLatencyDecoder {
     }
 }
 
-/// A Triage-style adaptive parallel-window decoder.
-///
-/// `W` workers drain a bounded syndrome ring buffer. A submission stalls at
-/// admission when the ring is full (it cannot start before the earliest
-/// in-flight window completes), then waits for the earliest free worker.
-/// Under load the decoder adapts its windowing: decode throughput scales up
-/// with the occupied fraction of the ring (batching amortizes the per-window
-/// overhead), which is what lets it absorb rotation bursts that would drown
-/// a fixed single pipeline.
-#[derive(Debug, Clone)]
-pub struct AdaptiveDecoder {
-    base_latency: u64,
-    throughput: f64,
-    workers: Vec<u64>,
-    ring_capacity: usize,
-    /// Ready rounds of in-flight windows (min-heap).
-    in_flight: BinaryHeap<Reverse<u64>>,
-}
-
-impl AdaptiveDecoder {
-    /// Creates the model from a configuration.
-    pub fn new(config: &DecoderConfig) -> Self {
-        AdaptiveDecoder {
-            base_latency: config.base_latency,
-            throughput: config.throughput.max(1e-6),
-            workers: vec![0; config.workers.max(1)],
-            ring_capacity: config.ring_capacity.max(1),
-            in_flight: BinaryHeap::new(),
-        }
-    }
-
-    /// Windows still undecoded at `now` (ring occupancy).
-    fn drain_completed(&mut self, now: u64) {
-        while self.in_flight.peek().is_some_and(|Reverse(r)| *r <= now) {
-            self.in_flight.pop();
-        }
-    }
-}
-
-impl DecoderModel for AdaptiveDecoder {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn decode_ready_at(&mut self, _tile: u32, rounds: u32, now: u64) -> u64 {
-        self.drain_completed(now);
-        // Admission: a full ring delays the window until slots free up.
-        let mut admitted = now;
-        while self.in_flight.len() >= self.ring_capacity {
-            let Reverse(earliest) = self.in_flight.pop().expect("ring non-empty");
-            admitted = admitted.max(earliest);
-        }
-        // Adaptive batching: the fuller the ring, the larger the merged
-        // decode windows and the better the amortized throughput.
-        let occupancy = self.in_flight.len() as f64 / self.ring_capacity as f64;
-        let effective_tp = self.throughput * (1.0 + occupancy);
-        let cost = self.base_latency + (rounds as f64 / effective_tp).ceil() as u64;
-        // Earliest free worker takes the window.
-        let (slot, free_at) = self
-            .workers
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(i, t)| (t, i))
-            .expect("at least one worker");
-        let start = admitted.max(free_at);
-        let ready = start + cost;
-        self.workers[slot] = ready;
-        self.in_flight.push(Reverse(ready));
-        ready
-    }
-}
-
 /// Instantiates the model a configuration names. `distance` sizes the
 /// union-find detector graphs and `channel` feeds its error sampling; the
 /// latency models ignore both.
@@ -173,7 +98,6 @@ pub fn build_model(
     match config.kind {
         DecoderKind::Ideal => Box::new(IdealDecoder),
         DecoderKind::Fixed => Box::new(FixedLatencyDecoder::new(config)),
-        DecoderKind::Adaptive => Box::new(AdaptiveDecoder::new(config)),
         DecoderKind::UnionFind => Box::new(UnionFindDecoder::new(config, distance, channel)),
     }
 }
@@ -212,42 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_workers_run_in_parallel() {
-        let mut cfg = DecoderConfig::adaptive(1.0, 2);
-        cfg.base_latency = 0;
-        let mut m = AdaptiveDecoder::new(&cfg);
-        let a = m.decode_ready_at(0, 10, 0);
-        let b = m.decode_ready_at(1, 10, 0);
-        // Two workers: both windows decode concurrently (the second is a
-        // touch faster thanks to adaptive batching at higher occupancy).
-        assert_eq!(a, 10);
-        assert!(b <= a);
-        let c = m.decode_ready_at(2, 10, 0);
-        assert!(c > 0, "third window must wait for a worker");
-    }
-
-    #[test]
-    fn adaptive_ring_bounds_admission() {
-        let mut cfg = DecoderConfig::adaptive(1.0, 1);
-        cfg.ring_capacity = 2;
-        cfg.base_latency = 0;
-        let mut m = AdaptiveDecoder::new(&cfg);
-        let first = m.decode_ready_at(0, 10, 0);
-        let _second = m.decode_ready_at(0, 10, 0);
-        let third = m.decode_ready_at(0, 10, 0);
-        assert!(
-            third >= first,
-            "full ring delays admission past the earliest completion"
-        );
-    }
-
-    #[test]
     fn build_model_matches_kind() {
         use crate::DecoderKind;
         for (kind, name) in [
             (DecoderKind::Ideal, "ideal"),
             (DecoderKind::Fixed, "fixed"),
-            (DecoderKind::Adaptive, "adaptive"),
             (DecoderKind::UnionFind, "union_find"),
         ] {
             let cfg = DecoderConfig {

@@ -21,6 +21,7 @@
 //! flip (≈92% of d = 7 windows at p = 1e-4) costs only its sampling, and
 //! steady-state decoding never allocates.
 
+use crate::config::BASE_LATENCY;
 use crate::dsu::ClusterDsu;
 use crate::graph::DetectorGraph;
 use crate::pauli_frame::PauliFrame;
@@ -585,7 +586,7 @@ struct TileState {
 /// reports a latency derived from the work actually performed:
 ///
 /// ```text
-/// latency = base_latency + ceil(work_units / throughput)
+/// latency = BASE_LATENCY + ceil(work_units / throughput)
 /// work_units = syndrome words + 2·defects + growth half-steps
 ///            + erasure-forest visits + peeled edges
 /// ```
@@ -594,12 +595,11 @@ struct TileState {
 /// queue behind each other), so back-pressure emerges when the sampled
 /// error rate produces more work than `throughput` clears per round.
 /// Windows longer than `d` rounds decode as a stream of `≤ d`-round chunks
-/// (Triage-style sliding windows).
+/// (sliding-window decoding).
 #[derive(Debug)]
 pub struct UnionFindDecoder {
     distance: u32,
     channel: ErrorChannel,
-    base_latency: u64,
     throughput: f64,
     /// Detector graphs per chunk length: slot `r - 1` holds the `r`-round
     /// graph once a chunk of that length has been decoded.
@@ -612,14 +612,13 @@ pub struct UnionFindDecoder {
 
 impl UnionFindDecoder {
     /// Builds the decoder for distance-`d` tiles fed by `channel`.
-    /// `throughput`/`base_latency` come from the configuration and define
-    /// the work→rounds conversion.
+    /// The configuration's `throughput` (with the constant one-round
+    /// reaction latency) defines the work→rounds conversion.
     pub fn new(config: &DecoderConfig, distance: u32, channel: ErrorChannel) -> Self {
         let distance = distance.max(2);
         UnionFindDecoder {
             distance,
             channel,
-            base_latency: config.base_latency,
             throughput: config.throughput.max(1e-6),
             graphs: (0..distance).map(|_| None).collect(),
             tiles: Vec::new(),
@@ -683,7 +682,7 @@ impl DecoderModel for UnionFindDecoder {
 
     fn decode_ready_at(&mut self, tile: u32, rounds: u32, now: u64) -> u64 {
         let work = self.decode_window(tile, rounds);
-        let latency = self.base_latency + (work.work_units as f64 / self.throughput).ceil() as u64;
+        let latency = BASE_LATENCY + (work.work_units as f64 / self.throughput).ceil() as u64;
         let tile_state = self.tiles[tile as usize]
             .as_mut()
             .expect("tile seen in decode");

@@ -204,7 +204,7 @@ sweep_columns! {
         k = fmt_k(job.config.k_policy);
         /// Requested grid compression fraction.
         compression = job.config.compression;
-        /// Decoder point: `ideal`, `fixed:TP`, `adaptive:TPxW` or `union_find:TP`.
+        /// Decoder point: `ideal`, `fixed:TP` or `union_find:TP`.
         decoder = job.decoder;
         /// Priority-class lattice the ledger arbitrated with (`off` = class-blind).
         priority = fmt_priority(&job.config.priority_classes);

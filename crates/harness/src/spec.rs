@@ -29,8 +29,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// One decoder configuration of a sweep grid, with a compact, CSV-safe
-/// textual form: `ideal`, `fixed:<throughput>`,
-/// `adaptive:<throughput>x<workers>`, or `union_find:<throughput>`.
+/// textual form: `ideal`, `fixed:<throughput>` or `union_find:<throughput>`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderPoint(pub DecoderConfig);
 
@@ -52,9 +51,6 @@ impl fmt::Display for DecoderPoint {
         match self.0.kind {
             DecoderKind::Ideal => write!(f, "ideal"),
             DecoderKind::Fixed => write!(f, "fixed:{}", self.0.throughput),
-            DecoderKind::Adaptive => {
-                write!(f, "adaptive:{}x{}", self.0.throughput, self.0.workers)
-            }
             DecoderKind::UnionFind => write!(f, "union_find:{}", self.0.throughput),
         }
     }
@@ -68,24 +64,12 @@ impl FromStr for DecoderPoint {
         if s.eq_ignore_ascii_case("ideal") {
             return Ok(DecoderPoint::ideal());
         }
-        let (kind, rest) = s.split_once(':').ok_or_else(|| {
-            format!("bad decoder point `{s}` (ideal | fixed:TP | adaptive:TPxW | union_find:TP)")
-        })?;
+        let (kind, rest) = s
+            .split_once(':')
+            .ok_or_else(|| format!("bad decoder point `{s}` (ideal | fixed:TP | union_find:TP)"))?;
         let throughput = |tp: &str| tp.parse().map_err(|_| format!("bad throughput in `{s}`"));
         match kind.to_ascii_lowercase().as_str() {
             "fixed" => Ok(DecoderPoint(DecoderConfig::fixed(throughput(rest)?))),
-            "adaptive" => {
-                let (tp, workers) = rest
-                    .split_once('x')
-                    .ok_or_else(|| format!("bad adaptive point `{s}` (adaptive:TPxW)"))?;
-                let workers: usize = workers
-                    .parse()
-                    .map_err(|_| format!("bad worker count in `{s}`"))?;
-                Ok(DecoderPoint(DecoderConfig::adaptive(
-                    throughput(tp)?,
-                    workers,
-                )))
-            }
             "union_find" | "union-find" | "uf" => {
                 Ok(DecoderPoint(DecoderConfig::union_find(throughput(rest)?)))
             }
@@ -371,7 +355,7 @@ impl SweepSpec {
     /// | `error_rates` | number array, each in (0, 0.5) | `[1e-4]` |
     /// | `k` | integer-or-`"dynamic"` array | `[25]` |
     /// | `compressions` | number array, each in [0, 1] | `[0.0]` |
-    /// | `decoders` | string array (`ideal`, `fixed:TP`, `adaptive:TPxW`, `union_find:TP`; TP > 0) | `["ideal"]` |
+    /// | `decoders` | string array (`ideal`, `fixed:TP`, `union_find:TP`; TP > 0) | `["ideal"]` |
     /// | `priority_classes` | string array (`"off"`, or a lattice like `"factory>injection>compute>speculative"`) | `["off"]` |
     /// | `seeds` | integer ≥ 1; `base_seed + seeds` must fit in 64 bits | `3` |
     /// | `base_seed` | integer | `1` |
@@ -586,12 +570,12 @@ mod tests {
 
     #[test]
     fn decoder_points_round_trip() {
-        for s in ["ideal", "fixed:0.5", "adaptive:0.25x8", "union_find:16"] {
+        for s in ["ideal", "fixed:0.5", "union_find:16"] {
             let p: DecoderPoint = s.parse().unwrap();
             assert_eq!(p.to_string(), s);
         }
         assert!("warp:1".parse::<DecoderPoint>().is_err());
-        assert!("adaptive:0.5".parse::<DecoderPoint>().is_err());
+        assert!("fixed".parse::<DecoderPoint>().is_err());
         assert_eq!(
             "fixed:inf".parse::<DecoderPoint>().unwrap().0.throughput,
             f64::INFINITY
@@ -733,12 +717,15 @@ max_cycles   = 500000
 
     #[test]
     fn non_positive_decoder_throughput_is_rejected() {
-        for d in ["fixed:0", "fixed:-1", "union_find:nan", "adaptive:0x4"] {
+        for d in ["fixed:0", "fixed:-1", "union_find:nan"] {
             let e = parse_err(&format!("decoders = \"{d}\""));
             assert!(e.message.starts_with("decoders:"), "{d}: {e}");
         }
         // An infinitely fast decoder is still a valid point.
         assert!(SweepSpec::parse("workloads = \"dnn_n16\"\ndecoders = \"fixed:inf\"\n").is_ok());
+        // A decoder kind the harness does not model is rejected by name.
+        let e = parse_err("decoders = \"adaptive:1x4\"");
+        assert!(e.message.contains("unknown decoder kind `adaptive`"), "{e}");
     }
 
     #[test]

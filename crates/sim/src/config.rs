@@ -58,7 +58,7 @@ pub struct SimConfig {
     pub tau_model: TauModel,
     /// Classical decoding pipeline model. The `ideal` default is invisible:
     /// a run with it is bit-identical to the same build with no decoder
-    /// consulted at all. `fixed`/`adaptive` apply backlog-aware
+    /// consulted at all. `fixed` and `union_find` apply backlog-aware
     /// back-pressure to every feed-forward injection outcome.
     pub decoder: DecoderConfig,
     /// Watchdog: abort if the program exceeds this many cycles.
@@ -292,11 +292,11 @@ mod tests {
     #[test]
     fn builder_sets_decoder() {
         let c = SimConfig::builder()
-            .decoder(DecoderConfig::adaptive(0.5, 8))
+            .decoder(DecoderConfig::union_find(8.0))
             .build();
-        assert_eq!(c.decoder.kind, DecoderKind::Adaptive);
-        assert_eq!(c.decoder.workers, 8);
-        assert!(c.to_string().contains("decoder=adaptive"));
+        assert_eq!(c.decoder.kind, DecoderKind::UnionFind);
+        assert_eq!(c.decoder.throughput, 8.0);
+        assert!(c.to_string().contains("decoder=union_find"));
         assert!(!SimConfig::default().to_string().contains("decoder"));
     }
 

@@ -1,11 +1,14 @@
-//! Decoder back-pressure: the same circuit under the `ideal` and `adaptive`
-//! decoders, with stall-cycle deltas.
+//! Decoder back-pressure: the same circuit under the `ideal` decoder and
+//! two throughputs of the `union_find` decoder, with stall-cycle deltas.
 //!
 //! Every `|mθ⟩` injection outcome is a syndrome window the classical decoder
 //! must process before the scheduler may rewrite the correction ladder. The
-//! ideal decoder answers instantly; a throughput-limited adaptive decoder
-//! builds a backlog during rotation bursts, and the schedule stretches by
-//! the stall cycles feed-forward decisions spend waiting.
+//! ideal decoder answers instantly; the union-find decoder really decodes
+//! each window, and when its throughput (work units cleared per round) falls
+//! behind the decode work of a rotation burst, a backlog builds and the
+//! schedule stretches by the stall cycles feed-forward decisions spend
+//! waiting. The example asserts that makespan and stall cycles never shrink
+//! as the throughput drops.
 //!
 //! ```sh
 //! cargo run --release --example decoder_backpressure
@@ -28,11 +31,12 @@ fn main() {
 
     let decoders = [
         ("ideal", DecoderConfig::ideal()),
-        ("adaptive W=4", DecoderConfig::adaptive(0.5, 4)),
-        ("adaptive W=1", DecoderConfig::adaptive(0.5, 1)),
+        ("union_find:16", DecoderConfig::union_find(16.0)),
+        ("union_find:4", DecoderConfig::union_find(4.0)),
     ];
 
     let mut baseline_cycles = None;
+    let mut previous = (0.0, 0.0);
     for (label, decoder) in decoders {
         let config = SimConfig::builder()
             .scheduler(SchedulerKind::Rescq)
@@ -41,6 +45,7 @@ fn main() {
             .build();
         let report = simulate(&circuit, &config).expect("simulation runs");
         let cycles = report.total_cycles();
+        let stall = report.decoder_stall_cycles();
         let baseline = *baseline_cycles.get_or_insert(cycles);
         println!(
             "{label:>14}: {cycles:>6.0} cycles (+{delta:.0} vs ideal), \
@@ -48,14 +53,20 @@ fn main() {
              decode latency mean {lat:.1}cy, peak backlog {peak}",
             delta = cycles - baseline,
             windows = report.counters.decode_windows,
-            stall = report.decoder_stall_cycles(),
             lat = report.decode_latency.mean(),
             peak = report.counters.decoder_peak_backlog,
         );
+        assert!(
+            cycles >= previous.0 && stall >= previous.1,
+            "{label}: {cycles} cycles / {stall} stall cycles shrank below \
+             the faster decoder's {} / {}",
+            previous.0,
+            previous.1
+        );
+        previous = (cycles, stall);
     }
 
     println!();
-    println!("fewer decode workers => deeper backlog => more stall cycles:");
-    println!("the adaptive ring absorbs part of each burst, but a single");
-    println!("worker at half throughput pushes the run decoder-limited.");
+    println!("lower decode throughput => longer windows queue per tile =>");
+    println!("more stall cycles: at 4 work units per round the run is decoder-limited.");
 }

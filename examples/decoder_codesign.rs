@@ -1,9 +1,9 @@
 //! Decoder/scheduler co-design on top of `rescq-harness`, mirroring
 //! `compression_codesign.rs` (ROADMAP follow-on of PR 1): for each grid
-//! compression level, find the *cheapest* classical-decoder configuration
-//! `(throughput, workers)` whose decode stalls stay within budget — i.e.
-//! whose makespan is within a target fraction of the same fabric's run
-//! under an ideal (zero-latency) decoder.
+//! compression level, find the *cheapest* union-find decoder throughput
+//! whose decode stalls stay within budget — i.e. whose makespan is within a
+//! target fraction of the same fabric's run under an ideal (zero-latency)
+//! decoder.
 //!
 //! (The raw per-window stall sum is reported too, but it is a cumulative
 //! latency metric — concurrent windows overlap, so it routinely exceeds
@@ -21,28 +21,24 @@ use rescq_repro::decoder::DecoderKind;
 use rescq_repro::harness::{run_sweep, DecoderPoint, PointSummary, RunOptions, SweepSpec};
 
 /// Budget: makespan may exceed the ideal-decoder makespan by at most this.
-/// (Every injection outcome waits at least `base_latency + rounds/throughput`
-/// before its ladder advances, and ladder steps are serial, so even fast
-/// decoders carry an irreducible few-percent inflation on Rz-dense code.)
+/// (Every injection outcome waits at least one reaction round plus its
+/// decode work over the throughput before its ladder advances, and ladder
+/// steps are serial, so even fast decoders carry an irreducible inflation
+/// on Rz-dense code.)
 const INFLATION_BUDGET: f64 = 0.25;
 
-/// Hardware cost proxy of a decoder point: aggregate decode bandwidth
-/// (throughput × workers).
+/// Hardware cost proxy of a decoder point: its decode throughput (work
+/// units cleared per round).
 fn cost(p: &PointSummary) -> f64 {
-    let d = &p.job.config.decoder;
-    d.throughput * d.workers.max(1) as f64
+    p.job.config.decoder.throughput
 }
 
 fn main() {
     let compressions = [0.0, 0.5, 1.0];
-    // The candidate grid: adaptive decoders over throughput × workers, plus
-    // the ideal reference point per compression.
+    // The candidate grid: union-find throughputs that bracket the budget,
+    // plus the ideal reference point per compression.
     let mut decoders = vec!["ideal".to_string()];
-    decoders.extend([0.5, 1.0, 2.0, 4.0, 8.0].iter().flat_map(|tp| {
-        [1usize, 2, 4]
-            .iter()
-            .map(move |w| format!("adaptive:{tp}x{w}"))
-    }));
+    decoders.extend([32, 64, 128, 256, 512].map(|tp| format!("union_find:{tp}")));
 
     let spec = SweepSpec {
         workloads: vec!["gcm_n13".to_string()],
@@ -81,7 +77,7 @@ fn main() {
 
     println!(
         "{:>12} {:>15} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "compression", "cheapest", "bandwidth", "mean cy", "ideal cy", "inflation", "stall%"
+        "compression", "cheapest", "throughput", "mean cy", "ideal cy", "inflation", "stall%"
     );
     for &compression in &compressions {
         let Some(ideal) = at(compression).find(|s| s.job.config.decoder.kind == DecoderKind::Ideal)
@@ -92,15 +88,7 @@ fn main() {
         let best = at(compression)
             .filter(|s| s.job.config.decoder.kind != DecoderKind::Ideal)
             .filter(|s| s.mean_cycles <= ideal.mean_cycles * (1.0 + INFLATION_BUDGET))
-            .min_by(|a, b| {
-                cost(a).total_cmp(&cost(b)).then(
-                    a.job
-                        .config
-                        .decoder
-                        .workers
-                        .cmp(&b.job.config.decoder.workers),
-                )
-            });
+            .min_by(|a, b| cost(a).total_cmp(&cost(b)));
         match best {
             Some(s) => println!(
                 "{:>11.0}% {:>15} {:>10.2} {:>10.1} {:>10.1} {:>9.1}% {:>7.0}%",

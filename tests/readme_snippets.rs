@@ -1,8 +1,25 @@
 //! The README's code and config snippets, compiled and executed so the
-//! examples cannot rot. Each test body mirrors one fenced block in
-//! `README.md` — when you edit one, edit the other.
+//! examples cannot rot. The config blocks and the column table are read
+//! from `README.md` itself; the Rust snippet is compiled from a copy here,
+//! so when you edit it, edit the test too.
 
 use rescq_repro::harness::{fmt_priority, SweepSpec};
+
+/// The body of the README's fenced `lang` block whose first line is
+/// `first`.
+fn readme_block(lang: &str, first: &str) -> String {
+    let fence = format!("```{lang}");
+    let mut lines = include_str!("../README.md").lines();
+    while let Some(line) = lines.next() {
+        if line == fence {
+            let body: Vec<&str> = lines.by_ref().take_while(|l| *l != "```").collect();
+            if body.first() == Some(&first) {
+                return body.join("\n");
+            }
+        }
+    }
+    panic!("README has no ```{lang} block starting with `{first}`");
+}
 
 /// README "Quick start": the Rust snippet, verbatim.
 #[test]
@@ -20,18 +37,12 @@ fn quick_start_snippet_runs() {
     assert!(report.total_cycles() > 0.0);
 }
 
-/// README "Priority classes": the one-point spec `sim run` reads,
-/// verbatim, through the real parser.
+/// README "Priority classes": the one-point spec `sim run` reads, through
+/// the real parser.
 #[test]
 fn priority_classes_config_snippet_parses() {
-    let snippet = r#"
-# run.toml: one sweep point, which `sim run` runs
-workloads        = "factory_n12"
-compressions     = 0.25
-priority_classes = "factory>injection>compute>speculative"
-seeds            = 10
-"#;
-    let spec = SweepSpec::parse(snippet).expect("README run spec must parse");
+    let snippet = readme_block("toml", "# run.toml: one sweep point, which `sim run` runs");
+    let spec = SweepSpec::parse(&snippet).expect("README run spec must parse");
     assert_eq!(spec.num_points(), 1, "`sim run` takes one point");
     assert_eq!(spec.seeds, 10);
     let job = &spec.expand()[0];
@@ -62,25 +73,14 @@ fn sweep_column_table_matches_declaration() {
     assert_eq!(rows, rescq_repro::harness::COLUMNS);
 }
 
-/// README "Parameter sweeps": the spec-file snippet, verbatim, through the
-/// real parser.
+/// README "Parameter sweeps": the spec-file snippet, through the real
+/// parser.
 #[test]
 fn sweep_spec_snippet_parses() {
-    let snippet = r#"
-[sweep]
-workloads    = ["dnn_n16", "gcm_n13"]    # Table 3 names or "file:<path>"
-schedulers   = ["rescq", "greedy"]       # default ["rescq"]
-distances    = [7]                       # default [7]
-error_rates  = [1e-4]                    # default [1e-4]
-k            = [25, "dynamic"]           # default [25]
-compressions = [0.0, 0.5]                # default [0.0]
-decoders     = ["ideal", "fixed:0.5", "adaptive:1x4"]  # default ["ideal"]
-priority_classes = ["off", "factory>injection>compute>speculative"]  # default ["off"]
-seeds        = 10                        # runs per point, default 3
-base_seed    = 1
-decode_prep  = false                     # route prep verification through the decoder
-"#;
-    let spec = SweepSpec::parse(snippet).expect("README sweep spec parses");
+    let snippet = readme_block("toml", "[sweep]");
+    let spec = SweepSpec::parse(&snippet).expect("README sweep spec parses");
+    let decoders: Vec<String> = spec.decoders.iter().map(|d| d.to_string()).collect();
+    assert_eq!(decoders, ["ideal", "fixed:0.5", "union_find:8"]);
     // 2 workloads x 2 schedulers x 2 k x 2 compressions x 3 decoders x
     // 2 priority points.
     assert_eq!(spec.num_points(), 2 * 2 * 2 * 2 * 3 * 2);
