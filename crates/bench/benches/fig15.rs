@@ -1,22 +1,20 @@
 //! Figure 15: example 8-qubit grids at each compression level.
 
+use rescq_bench::experiments::fig15;
 use rescq_bench::print_header;
-use rescq_lattice::{Layout, LayoutKind};
 
 fn main() {
     print_header(
         "Figure 15 — grids of 8 data qubits at different compressions",
         "D = data qubit, . = ancilla, blank = removed by compression",
     );
-    for comp in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let mut layout = Layout::new(LayoutKind::Star2x2, 8).unwrap();
-        let achieved = layout.compress(comp, 42);
+    for g in fig15().expect("fig 15 grids build") {
         println!(
             "requested {:.0}% → achieved {:.0}% (ancilla/data = {:.2}):",
-            comp * 100.0,
-            achieved * 100.0,
-            layout.ancilla_ratio()
+            g.requested * 100.0,
+            g.layout.compression() * 100.0,
+            g.layout.ancilla_ratio()
         );
-        println!("{}", layout.render_ascii());
+        println!("{}", g.layout.render_ascii());
     }
 }

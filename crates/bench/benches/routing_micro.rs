@@ -6,10 +6,10 @@ use rescq_circuit::{Angle, QubitId};
 use rescq_core::{
     plan_cnot_route, AncillaQueue, PathCache, QueueEntry, Role, SurgeryCosts, TaskId,
 };
-use rescq_lattice::{AncillaGraph, IncrementalMst, Layout, LayoutKind, Orientation};
+use rescq_lattice::{AncillaGraph, IncrementalMst, Layout, Orientation};
 
 fn setup(n: u32) -> (Layout, AncillaGraph, IncrementalMst) {
-    let layout = Layout::new(LayoutKind::Star2x2, n).unwrap();
+    let layout = Layout::new(n).unwrap();
     let graph = AncillaGraph::from_grid(layout.grid());
     let edges: Vec<(u32, u32, u32)> = graph.edges().iter().map(|&(a, b)| (a, b, 0)).collect();
     let mst = IncrementalMst::new(graph.len(), &edges);

@@ -8,9 +8,10 @@
 use rescq_core::{KPolicy, SchedulerKind};
 use rescq_decoder::{DecoderConfig, DecoderKind};
 use rescq_harness::{run_sweep, CacheStats, DecoderPoint, RunOptions, SweepSpec};
+use rescq_lattice::Layout;
 use rescq_rus::{PreparationModel, RusParams, TFactoryModel};
 use rescq_sim::runner::{geomean, run_seeds, SweepSummary};
-use rescq_sim::{LatencyHistogram, SimConfig, SimError};
+use rescq_sim::{build_layout, LatencyHistogram, SimConfig, SimError};
 use rescq_workloads::{BenchmarkSpec, ALL_BENCHMARKS, REPRESENTATIVE};
 
 /// The `k` values the paper evaluates (§5.1).
@@ -343,6 +344,34 @@ pub fn fig14(scale: &ExperimentScale) -> Result<Vec<SensitivityPoint>, SimError>
     Ok(out)
 }
 
+/// Data qubits in each Fig 15 example grid.
+const FIG15_QUBITS: u32 = 8;
+
+/// One Fig 15 grid: the fabric at one requested compression.
+#[derive(Debug, Clone)]
+pub struct Fig15Grid {
+    /// Requested compression fraction.
+    pub requested: f64,
+    /// The fabric; `layout.compression()` is the achieved fraction.
+    pub layout: Layout,
+}
+
+/// Fig 15: 8-qubit grids at each of [`COMPRESSIONS`], built
+/// by [`build_layout`] — the same compression the Fig 14 simulations run
+/// on.
+pub fn fig15() -> Result<Vec<Fig15Grid>, SimError> {
+    COMPRESSIONS
+        .iter()
+        .map(|&requested| {
+            let config = SimConfig::builder().compression(requested).build();
+            Ok(Fig15Grid {
+                requested,
+                layout: build_layout(FIG15_QUBITS, &config)?,
+            })
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // Decoder sweep — total cycles vs classical-decoder throughput
 // ---------------------------------------------------------------------
@@ -543,6 +572,17 @@ mod tests {
         assert!(at_p4
             .windows(2)
             .all(|w| w[1].expected_cycles < w[0].expected_cycles));
+    }
+
+    #[test]
+    fn fig15_grids_shrink_and_stay_routable() {
+        let grids = fig15().unwrap();
+        assert_eq!(grids.len(), COMPRESSIONS.len());
+        assert!(grids.iter().all(|g| g.layout.is_routable()));
+        assert_eq!(grids[0].layout.compression(), 0.0);
+        assert!(grids
+            .windows(2)
+            .all(|w| w[1].layout.ancilla_ratio() <= w[0].layout.ancilla_ratio()));
     }
 
     #[test]

@@ -70,7 +70,6 @@ fn print_usage() {
     println!("                                   traced)");
     println!("  sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE]");
     println!("            [--checkpoint FILE] [--shard i/n] [--quiet | --progress]");
-    println!("            [--layout-cache DIR]  persist layouts across invocations");
     println!("                                      run a declarative parameter sweep");
     println!("  sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...> [--json FILE]");
     println!("            [--allow-missing]         merge shard checkpoints into one CSV/JSON");
@@ -304,18 +303,10 @@ fn write_trace(circuit: &Circuit, config: &SimConfig, out: &Path) -> Result<(), 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     use rescq_harness::{run_sweep, ProgressMode, RunOptions, Shard};
     const USAGE: &str = "usage: sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE] \
-                         [--checkpoint FILE] [--shard i/n] [--layout-cache DIR] \
-                         [--quiet | --progress]";
+                         [--checkpoint FILE] [--shard i/n] [--quiet | --progress]";
     flags::positionals(
         args,
-        &[
-            "--threads",
-            "--csv",
-            "--json",
-            "--checkpoint",
-            "--shard",
-            "--layout-cache",
-        ],
+        &["--threads", "--csv", "--json", "--checkpoint", "--shard"],
         &["--quiet", "--progress"],
         USAGE,
     )?;
@@ -327,7 +318,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         opts.threads = t.parse().map_err(|_| "bad --threads")?;
     }
     opts.checkpoint = flag_value(args, "--checkpoint").map(PathBuf::from);
-    opts.layout_cache_dir = flag_value(args, "--layout-cache").map(PathBuf::from);
     if let Some(shard) = flag_value(args, "--shard") {
         opts.shard = Some(Shard::parse(&shard)?);
     }
@@ -605,16 +595,13 @@ fn cmd_fig(args: &[String]) -> Result<(), String> {
         "13" => print_sensitivity(experiments::fig13(&scale).map_err(|e| e.to_string())?),
         "14" => print_sensitivity(experiments::fig14(&scale).map_err(|e| e.to_string())?),
         "15" => {
-            for comp in experiments::COMPRESSIONS {
-                let mut l = rescq_lattice::Layout::new(rescq_lattice::LayoutKind::Star2x2, 8)
-                    .map_err(|e| e.to_string())?;
-                let achieved = l.compress(comp, 42);
+            for g in experiments::fig15().map_err(|e| e.to_string())? {
                 println!(
                     "-- {:.0}% requested, {:.0}% achieved --",
-                    comp * 100.0,
-                    achieved * 100.0
+                    g.requested * 100.0,
+                    g.layout.compression() * 100.0
                 );
-                println!("{}", l.render_ascii());
+                println!("{}", g.layout.render_ascii());
             }
         }
         "16" => {

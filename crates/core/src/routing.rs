@@ -404,10 +404,9 @@ pub fn plan_static_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescq_lattice::LayoutKind;
 
     fn setup(n: u32) -> (Layout, AncillaGraph, IncrementalMst) {
-        let layout = Layout::new(LayoutKind::Star2x2, n).unwrap();
+        let layout = Layout::new(n).unwrap();
         let graph = AncillaGraph::from_grid(layout.grid());
         let edges: Vec<(u32, u32, u32)> = graph.edges().iter().map(|&(a, b)| (a, b, 0)).collect();
         let mst = IncrementalMst::new(graph.len(), &edges);

@@ -5,31 +5,23 @@
 //! - **circuits** (and their dependency DAGs) are keyed by
 //!   `(workload, circuit_seed)` — every sweep point over the same workload
 //!   shares one parse/transpile;
-//! - **layouts** (and their ancilla routing graphs) are keyed by the fabric
-//!   geometry `(kind, block_columns, qubits, compression, compression_seed)`
-//!   — a layout is shared across *workloads* of the same width and across
-//!   every scheduler/decoder/seed point on it.
+//! - **layouts** (and their ancilla routing graphs) are keyed by
+//!   `(qubits, compression)`, the only inputs of
+//!   [`build_layout`](rescq_sim::build_layout) — a layout is shared across
+//!   *workloads* of the same width and across every scheduler/decoder/seed
+//!   point on it.
 //!
 //! Each map slot holds an `Arc<OnceLock<…>>`: the map lock is only held to
 //! fetch the slot, and the first worker to reach a slot builds the artifact
 //! while later workers block on the `OnceLock` instead of duplicating the
 //! work. Failures are cached too (a workload that does not generate fails
 //! every job that needs it, once).
-//!
-//! Layouts can additionally spill to disk ([`ArtifactCache::with_layout_dir`]):
-//! qft_n160-sized compressed layouts take seconds to build (every removal
-//! re-checks connectivity) but serialize to a few kilobytes, so persisting
-//! them under their content address lets repeated sweep *invocations* share
-//! the build, not just workers within one process. Entries are validated on
-//! load — geometry key, payload checksum, structural cross-checks — and any
-//! mismatch or corruption is a silent miss that rebuilds and overwrites.
 
-use rescq_circuit::{fnv1a_64, Circuit, DependencyDag};
-use rescq_lattice::{AncillaGraph, Layout, LayoutKind};
+use rescq_circuit::{Circuit, DependencyDag};
+use rescq_lattice::{AncillaGraph, Layout};
 use rescq_sim::{build_layout, SimConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -46,44 +38,17 @@ struct CircuitKey {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LayoutKey {
-    kind: LayoutKind,
-    block_columns: Option<u32>,
     qubits: u32,
     /// Bit pattern of the compression fraction (exact, hashable).
     compression_bits: u64,
-    compression_seed: u64,
 }
 
 impl LayoutKey {
     fn of(qubits: u32, config: &SimConfig) -> Self {
         LayoutKey {
-            kind: config.layout,
-            block_columns: config.block_columns,
             qubits,
             compression_bits: config.compression.to_bits(),
-            compression_seed: config.compression_seed,
         }
-    }
-
-    /// The canonical content address: written into (and verified against)
-    /// every on-disk entry, and hashed into the entry's file name.
-    fn canonical(&self) -> String {
-        format!(
-            "kind={:?}|cols={:?}|qubits={}|comp={:016x}|compseed={}",
-            self.kind,
-            self.block_columns,
-            self.qubits,
-            self.compression_bits,
-            self.compression_seed
-        )
-    }
-
-    /// The file hosting this key's on-disk entry.
-    fn disk_path(&self, dir: &Path) -> PathBuf {
-        dir.join(format!(
-            "layout-{:016x}.txt",
-            fnv1a_64(self.canonical().bytes())
-        ))
     }
 }
 
@@ -98,10 +63,6 @@ pub struct CacheStats {
     pub layout_builds: u64,
     /// Layout requests served from the cache.
     pub layout_hits: u64,
-    /// Layouts restored from the on-disk cache instead of being rebuilt
-    /// (a subset of `layout_builds` — the slot was still materialized once
-    /// this process).
-    pub layout_disk_hits: u64,
 }
 
 impl std::fmt::Display for CacheStats {
@@ -110,11 +71,7 @@ impl std::fmt::Display for CacheStats {
             f,
             "circuits {} built / {} reused; layouts {} built / {} reused",
             self.circuit_builds, self.circuit_hits, self.layout_builds, self.layout_hits
-        )?;
-        if self.layout_disk_hits > 0 {
-            write!(f, " ({} from disk)", self.layout_disk_hits)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -123,30 +80,16 @@ impl std::fmt::Display for CacheStats {
 pub struct ArtifactCache {
     circuits: Mutex<HashMap<CircuitKey, Arc<OnceLock<CircuitArtifact>>>>,
     layouts: Mutex<HashMap<LayoutKey, Arc<OnceLock<LayoutArtifact>>>>,
-    /// Directory for content-addressed on-disk layout entries, if spilling
-    /// is enabled.
-    layout_dir: Option<PathBuf>,
     circuit_builds: AtomicU64,
     circuit_hits: AtomicU64,
     layout_builds: AtomicU64,
     layout_hits: AtomicU64,
-    layout_disk_hits: AtomicU64,
 }
 
 impl ArtifactCache {
     /// An empty cache.
     pub fn new() -> Self {
         ArtifactCache::default()
-    }
-
-    /// An empty cache that additionally persists layouts under `dir`
-    /// (created on first write), keyed by the same content address as the
-    /// in-memory map, so layouts survive across sweep invocations.
-    pub fn with_layout_dir(dir: impl Into<PathBuf>) -> Self {
-        ArtifactCache {
-            layout_dir: Some(dir.into()),
-            ..ArtifactCache::default()
-        }
     }
 
     /// The circuit (and DAG) for `workload`, building it on first request.
@@ -190,7 +133,7 @@ impl ArtifactCache {
         let key = LayoutKey::of(qubits, config);
         let cell = {
             let mut map = self.layouts.lock().expect("layout cache poisoned");
-            match map.entry(key.clone()) {
+            match map.entry(key) {
                 Entry::Occupied(e) => {
                     self.layout_hits.fetch_add(1, Ordering::Relaxed);
                     e.get().clone()
@@ -202,17 +145,7 @@ impl ArtifactCache {
             }
         };
         cell.get_or_init(|| {
-            if let Some(dir) = &self.layout_dir {
-                if let Some(layout) = load_disk_layout(&key.disk_path(dir), &key, qubits, config) {
-                    self.layout_disk_hits.fetch_add(1, Ordering::Relaxed);
-                    let graph = AncillaGraph::from_grid(layout.grid());
-                    return Ok((Arc::new(layout), Arc::new(graph)));
-                }
-            }
             let layout = build_layout(qubits, config).map_err(|e| e.to_string())?;
-            if let Some(dir) = &self.layout_dir {
-                store_disk_layout(dir, &key, &layout);
-            }
             let graph = AncillaGraph::from_grid(layout.grid());
             Ok((Arc::new(layout), Arc::new(graph)))
         })
@@ -226,64 +159,7 @@ impl ArtifactCache {
             circuit_hits: self.circuit_hits.load(Ordering::Relaxed),
             layout_builds: self.layout_builds.load(Ordering::Relaxed),
             layout_hits: self.layout_hits.load(Ordering::Relaxed),
-            layout_disk_hits: self.layout_disk_hits.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Loads, validates and parses one on-disk layout entry. Any failure —
-/// unreadable file, wrong header, foreign geometry key, checksum mismatch,
-/// structural damage, or disagreement with the *requested* geometry — is a
-/// miss (the caller rebuilds and overwrites the entry).
-fn load_disk_layout(
-    path: &Path,
-    key: &LayoutKey,
-    qubits: u32,
-    config: &SimConfig,
-) -> Option<Layout> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut lines = text.splitn(4, '\n');
-    if lines.next() != Some("rescq-layout-cache v1") {
-        return None;
-    }
-    let key_line = lines.next()?.strip_prefix("key ")?;
-    if key_line != key.canonical() {
-        return None; // geometry mismatch (or a hash collision): invalidate
-    }
-    let checksum_line = lines.next()?.strip_prefix("checksum ")?;
-    let payload = lines.next()?;
-    let checksum = u64::from_str_radix(checksum_line, 16).ok()?;
-    if fnv1a_64(payload.bytes()) != checksum {
-        return None; // corrupted payload
-    }
-    let layout = Layout::from_cache_string(payload).ok()?;
-    // Belt and braces: the parsed fabric must describe what was requested.
-    if layout.kind() != config.layout || layout.num_qubits() != qubits || !layout.is_routable() {
-        return None;
-    }
-    Some(layout)
-}
-
-/// Best-effort write of one on-disk layout entry (cache write failures must
-/// never fail a sweep). The write goes through a temp file + rename so a
-/// concurrent sweep process never observes a half-written entry.
-fn store_disk_layout(dir: &Path, key: &LayoutKey, layout: &Layout) {
-    let payload = layout.to_cache_string();
-    let entry = format!(
-        "rescq-layout-cache v1\nkey {}\nchecksum {:016x}\n{payload}",
-        key.canonical(),
-        fnv1a_64(payload.bytes())
-    );
-    let path = key.disk_path(dir);
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(&tmp, entry)?;
-        std::fs::rename(&tmp, &path)
-    };
-    if write().is_err() {
-        let _ = std::fs::remove_file(&tmp);
-        eprintln!("warning: layout-cache write to {} failed", path.display());
     }
 }
 
@@ -338,116 +214,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.layout_builds, 2);
         assert_eq!(s.layout_hits, 2);
-    }
-
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rescq_layout_cache_{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn compressed_config() -> SimConfig {
-        SimConfig::builder().compression(0.5).build()
-    }
-
-    #[test]
-    fn disk_layout_cache_persists_across_invocations() {
-        let dir = temp_dir("roundtrip");
-        let config = compressed_config();
-
-        let first = ArtifactCache::with_layout_dir(&dir);
-        let (l1, _) = first.layout(16, &config).unwrap();
-        assert_eq!(first.stats().layout_disk_hits, 0, "cold cache builds");
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "entry spilled");
-
-        // A fresh cache (a new sweep invocation) restores from disk.
-        let second = ArtifactCache::with_layout_dir(&dir);
-        let (l2, g2) = second.layout(16, &config).unwrap();
-        let s = second.stats();
-        assert_eq!(s.layout_disk_hits, 1, "warm cache loads from disk");
-        assert_eq!(l2.render_ascii(), l1.render_ascii());
-        assert_eq!(l2.compression(), l1.compression());
-        assert_eq!(g2.len(), l2.ancilla_tiles().len());
-        assert!(s.to_string().contains("from disk"));
-
-        // Different geometry writes a second entry, untouched by the first.
-        second.layout(9, &SimConfig::default()).unwrap();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_disk_entries_are_rebuilt_and_overwritten() {
-        let dir = temp_dir("corrupt");
-        let config = compressed_config();
-        let seed_cache = ArtifactCache::with_layout_dir(&dir);
-        let (golden, _) = seed_cache.layout(12, &config).unwrap();
-        let entry = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-
-        for damage in [
-            "total garbage".to_string(),
-            // Valid header, mangled payload (checksum catches it).
-            std::fs::read_to_string(&entry).unwrap().replace('a', "v"),
-            // Valid checksum over a structurally broken payload.
-            {
-                let payload = "rescq-layout v1\nkind star2x2\n";
-                format!(
-                    "rescq-layout-cache v1\nkey {}\nchecksum {:016x}\n{payload}",
-                    std::fs::read_to_string(&entry)
-                        .unwrap()
-                        .lines()
-                        .nth(1)
-                        .unwrap()
-                        .strip_prefix("key ")
-                        .unwrap(),
-                    fnv1a_64(payload.bytes())
-                )
-            },
-            String::new(),
-        ] {
-            std::fs::write(&entry, &damage).unwrap();
-            let cache = ArtifactCache::with_layout_dir(&dir);
-            let (l, _) = cache.layout(12, &config).unwrap();
-            assert_eq!(cache.stats().layout_disk_hits, 0, "corrupt entry is a miss");
-            assert_eq!(l.render_ascii(), golden.render_ascii(), "rebuild is exact");
-        }
-        // The rebuild overwrote the damaged entry with a valid one.
-        let healed = ArtifactCache::with_layout_dir(&dir);
-        healed.layout(12, &config).unwrap();
-        assert_eq!(healed.stats().layout_disk_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn foreign_geometry_key_in_entry_is_invalidated() {
-        let dir = temp_dir("foreign");
-        let config = compressed_config();
-        let cache = ArtifactCache::with_layout_dir(&dir);
-        cache.layout(12, &config).unwrap();
-        let entry = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        // Simulate a hash collision / stale file: same path, another key.
-        let text = std::fs::read_to_string(&entry).unwrap();
-        let foreign = text.replace("qubits=12", "qubits=13");
-        std::fs::write(&entry, foreign).unwrap();
-        let reread = ArtifactCache::with_layout_dir(&dir);
-        reread.layout(12, &config).unwrap();
-        assert_eq!(
-            reread.stats().layout_disk_hits,
-            0,
-            "mismatched key must not restore"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -24,26 +24,11 @@ const HEADER: &str = "# rescq-harness checkpoint v1";
 /// which case their results are identical anyway (the simulation is
 /// deterministic).
 pub fn job_fingerprint(job: &JobSpec, circuit_hash: u64, circuit_seed: u64) -> u64 {
-    let c = &job.config;
+    // The whole config's `Debug` text, so no field can be left out; `f64`
+    // debug output round-trips, so distinct values never collide.
     let canonical = format!(
-        "w={}|ch={circuit_hash}|cs={circuit_seed}|s={}|d={}|p={}|k={:?}|aw={}|layout={:?}|bc={:?}|comp={}|compseed={}|dec={:?}|seed={}|mc={}|tau={:?}|costs={:?}|cal={:?}|prio={}",
-        job.workload,
-        c.scheduler,
-        c.distance,
-        c.physical_error_rate.to_bits(),
-        c.k_policy,
-        c.activity_window,
-        c.layout,
-        c.block_columns,
-        c.compression.to_bits(),
-        c.compression_seed,
-        c.decoder,
-        c.seed,
-        c.max_cycles,
-        c.tau_model,
-        c.costs,
-        c.calibration,
-        crate::spec::fmt_priority(&c.priority_classes),
+        "w={}|ch={circuit_hash}|cs={circuit_seed}|{:?}",
+        job.workload, job.config
     );
     rescq_circuit::fnv1a_64(canonical.bytes())
 }
@@ -192,6 +177,26 @@ mod tests {
             job_fingerprint(&jobs[0], 5678, 1),
             "circuit content is part of the fingerprint"
         );
+        let changed = |change: fn(&mut rescq_sim::SimConfig)| {
+            let mut job = jobs[0].clone();
+            change(&mut job.config);
+            job_fingerprint(&job, 1234, 1)
+        };
+        for (what, fp) in [
+            ("compression", changed(|c| c.compression = 0.5)),
+            (
+                "decoder",
+                changed(|c| c.decoder = rescq_decoder::DecoderConfig::union_find(8.0)),
+            ),
+            (
+                "priority lattice",
+                changed(|c| c.priority_classes = Some(rescq_core::ClassLattice::default())),
+            ),
+            ("max_cycles", changed(|c| c.max_cycles += 1)),
+            ("calibration", changed(|c| c.calibration.c1 += 1.0)),
+        ] {
+            assert_ne!(a, fp, "{what} is part of the fingerprint");
+        }
     }
 
     #[test]

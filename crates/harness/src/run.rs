@@ -86,10 +86,6 @@ pub struct RunOptions {
     pub progress: ProgressMode,
     /// Run only this shard of the job list (cross-process sharding).
     pub shard: Option<Shard>,
-    /// Directory for the content-addressed on-disk layout cache: expensive
-    /// compressed layouts persist here across sweep invocations (entries
-    /// are validated on load and silently rebuilt on any mismatch).
-    pub layout_cache_dir: Option<PathBuf>,
 }
 
 impl RunOptions {
@@ -201,10 +197,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> Result<SweepResults, Ha
         // expansion, so merged shard outputs reproduce an unsharded run.
         jobs.retain(|j| shard.owns(j.index));
     }
-    let cache = match &opts.layout_cache_dir {
-        Some(dir) => ArtifactCache::with_layout_dir(dir.clone()),
-        None => ArtifactCache::new(),
-    };
+    let cache = ArtifactCache::new();
     let checkpoint = match &opts.checkpoint {
         Some(path) => Some(Checkpoint::open(path).map_err(HarnessError::Io)?),
         None => None,

@@ -90,9 +90,9 @@ pub struct BfsScratch {
 /// # Example
 ///
 /// ```
-/// use rescq_lattice::{AncillaGraph, Layout, LayoutKind};
+/// use rescq_lattice::{AncillaGraph, Layout};
 ///
-/// let layout = Layout::new(LayoutKind::Star2x2, 4).unwrap();
+/// let layout = Layout::new(4).unwrap();
 /// let g = AncillaGraph::from_grid(layout.grid());
 /// assert_eq!(g.len(), 12);
 /// assert!(g.is_connected());
@@ -398,8 +398,8 @@ mod tests {
 
     #[test]
     fn single_pair_bfs_matches_shortest_path_on_a_compressed_layout() {
-        use crate::{Layout, LayoutKind};
-        let mut layout = Layout::new(LayoutKind::Star2x2, 16).unwrap();
+        use crate::Layout;
+        let mut layout = Layout::new(16).unwrap();
         layout.compress(0.5, 3);
         // A full grid too: its many equal-length shortest paths make the
         // adjacency order decide which one is found.

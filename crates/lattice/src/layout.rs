@@ -2,8 +2,7 @@
 //!
 //! The baseline STAR architecture [1] tiles the fabric with atomic blocks:
 //!
-//! - **2×2 STAR block** — 1 data tile + 3 ancilla tiles (the default),
-//! - **3×1 compact block** — 1 data + 2 ancilla,
+//! - **2×2 STAR block** — 1 data tile + 3 ancilla tiles,
 //! - **2×1 compressed block** — 1 data + 1 ancilla.
 //!
 //! §5.3's hardware/software co-design experiment *compresses* a 2×2 grid by
@@ -23,15 +22,8 @@ use rand_chacha::ChaCha8Rng;
 use rescq_circuit::QubitId;
 use std::fmt;
 
-/// The atomic block shape used to build a fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LayoutKind {
-    /// 2×2 block: 1 data + 3 ancilla (baseline STAR, Fig 1c).
-    #[default]
-    Star2x2,
-    /// 3×1 vertical block: ancilla / data / ancilla.
-    Compact3x1,
-}
+/// Ancillas a 2×2 block can lose under compression (it keeps one).
+const REMOVABLE_PER_BLOCK: usize = 2;
 
 /// Error from layout construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +56,9 @@ pub struct DataAdjacency {
 /// # Example
 ///
 /// ```
-/// use rescq_lattice::{Layout, LayoutKind};
+/// use rescq_lattice::Layout;
 ///
-/// let layout = Layout::new(LayoutKind::Star2x2, 8).unwrap();
+/// let layout = Layout::new(8).unwrap();
 /// assert_eq!(layout.num_qubits(), 8);
 /// assert_eq!(layout.ancilla_tiles().len(), 24); // 3 per data qubit
 /// assert!(layout.is_routable());
@@ -74,7 +66,6 @@ pub struct DataAdjacency {
 #[derive(Debug, Clone)]
 pub struct Layout {
     grid: Grid,
-    kind: LayoutKind,
     data_tiles: Vec<TileId>,
     /// Per qubit: ancilla tiles belonging to its block (shrinks on compression).
     block_ancillas: Vec<Vec<TileId>>,
@@ -84,100 +75,47 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// Builds a fabric of `num_qubits` blocks of the given kind, arranged in
-    /// a near-square grid of blocks, row-major (qubit `i` is at block
+    /// Builds a fabric of `num_qubits` 2×2 STAR blocks, arranged in a
+    /// near-square grid of blocks, row-major (qubit `i` is at block
     /// `(i % cols, i / cols)` — the paper's "numerically close indices are
     /// physically close" one-to-one mapping, §5.1).
     ///
     /// # Errors
     ///
     /// Returns an error when `num_qubits == 0`.
-    pub fn new(kind: LayoutKind, num_qubits: u32) -> Result<Self, LayoutError> {
-        let cols = (num_qubits as f64).sqrt().ceil() as u32;
-        Self::with_block_columns(kind, num_qubits, cols.max(1))
-    }
-
-    /// Like [`Layout::new`] but with an explicit number of block columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `num_qubits == 0` or `block_columns == 0`.
-    pub fn with_block_columns(
-        kind: LayoutKind,
-        num_qubits: u32,
-        block_columns: u32,
-    ) -> Result<Self, LayoutError> {
+    pub fn new(num_qubits: u32) -> Result<Self, LayoutError> {
         if num_qubits == 0 {
             return Err(LayoutError {
                 msg: "layout requires at least one data qubit",
             });
         }
-        if block_columns == 0 {
-            return Err(LayoutError {
-                msg: "layout requires at least one block column",
-            });
-        }
-        let rows = num_qubits.div_ceil(block_columns);
-        let (bw, bh) = match kind {
-            LayoutKind::Star2x2 => (2, 2),
-            LayoutKind::Compact3x1 => (1, 3),
-        };
-        let mut grid = Grid::filled(block_columns * bw, rows * bh, TileKind::Void);
+        let cols = (num_qubits as f64).sqrt().ceil() as u32;
+        let rows = num_qubits.div_ceil(cols);
+        let mut grid = Grid::filled(cols * 2, rows * 2, TileKind::Void);
         let mut data_tiles = Vec::with_capacity(num_qubits as usize);
         let mut block_ancillas = Vec::with_capacity(num_qubits as usize);
 
         for q in 0..num_qubits {
-            let bx = q % block_columns;
-            let by = q / block_columns;
-            match kind {
-                LayoutKind::Star2x2 => {
-                    let (x0, y0) = (bx * 2, by * 2);
-                    // TL, TR, BR ancilla; BL data.
-                    let tl = grid.tile_at(x0, y0);
-                    let tr = grid.tile_at(x0 + 1, y0);
-                    let br = grid.tile_at(x0 + 1, y0 + 1);
-                    let bl = grid.tile_at(x0, y0 + 1);
-                    for a in [tl, tr, br] {
-                        grid.set_kind(a, TileKind::Ancilla);
-                    }
-                    grid.set_kind(bl, TileKind::Data(QubitId(q)));
-                    data_tiles.push(bl);
-                    // Order matters: the *first* entry is kept longest under
-                    // compression (TL is the data's Z-edge neighbour); the
-                    // baseline's designated prep ancilla is TR ("the upper
-                    // right ancilla", Fig 1d).
-                    block_ancillas.push(vec![tl, tr, br]);
-                }
-                LayoutKind::Compact3x1 => {
-                    // 1-wide × 3-tall blocks in a brick pattern: the data tile
-                    // sits at the block's top or bottom row depending on
-                    // column+row parity and the middle row is all ancilla, so
-                    // the ancilla network stays connected (a full-width data
-                    // row would sever it).
-                    let (x0, y0) = (bx, by * 3);
-                    let data_off = if (bx + by).is_multiple_of(2) { 0 } else { 2 };
-                    let data = grid.tile_at(x0, y0 + data_off);
-                    grid.set_kind(data, TileKind::Data(QubitId(q)));
-                    data_tiles.push(data);
-                    let mut block = Vec::with_capacity(2);
-                    for off in 0..3u32 {
-                        if off != data_off {
-                            let a = grid.tile_at(x0, y0 + off);
-                            grid.set_kind(a, TileKind::Ancilla);
-                            block.push(a);
-                        }
-                    }
-                    // Keep the data's edge-adjacent ancilla first (survives
-                    // compression longest).
-                    block.sort_by_key(|&a| grid.manhattan(a, data));
-                    block_ancillas.push(block);
-                }
+            let (x0, y0) = ((q % cols) * 2, (q / cols) * 2);
+            // TL, TR, BR ancilla; BL data.
+            let tl = grid.tile_at(x0, y0);
+            let tr = grid.tile_at(x0 + 1, y0);
+            let br = grid.tile_at(x0 + 1, y0 + 1);
+            let bl = grid.tile_at(x0, y0 + 1);
+            for a in [tl, tr, br] {
+                grid.set_kind(a, TileKind::Ancilla);
             }
+            grid.set_kind(bl, TileKind::Data(QubitId(q)));
+            data_tiles.push(bl);
+            // Order matters: the *first* entry is kept longest under
+            // compression (TL is the data's Z-edge neighbour); the baseline's
+            // designated prep ancilla is TR ("the upper right ancilla",
+            // Fig 1d).
+            block_ancillas.push(vec![tl, tr, br]);
         }
 
         Ok(Layout {
             grid,
-            kind,
             data_tiles,
             block_ancillas,
             removed_ancillas: 0,
@@ -187,11 +125,6 @@ impl Layout {
     /// The underlying tile grid.
     pub fn grid(&self) -> &Grid {
         &self.grid
-    }
-
-    /// The block shape this layout was built from.
-    pub fn kind(&self) -> LayoutKind {
-        self.kind
     }
 
     /// Number of data qubits.
@@ -231,8 +164,8 @@ impl Layout {
     /// ancilla after compression.
     pub fn designated_prep_ancilla(&self, q: QubitId) -> Option<TileId> {
         let block = &self.block_ancillas[q.index()];
-        match self.kind {
-            LayoutKind::Star2x2 if block.len() == 3 => Some(block[1]), // TR
+        match block.len() {
+            3 => Some(block[1]), // TR
             _ => block.last().copied().or_else(|| {
                 // Block fully stripped: fall back to any adjacent ancilla.
                 self.grid.ancilla_neighbors(self.data_tile(q)).next()
@@ -289,10 +222,7 @@ impl Layout {
     /// Fraction of compressible ancillas removed (§5.3's x-axis): `0.0` for
     /// the pristine grid, `1.0` when every block is down to a single ancilla.
     pub fn compression(&self) -> f64 {
-        let max_removable: usize = match self.kind {
-            LayoutKind::Star2x2 => 2 * self.data_tiles.len(),
-            LayoutKind::Compact3x1 => self.data_tiles.len(),
-        };
+        let max_removable = REMOVABLE_PER_BLOCK * self.data_tiles.len();
         self.removed_ancillas as f64 / max_removable as f64
     }
 
@@ -304,11 +234,7 @@ impl Layout {
     /// `fraction` is clamped to `[0, 1]`.
     pub fn compress(&mut self, fraction: f64, seed: u64) -> f64 {
         let fraction = fraction.clamp(0.0, 1.0);
-        let per_block: usize = match self.kind {
-            LayoutKind::Star2x2 => 2,
-            LayoutKind::Compact3x1 => 1,
-        };
-        let max_removable = per_block * self.data_tiles.len();
+        let max_removable = REMOVABLE_PER_BLOCK * self.data_tiles.len();
         let target = (fraction * max_removable as f64).round() as usize;
 
         let mut order: Vec<usize> = (0..self.data_tiles.len()).collect();
@@ -342,169 +268,6 @@ impl Layout {
         self.compression()
     }
 
-    /// Serializes the layout to the stable, versioned text form used by the
-    /// harness's on-disk layout cache. Round-trips exactly through
-    /// [`Layout::from_cache_string`]; the format is line-oriented so a
-    /// truncated or hand-damaged file fails parsing instead of yielding a
-    /// subtly wrong fabric.
-    pub fn to_cache_string(&self) -> String {
-        let mut out = String::from("rescq-layout v1\n");
-        let kind = match self.kind {
-            LayoutKind::Star2x2 => "star2x2",
-            LayoutKind::Compact3x1 => "compact3x1",
-        };
-        out.push_str(&format!("kind {kind}\n"));
-        out.push_str(&format!(
-            "grid {} {}\n",
-            self.grid.width(),
-            self.grid.height()
-        ));
-        // Row-major tile kinds: data identities come from the `data` line.
-        out.push_str("tiles ");
-        for y in 0..self.grid.height() {
-            for x in 0..self.grid.width() {
-                out.push(match self.grid.kind(self.grid.tile_at(x, y)) {
-                    TileKind::Data(_) => 'd',
-                    TileKind::Ancilla => 'a',
-                    TileKind::Void => 'v',
-                });
-            }
-        }
-        out.push('\n');
-        out.push_str("data");
-        for &t in &self.data_tiles {
-            out.push_str(&format!(" {}", t.0));
-        }
-        out.push('\n');
-        for (q, block) in self.block_ancillas.iter().enumerate() {
-            out.push_str(&format!("block {q}"));
-            for &t in block {
-                out.push_str(&format!(" {}", t.0));
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!("removed {}\n", self.removed_ancillas));
-        out
-    }
-
-    /// Parses a layout previously written by [`Layout::to_cache_string`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for version mismatches, malformed lines, or
-    /// internally inconsistent content (tile/data disagreements, out-of-grid
-    /// indices) — the caller treats any error as a cache miss and rebuilds.
-    pub fn from_cache_string(text: &str) -> Result<Layout, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some("rescq-layout v1") {
-            return Err("unknown layout-cache version".into());
-        }
-        let mut kind = None;
-        let mut grid_dims = None;
-        let mut tiles = None;
-        let mut data: Vec<TileId> = Vec::new();
-        let mut blocks: Vec<(usize, Vec<TileId>)> = Vec::new();
-        let mut removed = None;
-        for line in lines {
-            let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match tag {
-                "kind" => {
-                    kind = Some(match rest {
-                        "star2x2" => LayoutKind::Star2x2,
-                        "compact3x1" => LayoutKind::Compact3x1,
-                        other => return Err(format!("unknown layout kind `{other}`")),
-                    });
-                }
-                "grid" => {
-                    let (w, h) = rest.split_once(' ').ok_or("malformed grid line")?;
-                    let w: u32 = w.parse().map_err(|_| "bad grid width")?;
-                    let h: u32 = h.parse().map_err(|_| "bad grid height")?;
-                    grid_dims = Some((w, h));
-                }
-                "tiles" => tiles = Some(rest.to_string()),
-                "data" => {
-                    data = rest
-                        .split_whitespace()
-                        .map(|t| t.parse().map(TileId).map_err(|_| "bad data tile id"))
-                        .collect::<Result<_, _>>()?;
-                }
-                "block" => {
-                    let mut it = rest.split_whitespace();
-                    let q: usize = it
-                        .next()
-                        .ok_or("malformed block line")?
-                        .parse()
-                        .map_err(|_| "bad block qubit")?;
-                    let tiles: Vec<TileId> = it
-                        .map(|t| t.parse().map(TileId).map_err(|_| "bad block tile id"))
-                        .collect::<Result<_, _>>()?;
-                    blocks.push((q, tiles));
-                }
-                "removed" => {
-                    removed = Some(rest.parse::<usize>().map_err(|_| "bad removed count")?);
-                }
-                "" => {}
-                other => return Err(format!("unknown layout-cache line `{other}`")),
-            }
-        }
-        let kind = kind.ok_or("missing kind")?;
-        let (w, h) = grid_dims.ok_or("missing grid")?;
-        let tiles = tiles.ok_or("missing tiles")?;
-        let removed = removed.ok_or("missing removed count")?;
-        if tiles.chars().count() != (w as usize) * (h as usize) {
-            return Err("tile row length disagrees with grid dimensions".into());
-        }
-        if data.is_empty() {
-            return Err("layout has no data qubits".into());
-        }
-        let mut grid = Grid::filled(w, h, TileKind::Void);
-        let mut data_count = 0usize;
-        for (i, c) in tiles.chars().enumerate() {
-            let t = TileId(i as u32);
-            match c {
-                'a' => grid.set_kind(t, TileKind::Ancilla),
-                'v' => {}
-                'd' => data_count += 1, // identity assigned below
-                other => return Err(format!("unknown tile char `{other}`")),
-            }
-        }
-        if data_count != data.len() {
-            return Err("data line disagrees with tile map".into());
-        }
-        let in_grid = |t: TileId| (t.0 as usize) < (w as usize) * (h as usize);
-        for (q, &t) in data.iter().enumerate() {
-            if !in_grid(t) {
-                return Err("data tile outside the grid".into());
-            }
-            if tiles.as_bytes()[t.0 as usize] != b'd' {
-                return Err("data tile not marked `d` in the tile map".into());
-            }
-            grid.set_kind(t, TileKind::Data(QubitId(q as u32)));
-        }
-        blocks.sort_by_key(|&(q, _)| q);
-        if blocks.iter().enumerate().any(|(i, &(q, _))| i != q) {
-            return Err("block lines must cover every qubit exactly once".into());
-        }
-        if blocks.len() != data.len() {
-            return Err("block count disagrees with data qubits".into());
-        }
-        let block_ancillas: Vec<Vec<TileId>> = blocks.into_iter().map(|(_, b)| b).collect();
-        for block in &block_ancillas {
-            for &t in block {
-                if !in_grid(t) || tiles.as_bytes()[t.0 as usize] != b'a' {
-                    return Err("block ancilla is not an ancilla tile".into());
-                }
-            }
-        }
-        Ok(Layout {
-            grid,
-            kind,
-            data_tiles: data,
-            block_ancillas,
-            removed_ancillas: removed,
-        })
-    }
-
     /// Renders the fabric as ASCII art (Fig 15 style): `D` = data, `.` =
     /// ancilla, space = void.
     pub fn render_ascii(&self) -> String {
@@ -535,7 +298,7 @@ mod tests {
 
     #[test]
     fn star_grid_shape() {
-        let l = Layout::new(LayoutKind::Star2x2, 9).unwrap();
+        let l = Layout::new(9).unwrap();
         assert_eq!(l.grid().width(), 6);
         assert_eq!(l.grid().height(), 6);
         assert_eq!(l.ancilla_tiles().len(), 27);
@@ -548,7 +311,7 @@ mod tests {
 
     #[test]
     fn star_data_has_z_and_x_neighbors() {
-        let l = Layout::new(LayoutKind::Star2x2, 4).unwrap();
+        let l = Layout::new(4).unwrap();
         let adj = l.data_adjacency(QubitId(0));
         // q0's data tile is (0,1): N = TL ancilla, E = BR ancilla.
         let sides: Vec<Side> = adj.side.iter().map(|&(s, _)| s).collect();
@@ -565,7 +328,7 @@ mod tests {
 
     #[test]
     fn designated_prep_is_upper_right() {
-        let l = Layout::new(LayoutKind::Star2x2, 4).unwrap();
+        let l = Layout::new(4).unwrap();
         // q0 block at origin: TR = (1,0).
         assert_eq!(
             l.designated_prep_ancilla(QubitId(0)),
@@ -574,25 +337,8 @@ mod tests {
     }
 
     #[test]
-    fn compact_layout_connected() {
-        let l = Layout::new(LayoutKind::Compact3x1, 12).unwrap();
-        assert!((l.ancilla_ratio() - 2.0).abs() < 1e-12);
-        assert!(l.is_routable());
-        // Every data qubit keeps a Z-edge (north or south) ancilla neighbour
-        // for ZZ injection.
-        for q in 0..12 {
-            let adj = l.data_adjacency(QubitId(q));
-            let sides: Vec<Side> = adj.side.iter().map(|&(s, _)| s).collect();
-            assert!(
-                sides.contains(&Side::North) || sides.contains(&Side::South),
-                "qubit {q} lacks a Z-edge ancilla: {sides:?}"
-            );
-        }
-    }
-
-    #[test]
     fn compression_reduces_ratio_and_stays_routable() {
-        let mut l = Layout::new(LayoutKind::Star2x2, 16).unwrap();
+        let mut l = Layout::new(16).unwrap();
         let achieved = l.compress(0.5, 7);
         assert!(achieved > 0.3, "achieved {achieved}");
         assert!(l.is_routable());
@@ -602,7 +348,7 @@ mod tests {
 
     #[test]
     fn full_compression_capped_by_connectivity() {
-        let mut l = Layout::new(LayoutKind::Star2x2, 16).unwrap();
+        let mut l = Layout::new(16).unwrap();
         let achieved = l.compress(1.0, 3);
         // Some removals are vetoed to keep the network connected, but most
         // succeed.
@@ -613,15 +359,15 @@ mod tests {
 
     #[test]
     fn compression_zero_is_noop() {
-        let mut l = Layout::new(LayoutKind::Star2x2, 8).unwrap();
+        let mut l = Layout::new(8).unwrap();
         assert_eq!(l.compress(0.0, 1), 0.0);
         assert!((l.ancilla_ratio() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn compression_deterministic_per_seed() {
-        let mut a = Layout::new(LayoutKind::Star2x2, 16).unwrap();
-        let mut b = Layout::new(LayoutKind::Star2x2, 16).unwrap();
+        let mut a = Layout::new(16).unwrap();
+        let mut b = Layout::new(16).unwrap();
         a.compress(0.75, 42);
         b.compress(0.75, 42);
         assert_eq!(a.render_ascii(), b.render_ascii());
@@ -629,7 +375,7 @@ mod tests {
 
     #[test]
     fn render_shows_all_kinds() {
-        let mut l = Layout::new(LayoutKind::Star2x2, 3).unwrap();
+        let mut l = Layout::new(3).unwrap();
         l.compress(0.4, 1);
         let art = l.render_ascii();
         assert!(art.contains('D'));
@@ -638,52 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_string_round_trips_compressed_layouts() {
-        for kind in [LayoutKind::Star2x2, LayoutKind::Compact3x1] {
-            for (n, fraction) in [(1u32, 0.0), (9, 0.0), (16, 0.5), (20, 1.0)] {
-                let mut l = Layout::new(kind, n).unwrap();
-                l.compress(fraction, 42);
-                let text = l.to_cache_string();
-                let back = Layout::from_cache_string(&text).unwrap();
-                assert_eq!(back.kind(), l.kind());
-                assert_eq!(back.num_qubits(), l.num_qubits());
-                assert_eq!(back.render_ascii(), l.render_ascii());
-                assert_eq!(back.compression(), l.compression());
-                assert_eq!(back.to_cache_string(), text, "stable round trip");
-                for q in 0..n {
-                    assert_eq!(back.data_tile(QubitId(q)), l.data_tile(QubitId(q)));
-                    assert_eq!(
-                        back.block_ancillas(QubitId(q)),
-                        l.block_ancillas(QubitId(q))
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cache_string_rejects_damage() {
-        let mut l = Layout::new(LayoutKind::Star2x2, 4).unwrap();
-        l.compress(0.5, 3);
-        let text = l.to_cache_string();
-        assert!(Layout::from_cache_string("garbage").is_err());
-        assert!(Layout::from_cache_string(&text.replace("v1", "v9")).is_err());
-        // Truncation drops required lines.
-        let truncated: String = text.lines().take(3).collect::<Vec<_>>().join("\n");
-        assert!(Layout::from_cache_string(&truncated).is_err());
-        // A flipped tile char breaks the data/tile cross-check.
-        let damaged = text.replacen('d', "a", 1);
-        assert!(Layout::from_cache_string(&damaged).is_err());
-    }
-
-    #[test]
     fn zero_qubits_rejected() {
-        assert!(Layout::new(LayoutKind::Star2x2, 0).is_err());
+        assert!(Layout::new(0).is_err());
     }
 
     #[test]
     fn single_qubit_layout() {
-        let l = Layout::new(LayoutKind::Star2x2, 1).unwrap();
+        let l = Layout::new(1).unwrap();
         assert!(l.is_routable());
         assert_eq!(l.ancilla_tiles().len(), 3);
     }

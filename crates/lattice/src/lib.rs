@@ -9,9 +9,9 @@
 //! # Quick example
 //!
 //! ```
-//! use rescq_lattice::{AncillaGraph, IncrementalMst, Layout, LayoutKind};
+//! use rescq_lattice::{AncillaGraph, IncrementalMst, Layout};
 //!
-//! let mut layout = Layout::new(LayoutKind::Star2x2, 16).unwrap();
+//! let mut layout = Layout::new(16).unwrap();
 //! layout.compress(0.5, 42);
 //! assert!(layout.is_routable());
 //!
@@ -32,6 +32,6 @@ mod tile;
 
 pub use graph::{ancilla_network_connected, AncillaGraph, AncillaIndex, BfsScratch, UnionFind};
 pub use grid::Grid;
-pub use layout::{DataAdjacency, Layout, LayoutError, LayoutKind};
+pub use layout::{DataAdjacency, Layout, LayoutError};
 pub use mst::{EdgeId, IncrementalMst, NodeId};
 pub use tile::{Corner, EdgeType, Orientation, Side, TileId, TileKind};

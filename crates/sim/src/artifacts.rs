@@ -74,11 +74,10 @@ impl SimArtifacts {
         }
     }
 
-    /// Checks the bundle is internally consistent and matches `config`:
-    /// circuit/layout widths agree, the DAG covers exactly the circuit's
-    /// gates, the routing graph indexes exactly the layout's ancillas, and
-    /// the layout kind matches the configuration.
-    fn validate(&self, config: &SimConfig) -> Result<(), SimError> {
+    /// Checks the bundle is internally consistent: circuit/layout widths
+    /// agree, the DAG covers exactly the circuit's gates, and the routing
+    /// graph indexes exactly the layout's ancillas.
+    fn validate(&self) -> Result<(), SimError> {
         if self.circuit.num_qubits() == 0 {
             return Err(SimError::BadInput("circuit has no qubits".into()));
         }
@@ -103,19 +102,17 @@ impl SimArtifacts {
                 self.layout.ancilla_tiles().len()
             )));
         }
-        if self.layout.kind() != config.layout {
-            return Err(SimError::BadInput(format!(
-                "layout kind {:?} does not match config {:?}",
-                self.layout.kind(),
-                config.layout
-            )));
-        }
         Ok(())
     }
 }
 
-/// Builds the (possibly compressed) layout a configuration describes, for
-/// `num_qubits` data qubits.
+/// Seed of §5.3's compression order. It is fixed, independent of the run
+/// seed, so every scheduler and seed sees the same compressed grid.
+pub const COMPRESSION_SEED: u64 = 0xC0FFEE;
+
+/// Builds the (possibly compressed) 2×2 STAR layout for `num_qubits` data
+/// qubits at the configuration's compression fraction, compressed with
+/// [`COMPRESSION_SEED`].
 ///
 /// # Errors
 ///
@@ -125,13 +122,9 @@ pub fn build_layout(num_qubits: u32, config: &SimConfig) -> Result<Layout, SimEr
     if num_qubits == 0 {
         return Err(SimError::BadInput("circuit has no qubits".into()));
     }
-    let mut layout = match config.block_columns {
-        Some(cols) => Layout::with_block_columns(config.layout, num_qubits, cols),
-        None => Layout::new(config.layout, num_qubits),
-    }
-    .map_err(|e| SimError::BadInput(e.to_string()))?;
+    let mut layout = Layout::new(num_qubits).map_err(|e| SimError::BadInput(e.to_string()))?;
     if config.compression > 0.0 {
-        layout.compress(config.compression, config.compression_seed);
+        layout.compress(config.compression, COMPRESSION_SEED);
     }
     if !layout.is_routable() {
         return Err(SimError::BadInput("layout is not routable".into()));
@@ -168,7 +161,7 @@ pub fn simulate_prepared_traced(
     config: &SimConfig,
     recorder: Option<&dyn rescq_telemetry::Recorder>,
 ) -> Result<ExecutionReport, SimError> {
-    artifacts.validate(config)?;
+    artifacts.validate()?;
     run_with_artifacts(artifacts, config, recorder)
 }
 

@@ -1,16 +1,23 @@
 //! Simulation configuration (mirrors the artifact's config files).
 
-use rescq_core::{ClassLattice, KPolicy, SchedulerKind, SurgeryCosts, TauModel};
+use rescq_core::{ClassLattice, KPolicy, SchedulerKind};
 use rescq_decoder::{DecoderConfig, DecoderKind, ErrorChannel};
-use rescq_lattice::LayoutKind;
 use rescq_rus::{PrepCalibration, RusParams};
 use std::fmt;
 
 /// Full configuration of one simulation run.
 ///
 /// Build with [`SimConfig::builder`]; defaults follow the paper's headline
-/// setup (`d = 7`, `p = 10⁻⁴`, RESCQ with `k = 25`, `c = 100`, uncompressed
-/// 2×2 STAR grid).
+/// setup (`d = 7`, `p = 10⁻⁴`, RESCQ with `k = 25`, uncompressed 2×2 STAR
+/// grid).
+///
+/// The fabric is a function of the circuit width and [`compression`]
+/// alone (see [`build_layout`](crate::build_layout)). The model constants
+/// are fixed at the paper's values and are not configured here: the
+/// activity window `c = 100`, `SurgeryCosts::default()` and the §5.4.1
+/// `TauModel::default()` fit.
+///
+/// [`compression`]: SimConfig::compression
 ///
 /// # Example
 ///
@@ -37,25 +44,12 @@ pub struct SimConfig {
     pub scheduler: SchedulerKind,
     /// MST recomputation policy (RESCQ only).
     pub k_policy: KPolicy,
-    /// Activity window `c` in cycles (RESCQ only).
-    pub activity_window: u32,
-    /// Fabric block shape.
-    pub layout: LayoutKind,
-    /// Explicit block-grid width (defaults to a near-square arrangement).
-    pub block_columns: Option<u32>,
     /// Grid compression fraction in `[0, 1]` (§5.3).
     pub compression: f64,
-    /// Seed for the compression procedure (independent of the run seed so
-    /// all schedulers see the same compressed grid).
-    pub compression_seed: u64,
     /// Seed of the run's RUS outcome stream.
     pub seed: u64,
-    /// Lattice-surgery cycle costs.
-    pub costs: SurgeryCosts,
     /// RUS preparation calibration constants.
     pub calibration: PrepCalibration,
-    /// Classical MST latency model.
-    pub tau_model: TauModel,
     /// Classical decoding pipeline model. The `ideal` default is invisible:
     /// a run with it is bit-identical to the same build with no decoder
     /// consulted at all. `fixed` and `union_find` apply backlog-aware
@@ -145,15 +139,9 @@ impl Default for SimConfigBuilder {
                 physical_error_rate: 1e-4,
                 scheduler: SchedulerKind::Rescq,
                 k_policy: KPolicy::Fixed(25),
-                activity_window: 100,
-                layout: LayoutKind::Star2x2,
-                block_columns: None,
                 compression: 0.0,
-                compression_seed: 0xC0FFEE,
                 seed: 1,
-                costs: SurgeryCosts::default(),
                 calibration: PrepCalibration::default(),
-                tau_model: TauModel::default(),
                 decoder: DecoderConfig::default(),
                 max_cycles: 50_000_000,
                 priority_classes: None,
@@ -187,33 +175,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the activity window `c`.
-    pub fn activity_window(mut self, c: u32) -> Self {
-        self.config.activity_window = c;
-        self
-    }
-
-    /// Sets the fabric layout kind.
-    pub fn layout(mut self, l: LayoutKind) -> Self {
-        self.config.layout = l;
-        self
-    }
-
-    /// Sets an explicit block-grid width.
-    pub fn block_columns(mut self, cols: u32) -> Self {
-        self.config.block_columns = Some(cols);
-        self
-    }
-
     /// Sets the grid compression fraction.
     pub fn compression(mut self, f: f64) -> Self {
         self.config.compression = f;
-        self
-    }
-
-    /// Sets the compression seed.
-    pub fn compression_seed(mut self, s: u64) -> Self {
-        self.config.compression_seed = s;
         self
     }
 
@@ -223,21 +187,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the surgery costs.
-    pub fn costs(mut self, c: SurgeryCosts) -> Self {
-        self.config.costs = c;
-        self
-    }
-
     /// Sets the RUS calibration.
     pub fn calibration(mut self, c: PrepCalibration) -> Self {
         self.config.calibration = c;
-        self
-    }
-
-    /// Sets the τ model.
-    pub fn tau_model(mut self, m: TauModel) -> Self {
-        self.config.tau_model = m;
         self
     }
 
@@ -284,7 +236,6 @@ mod tests {
         assert!((c.physical_error_rate - 1e-4).abs() < 1e-18);
         assert_eq!(c.scheduler, SchedulerKind::Rescq);
         assert_eq!(c.k_policy, KPolicy::Fixed(25));
-        assert_eq!(c.activity_window, 100);
         assert_eq!(c.compression, 0.0);
         assert_eq!(c.decoder.kind, DecoderKind::Ideal);
     }

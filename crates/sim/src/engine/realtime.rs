@@ -60,7 +60,7 @@ use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, GateQubits, Qub
 use rescq_core::{
     for_each_set_bit, plan_cnot_route_into, Bitset, EntryStatus, LedgerEvent, MstPipeline,
     PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch, SchedulerKind,
-    SurgeryCosts, TaskClass, TaskId, VecPool,
+    SurgeryCosts, TaskClass, TaskId, TauModel, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::{AncillaIndex, DataAdjacency, EdgeType};
@@ -72,6 +72,10 @@ use std::time::Instant;
 
 /// Cycles without any gate completion before the stall breaker fires.
 const STALL_BREAK_CYCLES: u64 = 300;
+
+/// Activity window `c` in cycles (§4.2): MST edge weights count an
+/// ancilla's active cycles among the last `c`.
+const ACTIVITY_WINDOW: u32 = 100;
 
 /// Recycled scratch buffers of the cycle loop (the hot-path memory model):
 /// every per-pass working set lives here, `mem::take`n out for the duration
@@ -315,8 +319,6 @@ struct RtEngine<'a> {
     /// Angle currently being prepared on each ancilla, if any.
     prepping: Vec<Option<Angle>>,
 
-    /// Activity window `c` in cycles (§4.2), clamped to `1..=128`.
-    activity_window: u32,
     mst: MstPipeline,
     path_cache: PathCache,
     events: EventQueue<Ev>,
@@ -403,9 +405,10 @@ pub(crate) fn run_realtime(
     let prep_model = PreparationModel::with_calibration(config.rus_params(), config.calibration);
     let num_ancillas = fabric.num_ancillas();
     let edges: Vec<(u32, u32)> = fabric.graph.edges().to_vec();
-    let mst = MstPipeline::new(num_ancillas, &edges, config.k_policy, config.tau_model);
+    let mst = MstPipeline::new(num_ancillas, &edges, config.k_policy, TauModel::default());
+    let costs = SurgeryCosts::default();
     let rz_entry_cost = prep_model.expected_rounds().ceil() as u64
-        + 2 * config.costs.cnot_injection_cycles as u64 * d as u64;
+        + 2 * costs.cnot_injection_cycles as u64 * d as u64;
     // Static per-qubit tile adjacency, computed once: geometry never
     // changes mid-run, and rebuilding these per injection was the last
     // steady-state allocation (caught by the counting-allocator test).
@@ -484,7 +487,7 @@ pub(crate) fn run_realtime(
         circuit,
         dag,
         fabric,
-        costs: config.costs,
+        costs,
         d,
         clock: 0,
         rng,
@@ -503,7 +506,6 @@ pub(crate) fn run_realtime(
         ledger,
         prep_epoch: vec![0; num_ancillas],
         prepping: vec![None; num_ancillas],
-        activity_window: config.activity_window.clamp(1, 128),
         mst,
         path_cache: PathCache::new(),
         events: EventQueue::new(),
@@ -2406,9 +2408,9 @@ impl RtEngine<'_> {
                 debug_assert_eq!(cycle, self.fabric.cycle(), "one tick per cycle boundary");
                 // The snapshot an MST computation reads (Fig 8): edge weight
                 // = the busier endpoint's activity count.
-                let (fabric, window) = (&mut self.fabric, self.activity_window);
+                let fabric = &mut self.fabric;
                 self.mst.on_cycle(cycle, |edges, out| {
-                    let counts = fabric.activity_counts(window);
+                    let counts = fabric.activity_counts(ACTIVITY_WINDOW);
                     out.extend(
                         edges
                             .iter()

@@ -23,7 +23,7 @@ use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, QubitId};
 use rescq_core::{
     plan_static_route, LedgerEvent, QueueEntry, ReservationLedger, Role, SchedulerKind,
-    StaticRouteOutcome, TaskId,
+    StaticRouteOutcome, SurgeryCosts, TaskId,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::AncillaIndex;
@@ -114,7 +114,7 @@ pub(crate) fn run_static(
 ) -> Result<ExecutionReport, SimError> {
     let d = config.rounds_per_cycle();
     let prep_model = PreparationModel::with_calibration(config.rus_params(), config.calibration);
-    let costs = config.costs;
+    let costs = SurgeryCosts::default();
     let max_rounds = config.max_cycles.saturating_mul(d as u64);
 
     let mut clock: u64 = 0;
@@ -401,7 +401,7 @@ fn dispatch_gate(
     counters: &mut RunCounters,
     now: u64,
     d: u32,
-    costs: &rescq_core::SurgeryCosts,
+    costs: &SurgeryCosts,
 ) -> Result<(), SimError> {
     // Split borrows: read geometry immutably, mutate the single state slot.
     let (_, ref mut state) = gates[idx];

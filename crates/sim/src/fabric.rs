@@ -259,10 +259,9 @@ impl Fabric {
 mod tests {
     use super::*;
     use rescq_core::ActivityTracker;
-    use rescq_lattice::LayoutKind;
 
     fn fabric() -> Fabric {
-        let layout = Arc::new(Layout::new(LayoutKind::Star2x2, 4).unwrap());
+        let layout = Arc::new(Layout::new(4).unwrap());
         let graph = Arc::new(AncillaGraph::from_grid(layout.grid()));
         Fabric::new(layout, graph, 7)
     }
@@ -351,7 +350,7 @@ mod tests {
     /// `snapshot_every` boundaries, so folds also span long gaps).
     fn check_activity_sequence(d: u32, seed: u64, snapshot_every: u64) {
         const WINDOWS: [u32; 4] = [1, 7, 100, 128];
-        let layout = Arc::new(Layout::new(LayoutKind::Star2x2, 4).unwrap());
+        let layout = Arc::new(Layout::new(4).unwrap());
         let graph = Arc::new(AncillaGraph::from_grid(layout.grid()));
         let mut f = Fabric::new(layout, graph, d);
         let n = f.num_ancillas();

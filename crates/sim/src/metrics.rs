@@ -325,8 +325,8 @@ fn summarize(h: &LatencyHistogram) -> HistogramSummary {
 }
 
 /// Builds the versioned [`MetricsSnapshot`] of one run: the
-/// machine-queryable rollup `sim run --metrics-out` writes and the
-/// harness folds into sweep outputs.
+/// machine-queryable rollup `sim run --metrics-out` writes. (Sweep rows
+/// are built from the report itself, not from this snapshot.)
 ///
 /// Every metric is schedule-derived (rounds, cycles, counters) — the
 /// wall-clock `phase_nanos` are deliberately excluded — so the

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rescq_core::{PathCache, SchedulerKind};
 use rescq_decoder::DecoderConfig;
-use rescq_lattice::{AncillaGraph, LayoutKind};
+use rescq_lattice::AncillaGraph;
 use rescq_sim::{simulate_prepared, simulate_with_cycle_probe, SimArtifacts, SimConfig};
 
 /// Counts every `alloc`/`realloc` passed through to the system allocator,
@@ -165,7 +165,7 @@ fn steady_state_cycles_allocate_nothing_on_ising_n34() {
 
 #[test]
 fn cold_geometric_path_miss_allocates_only_the_cached_path() {
-    let mut layout = rescq_lattice::Layout::new(LayoutKind::Star2x2, 16).unwrap();
+    let mut layout = rescq_lattice::Layout::new(16).unwrap();
     layout.compress(0.5, 3);
     let graph = AncillaGraph::from_grid(layout.grid());
     let n = graph.len() as u32;

@@ -3,9 +3,9 @@
 //! A [`MetricsSnapshot`] is a flat bag of named counters, gauges, and
 //! histogram summaries (count/sum/p50/p99) with a schema version —
 //! the machine-readable sibling of the human report CSVs. The sim
-//! builds one per run (`rescq_sim::metrics_snapshot`), `sim run
-//! --metrics-out` writes it, and the harness rolls the histogram
-//! quantiles up into sweep outputs.
+//! builds one per run (`rescq_sim::metrics_snapshot`) and `sim run
+//! --metrics-out` writes it. Sweep rows do not come from snapshots: the
+//! harness builds them from the report (`JobMetrics::from_report`).
 //!
 //! Everything in a snapshot is **schedule-derived** (rounds, cycles,
 //! counters) — wall-clock never enters, so a snapshot is a pure

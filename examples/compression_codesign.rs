@@ -6,23 +6,21 @@
 //! cargo run --release --example compression_codesign
 //! ```
 
+use rescq_bench::experiments::fig15;
 use rescq_repro::core::SchedulerKind;
-use rescq_repro::lattice::{Layout, LayoutKind};
 use rescq_repro::sim::runner::run_seeds;
 use rescq_repro::sim::SimConfig;
 
 fn main() {
     // Fig 15: what compression does to an 8-qubit fabric.
-    for compression in [0.0, 0.5, 1.0] {
-        let mut layout = Layout::new(LayoutKind::Star2x2, 8).unwrap();
-        let achieved = layout.compress(compression, 42);
+    for g in fig15().expect("fig 15 grids build") {
         println!(
             "--- requested {:.0}%, achieved {:.0}%, {:.2} ancilla/data ---",
-            compression * 100.0,
-            achieved * 100.0,
-            layout.ancilla_ratio()
+            g.requested * 100.0,
+            g.layout.compression() * 100.0,
+            g.layout.ancilla_ratio()
         );
-        println!("{}", layout.render_ascii());
+        println!("{}", g.layout.render_ascii());
     }
 
     // Fig 14: execution time under compression for a rotation-dense circuit.

@@ -46,6 +46,6 @@ pub use rescq_workloads as workloads;
 pub mod prelude {
     pub use rescq_circuit::{Angle, Circuit, Gate, QubitId};
     pub use rescq_core::{KPolicy, SchedulerKind};
-    pub use rescq_lattice::{Layout, LayoutKind};
+    pub use rescq_lattice::Layout;
     pub use rescq_sim::{simulate, ExecutionReport, SimConfig};
 }

@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use rescq_decoder::{DecodeBacklog, DecoderConfig};
 use rescq_repro::circuit::{parse_circuit, write_circuit, Angle, Circuit, DependencyDag, Gate};
 use rescq_repro::core::SchedulerKind;
-use rescq_repro::lattice::{Layout, LayoutKind};
+use rescq_repro::lattice::Layout;
 use rescq_repro::sim::{simulate, ExecutionReport, SimConfig};
 
 const CASES: u64 = 24;
@@ -85,7 +85,7 @@ fn compression_preserves_routability() {
         let n = rng.gen_range(2u32..20);
         let fraction = rng.gen_range(0.0f64..1.0);
         let seed = rng.gen_range(0u64..1000);
-        let mut layout = Layout::new(LayoutKind::Star2x2, n).unwrap();
+        let mut layout = Layout::new(n).unwrap();
         layout.compress(fraction, seed);
         assert!(layout.is_routable());
     });
