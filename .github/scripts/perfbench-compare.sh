@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Compares perfbench result lines of a change with those of its parent and
-# prints a markdown table: for each workload and each `end_to_end` metric
-# of BENCHMARK.json, the change/parent ratio of the medians over the runs,
-# flagged when the change is worse than the metric's bound (ratio above
-# 1 + bound for lower-is-better metrics, below 1 - bound for
-# higher-is-better ones).
+# prints two markdown tables:
+# - for each workload and each `end_to_end` metric of BENCHMARK.json, the
+#   change/parent ratio of the medians over the untraced runs, flagged when
+#   the change is worse than the metric's bound (ratio above 1 + bound for
+#   lower-is-better metrics, below 1 - bound for higher-is-better ones);
+# - for each workload and each `per_layer` metric, the change/parent ratio
+#   of one traced run per side (no bounds: it names the layer a change
+#   moved).
 #
 # The gate is soft: no ratio fails it. It exits 1 only on a structural
 # problem in the change's results: a missing or empty result line,
@@ -13,8 +16,10 @@
 #
 # usage: perfbench-compare.sh BENCHMARK.json RESULTS_DIR
 #
-# RESULTS_DIR holds one file per run, named <parent|change>-<workload>-<pair>.json,
-# each the last stdout line of `perfbench --workload <workload> --trace 0`.
+# RESULTS_DIR holds one file per run, each the last stdout line of
+# perfbench: <parent|change>-<workload>-<pair>.json from
+# `--workload <workload> --trace 0`, and traced-<parent|change>-<workload>.json
+# from `--workload <workload> --trace 1`.
 set -euo pipefail
 
 bench=$1
@@ -66,9 +71,43 @@ for w in $(jq -r '.workloads[].name' "$bench"); do
               + "\($m.better), \($m.bound) | \(if $worse then "**worse than bound**" else "" end) |"')
 done
 
+# One traced run per side: per-layer ratios.
+layer_rows=()
+for w in $(jq -r '.workloads[].name' "$bench"); do
+    ok=1
+    for tree in parent change; do
+        f="$dir/traced-$tree-$w.json"
+        if ! sound "$f"; then
+            problems+=("$tree/$w: traced-$tree-$w.json has no sound result line")
+            ok=0
+        fi
+    done
+    [ "$ok" -eq 1 ] || continue
+    while IFS= read -r row; do layer_rows+=("$row"); done < <(
+        jq -n -r --arg w "$w" --slurpfile bench "$bench" \
+            --slurpfile parent "$dir/traced-parent-$w.json" \
+            --slurpfile change "$dir/traced-change-$w.json" '
+            def r3: . * 1000 | round / 1000;
+            def r4: . * 10000 | round / 10000;
+            $bench[0].per_layer[] as $m
+            | ($parent[0].metrics[$m.name].value // null) as $p
+            | ($change[0].metrics[$m.name].value // null) as $c
+            | select($p != null and $c != null)
+            | (if $p == 0 then null else $c / $p end) as $r
+            | "| \($w) | \($m.name) | \($p | r4) | \($c | r4) | "
+              + "\(if $r == null then "n/a" else ($r | r3 | tostring) end) | \($m.better) |"')
+done
+
 echo "| workload | metric | parent median | change median | change/parent | better, bound | flag |"
 echo "|---|---|---:|---:|---:|---|---|"
 for row in "${rows[@]}"; do echo "$row"; done
+
+echo
+echo "Per-layer metrics, one traced run per side:"
+echo
+echo "| workload | layer metric | parent | change | change/parent | better |"
+echo "|---|---|---:|---:|---:|---|"
+for row in "${layer_rows[@]}"; do echo "$row"; done
 
 status=0
 for p in "${problems[@]}"; do

@@ -1,5 +1,7 @@
-//! §5.4.2 micro-benchmark: Algorithm-1 path selection with the per-MST
-//! path cache (amortized O(1) per CNOT), plus ancilla-queue operations.
+//! §5.4.2 micro-benchmark: Algorithm-1 path selection (the floor-ordered
+//! branch and bound over endpoint pairs, tree paths climbed from the MST)
+//! with a cold and a warm geometric-path memo, plus ancilla-queue
+//! operations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescq_circuit::{Angle, QubitId};

@@ -2,8 +2,8 @@
 //!
 //! The realtime engine's dispatch loop runs once per event and several times
 //! per cycle; any `Vec::new`/`clone` inside it shows up directly in the
-//! cycles/s trajectory (BENCH_seed → BENCH_7 regressed 246→328 ms on
-//! ising_n420 largely from such churn). This module provides the two
+//! wall-clock of a run (such churn once slowed a traced `ising_n420` run
+//! from 246 to 328 ms; see CHANGES.md). This module provides the two
 //! building blocks the engine uses to reach zero heap allocations at steady
 //! state:
 //!

@@ -8,11 +8,9 @@
 //! `factory > injection > compute > speculative` by default — decides who
 //! may overtake whom; an incremental cycle check decides whether the
 //! reorder is safe), the pipelined stale-tolerant [`MstPipeline`] (§4.2 /
-//! Fig 8) with the per-cycle [`ActivityTracker`] that defines the activity
-//! counts its edge weights are built from (`rescq-sim`'s fabric derives the
-//! same counts from occupancy runs), Algorithm-1 routing over the MST with a
-//! geometric-path memo ([`PathCache`], [`routing`]), and the baseline
-//! static-routing policy the evaluation compares against.
+//! Fig 8), Algorithm-1 routing over the MST with a geometric-path memo
+//! ([`PathCache`], [`routing`]), and the baseline static-routing policy the
+//! evaluation compares against.
 //!
 //! The cycle-accurate engine that drives these structures lives in
 //! `rescq-sim`; everything here is deterministic, pure scheduling logic and
@@ -35,7 +33,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod activity;
 pub mod arena;
 mod dynmst;
 mod queue;
@@ -43,7 +40,6 @@ mod reservation;
 pub mod routing;
 mod types;
 
-pub use activity::ActivityTracker;
 pub use arena::{for_each_set_bit, Bitset, VecPool};
 pub use dynmst::{KPolicy, MstPipeline, TauModel};
 pub use queue::{AncillaQueue, EntryStatus, QueueEntry, Role};

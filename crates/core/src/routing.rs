@@ -2,12 +2,31 @@
 //!
 //! [`plan_cnot_route`] implements the paper's Algorithm 1: consider every
 //! pair of (control-adjacent, target-adjacent) ancillas — up to 4 × 4 = 16
-//! candidates — connect each pair along the activity-weighted MST, charge
-//! 3-cycle edge rotations when the touched side does not expose the required
-//! boundary, estimate the start time from the per-ancilla expected free
-//! times, and pick the earliest-finishing plan. A tree path is read by
-//! climbing the rooted MST in `O(path length)`; geometric shortest paths are
-//! memoised in a [`PathCache`] for the whole run.
+//! pairs — and two candidate paths per pair, the activity-weighted MST tree
+//! path and the geometric shortest path; charge 3-cycle edge rotations when
+//! the touched side does not expose the required boundary, estimate the
+//! start time from the per-ancilla expected free times, and pick the
+//! earliest-finishing candidate. Ties go to the shorter path, then to the
+//! earlier candidate in enumeration order (pairs in adjacency order, the
+//! tree path before the geometric one): the winner is the least
+//! `(completion, path length, enumeration index)`.
+//!
+//! The search is an exact branch and bound. Both candidates of a pair run
+//! `a_c → a_t` inclusive, so `max(rotation start, E[f_{a_c}], E[f_{a_t}])`
+//! plus the rotation and surgery rounds is a floor on either one's
+//! completion, known before any path is read. Pairs are visited in
+//! ascending `(floor, enumeration index)` order, first for their geometric
+//! candidates (whose lengths the memo knows) and then for their tree
+//! candidates. Each visit stops at the first pair whose floor exceeds the
+//! best completion, and a candidate whose `(floor, path length, enumeration
+//! index)` cannot beat the best key is skipped: a tree path is climbed only
+//! as far as it could still win, and a path's expected free times are read
+//! only while it still can. The winner is the one an exhaustive loop over
+//! every candidate picks.
+//!
+//! A tree path is read by climbing the rooted MST in `O(path length)`;
+//! geometric shortest paths are memoised in a [`PathCache`] for the whole
+//! run.
 //!
 //! [`plan_static_route`] is the baselines' routing: BFS shortest path over
 //! currently-free ancillas from the control's Z-edge neighbours to the
@@ -15,11 +34,11 @@
 //! usable ancilla (paper Fig 4).
 //!
 //! Both planners are pure functions of their inputs (tree, static graph,
-//! free-time estimates): candidates are enumerated in a fixed
-//! adjacency order and ties keep the first candidate — hash maps are only
-//! ever used for keyed lookups, never iterated — so route choice is
-//! deterministic and thread-count invariant, part of the engine's
-//! bit-identical schedule contract.
+//! free-time estimates): candidates are enumerated in a fixed adjacency
+//! order and ties are broken by that order — hash maps are only ever used
+//! for keyed lookups, never iterated — so route choice is deterministic and
+//! thread-count invariant, part of the engine's bit-identical schedule
+//! contract.
 
 use crate::SurgeryCosts;
 use rescq_circuit::QubitId;
@@ -87,12 +106,44 @@ impl RoutePlanMeta {
 /// the whole run. MST tree paths are not cached — a query climbs the
 /// rooted tree in `O(path length)` ([`IncrementalMst::tree_path_into`]),
 /// which costs no more than copying a cached path would.
+///
+/// The planner looks up every endpoint pair of a plan, counting each
+/// lookup as a hit or a miss, before it reads any path. It then resolves
+/// the plan's misses together: one BFS per distinct smaller id, stopping
+/// once all of that source's targets are reached
+/// ([`AncillaGraph::search_until`]). Each path is the one a search for its
+/// pair alone finds.
 #[derive(Debug, Default)]
 pub struct PathCache {
+    /// Paths keyed by `(smaller id, larger id)` and stored from the smaller
+    /// id; `None` when the pair is unreachable or not yet searched.
     geo_paths: HashMap<(AncillaIndex, AncillaIndex), Option<Vec<AncillaIndex>>>,
+    /// Keys that missed since the last [`Self::resolve`].
+    pending: Vec<(AncillaIndex, AncillaIndex)>,
+    /// One source's targets, staged from `pending`.
+    targets: Vec<AncillaIndex>,
+    /// A found path before its exact-size copy into the memo.
+    path: Vec<AncillaIndex>,
     bfs: BfsScratch,
     hits: u64,
     misses: u64,
+    /// Nodes on the longest memoised path.
+    longest: usize,
+}
+
+/// A memo key: the pair with its smaller id first.
+fn memo_key(a: AncillaIndex, b: AncillaIndex) -> (AncillaIndex, AncillaIndex) {
+    (a.min(b), a.max(b))
+}
+
+/// Writes `stored` (a memo path, kept from its smaller id) into `out`
+/// oriented to start at `a`.
+fn extend_from(a: AncillaIndex, stored: &[AncillaIndex], out: &mut Vec<AncillaIndex>) {
+    if stored.first() == Some(&a) {
+        out.extend_from_slice(stored);
+    } else {
+        out.extend(stored.iter().rev().copied());
+    }
 }
 
 impl PathCache {
@@ -106,7 +157,8 @@ impl PathCache {
         self.hits
     }
 
-    /// Geometric-path lookups that ran a search since construction.
+    /// Geometric-path lookups that needed a search since construction (one
+    /// per distinct endpoint pair looked up).
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -124,38 +176,139 @@ impl PathCache {
         b: AncillaIndex,
         out: &mut Vec<AncillaIndex>,
     ) -> bool {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let cached = match self.geo_paths.entry(key) {
-            Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            Entry::Vacant(e) => {
-                self.misses += 1;
-                let found = graph.path_between_into(key.0, key.1, &mut self.bfs, out);
-                e.insert(found.then(|| out.clone()))
-            }
-        };
-        let Some(p) = cached else {
+        self.lookup(a, b);
+        self.resolve(graph);
+        out.clear();
+        let Some(p) = self.path(a, b) else {
             return false;
         };
-        out.clear();
-        if p.first() == Some(&a) {
-            out.extend_from_slice(p);
-        } else {
-            out.extend(p.iter().rev().copied());
-        }
+        extend_from(a, p, out);
         true
+    }
+
+    /// Counts one lookup of the pair `(a, b)`; a miss is queued for
+    /// [`Self::resolve`].
+    fn lookup(&mut self, a: AncillaIndex, b: AncillaIndex) {
+        let key = memo_key(a, b);
+        match self.geo_paths.entry(key) {
+            Entry::Occupied(_) => self.hits += 1,
+            Entry::Vacant(e) => {
+                self.misses += 1;
+                e.insert(None);
+                self.pending.push(key);
+            }
+        }
+    }
+
+    /// Searches every queued miss: one BFS per distinct smaller id.
+    fn resolve(&mut self, graph: &AncillaGraph) {
+        if self.pending.is_empty() {
+            return;
+        }
+        // Sized once to the longest possible path.
+        self.path.clear();
+        self.path.reserve(graph.len());
+        self.pending.sort_unstable();
+        for group in self.pending.chunk_by(|x, y| x.0 == y.0) {
+            let source = group[0].0;
+            self.targets.clear();
+            self.targets.extend(group.iter().map(|&(_, t)| t));
+            graph.search_until(source, &self.targets, &mut self.bfs);
+            for &t in &self.targets {
+                if self.bfs.path_into(t, &mut self.path) {
+                    self.longest = self.longest.max(self.path.len());
+                    self.geo_paths.insert((source, t), Some(self.path.clone()));
+                }
+            }
+        }
+        self.pending.clear();
+    }
+
+    /// The memoised path between `a` and `b`, stored from the smaller id.
+    fn path(&self, a: AncillaIndex, b: AncillaIndex) -> Option<&[AncillaIndex]> {
+        self.geo_paths.get(&memo_key(a, b))?.as_deref()
     }
 }
 
-/// Reusable candidate-path buffers for [`plan_cnot_route_into`]. One of
-/// these lives in the engine's scratch arena; its capacity plateaus at the
-/// longest candidate path.
+/// Reusable buffers for [`plan_cnot_route_into`]. One of these lives in the
+/// engine's scratch arena; its capacities plateau after the first plans.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
     tree: Vec<AncillaIndex>,
-    direct: Vec<AncillaIndex>,
+    pairs: Vec<EndpointPair>,
+}
+
+/// One endpoint pair of a plan. Its two candidates share the endpoints,
+/// the rotations and so the floor.
+#[derive(Debug, Clone, Copy)]
+struct EndpointPair {
+    a_c: AncillaIndex,
+    a_t: AncillaIndex,
+    /// The rotations, and the start that the endpoints and rotations alone
+    /// allow.
+    floor_meta: RoutePlanMeta,
+    /// `floor_meta`'s completion: neither candidate completes earlier.
+    floor: u64,
+    /// Position in enumeration order. Candidate `2·index` is the tree path
+    /// and `2·index + 1` the geometric path.
+    index: u32,
+}
+
+impl EndpointPair {
+    /// The rotation and surgery rounds between start and completion.
+    fn surgery_rounds(&self) -> u64 {
+        self.floor - self.floor_meta.est_start_rounds
+    }
+}
+
+/// A candidate's rank: completion, then path length, then enumeration
+/// index. The least key wins.
+type CandidateKey = (u64, usize, u32);
+
+/// The best candidate so far.
+#[derive(Debug)]
+struct Best<'a> {
+    key: CandidateKey,
+    pair: EndpointPair,
+    /// The memo's geometric path, or `None` for the pair's tree path.
+    geo: Option<&'a [AncillaIndex]>,
+}
+
+/// The most nodes candidate `index` may have and still beat `bound`, given
+/// that it completes no earlier than `floor` (never above the bound's
+/// completion: such pairs are not visited).
+fn max_len(bound: Option<CandidateKey>, floor: u64, index: u32) -> usize {
+    match bound {
+        Some((completion, len, best)) if floor == completion => {
+            if index < best {
+                len
+            } else {
+                len - 1
+            }
+        }
+        _ => usize::MAX,
+    }
+}
+
+/// Candidate `index`'s key along `path` from the pair's floor start, or
+/// `None` as soon as it cannot beat `bound`: the start only grows along the
+/// path, so the scan stops early.
+fn candidate_key(
+    path: &[AncillaIndex],
+    pair: &EndpointPair,
+    index: u32,
+    bound: Option<CandidateKey>,
+    expected_free: &mut impl FnMut(AncillaIndex) -> u64,
+) -> Option<CandidateKey> {
+    let surgery = pair.surgery_rounds();
+    let mut start = pair.floor_meta.est_start_rounds;
+    for &a in path {
+        start = start.max(expected_free(a));
+        if bound.is_some_and(|b| (start + surgery, path.len(), index) >= b) {
+            return None;
+        }
+    }
+    Some((start + surgery, path.len(), index))
 }
 
 /// Plans a CNOT route with Algorithm 1 (RESCQ).
@@ -213,6 +366,18 @@ pub fn plan_cnot_route(
 /// precomputes them per qubit — and candidate paths stage through `scratch`,
 /// so a steady-state call performs no heap allocation once the geometric
 /// memo and buffer capacities have plateaued.
+///
+/// The search is the module's branch and bound. Every endpoint pair's
+/// floor — `max(rotation start, E[f_{a_c}], E[f_{a_t}])` plus the rotation
+/// and 2-cycle surgery rounds — is computed first, and every pair is looked
+/// up in `cache` in enumeration order, its misses resolved together. Pairs
+/// are then visited in ascending `(floor, enumeration index)` order, once
+/// for the geometric candidates and once for the tree candidates, each
+/// visit stopping where a floor exceeds the best completion. A candidate is
+/// climbed, evaluated and copied only while its `(floor, path length,
+/// enumeration index)` can still beat the best `(completion, path length,
+/// enumeration index)`, so the winner is the one the exhaustive loop keeps:
+/// the first earliest-finishing shortest candidate.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_cnot_route_into(
     graph: &AncillaGraph,
@@ -230,11 +395,14 @@ pub fn plan_cnot_route_into(
     best_path: &mut Vec<AncillaIndex>,
 ) -> Option<RoutePlanMeta> {
     let rot_rounds = costs.edge_rotation_cycles as u64 * rounds_per_cycle as u64;
+    let rot = |rotate: bool| if rotate { rot_rounds } else { 0 };
     let c_orient = orientations[control.index()];
     let t_orient = orientations[target.index()];
+    let RouteScratch { tree, pairs } = scratch;
 
     best_path.clear();
-    let mut best: Option<RoutePlanMeta> = None;
+    pairs.clear();
+    pairs.reserve(c_adj.side.len() * t_adj.side.len());
     for &(c_side, c_tile) in &c_adj.side {
         let Some(a_c) = graph.index_of(c_tile) else {
             continue;
@@ -243,61 +411,87 @@ pub fn plan_cnot_route_into(
             let Some(a_t) = graph.index_of(t_tile) else {
                 continue;
             };
-            let mut start: u64 = 0;
             // Control interacts through its Z edge (lattice-surgery CNOT).
             let rotate_control = c_orient.edge_at(c_side) != EdgeType::Z;
-            if rotate_control {
-                start = start.max(expected_free(a_c) + rot_rounds);
-            }
             let rotate_target = t_orient.edge_at(t_side) != EdgeType::X;
-            if rotate_target {
-                start = start.max(expected_free(a_t) + rot_rounds);
+            // A rotation waits for its endpoint ancilla to drain; the
+            // surgery waits for every ancilla on the path, endpoints
+            // included.
+            let floor_meta = RoutePlanMeta {
+                rotate_control,
+                rotate_target,
+                est_start_rounds: (expected_free(a_c) + rot(rotate_control))
+                    .max(expected_free(a_t) + rot(rotate_target)),
+            };
+            cache.lookup(a_c, a_t);
+            pairs.push(EndpointPair {
+                a_c,
+                a_t,
+                floor_meta,
+                floor: floor_meta.est_completion_rounds(costs, rounds_per_cycle),
+                index: pairs.len() as u32,
+            });
+        }
+    }
+    cache.resolve(graph);
+    pairs.sort_unstable_by_key(|p| (p.floor, p.index));
+
+    // Two path candidates per endpoint pair: the activity-weighted MST tree
+    // path (cheap, precomputed) and the geometric shortest path. On sparse
+    // compressed grids tree paths degenerate into long detours whose
+    // ancillas rarely all free up together; Algorithm 1 picks whichever
+    // candidate finishes first. The geometric candidates are scored first:
+    // their lengths are known without a climb, and the best of them bounds
+    // every tree climb (a tree path through the routing graph is never
+    // shorter than its geometric one). The winner is the least key whatever
+    // the order.
+    let cache = &*cache;
+    let mut best: Option<Best> = None;
+    for tree_pass in [false, true] {
+        for pair in pairs.iter() {
+            let bound = best.as_ref().map(|b| b.key);
+            if bound.is_some_and(|(completion, ..)| pair.floor > completion) {
+                break;
             }
-            // Two path candidates per endpoint pair: the activity-weighted
-            // MST tree path (cheap, precomputed) and the geometric shortest
-            // path. On sparse compressed grids tree paths degenerate into
-            // long detours whose ancillas rarely all free up together;
-            // Algorithm 1 picks whichever candidate finishes first.
-            let has_tree = mst.tree_path_into(a_c, a_t, &mut scratch.tree);
-            let has_direct = cache.geo_path_into(graph, a_c, a_t, &mut scratch.direct);
-            let candidates = [
-                has_tree.then_some(&scratch.tree),
-                has_direct.then_some(&scratch.direct),
-            ];
-            for path in candidates.into_iter().flatten() {
-                let mut start = start;
-                for &a in path {
-                    start = start.max(expected_free(a));
+            let index = 2 * pair.index + u32::from(!tree_pass);
+            let max_len = max_len(bound, pair.floor, index);
+            let geo = if tree_pass {
+                if !mst.tree_path_within(pair.a_c, pair.a_t, max_len, tree) {
+                    continue;
                 }
-                let meta = RoutePlanMeta {
-                    rotate_control,
-                    rotate_target,
-                    est_start_rounds: start,
-                };
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        // Earliest completion wins; ties break towards
-                        // shorter paths (fewer ancillas claimed ⇒ less
-                        // future congestion).
-                        let key = (
-                            meta.est_completion_rounds(costs, rounds_per_cycle),
-                            path.len(),
-                        );
-                        key < (
-                            b.est_completion_rounds(costs, rounds_per_cycle),
-                            best_path.len(),
-                        )
-                    }
-                };
-                if better {
-                    best = Some(meta);
-                    best_path.clone_from(path);
+                None
+            } else {
+                match cache.path(pair.a_c, pair.a_t) {
+                    Some(path) if path.len() <= max_len => Some(path),
+                    _ => continue,
                 }
+            };
+            let path = geo.unwrap_or(tree);
+            if let Some(key) = candidate_key(path, pair, index, bound, &mut expected_free) {
+                best = Some(Best {
+                    key,
+                    pair: *pair,
+                    geo,
+                });
             }
         }
     }
-    best
+
+    let Best { key, pair, geo } = best?;
+    // Room for the memo's longest path, a bound on nearly every winner: a
+    // caller's recycled buffers then stop growing within the first plans,
+    // as they did when every improving candidate was copied into them.
+    best_path.reserve(cache.longest);
+    match geo {
+        Some(path) => extend_from(pair.a_c, path, best_path),
+        None => {
+            mst.tree_path_into(pair.a_c, pair.a_t, best_path);
+        }
+    }
+    Some(RoutePlanMeta {
+        est_start_rounds: key.0 - pair.surgery_rounds(),
+        ..pair.floor_meta
+    })
 }
 
 /// Outcome of the baselines' routing attempt.
@@ -530,6 +724,238 @@ mod tests {
             assert_eq!(cache.misses(), pairs, "a repeat must not search again");
             assert_eq!(cache.hits(), round * pairs);
         }
+    }
+
+    /// Candidate-path buffers of [`exhaustive_plan_into`].
+    #[derive(Default)]
+    struct ExhaustiveScratch {
+        tree: Vec<AncillaIndex>,
+        direct: Vec<AncillaIndex>,
+    }
+
+    /// The reference planner: Algorithm 1's exhaustive loop, which reads and
+    /// evaluates both candidates of every endpoint pair in enumeration order
+    /// and keeps the first candidate with the least `(completion, path
+    /// length)`. The branch and bound must pick what this picks.
+    #[allow(clippy::too_many_arguments)]
+    fn exhaustive_plan_into(
+        graph: &AncillaGraph,
+        mst: &IncrementalMst,
+        cache: &mut PathCache,
+        control: QubitId,
+        target: QubitId,
+        c_adj: &DataAdjacency,
+        t_adj: &DataAdjacency,
+        orientations: &[Orientation],
+        costs: &SurgeryCosts,
+        rounds_per_cycle: u32,
+        mut expected_free: impl FnMut(AncillaIndex) -> u64,
+        scratch: &mut ExhaustiveScratch,
+        best_path: &mut Vec<AncillaIndex>,
+    ) -> Option<RoutePlanMeta> {
+        let rot_rounds = costs.edge_rotation_cycles as u64 * rounds_per_cycle as u64;
+        let c_orient = orientations[control.index()];
+        let t_orient = orientations[target.index()];
+
+        best_path.clear();
+        let mut best: Option<RoutePlanMeta> = None;
+        for &(c_side, c_tile) in &c_adj.side {
+            let Some(a_c) = graph.index_of(c_tile) else {
+                continue;
+            };
+            for &(t_side, t_tile) in &t_adj.side {
+                let Some(a_t) = graph.index_of(t_tile) else {
+                    continue;
+                };
+                let mut start: u64 = 0;
+                // Control interacts through its Z edge (lattice-surgery CNOT).
+                let rotate_control = c_orient.edge_at(c_side) != EdgeType::Z;
+                if rotate_control {
+                    start = start.max(expected_free(a_c) + rot_rounds);
+                }
+                let rotate_target = t_orient.edge_at(t_side) != EdgeType::X;
+                if rotate_target {
+                    start = start.max(expected_free(a_t) + rot_rounds);
+                }
+                let has_tree = mst.tree_path_into(a_c, a_t, &mut scratch.tree);
+                let has_direct = cache.geo_path_into(graph, a_c, a_t, &mut scratch.direct);
+                let candidates = [
+                    has_tree.then_some(&scratch.tree),
+                    has_direct.then_some(&scratch.direct),
+                ];
+                for path in candidates.into_iter().flatten() {
+                    let mut start = start;
+                    for &a in path {
+                        start = start.max(expected_free(a));
+                    }
+                    let meta = RoutePlanMeta {
+                        rotate_control,
+                        rotate_target,
+                        est_start_rounds: start,
+                    };
+                    let better = match &best {
+                        None => true,
+                        Some(b) => {
+                            // Earliest completion wins; ties break towards
+                            // shorter paths (fewer ancillas claimed ⇒ less
+                            // future congestion).
+                            let key = (
+                                meta.est_completion_rounds(costs, rounds_per_cycle),
+                                path.len(),
+                            );
+                            key < (
+                                b.est_completion_rounds(costs, rounds_per_cycle),
+                                best_path.len(),
+                            )
+                        }
+                    };
+                    if better {
+                        best = Some(meta);
+                        best_path.clone_from(path);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// SplitMix64: a self-contained stream for the seeded corpus.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The branch and bound against the exhaustive loop on seeded plans:
+    /// 9-, 34- and 100-qubit layouts at 0, 50 and 75% compression, random
+    /// orientations, random MST weights applied through `set_weights`, and
+    /// `E[f]` maps drawn from small value sets (all zero in the first
+    /// round), so that ties in completion and length are common. Each side
+    /// keeps its own memo, dropped every third round (cold) and kept
+    /// otherwise (warm); after every plan the meta, the path and both memo
+    /// counters must agree, and after every round each memo path must be
+    /// the single-pair search's.
+    #[test]
+    fn branch_and_bound_matches_the_exhaustive_loop() {
+        let (mut plans, mut routed, mut rotated) = (0u32, 0u32, 0u32);
+        for (case, (qubits, compression)) in [9u32, 34, 100]
+            .into_iter()
+            .flat_map(|n| [0.0, 0.5, 0.75].map(|c| (n, c)))
+            .enumerate()
+        {
+            let mut state = 0x5eed ^ case as u64;
+            let mut layout = Layout::new(qubits).unwrap();
+            layout.compress(compression, 11 + case as u64);
+            let graph = AncillaGraph::from_grid(layout.grid());
+            let edges: Vec<(u32, u32, u32)> =
+                graph.edges().iter().map(|&(a, b)| (a, b, 0)).collect();
+            let mut mst = IncrementalMst::new(graph.len(), &edges);
+            let adjacency: Vec<DataAdjacency> = (0..qubits)
+                .map(|q| layout.data_adjacency(QubitId(q)))
+                .collect();
+            let costs = SurgeryCosts::default();
+            let (mut cache, mut reference_cache) = (PathCache::new(), PathCache::new());
+            let (mut scratch, mut reference_scratch) =
+                (RouteScratch::default(), ExhaustiveScratch::default());
+            let (mut path, mut reference_path) = (Vec::new(), Vec::new());
+            for round in 0..9u64 {
+                if round % 3 == 0 {
+                    cache = PathCache::new();
+                    reference_cache = PathCache::new();
+                }
+                let max_weight = [1, 3, 100][(round % 3) as usize];
+                let weights: Vec<u32> = edges
+                    .iter()
+                    .map(|_| (next(&mut state) % max_weight) as u32)
+                    .collect();
+                mst.set_weights(&weights);
+                let orientations: Vec<Orientation> = (0..qubits)
+                    .map(|_| match next(&mut state) % 2 {
+                        0 => Orientation::Standard,
+                        _ => Orientation::Rotated,
+                    })
+                    .collect();
+                let d = [7, 3][(round % 2) as usize];
+                // Multiples of d, so that rotation rounds (3d) line up
+                // with free times and produce ties.
+                let values: &[u64] = match round {
+                    0 => &[0],
+                    _ => [&[0, 1][..], &[0, 3, 6], &[0, 2, 5, 9], &[4]][(round % 4) as usize],
+                };
+                let free: Vec<u64> = (0..graph.len())
+                    .map(|_| 100 + d * values[(next(&mut state) % values.len() as u64) as usize])
+                    .collect();
+                for _ in 0..40 {
+                    let control = QubitId((next(&mut state) % u64::from(qubits)) as u32);
+                    let target = QubitId((next(&mut state) % u64::from(qubits)) as u32);
+                    if control == target {
+                        continue;
+                    }
+                    let got = plan_cnot_route_into(
+                        &graph,
+                        &mst,
+                        &mut cache,
+                        control,
+                        target,
+                        &adjacency[control.index()],
+                        &adjacency[target.index()],
+                        &orientations,
+                        &costs,
+                        d as u32,
+                        |a| free[a as usize],
+                        &mut scratch,
+                        &mut path,
+                    );
+                    let want = exhaustive_plan_into(
+                        &graph,
+                        &mst,
+                        &mut reference_cache,
+                        control,
+                        target,
+                        &adjacency[control.index()],
+                        &adjacency[target.index()],
+                        &orientations,
+                        &costs,
+                        d as u32,
+                        |a| free[a as usize],
+                        &mut reference_scratch,
+                        &mut reference_path,
+                    );
+                    let at = format!(
+                        "{qubits} qubits at {compression}, round {round}: {control:?} -> {target:?}"
+                    );
+                    assert_eq!(got, want, "meta, {at}");
+                    assert_eq!(path, reference_path, "path, {at}");
+                    assert_eq!(cache.hits(), reference_cache.hits(), "hits, {at}");
+                    assert_eq!(cache.misses(), reference_cache.misses(), "misses, {at}");
+                    plans += 1;
+                    routed += u32::from(got.is_some());
+                    rotated += u32::from(got.is_some_and(|m| m.rotate_control || m.rotate_target));
+                }
+                // Batched misses: every memo entry is the path a search for
+                // its pair alone finds.
+                let mut single = BfsScratch::default();
+                for (&(a, b), stored) in &cache.geo_paths {
+                    let found = graph.path_between_into(a, b, &mut single, &mut path);
+                    assert_eq!(
+                        stored.as_deref(),
+                        found.then_some(&path[..]),
+                        "memo {a}-{b}"
+                    );
+                }
+            }
+        }
+        // The corpus exercises what it claims to.
+        assert!(
+            plans > 3000 && routed == plans,
+            "{routed} of {plans} plans routed"
+        );
+        assert!(
+            rotated > plans / 10,
+            "only {rotated} of {plans} plans rotate"
+        );
     }
 
     #[test]

@@ -70,17 +70,39 @@ impl UnionFind {
 /// Dense index of an ancilla within an [`AncillaGraph`].
 pub type AncillaIndex = u32;
 
-/// Reusable working set for [`AncillaGraph::path_between_into`]. Visit
-/// marks are stamped with a per-search generation, so a new search resets
-/// nothing: once the buffers have grown to the node count, searches
-/// allocate nothing.
+/// Reusable working set for [`AncillaGraph::search_until`] and
+/// [`AncillaGraph::path_between_into`]. Visit marks are stamped with a
+/// per-search generation, so a new search resets nothing: once the buffers
+/// have grown to the node count, searches allocate nothing.
 #[derive(Debug, Default, Clone)]
 pub struct BfsScratch {
-    /// `mark[v] == stamp` iff `v` was reached by the current search.
+    /// `mark[v] == stamp` iff `v` was reached by the last search.
     mark: Vec<u32>,
+    /// `goal[v] == stamp` iff `v` is one of the last search's targets.
+    goal: Vec<u32>,
     prev: Vec<AncillaIndex>,
     queue: Vec<AncillaIndex>,
     stamp: u32,
+    source: AncillaIndex,
+}
+
+impl BfsScratch {
+    /// Writes the last search's path from its source to `t` into `out`
+    /// (cleared first); returns whether the search reached `t`.
+    pub fn path_into(&self, t: AncillaIndex, out: &mut Vec<AncillaIndex>) -> bool {
+        out.clear();
+        if self.mark.get(t as usize) != Some(&self.stamp) {
+            return false;
+        }
+        let mut cur = t;
+        out.push(cur);
+        while cur != self.source {
+            cur = self.prev[cur as usize];
+            out.push(cur);
+        }
+        out.reverse();
+        true
+    }
 }
 
 /// The routing graph over the fabric's ancilla tiles.
@@ -248,10 +270,26 @@ impl AncillaGraph {
         scratch: &mut BfsScratch,
         out: &mut Vec<AncillaIndex>,
     ) -> bool {
-        out.clear();
+        self.search_until(a, &[b], scratch);
+        scratch.path_into(b, out)
+    }
+
+    /// One BFS from `source` in adjacency order, run in the held `scratch`,
+    /// that stops once every node of `targets` has been reached (or the
+    /// component is exhausted). [`BfsScratch::path_into`] then reads the
+    /// path to any reached node. A BFS fixes `prev[t]` when `t` is first
+    /// reached, whichever target it stops on, so each path is the one
+    /// [`Self::path_between_into`]`(source, t)` finds.
+    pub fn search_until(
+        &self,
+        source: AncillaIndex,
+        targets: &[AncillaIndex],
+        scratch: &mut BfsScratch,
+    ) {
         let n = self.nodes.len();
         if scratch.mark.len() < n {
             scratch.mark.resize(n, 0);
+            scratch.goal.resize(n, 0);
             scratch.prev.resize(n, 0);
             // Each node is queued at most once per search.
             scratch.queue.reserve(n);
@@ -260,41 +298,44 @@ impl AncillaGraph {
         if scratch.stamp == 0 {
             // Wrapped: clear stale stamps so none can equal a new one.
             scratch.mark.fill(0);
+            scratch.goal.fill(0);
             scratch.stamp = 1;
         }
         let stamp = scratch.stamp;
-        scratch.mark[a as usize] = stamp;
+        scratch.source = source;
+        let mut left = 0usize;
+        for &t in targets {
+            if scratch.goal[t as usize] != stamp {
+                scratch.goal[t as usize] = stamp;
+                left += 1;
+            }
+        }
+        scratch.mark[source as usize] = stamp;
+        if scratch.goal[source as usize] == stamp {
+            left -= 1;
+        }
         scratch.queue.clear();
-        scratch.queue.push(a);
+        scratch.queue.push(source);
         let mut head = 0;
-        let mut found = a == b;
-        while !found {
+        while left > 0 {
             let Some(&u) = scratch.queue.get(head) else {
-                return false;
+                return;
             };
             head += 1;
             for &v in &self.adj[u as usize] {
                 if scratch.mark[v as usize] != stamp {
                     scratch.mark[v as usize] = stamp;
                     scratch.prev[v as usize] = u;
-                    if v == b {
-                        found = true;
-                        break;
+                    if scratch.goal[v as usize] == stamp {
+                        left -= 1;
+                        if left == 0 {
+                            break;
+                        }
                     }
                     scratch.queue.push(v);
                 }
             }
         }
-        // `prev` of `b` is fixed when `b` is first reached, so stopping
-        // there instead of when it is dequeued yields the same path.
-        let mut cur = b;
-        out.push(cur);
-        while cur != a {
-            cur = scratch.prev[cur as usize];
-            out.push(cur);
-        }
-        out.reverse();
-        true
     }
 }
 
@@ -430,6 +471,46 @@ mod tests {
         });
         assert!(!g.path_between_into(0, 3, &mut scratch, &mut out));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn multi_target_search_paths_match_single_pair_paths() {
+        use crate::Layout;
+        let mut layout = Layout::new(16).unwrap();
+        layout.compress(0.5, 3);
+        let g = AncillaGraph::from_grid(layout.grid());
+        let n = g.len() as AncillaIndex;
+        assert!(n > 20, "a non-trivial graph");
+        let (mut multi, mut single) = (BfsScratch::default(), BfsScratch::default());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for s in 0..n {
+            // Every target at once, a strided subset (the search stops on
+            // its last target, well before the component is exhausted),
+            // and a set holding the source itself and a repeat.
+            let all: Vec<AncillaIndex> = (0..n).collect();
+            let strided: Vec<AncillaIndex> = (0..n).filter(|t| (t + s) % 5 == 0).collect();
+            let with_source = [s, (s + 7) % n, (s + 7) % n];
+            for targets in [&all[..], &strided[..], &with_source[..]] {
+                g.search_until(s, targets, &mut multi);
+                for &t in targets {
+                    assert!(multi.path_into(t, &mut got), "{s} -> {t}");
+                    assert!(g.path_between_into(s, t, &mut single, &mut want));
+                    assert_eq!(got, want, "{s} -> {t} among {targets:?}");
+                }
+            }
+        }
+        // Across components: the search exhausts the source's component,
+        // so an unreachable target reads no path.
+        let g = AncillaGraph::from_grid(&{
+            let mut grid = Grid::filled(5, 1, TileKind::Ancilla);
+            grid.set_kind(grid.tile_at(2, 0), TileKind::Void);
+            grid
+        });
+        g.search_until(0, &[1, 3], &mut multi);
+        assert!(multi.path_into(1, &mut got));
+        assert_eq!(got, [0, 1]);
+        assert!(!multi.path_into(3, &mut got));
+        assert!(got.is_empty());
     }
 
     #[test]

@@ -483,6 +483,20 @@ impl IncrementalMst {
     /// query costs `O(path length)` and allocates nothing once `out` has
     /// grown to the path length.
     pub fn tree_path_into(&self, a: NodeId, b: NodeId, out: &mut Vec<NodeId>) -> bool {
+        self.tree_path_within(a, b, usize::MAX, out)
+    }
+
+    /// [`Self::tree_path_into`] for a path of at most `max_len` nodes:
+    /// returns `false` (with `out` cleared) when there is no path or it is
+    /// longer. The climb gives up as soon as the path is known to be too
+    /// long, so a rejected query costs `O(max_len)`.
+    pub fn tree_path_within(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        max_len: usize,
+        out: &mut Vec<NodeId>,
+    ) -> bool {
         out.clear();
         let depth = &self.depth;
         // One step towards the root (never called on a root). A stale
@@ -492,6 +506,12 @@ impl IncrementalMst {
             debug_assert_eq!(depth[p as usize] + 1, depth[x as usize], "stale at {x}");
             p
         };
+        // Nodes the path is known to hold: the depth difference plus the
+        // common ancestor, and two more per joint step below it.
+        let mut len = depth[a as usize].abs_diff(depth[b as usize]) as usize + 1;
+        if len > max_len {
+            return false;
+        }
         let (mut x, mut y) = (a, b);
         while depth[x as usize] > depth[y as usize] {
             x = up(x);
@@ -500,8 +520,10 @@ impl IncrementalMst {
             y = up(y);
         }
         while x != y {
-            if self.parent[x as usize] == x {
-                return false; // two different roots: different components
+            len += 2;
+            // Two different roots mean different components.
+            if len > max_len || self.parent[x as usize] == x {
+                return false;
             }
             x = up(x);
             y = up(y);
@@ -838,14 +860,27 @@ mod tests {
     }
 
     /// Every ordered pair's `tree_path_into` (one reused buffer) equals the
-    /// reference BFS path, including `a == b` and disconnected pairs.
+    /// reference BFS path, including `a == b` and disconnected pairs; a
+    /// length bound admits exactly the paths that fit within it.
     fn assert_tree_paths_match_reference(mst: &IncrementalMst, label: &str) {
         let adj = reference_adjacency(mst);
         let mut out = vec![NodeId::MAX; 3]; // stale contents must be cleared
         for a in 0..mst.num_nodes() as NodeId {
             for b in 0..mst.num_nodes() as NodeId {
+                let want = reference_path(&adj, a, b);
                 let got = mst.tree_path_into(a, b, &mut out).then(|| out.clone());
-                assert_eq!(got, reference_path(&adj, a, b), "{label}: path {a} -> {b}");
+                assert_eq!(got, want, "{label}: path {a} -> {b}");
+                let len = want.as_ref().map_or(3, Vec::len);
+                for max_len in [len - 1, len, len + 1] {
+                    let fits = want.as_ref().filter(|p| p.len() <= max_len);
+                    let got = mst.tree_path_within(a, b, max_len, &mut out);
+                    assert_eq!(
+                        got.then_some(&out),
+                        fits,
+                        "{label}: {a} -> {b} within {max_len}"
+                    );
+                    assert!(got || out.is_empty());
+                }
             }
         }
     }

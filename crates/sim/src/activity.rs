@@ -1,4 +1,5 @@
-//! Ancilla activity tracking (paper §4.2).
+//! The per-cycle activity model (paper §4.2), kept as the test reference
+//! for [`crate::Fabric`]'s occupancy runs.
 //!
 //! `activity = #cycles active in the last c cycles / c` estimates how likely
 //! an ancilla is to be busy in the near future; the MST edge weights are the
@@ -6,25 +7,11 @@
 //! the evaluation (§5.1), which fits in one `u128` bitmask per ancilla —
 //! recording a cycle is a shift and the count a popcount.
 //!
-//! This tracker is the per-cycle model: it is told every cycle's flags. The
-//! realtime engine does not feed it; `rescq_sim::Fabric` derives the same
-//! counts from occupancy runs, folded only when an MST snapshot asks, and
-//! its equivalence test uses this tracker as the reference.
+//! This tracker is told every cycle's flags. The engine does not feed it:
+//! the fabric derives the same counts from occupancy runs, folded only when
+//! an MST snapshot asks, and `fabric::tests` checks the two agree.
 
 /// Sliding-window activity tracker for every ancilla.
-///
-/// # Example
-///
-/// ```
-/// use rescq_core::ActivityTracker;
-///
-/// let mut t = ActivityTracker::new(2, 4);
-/// t.record_cycle(&[true, false]);
-/// t.record_cycle(&[true, true]);
-/// assert_eq!(t.count(0), 2);
-/// assert_eq!(t.count(1), 1);
-/// assert!((t.activity(1) - 0.25).abs() < 1e-12);
-/// ```
 #[derive(Debug, Clone)]
 pub struct ActivityTracker {
     window: u32,
@@ -56,21 +43,6 @@ impl ActivityTracker {
             bits: vec![0; num_ancillas],
             cycles_seen: 0,
         }
-    }
-
-    /// Number of tracked ancillas.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Whether the tracker has no ancillas.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// The window length `c`.
-    pub fn window(&self) -> u32 {
-        self.window
     }
 
     /// Records one completed cycle: `active[i]` says whether ancilla `i` was

@@ -258,7 +258,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescq_core::ActivityTracker;
+    use crate::activity::ActivityTracker;
 
     fn fabric() -> Fabric {
         let layout = Arc::new(Layout::new(4).unwrap());

@@ -32,6 +32,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(test)]
+mod activity;
 pub mod artifacts;
 mod config;
 mod engine;

@@ -155,11 +155,13 @@ pub struct RunCounters {
     /// Incremental MST edge updates applied (RESCQ, §5.4.1).
     pub mst_incremental_updates: u64,
     /// Geometric-path lookups answered by the route planner's memo
-    /// ([`rescq_core::PathCache`]; RESCQ). MST tree paths are read from
-    /// the tree directly and are not counted.
+    /// ([`rescq_core::PathCache`]; RESCQ). Every plan looks up each of its
+    /// endpoint pairs once, whether or not the pair's floor lets it win;
+    /// MST tree paths are read from the tree directly and are not counted.
     pub path_cache_hits: u64,
-    /// Geometric-path lookups that ran a shortest-path search (one per
-    /// distinct endpoint pair routed between).
+    /// Geometric-path lookups the memo could not answer: one per distinct
+    /// endpoint pair the planner has considered. A plan's misses share
+    /// their searches, one BFS per distinct smaller endpoint id.
     pub path_cache_misses: u64,
     /// Syndrome windows submitted to the classical decoder.
     pub decode_windows: u64,
