@@ -6,15 +6,19 @@
 //! incremental scheme replaces.
 //!
 //! The simulator applies a whole completed recomputation at once, and
-//! activity changes a large share of the weights between snapshots (≈665
-//! of ≈2.5k edges per completion on ising_n420). `mst_completion_*`
-//! compares applying such a snapshot per edge against one
-//! `set_weights` Kruskal pass on the fabric-sized grid.
+//! activity changes a large share of the weights between snapshots: the
+//! ising_n420 fabric's ancilla graph has 1260 nodes and 1639 edges, of
+//! which ≈650 (≈40%) change per completion, with weights in 0..=100 (the
+//! activity window). `mst_completion_*` compares applying such a snapshot
+//! per edge against one `set_weights` Kruskal pass on that fabric, and
+//! `mst_pipeline_read_*` times a route read through `MstPipeline` after
+//! one completion and after two, where only the newer one is built.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rescq_lattice::IncrementalMst;
+use rescq_core::{KPolicy, MstPipeline, TauModel};
+use rescq_lattice::{AncillaGraph, IncrementalMst, Layout};
 
 fn grid_edges(w: u32, h: u32) -> Vec<(u32, u32, u32)> {
     let mut edges = Vec::new();
@@ -65,26 +69,37 @@ fn bench_rebuild(c: &mut Criterion, side: u32) {
     });
 }
 
-fn bench_completion(c: &mut Criterion, side: u32) {
-    let edges = grid_edges(side, side);
-    let mut rng = ChaCha8Rng::seed_from_u64(55);
-    let before: Vec<(u32, u32, u32)> = edges
-        .iter()
-        .map(|&(a, b, _)| (a, b, rng.gen_range(0..100u32)))
-        .collect();
-    let mst = IncrementalMst::new((side * side) as usize, &before);
-    // A snapshot in which about a quarter of the weights changed.
-    let snapshot: Vec<u32> = before
-        .iter()
-        .map(|&(_, _, w)| {
-            if rng.gen_range(0..4u32) == 0 {
-                rng.gen_range(0..100u32)
+/// Activity-like weights in 0..=100 with about 40% redrawn from `prev`.
+fn next_snapshot(rng: &mut ChaCha8Rng, prev: &[u32]) -> Vec<u32> {
+    prev.iter()
+        .map(|&w| {
+            if rng.gen_range(0..5u32) < 2 {
+                rng.gen_range(0..101u32)
             } else {
                 w
             }
         })
+        .collect()
+}
+
+fn bench_completion(c: &mut Criterion, qubits: u32) {
+    // The fabric the simulator routes on (uncompressed).
+    let layout = Layout::new(qubits).unwrap();
+    let graph = AncillaGraph::from_grid(layout.grid());
+    let mut rng = ChaCha8Rng::seed_from_u64(55);
+    let zero = vec![0; graph.edges().len()];
+    let warm = next_snapshot(&mut rng, &zero);
+    let before = next_snapshot(&mut rng, &warm);
+    let weighted: Vec<(u32, u32, u32)> = graph
+        .edges()
+        .iter()
+        .zip(&before)
+        .map(|(&(a, b), &w)| (a, b, w))
         .collect();
-    c.bench_function(&format!("mst_completion_per_edge_{side}x{side}"), |b| {
+    let mst = IncrementalMst::new(graph.len(), &weighted);
+    let snapshot = next_snapshot(&mut rng, &before);
+    let name = format!("ising_n{qubits}");
+    c.bench_function(&format!("mst_completion_per_edge_{name}"), |b| {
         b.iter_batched(
             || mst.clone(),
             |mut m| {
@@ -98,7 +113,7 @@ fn bench_completion(c: &mut Criterion, side: u32) {
             BatchSize::LargeInput,
         )
     });
-    c.bench_function(&format!("mst_completion_set_weights_{side}x{side}"), |b| {
+    c.bench_function(&format!("mst_completion_set_weights_{name}"), |b| {
         b.iter_batched(
             || mst.clone(),
             |mut m| {
@@ -108,6 +123,39 @@ fn bench_completion(c: &mut Criterion, side: u32) {
             BatchSize::LargeInput,
         )
     });
+
+    // k = 1 and τ = 1: the computation started at cycle c completes at
+    // c + 1. The pipeline has read the tree of `before`; each measured
+    // cycle completes one more snapshot, and the tree is read after the
+    // last.
+    let tau = TauModel {
+        per_k: 1.0,
+        per_sqrt_n: 0.0,
+    };
+    let mut pipeline = MstPipeline::new(graph.len(), graph.edges(), KPolicy::Fixed(1), tau);
+    pipeline.on_cycle(0, |_, out| out.extend_from_slice(&before));
+    pipeline.on_cycle(1, |_, out| out.extend_from_slice(&snapshot));
+    assert_eq!(pipeline.current().weight(0), before[0]);
+    let newer = next_snapshot(&mut rng, &snapshot);
+    for completions in [1u64, 2] {
+        c.bench_function(
+            &format!("mst_pipeline_read_after_{completions}_completions_{name}"),
+            |b| {
+                b.iter_batched(
+                    || pipeline.clone(),
+                    |mut p| {
+                        for cycle in 2..2 + completions {
+                            p.on_cycle(cycle, |_, out| out.extend_from_slice(&newer));
+                        }
+                        assert_eq!(p.completed_computations(), 1 + completions);
+                        p.current().tree_size();
+                        p
+                    },
+                    BatchSize::LargeInput,
+                )
+            },
+        );
+    }
 }
 
 fn benches(c: &mut Criterion) {
@@ -118,9 +166,9 @@ fn benches(c: &mut Criterion) {
         bench_updates(c, 1000, 200);
         bench_rebuild(c, 1000);
     }
-    // A fabric-sized grid (420-qubit benchmark ⇒ ~36×36 ancilla network).
+    // A grid about as large as the 420-qubit fabric's 1260 ancillas.
     bench_updates(c, 36, 200);
-    bench_completion(c, 36);
+    bench_completion(c, 420);
 }
 
 criterion_group! {

@@ -14,11 +14,15 @@
 //! keeps the number of in-flight computations bounded — the paper's
 //! "dynamically selects the frequency of realtime updates".
 //!
-//! The simulator applies a completed computation to its tree as one Kruskal
-//! pass over the snapshot ([`IncrementalMst::set_weights`]) rather than one
-//! §5.4.1 update per changed edge. Both give the unique MST under the
-//! `(weight, id)` order, and a path in a tree is unique, so routes are
-//! identical either way. This is host cost only: the computation's latency
+//! A completion only records its snapshot as the newest one and counts how
+//! many weights it changed; the tree is built from that snapshot when it is
+//! next read ([`MstPipeline::current`]), as one Kruskal pass
+//! ([`IncrementalMst::set_weights`]) rather than one §5.4.1 update per
+//! changed edge. The MST under the `(weight, id)` order is unique and a
+//! function of the newest weights alone, and a path in a tree is unique, so
+//! routes are identical to applying every completion at once, per edge or
+//! in batch; a completion replaced by the next before any route reads the
+//! tree costs no rebuild. This is host cost only: the computation's latency
 //! is still the modelled τ, not the time the rebuild takes.
 //!
 //! Determinism contract: the pipeline is driven solely by the cycle counter
@@ -126,7 +130,12 @@ pub struct MstPipeline {
     edges: Vec<(u32, u32)>,
     k: u32,
     tau: u32,
+    /// The tree as last read; behind `latest` while `unread` is set.
     current: IncrementalMst,
+    /// The newest completed snapshot (all zeros before the first).
+    latest: Vec<u32>,
+    /// Whether `latest` changed since `current` was last brought up to it.
+    unread: bool,
     in_flight: VecDeque<InFlight>,
     /// Capacity-retaining weight buffers recycled from completed
     /// computations (bounded by the in-flight high-water mark).
@@ -158,6 +167,8 @@ impl MstPipeline {
             k,
             tau,
             current: IncrementalMst::new(num_nodes, &weighted),
+            latest: vec![0; edges.len()],
+            unread: false,
             in_flight: VecDeque::new(),
             spare_weights: Vec::new(),
             generation: 0,
@@ -177,7 +188,13 @@ impl MstPipeline {
     }
 
     /// The latest *completed* tree — what Algorithm 1 routes against.
-    pub fn current(&self) -> &IncrementalMst {
+    /// Rebuilds it first if a completion changed the weights since the
+    /// last read.
+    pub fn current(&mut self) -> &IncrementalMst {
+        if self.unread {
+            self.current.set_weights(&self.latest);
+            self.unread = false;
+        }
         &self.current
     }
 
@@ -192,9 +209,10 @@ impl MstPipeline {
         self.completed_computations
     }
 
-    /// Total edge-weight changes applied across completed computations
-    /// (§5.4.1's workload measure: the updates the incremental scheme would
-    /// process).
+    /// Total edge-weight changes across completed computations: each
+    /// completion counts the weights that differ from the previous one's
+    /// snapshot, whether or not a read rebuilds the tree from it (§5.4.1's
+    /// workload measure: the updates the incremental scheme would process).
     pub fn incremental_updates(&self) -> u64 {
         self.incremental_updates
     }
@@ -207,9 +225,10 @@ impl MstPipeline {
     /// Advances the pipeline at a cycle boundary. `snapshot` fills the
     /// provided (cleared, capacity-retaining) buffer with the current edge
     /// weights when a new computation starts — the only time activity is
-    /// read, so the caller may fold it lazily there; completions are
-    /// applied in order. At steady state the
-    /// weight buffers cycle between in-flight computations and the spare
+    /// read, so the caller may fold it lazily there. Completions are taken
+    /// in order: each replaces the newest snapshot, which [`Self::current`]
+    /// builds the tree from. At steady state the weight buffers cycle
+    /// between in-flight computations, the newest snapshot and the spare
     /// pool without touching the allocator.
     pub fn on_cycle(&mut self, cycle: u64, snapshot: impl FnOnce(&[(u32, u32)], &mut Vec<u32>)) {
         // Start a new computation every k cycles (including cycle 0).
@@ -217,7 +236,7 @@ impl MstPipeline {
             let mut weights = self.spare_weights.pop().unwrap_or_default();
             weights.clear();
             snapshot(&self.edges, &mut weights);
-            debug_assert_eq!(weights.len(), self.edges.len());
+            assert_eq!(weights.len(), self.edges.len(), "one weight per edge");
             self.in_flight.push_back(InFlight {
                 completes_at_cycle: cycle + self.tau as u64,
                 weights,
@@ -229,8 +248,14 @@ impl MstPipeline {
             .front()
             .is_some_and(|f| f.completes_at_cycle <= cycle)
         {
-            let f = self.in_flight.pop_front().expect("checked non-empty");
-            self.incremental_updates += self.current.set_weights(&f.weights);
+            let mut f = self.in_flight.pop_front().expect("checked non-empty");
+            let changed = f.weights.iter().zip(&self.latest).filter(|(a, b)| a != b);
+            let changed = changed.count() as u64;
+            if changed > 0 {
+                std::mem::swap(&mut self.latest, &mut f.weights);
+                self.unread = true;
+            }
+            self.incremental_updates += changed;
             self.spare_weights.push(f.weights);
             self.generation += 1;
             self.completed_computations += 1;
@@ -310,6 +335,158 @@ mod tests {
         // ≈330 cycles for 1000×1000 at k=200.
         let t2 = m.tau_cycles(200, 1000 * 1000);
         assert!((310..=350).contains(&t2), "1000x1000: {t2}");
+    }
+
+    /// The pipeline as it was before completions were applied lazily: every
+    /// completion is applied to the tree at once. The reference for
+    /// [`lazy_reads_match_eager_apply`].
+    struct EagerPipeline {
+        k: u64,
+        tau: u64,
+        current: IncrementalMst,
+        in_flight: VecDeque<(u64, Vec<u32>)>,
+        generation: u64,
+        completed_computations: u64,
+        incremental_updates: u64,
+    }
+
+    impl EagerPipeline {
+        fn on_cycle(&mut self, cycle: u64, weights: &[u32]) {
+            if cycle.is_multiple_of(self.k) {
+                self.in_flight
+                    .push_back((cycle + self.tau, weights.to_vec()));
+            }
+            while self.in_flight.front().is_some_and(|f| f.0 <= cycle) {
+                let (_, w) = self.in_flight.pop_front().expect("checked non-empty");
+                self.incremental_updates += self.current.set_weights(&w);
+                self.generation += 1;
+                self.completed_computations += 1;
+            }
+        }
+    }
+
+    /// A fixed pseudo-random stream (64-bit LCG, high bits).
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 16
+    }
+
+    /// Random snapshot streams through the lazy pipeline and the eager
+    /// reference: k ∈ {1, 2, 5}, τ from one to several periods, reads 1–4
+    /// periods apart with long unread stretches, snapshots that repeat,
+    /// change a few weights or revert. At every read the trees have the
+    /// same edge set and the same paths; the counters agree every cycle.
+    #[test]
+    fn lazy_reads_match_eager_apply() {
+        let (w, h) = (6u32, 5u32);
+        let mut edges = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let i = y * w + x;
+                if x + 1 < w {
+                    edges.push((i, i + 1));
+                }
+                if y + 1 < h {
+                    edges.push((i, i + w));
+                }
+            }
+        }
+        let n = (w * h) as usize;
+        let mut reads = 0;
+        let mut multi_completion_reads = 0;
+        for k in [1u32, 2, 5] {
+            for (per_k, max_weight) in [(1.0, 4u64), (2.5, 101), (0.6, 4)] {
+                let tau_model = TauModel {
+                    per_k,
+                    per_sqrt_n: 0.0,
+                };
+                let mut lazy = MstPipeline::new(n, &edges, KPolicy::Fixed(k), tau_model);
+                let mut eager = EagerPipeline {
+                    k: k as u64,
+                    tau: lazy.tau() as u64,
+                    current: lazy.current().clone(),
+                    in_flight: VecDeque::new(),
+                    generation: 0,
+                    completed_computations: 0,
+                    incremental_updates: 0,
+                };
+                let mut state = 0xD1CE ^ (k as u64) << 8 ^ max_weight;
+                let mut weights = vec![0u32; edges.len()];
+                let mut previous = weights.clone();
+                let mut next_read = 0u64;
+                let mut completions_at_read = 0;
+                let label = format!("k={k} tau={} max={max_weight}", lazy.tau());
+                for cycle in 0..400u64 {
+                    match lcg(&mut state) % 4 {
+                        0 => {}
+                        1 => std::mem::swap(&mut weights, &mut previous),
+                        _ => {
+                            previous.clone_from(&weights);
+                            for w in &mut weights {
+                                if lcg(&mut state).is_multiple_of(3) {
+                                    *w = (lcg(&mut state) % max_weight) as u32;
+                                }
+                            }
+                        }
+                    }
+                    lazy.on_cycle(cycle, |_, out| out.extend_from_slice(&weights));
+                    eager.on_cycle(cycle, &weights);
+                    let counters = |p: &MstPipeline| {
+                        (
+                            p.generation(),
+                            p.completed_computations(),
+                            p.incremental_updates(),
+                        )
+                    };
+                    let want = (
+                        eager.generation,
+                        eager.completed_computations,
+                        eager.incremental_updates,
+                    );
+                    assert_eq!(counters(&lazy), want, "{label} cycle {cycle}");
+                    if cycle < next_read {
+                        continue;
+                    }
+                    reads += 1;
+                    if lazy.completed_computations() >= completions_at_read + 2 {
+                        multi_completion_reads += 1;
+                    }
+                    completions_at_read = lazy.completed_computations();
+                    let tree = lazy.current();
+                    for id in 0..edges.len() as u32 {
+                        let got = tree.contains_edge(id);
+                        assert_eq!(
+                            got,
+                            eager.current.contains_edge(id),
+                            "{label} cycle {cycle}"
+                        );
+                    }
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    for _ in 0..12 {
+                        let a = (lcg(&mut state) % n as u64) as u32;
+                        let b = (lcg(&mut state) % n as u64) as u32;
+                        assert!(tree.tree_path_into(a, b, &mut got));
+                        assert!(eager.current.tree_path_into(a, b, &mut want));
+                        assert_eq!(got, want, "{label} cycle {cycle}: {a} -> {b}");
+                    }
+                    // Reads 1–4 periods apart, and now and then a long
+                    // stretch in which completions pile up unread.
+                    next_read = cycle
+                        + if lcg(&mut state).is_multiple_of(8) {
+                            60
+                        } else {
+                            (1 + lcg(&mut state) % 4) * k as u64
+                        };
+                }
+                assert!(eager.generation > 50, "{label}");
+            }
+        }
+        assert!(
+            reads >= 300 && multi_completion_reads >= 100,
+            "{reads} / {multi_completion_reads}"
+        );
     }
 
     #[test]

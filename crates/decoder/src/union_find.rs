@@ -18,8 +18,10 @@
 //! pure functions that allocate their working state per call. The
 //! [`UnionFindDecoder`] model reaches the same result per window in held
 //! scratch whose cost follows the window's flipped edges: a window with no
-//! flip (≈92% of d = 7 windows at p = 1e-4) costs only its sampling, and
-//! steady-state decoding never allocates.
+//! flip (≈92% of d = 7 windows at p = 1e-4) costs only its sampling, each
+//! growth step reads only the growing cluster's members and their incident
+//! edges (the reference scans every edge per step), and steady-state
+//! decoding never allocates.
 
 use crate::config::BASE_LATENCY;
 use crate::dsu::ClusterDsu;
@@ -342,6 +344,10 @@ struct WindowScratch {
     support: Vec<u8>,
     /// Edges whose support left zero this window: what to reset.
     grown: Vec<u32>,
+    /// The growing cluster's members and its not-fully-grown incident
+    /// edges, both sorted and deduplicated (one growth step).
+    members: Vec<u32>,
+    frontier: Vec<u32>,
     to_union: Vec<[u32; 2]>,
     /// Detectors incident to a fully grown edge, ascending: the peeling
     /// BFS starts that can discover anything.
@@ -365,6 +371,8 @@ impl WindowScratch {
             defects: Vec::new(),
             support: Vec::new(),
             grown: Vec::new(),
+            members: Vec::new(),
+            frontier: Vec::new(),
             to_union: Vec::new(),
             starts: Vec::new(),
             queue: VecDeque::new(),
@@ -387,6 +395,8 @@ impl WindowScratch {
         self.marks.reset(graph.num_detectors());
         self.defects.reserve(n);
         self.grown.reserve(edges);
+        self.members.reserve(n + 2 * edges);
+        self.frontier.reserve(2 * edges);
         self.to_union.reserve(edges);
         self.starts.reserve(2 * edges);
         self.order.reserve(n);
@@ -401,10 +411,11 @@ impl WindowScratch {
     /// merges or peels, an empty correction, and `syndrome words +
     /// num_nodes` work units, because the reference peeling BFS visits
     /// every node exactly once (every node is a start). Otherwise only the
-    /// flipped edges' clusters are grown and peeled: the growth order
-    /// (ascending edges, `(size, root)` tie-break) and the BFS discovery
-    /// order are the reference's, and the BFS skips only starts with no
-    /// fully grown edge, which discover nothing.
+    /// flipped edges' clusters are grown and peeled, each growth step
+    /// costing the growing cluster's frontier rather than every edge: the
+    /// growth order (ascending edges, `(size, root)` tie-break) and the BFS
+    /// discovery order are the reference's, and the BFS skips only starts
+    /// with no fully grown edge, which discover nothing.
     fn decode(&mut self, graph: &DetectorGraph) -> DecodeWork {
         let n = graph.num_nodes();
         if self.dsu.len() < n {
@@ -418,6 +429,28 @@ impl WindowScratch {
                 ..DecodeWork::default()
             };
         }
+        self.mark_defects(graph);
+        let (growth_steps, merges) = self.grow(graph);
+        let peeled_edges = self.peel(graph);
+
+        // The residual's cut parity is linear: error ⊕ correction crosses
+        // the cut iff exactly one of them does.
+        let logical =
+            graph.crosses_logical_cut(&self.error) != graph.crosses_logical_cut(&self.correction);
+        let defects = self.defects.len() as u64;
+        DecodeWork {
+            defects,
+            growth_steps,
+            merges,
+            peeled_edges,
+            logical_failures: logical as u64,
+            work_units: scan_words + 2 * defects + growth_steps + n as u64 + peeled_edges,
+        }
+    }
+
+    /// Takes the syndrome of `self.error` as the defect marks and defect
+    /// list, and seeds the forest: defect parities and the boundaries.
+    fn mark_defects(&mut self, graph: &DetectorGraph) {
         self.marks.reset(graph.num_detectors());
         for e in self.error.iter_ones() {
             for v in graph.endpoints(e) {
@@ -434,8 +467,21 @@ impl WindowScratch {
         for &v in &self.defects {
             dsu.flip_parity(v);
         }
+    }
 
-        // Growth: the reference loop, recording which edges it touched.
+    /// Grows clusters until none is active; returns the growth half-steps
+    /// and merges.
+    ///
+    /// This is the reference's growth loop, but each step reads only the
+    /// growing cluster's frontier — the not-fully-grown edges incident to its
+    /// members, which are its defects plus the endpoints of its fully
+    /// grown edges (clusters join only through those, and an active
+    /// cluster holds no boundary). The reference's scan over every edge
+    /// grows exactly these, and growing them in ascending order keeps
+    /// its support, union order and therefore roots; the `find`s it
+    /// made on other nodes only compressed paths, which changes no root.
+    fn grow(&mut self, graph: &DetectorGraph) -> (u64, u64) {
+        let dsu = &mut self.dsu;
         let mut growth_steps = 0u64;
         let mut merges = 0u64;
         loop {
@@ -450,23 +496,38 @@ impl WindowScratch {
                 }
             }
             let Some((_, root)) = smallest else { break };
-            self.to_union.clear();
-            for e in 0..graph.num_edges() {
-                let support = self.support[e as usize];
-                if support >= 2 {
-                    continue;
+            self.members.clear();
+            for &v in &self.defects {
+                if dsu.find(v) == root {
+                    self.members.push(v);
                 }
+            }
+            for &e in &self.grown {
                 let [a, b] = graph.endpoints(e);
-                if dsu.find(a) != root && dsu.find(b) != root {
-                    continue;
+                if self.support[e as usize] >= 2 && dsu.find(a) == root {
+                    self.members.extend([a, b]);
                 }
+            }
+            self.members.sort_unstable();
+            self.members.dedup();
+            self.frontier.clear();
+            for &v in &self.members {
+                let incident = graph.incident(v).iter();
+                let open = incident.filter(|&&e| self.support[e as usize] < 2);
+                self.frontier.extend(open);
+            }
+            self.frontier.sort_unstable();
+            self.frontier.dedup();
+            self.to_union.clear();
+            for &e in &self.frontier {
+                let support = self.support[e as usize];
                 if support == 0 {
                     self.grown.push(e);
                 }
                 self.support[e as usize] = support + 1;
                 growth_steps += 1;
                 if support + 1 >= 2 {
-                    self.to_union.push([a, b]);
+                    self.to_union.push(graph.endpoints(e));
                 }
             }
             for &[a, b] in &self.to_union {
@@ -475,7 +536,12 @@ impl WindowScratch {
                 }
             }
         }
+        (growth_steps, merges)
+    }
 
+    /// Peels the erasure into `self.correction` and returns the peeled edge
+    /// count, then leaves the scratch clean for the next window.
+    fn peel(&mut self, graph: &DetectorGraph) -> u64 {
         // Peeling: the reference BFS over the starts that have an erasure
         // edge, in the reference's start order (boundaries, then ascending
         // detectors).
@@ -553,20 +619,7 @@ impl WindowScratch {
         }
         self.dsu.reset_node(graph.top());
         self.dsu.reset_node(graph.bottom());
-
-        // The residual's cut parity is linear: error ⊕ correction crosses
-        // the cut iff exactly one of them does.
-        let logical =
-            graph.crosses_logical_cut(&self.error) != graph.crosses_logical_cut(&self.correction);
-        let defects = self.defects.len() as u64;
-        DecodeWork {
-            defects,
-            growth_steps,
-            merges,
-            peeled_edges,
-            logical_failures: logical as u64,
-            work_units: scan_words + 2 * defects + growth_steps + n as u64 + peeled_edges,
-        }
+        peeled_edges
     }
 }
 
@@ -771,6 +824,45 @@ mod tests {
         assert!(!g.crosses_logical_cut(&residual));
     }
 
+    /// The reference's growth loop (a scan over every edge per step) on
+    /// the syndrome of `error`: every node's cluster root, every edge's
+    /// support, and the number of clusters grown.
+    fn reference_growth(g: &DetectorGraph, error: &SyndromeBits) -> (Vec<u32>, Vec<u8>, u32) {
+        let mut dsu = ClusterDsu::new(g.num_nodes());
+        dsu.set_boundary(g.top());
+        dsu.set_boundary(g.bottom());
+        let defects: Vec<u32> = g.syndrome_of(error).iter_ones().collect();
+        for &v in &defects {
+            dsu.flip_parity(v);
+        }
+        let mut support = vec![0u8; g.num_edges() as usize];
+        let mut iterations = 0;
+        loop {
+            let active = defects.iter().filter(|&&v| dsu.cluster_active(v));
+            let active: Vec<u32> = active.copied().collect();
+            let key = |v: u32, dsu: &mut ClusterDsu| (dsu.cluster_size(v), dsu.find(v));
+            let Some(root) = active.iter().map(|&v| key(v, &mut dsu)).min() else {
+                break;
+            };
+            iterations += 1;
+            let mut to_union = Vec::new();
+            for e in 0..g.num_edges() {
+                let [a, b] = g.endpoints(e);
+                if support[e as usize] < 2 && (dsu.find(a) == root.1 || dsu.find(b) == root.1) {
+                    support[e as usize] += 1;
+                    if support[e as usize] == 2 {
+                        to_union.push([a, b]);
+                    }
+                }
+            }
+            for [a, b] in to_union {
+                dsu.union(a, b);
+            }
+        }
+        let roots = (0..g.num_nodes()).map(|v| dsu.find(v)).collect();
+        (roots, support, iterations)
+    }
+
     /// The model's window path against the reference on every window of a
     /// seeded stream: the same sampled chain, correction, counts and
     /// logical verdict, including the closed form for flip-free windows.
@@ -779,10 +871,11 @@ mod tests {
     #[test]
     fn window_scratch_matches_the_reference_on_every_window() {
         let mut scratch = WindowScratch::new();
-        let (mut flip_free, mut flipped, mut merged) = (0, 0, 0);
-        for d in [3u32, 5, 7] {
+        let (mut flip_free, mut flipped, mut merged, mut long_merged) = (0, 0, 0, 0);
+        for d in [3u32, 5, 7, 9] {
             let graphs: Vec<DetectorGraph> = (1..=d).map(|r| DetectorGraph::new(d, r)).collect();
-            for (pi, p) in [0.0, 1e-4, 0.003, 0.02, 0.2, 1.0].into_iter().enumerate() {
+            let rates = [0.0, 1e-4, 0.003, 0.02, 0.2, 1.0, 0.05, 0.1];
+            for (pi, p) in rates.into_iter().enumerate() {
                 for w in 0..6 * d as u64 {
                     let g = &graphs[(w % d as u64) as usize];
                     let seed = window_seed(0xFACE ^ d as u64, pi as u32, w);
@@ -816,11 +909,32 @@ mod tests {
                         flipped += 1;
                     }
                     merged += (work.merges > 0) as u32;
+                    if work.defects == 0 {
+                        continue;
+                    }
+                    // The grown forest itself, phase by phase: the same
+                    // roots (so the same union order) and supports as the
+                    // reference's scan over every edge.
+                    let (roots, support, iterations) = reference_growth(g, &error);
+                    scratch.mark_defects(g);
+                    scratch.grow(g);
+                    for v in 0..g.num_nodes() {
+                        assert_eq!(scratch.dsu.find(v), roots[v as usize], "{label}: node {v}");
+                    }
+                    assert_eq!(&scratch.support[..support.len()], support, "{label}");
+                    scratch.peel(g);
+                    long_merged += (work.merges > 0 && iterations >= 3) as u32;
                 }
             }
         }
-        // The stream must exercise both paths, and real cluster merges.
+        // The stream must exercise both paths, real cluster merges, and
+        // windows that grow several clusters in turn, where a frontier out
+        // of ascending order would change the union order.
         assert!(flip_free >= 40 && flipped >= 40 && merged >= 20);
+        assert!(
+            long_merged >= 200,
+            "{long_merged} windows merged over 3+ iterations"
+        );
     }
 
     #[test]

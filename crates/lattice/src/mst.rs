@@ -22,15 +22,20 @@
 //! any weight changed, rebuilds with one Kruskal pass. Because the MST under
 //! a strict total order is unique, both paths yield the same edge set, and
 //! since a path in a tree is unique too, every route read through
-//! [`IncrementalMst::tree_path_into`] is identical. The Kruskal scan order
-//! is kept sorted across rebuilds: a snapshot sorts only its changed edges
-//! and merges them into the unchanged order.
+//! [`IncrementalMst::tree_path_into`] is identical. Each rebuild orders the
+//! edges with one stable LSD radix sort by weight over ascending ids, which
+//! is the `(weight, id)` order; its buckets are sized by the snapshot's
+//! largest weight, so activity weights (at most the activity window) take a
+//! single counting pass.
 //!
-//! The forest is also kept in rooted form (`parent` + `depth`), re-derived
-//! by every rebuild and patched by every structural per-edge update (only
-//! the subtree that moved is re-hung). A path query then climbs both
-//! endpoints to their common ancestor in `O(path length)` instead of
-//! searching the whole forest.
+//! The tree adjacency lives in one flat slot array: each node owns a fixed
+//! range of slots as long as its graph degree (which bounds its tree
+//! degree), so Kruskal's links and the traversals below walk contiguous
+//! memory. The forest is also kept in rooted form (`parent` + `depth`),
+//! re-derived by every rebuild and patched by every structural per-edge
+//! update (only the subtree that moved is re-hung). A path query then
+//! climbs both endpoints to their common ancestor in `O(path length)`
+//! instead of searching the whole forest.
 
 use crate::graph::UnionFind;
 
@@ -40,6 +45,10 @@ pub type EdgeId = u32;
 
 /// Dense node index (matches [`crate::AncillaGraph`] indices).
 pub type NodeId = u32;
+
+/// Widest digit of the radix sort: weights up to `2^RADIX_BITS − 1` sort in
+/// one counting pass, and the full `u32` range in four.
+const RADIX_BITS: u32 = 8;
 
 #[derive(Debug, Clone, Copy)]
 struct Edge {
@@ -76,8 +85,12 @@ pub struct IncrementalMst {
     num_nodes: usize,
     edges: Vec<Edge>,
     in_tree: Vec<bool>,
-    /// Tree adjacency: `(neighbor, edge id)`.
-    tree_adj: Vec<Vec<(NodeId, EdgeId)>>,
+    /// Tree adjacency as `(neighbor, edge id)` slots: node `v` owns
+    /// `adj[adj_start[v]..adj_start[v + 1]]`, as many slots as its graph
+    /// degree, and uses those below `adj_end[v]`.
+    adj: Vec<(NodeId, EdgeId)>,
+    adj_start: Vec<u32>,
+    adj_end: Vec<u32>,
     /// Rooted form of the forest: each node's tree parent (a root is its
     /// own parent). Rebuilt by [`Self::reroot`] after a Kruskal pass and
     /// patched by [`Self::hang_subtree`] after each structural per-edge
@@ -94,21 +107,12 @@ pub struct IncrementalMst {
     /// Reusable reachability marks for [`Self::update_weight`]'s reconnect
     /// search (case 2).
     upd_seen: Vec<bool>,
-    /// Kruskal scan order, a permutation of the edge ids sorted by
-    /// `(weight, id)` unless `order_stale`. [`Self::set_weights`] keeps it
-    /// sorted by merging in the changed edges; [`Self::rebuild`] re-sorts
-    /// it whole.
+    /// Kruskal scan order: the edge ids sorted by `(weight, id)`, re-sorted
+    /// by every [`Self::rebuild`].
     kruskal_order: Vec<EdgeId>,
-    /// Set when [`Self::update_weight`] changed a weight without touching
-    /// `kruskal_order`: the next batch apply re-sorts it whole.
-    order_stale: bool,
-    /// The edges a snapshot changed, sorted by `(weight, id)` before the
-    /// merge (held scratch).
-    changed: Vec<EdgeId>,
-    /// Membership marks for `changed`, all `false` between applies.
-    is_changed: Vec<bool>,
-    /// Merge target swapped with `kruskal_order` (held scratch).
-    merged: Vec<EdgeId>,
+    /// The radix sort's second buffer and digit counts (held scratch).
+    sort_buf: Vec<EdgeId>,
+    sort_counts: Vec<u32>,
     /// Kruskal's component forest, reset (capacity kept) per rebuild.
     kruskal_uf: UnionFind,
 }
@@ -128,22 +132,25 @@ impl IncrementalMst {
                 Edge { a, b, weight }
             })
             .collect();
-        // A node's tree degree never exceeds its graph degree, so sizing
-        // each adjacency list to the latter keeps rebuilds allocation-free.
-        let mut degree = vec![0usize; num_nodes];
+        // A node's tree degree never exceeds its graph degree, so a slot
+        // range of that size keeps rebuilds allocation-free.
+        let mut adj_start = vec![0u32; num_nodes + 1];
         for e in &edges {
-            degree[e.a as usize] += 1;
-            degree[e.b as usize] += 1;
+            adj_start[e.a as usize + 1] += 1;
+            adj_start[e.b as usize + 1] += 1;
+        }
+        for v in 0..num_nodes {
+            adj_start[v + 1] += adj_start[v];
         }
         let mut mst = IncrementalMst {
             num_nodes,
             in_tree: vec![false; edges.len()],
-            tree_adj: degree.into_iter().map(Vec::with_capacity).collect(),
-            kruskal_order: (0..edges.len() as EdgeId).collect(),
-            order_stale: true,
-            changed: Vec::with_capacity(edges.len()),
-            is_changed: vec![false; edges.len()],
-            merged: Vec::with_capacity(edges.len()),
+            adj: vec![(0, 0); 2 * edges.len()],
+            adj_end: adj_start[..num_nodes].to_vec(),
+            adj_start,
+            kruskal_order: Vec::with_capacity(edges.len()),
+            sort_buf: Vec::with_capacity(edges.len()),
+            sort_counts: Vec::with_capacity((1 << RADIX_BITS) + 1),
             kruskal_uf: UnionFind::new(num_nodes),
             edges,
             parent: vec![0; num_nodes],
@@ -156,63 +163,73 @@ impl IncrementalMst {
         mst
     }
 
-    /// Recomputes the tree from scratch (Kruskal, re-sorting every edge)
-    /// with the held scratch, so it allocates nothing. Exposed for
-    /// benchmarking against the incremental path.
+    /// Recomputes the tree from the current weights: the radix sort, one
+    /// Kruskal pass and re-rooting, all in held scratch, so it allocates
+    /// nothing. Exposed for benchmarking against the incremental path.
     pub fn rebuild(&mut self) {
-        let edges = &self.edges;
-        // `(weight, id)` keys are distinct, so an unstable (non-allocating)
-        // sort gives the same order as a stable one.
-        self.kruskal_order
-            .sort_unstable_by_key(|&i| (edges[i as usize].weight, i));
-        self.order_stale = false;
-        self.kruskal();
-    }
-
-    /// One Kruskal pass over the sorted `kruskal_order`, then re-rooting.
-    fn kruskal(&mut self) {
+        self.sort_order();
         self.in_tree.fill(false);
-        for adj in &mut self.tree_adj {
-            adj.clear();
-        }
+        self.adj_end
+            .copy_from_slice(&self.adj_start[..self.num_nodes]);
         self.kruskal_uf.reset(self.num_nodes);
-        for &id in &self.kruskal_order {
+        for i in 0..self.kruskal_order.len() {
+            let id = self.kruskal_order[i];
             let e = self.edges[id as usize];
             if self.kruskal_uf.union(e.a, e.b) {
-                self.in_tree[id as usize] = true;
-                self.tree_adj[e.a as usize].push((e.b, id));
-                self.tree_adj[e.b as usize].push((e.a, id));
+                self.link(id);
             }
         }
         self.reroot();
     }
 
-    /// Restores the `(weight, id)` order after the edges in `changed` got
-    /// new weights: sorts just those and merges them with the unchanged
-    /// edges, which are still in order. `O(E + c log c)` for `c` changes.
-    fn merge_changed_into_order(&mut self) {
-        let edges = &self.edges;
-        let key = |i: EdgeId| (edges[i as usize].weight, i);
-        self.changed.sort_unstable_by_key(|&i| key(i));
-        for &i in &self.changed {
-            self.is_changed[i as usize] = true;
+    /// Sorts `kruskal_order` by `(weight, id)`: a stable LSD radix sort by
+    /// weight over the ascending ids. The digit width splits the largest
+    /// weight's bits evenly over `⌈bits / RADIX_BITS⌉` counting passes, so
+    /// the bucket count never exceeds twice the largest weight plus one;
+    /// all-zero weights need no pass at all.
+    fn sort_order(&mut self) {
+        self.kruskal_order.clear();
+        self.kruskal_order.extend(0..self.edges.len() as EdgeId);
+        let max = self.edges.iter().map(|e| e.weight).max().unwrap_or(0);
+        let bits = u32::BITS - max.leading_zeros();
+        let passes = bits.div_ceil(RADIX_BITS);
+        if passes == 0 {
+            return;
         }
-        self.merged.clear();
-        let mut pending = self.changed.iter().copied().peekable();
-        for &i in &self.kruskal_order {
-            if self.is_changed[i as usize] {
-                continue;
+        let width = bits.div_ceil(passes);
+        let mask = (1u32 << width) - 1;
+        for pass in 0..passes {
+            let shift = pass * width;
+            let digit = |id: EdgeId| ((self.edges[id as usize].weight >> shift) & mask) as usize;
+            // counts[d + 1] tallies digit d; the prefix sum turns counts[d]
+            // into digit d's first output slot.
+            self.sort_counts.clear();
+            self.sort_counts.resize(mask as usize + 2, 0);
+            for &id in &self.kruskal_order {
+                self.sort_counts[digit(id) + 1] += 1;
             }
-            while let Some(c) = pending.next_if(|&c| key(c) < key(i)) {
-                self.merged.push(c);
+            for d in 1..self.sort_counts.len() {
+                self.sort_counts[d] += self.sort_counts[d - 1];
             }
-            self.merged.push(i);
+            self.sort_buf.clear();
+            self.sort_buf.resize(self.kruskal_order.len(), 0);
+            for &id in &self.kruskal_order {
+                let slot = &mut self.sort_counts[digit(id)];
+                self.sort_buf[*slot as usize] = id;
+                *slot += 1;
+            }
+            std::mem::swap(&mut self.kruskal_order, &mut self.sort_buf);
         }
-        self.merged.extend(pending);
-        for &i in &self.changed {
-            self.is_changed[i as usize] = false;
-        }
-        std::mem::swap(&mut self.kruskal_order, &mut self.merged);
+    }
+
+    /// The indices of `v`'s tree entries in `adj`.
+    fn slots(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.adj_start[v as usize] as usize..self.adj_end[v as usize] as usize
+    }
+
+    /// The `(neighbor, edge id)` tree entries of `v`.
+    fn tree_neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
+        &self.adj[self.slots(v)]
     }
 
     /// Re-derives the rooted form (`parent`, `depth`) from the tree
@@ -238,7 +255,8 @@ impl IncrementalMst {
         let mut head = 0;
         while let Some(&u) = self.queue.get(head) {
             head += 1;
-            for &(v, _) in &self.tree_adj[u as usize] {
+            for i in self.slots(u) {
+                let (v, _) = self.adj[i];
                 if v != self.parent[u as usize] {
                     self.parent[v as usize] = u;
                     self.depth[v as usize] = self.depth[u as usize] + 1;
@@ -250,47 +268,55 @@ impl IncrementalMst {
 
     /// Stores a whole weight snapshot (`weights[id]` for every edge) and
     /// returns how many weights changed. If any did, the tree is rebuilt by
-    /// one Kruskal pass; the result is the same edge set as applying
-    /// [`Self::update_weight`] to each changed edge. The scan order is
-    /// restored by merging the `c` changed edges into the kept order, so a
-    /// batch costs `O(E + c log c)` rather than a full `O(E log E)` sort.
+    /// [`Self::rebuild`]; the result is the same edge set as applying
+    /// [`Self::update_weight`] to each changed edge. An unchanged snapshot
+    /// costs one pass over the weights.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len()` differs from the edge count.
     pub fn set_weights(&mut self, weights: &[u32]) -> u64 {
         assert_eq!(weights.len(), self.edges.len(), "one weight per edge");
-        self.changed.clear();
-        for (id, (e, &w)) in self.edges.iter_mut().zip(weights).enumerate() {
-            if e.weight != w {
-                e.weight = w;
-                self.changed.push(id as EdgeId);
-            }
+        let mut changed = 0u64;
+        for (e, &w) in self.edges.iter_mut().zip(weights) {
+            changed += u64::from(e.weight != w);
+            e.weight = w;
         }
-        if self.changed.is_empty() {
-            return 0;
-        }
-        if self.order_stale {
+        if changed > 0 {
             self.rebuild();
-        } else {
-            self.merge_changed_into_order();
-            self.kruskal();
         }
-        self.changed.len() as u64
+        changed
     }
 
     fn link(&mut self, id: EdgeId) {
         let e = self.edges[id as usize];
         self.in_tree[id as usize] = true;
-        self.tree_adj[e.a as usize].push((e.b, id));
-        self.tree_adj[e.b as usize].push((e.a, id));
+        for (v, entry) in [(e.a, (e.b, id)), (e.b, (e.a, id))] {
+            let end = &mut self.adj_end[v as usize];
+            debug_assert!(
+                *end < self.adj_start[v as usize + 1],
+                "tree degree ≤ graph degree"
+            );
+            self.adj[*end as usize] = entry;
+            *end += 1;
+        }
     }
 
+    /// Removes tree edge `id`, keeping the order of each endpoint's other
+    /// entries.
     fn unlink(&mut self, id: EdgeId) {
         let e = self.edges[id as usize];
         self.in_tree[id as usize] = false;
-        self.tree_adj[e.a as usize].retain(|&(_, eid)| eid != id);
-        self.tree_adj[e.b as usize].retain(|&(_, eid)| eid != id);
+        for v in [e.a, e.b] {
+            let slots = self.slots(v);
+            let at = slots.start
+                + self.adj[slots.clone()]
+                    .iter()
+                    .position(|&(_, eid)| eid == id)
+                    .expect("a tree edge is in both endpoints' slots");
+            self.adj.copy_within(at + 1..slots.end, at);
+            self.adj_end[v as usize] -= 1;
+        }
     }
 
     /// Number of nodes.
@@ -341,7 +367,6 @@ impl IncrementalMst {
     pub fn update_weight(&mut self, id: EdgeId, new_weight: u32) {
         let old = self.edges[id as usize].weight;
         self.edges[id as usize].weight = new_weight;
-        self.order_stale |= new_weight != old;
         if new_weight < old && !self.in_tree[id as usize] {
             // Case 1: cheaper non-tree edge. Insert and evict the heaviest
             // edge on the tree path between its endpoints (the cycle). The
@@ -361,7 +386,8 @@ impl IncrementalMst {
             let mut worst: Option<(u32, EdgeId)> = None;
             for pair in nodes.windows(2) {
                 let (u, v) = (pair[0], pair[1]);
-                let &(_, eid) = self.tree_adj[u as usize]
+                let &(_, eid) = self
+                    .tree_neighbors(u)
                     .iter()
                     .find(|&&(n, _)| n == v)
                     .expect("consecutive path nodes are tree-adjacent");
@@ -461,7 +487,8 @@ impl IncrementalMst {
         let mut head = 0;
         while let Some(&u) = self.queue.get(head) {
             head += 1;
-            for &(v, _) in &self.tree_adj[u as usize] {
+            for i in self.slots(u) {
+                let (v, _) = self.adj[i];
                 if !self.upd_seen[v as usize] {
                     self.upd_seen[v as usize] = true;
                     self.queue.push(v);
@@ -553,7 +580,8 @@ impl IncrementalMst {
         let mut out = Vec::with_capacity(nodes.len().saturating_sub(1));
         for pair in nodes.windows(2) {
             let (u, v) = (pair[0], pair[1]);
-            let &(_, eid) = self.tree_adj[u as usize]
+            let &(_, eid) = self
+                .tree_neighbors(u)
                 .iter()
                 .find(|&&(n, _)| n == v)
                 .expect("consecutive path nodes are tree-adjacent");
@@ -763,12 +791,14 @@ mod tests {
 
     #[test]
     fn merged_order_stays_sorted_through_mixed_updates() {
-        // Per-edge updates leave the scan order stale; batch applies must
-        // then re-sort it, and otherwise merge their changes into it.
+        // Per-edge updates leave the scan order behind the weights; every
+        // batch apply that changes a weight re-sorts it, so after one the
+        // order must be the fresh tree's `(weight, id)` order.
         let edges = grid_edges(6, 6);
         let mut mst = IncrementalMst::new(36, &edges);
         let mut weights: Vec<u32> = edges.iter().map(|e| e.2).collect();
         let mut state = 11u64;
+        let mut rebuilds = 0;
         for step in 0..80 {
             if step % 3 == 0 {
                 let eid = (lcg(&mut state) >> 17) as usize % edges.len();
@@ -780,7 +810,7 @@ mod tests {
                     *w = (lcg(&mut state) % 6) as u32;
                 }
             }
-            mst.set_weights(&weights);
+            let changed = mst.set_weights(&weights);
             let fresh: Vec<_> = edges
                 .iter()
                 .zip(&weights)
@@ -788,7 +818,8 @@ mod tests {
                 .collect();
             let fresh = IncrementalMst::new(36, &fresh);
             assert_eq!(edge_set(&mst), edge_set(&fresh), "step {step}");
-            if !mst.order_stale {
+            if changed > 0 {
+                rebuilds += 1;
                 let keys: Vec<_> = mst
                     .kruskal_order
                     .iter()
@@ -798,11 +829,20 @@ mod tests {
                 assert_eq!(mst.kruskal_order, fresh.kruskal_order, "step {step}");
             }
         }
+        assert!(rebuilds >= 70, "only {rebuilds} batch applies rebuilt");
+    }
+
+    /// Every node's tree entries in slot order: what a rebuild re-derives
+    /// in Kruskal order and per-edge updates reshape in place.
+    fn slot_view(mst: &IncrementalMst) -> Vec<Vec<(NodeId, EdgeId)>> {
+        (0..mst.num_nodes() as NodeId)
+            .map(|v| mst.tree_neighbors(v).to_vec())
+            .collect()
     }
 
     #[test]
     fn unchanged_snapshot_skips_the_rebuild() {
-        // A tree shaped by per-edge updates keeps its adjacency order; a
+        // A tree shaped by per-edge updates keeps its slot order; a
         // rebuild would re-derive it in Kruskal order.
         let edges = grid_edges(5, 5);
         let mut mst = IncrementalMst::new(25, &edges);
@@ -814,11 +854,45 @@ mod tests {
         let weights: Vec<u32> = (0..edges.len() as EdgeId)
             .map(|id| mst.weight(id))
             .collect();
-        let adj = mst.tree_adj.clone();
+        let adj = slot_view(&mst);
         assert_eq!(mst.set_weights(&weights), 0);
-        assert_eq!(mst.tree_adj, adj, "no change must mean no rebuild");
+        assert_eq!(slot_view(&mst), adj, "no change must mean no rebuild");
         mst.rebuild();
-        assert_ne!(mst.tree_adj, adj, "the check above can tell a rebuild");
+        assert_ne!(slot_view(&mst), adj, "the check above can tell a rebuild");
+    }
+
+    /// The radix-sorted scan order equals a comparison sort by
+    /// `(weight, id)`, for narrow, activity-sized, multi-pass and full
+    /// `u32` weights, all-equal weights, and graphs with no edges.
+    #[test]
+    fn kruskal_order_is_the_weight_id_sort() {
+        let edges = grid_edges(12, 12);
+        let mut mst = IncrementalMst::new(144, &edges);
+        let mut state = 21u64;
+        let draws: [&dyn Fn(u64) -> u32; 7] = [
+            &|r| (r % 4) as u32,
+            &|r| (r % 101) as u32,
+            &|r| (r % 257) as u32,
+            &|r| (r % 65_537) as u32,
+            &|r| r as u32,
+            &|r| [0, u32::MAX, u32::MAX - 1, 1 << 31][(r % 4) as usize],
+            &|_| 7,
+        ];
+        for (case, draw) in draws.iter().enumerate() {
+            for round in 0..4 {
+                let weights: Vec<u32> = edges.iter().map(|_| draw(lcg(&mut state))).collect();
+                mst.set_weights(&weights);
+                mst.rebuild();
+                let mut want: Vec<EdgeId> = (0..edges.len() as EdgeId).collect();
+                want.sort_by_key(|&i| (weights[i as usize], i));
+                assert_eq!(mst.kruskal_order, want, "case {case} round {round}");
+            }
+        }
+        for n in [0, 3] {
+            let empty = IncrementalMst::new(n, &[]);
+            assert!(empty.kruskal_order.is_empty());
+            assert_eq!(empty.tree_size(), 0);
+        }
     }
 
     /// The forest's adjacency rebuilt from the public edge view alone

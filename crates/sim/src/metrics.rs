@@ -152,7 +152,9 @@ pub struct RunCounters {
     pub stall_class_cycles: u64,
     /// MST computations completed (RESCQ).
     pub mst_computations: u64,
-    /// Incremental MST edge updates applied (RESCQ, §5.4.1).
+    /// Edge weights changed between consecutive completed MST computations
+    /// (RESCQ, §5.4.1's update count), counted at every completion whether
+    /// or not a route read rebuilt the tree from it.
     pub mst_incremental_updates: u64,
     /// Geometric-path lookups answered by the route planner's memo
     /// ([`rescq_core::PathCache`]; RESCQ). Every plan looks up each of its
