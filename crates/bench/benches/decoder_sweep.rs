@@ -1,7 +1,7 @@
 //! Decoder sweep: total cycles vs classical-decoder throughput on the
 //! bursty decoder-stress workload (RESCQ scheduler, d = 7, p = 1e-4).
 //!
-//! As throughput drops below the substrate's syndrome production rate the
+//! As the decoder's throughput drops below the work its windows carry the
 //! run moves from the preparation-limited regime into the decoder-limited
 //! one: feed-forward outcomes queue behind the decoder and stall cycles
 //! dominate the makespan.
@@ -16,7 +16,7 @@ fn main() {
     let scale = experiments::ExperimentScale::from_env();
     print_header(
         "Decoder sweep — total cycles vs decoder throughput",
-        "RESCQ on decoder_stress; fixed-latency decoder, ideal at tp=inf",
+        "RESCQ on decoder_stress; union-find decoder, ideal at tp=inf",
     );
     let (rows, monotone, cache) =
         experiments::decoder_sweep_with_stats(&scale).expect("decoder sweep");

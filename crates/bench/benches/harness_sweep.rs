@@ -20,7 +20,7 @@ fn spec() -> SweepSpec {
         r#"
         [sweep]
         workloads = ["decoder_stress_n12"]
-        decoders  = ["ideal", "fixed:2", "fixed:1", "fixed:0.5"]
+        decoders  = ["ideal", "union_find:64", "union_find:16", "union_find:4"]
         seeds     = 4
         "#,
     )

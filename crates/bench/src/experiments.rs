@@ -376,11 +376,12 @@ pub fn fig15() -> Result<Vec<Fig15Grid>, SimError> {
 // Decoder sweep — total cycles vs classical-decoder throughput
 // ---------------------------------------------------------------------
 
-/// Decoder throughputs swept, in decreasing order (syndrome rounds decoded
-/// per wall-clock round); the leading `f64::INFINITY` stands for the ideal
-/// decoder. The grid is coarse (×2 steps) so the latency signal dominates
-/// the seed-level scheduling noise a decoder shift induces.
-pub const DECODER_THROUGHPUTS: [f64; 5] = [f64::INFINITY, 2.0, 1.0, 0.5, 0.25];
+/// Union-find decoder throughputs swept, in decreasing order (decode work
+/// units cleared per wall-clock round); the leading `f64::INFINITY` stands
+/// for the ideal decoder. The grid is coarse (×4 steps) so the latency
+/// signal dominates the seed-level scheduling noise a decoder shift
+/// induces.
+pub const DECODER_THROUGHPUTS: [f64; 5] = [f64::INFINITY, 64.0, 16.0, 4.0, 1.0];
 
 /// One point of the decoder sweep.
 #[derive(Debug, Clone)]
@@ -430,7 +431,7 @@ pub fn decoder_sweep_with_stats(
                 DecoderPoint::from(if tp.is_infinite() {
                     DecoderConfig::ideal()
                 } else {
-                    DecoderConfig::fixed(tp)
+                    DecoderConfig::union_find(tp)
                 })
             })
             .collect(),
@@ -642,9 +643,9 @@ mod tests {
         // equals the pre-harness per-point runner on the same configuration.
         let circuit = rescq_workloads::generate("decoder_stress_n9", 1).unwrap();
         let mut cfg = base_config();
-        cfg.decoder = DecoderConfig::fixed(0.5);
+        cfg.decoder = DecoderConfig::union_find(4.0);
         let direct = run_seeds(&circuit, &cfg, 1, 5, 2).unwrap();
-        let row = rows.iter().find(|r| r.throughput == 0.5).unwrap();
+        let row = rows.iter().find(|r| r.throughput == 4.0).unwrap();
         assert_eq!(row.mean_cycles, direct.mean_cycles());
     }
 

@@ -74,7 +74,7 @@ fn print_usage() {
     println!("  sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...> [--json FILE]");
     println!("            [--allow-missing]         merge shard checkpoints into one CSV/JSON");
     println!("  sim bench <name> [--seeds N] [--compression F] [--distance D] [--csv DIR]");
-    println!("            [--decoder ideal|fixed|union_find] [--decoder-throughput F]");
+    println!("            [--decoder ideal|union_find] [--decoder-throughput F]");
     println!("            [--decoder-prep]");
     println!("            [--priority-classes SPEC]  class-aware ledger arbitration");
     println!("                                      one benchmark under all three schedulers;");

@@ -20,9 +20,10 @@ fn invalid_flags_are_rejected_by_key() {
         (&["--compression", "1.5"], "compressions"),
         (&["--compression", "nan"], "compressions"),
         (
-            &["--decoder", "fixed", "--decoder-throughput", "0"],
+            &["--decoder", "union_find", "--decoder-throughput", "0"],
             "decoders",
         ),
+        (&["--decoder", "fixed"], "unknown decoder `fixed`"),
         (&["--seeds", "0"], "seeds"),
         (&["--baseline", "x.json"], "unknown flag `--baseline`"),
         (&["--decoder", "adaptive"], "unknown decoder `adaptive`"),
@@ -50,7 +51,7 @@ fn valid_flags_run_every_scheduler() {
         "--seeds",
         "1",
         "--decoder",
-        "fixed",
+        "union_find",
         "--decoder-throughput",
         "0.5",
     ]);

@@ -11,9 +11,6 @@ pub enum DecoderKind {
     /// (decoder-less) simulation results exactly.
     #[default]
     Ideal,
-    /// Union-find-style decoder with a constant reaction latency plus a
-    /// per-syndrome-round cost, one sequential decode pipeline per tile.
-    Fixed,
     /// A real union-find syndrome decoder: every window samples a seeded
     /// error configuration on the tile's detector graph, decodes it with
     /// DSU cluster growth + peeling, and reports a latency derived from the
@@ -25,7 +22,6 @@ impl fmt::Display for DecoderKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             DecoderKind::Ideal => "ideal",
-            DecoderKind::Fixed => "fixed",
             DecoderKind::UnionFind => "union_find",
         })
     }
@@ -37,17 +33,16 @@ impl FromStr for DecoderKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "ideal" | "none" => Ok(DecoderKind::Ideal),
-            "fixed" => Ok(DecoderKind::Fixed),
             "union_find" | "union-find" | "uf" => Ok(DecoderKind::UnionFind),
             other => Err(format!(
-                "unknown decoder `{other}` (expected ideal | fixed | union_find)"
+                "unknown decoder `{other}` (expected ideal | union_find)"
             )),
         }
     }
 }
 
-/// Constant reaction latency in rounds that the `fixed` and `union_find`
-/// models add to every window on top of its decode cost.
+/// Constant reaction latency in rounds that the `union_find` decoder adds
+/// to every window on top of its decode cost.
 pub(crate) const BASE_LATENCY: u64 = 1;
 
 /// Full decoder configuration.
@@ -56,12 +51,12 @@ pub(crate) const BASE_LATENCY: u64 = 1;
 /// pre-existing seeded simulation outputs are unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderConfig {
-    /// Which model to use.
+    /// Which decoder to use.
     pub kind: DecoderKind,
-    /// Syndrome rounds (`fixed`) or decode work units (`union_find`)
-    /// cleared per wall-clock measurement round. Values below 1 syndrome
-    /// round per round mean the decoder cannot keep up with the substrate
-    /// and backlog grows on dense windows.
+    /// Decode work units the `union_find` decoder clears per wall-clock
+    /// measurement round (ignored by `ideal`). The lower it is, the longer
+    /// each window takes, and a busy tile's windows queue behind each
+    /// other.
     pub throughput: f64,
     /// Route `|mθ⟩` preparation-verification outcomes through the decoder
     /// too (in hardware the verification is itself a decoded measurement).
@@ -87,16 +82,6 @@ impl DecoderConfig {
         DecoderConfig::default()
     }
 
-    /// A fixed-latency decoder with the given throughput (syndrome rounds
-    /// decoded per wall-clock round).
-    pub fn fixed(throughput: f64) -> Self {
-        DecoderConfig {
-            kind: DecoderKind::Fixed,
-            throughput,
-            ..DecoderConfig::default()
-        }
-    }
-
     /// A real union-find syndrome decoder converting decode work to rounds
     /// at `throughput` work units per round (the engines supply the error
     /// channel: physical error rate and seed).
@@ -119,9 +104,6 @@ impl fmt::Display for DecoderConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind {
             DecoderKind::Ideal => write!(f, "ideal")?,
-            DecoderKind::Fixed => {
-                write!(f, "fixed(tp={}, base={BASE_LATENCY})", self.throughput)?;
-            }
             DecoderKind::UnionFind => {
                 write!(f, "union_find(tp={}, base={BASE_LATENCY})", self.throughput)?;
             }
@@ -146,10 +128,10 @@ mod tests {
 
     #[test]
     fn prep_decoding_opt_in() {
-        let d = DecoderConfig::fixed(0.5).with_prep_decoding();
+        let d = DecoderConfig::union_find(0.5).with_prep_decoding();
         assert!(d.decode_prep);
         assert!(d.to_string().ends_with("+prep"));
-        assert!(!DecoderConfig::fixed(0.5).to_string().contains("+prep"));
+        assert!(!DecoderConfig::union_find(0.5).to_string().contains("+prep"));
     }
 
     #[test]
@@ -160,18 +142,14 @@ mod tests {
             "union-find".parse::<DecoderKind>().unwrap(),
             DecoderKind::UnionFind
         );
-        for unknown in ["warp", "adaptive"] {
+        for unknown in ["warp", "adaptive", "fixed"] {
             assert!(unknown.parse::<DecoderKind>().is_err(), "{unknown}");
         }
     }
 
     #[test]
     fn display_round_trips_kind() {
-        for k in [
-            DecoderKind::Ideal,
-            DecoderKind::Fixed,
-            DecoderKind::UnionFind,
-        ] {
+        for k in [DecoderKind::Ideal, DecoderKind::UnionFind] {
             assert_eq!(k.to_string().parse::<DecoderKind>().unwrap(), k);
         }
     }

@@ -8,24 +8,20 @@
 //! first-class subsystem the simulation engines consult before committing
 //! feed-forward decisions.
 //!
-//! Three [`DecoderModel`] implementations are provided:
+//! Two decoders are provided, chosen by [`DecoderKind`]:
 //!
-//! - [`IdealDecoder`] — zero latency; reproduces the original RESCQ results
-//!   bit for bit (the default everywhere);
-//! - [`FixedLatencyDecoder`] — a latency model with constant reaction
-//!   latency plus a per-round decode cost, one sequential pipeline per tile
-//!   (backlog accumulates when throughput < 1 syndrome round per wall-clock
-//!   round);
-//! - [`UnionFindDecoder`] — a *real* union-find syndrome decoder: every
-//!   window samples a seeded error configuration on the tile's
-//!   [`DetectorGraph`] at the channel's physical error rate, decodes it
-//!   with [`ClusterDsu`] cluster growth + peeling, folds the correction
-//!   into a [`PauliFrame`], and reports a latency derived from the work the
-//!   decode actually performed. Decode latency thereby *emerges* from `p`
-//!   and `d` instead of being assumed.
+//! - `ideal` — zero latency; reproduces the original RESCQ results bit for
+//!   bit (the default everywhere);
+//! - `union_find` — a *real* union-find syndrome decoder
+//!   ([`UnionFindDecoder`]): every window samples a seeded error
+//!   configuration on the tile's [`DetectorGraph`] at the channel's
+//!   physical error rate, decodes it with [`ClusterDsu`] cluster growth +
+//!   peeling, folds the correction into a [`PauliFrame`], and reports a
+//!   latency derived from the work the decode actually performed. Decode
+//!   latency thereby *emerges* from `p` and `d` instead of being assumed.
 //!
 //! The [`DecodeBacklog`] tracks in-flight windows, and
-//! [`DecoderRuntime`] wraps a model + backlog + statistics behind the
+//! [`DecoderRuntime`] wraps the decoder + backlog + statistics behind the
 //! interface the engines consume: [`DecoderRuntime::submit`] returns the
 //! round at which a window's decode result becomes visible, and
 //! [`DecoderRuntime::retire`] records the observed latency once the engine
@@ -44,9 +40,9 @@
 //! ```
 //! use rescq_decoder::{DecoderConfig, DecoderKind, DecoderRuntime};
 //!
-//! let mut rt = DecoderRuntime::new(&DecoderConfig::fixed(0.5), 4);
+//! let mut rt = DecoderRuntime::new(&DecoderConfig::union_find(0.5), 4);
 //! let (w0, ready0) = rt.submit(0, 7, 100);
-//! assert!(ready0 > 100, "half-throughput decode takes time");
+//! assert!(ready0 > 100, "real decode work takes time");
 //! rt.retire(w0, ready0);
 //! assert_eq!(rt.stats().windows_decoded, 1);
 //!
@@ -63,7 +59,6 @@ mod config;
 mod dsu;
 mod exact;
 mod graph;
-mod models;
 mod pauli_frame;
 mod runtime;
 mod syndrome;
@@ -74,7 +69,6 @@ pub use config::{DecoderConfig, DecoderKind};
 pub use dsu::ClusterDsu;
 pub use exact::{min_weight_correction, MAX_EXACT_DEFECTS};
 pub use graph::DetectorGraph;
-pub use models::{DecoderModel, FixedLatencyDecoder, IdealDecoder};
 pub use pauli_frame::PauliFrame;
 pub use runtime::{DecoderRuntime, DecoderStats};
 pub use syndrome::SyndromeBits;

@@ -1,9 +1,8 @@
-//! The runtime the simulation engines consume: model + backlog + statistics
-//! behind a two-call interface (`submit`, `retire`).
+//! The runtime the simulation engines consume: decoder + backlog +
+//! statistics behind a two-call interface (`submit`, `retire`).
 
-use crate::models::build_model;
-use crate::union_find::ErrorChannel;
-use crate::{DecodeBacklog, DecoderConfig, DecoderModel, WindowId};
+use crate::union_find::{ErrorChannel, UnionFindDecoder};
+use crate::{DecodeBacklog, DecoderConfig, DecoderKind, WindowId};
 
 /// Aggregate decoder statistics for one simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -17,8 +16,8 @@ pub struct DecoderStats {
     pub stall_rounds: u64,
     /// Largest number of windows simultaneously in flight.
     pub peak_backlog: u64,
-    /// Defects (flipped detectors) the decoder observed. Zero for the
-    /// latency models — only the union-find decoder samples real syndromes.
+    /// Defects (flipped detectors) the decoder observed. Zero under the
+    /// ideal decoder, which samples no syndromes.
     pub defects: u64,
     /// Union-find cluster-growth half-steps performed (the dominant decode
     /// work term).
@@ -31,8 +30,8 @@ pub struct DecoderStats {
     pub logical_failures: u64,
 }
 
-/// Wraps a [`DecoderModel`] and a [`DecodeBacklog`] behind the interface the
-/// engines consume.
+/// Wraps the configured decoder and a [`DecodeBacklog`] behind the interface
+/// the engines consume.
 ///
 /// An engine calls [`submit`](DecoderRuntime::submit) when a feed-forward
 /// measurement completes; the returned round is when the decoded outcome may
@@ -40,7 +39,9 @@ pub struct DecoderStats {
 /// [`retire`](DecoderRuntime::retire), which updates the backlog accounting.
 #[derive(Debug)]
 pub struct DecoderRuntime {
-    model: Box<dyn DecoderModel + Send + Sync>,
+    /// The union-find decoder, or `None` for the ideal decoder, which
+    /// answers every window the round it is submitted and does no work.
+    decoder: Option<UnionFindDecoder>,
     backlog: DecodeBacklog,
     stats: DecoderStats,
     /// Syndrome rounds per lattice-surgery cycle (the code distance).
@@ -50,8 +51,7 @@ pub struct DecoderRuntime {
 }
 
 // The sweep harness builds and runs each job's engine — decoder included —
-// on one of its worker threads; the model box is `Send + Sync` so every
-// decoder model stays usable there.
+// on one of its worker threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<DecoderRuntime>();
@@ -68,7 +68,7 @@ impl DecoderRuntime {
     }
 
     /// Builds the runtime with an explicit error channel for the union-find
-    /// decoder (the latency models ignore it).
+    /// decoder (the ideal decoder ignores it).
     pub fn with_channel(
         config: &DecoderConfig,
         rounds_per_cycle: u32,
@@ -76,7 +76,12 @@ impl DecoderRuntime {
     ) -> Self {
         let rounds_per_cycle = rounds_per_cycle.max(1);
         DecoderRuntime {
-            model: build_model(config, rounds_per_cycle, channel),
+            decoder: match config.kind {
+                DecoderKind::Ideal => None,
+                DecoderKind::UnionFind => {
+                    Some(UnionFindDecoder::new(config, rounds_per_cycle, channel))
+                }
+            },
             backlog: DecodeBacklog::new(),
             stats: DecoderStats::default(),
             rounds_per_cycle,
@@ -95,18 +100,24 @@ impl DecoderRuntime {
     /// decode result becomes visible (`>= now`; `== now` for the ideal
     /// decoder).
     pub fn submit(&mut self, tile: u32, rounds: u32, now: u64) -> (WindowId, u64) {
-        let ready_at = self.model.decode_ready_at(tile, rounds, now);
+        let ready_at = match &mut self.decoder {
+            None => now,
+            Some(decoder) => {
+                let ready_at = decoder.decode_ready_at(tile, rounds, now);
+                let work = decoder.take_work();
+                self.stats.defects += work.defects;
+                self.stats.growth_steps += work.growth_steps;
+                self.stats.merges += work.merges;
+                self.stats.peeled_edges += work.peeled_edges;
+                self.stats.logical_failures += work.logical_failures;
+                ready_at
+            }
+        };
         debug_assert!(ready_at >= now, "decoders cannot answer before submission");
         let id = self.backlog.enqueue(tile, rounds, now, ready_at);
         self.stats.windows_submitted += 1;
         self.stats.stall_rounds += ready_at - now;
         self.stats.peak_backlog = self.stats.peak_backlog.max(self.backlog.in_flight() as u64);
-        let work = self.model.take_work();
-        self.stats.defects += work.defects;
-        self.stats.growth_steps += work.growth_steps;
-        self.stats.merges += work.merges;
-        self.stats.peeled_edges += work.peeled_edges;
-        self.stats.logical_failures += work.logical_failures;
         (id, ready_at)
     }
 
@@ -128,11 +139,6 @@ impl DecoderRuntime {
     pub fn stats(&self) -> DecoderStats {
         self.stats
     }
-
-    /// The model's short name.
-    pub fn model_name(&self) -> &'static str {
-        self.model.name()
-    }
 }
 
 #[cfg(test)]
@@ -150,13 +156,17 @@ mod tests {
     }
 
     #[test]
-    fn fixed_runtime_tracks_stall_and_latency() {
-        let mut rt = DecoderRuntime::new(&DecoderConfig::fixed(1.0), 7);
-        let (id, ready) = rt.submit(0, 14, 100);
-        assert_eq!(ready, 115); // 100 + base 1 + 14/1.0
+    fn union_find_runtime_tracks_stall_and_latency() {
+        // p = 0 flips nothing, so a 6-round window at d = 3 decodes as two
+        // 3-round chunks costing their syndrome-word scan plus one peeling
+        // visit per node: (1 + 20) work units each, cleared at 1 per round.
+        let channel = ErrorChannel::new(0.0, 1);
+        let mut rt = DecoderRuntime::with_channel(&DecoderConfig::union_find(1.0), 3, channel);
+        let (id, ready) = rt.submit(0, 6, 100);
+        assert_eq!(ready, 143); // 100 + base 1 + 2 · 21
         let cycles = rt.retire(id, ready);
-        assert_eq!(cycles, 3); // ceil(15 / 7)
-        assert_eq!(rt.stats().stall_rounds, 15);
+        assert_eq!(cycles, 15); // ceil(43 / 3)
+        assert_eq!(rt.stats().stall_rounds, 43);
         assert_eq!(rt.stats().windows_submitted, 1);
         assert_eq!(rt.stats().windows_decoded, 1);
     }
@@ -179,12 +189,13 @@ mod tests {
             rt.retire(id, ready);
         }
         assert!(rt.backlog().is_conserved());
-        assert_eq!(rt.model_name(), "union_find");
     }
 
     #[test]
     fn latency_models_leave_work_stats_zero() {
-        let mut rt = DecoderRuntime::new(&DecoderConfig::fixed(0.5), 7);
+        // The ideal decoder samples nothing, even on a noisy channel.
+        let channel = ErrorChannel::new(0.2, 3);
+        let mut rt = DecoderRuntime::with_channel(&DecoderConfig::ideal(), 7, channel);
         rt.submit(0, 7, 0);
         let s = rt.stats();
         assert_eq!(s.defects, 0);
@@ -194,7 +205,7 @@ mod tests {
 
     #[test]
     fn peak_backlog_recorded() {
-        let mut rt = DecoderRuntime::new(&DecoderConfig::fixed(0.5), 7);
+        let mut rt = DecoderRuntime::new(&DecoderConfig::union_find(0.5), 7);
         let ids: Vec<_> = (0..5).map(|i| rt.submit(0, 7, i).0).collect();
         assert_eq!(rt.stats().peak_backlog, 5);
         for id in ids {

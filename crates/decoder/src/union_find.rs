@@ -1,8 +1,7 @@
 //! The real union-find syndrome decoder: seeded error channel → bit-packed
 //! syndrome → DSU cluster growth → peeling → Pauli frame.
 //!
-//! Unlike the latency-model decoders, decode cost here is *emergent*: every
-//! window samples a fresh error configuration on the tile's detector graph
+//! Decode cost here is *emergent*: every window samples a fresh error configuration on the tile's detector graph
 //! at physical error rate `p`, and the reported latency is derived from the
 //! work the decode actually performed (syndrome-word scans, cluster-growth
 //! half-steps, peeled erasure edges). Error rate and code distance thereby
@@ -28,7 +27,7 @@ use crate::dsu::ClusterDsu;
 use crate::graph::DetectorGraph;
 use crate::pauli_frame::PauliFrame;
 use crate::syndrome::SyndromeBits;
-use crate::{DecoderConfig, DecoderModel};
+use crate::DecoderConfig;
 use std::collections::VecDeque;
 
 /// The seeded physical error channel a union-find decoder samples.
@@ -60,8 +59,7 @@ impl ErrorChannel {
 }
 
 /// Work and outcome accounting of decode activity, accumulated by the
-/// runtime into [`DecoderStats`](crate::DecoderStats). Latency-model
-/// decoders report all zeros.
+/// runtime into [`DecoderStats`](crate::DecoderStats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeWork {
     /// Defects (flipped detectors) observed.
@@ -633,8 +631,8 @@ struct TileState {
 
 /// A real union-find syndrome decoder over per-tile detector graphs.
 ///
-/// Implements [`DecoderModel`]: each submitted window samples a seeded
-/// error configuration at the channel's rate `p`, decodes it (DSU growth +
+/// Each submitted window ([`UnionFindDecoder::decode_ready_at`]) samples a
+/// seeded error configuration at the channel's rate `p`, decodes it (DSU growth +
 /// peeling), folds the correction into the tile's [`PauliFrame`], and
 /// reports a latency derived from the work actually performed:
 ///
@@ -726,14 +724,12 @@ impl UnionFindDecoder {
         }
         total
     }
-}
 
-impl DecoderModel for UnionFindDecoder {
-    fn name(&self) -> &'static str {
-        "union_find"
-    }
-
-    fn decode_ready_at(&mut self, tile: u32, rounds: u32, now: u64) -> u64 {
+    /// Submits a window of `rounds` syndrome rounds from `tile` at round
+    /// `now`: decodes it and returns the round at which the result becomes
+    /// visible to the scheduler (always `> now`). Each tile decodes its
+    /// windows one after another.
+    pub fn decode_ready_at(&mut self, tile: u32, rounds: u32, now: u64) -> u64 {
         let work = self.decode_window(tile, rounds);
         let latency = BASE_LATENCY + (work.work_units as f64 / self.throughput).ceil() as u64;
         let tile_state = self.tiles[tile as usize]
@@ -745,7 +741,10 @@ impl DecoderModel for UnionFindDecoder {
         ready
     }
 
-    fn take_work(&mut self) -> DecodeWork {
+    /// Drains the decode work accumulated since the last call (defects,
+    /// growth steps, merges, peels and logical failures), which the runtime
+    /// folds into [`DecoderStats`](crate::DecoderStats).
+    pub fn take_work(&mut self) -> DecodeWork {
         std::mem::take(&mut self.last_work)
     }
 }

@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rescq_decoder::{DecoderConfig, DecoderModel, ErrorChannel, UnionFindDecoder};
+use rescq_decoder::{DecoderConfig, ErrorChannel, UnionFindDecoder};
 
 /// Counts every `alloc`/`realloc` passed through to the system allocator.
 struct CountingAlloc;

@@ -8,9 +8,7 @@
 //! sampling, decoding, chunking, latency or frame bookkeeping moves the
 //! digest; a pure speed-up must leave it alone.
 
-use rescq_decoder::{
-    DecodeWork, DecoderConfig, DecoderKind, DecoderModel, ErrorChannel, UnionFindDecoder,
-};
+use rescq_decoder::{DecodeWork, DecoderConfig, DecoderKind, ErrorChannel, UnionFindDecoder};
 
 const DISTANCES: [u32; 3] = [3, 5, 7];
 const ERROR_RATES: [f64; 5] = [0.0, 1e-4, 0.02, 0.2, 1.0];

@@ -33,7 +33,7 @@
 //!     r#"
 //!     workloads    = ["decoder_stress_n4"]
 //!     compressions = [0.0, 0.5]
-//!     decoders     = ["ideal", "fixed:0.5"]
+//!     decoders     = ["ideal", "union_find:8"]
 //!     seeds        = 2
 //!     "#,
 //! )

@@ -204,7 +204,7 @@ sweep_columns! {
         k = fmt_k(job.config.k_policy);
         /// Requested grid compression fraction.
         compression = job.config.compression;
-        /// Decoder point: `ideal`, `fixed:TP` or `union_find:TP`.
+        /// Decoder point: `ideal` or `union_find:TP`.
         decoder = job.decoder;
         /// Priority-class lattice the ledger arbitrated with (`off` = class-blind).
         priority = fmt_priority(&job.config.priority_classes);
@@ -252,7 +252,7 @@ sweep_columns! {
         cnot_p99: u64 = r.cnot_latency.percentile(0.99), max;
         /// 99th-percentile decode-window latency in cycles.
         decode_p99: u64 = r.decode_latency.percentile(0.99), max;
-        /// Defects the union-find decoder observed (0 for latency models).
+        /// Defects the union-find decoder observed (0 under the ideal decoder).
         decode_defects: u64 = r.counters.decode_defects, sum;
         /// Union-find cluster-growth half-steps performed.
         decode_growth_steps: u64 = r.counters.decode_growth_steps, sum;

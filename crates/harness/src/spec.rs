@@ -18,7 +18,7 @@
 //! workloads    = ["dnn_n16", "gcm_n13"]
 //! schedulers   = ["rescq"]
 //! compressions = [0.0, 0.5]
-//! decoders     = ["ideal", "fixed:0.5"]
+//! decoders     = ["ideal", "union_find:8"]
 //! seeds        = 4
 //! ```
 
@@ -29,7 +29,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// One decoder configuration of a sweep grid, with a compact, CSV-safe
-/// textual form: `ideal`, `fixed:<throughput>` or `union_find:<throughput>`.
+/// textual form: `ideal` or `union_find:<throughput>`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderPoint(pub DecoderConfig);
 
@@ -50,7 +50,6 @@ impl fmt::Display for DecoderPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0.kind {
             DecoderKind::Ideal => write!(f, "ideal"),
-            DecoderKind::Fixed => write!(f, "fixed:{}", self.0.throughput),
             DecoderKind::UnionFind => write!(f, "union_find:{}", self.0.throughput),
         }
     }
@@ -64,16 +63,20 @@ impl FromStr for DecoderPoint {
         if s.eq_ignore_ascii_case("ideal") {
             return Ok(DecoderPoint::ideal());
         }
+        const POINTS: &str = "ideal | union_find:TP";
         let (kind, rest) = s
             .split_once(':')
-            .ok_or_else(|| format!("bad decoder point `{s}` (ideal | fixed:TP | union_find:TP)"))?;
-        let throughput = |tp: &str| tp.parse().map_err(|_| format!("bad throughput in `{s}`"));
+            .ok_or_else(|| format!("bad decoder point `{s}` ({POINTS})"))?;
         match kind.to_ascii_lowercase().as_str() {
-            "fixed" => Ok(DecoderPoint(DecoderConfig::fixed(throughput(rest)?))),
             "union_find" | "union-find" | "uf" => {
-                Ok(DecoderPoint(DecoderConfig::union_find(throughput(rest)?)))
+                let throughput = rest
+                    .parse()
+                    .map_err(|_| format!("bad throughput in `{s}`"))?;
+                Ok(DecoderPoint(DecoderConfig::union_find(throughput)))
             }
-            other => Err(format!("unknown decoder kind `{other}` in `{s}`")),
+            other => Err(format!(
+                "unknown decoder kind `{other}` in `{s}` ({POINTS})"
+            )),
         }
     }
 }
@@ -355,7 +358,7 @@ impl SweepSpec {
     /// | `error_rates` | number array, each in (0, 0.5) | `[1e-4]` |
     /// | `k` | integer-or-`"dynamic"` array | `[25]` |
     /// | `compressions` | number array, each in [0, 1] | `[0.0]` |
-    /// | `decoders` | string array (`ideal`, `fixed:TP`, `union_find:TP`; TP > 0) | `["ideal"]` |
+    /// | `decoders` | string array (`ideal`, `union_find:TP`; TP > 0) | `["ideal"]` |
     /// | `priority_classes` | string array (`"off"`, or a lattice like `"factory>injection>compute>speculative"`) | `["off"]` |
     /// | `seeds` | integer ≥ 1; `base_seed + seeds` must fit in 64 bits | `3` |
     /// | `base_seed` | integer | `1` |
@@ -480,7 +483,7 @@ impl SweepSpec {
         if let Some(c) = self.compressions.iter().find(|c| !(0.0..=1.0).contains(*c)) {
             return Err(err(0, format!("compressions: {c} outside [0, 1]")));
         }
-        // The ideal decoder ignores its throughput; every other kind
+        // The ideal decoder ignores its throughput; the union-find decoder
         // divides by it.
         if let Some(d) = self.decoders.iter().find(|d| {
             d.0.kind != DecoderKind::Ideal && (d.0.throughput.is_nan() || d.0.throughput <= 0.0)
@@ -570,14 +573,18 @@ mod tests {
 
     #[test]
     fn decoder_points_round_trip() {
-        for s in ["ideal", "fixed:0.5", "union_find:16"] {
+        for s in ["ideal", "union_find:0.5", "union_find:16"] {
             let p: DecoderPoint = s.parse().unwrap();
             assert_eq!(p.to_string(), s);
         }
         assert!("warp:1".parse::<DecoderPoint>().is_err());
-        assert!("fixed".parse::<DecoderPoint>().is_err());
+        assert!("union_find".parse::<DecoderPoint>().is_err());
         assert_eq!(
-            "fixed:inf".parse::<DecoderPoint>().unwrap().0.throughput,
+            "union_find:inf"
+                .parse::<DecoderPoint>()
+                .unwrap()
+                .0
+                .throughput,
             f64::INFINITY
         );
     }
@@ -593,7 +600,7 @@ distances    = [7, 9]
 error_rates  = [1e-4]
 k            = [25, "dynamic"]
 compressions = [0.0, 0.5]
-decoders     = ["ideal", "fixed:0.5"]
+decoders     = ["ideal", "union_find:0.5"]
 seeds        = 4
 base_seed    = 10
 decode_prep  = true
@@ -717,12 +724,18 @@ max_cycles   = 500000
 
     #[test]
     fn non_positive_decoder_throughput_is_rejected() {
-        for d in ["fixed:0", "fixed:-1", "union_find:nan"] {
+        for d in ["union_find:0", "union_find:-1", "union_find:nan"] {
             let e = parse_err(&format!("decoders = \"{d}\""));
             assert!(e.message.starts_with("decoders:"), "{d}: {e}");
         }
         // An infinitely fast decoder is still a valid point.
-        assert!(SweepSpec::parse("workloads = \"dnn_n16\"\ndecoders = \"fixed:inf\"\n").is_ok());
+        assert!(
+            SweepSpec::parse("workloads = \"dnn_n16\"\ndecoders = \"union_find:inf\"\n").is_ok()
+        );
+        // `fixed:TP` is no decoder point; the error lists the ones that are.
+        let e = parse_err("decoders = \"fixed:0.5\"");
+        assert!(e.message.contains("unknown decoder kind `fixed`"), "{e}");
+        assert!(e.message.contains("ideal | union_find:TP"), "{e}");
         // A decoder kind the harness does not model is rejected by name.
         let e = parse_err("decoders = \"adaptive:1x4\"");
         assert!(e.message.contains("unknown decoder kind `adaptive`"), "{e}");
@@ -753,7 +766,7 @@ max_cycles   = 500000
         let spec = SweepSpec {
             workloads: vec!["dnn_n16".into()],
             decoders: vec![DecoderPoint::from(
-                DecoderConfig::fixed(0.5).with_prep_decoding(),
+                DecoderConfig::union_find(0.5).with_prep_decoding(),
             )],
             seeds: 1,
             decode_prep: false,

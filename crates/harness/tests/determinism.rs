@@ -11,7 +11,7 @@ fn spec_2x2x2() -> SweepSpec {
         [sweep]
         workloads    = ["decoder_stress_n4", "wstate_n27"]
         compressions = [0.0, 0.5]
-        decoders     = ["ideal", "fixed:0.5"]
+        decoders     = ["ideal", "union_find:8"]
         seeds        = 2
         "#,
     )
@@ -64,7 +64,7 @@ fn harness_rows_match_direct_simulation() {
     // The harness must not change any result: each row equals a plain
     // `simulate` call with the same configuration.
     let spec = SweepSpec::parse(
-        "workloads = [\"decoder_stress_n4\"]\ndecoders = [\"fixed:0.5\"]\nseeds = 2\n",
+        "workloads = [\"decoder_stress_n4\"]\ndecoders = [\"union_find:8\"]\nseeds = 2\n",
     )
     .unwrap();
     let results = run_sweep(&spec, &RunOptions::with_threads(4)).unwrap();

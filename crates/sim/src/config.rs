@@ -52,8 +52,8 @@ pub struct SimConfig {
     pub calibration: PrepCalibration,
     /// Classical decoding pipeline model. The `ideal` default is invisible:
     /// a run with it is bit-identical to the same build with no decoder
-    /// consulted at all. `fixed` and `union_find` apply backlog-aware
-    /// back-pressure to every feed-forward injection outcome.
+    /// consulted at all. `union_find` decodes every feed-forward injection
+    /// outcome's window and applies backlog-aware back-pressure.
     pub decoder: DecoderConfig,
     /// Watchdog: abort if the program exceeds this many cycles.
     pub max_cycles: u64,

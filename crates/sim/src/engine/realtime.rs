@@ -462,8 +462,8 @@ pub(crate) fn run_realtime(
     // allocator once the run is warm.
     ledger.reserve_tasks(circuit.len());
     if let Some(lattice) = &config.priority_classes {
-        // Attribute per-class preemption counters to the canonical classes
-        // whatever ranks a custom lattice assigns them (counters only;
+        // Attribute per-class preemption counters to the named classes
+        // whatever ranks the lattice assigns them (counters only;
         // arbitration compares raw ranks).
         ledger.set_class_buckets(lattice.canonical_buckets());
     }
@@ -619,7 +619,6 @@ impl RtEngine<'_> {
                 c.preemptions_rejected_cycle = ls.preemptions_rejected_cycle;
                 c.preemptions_class = ls.preemptions_class;
                 c.preemptions_by_class = ls.preemptions_by_class;
-                c.preemptions_by_rank = ls.preemptions_by_rank.clone();
                 c.waitgraph_peak_edges = ls.waitgraph_peak_edges;
                 c
             },

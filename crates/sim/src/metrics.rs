@@ -123,19 +123,13 @@ pub struct RunCounters {
     /// preemptor's class strictly outranked a displaced entry, a reorder
     /// seniority alone would have refused. Always 0 in class-blind runs.
     pub preemptions_class: u64,
-    /// Applied preemptions bucketed by the preemptor's class rank in the
-    /// lattice (`speculative, compute, injection, factory` for the default
-    /// lattice; deeper custom lattices clamp into the top bucket).
-    /// Class-blind runs land everything in the `compute` bucket.
-    pub preemptions_by_class: [u64; rescq_core::TaskClass::TRACKED],
+    /// Applied preemptions bucketed by the preemptor's class, in the order
+    /// `speculative, compute, injection, factory` whatever ranks the
+    /// lattice gives them. Class-blind runs land everything in the
+    /// `compute` bucket.
+    pub preemptions_by_class: [u64; 4],
     /// Largest number of distinct edges the task wait-for graph ever held.
     pub waitgraph_peak_edges: u64,
-    /// Applied preemptions bucketed by the preemptor's *raw* lattice rank
-    /// (mirrors [`rescq_core::LedgerStats::preemptions_by_rank`]); one slot
-    /// per configured class, so deeper custom lattices keep per-class
-    /// resolution that the canonical 4 buckets clamp away. Empty for
-    /// class-blind runs.
-    pub preemptions_by_rank: Vec<u64>,
     /// Cycles live tasks spent stalled on ancilla availability (runnable,
     /// but no prepared state / free ancilla to proceed with). Sampled once
     /// per lattice-surgery cycle per stalled task; derived purely from
@@ -176,7 +170,7 @@ pub struct RunCounters {
     /// the union-find decoder, which samples real syndromes.
     pub decode_defects: u64,
     /// Union-find cluster-growth half-steps performed (the dominant decode
-    /// work term; zero for the latency-model decoders).
+    /// work term; zero under the ideal decoder).
     pub decode_growth_steps: u64,
     /// Windows whose residual error crossed the logical cut after
     /// correction (union-find decoder only).

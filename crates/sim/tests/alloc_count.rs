@@ -152,8 +152,10 @@ fn steady_state_cycles_allocate_nothing_on_ising_n34() {
          ({zero_cycles} clean in total) — the hot loop has started allocating"
     );
     // MST computations complete every k cycles, so a streak longer than k
-    // spans at least one completion; changed weights mean completions
-    // really rebuild the tree (the batch Kruskal apply) rather than skip.
+    // spans at least one completion, and `mst_incremental_updates > 0`
+    // shows that completions carried changed weights. A completion is
+    // applied only when a route next reads the tree, so these asserts do
+    // not show that a tree rebuild itself ran inside the streak.
     assert!(report.counters.mst_computations >= 1);
     assert!(report.counters.mst_incremental_updates > 0);
     assert!(

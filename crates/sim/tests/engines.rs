@@ -225,7 +225,7 @@ fn dispatch_goldens_are_pinned() {
                 injection_failures: 1012, edge_rotations: 14, cnot_surgeries: 838, \
                 cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
                 preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
-                waitgraph_peak_edges: 1559, preemptions_by_rank: [], \
+                waitgraph_peak_edges: 1559, \
                 stall_ancilla_cycles: 743, stall_decoder_cycles: 0, stall_route_cycles: 1765, \
                 stall_class_cycles: 0, mst_computations: 2, mst_incremental_updates: 3194, \
                 path_cache_hits: 7183, path_cache_misses: 5627, decode_windows: 2060, \
@@ -245,7 +245,7 @@ fn dispatch_goldens_are_pinned() {
                 injection_failures: 1036, edge_rotations: 17, cnot_surgeries: 838, \
                 cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
                 preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
-                waitgraph_peak_edges: 1559, preemptions_by_rank: [], \
+                waitgraph_peak_edges: 1559, \
                 stall_ancilla_cycles: 4647, stall_decoder_cycles: 116410, \
                 stall_route_cycles: 46958, stall_class_cycles: 0, mst_computations: 58, \
                 mst_incremental_updates: 36063, path_cache_hits: 7183, \
@@ -271,7 +271,7 @@ fn dispatch_goldens_are_pinned() {
                 injection_failures: 94, edge_rotations: 0, cnot_surgeries: 66, \
                 cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
                 preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
-                waitgraph_peak_edges: 103, preemptions_by_rank: [], \
+                waitgraph_peak_edges: 103, \
                 stall_ancilla_cycles: 33, stall_decoder_cycles: 22880, stall_route_cycles: 1162, \
                 stall_class_cycles: 0, mst_computations: 111, mst_incremental_updates: 3231, \
                 path_cache_hits: 496, path_cache_misses: 398, decode_windows: 1038, \
@@ -291,7 +291,7 @@ fn dispatch_goldens_are_pinned() {
                 injection_failures: 333, edge_rotations: 2, cnot_surgeries: 306, \
                 cnot_replans: 7, preemptions: 0, preemptions_rejected_cycle: 0, \
                 preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
-                waitgraph_peak_edges: 23, preemptions_by_rank: [], \
+                waitgraph_peak_edges: 23, \
                 stall_ancilla_cycles: 1451, stall_decoder_cycles: 0, stall_route_cycles: 1648, \
                 stall_class_cycles: 0, mst_computations: 31, mst_incremental_updates: 854, \
                 path_cache_hits: 2974, path_cache_misses: 184, decode_windows: 612, \
@@ -311,7 +311,7 @@ fn dispatch_goldens_are_pinned() {
                 injection_failures: 1494, edge_rotations: 60, cnot_surgeries: 762, \
                 cnot_replans: 11, preemptions: 1, preemptions_rejected_cycle: 0, \
                 preemptions_class: 0, preemptions_by_class: [0, 1, 0, 0], \
-                waitgraph_peak_edges: 9, preemptions_by_rank: [0, 1], \
+                waitgraph_peak_edges: 9, \
                 stall_ancilla_cycles: 3524, stall_decoder_cycles: 0, stall_route_cycles: 1348, \
                 stall_class_cycles: 0, mst_computations: 122, mst_incremental_updates: 2590, \
                 path_cache_hits: 5659, path_cache_misses: 132, decode_windows: 3022, \
@@ -331,7 +331,7 @@ fn dispatch_goldens_are_pinned() {
                 injection_failures: 85, edge_rotations: 14, cnot_surgeries: 44, \
                 cnot_replans: 0, preemptions: 9, preemptions_rejected_cycle: 142, \
                 preemptions_class: 8, preemptions_by_class: [0, 1, 0, 8], \
-                waitgraph_peak_edges: 21, preemptions_by_rank: [0, 1, 0, 8], \
+                waitgraph_peak_edges: 21, \
                 stall_ancilla_cycles: 144, stall_decoder_cycles: 0, stall_route_cycles: 95, \
                 stall_class_cycles: 1, mst_computations: 4, mst_incremental_updates: 116, \
                 path_cache_hits: 227, path_cache_misses: 111, decode_windows: 169, \
@@ -462,7 +462,7 @@ fn prep_decoding_flag_adds_windows_and_never_speeds_up() {
     for s in SchedulerKind::ALL {
         let base = SimConfig::builder()
             .scheduler(s)
-            .decoder(DecoderConfig::fixed(0.5))
+            .decoder(DecoderConfig::union_find(0.5))
             .seed(17)
             .build();
         let mut with_prep = base.clone();

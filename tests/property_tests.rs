@@ -160,7 +160,8 @@ fn simulated_runs_drain_the_decode_backlog() {
         let circuit = arb_circuit(rng);
         let seed = rng.gen_range(0u64..50);
         let decoder = match rng.gen_range(0u32..3) {
-            0 => DecoderConfig::fixed(rng.gen_range(0.25f64..2.0)),
+            // Union-find far below the work rate of a window: long queues.
+            0 => DecoderConfig::union_find(rng.gen_range(0.25f64..0.5)),
             // Union-find below the work rate of a window: tiles queue.
             1 => DecoderConfig::union_find(rng.gen_range(0.5f64..2.0)),
             _ => DecoderConfig::union_find(rng.gen_range(2.0f64..16.0)),

@@ -80,10 +80,10 @@ fn sweep_spec_snippet_parses() {
     let snippet = readme_block("toml", "[sweep]");
     let spec = SweepSpec::parse(&snippet).expect("README sweep spec parses");
     let decoders: Vec<String> = spec.decoders.iter().map(|d| d.to_string()).collect();
-    assert_eq!(decoders, ["ideal", "fixed:0.5", "union_find:8"]);
-    // 2 workloads x 2 schedulers x 2 k x 2 compressions x 3 decoders x
+    assert_eq!(decoders, ["ideal", "union_find:8"]);
+    // 2 workloads x 2 schedulers x 2 k x 2 compressions x 2 decoders x
     // 2 priority points.
-    assert_eq!(spec.num_points(), 2 * 2 * 2 * 2 * 3 * 2);
+    assert_eq!(spec.num_points(), 2 * 2 * 2 * 2 * 2 * 2);
     assert_eq!(spec.seeds, 10);
     assert_eq!(spec.priority.len(), 2);
     assert!(spec.priority[0].is_none());
