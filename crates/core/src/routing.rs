@@ -31,7 +31,10 @@
 //! [`plan_static_route`] is the baselines' routing: BFS shortest path over
 //! currently-free ancillas from the control's Z-edge neighbours to the
 //! target's X-edge neighbours, requesting an edge rotation when a side has no
-//! usable ancilla (paper Fig 4).
+//! usable ancilla (paper Fig 4). It reads the endpoints' precomputed
+//! adjacency, collects their side ancillas on the stack and searches in a
+//! caller-held [`BfsScratch`] ([`AncillaGraph::shortest_path_into`]), writing
+//! the path into a caller buffer: a warm call allocates nothing.
 //!
 //! Both planners are pure functions of their inputs (tree, static graph,
 //! free-time estimates): candidates are enumerated in a fixed adjacency
@@ -495,13 +498,11 @@ pub fn plan_cnot_route_into(
 }
 
 /// Outcome of the baselines' routing attempt.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaticRouteOutcome {
-    /// A free path exists now.
-    Route {
-        /// Ancilla path, control side → target side, inclusive.
-        path: Vec<AncillaIndex>,
-    },
+    /// A free path exists now; it was written into the caller's path
+    /// buffer, control side → target side, inclusive.
+    Route,
     /// A boundary must be edge-rotated first, using the given free ancilla.
     NeedRotation {
         /// Which qubit to rotate.
@@ -513,85 +514,117 @@ pub enum StaticRouteOutcome {
     Blocked,
 }
 
-/// Plans a baseline (greedy / AutoBraid) route: BFS over currently-free
-/// ancillas. When a qubit's required boundary has no *usable* adjacent
-/// ancilla but another side has a free one, an edge rotation is requested
-/// (Fig 4b); with every resource busy the outcome is [`StaticRouteOutcome::Blocked`].
-pub fn plan_static_route(
-    layout: &Layout,
-    graph: &AncillaGraph,
-    control: QubitId,
-    target: QubitId,
-    orientations: &[Orientation],
-    mut busy: impl FnMut(AncillaIndex) -> bool,
-) -> StaticRouteOutcome {
-    let endpoints = |q: QubitId, want: EdgeType, busy: &mut dyn FnMut(AncillaIndex) -> bool| {
-        let orient = orientations[q.index()];
-        let mut free_good = Vec::new();
-        let mut any_good = false;
-        let mut free_other = None;
-        for &(side, tile) in &layout.data_adjacency(q).side {
+/// One CNOT endpoint's side ancillas as the baseline router sees them.
+struct StaticEndpoint {
+    /// Free ancillas on the sides exposing the wanted boundary, in
+    /// adjacency order (a data tile has at most four sides).
+    free_good: [AncillaIndex; 4],
+    num_free_good: usize,
+    /// Whether any side ancilla exposes the wanted boundary, free or not.
+    any_good: bool,
+    /// The first free ancilla on another side, if any.
+    free_other: Option<AncillaIndex>,
+}
+
+impl StaticEndpoint {
+    fn new(
+        graph: &AncillaGraph,
+        adj: &DataAdjacency,
+        orient: Orientation,
+        want: EdgeType,
+        busy: &mut impl FnMut(AncillaIndex) -> bool,
+    ) -> Self {
+        let mut e = StaticEndpoint {
+            free_good: [0; 4],
+            num_free_good: 0,
+            any_good: false,
+            free_other: None,
+        };
+        for &(side, tile) in &adj.side {
             let Some(idx) = graph.index_of(tile) else {
                 continue;
             };
             if orient.edge_at(side) == want {
-                any_good = true;
+                e.any_good = true;
                 if !busy(idx) {
-                    free_good.push(idx);
+                    e.free_good[e.num_free_good] = idx;
+                    e.num_free_good += 1;
                 }
-            } else if !busy(idx) && free_other.is_none() {
-                free_other = Some(idx);
+            } else if !busy(idx) && e.free_other.is_none() {
+                e.free_other = Some(idx);
             }
         }
-        (free_good, any_good, free_other)
+        e
+    }
+
+    fn free_good(&self) -> &[AncillaIndex] {
+        &self.free_good[..self.num_free_good]
+    }
+}
+
+/// Plans a baseline (greedy / AutoBraid) route: BFS over currently-free
+/// ancillas from the control's free Z-side ancillas to the target's free
+/// X-side ancillas. When a qubit's required boundary has no *usable*
+/// adjacent ancilla but another side has a free one, an edge rotation is
+/// requested (Fig 4b); with every resource busy the outcome is
+/// [`StaticRouteOutcome::Blocked`].
+///
+/// The endpoint adjacencies (`c_adj`, `t_adj`) are passed in — the engine
+/// computes them once per run — and the search runs in the caller's
+/// `scratch`. A found path is written into `path` (cleared first; left
+/// empty for any other outcome), so a warm call allocates nothing.
+#[allow(clippy::too_many_arguments)]
+pub fn plan_static_route(
+    graph: &AncillaGraph,
+    control: QubitId,
+    target: QubitId,
+    c_adj: &DataAdjacency,
+    t_adj: &DataAdjacency,
+    orientations: &[Orientation],
+    mut busy: impl FnMut(AncillaIndex) -> bool,
+    scratch: &mut BfsScratch,
+    path: &mut Vec<AncillaIndex>,
+) -> StaticRouteOutcome {
+    path.clear();
+    let c = StaticEndpoint::new(
+        graph,
+        c_adj,
+        orientations[control.index()],
+        EdgeType::Z,
+        &mut busy,
+    );
+    let t = StaticEndpoint::new(
+        graph,
+        t_adj,
+        orientations[target.index()],
+        EdgeType::X,
+        &mut busy,
+    );
+    let rotate = |qubit: QubitId, e: &StaticEndpoint| match e.free_other {
+        Some(using) => StaticRouteOutcome::NeedRotation { qubit, using },
+        None => StaticRouteOutcome::Blocked,
     };
 
-    let (c_free, c_any, c_other) = endpoints(control, EdgeType::Z, &mut busy);
-    let (t_free, t_any, t_other) = endpoints(target, EdgeType::X, &mut busy);
-
     // No geometric Z-side ancilla at all → the control must rotate.
-    if !c_any {
-        return match c_other {
-            Some(a) => StaticRouteOutcome::NeedRotation {
-                qubit: control,
-                using: a,
-            },
-            None => StaticRouteOutcome::Blocked,
-        };
+    if !c.any_good {
+        return rotate(control, &c);
     }
-    if !t_any {
-        return match t_other {
-            Some(a) => StaticRouteOutcome::NeedRotation {
-                qubit: target,
-                using: a,
-            },
-            None => StaticRouteOutcome::Blocked,
-        };
+    if !t.any_good {
+        return rotate(target, &t);
     }
-    if c_free.is_empty() {
-        // Correct side exists but is busy; a free wrong-side ancilla lets us
-        // rotate instead of waiting (Fig 4b's scenario).
-        return match c_other {
-            Some(a) => StaticRouteOutcome::NeedRotation {
-                qubit: control,
-                using: a,
-            },
-            None => StaticRouteOutcome::Blocked,
-        };
+    // Correct side exists but is busy; a free wrong-side ancilla lets us
+    // rotate instead of waiting (Fig 4b's scenario).
+    if c.num_free_good == 0 {
+        return rotate(control, &c);
     }
-    if t_free.is_empty() {
-        return match t_other {
-            Some(a) => StaticRouteOutcome::NeedRotation {
-                qubit: target,
-                using: a,
-            },
-            None => StaticRouteOutcome::Blocked,
-        };
+    if t.num_free_good == 0 {
+        return rotate(target, &t);
     }
 
-    match graph.shortest_path(&c_free, &t_free, busy) {
-        Some(path) => StaticRouteOutcome::Route { path },
-        None => StaticRouteOutcome::Blocked,
+    if graph.shortest_path_into(c.free_good(), t.free_good(), busy, scratch, path) {
+        StaticRouteOutcome::Route
+    } else {
+        StaticRouteOutcome::Blocked
     }
 }
 
@@ -962,33 +995,40 @@ mod tests {
     fn static_route_simple() {
         let (layout, graph, _) = setup(4);
         let orientations = vec![Orientation::Standard; 4];
+        let mut path = Vec::new();
         let out = plan_static_route(
-            &layout,
             &graph,
             QubitId(0),
             QubitId(1),
+            &layout.data_adjacency(QubitId(0)),
+            &layout.data_adjacency(QubitId(1)),
             &orientations,
             |_| false,
+            &mut BfsScratch::default(),
+            &mut path,
         );
-        match out {
-            StaticRouteOutcome::Route { path } => assert!(!path.is_empty()),
-            other => panic!("expected a route, got {other:?}"),
-        }
+        assert_eq!(out, StaticRouteOutcome::Route);
+        assert!(!path.is_empty());
     }
 
     #[test]
     fn static_route_blocked_when_all_busy() {
         let (layout, graph, _) = setup(4);
         let orientations = vec![Orientation::Standard; 4];
+        let mut path = vec![7];
         let out = plan_static_route(
-            &layout,
             &graph,
             QubitId(0),
             QubitId(1),
+            &layout.data_adjacency(QubitId(0)),
+            &layout.data_adjacency(QubitId(1)),
             &orientations,
             |_| true,
+            &mut BfsScratch::default(),
+            &mut path,
         );
         assert_eq!(out, StaticRouteOutcome::Blocked);
+        assert!(path.is_empty());
     }
 
     #[test]
@@ -1006,12 +1046,15 @@ mod tests {
             .collect();
         assert!(!z_side.is_empty());
         let out = plan_static_route(
-            &layout,
             &graph,
             QubitId(0),
             QubitId(1),
+            &layout.data_adjacency(QubitId(0)),
+            &layout.data_adjacency(QubitId(1)),
             &orientations,
             |a| z_side.contains(&a),
+            &mut BfsScratch::default(),
+            &mut Vec::new(),
         );
         match out {
             StaticRouteOutcome::NeedRotation { qubit, .. } => assert_eq!(qubit, QubitId(0)),

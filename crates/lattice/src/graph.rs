@@ -70,23 +70,45 @@ impl UnionFind {
 /// Dense index of an ancilla within an [`AncillaGraph`].
 pub type AncillaIndex = u32;
 
-/// Reusable working set for [`AncillaGraph::search_until`] and
-/// [`AncillaGraph::path_between_into`]. Visit marks are stamped with a
-/// per-search generation, so a new search resets nothing: once the buffers
-/// have grown to the node count, searches allocate nothing.
+/// Reusable working set for [`AncillaGraph::shortest_path_into`],
+/// [`AncillaGraph::search_until`] and [`AncillaGraph::path_between_into`].
+/// Visit marks are stamped with a per-search generation, so a new search
+/// resets nothing: once the buffers have grown to the node count, searches
+/// allocate nothing.
 #[derive(Debug, Default, Clone)]
 pub struct BfsScratch {
     /// `mark[v] == stamp` iff `v` was reached by the last search.
     mark: Vec<u32>,
     /// `goal[v] == stamp` iff `v` is one of the last search's targets.
     goal: Vec<u32>,
+    /// The node `v` was reached from; a source is its own predecessor.
     prev: Vec<AncillaIndex>,
     queue: Vec<AncillaIndex>,
     stamp: u32,
-    source: AncillaIndex,
 }
 
 impl BfsScratch {
+    /// Starts a search over `n` nodes: grows the buffers to `n` if needed,
+    /// empties the queue and returns the new search's stamp.
+    fn begin(&mut self, n: usize) -> u32 {
+        if self.mark.len() < n {
+            self.mark.resize(n, 0);
+            self.goal.resize(n, 0);
+            self.prev.resize(n, 0);
+            // Each node is queued at most once per search.
+            self.queue.reserve(n);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: clear stale stamps so none can equal a new one.
+            self.mark.fill(0);
+            self.goal.fill(0);
+            self.stamp = 1;
+        }
+        self.queue.clear();
+        self.stamp
+    }
+
     /// Writes the last search's path from its source to `t` into `out`
     /// (cleared first); returns whether the search reached `t`.
     pub fn path_into(&self, t: AncillaIndex, out: &mut Vec<AncillaIndex>) -> bool {
@@ -96,7 +118,7 @@ impl BfsScratch {
         }
         let mut cur = t;
         out.push(cur);
-        while cur != self.source {
+        while self.prev[cur as usize] != cur {
             cur = self.prev[cur as usize];
             out.push(cur);
         }
@@ -207,62 +229,60 @@ impl AncillaGraph {
         (1..self.nodes.len() as u32).all(|i| uf.find(i) == root)
     }
 
-    /// BFS shortest path from any node in `sources` to any node in `targets`,
-    /// avoiding nodes for which `blocked` returns `true`. Returns the node
-    /// sequence including both endpoints, or `None` when unreachable.
+    /// BFS shortest path from any node in `sources` to any node in
+    /// `targets`, avoiding nodes for which `blocked` returns `true`, written
+    /// into `out` (cleared first; left empty when none exists). Returns
+    /// whether a path was found; it includes both endpoints.
     ///
-    /// Blocked sources/targets are skipped entirely.
-    pub fn shortest_path(
+    /// The search is first-in first-out: unblocked sources are queued once
+    /// each, in the order given, a popped node's unvisited, unblocked
+    /// neighbours are queued in adjacency order, and the search stops at
+    /// the first popped target. A blocked node is never entered, so a
+    /// blocked source or target takes no part. It runs in the held
+    /// `scratch` and allocates nothing once the scratch has grown to the
+    /// node count and `out` to the path length.
+    pub fn shortest_path_into(
         &self,
         sources: &[AncillaIndex],
         targets: &[AncillaIndex],
         mut blocked: impl FnMut(AncillaIndex) -> bool,
-    ) -> Option<Vec<AncillaIndex>> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        let mut is_target = vec![false; self.nodes.len()];
+        scratch: &mut BfsScratch,
+        out: &mut Vec<AncillaIndex>,
+    ) -> bool {
+        out.clear();
+        let stamp = scratch.begin(self.nodes.len());
         for &t in targets {
-            if !blocked(t) {
-                is_target[t as usize] = true;
-            }
+            scratch.goal[t as usize] = stamp;
         }
-        let mut prev: Vec<u32> = vec![u32::MAX; self.nodes.len()];
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue = VecDeque::new();
         for &s in sources {
-            if !seen[s as usize] && !blocked(s) {
-                seen[s as usize] = true;
-                queue.push_back(s);
+            if scratch.mark[s as usize] != stamp && !blocked(s) {
+                scratch.mark[s as usize] = stamp;
+                scratch.prev[s as usize] = s;
+                scratch.queue.push(s);
             }
         }
-        while let Some(u) = queue.pop_front() {
-            if is_target[u as usize] {
-                let mut path = vec![u];
-                let mut cur = u;
-                while prev[cur as usize] != u32::MAX {
-                    cur = prev[cur as usize];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
+        let mut head = 0;
+        while let Some(&u) = scratch.queue.get(head) {
+            head += 1;
+            if scratch.goal[u as usize] == stamp {
+                return scratch.path_into(u, out);
             }
             for &v in &self.adj[u as usize] {
-                if !seen[v as usize] && !blocked(v) {
-                    seen[v as usize] = true;
-                    prev[v as usize] = u;
-                    queue.push_back(v);
+                if scratch.mark[v as usize] != stamp && !blocked(v) {
+                    scratch.mark[v as usize] = stamp;
+                    scratch.prev[v as usize] = u;
+                    scratch.queue.push(v);
                 }
             }
         }
-        None
+        false
     }
 
     /// The shortest path from `a` to `b` written into `out` (cleared first);
     /// returns whether one exists. It is the path
-    /// `self.shortest_path(&[a], &[b], |_| false)` finds — the same BFS in
-    /// the same adjacency order — but it runs in the held `scratch` and
-    /// stops when `b` is first reached.
+    /// [`Self::shortest_path_into`]`(&[a], &[b], |_| false, ..)` finds —
+    /// the same BFS in the same adjacency order — but it stops when `b` is
+    /// first reached rather than when it is popped.
     pub fn path_between_into(
         &self,
         a: AncillaIndex,
@@ -286,23 +306,7 @@ impl AncillaGraph {
         targets: &[AncillaIndex],
         scratch: &mut BfsScratch,
     ) {
-        let n = self.nodes.len();
-        if scratch.mark.len() < n {
-            scratch.mark.resize(n, 0);
-            scratch.goal.resize(n, 0);
-            scratch.prev.resize(n, 0);
-            // Each node is queued at most once per search.
-            scratch.queue.reserve(n);
-        }
-        scratch.stamp = scratch.stamp.wrapping_add(1);
-        if scratch.stamp == 0 {
-            // Wrapped: clear stale stamps so none can equal a new one.
-            scratch.mark.fill(0);
-            scratch.goal.fill(0);
-            scratch.stamp = 1;
-        }
-        let stamp = scratch.stamp;
-        scratch.source = source;
+        let stamp = scratch.begin(self.nodes.len());
         let mut left = 0usize;
         for &t in targets {
             if scratch.goal[t as usize] != stamp {
@@ -311,10 +315,10 @@ impl AncillaGraph {
             }
         }
         scratch.mark[source as usize] = stamp;
+        scratch.prev[source as usize] = source;
         if scratch.goal[source as usize] == stamp {
             left -= 1;
         }
-        scratch.queue.clear();
         scratch.queue.push(source);
         let mut head = 0;
         while left > 0 {
@@ -391,29 +395,97 @@ mod tests {
         assert!(uf.union(0, 1));
     }
 
+    /// The BFS that `AncillaGraph::shortest_path_into` replaced, kept as
+    /// its reference: fresh `Vec`s and a `VecDeque` per call, targets
+    /// filtered by `blocked` up front, the target test at pop.
+    fn reference_shortest_path(
+        g: &AncillaGraph,
+        sources: &[AncillaIndex],
+        targets: &[AncillaIndex],
+        mut blocked: impl FnMut(AncillaIndex) -> bool,
+    ) -> Option<Vec<AncillaIndex>> {
+        if g.is_empty() {
+            return None;
+        }
+        let mut is_target = vec![false; g.len()];
+        for &t in targets {
+            if !blocked(t) {
+                is_target[t as usize] = true;
+            }
+        }
+        let mut prev: Vec<u32> = vec![u32::MAX; g.len()];
+        let mut seen = vec![false; g.len()];
+        let mut queue = VecDeque::new();
+        for &s in sources {
+            if !seen[s as usize] && !blocked(s) {
+                seen[s as usize] = true;
+                queue.push_back(s);
+            }
+        }
+        while let Some(u) = queue.pop_front() {
+            if is_target[u as usize] {
+                let mut path = vec![u];
+                let mut cur = u;
+                while prev[cur as usize] != u32::MAX {
+                    cur = prev[cur as usize];
+                    path.push(cur);
+                }
+                path.reverse();
+                return Some(path);
+            }
+            for &v in g.neighbors(u) {
+                if !seen[v as usize] && !blocked(v) {
+                    seen[v as usize] = true;
+                    prev[v as usize] = u;
+                    queue.push_back(v);
+                }
+            }
+        }
+        None
+    }
+
+    /// [`AncillaGraph::shortest_path_into`] in a fresh scratch, as an
+    /// `Option`.
+    fn shortest(
+        g: &AncillaGraph,
+        sources: &[AncillaIndex],
+        targets: &[AncillaIndex],
+        blocked: impl FnMut(AncillaIndex) -> bool,
+    ) -> Option<Vec<AncillaIndex>> {
+        let mut out = Vec::new();
+        g.shortest_path_into(
+            sources,
+            targets,
+            blocked,
+            &mut BfsScratch::default(),
+            &mut out,
+        )
+        .then_some(out)
+    }
+
     #[test]
     fn graph_from_line() {
         let g = AncillaGraph::from_grid(&line_grid(5));
         assert_eq!(g.len(), 5);
         assert_eq!(g.edges().len(), 4);
         assert!(g.is_connected());
-        let path = g.shortest_path(&[0], &[4], |_| false).unwrap();
+        let path = shortest(&g, &[0], &[4], |_| false).unwrap();
         assert_eq!(path.len(), 5);
     }
 
     #[test]
     fn blocked_node_forces_detour_or_failure() {
         let g = AncillaGraph::from_grid(&line_grid(5));
-        assert!(g.shortest_path(&[0], &[4], |i| i == 2).is_none());
+        assert!(shortest(&g, &[0], &[4], |i| i == 2).is_none());
 
         let grid = Grid::filled(3, 3, TileKind::Ancilla);
         let g = AncillaGraph::from_grid(&grid);
         let center = g.index_of(grid.tile_at(1, 1)).unwrap();
         let from = g.index_of(grid.tile_at(0, 1)).unwrap();
         let to = g.index_of(grid.tile_at(2, 1)).unwrap();
-        let direct = g.shortest_path(&[from], &[to], |_| false).unwrap();
+        let direct = shortest(&g, &[from], &[to], |_| false).unwrap();
         assert_eq!(direct.len(), 3);
-        let detour = g.shortest_path(&[from], &[to], |i| i == center).unwrap();
+        let detour = shortest(&g, &[from], &[to], |i| i == center).unwrap();
         assert_eq!(detour.len(), 5);
     }
 
@@ -424,7 +496,7 @@ mod tests {
         let s1 = g.index_of(grid.tile_at(0, 0)).unwrap();
         let s2 = g.index_of(grid.tile_at(3, 3)).unwrap();
         let t1 = g.index_of(grid.tile_at(3, 2)).unwrap();
-        let path = g.shortest_path(&[s1, s2], &[t1], |_| false).unwrap();
+        let path = shortest(&g, &[s1, s2], &[t1], |_| false).unwrap();
         // s2 is adjacent to t1.
         assert_eq!(path.len(), 2);
         assert_eq!(path[0], s2);
@@ -433,8 +505,88 @@ mod tests {
     #[test]
     fn source_equals_target() {
         let g = AncillaGraph::from_grid(&line_grid(3));
-        let p = g.shortest_path(&[1], &[1], |_| false).unwrap();
+        let p = shortest(&g, &[1], &[1], |_| false).unwrap();
         assert_eq!(p, vec![1]);
+    }
+
+    /// SplitMix64: a seeded stream for the differential tests.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn shortest_path_into_matches_the_reference_bfs() {
+        use crate::Layout;
+        let mut state = 0x5EED_u64;
+        // Random grids with a random share of void tiles (many split into
+        // several components), plus a compressed layout.
+        let mut graphs = Vec::new();
+        for _ in 0..40 {
+            let (w, h) = (2 + next(&mut state) % 9, 1 + next(&mut state) % 8);
+            let void_pct = next(&mut state) % 40;
+            let mut grid = Grid::filled(w as u32, h as u32, TileKind::Ancilla);
+            for x in 0..w as u32 {
+                for y in 0..h as u32 {
+                    if next(&mut state) % 100 < void_pct {
+                        grid.set_kind(grid.tile_at(x, y), TileKind::Void);
+                    }
+                }
+            }
+            graphs.push(AncillaGraph::from_grid(&grid));
+        }
+        let mut layout = Layout::new(16).unwrap();
+        layout.compress(0.5, 3);
+        graphs.push(AncillaGraph::from_grid(layout.grid()));
+
+        // One scratch and one output buffer across every query, as the
+        // baseline router holds them.
+        let mut scratch = BfsScratch::default();
+        let mut out = Vec::new();
+        let (mut found, mut unreachable, mut source_is_target) = (0, 0, 0);
+        for g in graphs.iter().filter(|g| !g.is_empty()) {
+            let n = g.len() as u64;
+            for _ in 0..60 {
+                let pick = |k: u64, state: &mut u64| -> Vec<AncillaIndex> {
+                    (0..k).map(|_| (next(state) % n) as AncillaIndex).collect()
+                };
+                let (ks, kt) = (1 + next(&mut state) % 4, 1 + next(&mut state) % 4);
+                let mut sources = pick(ks, &mut state);
+                let targets = pick(kt, &mut state);
+                if next(&mut state).is_multiple_of(6) {
+                    // A source that is also a target.
+                    sources.push(targets[0]);
+                }
+                let block_pct = next(&mut state) % 50;
+                let blocked: Vec<bool> =
+                    (0..n).map(|_| next(&mut state) % 100 < block_pct).collect();
+                let is_blocked = |a: AncillaIndex| blocked[a as usize];
+                let want = reference_shortest_path(g, &sources, &targets, is_blocked);
+                let got =
+                    g.shortest_path_into(&sources, &targets, is_blocked, &mut scratch, &mut out);
+                assert_eq!(
+                    got.then(|| out.clone()),
+                    want,
+                    "{sources:?} -> {targets:?} on {} nodes",
+                    g.len()
+                );
+                if !got {
+                    assert!(out.is_empty());
+                }
+                match &want {
+                    Some(p) if p.len() == 1 => source_is_target += 1,
+                    Some(_) => found += 1,
+                    None => unreachable += 1,
+                }
+            }
+        }
+        assert!(
+            found >= 500 && unreachable >= 200 && source_is_target >= 50,
+            "{found} routed, {unreachable} unreachable, {source_is_target} source = target"
+        );
     }
 
     #[test]
@@ -458,7 +610,7 @@ mod tests {
             for a in 0..n {
                 for b in 0..n {
                     let found = g.path_between_into(a, b, &mut scratch, &mut out);
-                    let want = g.shortest_path(&[a], &[b], |_| false);
+                    let want = reference_shortest_path(g, &[a], &[b], |_| false);
                     assert_eq!(found.then(|| out.clone()), want, "{a} -> {b}");
                 }
             }

@@ -18,6 +18,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Circuit, QubitId};
 use rescq_core::SchedulerKind;
+use rescq_lattice::DataAdjacency;
 use rescq_telemetry::Recorder;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -122,18 +123,27 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|Reverse((r, _, _))| *r)
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }
 
+/// Each qubit's tile adjacency (side and diagonal ancillas), indexed by
+/// qubit. Geometry never changes mid-run, so both engines build this table
+/// once per run and their hot paths borrow from it instead of rebuilding —
+/// and heap-allocating — an adjacency per call.
+fn qubit_adjacency(fabric: &Fabric, num_qubits: u32) -> Vec<DataAdjacency> {
+    (0..num_qubits)
+        .map(|q| fabric.layout.data_adjacency(QubitId(q)))
+        .collect()
+}
+
 /// Runs the engines over a pre-built artifact bundle (the shared path; the
 /// bundle's pieces are only read, never mutated). `recorder` attaches a
 /// structured trace sink: the realtime engine streams its full taxonomy;
-/// the static baselines (no phase loop) stream ledger claims/wait edges
-/// and ancilla occupancy so utilization analytics compare across
-/// schedulers.
+/// the static baselines stream layer-setup and dispatch-pass phase spans,
+/// ledger claims/wait edges and ancilla occupancy so utilization analytics
+/// compare across schedulers.
 pub(crate) fn run_with_artifacts(
     artifacts: &SimArtifacts,
     config: &SimConfig,

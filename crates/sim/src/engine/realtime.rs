@@ -50,7 +50,7 @@
 //!   larger remaining circuit depth go first (Fig 7 caption).
 
 use crate::engine::region::RegionPartition;
-use crate::engine::EventQueue;
+use crate::engine::{qubit_adjacency, EventQueue};
 use crate::fabric::Fabric;
 use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
 use crate::{SimConfig, SimError};
@@ -409,12 +409,7 @@ pub(crate) fn run_realtime(
     let costs = SurgeryCosts::default();
     let rz_entry_cost = prep_model.expected_rounds().ceil() as u64
         + 2 * costs.cnot_injection_cycles as u64 * d as u64;
-    // Static per-qubit tile adjacency, computed once: geometry never
-    // changes mid-run, and rebuilding these per injection was the last
-    // steady-state allocation (caught by the counting-allocator test).
-    let adjacency: Vec<DataAdjacency> = (0..circuit.num_qubits())
-        .map(|q| fabric.layout.data_adjacency(QubitId(q)))
-        .collect();
+    let adjacency = qubit_adjacency(&fabric, circuit.num_qubits());
     let mut partition = RegionPartition::for_fabric(num_ancillas);
     let priority = config
         .priority_classes

@@ -14,7 +14,7 @@
 //! batch, which extracts more parallelism.
 
 use crate::engine::region::RegionPartition;
-use crate::engine::EventQueue;
+use crate::engine::{qubit_adjacency, EventQueue};
 use crate::fabric::Fabric;
 use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
 use crate::{SimConfig, SimError};
@@ -23,13 +23,14 @@ use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, QubitId};
 use rescq_core::{
     plan_static_route, LedgerEvent, QueueEntry, ReservationLedger, Role, SchedulerKind,
-    StaticRouteOutcome, SurgeryCosts, TaskId,
+    StaticRouteOutcome, SurgeryCosts, TaskId, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
-use rescq_lattice::AncillaIndex;
+use rescq_lattice::{AncillaIndex, BfsScratch, DataAdjacency};
 use rescq_rus::{InjectionLadder, PreparationModel};
-use rescq_telemetry::{Event as TraceEvent, Recorder};
+use rescq_telemetry::{Event as TraceEvent, Phase, Recorder};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Per-gate state within the current layer.
 #[derive(Debug)]
@@ -98,11 +99,27 @@ enum Ev {
     SurgeryDone(usize),
 }
 
+/// Held routing buffers of a static run: the BFS scratch every route
+/// attempt searches in, and the recycled path buffers of in-flight
+/// surgeries (taken at a route, returned at `SurgeryDone`).
+#[derive(Default)]
+struct RouteBuffers {
+    bfs: BfsScratch,
+    paths: VecPool<AncillaIndex>,
+}
+
 /// Runs a static baseline schedule. `recorder` attaches a structured
-/// trace sink (ledger claims/wait edges and ancilla occupancy; the
-/// static engines have no phase loop, so no phase spans); `None` runs
-/// untraced with zero instrumentation cost. Task ids in static-engine
-/// events are per-layer slot indices, reused across layers.
+/// trace sink: ledger claims/wait edges, ancilla occupancy, and phase
+/// spans — each layer's setup (building, sorting and registering its
+/// gates) as [`Phase::Schedule`] and each dispatch pass as
+/// [`Phase::Start`]. `None` runs untraced with zero instrumentation cost
+/// and reports zero phase time. Task ids in static-engine events are
+/// per-layer slot indices, reused across layers.
+///
+/// Per-run tables (each qubit's tile adjacency and designated ancilla)
+/// are built once; the layer's gate list, the event queue, the BFS scratch
+/// and the surgery path buffers are reused across layers, so a warm run
+/// routes without allocating.
 pub(crate) fn run_static(
     circuit: &Circuit,
     dag: Arc<DependencyDag>,
@@ -135,6 +152,9 @@ pub(crate) fn run_static(
     } else {
         Vec::new()
     };
+    // Wall-clock per phase, accumulated only when traced.
+    let mut phase_nanos = [0u64; 4];
+    let phase_start = || recorder.is_some().then(Instant::now);
     let mut cnot_latency = LatencyHistogram::new();
     let mut rz_latency = LatencyHistogram::new();
     let mut decoder = DecoderRuntime::with_channel(&config.decoder, d, config.decoder_channel());
@@ -142,9 +162,25 @@ pub(crate) fn run_static(
     let mut gates_executed = 0usize;
     let achieved_compression = fabric.layout.compression();
 
+    // Geometry never changes mid-run: each qubit's tile adjacency and the
+    // dense index of its designated prep ancilla are read from tables.
+    let adjacency = qubit_adjacency(&fabric, circuit.num_qubits());
+    let designated_of: Vec<Option<AncillaIndex>> = (0..circuit.num_qubits())
+        .map(|q| {
+            fabric
+                .layout
+                .designated_prep_ancilla(QubitId(q))
+                .and_then(|tile| fabric.graph.index_of(tile))
+        })
+        .collect();
+    let mut gates: Vec<(GateId, LayerGate)> = Vec::new();
+    let mut events: EventQueue<Ev> = EventQueue::new();
+    let mut route = RouteBuffers::default();
+
     for layer in dag.layers() {
+        let t0 = phase_start();
         let layer_start = clock;
-        let mut gates: Vec<(GateId, LayerGate)> = Vec::new();
+        gates.clear();
         for &gid in layer {
             let gate = circuit.gate(gid);
             gates_executed += 1;
@@ -156,22 +192,13 @@ pub(crate) fn run_static(
                     qubit,
                     running: false,
                 },
-                Gate::Rz { qubit, angle } => {
-                    let tile = fabric
-                        .layout
-                        .designated_prep_ancilla(qubit)
-                        .ok_or(SimError::NoAncillaForQubit(qubit))?;
-                    let designated = fabric
-                        .graph
-                        .index_of(tile)
-                        .ok_or(SimError::NoAncillaForQubit(qubit))?;
-                    LayerGate::Rz {
-                        qubit,
-                        ladder: InjectionLadder::new(angle),
-                        designated,
-                        phase: RzPhase::NeedPrep,
-                    }
-                }
+                Gate::Rz { qubit, angle } => LayerGate::Rz {
+                    qubit,
+                    ladder: InjectionLadder::new(angle),
+                    designated: designated_of[qubit.index()]
+                        .ok_or(SimError::NoAncillaForQubit(qubit))?,
+                    phase: RzPhase::NeedPrep,
+                },
                 Gate::Cnot { control, target } => LayerGate::Cnot {
                     control,
                     target,
@@ -218,10 +245,11 @@ pub(crate) fn run_static(
             .iter()
             .filter(|(_, s)| !matches!(s, LayerGate::Done))
             .count();
-        let mut events: EventQueue<Ev> = EventQueue::new();
+        note_phase(recorder, &mut phase_nanos, Phase::Schedule, clock, t0);
 
         while remaining > 0 {
             // Dispatch pass: try to advance every unfinished gate.
+            let t1 = phase_start();
             for i in 0..gates.len() {
                 dispatch_gate(
                     i,
@@ -235,8 +263,11 @@ pub(crate) fn run_static(
                     clock,
                     d,
                     &costs,
+                    &adjacency,
+                    &mut route,
                 )?;
             }
+            note_phase(recorder, &mut phase_nanos, Phase::Start, clock, t1);
             drain_trace(
                 recorder,
                 &mut ledger,
@@ -273,11 +304,15 @@ pub(crate) fn run_static(
                 &mut rz_latency,
                 &mut decoder,
                 &mut decode_latency,
+                &mut route.paths,
                 layer_start,
                 clock,
                 d,
             );
         }
+        // Every gate's last event completed it, so the queue is drained
+        // and carries nothing into the next layer.
+        debug_assert!(events.is_empty());
         // Catch the final completions of the layer (releases, pops).
         drain_trace(
             recorder,
@@ -320,9 +355,31 @@ pub(crate) fn run_static(
         k_used: 0,
         tau_used: 0,
         counters,
-        // Static engines are untraced: no phase loop to time.
-        phase_nanos: [0; 4],
+        // Layer setup and dispatch passes, timed only when traced.
+        phase_nanos,
     })
+}
+
+/// Closes a phase timed from `start` (`Some` only when traced): adds its
+/// wall-clock to `phase_nanos` and emits a [`TraceEvent::PhaseSpan`]
+/// stamped with `round`.
+fn note_phase(
+    recorder: Option<&dyn Recorder>,
+    phase_nanos: &mut [u64; 4],
+    phase: Phase,
+    round: u64,
+    start: Option<Instant>,
+) {
+    let (Some(rec), Some(t0)) = (recorder, start) else {
+        return;
+    };
+    let dur_ns = t0.elapsed().as_nanos() as u64;
+    phase_nanos[phase.index()] += dur_ns;
+    rec.record(TraceEvent::PhaseSpan {
+        phase,
+        round,
+        dur_ns,
+    });
 }
 
 /// Forwards buffered ledger events (stamped with the current round) and
@@ -402,6 +459,8 @@ fn dispatch_gate(
     now: u64,
     d: u32,
     costs: &SurgeryCosts,
+    adjacency: &[DataAdjacency],
+    route: &mut RouteBuffers,
 ) -> Result<(), SimError> {
     // Split borrows: read geometry immutably, mutate the single state slot.
     let (_, ref mut state) = gates[idx];
@@ -452,9 +511,7 @@ fn dispatch_gate(
                     None => {
                         // Diagonal prep ancilla: CNOT injection through a free
                         // side-adjacent helper touching both tiles.
-                        let helper = fabric
-                            .layout
-                            .data_adjacency(qubit)
+                        let helper = adjacency[qubit.index()]
                             .side
                             .iter()
                             .filter_map(|&(_, t)| fabric.graph.index_of(t))
@@ -468,9 +525,7 @@ fn dispatch_gate(
                                 // All geometric helpers held by other preps →
                                 // solo fallback keeps the run live; merely
                                 // busy helpers → wait.
-                                let any_transiently_busy = fabric
-                                    .layout
-                                    .data_adjacency(qubit)
+                                let any_transiently_busy = adjacency[qubit.index()]
                                     .side
                                     .iter()
                                     .filter_map(|&(_, t)| fabric.graph.index_of(t))
@@ -513,16 +568,20 @@ fn dispatch_gate(
             if !fabric.qubit_free(control, now) || !fabric.qubit_free(target, now) {
                 return Ok(());
             }
+            let mut path = route.paths.take();
             let outcome = plan_static_route(
-                &fabric.layout,
                 &fabric.graph,
                 control,
                 target,
+                &adjacency[control.index()],
+                &adjacency[target.index()],
                 &fabric.orientation,
                 |a| !fabric.ancilla_free(a, now),
+                &mut route.bfs,
+                &mut path,
             );
             match outcome {
-                StaticRouteOutcome::Route { path } => {
+                StaticRouteOutcome::Route => {
                     let until = now + costs.cnot_cycles as u64 * d as u64;
                     fabric.occupy_qubit(control, now, until);
                     fabric.occupy_qubit(target, now, until);
@@ -538,6 +597,7 @@ fn dispatch_gate(
                     *phase = CnotPhase::Surgery(path);
                 }
                 StaticRouteOutcome::NeedRotation { qubit, using } => {
+                    route.paths.put(path);
                     let until = now + costs.edge_rotation_cycles as u64 * d as u64;
                     fabric.occupy_qubit(qubit, now, until);
                     fabric.occupy_ancilla(using, now, until);
@@ -545,7 +605,7 @@ fn dispatch_gate(
                     events.push(until, Ev::RotationDone { idx, qubit });
                     *phase = CnotPhase::Rotating;
                 }
-                StaticRouteOutcome::Blocked => {}
+                StaticRouteOutcome::Blocked => route.paths.put(path),
             }
         }
     }
@@ -566,6 +626,7 @@ fn handle_event(
     rz_latency: &mut LatencyHistogram,
     decoder: &mut DecoderRuntime,
     decode_latency: &mut LatencyHistogram,
+    paths: &mut VecPool<AncillaIndex>,
     layer_start: u64,
     now: u64,
     d: u32,
@@ -667,20 +728,17 @@ fn handle_event(
             }
         }
         Ev::SurgeryDone(idx) => {
-            if let (
-                _,
-                LayerGate::Cnot {
-                    phase: CnotPhase::Surgery(path),
-                    ..
-                },
-            ) = &gates[idx]
+            if let LayerGate::Cnot {
+                phase: CnotPhase::Surgery(path),
+                ..
+            } = std::mem::replace(&mut gates[idx].1, LayerGate::Done)
             {
-                for &a in path {
+                for &a in &path {
                     ledger.remove_task(a, TaskId(idx as u32));
                 }
+                paths.put(path);
             }
             cnot_latency.record(latency_cycles);
-            gates[idx].1 = LayerGate::Done;
             *remaining -= 1;
         }
     }

@@ -12,7 +12,9 @@
 //! the loop must be allocation-free.
 //!
 //! The shim also sums the bytes each allocation asks for, which pins the
-//! total a whole run requests, warm-up included.
+//! total a whole run requests, warm-up included — for a wide realtime run
+//! and for one run of each static engine (greedy, AutoBraid), whose routing
+//! reuses held buffers across layers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -224,4 +226,41 @@ fn ising_n420_union_find_run_requests_bounded_bytes() {
         requested <= MAX_BYTES,
         "the run requested {requested} bytes in {calls} allocations (bound {MAX_BYTES})"
     );
+}
+
+#[test]
+fn static_engine_runs_allocate_boundedly_on_gcm_n13() {
+    // One greedy and one AutoBraid run of gcm_n13 on the 50%-compressed
+    // fabric, from engine construction to the report. Both engines build
+    // their per-qubit tables once, search routes in a held BFS scratch and
+    // recycle their layer buffers, so what remains is per-run state and
+    // the latency histograms' buckets; nothing may grow per layer or per
+    // route attempt. Measured at 142 / 139 allocations (17.1 / 16.7 kB)
+    // when these bounds were set; the bounds leave about 2x headroom. The
+    // engines that rebuilt both endpoints' adjacency and a fresh BFS per
+    // route attempt made 37,928 / 49,050 allocations (1.77 / 2.23 MB) in
+    // this test; a per-run count taken outside it, before it existed, read
+    // 43,782 / 54,259.
+    const MAX_ALLOCS: u64 = 300;
+    const MAX_BYTES: u64 = 40_000;
+    let circuit = rescq_workloads::generate("gcm_n13", 1).expect("known benchmark");
+    let circuit = std::sync::Arc::new(circuit);
+    for scheduler in [SchedulerKind::Greedy, SchedulerKind::Autobraid] {
+        let config = SimConfig::builder()
+            .scheduler(scheduler)
+            .compression(0.5)
+            .seed(1)
+            .build();
+        let artifacts = SimArtifacts::prepare(circuit.clone(), &config).unwrap();
+        let (calls, requested) = (allocs(), bytes());
+        let report = simulate_prepared(&artifacts, &config).unwrap();
+        let (calls, requested) = (allocs() - calls, bytes() - requested);
+        assert_eq!(report.gates_executed, circuit.len());
+        eprintln!("gcm_n13 @ 50% {scheduler:?} run: {calls} allocations, {requested} bytes");
+        assert!(
+            calls <= MAX_ALLOCS && requested <= MAX_BYTES,
+            "{scheduler:?}: {calls} allocations (bound {MAX_ALLOCS}), \
+             {requested} bytes (bound {MAX_BYTES})"
+        );
+    }
 }

@@ -342,22 +342,191 @@ fn dispatch_goldens_are_pinned() {
         },
     ];
     for g in goldens {
-        let c = rescq_workloads::generate(g.name, 1).expect("known benchmark");
+        g.check(SchedulerKind::Rescq);
+    }
+}
+
+impl DispatchGolden {
+    /// Runs the golden's point under `scheduler` and compares the pinned
+    /// values.
+    fn check(&self, scheduler: SchedulerKind) {
+        let c = rescq_workloads::generate(self.name, 1).expect("known benchmark");
         let mut b = SimConfig::builder()
-            .scheduler(SchedulerKind::Rescq)
-            .compression(g.compression)
+            .scheduler(scheduler)
+            .compression(self.compression)
             .seed(1);
-        if let Some(d) = g.decoder {
+        if let Some(d) = self.decoder {
             b = b.decoder(d);
         }
-        if g.lattice {
+        if self.lattice {
             b = b.priority_classes(Some(ClassLattice::default()));
         }
         let r = simulate(&c, &b.build()).unwrap();
-        let label = format!("{}@{} {:?}", g.name, g.compression, g.decoder);
-        assert_eq!(r.total_rounds, g.total_rounds, "{label}");
-        assert_eq!(format!("{:?}", r.counters), g.counters, "{label}");
-        assert_eq!(reports_csv_row(&r), g.row, "{label}");
+        let label = format!(
+            "{scheduler:?} {}@{} {:?}",
+            self.name, self.compression, self.decoder
+        );
+        assert_eq!(r.total_rounds, self.total_rounds, "{label}");
+        assert_eq!(format!("{:?}", r.counters), self.counters, "{label}");
+        assert_eq!(reports_csv_row(&r), self.row, "{label}");
+    }
+}
+
+#[test]
+fn static_goldens_are_pinned() {
+    // The greedy and AutoBraid engines route every layer with a held BFS
+    // scratch and recycle their layer buffers; these runs pin that such
+    // reuse never changes a decision. Every value was recorded on the
+    // engine that rebuilt each qubit's adjacency and allocated a fresh BFS
+    // per route attempt. The wstate_n27 point decodes both injections and
+    // preparation verification (`decode_prep`) with a backlog, so it
+    // passes through the `DecodeDone` and `PrepDecoded` events.
+    let decode_prep = DecoderConfig {
+        decode_prep: true,
+        ..DecoderConfig::union_find(4.0)
+    };
+    let goldens = [
+        (
+            SchedulerKind::Greedy,
+            DispatchGolden {
+                name: "gcm_n13",
+                compression: 0.5,
+                decoder: None,
+                lattice: false,
+                total_rounds: 37161,
+                counters:
+                    "RunCounters { preps_started: 3024, preps_succeeded: 3024, preps_cancelled: 0, \
+                    states_discarded: 0, injections: 3024, injection_failures: 1496, \
+                    edge_rotations: 86, cnot_surgeries: 762, cnot_replans: 0, preemptions: 0, \
+                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
+                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 2, \
+                    stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
+                    stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
+                    path_cache_hits: 0, path_cache_misses: 0, decode_windows: 3024, \
+                    decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
+                    decode_growth_steps: 0, decode_failures: 0 }",
+                row: "greedy,1,7,5308.714,0.8725,2290,3024,1496,3024,0,86,0,0,0,\
+                    3024,0.000,1,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0",
+            },
+        ),
+        (
+            SchedulerKind::Greedy,
+            DispatchGolden {
+                name: "qft_n18",
+                compression: 0.75,
+                decoder: None,
+                lattice: false,
+                total_rounds: 7155,
+                counters:
+                    "RunCounters { preps_started: 609, preps_succeeded: 609, preps_cancelled: 0, \
+                    states_discarded: 0, injections: 609, injection_failures: 318, \
+                    edge_rotations: 36, cnot_surgeries: 306, cnot_replans: 0, preemptions: 0, \
+                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
+                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 5, \
+                    stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
+                    stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
+                    path_cache_hits: 0, path_cache_misses: 0, decode_windows: 609, \
+                    decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
+                    decode_growth_steps: 0, decode_failures: 0 }",
+                row: "greedy,1,7,1022.143,0.8644,647,609,318,609,0,36,0,0,0,609,\
+                    0.000,1,0,0,5,0,0,0,0,0,0,0,0,0,0,0,0",
+            },
+        ),
+        (
+            SchedulerKind::Greedy,
+            DispatchGolden {
+                name: "wstate_n27",
+                compression: 0.0,
+                decoder: Some(decode_prep),
+                lattice: false,
+                total_rounds: 44597,
+                counters:
+                    "RunCounters { preps_started: 321, preps_succeeded: 321, preps_cancelled: 0, \
+                    states_discarded: 0, injections: 321, injection_failures: 166, \
+                    edge_rotations: 0, cnot_surgeries: 52, cnot_replans: 0, preemptions: 0, \
+                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
+                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 0, \
+                    stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
+                    stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
+                    path_cache_hits: 0, path_cache_misses: 0, decode_windows: 642, \
+                    decoder_stall_rounds: 73805, decoder_peak_backlog: 26, decode_defects: 148, \
+                    decode_growth_steps: 864, decode_failures: 0 }",
+                row: "greedy,1,7,6371.000,0.9945,313,321,166,321,0,0,0,0,0,642,\
+                    10543.571,26,0,0,0,0,0,0,0,0,0,0,0,0,148,864,0",
+            },
+        ),
+        (
+            SchedulerKind::Autobraid,
+            DispatchGolden {
+                name: "gcm_n13",
+                compression: 0.5,
+                decoder: None,
+                lattice: false,
+                total_rounds: 37684,
+                counters:
+                    "RunCounters { preps_started: 3093, preps_succeeded: 3093, preps_cancelled: 0, \
+                    states_discarded: 0, injections: 3093, injection_failures: 1565, \
+                    edge_rotations: 85, cnot_surgeries: 762, cnot_replans: 0, preemptions: 0, \
+                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
+                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 1, \
+                    stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
+                    stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
+                    path_cache_hits: 0, path_cache_misses: 0, decode_windows: 3093, \
+                    decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
+                    decode_growth_steps: 0, decode_failures: 0 }",
+                row: "autobraid,1,7,5383.429,0.8731,2290,3093,1565,3093,0,85,0,0,\
+                    0,3093,0.000,1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0",
+            },
+        ),
+        (
+            SchedulerKind::Autobraid,
+            DispatchGolden {
+                name: "qft_n18",
+                compression: 0.75,
+                decoder: None,
+                lattice: false,
+                total_rounds: 6726,
+                counters:
+                    "RunCounters { preps_started: 587, preps_succeeded: 587, preps_cancelled: 0, \
+                    states_discarded: 0, injections: 587, injection_failures: 299, \
+                    edge_rotations: 16, cnot_surgeries: 306, cnot_replans: 0, preemptions: 0, \
+                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
+                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 2, \
+                    stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
+                    stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
+                    path_cache_hits: 0, path_cache_misses: 0, decode_windows: 587, \
+                    decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
+                    decode_growth_steps: 0, decode_failures: 0 }",
+                row: "autobraid,1,7,960.857,0.8607,647,587,299,587,0,16,0,0,0,587,\
+                    0.000,1,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0",
+            },
+        ),
+        (
+            SchedulerKind::Autobraid,
+            DispatchGolden {
+                name: "wstate_n27",
+                compression: 0.0,
+                decoder: Some(decode_prep),
+                lattice: false,
+                total_rounds: 44597,
+                counters:
+                    "RunCounters { preps_started: 321, preps_succeeded: 321, preps_cancelled: 0, \
+                    states_discarded: 0, injections: 321, injection_failures: 166, \
+                    edge_rotations: 0, cnot_surgeries: 52, cnot_replans: 0, preemptions: 0, \
+                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
+                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 0, \
+                    stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
+                    stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
+                    path_cache_hits: 0, path_cache_misses: 0, decode_windows: 642, \
+                    decoder_stall_rounds: 73805, decoder_peak_backlog: 26, decode_defects: 148, \
+                    decode_growth_steps: 864, decode_failures: 0 }",
+                row: "autobraid,1,7,6371.000,0.9945,313,321,166,321,0,0,0,0,0,642,\
+                    10543.571,26,0,0,0,0,0,0,0,0,0,0,0,0,148,864,0",
+            },
+        ),
+    ];
+    for (scheduler, g) in goldens {
+        g.check(scheduler);
     }
 }
 

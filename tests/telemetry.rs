@@ -63,50 +63,64 @@ fn arb_circuit(rng: &mut ChaCha8Rng) -> Circuit {
 }
 
 /// The central telemetry contract: attaching a recorder changes nothing
-/// observable. For random circuits and both the ideal and the union-find
-/// decoder, the reports CSV of a traced run is
+/// observable. For random circuits, every scheduler and both the ideal and
+/// the union-find decoder, the reports CSV of a traced run is
 /// byte-identical to the untraced run — including the stall-attribution
 /// and decode-work columns, which are computed whether or not anyone is
 /// recording. The union-find rows matter most: the decoder samples its
 /// own error stream and reports real cluster-growth work, all of which
 /// must be a function of the schedule alone. The one wall-clock field,
 /// `phase_nanos`, must be the sum of the recorded phase spans traced and
-/// zero untraced.
+/// zero untraced; the static engines time their layer setup and dispatch
+/// passes too.
 #[test]
 fn tracing_is_inert() {
     for_each_case("tracing_is_inert", |rng| {
         let circuit = arb_circuit(rng);
         let seed = rng.gen_range(1u64..1000);
-        for decoder in [DecoderConfig::ideal(), DecoderConfig::union_find(4.0)] {
+        let schedulers = [
+            SchedulerKind::Rescq,
+            SchedulerKind::Greedy,
+            SchedulerKind::Autobraid,
+        ];
+        for (scheduler, decoder) in schedulers.into_iter().flat_map(|s| {
+            [
+                (s, DecoderConfig::ideal()),
+                (s, DecoderConfig::union_find(4.0)),
+            ]
+        }) {
             let config = SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
+                .scheduler(scheduler)
                 .seed(seed)
                 .decoder(decoder)
                 .build();
+            let label = format!("{scheduler:?} decoder={decoder}");
             let untraced = simulate_traced(&circuit, &config, None).unwrap();
             let recorder = RingRecorder::new();
             let traced = simulate_traced(&circuit, &config, Some(&recorder)).unwrap();
             let events = recorder.events();
             assert!(
                 !events.is_empty() && recorder.dropped() == 0,
-                "a traced realtime run must record every event"
+                "a traced run must record every event ({label})"
             );
             // Phase wall-clock is the one recorded quantity that is not
             // schedule-derived: the report's per-phase nanoseconds are
             // exactly the sums of the recorded spans, and zero untraced.
             let mut span_ns = [0u64; 4];
+            let mut spans = 0;
             for t in &events {
                 if let Event::PhaseSpan { phase, dur_ns, .. } = t.event {
                     span_ns[phase.index()] += dur_ns;
+                    spans += 1;
                 }
             }
-            assert_eq!(span_ns, traced.phase_nanos, "decoder={decoder}");
-            assert_eq!(untraced.phase_nanos, [0; 4], "decoder={decoder}");
+            assert!(spans > 0, "a traced run records phase spans ({label})");
+            assert_eq!(span_ns, traced.phase_nanos, "{label}");
+            assert_eq!(untraced.phase_nanos, [0; 4], "{label}");
             assert_eq!(
                 reports_csv_row(&untraced),
                 reports_csv_row(&traced),
-                "reports CSV must be byte-identical with tracing on vs. off \
-                 (decoder={decoder})"
+                "reports CSV must be byte-identical with tracing on vs. off ({label})"
             );
             // The metrics snapshot is schedule-derived end to end (no
             // wall-clock fields), so it must be byte-identical too.
@@ -114,7 +128,7 @@ fn tracing_is_inert() {
                 metrics_snapshot(&untraced).to_json(),
                 metrics_snapshot(&traced).to_json(),
                 "metrics snapshot must be byte-identical with tracing on vs. \
-                 off (decoder={decoder})"
+                 off ({label})"
             );
         }
     });
