@@ -76,9 +76,13 @@ impl<T> VecPool<T> {
 
 /// A bit-packed membership set over dense ids, stored as `u64` words.
 ///
-/// Operations never shrink the word vector; [`Bitset::clear`] zeroes the
-/// existing words in place. Use [`Bitset::reserve`] up front (e.g. with the
-/// circuit's task count) so steady-state inserts never grow.
+/// Operations never shrink the word vector. The set also keeps a low and a
+/// high word watermark: every word outside `lo..hi` is zero. [`Self::insert`]
+/// moves them out, [`Self::first`] moves the low one in past zero words, and
+/// [`Self::next_from`] and [`Self::clear`] touch only the words between
+/// them, so a walk or a reset costs the span of ids recently set, not the
+/// span of ids ever reserved. Use [`Bitset::reserve`] up front (e.g. with
+/// the circuit's task count) so steady-state inserts never grow.
 ///
 /// ```
 /// use rescq_core::Bitset;
@@ -90,16 +94,21 @@ impl<T> VecPool<T> {
 /// assert!(s.contains(3) && s.contains(64) && !s.contains(4));
 /// s.remove(3);
 /// assert!(!s.contains(3));
+/// assert_eq!(s.first(), Some(64));
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Bitset {
     words: Vec<u64>,
+    /// Every word below `lo` is zero.
+    lo: usize,
+    /// Every word at or above `hi` is zero; `lo >= hi` means empty.
+    hi: usize,
 }
 
 impl Bitset {
     /// An empty set.
     pub fn new() -> Self {
-        Bitset { words: Vec::new() }
+        Self::default()
     }
 
     /// Ensures ids `0..n` can be inserted without reallocating.
@@ -117,6 +126,12 @@ impl Bitset {
             self.words.resize(w + 1, 0);
         }
         self.words[w] |= 1u64 << (id % 64);
+        if self.lo >= self.hi {
+            (self.lo, self.hi) = (w, w + 1);
+        } else {
+            self.lo = self.lo.min(w);
+            self.hi = self.hi.max(w + 1);
+        }
     }
 
     /// Removes `id` (no-op if absent).
@@ -133,9 +148,12 @@ impl Bitset {
             .is_some_and(|w| w & (1u64 << (id % 64)) != 0)
     }
 
-    /// Zeroes every word in place (capacity retained).
+    /// Zeroes the words between the watermarks (capacity retained).
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        if self.lo < self.hi {
+            self.words[self.lo..self.hi].fill(0);
+        }
+        (self.lo, self.hi) = (0, 0);
     }
 
     /// The packed words (LSB of word 0 is id 0).
@@ -143,10 +161,24 @@ impl Bitset {
         &self.words
     }
 
+    /// The smallest id in the set, if any. Moves the low watermark up to
+    /// that id's word, so later walks skip the zero words below it.
+    pub fn first(&mut self) -> Option<usize> {
+        while self.lo < self.hi {
+            let w = self.words[self.lo];
+            if w != 0 {
+                return Some(self.lo * 64 + w.trailing_zeros() as usize);
+            }
+            self.lo += 1;
+        }
+        None
+    }
+
     /// The smallest id `>= from` in the set, if any. Walking a set with
     /// `next_from(last + 1)` visits ids in ascending order and sees
     /// inserts and removals made between steps, unlike
-    /// [`for_each_set_bit`] over a borrowed word slice.
+    /// [`for_each_set_bit`] over a borrowed word slice. Reads only the
+    /// words between the watermarks.
     ///
     /// ```
     /// use rescq_core::Bitset;
@@ -159,11 +191,21 @@ impl Bitset {
     /// assert_eq!(s.next_from(71), None);
     /// ```
     pub fn next_from(&self, from: usize) -> Option<usize> {
-        let mut wi = from / 64;
-        let mut w = *self.words.get(wi)? & (!0u64 << (from % 64));
+        let start = from / 64;
+        let mut wi = start.max(self.lo);
+        if wi >= self.hi {
+            return None;
+        }
+        let mut w = self.words[wi];
+        if wi == start {
+            w &= !0u64 << (from % 64);
+        }
         while w == 0 {
             wi += 1;
-            w = *self.words.get(wi)?;
+            if wi >= self.hi {
+                return None;
+            }
+            w = self.words[wi];
         }
         Some(wi * 64 + w.trailing_zeros() as usize)
     }
@@ -264,5 +306,84 @@ mod tests {
         assert_eq!(s.next_from(64), Some(64));
         assert_eq!(s.next_from(301), None);
         assert_eq!(s.next_from(10_000), None);
+    }
+
+    /// SplitMix64: a self-contained stream for the seeded property test.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The watermarked set against a `Vec<bool>` reference on seeded op
+    /// streams: insert, remove, clear, `first` and `next_from`, with ids
+    /// drawn both near the current low mark and far below it (so inserts
+    /// land below an advanced low watermark). After every op the two must
+    /// agree on membership, on `first`, and on `next_from` from a random
+    /// start and from 0; every word outside the watermarks must be zero.
+    #[test]
+    fn watermarked_bitset_matches_a_bool_vector() {
+        const N: usize = 700;
+        let mut inserts_below_lo = 0u32;
+        for seed in 0..40u64 {
+            let mut st = seed;
+            let mut s = Bitset::new();
+            if seed.is_multiple_of(2) {
+                s.reserve(N);
+            }
+            let mut reference = vec![false; N];
+            for _ in 0..600 {
+                let r = next(&mut st);
+                let id = match r % 4 {
+                    // Near the lowest member: exercises the low mark.
+                    0 => reference.iter().position(|&b| b).unwrap_or(0) + (r >> 8) as usize % 70,
+                    _ => (r >> 8) as usize % N,
+                }
+                .min(N - 1);
+                match (r >> 40) % 16 {
+                    0..=6 => {
+                        if s.lo < s.hi && id / 64 < s.lo {
+                            inserts_below_lo += 1;
+                        }
+                        s.insert(id);
+                        reference[id] = true;
+                    }
+                    7..=12 => {
+                        s.remove(id);
+                        reference[id] = false;
+                    }
+                    13 if r.is_multiple_of(7) => {
+                        s.clear();
+                        reference.fill(false);
+                    }
+                    _ => {
+                        let want = reference.iter().position(|&b| b);
+                        assert_eq!(s.first(), want, "seed {seed}");
+                    }
+                }
+                for (wi, &w) in s.words().iter().enumerate() {
+                    assert!(
+                        w == 0 || (s.lo..s.hi).contains(&wi),
+                        "seed {seed}: word {wi}"
+                    );
+                }
+                assert!(s.lo >= s.hi || s.hi <= s.words().len(), "seed {seed}");
+                let from = (next(&mut st) % (N as u64 + 70)) as usize;
+                let want = |from: usize| (from..N).find(|&i| reference[i]);
+                assert_eq!(s.next_from(from), want(from), "seed {seed} from {from}");
+                assert_eq!(s.next_from(0), want(0), "seed {seed}");
+                assert_eq!(s.contains(id), reference[id], "seed {seed} id {id}");
+            }
+            let walked: Vec<usize> =
+                std::iter::successors(s.next_from(0), |&i| s.next_from(i + 1)).collect();
+            let want: Vec<usize> = (0..N).filter(|&i| reference[i]).collect();
+            assert_eq!(walked, want, "seed {seed}");
+        }
+        assert!(
+            inserts_below_lo > 100,
+            "only {inserts_below_lo} inserts below the low mark"
+        );
     }
 }

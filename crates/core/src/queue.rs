@@ -110,6 +110,17 @@ impl QueueEntry {
         self.class = class;
         self
     }
+
+    /// Whether this entry may give up its queue position to a preemptor,
+    /// whatever the class policy says: a preparation that is not yet done
+    /// (no state is lost), or a helper claim not yet in use. Executing and
+    /// state-holding entries never yield. A preemptor whose queue top
+    /// fails this test cannot be reordered there
+    /// ([`crate::ReservationLedger::try_preempt_with`]).
+    pub fn yields_structurally(&self) -> bool {
+        (self.role.is_prep() && matches!(self.status, EntryStatus::Ready | EntryStatus::Preparing))
+            || (self.role == Role::Helper && self.status == EntryStatus::Ready)
+    }
 }
 
 /// The FIFO queue of one ancilla tile.
@@ -319,6 +330,31 @@ mod tests {
         };
         assert_eq!(q.expected_free_rounds(est), 35);
         assert_eq!(AncillaQueue::new().expected_free_rounds(est), 0);
+    }
+
+    #[test]
+    fn structural_yield_needs_an_unused_prep_or_helper() {
+        let with = |role, status| QueueEntry {
+            status,
+            ..entry(0, role)
+        };
+        for status in [EntryStatus::Ready, EntryStatus::Preparing] {
+            assert!(with(Role::PrepZz, status).yields_structurally());
+            assert!(with(Role::PrepX, status).yields_structurally());
+        }
+        assert!(with(Role::Helper, EntryStatus::Ready).yields_structurally());
+        assert!(!with(Role::Helper, EntryStatus::Preparing).yields_structurally());
+        for status in [
+            EntryStatus::Executing,
+            EntryStatus::DonePreparing,
+            EntryStatus::Finished,
+        ] {
+            assert!(!with(Role::PrepZz, status).yields_structurally());
+            assert!(!with(Role::Helper, status).yields_structurally());
+        }
+        for role in [Role::Route, Role::EdgeRotate] {
+            assert!(!with(role, EntryStatus::Ready).yields_structurally());
+        }
     }
 
     #[test]

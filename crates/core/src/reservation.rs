@@ -60,7 +60,7 @@
 //!    same op sequence yields the same queues, ids, graph and counters, so
 //!    a run is byte-identical from one execution to the next.
 
-use crate::queue::{AncillaQueue, EntryStatus, QueueEntry, Role};
+use crate::queue::{AncillaQueue, EntryStatus, QueueEntry};
 use crate::types::TaskId;
 use rescq_circuit::Angle;
 use std::collections::HashMap;
@@ -423,9 +423,10 @@ pub struct ReservationLedger {
     /// Scratch buffers reused across calls so the steady-state ledger makes
     /// zero heap allocations (see `arena` module docs).
     scratch_tasks: Vec<TaskId>,
-    scratch_pairs_old: Vec<(TaskId, TaskId)>,
-    scratch_pairs_new: Vec<(TaskId, TaskId)>,
-    scratch_displaced: Vec<(TaskId, u32)>,
+    /// `(task, count)` lists: the displaced pairs' multiplicities in
+    /// [`Self::try_preempt_with`], each other entry's count of the removed
+    /// task's entries ahead of it in [`Self::remove_task`].
+    scratch_counts: Vec<(TaskId, u32)>,
     scratch_stack: Vec<TaskId>,
     scratch_seen: crate::arena::Bitset,
     /// Rank → counter-bucket map for [`LedgerStats::preemptions_by_class`]
@@ -465,9 +466,7 @@ impl ReservationLedger {
         // growth step would break the zero-allocation steady state.
         let depth = 64.min(n);
         self.scratch_tasks.reserve(depth);
-        self.scratch_pairs_old.reserve(depth);
-        self.scratch_pairs_new.reserve(depth);
-        self.scratch_displaced.reserve(depth);
+        self.scratch_counts.reserve(depth);
         self.scratch_stack.reserve(depth);
     }
 
@@ -628,7 +627,25 @@ impl ReservationLedger {
 
     /// Pops the top entry of ancilla `a`, releasing the edges it held.
     pub fn pop(&mut self, a: u32) -> Option<QueueEntry> {
-        self.mutate(a, |q| q.pop())
+        self.mark_dirty(a);
+        let top = self.queues[a as usize].pop();
+        if let Some(top) = top {
+            // Every other task's entry behind the top waited for it once.
+            let mut waiters = std::mem::take(&mut self.scratch_tasks);
+            waiters.clear();
+            waiters.extend(
+                self.queues[a as usize]
+                    .iter()
+                    .map(|e| e.task)
+                    .filter(|&t| t != top.task),
+            );
+            for &w in &waiters {
+                self.remove_edge(w, top.task);
+            }
+            self.scratch_tasks = waiters;
+        }
+        self.set_nonempty_bit(a);
+        top
     }
 
     /// Removes every entry of `task` from ancilla `a`'s queue, releasing the
@@ -637,7 +654,55 @@ impl ReservationLedger {
         if !self.queues[a as usize].contains_task(task) {
             return 0;
         }
-        self.mutate(a, |q| q.remove_task(task))
+        self.mark_dirty(a);
+        // Another task's entry waits for each of `task`'s entries ahead of
+        // it and is waited for by each one behind it; pair every other
+        // entry with how many of `task`'s entries precede it.
+        let mut others = std::mem::take(&mut self.scratch_counts);
+        others.clear();
+        let mut total = 0;
+        for e in self.queues[a as usize].iter() {
+            if e.task == task {
+                total += 1;
+            } else {
+                others.push((e.task, total));
+            }
+        }
+        for &(other, ahead) in &others {
+            for _ in 0..ahead {
+                self.remove_edge(other, task);
+            }
+            for _ in ahead..total {
+                self.remove_edge(task, other);
+            }
+        }
+        self.scratch_counts = others;
+        let removed = self.queues[a as usize].remove_task(task);
+        self.set_nonempty_bit(a);
+        removed
+    }
+
+    /// Moves the entry at `pos` of ancilla `a`'s queue to the top. Only
+    /// its pairs with the entries it overtakes change: each `moved → p`
+    /// wait reverses into `p → moved`. Removals go first, so the edge
+    /// count never overshoots its final value.
+    fn move_to_front(&mut self, a: u32, pos: usize) {
+        self.mark_dirty(a);
+        let q = &self.queues[a as usize];
+        let Some(moved) = q.iter().nth(pos).map(|e| e.task) else {
+            return;
+        };
+        let mut overtaken = std::mem::take(&mut self.scratch_tasks);
+        overtaken.clear();
+        overtaken.extend(q.iter().take(pos).map(|e| e.task).filter(|&t| t != moved));
+        for &p in &overtaken {
+            self.remove_edge(moved, p);
+        }
+        for &p in &overtaken {
+            self.add_edge(p, moved);
+        }
+        self.scratch_tasks = overtaken;
+        self.queues[a as usize].move_to_front(pos);
     }
 
     /// Rewrites the ladder angle of `task`'s entry on ancilla `a` in place
@@ -735,18 +800,12 @@ impl ReservationLedger {
         let class = q.entry(task).expect("position implies entry").class;
         let mut class_win = false;
         for e in q.iter().take(pos) {
-            // Preparations may yield while not yet done (no state is lost);
-            // helper entries are pure claims and may always structurally
-            // yield. Executing or state-holding entries never yield.
-            let structurally_yields = (e.role.is_prep()
-                && matches!(e.status, EntryStatus::Ready | EntryStatus::Preparing))
-                || (e.role == Role::Helper && e.status == EntryStatus::Ready);
             let may_reorder = match class.cmp(&e.class) {
                 std::cmp::Ordering::Greater => true,
                 std::cmp::Ordering::Equal => may_displace(e),
                 std::cmp::Ordering::Less => false,
             };
-            if !structurally_yields || !may_reorder {
+            if !e.yields_structurally() || !may_reorder {
                 return Preemption::NotEligible;
             }
             class_win |= class > e.class;
@@ -762,7 +821,7 @@ impl ReservationLedger {
         // mutating nothing on rejection. This is the check whose absence
         // made the naive yield deadlock on inconsistent cross-ancilla
         // orders.
-        let mut displaced = std::mem::take(&mut self.scratch_displaced);
+        let mut displaced = std::mem::take(&mut self.scratch_counts);
         displaced.clear();
         for e in self.queues[a as usize].iter().take(pos) {
             match displaced.iter_mut().find(|d| d.0 == e.task) {
@@ -776,13 +835,13 @@ impl ReservationLedger {
             Self::reaches_any_without(&self.edges, task, &displaced, &mut stack, &mut seen);
         self.scratch_stack = stack;
         self.scratch_seen = seen;
-        self.scratch_displaced = displaced;
+        self.scratch_counts = displaced;
         if cyclic {
             self.stats.preemptions_rejected_cycle += 1;
             self.log_event(LedgerEvent::Rejected { task, ancilla: a });
             return Preemption::RejectedCycle;
         }
-        self.mutate(a, |q| q.move_to_front(pos));
+        self.move_to_front(a, pos);
         debug_assert!(self.is_acyclic(), "accepted preemption broke acyclicity");
         // Displaced preparations restart from Ready when they return to
         // the top (their in-flight preparation is cancelled by the
@@ -900,50 +959,6 @@ impl ReservationLedger {
             .unwrap_or_default();
         s.sort_unstable();
         s
-    }
-
-    /// Applies `f` to queue `a` and reconciles the wait-for graph with the
-    /// queue's new contents (remove old contribution, insert new one).
-    fn mutate<R>(&mut self, a: u32, f: impl FnOnce(&mut AncillaQueue) -> R) -> R {
-        self.mark_dirty(a);
-        let mut tasks = std::mem::take(&mut self.scratch_tasks);
-        let mut old = std::mem::take(&mut self.scratch_pairs_old);
-        let mut new = std::mem::take(&mut self.scratch_pairs_new);
-        Self::queue_pairs_into(&self.queues[a as usize], &mut tasks, &mut old);
-        let r = f(&mut self.queues[a as usize]);
-        Self::queue_pairs_into(&self.queues[a as usize], &mut tasks, &mut new);
-        if old != new {
-            for &(w, h) in &old {
-                self.remove_edge(w, h);
-            }
-            for &(w, h) in &new {
-                self.add_edge(w, h);
-            }
-        }
-        self.scratch_tasks = tasks;
-        self.scratch_pairs_old = old;
-        self.scratch_pairs_new = new;
-        self.set_nonempty_bit(a);
-        r
-    }
-
-    /// The (waiter, holder) pairs a queue contributes: entry `j` waits for
-    /// every distinct-task entry `i < j`. Fills caller-recycled scratch.
-    fn queue_pairs_into(
-        q: &AncillaQueue,
-        tasks: &mut Vec<TaskId>,
-        out: &mut Vec<(TaskId, TaskId)>,
-    ) {
-        tasks.clear();
-        tasks.extend(q.iter().map(|e| e.task));
-        out.clear();
-        for j in 1..tasks.len() {
-            for i in 0..j {
-                if tasks[i] != tasks[j] {
-                    out.push((tasks[j], tasks[i]));
-                }
-            }
-        }
     }
 
     fn add_edge(&mut self, waiter: TaskId, holder: TaskId) {
@@ -1452,5 +1467,129 @@ mod tests {
         assert!(l.update_angle(0, TaskId(1), Angle::S));
         assert_eq!(l.current_edges(), before);
         assert_eq!(l.queue(0).entry(TaskId(1)).unwrap().angle, Angle::S);
+    }
+
+    /// The wait-graph reconciliation the ledger used before its removals
+    /// applied pair deltas: list the queue's (waiter, holder) pairs before
+    /// and after `f`, and if they differ remove every old pair and add
+    /// every new one.
+    fn mutate_reference<R>(
+        l: &mut ReservationLedger,
+        a: u32,
+        f: impl FnOnce(&mut AncillaQueue) -> R,
+    ) -> R {
+        fn pairs(q: &AncillaQueue) -> Vec<(TaskId, TaskId)> {
+            let tasks: Vec<TaskId> = q.iter().map(|e| e.task).collect();
+            let mut out = Vec::new();
+            for j in 1..tasks.len() {
+                for i in 0..j {
+                    if tasks[i] != tasks[j] {
+                        out.push((tasks[j], tasks[i]));
+                    }
+                }
+            }
+            out
+        }
+        l.mark_dirty(a);
+        let old = pairs(&l.queues[a as usize]);
+        let r = f(&mut l.queues[a as usize]);
+        let new = pairs(&l.queues[a as usize]);
+        if old != new {
+            for &(w, h) in &old {
+                l.remove_edge(w, h);
+            }
+            for &(w, h) in &new {
+                l.add_edge(w, h);
+            }
+        }
+        l.set_nonempty_bit(a);
+        r
+    }
+
+    /// SplitMix64: a self-contained stream for the seeded op sequences.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `pop`, `remove_task` and `move_to_front` apply pair deltas; the
+    /// reference re-derives every pair of the queue. Seeded random
+    /// sequences of push, pop, remove and move over three queues and eight
+    /// tasks (so a task often holds two entries in one queue, on either
+    /// side of another task's entry) must leave both ledgers with the same
+    /// queues, successor lists, edge count and peak after every op.
+    #[test]
+    fn pair_deltas_match_the_full_requeue_reference() {
+        let (mut doubled, mut moves, mut removes) = (0u32, 0u32, 0u32);
+        for seed in 0..60u64 {
+            let mut st = seed;
+            let mut fast = ReservationLedger::new(3);
+            let mut slow = ReservationLedger::new(3);
+            for step in 0..300 {
+                let r = next(&mut st);
+                let a = (r % 3) as u32;
+                let task = TaskId(((r >> 8) % 8) as u32);
+                let len = fast.queue(a).len();
+                match (r >> 16) % 10 {
+                    0..=4 => {
+                        let role =
+                            [Role::PrepZz, Role::Route, Role::Helper][(r >> 24) as usize % 3];
+                        let e = QueueEntry::new(task, role, Angle::ZERO);
+                        if fast.queue(a).contains_task(task) {
+                            doubled += 1;
+                        }
+                        fast.push(a, e);
+                        slow.push(a, e);
+                    }
+                    5 | 6 => {
+                        assert_eq!(fast.pop(a), mutate_reference(&mut slow, a, |q| q.pop()));
+                    }
+                    7 | 8 => {
+                        let want = if slow.queues[a as usize].contains_task(task) {
+                            mutate_reference(&mut slow, a, |q| q.remove_task(task))
+                        } else {
+                            0
+                        };
+                        removes += (want > 0) as u32;
+                        assert_eq!(fast.remove_task(a, task), want);
+                    }
+                    _ if len > 0 => {
+                        let pos = (r >> 24) as usize % len;
+                        moves += (pos > 0) as u32;
+                        fast.move_to_front(a, pos);
+                        mutate_reference(&mut slow, a, |q| q.move_to_front(pos));
+                    }
+                    _ => {}
+                }
+                let at = format!("seed {seed} step {step}");
+                for q in 0..3 {
+                    let order = |l: &ReservationLedger| -> Vec<QueueEntry> {
+                        l.queue(q).iter().copied().collect()
+                    };
+                    assert_eq!(order(&fast), order(&slow), "{at}: queue {q}");
+                }
+                for t in 0..8 {
+                    assert_eq!(
+                        fast.successors(TaskId(t)),
+                        slow.successors(TaskId(t)),
+                        "{at}"
+                    );
+                }
+                assert_eq!(fast.current_edges(), slow.current_edges(), "{at}");
+                assert_eq!(
+                    fast.stats().waitgraph_peak_edges,
+                    slow.stats().waitgraph_peak_edges,
+                    "{at}"
+                );
+                assert_eq!(fast.nonempty_words(), slow.nonempty_words(), "{at}");
+            }
+        }
+        assert!(
+            doubled > 500 && moves > 500 && removes > 500,
+            "{doubled} {moves} {removes}"
+        );
     }
 }

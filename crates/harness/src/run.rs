@@ -153,8 +153,13 @@ fn run_job(
             }
         }
     };
-    let fingerprint = job_fingerprint(job, circuit.content_hash(), spec.circuit_seed);
-    if let Some(metrics) = checkpoint.and_then(|c| c.lookup(fingerprint)) {
+    // The fingerprint hashes the whole circuit and config, so it is
+    // computed only when a checkpoint will read or record it.
+    let checkpoint = checkpoint.map(|c| {
+        let fingerprint = job_fingerprint(job, circuit.content_hash(), spec.circuit_seed);
+        (c, fingerprint)
+    });
+    if let Some(metrics) = checkpoint.and_then(|(c, fingerprint)| c.lookup(fingerprint)) {
         return JobRecord {
             job: job.clone(),
             outcome: Ok(metrics.clone()),
@@ -168,7 +173,7 @@ fn run_job(
             simulate_prepared(&artifacts, &job.config).map_err(|e| e.to_string())
         })
         .map(|report| JobMetrics::from_report(&report));
-    if let (Some(ckpt), Ok(metrics)) = (checkpoint, &outcome) {
+    if let (Some((ckpt, fingerprint)), Ok(metrics)) = (checkpoint, &outcome) {
         ckpt.record(fingerprint, &csv_row(job, metrics));
     }
     JobRecord {

@@ -734,10 +734,11 @@ impl RtEngine<'_> {
             // resources before new speculative preparations are started.
             // Frontier tasks are tried in ascending id order — the order
             // of a scan over every live task, whose other members would
-            // all return `false` without mutating anything.
+            // all return `false` without mutating anything. The walk starts
+            // at the frontier's low watermark and ends at its high one.
             let t1 = traced.then(Instant::now);
             self.wake_route_claimants();
-            let mut next = self.start_frontier.next_from(0);
+            let mut next = self.start_frontier.first();
             while let Some(i) = next {
                 let id = TaskId(i as u32);
                 progress |= self.try_start_task(id);
@@ -1924,8 +1925,12 @@ impl RtEngine<'_> {
             let mut preempted = false;
             let mut spec = std::mem::take(&mut self.scratch.spec_tasks);
             for &a in &path {
-                if self.ledger.queue(a).top().is_some_and(|e| e.task == id) {
-                    continue;
+                // The ledger refuses a reorder past a top entry that cannot
+                // structurally yield, so most blocked attempts (a route or a
+                // held state on top) end here, before the snapshot below.
+                match self.ledger.queue(a).top() {
+                    Some(top) if top.task != id && top.yields_structurally() => {}
+                    _ => continue,
                 }
                 // A preparation may yield when its task is younger than the
                 // stalled CNOT, or when it is still fully speculative — its
@@ -2299,7 +2304,7 @@ impl RtEngine<'_> {
         self.counters.stall_route_cycles += route;
         self.counters.stall_class_cycles += class;
         let Some(rec) = self.recorder else { return };
-        let mut next = self.live.next_from(0);
+        let mut next = self.live.first();
         while let Some(i) = next {
             next = self.live.next_from(i + 1);
             if let Some(cause) = self.tasks[i].stall {

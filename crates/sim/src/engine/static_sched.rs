@@ -22,7 +22,7 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, QubitId};
 use rescq_core::{
-    plan_static_route, LedgerEvent, QueueEntry, ReservationLedger, Role, SchedulerKind,
+    plan_static_route, Bitset, LedgerEvent, QueueEntry, ReservationLedger, Role, SchedulerKind,
     StaticRouteOutcome, SurgeryCosts, TaskId, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
@@ -51,6 +51,24 @@ enum LayerGate {
         phase: CnotPhase,
     },
     Done,
+}
+
+impl LayerGate {
+    /// Whether a dispatch attempt may act on this gate: an H not yet
+    /// running, an Rz that needs a preparation or is ready to inject, a
+    /// CNOT that needs a route. Any other gate is done or has its
+    /// operation in flight, and [`dispatch_gate`] leaves it untouched and
+    /// draws nothing.
+    fn can_act(&self) -> bool {
+        match self {
+            LayerGate::Hadamard { running, .. } => !*running,
+            LayerGate::Rz { phase, .. } => {
+                matches!(phase, RzPhase::NeedPrep | RzPhase::ReadyToInject)
+            }
+            LayerGate::Cnot { phase, .. } => *phase == CnotPhase::NeedRoute,
+            LayerGate::Done => false,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +117,19 @@ enum Ev {
     SurgeryDone(usize),
 }
 
+impl Ev {
+    /// The layer slot whose gate the event completes a step of.
+    fn slot(self) -> usize {
+        match self {
+            Ev::HDone(idx) | Ev::PrepDone(idx) | Ev::SurgeryDone(idx) => idx,
+            Ev::InjectDone { idx, .. }
+            | Ev::DecodeDone { idx, .. }
+            | Ev::PrepDecoded { idx, .. }
+            | Ev::RotationDone { idx, .. } => idx,
+        }
+    }
+}
+
 /// Held routing buffers of a static run: the BFS scratch every route
 /// attempt searches in, and the recycled path buffers of in-flight
 /// surgeries (taken at a route, returned at `SurgeryDone`).
@@ -117,9 +148,16 @@ struct RouteBuffers {
 /// per-layer slot indices, reused across layers.
 ///
 /// Per-run tables (each qubit's tile adjacency and designated ancilla)
-/// are built once; the layer's gate list, the event queue, the BFS scratch
-/// and the surgery path buffers are reused across layers, so a warm run
-/// routes without allocating.
+/// are built once; the layer's gate list, its start frontier, the event
+/// queue, the BFS scratch and the surgery path buffers are reused across
+/// layers, so a warm run routes without allocating.
+///
+/// A dispatch pass tries only the layer's start frontier: the slots whose
+/// gate can act ([`LayerGate::can_act`]), in ascending slot order. A slot
+/// leaves it when its attempt puts the gate in flight, and an event puts
+/// back the slot it moved to an actable phase. A scan over every slot
+/// makes the same attempts in the same order, because its other visits
+/// are no-ops that draw nothing.
 pub(crate) fn run_static(
     circuit: &Circuit,
     dag: Arc<DependencyDag>,
@@ -174,6 +212,7 @@ pub(crate) fn run_static(
         })
         .collect();
     let mut gates: Vec<(GateId, LayerGate)> = Vec::new();
+    let mut frontier = Bitset::new();
     let mut events: EventQueue<Ev> = EventQueue::new();
     let mut route = RouteBuffers::default();
 
@@ -245,12 +284,17 @@ pub(crate) fn run_static(
             .iter()
             .filter(|(_, s)| !matches!(s, LayerGate::Done))
             .count();
+        frontier.clear();
+        for i in 0..gates.len() {
+            frontier.insert(i);
+        }
         note_phase(recorder, &mut phase_nanos, Phase::Schedule, clock, t0);
 
         while remaining > 0 {
-            // Dispatch pass: try to advance every unfinished gate.
+            // Dispatch pass: try to advance every gate that can act.
             let t1 = phase_start();
-            for i in 0..gates.len() {
+            let mut next = frontier.first();
+            while let Some(i) = next {
                 dispatch_gate(
                     i,
                     &mut gates,
@@ -266,8 +310,14 @@ pub(crate) fn run_static(
                     &adjacency,
                     &mut route,
                 )?;
+                if !gates[i].1.can_act() {
+                    frontier.remove(i);
+                }
+                next = frontier.next_from(i + 1);
             }
             note_phase(recorder, &mut phase_nanos, Phase::Start, clock, t1);
+            #[cfg(debug_assertions)]
+            audit_static_frontier(&gates, &frontier);
             drain_trace(
                 recorder,
                 &mut ledger,
@@ -291,7 +341,7 @@ pub(crate) fn run_static(
                     cycles: clock / d as u64,
                 });
             }
-            handle_event(
+            let slot = handle_event(
                 ev,
                 &mut gates,
                 &mut fabric,
@@ -309,6 +359,9 @@ pub(crate) fn run_static(
                 clock,
                 d,
             );
+            if gates[slot].1.can_act() {
+                frontier.insert(slot);
+            }
         }
         // Every gate's last event completed it, so the queue is drained
         // and carries nothing into the next layer.
@@ -380,6 +433,32 @@ fn note_phase(
         round,
         dur_ns,
     });
+}
+
+/// Debug audit of the static start frontier: every slot outside it must
+/// hold a gate that is done or has its operation in flight — an H running,
+/// an Rz preparing or injecting (which covers awaiting a decode), a CNOT
+/// rotating or in surgery — read from the gate's state. An event that
+/// forgot to put its slot back fails here instead of stalling the layer
+/// or changing a schedule.
+#[cfg(debug_assertions)]
+fn audit_static_frontier(gates: &[(GateId, LayerGate)], frontier: &Bitset) {
+    for (i, (gid, state)) in gates.iter().enumerate() {
+        let in_flight = match state {
+            LayerGate::Done => true,
+            LayerGate::Hadamard { running, .. } => *running,
+            LayerGate::Rz { phase, .. } => {
+                matches!(phase, RzPhase::Prepping | RzPhase::Injecting)
+            }
+            LayerGate::Cnot { phase, .. } => {
+                matches!(phase, CnotPhase::Rotating | CnotPhase::Surgery(_))
+            }
+        };
+        assert!(
+            frontier.contains(i) || in_flight,
+            "slot {i} (gate {gid:?}) left the static start frontier while it could act: {state:?}"
+        );
+    }
 }
 
 /// Forwards buffered ledger events (stamped with the current round) and
@@ -612,6 +691,8 @@ fn dispatch_gate(
     Ok(())
 }
 
+/// Applies one completion event and returns the slot it belongs to, the
+/// only gate whose phase it can change.
 #[allow(clippy::too_many_arguments)]
 fn handle_event(
     ev: Ev,
@@ -630,7 +711,8 @@ fn handle_event(
     layer_start: u64,
     now: u64,
     d: u32,
-) {
+) -> usize {
+    let slot = ev.slot();
     let latency_cycles = (now - layer_start).div_ceil(d as u64);
     match ev {
         Ev::HDone(idx) => {
@@ -651,7 +733,7 @@ fn handle_event(
                 let (window, ready_at) = decoder.submit(tile, d, now);
                 if ready_at > now {
                     events.push(ready_at, Ev::PrepDecoded { idx, window });
-                    return;
+                    return slot;
                 }
                 decode_latency.record(decoder.retire(window, now));
             }
@@ -742,6 +824,7 @@ fn handle_event(
             *remaining -= 1;
         }
     }
+    slot
 }
 
 /// Advances an Rz ladder with a decoded injection outcome.

@@ -678,3 +678,64 @@ fn idle_fraction_in_unit_range() {
         assert!(idle > 0.0, "some idleness is inevitable");
     }
 }
+
+#[test]
+fn cross_product_digest_is_pinned() {
+    // One FNV-1a digest over a cross product of circuits, compressions,
+    // decoders, schedulers and seeds: each run contributes its
+    // `total_rounds` and `RunCounters` Debug text. The named goldens above
+    // pin a few points in detail; this one sees a wrong decision anywhere
+    // in the 216 runs, which is what a missed wake point in a dispatch
+    // frontier tends to cause. Recorded on the engine whose dispatch passes
+    // rescanned every gate (static) and walked the start frontier from
+    // word 0 (realtime). Two workers share the runs; the digest reads the
+    // lines in point order.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    let circuits: Vec<Circuit> = [
+        "gcm_n13",
+        "qft_n18",
+        "dnn_n16",
+        "wstate_n27",
+        "ising_n34",
+        "factory_n12",
+    ]
+    .map(|name| rescq_workloads::generate(name, 1).expect("known benchmark"))
+    .into();
+    let mut points = Vec::new();
+    for c in &circuits {
+        for compression in [0.0, 0.5, 0.75] {
+            for decoder in [DecoderConfig::default(), DecoderConfig::union_find(4.0)] {
+                for scheduler in SchedulerKind::ALL {
+                    for seed in [1, 2] {
+                        let cfg = SimConfig::builder()
+                            .scheduler(scheduler)
+                            .compression(compression)
+                            .decoder(decoder)
+                            .seed(seed)
+                            .build();
+                        points.push((c, cfg));
+                    }
+                }
+            }
+        }
+    }
+    let lines = Mutex::new(vec![String::new(); points.len()]);
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((c, cfg)) = points.get(i) else { break };
+                let r = simulate(c, cfg).unwrap();
+                lines.lock().unwrap()[i] = format!("{} {:?}\n", r.total_rounds, r.counters);
+            });
+        }
+    });
+    let text = lines.into_inner().unwrap().concat();
+    let digest = rescq_circuit::fnv1a_64(text.bytes());
+    assert_eq!(
+        digest, 0xb494_a8b2_0775_479e,
+        "cross-product digest {digest:#018x}"
+    );
+}
