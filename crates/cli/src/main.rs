@@ -53,8 +53,6 @@ fn print_usage() {
     println!();
     println!("Usage:");
     println!("  sim run <spec.toml> [--csv DIR]");
-    println!("            [--priority-classes SPEC]   class lattice, e.g.");
-    println!("                                   factory>injection>compute>speculative | off");
     println!("            [--trace-out FILE]     write a Chrome trace-event JSON of one");
     println!("                                   traced run (base seed; open in");
     println!("                                   chrome://tracing or Perfetto)");
@@ -76,7 +74,6 @@ fn print_usage() {
     println!("  sim bench <name> [--seeds N] [--compression F] [--distance D] [--csv DIR]");
     println!("            [--decoder ideal|union_find] [--decoder-throughput F]");
     println!("            [--decoder-prep]");
-    println!("            [--priority-classes SPEC]  class-aware ledger arbitration");
     println!("                                      one benchmark under all three schedulers;");
     println!("                                   values obey the sweep-spec rules");
     println!("  sim list                            list Table 3 benchmarks");
@@ -102,12 +99,8 @@ fn load_circuit(name: &str, circuit_seed: u64) -> Result<Circuit, String> {
 
 /// Parses the spec text of `sim run`/`sim analyze` (read from `path`),
 /// which must have exactly one point. Returns the spec, the point's
-/// base-seed job with `--priority-classes` applied, and its circuit.
-fn load_point(
-    text: &str,
-    path: &str,
-    args: &[String],
-) -> Result<(SweepSpec, JobSpec, Circuit), String> {
+/// base-seed job and its circuit.
+fn load_point(text: &str, path: &str) -> Result<(SweepSpec, JobSpec, Circuit), String> {
     let spec = SweepSpec::parse(text).map_err(|e| e.to_string())?;
     if spec.num_points() != 1 {
         return Err(format!(
@@ -115,8 +108,7 @@ fn load_point(
             spec.num_points()
         ));
     }
-    let mut job = spec.expand().swap_remove(0);
-    apply_priority_flag(args, &mut job.config)?;
+    let job = spec.expand().swap_remove(0);
     let circuit = load_circuit(&job.workload, spec.circuit_seed)?;
     Ok((spec, job, circuit))
 }
@@ -170,31 +162,13 @@ fn run_point(
     Ok(summary)
 }
 
-/// Applies the shared `--priority-classes` flag (`off` = class-blind).
-fn apply_priority_flag(args: &[String], config: &mut SimConfig) -> Result<(), String> {
-    if let Some(spec) = flag_value(args, "--priority-classes") {
-        config.priority_classes = rescq_core::ClassLattice::parse_setting(&spec)?;
-    }
-    Ok(())
-}
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: sim run <spec.toml> [--csv DIR] [--priority-classes SPEC] \
-                         [--trace-out FILE] [--metrics-out FILE]";
-    flags::positionals(
-        args,
-        &[
-            "--csv",
-            "--priority-classes",
-            "--trace-out",
-            "--metrics-out",
-        ],
-        &[],
-        USAGE,
-    )?;
+    const USAGE: &str =
+        "usage: sim run <spec.toml> [--csv DIR] [--trace-out FILE] [--metrics-out FILE]";
+    flags::positionals(args, &["--csv", "--trace-out", "--metrics-out"], &[], USAGE)?;
     let path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let (spec, job, circuit) = load_point(&text, path, args)?;
+    let (spec, job, circuit) = load_point(&text, path)?;
     let csv = flag_value(args, "--csv").map(PathBuf::from);
     let summary = run_point(
         &job.workload,
@@ -234,9 +208,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// exactly).
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     use rescq_telemetry::{analyze_events, parse_trace, RingRecorder};
-    const USAGE: &str = "usage: sim analyze <trace.json|spec.toml> [--json FILE] [--top K] \
-                         [--priority-classes SPEC]";
-    flags::positionals(args, &["--json", "--top", "--priority-classes"], &[], USAGE)?;
+    const USAGE: &str = "usage: sim analyze <trace.json|spec.toml> [--json FILE] [--top K]";
+    flags::positionals(args, &["--json", "--top"], &[], USAGE)?;
     let path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
     let top_k: usize = match flag_value(args, "--top") {
         Some(k) => k.parse().map_err(|_| "bad --top")?,
@@ -247,7 +220,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         let parsed = parse_trace(&text)?;
         analyze_events(&parsed.events, parsed.dropped, parsed.truncated)
     } else {
-        let (_, job, circuit) = load_point(&text, path, args)?;
+        let (_, job, circuit) = load_point(&text, path)?;
         let recorder = RingRecorder::new();
         rescq_sim::simulate_traced(&circuit, &job.config, Some(&recorder))
             .map_err(|e| e.to_string())?;
@@ -291,11 +264,10 @@ fn write_trace(circuit: &Circuit, config: &SimConfig, out: &Path) -> Result<(), 
         ms(report.phase_nanos[3]),
     );
     println!(
-        "  stall attribution: ancilla {}cy, decoder {}cy, route {}cy, class {}cy",
+        "  stall attribution: ancilla {}cy, decoder {}cy, route {}cy",
         report.counters.stall_ancilla_cycles,
         report.counters.stall_decoder_cycles,
         report.counters.stall_route_cycles,
-        report.counters.stall_class_cycles,
     );
     Ok(())
 }
@@ -452,7 +424,7 @@ fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: sim bench <name> [--seeds N] [--compression F] [--distance D] \
                          [--csv DIR] [--decoder KIND] [--decoder-throughput F] \
-                         [--decoder-prep] [--priority-classes SPEC]";
+                         [--decoder-prep]";
     flags::positionals(
         args,
         &[
@@ -462,7 +434,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "--csv",
             "--decoder",
             "--decoder-throughput",
-            "--priority-classes",
         ],
         &["--decoder-prep"],
         USAGE,
@@ -494,9 +465,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         decoder.throughput = t.parse().map_err(|_| "bad --decoder-throughput")?;
     }
     spec.decoders = vec![decoder.into()];
-    if let Some(p) = flag_value(args, "--priority-classes") {
-        spec.priority = vec![rescq_core::ClassLattice::parse_setting(&p)?];
-    }
     spec.validate().map_err(|e| e.message)?;
     let csv = flag_value(args, "--csv").map(PathBuf::from);
     let circuit = load_circuit(name, spec.circuit_seed)?;

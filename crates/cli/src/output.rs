@@ -58,18 +58,14 @@ pub fn summarize(r: &ExecutionReport) -> String {
             ", {} preemptions ({} cycle-rejected)",
             r.counters.preemptions, r.counters.preemptions_rejected_cycle,
         ));
-        if r.counters.preemptions_class > 0 {
-            s.push_str(&format!(", {} class-won", r.counters.preemptions_class));
-        }
     }
     if r.stall_cycles() > 0 {
         s.push_str(&format!(
-            ", stalls {}cy (ancilla {}, decoder {}, route {}, class {})",
+            ", stalls {}cy (ancilla {}, decoder {}, route {})",
             r.stall_cycles(),
             r.counters.stall_ancilla_cycles,
             r.counters.stall_decoder_cycles,
             r.counters.stall_route_cycles,
-            r.counters.stall_class_cycles,
         ));
     }
     if r.phase_nanos.iter().any(|&ns| ns > 0) {

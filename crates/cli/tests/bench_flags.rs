@@ -32,6 +32,10 @@ fn invalid_flags_are_rejected_by_key() {
             &["--decoder-workers", "4"],
             "unknown flag `--decoder-workers`",
         ),
+        (
+            &["--priority-classes", "off"],
+            "unknown flag `--priority-classes`",
+        ),
     ] {
         let out = sim_bench(flags);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -88,4 +92,21 @@ fn removed_layout_cache_flag_is_rejected_by_name() {
     assert!(out.stdout.is_empty(), "must not run anything");
     assert!(!cache.exists(), "must not create the cache directory");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_priority_flag_is_rejected_by_run_and_analyze() {
+    for command in ["run", "analyze"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sim"))
+            .args([command, "point.toml", "--priority-classes", "off"])
+            .output()
+            .expect("the sim binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag `--priority-classes`"),
+            "{command} must name the flag: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command} must not run anything");
+    }
 }

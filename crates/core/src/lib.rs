@@ -3,11 +3,9 @@
 //! The RESCQ scheduling framework (the paper's primary contribution): the
 //! per-ancilla operation queues with in-place ladder rewriting
 //! ([`AncillaQueue`], §4.1), the [`ReservationLedger`] that makes the
-//! task-level wait-for graph explicit and supports seniority-safe,
-//! class-aware preemption (the [`ClassLattice`] priority lattice —
-//! `factory > injection > compute > speculative` by default — decides who
-//! may overtake whom; an incremental cycle check decides whether the
-//! reorder is safe), the pipelined stale-tolerant [`MstPipeline`] (§4.2 /
+//! task-level wait-for graph explicit and supports seniority-safe
+//! preemption (only older work may overtake; an incremental cycle check
+//! decides whether the reorder is safe), the pipelined stale-tolerant [`MstPipeline`] (§4.2 /
 //! Fig 8), Algorithm-1 routing over the MST with a geometric-path memo
 //! ([`PathCache`], [`routing`]), and the baseline static-routing policy the
 //! evaluation compares against.
@@ -43,9 +41,7 @@ mod types;
 pub use arena::{for_each_set_bit, Bitset, VecPool};
 pub use dynmst::{KPolicy, MstPipeline, TauModel};
 pub use queue::{AncillaQueue, EntryStatus, QueueEntry, Role};
-pub use reservation::{
-    ClassLattice, LedgerEvent, LedgerStats, Preemption, ReservationId, ReservationLedger, TaskClass,
-};
+pub use reservation::{LedgerEvent, LedgerStats, Preemption, ReservationId, ReservationLedger};
 pub use routing::{
     plan_cnot_route, plan_cnot_route_into, plan_static_route, PathCache, RoutePlan, RoutePlanMeta,
     RouteScratch, StaticRouteOutcome,

@@ -15,7 +15,7 @@
 //! queue itself is a plain deterministic container: no clocks, no
 //! randomness, identical op sequences give identical states.
 
-use crate::reservation::{ReservationId, TaskClass};
+use crate::reservation::ReservationId;
 use crate::TaskId;
 use rescq_circuit::Angle;
 use rescq_lattice::TileId;
@@ -80,12 +80,6 @@ pub struct QueueEntry {
     pub angle: Angle,
     /// Status; meaningful only while this entry is at the top (Table 2).
     pub status: EntryStatus,
-    /// Priority class in the [`crate::ClassLattice`]; arbitration lets a
-    /// strictly higher class reorder ahead of a strictly lower one (cycle
-    /// check permitting) while equal classes keep the seniority rule. The
-    /// default ([`TaskClass::COMPUTE`]) makes class-blind queues uniform,
-    /// so default runs reproduce the pre-lattice ledger bit for bit.
-    pub class: TaskClass,
     /// The ledger reservation backing this entry
     /// ([`ReservationId::UNREGISTERED`] until pushed through a
     /// [`crate::ReservationLedger`]).
@@ -93,26 +87,19 @@ pub struct QueueEntry {
 }
 
 impl QueueEntry {
-    /// Creates a `Ready` entry of the default [`TaskClass`].
+    /// Creates a `Ready` entry.
     pub fn new(task: TaskId, role: Role, angle: Angle) -> Self {
         QueueEntry {
             task,
             role,
             angle,
             status: EntryStatus::Ready,
-            class: TaskClass::default(),
             reservation: ReservationId::UNREGISTERED,
         }
     }
 
-    /// The same entry with its priority class set (builder style).
-    pub fn with_class(mut self, class: TaskClass) -> Self {
-        self.class = class;
-        self
-    }
-
     /// Whether this entry may give up its queue position to a preemptor,
-    /// whatever the class policy says: a preparation that is not yet done
+    /// whatever the seniority test says: a preparation that is not yet done
     /// (no state is lost), or a helper claim not yet in use. Executing and
     /// state-holding entries never yield. A preemptor whose queue top
     /// fails this test cannot be reordered there
@@ -214,22 +201,6 @@ impl AncillaQueue {
         for e in &mut self.entries {
             if e.task == task {
                 e.angle = angle;
-                updated = true;
-            }
-        }
-        updated
-    }
-
-    /// Rewrites the priority class of `task`'s entries in place (e.g. a
-    /// speculative rotation promoted once its predecessors complete).
-    /// Queue position — and therefore the wait graph — is untouched; the
-    /// new class affects future arbitration only. Returns whether an entry
-    /// was updated.
-    pub fn update_class(&mut self, task: TaskId, class: TaskClass) -> bool {
-        let mut updated = false;
-        for e in &mut self.entries {
-            if e.task == task {
-                e.class = class;
                 updated = true;
             }
         }

@@ -23,39 +23,24 @@
 //! leave the ledger untouched and are counted, so schedulers can observe
 //! how often the safety check bites.
 //!
-//! # The priority-class lattice
+//! # Arbitration
 //!
-//! Arbitration is two-layered. The *safety* layer never changes: a reorder
+//! [`ReservationLedger::try_preempt_with`] applies one rule. A reorder
 //! happens only when every displaced entry can structurally yield (a
 //! preparation that is not executing and holds no finished state, or an
-//! unused helper claim) **and** the incremental cycle check proves the
-//! wait-for graph stays acyclic. Above it sits a *policy* layer: every
-//! [`QueueEntry`] carries a [`TaskClass`] drawn from a small ordered
-//! lattice ([`ClassLattice`], `factory > injection > compute > speculative`
-//! by default, or any other order of those four), and
-//! [`ReservationLedger::try_preempt_with`] applies one class-aware rule:
-//!
-//! - a **strictly higher** class may reorder ahead of a strictly lower one
-//!   (seniority notwithstanding) — iff the cycle check passes;
-//! - **equal** classes fall back to the caller's speculation test (strict
-//!   seniority for [`ReservationLedger::try_preempt`]), exactly the
-//!   pre-lattice behaviour, so runs where every entry carries the default
-//!   class are bit-identical to the class-blind ledger;
-//! - a **lower** class never displaces a higher one.
-//!
-//! This is how a T-gate factory region outranks logical compute without
-//! touching the acyclicity machinery: urgency is expressed entirely in the
-//! policy layer, and every reorder — class-driven or seniority-driven —
-//! still goes through the same structural and cycle proofs.
+//! unused helper claim), the caller's speculation test accepts it (strict
+//! seniority for [`ReservationLedger::try_preempt`]: only older work may
+//! overtake), **and** the incremental cycle check proves the wait-for graph
+//! stays acyclic.
 //!
 //! # Invariants
 //!
 //! 1. **Acyclicity** — the task wait-for graph is acyclic after every
 //!    public mutation; [`ReservationLedger::is_acyclic`] checks it in
 //!    O(V + E) for property tests and engine debug assertions.
-//! 2. **Seniority** — plain pushes append in arrival order, and equal-class
-//!    arbitration only ever lets *older* tasks overtake (or whatever the
-//!    caller's stricter test allows), so FIFO runs are reorder-free.
+//! 2. **Seniority** — plain pushes append in arrival order, and arbitration
+//!    only ever lets *older* tasks overtake (or whatever the caller's
+//!    stricter test allows), so FIFO runs are reorder-free.
 //! 3. **Determinism** — the ledger holds no clocks and no randomness: the
 //!    same op sequence yields the same queues, ids, graph and counters, so
 //!    a run is byte-identical from one execution to the next.
@@ -64,7 +49,6 @@ use crate::queue::{AncillaQueue, EntryStatus, QueueEntry};
 use crate::types::TaskId;
 use rescq_circuit::Angle;
 use std::collections::HashMap;
-use std::str::FromStr;
 
 /// Identifier of one queue reservation (unique within a ledger's lifetime).
 ///
@@ -79,201 +63,6 @@ impl ReservationId {
     pub const UNREGISTERED: ReservationId = ReservationId(0);
 }
 
-/// Priority class of one queue reservation: the rank of a task in the
-/// [`ClassLattice`]. Higher ranks outrank lower ones in ledger arbitration
-/// (see the module docs); equal ranks keep the seniority rule.
-///
-/// The named constants are the ranks of the **default** lattice. A
-/// reordered lattice re-maps names to ranks via [`ClassLattice::class_of`];
-/// the arbitration rule only ever compares ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TaskClass(pub u8);
-
-impl TaskClass {
-    /// Speculative work (e.g. a preemptively enqueued rotation whose
-    /// predecessor gates are incomplete): yields to everything.
-    pub const SPECULATIVE: TaskClass = TaskClass(0);
-    /// Ordinary logical compute (CNOT surgeries, Hadamards) — the default
-    /// class of every entry, so class-blind runs are uniform-`COMPUTE`.
-    pub const COMPUTE: TaskClass = TaskClass(1);
-    /// A ready continuous-angle injection (`|mθ⟩` consumption is the
-    /// latency-critical feed-forward step).
-    pub const INJECTION: TaskClass = TaskClass(2);
-    /// T-gate factory work: rotation pipelines whose output feeds the
-    /// compute block; outranks everything by default.
-    pub const FACTORY: TaskClass = TaskClass(3);
-
-    /// The rank within the lattice (0 = lowest priority).
-    pub fn rank(self) -> u8 {
-        self.0
-    }
-}
-
-impl Default for TaskClass {
-    fn default() -> Self {
-        TaskClass::COMPUTE
-    }
-}
-
-impl std::fmt::Display for TaskClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "class{}", self.0)
-    }
-}
-
-/// The four task classes the scheduler assigns, in the order of the
-/// [`LedgerStats::preemptions_by_class`] buckets (the default lattice's
-/// ascending rank order).
-const CLASS_NAMES: [&str; 4] = ["speculative", "compute", "injection", "factory"];
-
-/// An order of the four task classes: the priority lattice ledger
-/// arbitration ranks reservations by.
-///
-/// The textual form lists the class names from **highest to lowest**
-/// priority, separated by `>` — the default lattice is
-/// `factory>injection>compute>speculative`. Any order of exactly these
-/// four names is a lattice: the scheduler maps its internal task kinds
-/// onto them via [`ClassLattice::factory`] & co.
-///
-/// # Example
-///
-/// ```
-/// use rescq_core::{ClassLattice, TaskClass};
-///
-/// let lattice = ClassLattice::default();
-/// assert_eq!(lattice.factory(), TaskClass::FACTORY);
-/// assert!(lattice.factory() > lattice.compute());
-/// assert_eq!(lattice.to_string(), "factory>injection>compute>speculative");
-///
-/// // Any order of the four: here injections outrank factory work.
-/// let custom: ClassLattice = "injection>factory>compute>speculative"
-///     .parse()
-///     .unwrap();
-/// assert!(custom.injection() > custom.factory());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassLattice {
-    /// Class names in ascending rank order (index = rank).
-    names: [&'static str; 4],
-}
-
-impl Default for ClassLattice {
-    fn default() -> Self {
-        ClassLattice { names: CLASS_NAMES }
-    }
-}
-
-impl ClassLattice {
-    /// The rank of the named class, if present.
-    pub fn class_of(&self, name: &str) -> Option<TaskClass> {
-        self.names
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| TaskClass(i as u8))
-    }
-
-    fn canonical(&self, name: &str) -> TaskClass {
-        self.class_of(name)
-            .expect("every lattice orders all four classes")
-    }
-
-    /// Rank of the canonical `speculative` class.
-    pub fn speculative(&self) -> TaskClass {
-        self.canonical("speculative")
-    }
-
-    /// Rank of the canonical `compute` class.
-    pub fn compute(&self) -> TaskClass {
-        self.canonical("compute")
-    }
-
-    /// Rank of the canonical `injection` class.
-    pub fn injection(&self) -> TaskClass {
-        self.canonical("injection")
-    }
-
-    /// Rank of the canonical `factory` class.
-    pub fn factory(&self) -> TaskClass {
-        self.canonical("factory")
-    }
-
-    /// Parses the shared configuration spelling used by every surface
-    /// (CLI flag, config-file key, harness axis): `off` (case-insensitive)
-    /// means class-blind arbitration (`None`), anything else must be a
-    /// valid lattice.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`FromStr`] error message for an invalid lattice.
-    pub fn parse_setting(s: &str) -> Result<Option<ClassLattice>, String> {
-        if s.trim().eq_ignore_ascii_case("off") {
-            return Ok(None);
-        }
-        s.parse::<ClassLattice>().map(Some)
-    }
-
-    /// The rank → counter-bucket map for this lattice
-    /// ([`ReservationLedger::set_class_buckets`]): rank `r` counts toward
-    /// the bucket of the class at that rank, so the named per-class
-    /// counters stay truthful whatever order the lattice gives them.
-    pub fn canonical_buckets(&self) -> [u8; 4] {
-        self.names.map(|name| {
-            CLASS_NAMES
-                .iter()
-                .position(|&c| c == name)
-                .expect("lattice names are the four classes") as u8
-        })
-    }
-}
-
-impl std::fmt::Display for ClassLattice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, name) in self.names.iter().rev().enumerate() {
-            if i > 0 {
-                f.write_str(">")?;
-            }
-            f.write_str(name)?;
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for ClassLattice {
-    type Err = String;
-
-    /// Parses the `highest>…>lowest` spelling: an order of exactly the
-    /// four classes `factory`, `injection`, `compute` and `speculative`
-    /// (case-insensitive). A missing, extra or repeated name is an error
-    /// that lists the four.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad = |what: String| {
-            Err(format!(
-                "{what} in lattice `{s}`: order exactly the four classes \
-                 factory, injection, compute and speculative"
-            ))
-        };
-        let mut names: Vec<&'static str> = Vec::with_capacity(4);
-        for part in s.split('>') {
-            let name = part.trim().to_ascii_lowercase();
-            let Some(&class) = CLASS_NAMES.iter().find(|&&c| c == name) else {
-                return bad(format!("unknown class `{name}`"));
-            };
-            if names.contains(&class) {
-                return bad(format!("duplicate class `{class}`"));
-            }
-            names.push(class);
-        }
-        if let Some(missing) = CLASS_NAMES.iter().find(|c| !names.contains(c)) {
-            return bad(format!("missing class `{missing}`"));
-        }
-        // Input is highest-first; store ascending (index = rank).
-        names.reverse();
-        Ok(ClassLattice {
-            names: names.try_into().expect("four distinct classes"),
-        })
-    }
-}
-
 /// Counters describing a ledger's preemption and wait-graph history.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LedgerStats {
@@ -283,19 +72,6 @@ pub struct LedgerStats {
     /// Preemptions rejected because the reversed wait-for edges would have
     /// created a cycle (the naive-yield deadlock, caught).
     pub preemptions_rejected_cycle: u64,
-    /// Applied preemptions where the preemptor's [`TaskClass`] strictly
-    /// outranked at least one displaced entry — reorders that seniority (or
-    /// the caller's equal-class test) alone would not have granted. Always 0
-    /// when every entry carries the same class (class-blind runs).
-    pub preemptions_class: u64,
-    /// Applied preemptions bucketed by the preemptor's class. With a
-    /// bucket map installed ([`ReservationLedger::set_class_buckets`],
-    /// built from [`ClassLattice::canonical_buckets`]) the four buckets
-    /// are the classes `speculative, compute, injection, factory`
-    /// whatever ranks the lattice assigns them; without one, the bucket is
-    /// the rank. Class-blind runs land everything in the default
-    /// [`TaskClass::COMPUTE`] bucket.
-    pub preemptions_by_class: [u64; 4],
     /// Largest number of distinct edges the wait-for graph ever held.
     pub waitgraph_peak_edges: u64,
 }
@@ -319,9 +95,6 @@ pub enum LedgerEvent {
         task: TaskId,
         /// The reordered ancilla queue.
         ancilla: u32,
-        /// The reorder was granted by the class lattice (see
-        /// [`Preemption::Applied`]'s `class_won`).
-        class_won: bool,
     },
     /// A preemption was rejected by the incremental acyclicity check.
     Rejected {
@@ -353,12 +126,6 @@ pub enum Preemption {
     Applied {
         /// Task whose entry sat at the top before the reorder.
         displaced_top: TaskId,
-        /// The reorder was granted by the priority-class lattice: the
-        /// preemptor strictly outranked at least one displaced entry, so
-        /// seniority (or the caller's equal-class test) alone would have
-        /// refused it. Mirrors the [`LedgerStats::preemptions_class`]
-        /// increment, per call.
-        class_won: bool,
     },
     /// The reorder would have made the wait-for graph cyclic; nothing
     /// changed.
@@ -387,7 +154,7 @@ pub enum Preemption {
 /// // The older CNOT preempts: the reorder is provably cycle-free.
 /// assert_eq!(
 ///     ledger.try_preempt(TaskId(0), 0),
-///     Preemption::Applied { displaced_top: TaskId(1), class_won: false }
+///     Preemption::Applied { displaced_top: TaskId(1) }
 /// );
 /// assert_eq!(ledger.queue(0).top().unwrap().task, TaskId(0));
 /// assert!(ledger.is_acyclic());
@@ -429,10 +196,6 @@ pub struct ReservationLedger {
     scratch_counts: Vec<(TaskId, u32)>,
     scratch_stack: Vec<TaskId>,
     scratch_seen: crate::arena::Bitset,
-    /// Rank → counter-bucket map for [`LedgerStats::preemptions_by_class`]
-    /// (`None`: the bucket is the rank). Affects counters only, never
-    /// arbitration.
-    class_buckets: Option<[u8; 4]>,
     /// Arbitration event log, `None` (and cost-free) unless a consumer
     /// called [`Self::enable_event_log`].
     event_log: Option<Vec<LedgerEvent>>,
@@ -554,15 +317,6 @@ impl ReservationLedger {
         if let Some(log) = &mut self.event_log {
             log.push(ev);
         }
-    }
-
-    /// Installs the rank → bucket map used to attribute
-    /// [`LedgerStats::preemptions_by_class`] (typically
-    /// [`ClassLattice::canonical_buckets`], so the named buckets stay
-    /// truthful for a reordered lattice). Counters only — arbitration
-    /// always compares raw ranks.
-    pub fn set_class_buckets(&mut self, buckets: [u8; 4]) {
-        self.class_buckets = Some(buckets);
     }
 
     /// Number of ancilla queues.
@@ -713,15 +467,6 @@ impl ReservationLedger {
         self.queues[a as usize].update_angle(task, angle)
     }
 
-    /// Rewrites the priority class of `task`'s entries on ancilla `a` in
-    /// place (class *promotion* — e.g. a speculative rotation becoming
-    /// runnable). Queue position and the wait graph are untouched; only
-    /// future arbitration sees the new class.
-    pub fn update_class(&mut self, a: u32, task: TaskId, class: TaskClass) -> bool {
-        self.mark_dirty(a);
-        self.queues[a as usize].update_class(task, class)
-    }
-
     /// Sets the status of ancilla `a`'s top entry, if any.
     pub fn set_top_status(&mut self, a: u32, status: EntryStatus) {
         self.mark_dirty(a);
@@ -760,30 +505,17 @@ impl ReservationLedger {
         self.try_preempt_with(task, a, |e| e.task > task)
     }
 
-    /// [`Self::try_preempt`] with a caller-supplied *equal-class*
-    /// speculation test — the single class-aware arbitration rule every
-    /// preemption entry point shares.
+    /// [`Self::try_preempt`] with a caller-supplied speculation test — the
+    /// single arbitration rule every preemption entry point shares.
     ///
     /// The ledger always enforces the structural half of eligibility (every
     /// entry ahead is a preparation that is not executing and not holding a
     /// state, or an unused helper claim) and the acyclicity check. Above
-    /// that, each displaced entry is judged by the [`TaskClass`] lattice:
-    ///
-    /// - the preemptor's class **strictly outranks** the entry's → the
-    ///   entry yields (this is the reorder seniority alone would refuse —
-    ///   counted in [`LedgerStats::preemptions_class`]);
-    /// - **equal** classes → `may_displace` decides, exactly the
-    ///   pre-lattice behaviour. The default [`Self::try_preempt`] passes
-    ///   strict seniority (`prep.task > task`); an engine that knows more —
-    ///   e.g. that a preparation's owner cannot inject yet because its
-    ///   predecessor gates are incomplete — can widen the test without
-    ///   touching the safety invariant;
-    /// - the entry's class **outranks** the preemptor's → never displaced.
-    ///
-    /// The preemptor's class is read from its own entry in this queue, so
-    /// class policy travels with the reservation; when every entry carries
-    /// the default class the rule degenerates to the class-blind ledger
-    /// bit for bit.
+    /// that, `may_displace` must accept every displaced entry. The default
+    /// [`Self::try_preempt`] passes strict seniority (`prep.task > task`);
+    /// an engine that knows more — e.g. that a preparation's owner cannot
+    /// inject yet because its predecessor gates are incomplete — can widen
+    /// the test without touching the safety invariant.
     pub fn try_preempt_with(
         &mut self,
         task: TaskId,
@@ -797,18 +529,12 @@ impl ReservationLedger {
         if pos == 0 {
             return Preemption::NotEligible;
         }
-        let class = q.entry(task).expect("position implies entry").class;
-        let mut class_win = false;
-        for e in q.iter().take(pos) {
-            let may_reorder = match class.cmp(&e.class) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => may_displace(e),
-                std::cmp::Ordering::Less => false,
-            };
-            if !e.yields_structurally() || !may_reorder {
-                return Preemption::NotEligible;
-            }
-            class_win |= class > e.class;
+        if !q
+            .iter()
+            .take(pos)
+            .all(|e| e.yields_structurally() && may_displace(e))
+        {
+            return Preemption::NotEligible;
         }
         let displaced_top = q.top().expect("pos > 0").task;
         // Incremental cycle check. The reorder changes exactly one set of
@@ -850,21 +576,8 @@ impl ReservationLedger {
             self.queues[a as usize].set_status_at(i, EntryStatus::Ready);
         }
         self.stats.preemptions += 1;
-        let rank = class.rank() as usize;
-        let bucket = self.class_buckets.map_or(rank, |b| b[rank] as usize);
-        self.stats.preemptions_by_class[bucket] += 1;
-        if class_win {
-            self.stats.preemptions_class += 1;
-        }
-        self.log_event(LedgerEvent::Preempted {
-            task,
-            ancilla: a,
-            class_won: class_win,
-        });
-        Preemption::Applied {
-            displaced_top,
-            class_won: class_win,
-        }
+        self.log_event(LedgerEvent::Preempted { task, ancilla: a });
+        Preemption::Applied { displaced_top }
     }
 
     /// Whether `from` reaches any key of `doomed` in the wait-for graph
@@ -1070,8 +783,7 @@ mod tests {
         assert_eq!(
             got,
             Preemption::Applied {
-                displaced_top: TaskId(3),
-                class_won: false
+                displaced_top: TaskId(3)
             }
         );
         let order: Vec<u32> = l.queue(0).iter().map(|e| e.task.0).collect();
@@ -1149,208 +861,6 @@ mod tests {
     }
 
     #[test]
-    fn lattice_parses_displays_and_validates() {
-        let default = ClassLattice::default();
-        assert_eq!(default.to_string(), "factory>injection>compute>speculative");
-        assert_eq!(
-            "factory>injection>compute>speculative"
-                .parse::<ClassLattice>()
-                .unwrap(),
-            default
-        );
-        assert_eq!(default.speculative(), TaskClass::SPECULATIVE);
-        assert_eq!(default.compute(), TaskClass::COMPUTE);
-        assert_eq!(default.injection(), TaskClass::INJECTION);
-        assert_eq!(default.factory(), TaskClass::FACTORY);
-        assert_eq!(default.compute(), TaskClass::default());
-        // Any order of the four classes, in any case.
-        let custom: ClassLattice = " Injection > factory>compute>speculative".parse().unwrap();
-        assert!(custom.injection() > custom.factory());
-        assert_eq!(custom.class_of("injection"), Some(TaskClass(3)));
-        assert_eq!(custom.class_of("cache"), None);
-        // Round trip through Display.
-        assert_eq!(custom.to_string().parse::<ClassLattice>().unwrap(), custom);
-        // The shared config spelling: `off` (any case) = class-blind.
-        assert_eq!(ClassLattice::parse_setting("off"), Ok(None));
-        assert_eq!(ClassLattice::parse_setting(" OFF "), Ok(None));
-        assert_eq!(
-            ClassLattice::parse_setting("factory>injection>compute>speculative"),
-            Ok(Some(default.clone()))
-        );
-        assert!(ClassLattice::parse_setting("nonsense").is_err());
-        // Exactly the four classes: a missing, extra, repeated or unknown
-        // name is rejected, and the error lists the four.
-        for (bad, names) in [
-            ("factory>compute>speculative", "missing class `injection`"),
-            (
-                "cache>factory>injection>compute>speculative",
-                "unknown class `cache`",
-            ),
-            (
-                "factory>factory>injection>compute>speculative",
-                "duplicate class `factory`",
-            ),
-            (
-                "factory>injection>compute>speculative>compute",
-                "duplicate class `compute`",
-            ),
-            (
-                "fac tory>injection>compute>speculative",
-                "unknown class `fac tory`",
-            ),
-            (">factory", "unknown class ``"),
-        ] {
-            let e = bad.parse::<ClassLattice>().unwrap_err();
-            assert!(e.contains(names), "{bad}: {e}");
-            assert!(
-                e.contains("factory, injection, compute and speculative"),
-                "{bad}: {e}"
-            );
-        }
-    }
-
-    #[test]
-    fn factory_class_preempts_where_seniority_would_refuse() {
-        // An OLDER speculative prep sits ahead of a YOUNGER factory task.
-        // Strict seniority rejects the reorder (the entry ahead is not
-        // younger); the class lattice grants it — and the structural +
-        // acyclicity machinery still runs unchanged underneath.
-        let mut l = ReservationLedger::new(1);
-        l.push(0, prep(1).with_class(TaskClass::SPECULATIVE));
-        l.push(0, prep(2).with_class(TaskClass::FACTORY));
-        // Seniority-only (both entries forced to one class): refused.
-        let mut blind = ReservationLedger::new(1);
-        blind.push(0, prep(1));
-        blind.push(0, prep(2));
-        assert_eq!(blind.try_preempt(TaskId(2), 0), Preemption::NotEligible);
-        // Class-aware: the factory entry overtakes the speculative claim.
-        assert_eq!(
-            l.try_preempt(TaskId(2), 0),
-            Preemption::Applied {
-                displaced_top: TaskId(1),
-                class_won: true
-            }
-        );
-        let order: Vec<u32> = l.queue(0).iter().map(|e| e.task.0).collect();
-        assert_eq!(order, vec![2, 1]);
-        assert!(l.is_acyclic());
-        assert_eq!(l.stats().preemptions, 1);
-        assert_eq!(l.stats().preemptions_class, 1);
-        assert_eq!(
-            l.stats().preemptions_by_class,
-            [0, 0, 0, 1],
-            "bucketed under the factory rank"
-        );
-    }
-
-    #[test]
-    fn lower_class_never_displaces_higher() {
-        // An older compute route behind a younger FACTORY prep: seniority
-        // alone would grant the reorder, the lattice refuses it.
-        let mut l = ReservationLedger::new(1);
-        l.push(0, prep(5).with_class(TaskClass::FACTORY));
-        l.push(0, route(1).with_class(TaskClass::COMPUTE));
-        assert_eq!(l.try_preempt(TaskId(1), 0), Preemption::NotEligible);
-        // Same shape with equal classes: today's seniority rule applies.
-        let mut eq = ReservationLedger::new(1);
-        eq.push(0, prep(5));
-        eq.push(0, route(1));
-        assert!(matches!(
-            eq.try_preempt(TaskId(1), 0),
-            Preemption::Applied { .. }
-        ));
-        assert_eq!(
-            eq.stats().preemptions_class,
-            0,
-            "equal classes: no class win"
-        );
-        assert_eq!(eq.stats().preemptions_by_class, [0, 1, 0, 0]);
-    }
-
-    #[test]
-    fn class_preemption_still_cycle_checked() {
-        // The naive-yield counterexample with a class advantage: class may
-        // outrank, but the acyclicity proof still vetoes the reorder.
-        let mut l = ReservationLedger::new(2);
-        for a in 0..2u32 {
-            l.push(a, prep(2).with_class(TaskClass::SPECULATIVE));
-            l.push(a, route(1).with_class(TaskClass::FACTORY));
-        }
-        assert_eq!(l.try_preempt(TaskId(1), 0), Preemption::RejectedCycle);
-        assert_eq!(l.stats().preemptions_class, 0);
-        assert_eq!(l.stats().preemptions_rejected_cycle, 1);
-        // Structural safety also outranks class: an executing entry never
-        // yields, whatever its class.
-        let mut busy = ReservationLedger::new(1);
-        busy.push(0, prep(3).with_class(TaskClass::SPECULATIVE));
-        busy.push(0, route(1).with_class(TaskClass::FACTORY));
-        busy.set_top_status(0, EntryStatus::Executing);
-        assert_eq!(busy.try_preempt(TaskId(1), 0), Preemption::NotEligible);
-    }
-
-    #[test]
-    fn class_promotion_rewrites_entries_in_place() {
-        let mut l = ReservationLedger::new(1);
-        l.push(0, prep(1).with_class(TaskClass::COMPUTE));
-        l.push(0, prep(2).with_class(TaskClass::SPECULATIVE));
-        let edges = l.current_edges();
-        // Promoted: position unchanged, graph unchanged, class visible to
-        // future arbitration.
-        assert!(l.update_class(0, TaskId(2), TaskClass::INJECTION));
-        assert_eq!(l.queue(0).position(TaskId(2)), Some(1));
-        assert_eq!(l.current_edges(), edges);
-        assert_eq!(
-            l.queue(0).entry(TaskId(2)).unwrap().class,
-            TaskClass::INJECTION
-        );
-        assert!(matches!(
-            l.try_preempt(TaskId(2), 0),
-            Preemption::Applied { .. }
-        ));
-        assert!(!l.update_class(0, TaskId(9), TaskClass::FACTORY));
-    }
-
-    #[test]
-    fn canonical_buckets_attribute_custom_lattices_truthfully() {
-        // A reordered lattice must not shift the named columns: each rank
-        // counts toward the bucket of the class that holds it.
-        let lattice: ClassLattice = "injection>factory>speculative>compute".parse().unwrap();
-        let buckets = lattice.canonical_buckets();
-        assert_eq!(buckets[lattice.speculative().rank() as usize], 0);
-        assert_eq!(buckets[lattice.compute().rank() as usize], 1);
-        assert_eq!(buckets[lattice.injection().rank() as usize], 2);
-        assert_eq!(buckets[lattice.factory().rank() as usize], 3);
-        assert_eq!(buckets, [1, 0, 3, 2]);
-        // Default lattice: identity.
-        assert_eq!(ClassLattice::default().canonical_buckets(), [0, 1, 2, 3]);
-
-        // And the ledger uses the map: a factory preemptor at rank 2 lands
-        // in the factory bucket, not the injection column, and a compute
-        // preemptor at rank 0 in the compute bucket.
-        let mut l = ReservationLedger::new(2);
-        l.set_class_buckets(buckets);
-        l.push(0, prep(3).with_class(lattice.compute()));
-        l.push(0, route(1).with_class(lattice.factory()));
-        assert!(matches!(
-            l.try_preempt(TaskId(1), 0),
-            Preemption::Applied {
-                class_won: true,
-                ..
-            }
-        ));
-        l.push(1, prep(5).with_class(lattice.compute()));
-        l.push(1, route(2).with_class(lattice.compute()));
-        assert!(matches!(
-            l.try_preempt(TaskId(2), 1),
-            Preemption::Applied {
-                class_won: false,
-                ..
-            }
-        ));
-        assert_eq!(l.stats().preemptions_by_class, [0, 1, 0, 1]);
-    }
-
-    #[test]
     fn event_log_records_claims_and_arbitration() {
         let mut l = ReservationLedger::new(2);
         // Disabled: no events, no cost.
@@ -1384,8 +894,7 @@ mod tests {
                 },
                 LedgerEvent::Preempted {
                     task: TaskId(1),
-                    ancilla: 0,
-                    class_won: false
+                    ancilla: 0
                 },
             ],
             "NotEligible probes are not arbitration events"
@@ -1444,18 +953,6 @@ mod tests {
             ]
         );
         assert_eq!(l.current_edges(), 3);
-    }
-
-    #[test]
-    fn mixed_classes_ahead_need_every_entry_displaceable() {
-        // A factory entry ahead blocks an injection preemptor even though a
-        // speculative entry ahead would yield: all-or-nothing, like the
-        // structural rule.
-        let mut l = ReservationLedger::new(1);
-        l.push(0, prep(1).with_class(TaskClass::SPECULATIVE));
-        l.push(0, prep(2).with_class(TaskClass::FACTORY));
-        l.push(0, route(3).with_class(TaskClass::INJECTION));
-        assert_eq!(l.try_preempt(TaskId(3), 0), Preemption::NotEligible);
     }
 
     #[test]

@@ -188,10 +188,6 @@ mod tests {
                 "decoder",
                 changed(|c| c.decoder = rescq_decoder::DecoderConfig::union_find(8.0)),
             ),
-            (
-                "priority lattice",
-                changed(|c| c.priority_classes = Some(rescq_core::ClassLattice::default())),
-            ),
             ("max_cycles", changed(|c| c.max_cycles += 1)),
             ("calibration", changed(|c| c.calibration.c1 += 1.0)),
         ] {
@@ -256,8 +252,8 @@ mod tests {
 
     #[test]
     fn resume_skips_old_schema_rows_and_keeps_current_ones() {
-        // Checkpoints written before the decode-work columns existed hold
-        // 30-column rows, and those written before the engine-thread column
+        // Checkpoints written while the class-lattice columns existed hold
+        // 32-column rows, and those written before the engine-thread column
         // was dropped hold 33. Resuming against them must silently drop
         // those rows (the jobs simply re-run) while current-width rows
         // restore fine.
@@ -273,15 +269,22 @@ mod tests {
             ..JobMetrics::default()
         };
         let current_row = crate::results::csv_row(&jobs[0], &metrics);
-        // Simulate the pre-decode-work schema by stripping the three newest
-        // columns off a current row.
-        let old_row = current_row
-            .rsplitn(4, ',')
-            .nth(3)
-            .expect("row has more than 3 columns")
-            .to_string();
-        // The engine-thread schema: a `1` column after the decoder column.
+        // The class-lattice schema: a `priority` column after the decoder
+        // column and a class metric after each of `waitgraph_peak_edges`
+        // and `stall_route`.
+        let at = |name: &str| {
+            crate::results::COLUMNS
+                .iter()
+                .position(|c| c.0 == name)
+                .unwrap()
+        };
         let mut cols: Vec<&str> = current_row.split(',').collect();
+        cols.insert(at("stall_route") + 1, "0");
+        cols.insert(at("waitgraph_peak_edges") + 1, "0");
+        cols.insert(7, "off");
+        let old_row = cols.join(",");
+        assert_eq!(old_row.split(',').count(), 32);
+        // The engine-thread schema: a `1` column after the decoder column.
         cols.insert(7, "1");
         let threads_row = cols.join(",");
         assert_eq!(threads_row.split(',').count(), 33);

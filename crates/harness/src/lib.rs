@@ -61,4 +61,4 @@ pub use results::{
     CSV_HEADER,
 };
 pub use run::{merge_checkpoints, run_sweep, HarnessError, ProgressMode, RunOptions, Shard};
-pub use spec::{fmt_k, fmt_priority, DecoderPoint, JobSpec, SpecError, SweepSpec};
+pub use spec::{fmt_k, DecoderPoint, JobSpec, SpecError, SweepSpec};

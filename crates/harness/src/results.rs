@@ -7,7 +7,7 @@
 //! so a checkpointed row parses back to exactly the value that was written.
 
 use crate::cache::CacheStats;
-use crate::spec::{fmt_k, fmt_priority, JobSpec, SweepSpec};
+use crate::spec::{fmt_k, JobSpec, SweepSpec};
 use rescq_sim::ExecutionReport;
 use std::fmt::Write as _;
 
@@ -206,8 +206,6 @@ sweep_columns! {
         compression = job.config.compression;
         /// Decoder point: `ideal` or `union_find:TP`.
         decoder = job.decoder;
-        /// Priority-class lattice the ledger arbitrated with (`off` = class-blind).
-        priority = fmt_priority(&job.config.priority_classes);
     }
     metrics |r| {
         /// The run seed.
@@ -236,16 +234,12 @@ sweep_columns! {
         preemptions_rejected: u64 = r.counters.preemptions_rejected_cycle, sum;
         /// Peak distinct edges in the task wait-for graph.
         waitgraph_peak_edges: u64 = r.counters.waitgraph_peak_edges, max;
-        /// Preemptions granted by the priority-class lattice (0 in class-blind runs).
-        preemptions_class: u64 = r.counters.preemptions_class, sum;
         /// Task-cycles stalled on ancilla contention (no free route tiles).
         stall_ancilla: u64 = r.counters.stall_ancilla_cycles, sum;
         /// Task-cycles stalled on decoder backlog (feed-forward gated).
         stall_decoder: u64 = r.counters.stall_decoder_cycles, sum;
         /// Task-cycles stalled on a blocked CNOT route.
         stall_route: u64 = r.counters.stall_route_cycles, sum;
-        /// Task-cycles stalled after displacement by a higher priority class.
-        stall_class: u64 = r.counters.stall_class_cycles, sum;
         /// Median CNOT completion latency in cycles.
         cnot_p50: u64 = r.cnot_latency.percentile(0.5), mean;
         /// 99th-percentile CNOT completion latency in cycles.
@@ -374,7 +368,7 @@ impl SweepResults {
         for (i, s) in summaries.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"distance\": {}, \"error_rate\": {}, \"k\": \"{}\", \"compression\": {}, \"decoder\": \"{}\", \"priority\": \"{}\", \"completed\": {}, \"mean_cycles\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"min_cycles\": {}, \"max_cycles\": {}, \"mean_stall_cycles\": {}, \"stall_fraction\": {}",
+                "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"distance\": {}, \"error_rate\": {}, \"k\": \"{}\", \"compression\": {}, \"decoder\": \"{}\", \"completed\": {}, \"mean_cycles\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"min_cycles\": {}, \"max_cycles\": {}, \"mean_stall_cycles\": {}, \"stall_fraction\": {}",
                 json_escape(&s.job.workload),
                 s.job.config.scheduler,
                 s.job.config.distance,
@@ -382,7 +376,6 @@ impl SweepResults {
                 fmt_k(s.job.config.k_policy),
                 s.job.config.compression,
                 s.job.decoder,
-                fmt_priority(&s.job.config.priority_classes),
                 s.completed,
                 s.mean_cycles,
                 s.p50_cycles,

@@ -22,7 +22,7 @@
 //! seeds        = 4
 //! ```
 
-use rescq_core::{ClassLattice, KPolicy, SchedulerKind};
+use rescq_core::{KPolicy, SchedulerKind};
 use rescq_decoder::{DecoderConfig, DecoderKind};
 use rescq_sim::SimConfig;
 use std::fmt;
@@ -89,15 +89,6 @@ pub fn fmt_k(k: KPolicy) -> String {
     }
 }
 
-/// Formats a priority-class point the way specs and CSV columns spell it
-/// (`off`, or the lattice's `>`-separated spelling — CSV-safe either way).
-pub fn fmt_priority(p: &Option<ClassLattice>) -> String {
-    match p {
-        None => "off".to_string(),
-        Some(lattice) => lattice.to_string(),
-    }
-}
-
 /// A declarative cartesian sweep over simulation configurations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
@@ -116,11 +107,6 @@ pub struct SweepSpec {
     pub compressions: Vec<f64>,
     /// Decoder points swept.
     pub decoders: Vec<DecoderPoint>,
-    /// Priority-class lattices swept (`None` = class-blind arbitration,
-    /// the spelling `"off"`; a lattice like
-    /// `"factory>injection>compute>speculative"` enables class-aware
-    /// ledger arbitration for that point).
-    pub priority: Vec<Option<ClassLattice>>,
     /// Seeded runs per sweep point.
     pub seeds: u64,
     /// First run seed.
@@ -144,7 +130,6 @@ impl Default for SweepSpec {
             k_values: vec![KPolicy::Fixed(25)],
             compressions: vec![0.0],
             decoders: vec![DecoderPoint::ideal()],
-            priority: vec![None],
             seeds: 3,
             base_seed: 1,
             circuit_seed: 1,
@@ -359,7 +344,6 @@ impl SweepSpec {
     /// | `k` | integer-or-`"dynamic"` array | `[25]` |
     /// | `compressions` | number array, each in [0, 1] | `[0.0]` |
     /// | `decoders` | string array (`ideal`, `union_find:TP`; TP > 0) | `["ideal"]` |
-    /// | `priority_classes` | string array (`"off"`, or a lattice like `"factory>injection>compute>speculative"`) | `["off"]` |
     /// | `seeds` | integer ≥ 1; `base_seed + seeds` must fit in 64 bits | `3` |
     /// | `base_seed` | integer | `1` |
     /// | `circuit_seed` | integer | `1` |
@@ -408,11 +392,6 @@ impl SweepSpec {
                 "k" => spec.k_values = list(&values, lineno, parse_k)?,
                 "compressions" => spec.compressions = list(&values, lineno, Scalar::as_f64)?,
                 "decoders" => spec.decoders = list(&values, lineno, Scalar::parse_as)?,
-                "priority_classes" => {
-                    spec.priority = list(&values, lineno, |v, l| {
-                        ClassLattice::parse_setting(v.as_str(l)?).map_err(|e| err(l, e))
-                    })?;
-                }
                 "seeds" => spec.seeds = one_scalar(&values, lineno)?.as_u64(lineno)?,
                 "base_seed" => spec.base_seed = one_scalar(&values, lineno)?.as_u64(lineno)?,
                 "circuit_seed" => {
@@ -461,7 +440,6 @@ impl SweepSpec {
             ("k", self.k_values.is_empty()),
             ("compressions", self.compressions.is_empty()),
             ("decoders", self.decoders.is_empty()),
-            ("priority_classes", self.priority.is_empty()),
         ] {
             if field.1 {
                 return Err(err(0, format!("{} must not be empty", field.0)));
@@ -511,12 +489,11 @@ impl SweepSpec {
             * self.k_values.len()
             * self.compressions.len()
             * self.decoders.len()
-            * self.priority.len()
     }
 
     /// Expands the grid into the deterministic job list (seed innermost;
     /// loop order workload → scheduler → distance → error rate → k →
-    /// compression → decoder → priority classes → seed).
+    /// compression → decoder → seed).
     pub fn expand(&self) -> Vec<JobSpec> {
         let mut jobs = Vec::with_capacity(self.num_points() * self.seeds as usize);
         let mut point = 0;
@@ -527,35 +504,32 @@ impl SweepSpec {
                         for &k in &self.k_values {
                             for &compression in &self.compressions {
                                 for &decoder in &self.decoders {
-                                    for priority in &self.priority {
-                                        for i in 0..self.seeds {
-                                            let mut config = SimConfig::builder()
-                                                .scheduler(scheduler)
-                                                .distance(distance)
-                                                .physical_error_rate(error_rate)
-                                                .k_policy(k)
-                                                .compression(compression)
-                                                .priority_classes(priority.clone())
-                                                .seed(self.base_seed + i)
-                                                .build();
-                                            config.decoder = decoder.0;
-                                            // Spec-level flag turns prep
-                                            // decoding ON; it never clears a
-                                            // point that already opted in.
-                                            config.decoder.decode_prep |= self.decode_prep;
-                                            if let Some(mc) = self.max_cycles {
-                                                config.max_cycles = mc;
-                                            }
-                                            jobs.push(JobSpec {
-                                                index: jobs.len(),
-                                                point,
-                                                workload: workload.clone(),
-                                                decoder,
-                                                config,
-                                            });
+                                    for i in 0..self.seeds {
+                                        let mut config = SimConfig::builder()
+                                            .scheduler(scheduler)
+                                            .distance(distance)
+                                            .physical_error_rate(error_rate)
+                                            .k_policy(k)
+                                            .compression(compression)
+                                            .seed(self.base_seed + i)
+                                            .build();
+                                        config.decoder = decoder.0;
+                                        // Spec-level flag turns prep
+                                        // decoding ON; it never clears a
+                                        // point that already opted in.
+                                        config.decoder.decode_prep |= self.decode_prep;
+                                        if let Some(mc) = self.max_cycles {
+                                            config.max_cycles = mc;
                                         }
-                                        point += 1;
+                                        jobs.push(JobSpec {
+                                            index: jobs.len(),
+                                            point,
+                                            workload: workload.clone(),
+                                            decoder,
+                                            config,
+                                        });
                                     }
+                                    point += 1;
                                 }
                             }
                         }
@@ -632,38 +606,6 @@ max_cycles   = 500000
     }
 
     #[test]
-    fn priority_axis_expands_per_point() {
-        let spec = SweepSpec::parse(
-            "workloads = [\"factory_n12\"]\npriority_classes = [\"off\", \"factory>injection>compute>speculative\"]\nseeds = 2\n",
-        )
-        .unwrap();
-        assert_eq!(spec.priority.len(), 2);
-        assert_eq!(spec.num_points(), 2);
-        assert_eq!(fmt_priority(&spec.priority[0]), "off");
-        assert_eq!(
-            fmt_priority(&spec.priority[1]),
-            "factory>injection>compute>speculative"
-        );
-        let jobs = spec.expand();
-        assert_eq!(jobs.len(), 4);
-        // Priority varies per point, outside the innermost seed loop.
-        assert!(jobs[..2]
-            .iter()
-            .all(|j| j.config.priority_classes.is_none()));
-        assert!(jobs[2..]
-            .iter()
-            .all(|j| j.config.priority_classes.is_some()));
-        assert!(jobs[..2].iter().all(|j| j.point == 0));
-        assert!(jobs[2..].iter().all(|j| j.point == 1));
-        // Empty axis and invalid lattices are spec errors.
-        assert!(SweepSpec::parse("workloads = [\"x\"]\npriority_classes = []\n").is_err());
-        assert!(SweepSpec::parse(
-            "workloads = [\"x\"]\npriority_classes = [\"factory>compute\"]\n"
-        )
-        .is_err());
-    }
-
-    #[test]
     fn scalar_accepted_for_lists() {
         let spec = SweepSpec::parse("workloads = \"dnn_n16\"\ndistances = 9\n").unwrap();
         assert_eq!(spec.workloads, vec!["dnn_n16"]);
@@ -679,6 +621,11 @@ max_cycles   = 500000
         let e = SweepSpec::parse("workloads = [\"x\"]\nengine_threads = [1]\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert_eq!(e.message, "unknown key `engine_threads`");
+        // So is the removed priority-class axis.
+        let e =
+            SweepSpec::parse("workloads = [\"x\"]\npriority_classes = [\"off\"]\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(e.message, "unknown key `priority_classes`");
         let e = SweepSpec::parse("workloads = [\"x\"]\ndistances = [seven]\n").unwrap_err();
         assert_eq!(e.line, 2);
     }

@@ -1,6 +1,6 @@
 //! Simulation configuration (mirrors the artifact's config files).
 
-use rescq_core::{ClassLattice, KPolicy, SchedulerKind};
+use rescq_core::{KPolicy, SchedulerKind};
 use rescq_decoder::{DecoderConfig, DecoderKind, ErrorChannel};
 use rescq_rus::{PrepCalibration, RusParams};
 use std::fmt;
@@ -57,16 +57,6 @@ pub struct SimConfig {
     pub decoder: DecoderConfig,
     /// Watchdog: abort if the program exceeds this many cycles.
     pub max_cycles: u64,
-    /// Priority-class lattice for ledger arbitration (`None` = class-blind,
-    /// the default — bit-identical to the pre-lattice engine). With a
-    /// lattice, the realtime engine classes its tasks (by default T-factory
-    /// rotations outrank ready injections, which outrank logical compute,
-    /// which outranks speculative claims), regions hosting factory qubits
-    /// gain an urgency override, and a higher class may reorder ahead of a
-    /// strictly lower one on the ancilla queues whenever the ledger's cycle
-    /// check proves the reorder safe. Equal classes keep the seniority
-    /// rule.
-    pub priority_classes: Option<ClassLattice>,
 }
 
 impl SimConfig {
@@ -118,9 +108,6 @@ impl fmt::Display for SimConfig {
         if self.decoder.kind != DecoderKind::Ideal {
             write!(f, " decoder={}", self.decoder)?;
         }
-        if let Some(lattice) = &self.priority_classes {
-            write!(f, " priority={lattice}")?;
-        }
         Ok(())
     }
 }
@@ -144,7 +131,6 @@ impl Default for SimConfigBuilder {
                 calibration: PrepCalibration::default(),
                 decoder: DecoderConfig::default(),
                 max_cycles: 50_000_000,
-                priority_classes: None,
             },
         }
     }
@@ -212,13 +198,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables class-aware ledger arbitration with the given priority
-    /// lattice (`None` keeps the class-blind default).
-    pub fn priority_classes(mut self, lattice: Option<ClassLattice>) -> Self {
-        self.config.priority_classes = lattice;
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> SimConfig {
         self.config
@@ -263,19 +242,6 @@ mod tests {
         assert_eq!(c.scheduler, SchedulerKind::Autobraid);
         assert_eq!(c.seed, 99);
         assert_eq!(c.rounds_per_cycle(), 11);
-    }
-
-    #[test]
-    fn priority_classes_default_off_and_display() {
-        let c = SimConfig::default();
-        assert!(c.priority_classes.is_none());
-        assert!(!c.to_string().contains("priority"));
-        let c = SimConfig::builder()
-            .priority_classes(Some(ClassLattice::default()))
-            .build();
-        assert!(c
-            .to_string()
-            .contains("priority=factory>injection>compute>speculative"));
     }
 
     #[test]

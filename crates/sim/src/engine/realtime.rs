@@ -56,11 +56,11 @@ use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
 use crate::{SimConfig, SimError};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, GateQubits, QubitId};
+use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, QubitId};
 use rescq_core::{
     for_each_set_bit, plan_cnot_route_into, Bitset, EntryStatus, LedgerEvent, MstPipeline,
     PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch, SchedulerKind,
-    SurgeryCosts, TaskClass, TaskId, TauModel, VecPool,
+    SurgeryCosts, TaskId, TauModel, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::{AncillaIndex, DataAdjacency, EdgeType};
@@ -193,30 +193,10 @@ struct Task {
     gate: GateId,
     sched_round: u64,
     done: bool,
-    /// Priority class of every queue entry this task claims (the default
-    /// [`TaskClass::COMPUTE`] when no lattice is configured, so class-blind
-    /// runs stay uniform and bit-identical).
-    class: TaskClass,
     body: TaskBody,
     /// The cause this task's stall is charged to at each cycle tick, kept
     /// current by [`RtEngine::refresh_stall`] wherever an input changes.
     stall: Option<StallCause>,
-}
-
-/// The resolved priority policy of one run: the canonical class ranks of
-/// the configured [`rescq_core::ClassLattice`] plus the per-qubit factory
-/// classification. Present only when [`SimConfig::priority_classes`] is
-/// set; its absence short-circuits every class-aware code path back to the
-/// historical engine.
-#[derive(Debug, Clone)]
-struct PriorityPolicy {
-    speculative: TaskClass,
-    compute: TaskClass,
-    injection: TaskClass,
-    factory: TaskClass,
-    /// Which data qubits are T-gate factory tiles
-    /// ([`crate::priority::factory_qubits`]).
-    factory_qubit: Vec<bool>,
 }
 
 /// The propose phase's decision for one ancilla. Proposals carry no
@@ -334,11 +314,8 @@ struct RtEngine<'a> {
     constrained: bool,
 
     /// Contiguous regions of the ancilla network (a function of the fabric
-    /// alone): carries the priority-class region overrides and labels
-    /// traced occupancy.
+    /// alone): labels traced occupancy.
     partition: RegionPartition,
-    /// Class-aware arbitration policy (`None` = class-blind, the default).
-    priority: Option<PriorityPolicy>,
 
     counters: RunCounters,
     cnot_latency: LatencyHistogram,
@@ -361,9 +338,8 @@ struct RtEngine<'a> {
     /// harness); observes only, never feeds back into the schedule.
     cycle_probe: Option<&'a dyn Fn(u64)>,
     /// Per-qubit tile adjacency, precomputed once from the static layout:
-    /// the hot loop (injection starts, Rz site enqueueing, class lookups)
-    /// borrows these instead of rebuilding — and heap-allocating — them
-    /// per call.
+    /// the hot loop (injection starts, Rz site enqueueing) borrows these
+    /// instead of rebuilding — and heap-allocating — them per call.
     adjacency: &'a [DataAdjacency],
     /// Pending fabric-occupancy expiries as `(free_at, ancilla)`: every
     /// `occupy_ancilla` with a future release round is recorded here, and
@@ -372,15 +348,9 @@ struct RtEngine<'a> {
     /// time passage (its surgery/rotation/injection window ending) would
     /// never re-enter the incremental propose scan.
     occupancy_expiries: std::collections::BinaryHeap<std::cmp::Reverse<(u64, AncillaIndex)>>,
-    /// Tasks whose preparation was displaced by a class-won preemption and
-    /// has not restarted yet — the `ClassDisplacement` stall bucket.
-    /// Maintained unconditionally (it feeds deterministic counters); only
-    /// membership is queried, never iteration order. Changed only through
-    /// [`Self::set_displaced`], which refreshes the task's stall cause.
-    displaced_by_class: Bitset,
     /// Live tasks per stall cause ([`StallCause::index`] order): what each
     /// cycle tick adds to the stall counters.
-    stalled: [u64; 4],
+    stalled: [u64; 3],
     /// Submission round of each in-flight decoder window, kept only while
     /// traced (drives `WindowRetired::stalled_rounds`).
     traced_windows: HashMap<WindowId, u64>,
@@ -410,58 +380,13 @@ pub(crate) fn run_realtime(
     let rz_entry_cost = prep_model.expected_rounds().ceil() as u64
         + 2 * costs.cnot_injection_cycles as u64 * d as u64;
     let adjacency = qubit_adjacency(&fabric, circuit.num_qubits());
-    let mut partition = RegionPartition::for_fabric(num_ancillas);
-    let priority = config
-        .priority_classes
-        .as_ref()
-        .map(|lattice| PriorityPolicy {
-            speculative: lattice.speculative(),
-            compute: lattice.compute(),
-            injection: lattice.injection(),
-            factory: lattice.factory(),
-            factory_qubit: crate::priority::factory_qubits(circuit),
-        });
-    if let Some(p) = &priority {
-        // Region urgency: a region whose ancilla frontage is dominated by
-        // T-gate factory tiles is promoted to the factory class, so *all*
-        // work homed there — not just the rotations themselves — outranks
-        // compute regions. Majority rule, not any-touch: a region shared
-        // with a larger compute block stays a compute region, otherwise a
-        // coarse region (small fabrics are a single region) would promote
-        // everything and collapse the lattice back to uniform seniority.
-        // A pure function of the circuit and fabric.
-        let mut frontage = vec![(0u32, 0u32); partition.num_regions()];
-        for q in 0..circuit.num_qubits() {
-            let adj = &adjacency[q as usize];
-            for &(_, tile) in &adj.side {
-                if let Some(a) = fabric.graph.index_of(tile) {
-                    let slot = &mut frontage[partition.region_of(a) as usize];
-                    if p.factory_qubit[q as usize] {
-                        slot.0 += 1;
-                    } else {
-                        slot.1 += 1;
-                    }
-                }
-            }
-        }
-        for (r, &(factory, compute)) in frontage.iter().enumerate() {
-            if factory > compute {
-                partition.raise_region_class(r as u32, p.factory);
-            }
-        }
-    }
+    let partition = RegionPartition::for_fabric(num_ancillas);
 
     let mut ledger = ReservationLedger::new(num_ancillas);
     // One task per non-free gate at most: sizing the ledger's edge lists
     // (and the task vectors below) up front keeps task creation off the
     // allocator once the run is warm.
     ledger.reserve_tasks(circuit.len());
-    if let Some(lattice) = &config.priority_classes {
-        // Attribute per-class preemption counters to the named classes
-        // whatever ranks the lattice assigns them (counters only;
-        // arbitration compares raw ranks).
-        ledger.set_class_buckets(lattice.canonical_buckets());
-    }
     if recorder.is_some() {
         // Arbitration events are buffered only for traced runs; the engine
         // drains them (stamped with the current round) after each dispatch.
@@ -509,7 +434,6 @@ pub(crate) fn run_realtime(
         pools: VecPools::default(),
         constrained: 2 * num_ancillas <= 4 * circuit.num_qubits() as usize,
         partition,
-        priority,
         counters: RunCounters::default(),
         cnot_latency: LatencyHistogram::new(),
         rz_latency: LatencyHistogram::new(),
@@ -522,8 +446,7 @@ pub(crate) fn run_realtime(
         cycle_probe,
         adjacency: &adjacency,
         occupancy_expiries: std::collections::BinaryHeap::new(),
-        displaced_by_class: task_set(),
-        stalled: [0; 4],
+        stalled: [0; 3],
         traced_windows: HashMap::new(),
         traced_occupancy: if recorder.is_some() {
             vec![(0, false); num_ancillas]
@@ -612,8 +535,6 @@ impl RtEngine<'_> {
                 let ls = self.ledger.stats();
                 c.preemptions = ls.preemptions;
                 c.preemptions_rejected_cycle = ls.preemptions_rejected_cycle;
-                c.preemptions_class = ls.preemptions_class;
-                c.preemptions_by_class = ls.preemptions_by_class;
                 c.waitgraph_peak_edges = ls.waitgraph_peak_edges;
                 c
             },
@@ -772,7 +693,7 @@ impl RtEngine<'_> {
             || self.start_is_parked(id, task)
     }
 
-    /// Whether a class-blind start attempt of `task` is a pure read that
+    /// Whether a start attempt of `task` is a pure read that
     /// only a parking wake point can change:
     ///
     /// - a CNOT on an unconstrained fabric whose qubits are free but whose
@@ -787,9 +708,6 @@ impl RtEngine<'_> {
     ///   only with a decoded outcome ([`Self::apply_inject_outcome`]) and
     ///   holders grow only in [`Self::on_prep_done`]; both wake the task.
     fn start_is_parked(&self, id: TaskId, task: &Task) -> bool {
-        if self.priority.is_some() {
-            return false;
-        }
         match &task.body {
             TaskBody::Cnot {
                 control,
@@ -797,7 +715,7 @@ impl RtEngine<'_> {
                 path,
                 ..
             } => {
-                self.parks_cnots()
+                !self.constrained
                     && !path.is_empty()
                     && self.fabric.qubit_free(*control, self.clock)
                     && self.fabric.qubit_free(*target, self.clock)
@@ -810,12 +728,6 @@ impl RtEngine<'_> {
         }
     }
 
-    /// Whether blocked CNOT starts are parked: class-blind runs on
-    /// unconstrained fabrics (see [`Self::start_is_parked`]).
-    fn parks_cnots(&self) -> bool {
-        self.priority.is_none() && !self.constrained
-    }
-
     /// The route-wake scan: puts back in the start frontier the task whose
     /// `Route` claim tops a dirty ancilla. It runs at the top of every
     /// start phase and again in [`Self::dispatch_ancillas`], just before
@@ -826,8 +738,8 @@ impl RtEngine<'_> {
     /// so a change that readies a path leaves a dirty ancilla topped by
     /// that task's claim.
     fn wake_route_claimants(&mut self) {
-        if !self.parks_cnots() {
-            return;
+        if self.constrained {
+            return; // constrained runs never park CNOTs
         }
         let (ledger, live) = (&self.ledger, &self.live);
         let frontier = &mut self.start_frontier;
@@ -849,9 +761,7 @@ impl RtEngine<'_> {
     /// Whether `task`'s operation is in flight, which makes its start
     /// attempt a no-op: an H started, a CNOT rotating an endpoint or in
     /// surgery, an Rz injecting (which covers awaiting the decode; a
-    /// ladder that completes completes its task at once). The Rz case
-    /// holds for class-blind runs only: with a lattice, the attempt still
-    /// runs the class promotion and prep-site preemption.
+    /// ladder that completes completes its task at once).
     fn op_in_flight(&self, task: &Task) -> bool {
         match &task.body {
             TaskBody::Hadamard { started, .. } => *started,
@@ -860,14 +770,14 @@ impl RtEngine<'_> {
                 surgery_started,
                 ..
             } => *rotating || *surgery_started,
-            TaskBody::Rz { injecting, .. } => self.priority.is_none() && *injecting,
+            TaskBody::Rz { injecting, .. } => *injecting,
         }
     }
 
     /// Debug audit of the start frontier: every live task outside it must
     /// have an unfinished predecessor — walked through `gate_done`, not the
-    /// counter — or an operation in flight, or be a class-blind task whose
-    /// attempt fails without mutating: an unconstrained CNOT whose path is
+    /// counter — or an operation in flight, or be a task whose attempt
+    /// fails without mutating: an unconstrained CNOT whose path is
     /// empty, whose qubit is busy or whose path is not ready, or an Rz
     /// with no holder at its current angle. Each condition is read from
     /// fabric and ledger state, never from the wake bookkeeping. A wake
@@ -880,25 +790,24 @@ impl RtEngine<'_> {
             next = self.live.next_from(i + 1);
             let task = &self.tasks[i];
             let waiting = !self.dag.preds(task.gate).all(|p| self.gate_done[p.index()]);
-            let blocked = self.priority.is_none()
-                && match &task.body {
-                    TaskBody::Cnot {
-                        control,
-                        target,
-                        path,
-                        ..
-                    } => {
-                        !self.constrained
-                            && (path.is_empty()
-                                || !self.fabric.qubit_free(*control, self.clock)
-                                || !self.fabric.qubit_free(*target, self.clock)
-                                || !self.cnot_path_ready(TaskId(i as u32), path))
-                    }
-                    TaskBody::Rz {
-                        ladder, holders, ..
-                    } => holders.iter().all(|&(_, a)| a != ladder.current_angle()),
-                    TaskBody::Hadamard { .. } => false,
-                };
+            let blocked = match &task.body {
+                TaskBody::Cnot {
+                    control,
+                    target,
+                    path,
+                    ..
+                } => {
+                    !self.constrained
+                        && (path.is_empty()
+                            || !self.fabric.qubit_free(*control, self.clock)
+                            || !self.fabric.qubit_free(*target, self.clock)
+                            || !self.cnot_path_ready(TaskId(i as u32), path))
+                }
+                TaskBody::Rz {
+                    ladder, holders, ..
+                } => holders.iter().all(|&(_, a)| a != ladder.current_angle()),
+                TaskBody::Hadamard { .. } => false,
+            };
             assert!(
                 self.start_frontier.contains(i) || waiting || self.op_in_flight(task) || blocked,
                 "task {i} left the start frontier while it could start: {:?}",
@@ -946,15 +855,10 @@ impl RtEngine<'_> {
                     task: task.0 as u64,
                     ancilla,
                 },
-                LedgerEvent::Preempted {
-                    task,
-                    ancilla,
-                    class_won,
-                } => TraceEvent::Preemption {
+                LedgerEvent::Preempted { task, ancilla } => TraceEvent::Preemption {
                     round,
                     task: task.0 as u64,
                     ancilla,
-                    class_won,
                 },
                 LedgerEvent::Rejected { task, ancilla } => TraceEvent::PreemptionRejected {
                     round,
@@ -1162,67 +1066,16 @@ impl RtEngine<'_> {
         }
     }
 
-    /// The priority class of a new task: factory for work homed in a
-    /// promoted region, injection for a rotation whose predecessors are
-    /// already done, speculative for a preemptively enqueued rotation,
-    /// compute for everything else — and the plain default when no lattice
-    /// is configured (uniform classes ⇒ the pre-lattice engine bit for
-    /// bit).
-    fn task_class(&self, gid: GateId) -> TaskClass {
-        let Some(p) = &self.priority else {
-            return TaskClass::default();
-        };
-        let gate = self.circuit.gate(gid);
-        // The task's home qubit: where its ancilla claims are anchored (the
-        // control side for a CNOT — a factory tile's delivery CNOT rides
-        // the factory's urgency so the produced state leaves the tile).
-        let home = match gate.qubits() {
-            GateQubits::One(q) => q,
-            GateQubits::Two(control, _) => control,
-        };
-        let base = if p.factory_qubit[home.index()] {
-            p.factory
-        } else {
-            match gate {
-                Gate::Rz { .. } => {
-                    if self.unfinished_preds[gid.index()] == 0 {
-                        p.injection
-                    } else {
-                        p.speculative
-                    }
-                }
-                _ => p.compute,
-            }
-        };
-        // Per-region urgency override on top: work homed next to a
-        // promoted region's ancillas is raised to the region's class —
-        // a factory region outranks compute regions.
-        let adj = &self.adjacency[home.index()];
-        let promoted = adj
-            .side
-            .iter()
-            .filter_map(|&(_, tile)| {
-                let a = self.fabric.graph.index_of(tile)?;
-                self.partition.region_class(self.partition.region_of(a))
-            })
-            .max();
-        match promoted {
-            Some(region_class) if region_class > base => region_class,
-            _ => base,
-        }
-    }
-
     fn schedule_gate(&mut self, gid: GateId) {
         self.gate_scheduled[gid.index()] = true;
         let id = TaskId(self.tasks.len() as u32);
-        let class = self.task_class(gid);
         let body = match self.circuit.gate(gid) {
             Gate::H { qubit } => TaskBody::Hadamard {
                 qubit,
                 started: false,
             },
             Gate::Rz { qubit, angle } => {
-                let (prep_sites, helper_sites) = self.enqueue_rz_sites(id, qubit, angle, class);
+                let (prep_sites, helper_sites) = self.enqueue_rz_sites(id, qubit, angle);
                 TaskBody::Rz {
                     qubit,
                     ladder: InjectionLadder::new(angle),
@@ -1235,7 +1088,7 @@ impl RtEngine<'_> {
                 }
             }
             Gate::Cnot { control, target } => {
-                let path = self.plan_and_enqueue_cnot(id, control, target, class);
+                let path = self.plan_and_enqueue_cnot(id, control, target);
                 TaskBody::Cnot {
                     control,
                     target,
@@ -1251,7 +1104,6 @@ impl RtEngine<'_> {
             gate: gid,
             sched_round: self.clock,
             done: false,
-            class,
             body,
             stall: None,
         });
@@ -1270,7 +1122,6 @@ impl RtEngine<'_> {
         id: TaskId,
         qubit: QubitId,
         angle: Angle,
-        class: TaskClass,
     ) -> (Vec<(AncillaIndex, bool)>, Vec<AncillaIndex>) {
         let orient = self.fabric.orientation[qubit.index()];
         let adj = &self.adjacency[qubit.index()];
@@ -1284,10 +1135,8 @@ impl RtEngine<'_> {
                 continue;
             };
             if orient.edge_at(side) == EdgeType::Z {
-                self.ledger.push(
-                    a,
-                    QueueEntry::new(id, Role::PrepZz, angle).with_class(class),
-                );
+                self.ledger
+                    .push(a, QueueEntry::new(id, Role::PrepZz, angle));
                 prep_sites.push((a, true));
             } else {
                 x_side.push(a);
@@ -1308,24 +1157,20 @@ impl RtEngine<'_> {
                         helper: self.fabric.graph.tile(h),
                     },
                     angle,
-                )
-                .with_class(class),
+                ),
             );
             prep_sites.push((a, false));
         }
         if prep_sites.is_empty() {
             // Constrained geometry: prepare on the X-edge neighbours.
             for &a in &x_side {
-                self.ledger
-                    .push(a, QueueEntry::new(id, Role::PrepX, angle).with_class(class));
+                self.ledger.push(a, QueueEntry::new(id, Role::PrepX, angle));
                 prep_sites.push((a, true));
             }
         } else {
             for &a in &x_side {
-                self.ledger.push(
-                    a,
-                    QueueEntry::new(id, Role::Helper, angle).with_class(class),
-                );
+                self.ledger
+                    .push(a, QueueEntry::new(id, Role::Helper, angle));
                 helper_sites.push(a);
             }
         }
@@ -1433,11 +1278,10 @@ impl RtEngine<'_> {
         id: TaskId,
         control: QubitId,
         target: QubitId,
-        class: TaskClass,
     ) -> Vec<AncillaIndex> {
         let mut path = self.pools.paths.take();
         self.plan_cnot_path_into(id, control, target, &mut path);
-        self.enqueue_route_claims(id, &path, class);
+        self.enqueue_route_claims(id, &path);
         self.emit_with(|| TraceEvent::RoutePlanned {
             round: self.clock,
             task: id.0 as u64,
@@ -1447,15 +1291,11 @@ impl RtEngine<'_> {
         path
     }
 
-    /// Registers a CNOT path's Route claims with the ledger. Each claim
-    /// carries the task's priority class, so arbitration is class-aware —
-    /// the class travels with the reservation.
-    fn enqueue_route_claims(&mut self, id: TaskId, path: &[AncillaIndex], class: TaskClass) {
+    /// Registers a CNOT path's Route claims with the ledger.
+    fn enqueue_route_claims(&mut self, id: TaskId, path: &[AncillaIndex]) {
         for &a in path {
-            self.ledger.push(
-                a,
-                QueueEntry::new(id, Role::Route, Angle::ZERO).with_class(class),
-            );
+            self.ledger
+                .push(a, QueueEntry::new(id, Role::Route, Angle::ZERO));
         }
     }
 
@@ -1568,9 +1408,6 @@ impl RtEngine<'_> {
 
     fn start_prep(&mut self, a: AncillaIndex, task: TaskId, angle: Angle) {
         let rounds = self.prep_model.sample_prep_rounds(&mut self.rng);
-        // The task is preparing again: its class displacement (if any) is
-        // over for stall-attribution purposes.
-        self.set_displaced(task, false);
         self.prepping[a as usize] = Some(angle);
         self.ledger.set_top_status(a, EntryStatus::Preparing);
         self.counters.preps_started += 1;
@@ -1633,35 +1470,7 @@ impl RtEngine<'_> {
                 self.events.push(until, Ev::HDone { task: id });
                 true
             }
-            TaskBody::Rz { .. } => {
-                if !preds_done {
-                    // No class preemption while speculative: reordering a
-                    // not-yet-runnable task ahead of work its own
-                    // predecessors transitively depend on closes a wait
-                    // cycle *through the dependency DAG* that the ledger's
-                    // queue-level acyclicity check cannot see (the held
-                    // ancilla then starves the dependency into a
-                    // stall-breaker livelock). Once the predecessors are
-                    // done, no displaced task can sit on the preemptor's
-                    // dependency chain, so the reorder is live as well as
-                    // acyclic.
-                    return false;
-                }
-                // Class-aware prep-site preemption (lattice runs only): a
-                // runnable rotation queued behind strictly lower-class
-                // claims asks the ledger to reorder it to the top of its
-                // prep sites so its |mθ⟩ pipeline starts now — the
-                // factory-over-compute urgency of the class lattice. Equal
-                // classes fall back to seniority inside the ledger, and
-                // every reorder is still cycle-checked; class-blind runs
-                // never reach this path.
-                let mut progress = false;
-                if self.priority.is_some() {
-                    self.promote_runnable_class(id);
-                    progress = self.class_preempt_prep_sites(id);
-                }
-                self.try_start_injection(id) || progress
-            }
+            TaskBody::Rz { .. } => preds_done && self.try_start_injection(id),
             TaskBody::Cnot { .. } => {
                 if !preds_done {
                     return false;
@@ -1669,85 +1478,6 @@ impl RtEngine<'_> {
                 self.try_start_surgery(id)
             }
         }
-    }
-
-    /// Asks the ledger to reorder `id`'s entry to the top of each of its
-    /// prep sites (class-aware arbitration; see the call site in
-    /// [`Self::try_start_task`]). Applied reorders cancel the displaced
-    /// preparation exactly like a stalled-CNOT preemption.
-    /// Promotes a now-runnable rotation from the speculative class to the
-    /// injection class, rewriting its queue entries in place. A rotation
-    /// enqueued preemptively (predecessors incomplete) is stamped
-    /// speculative at claim time; once its predecessors finish, its
-    /// injection is the latency-critical feed-forward step, so the lattice's
-    /// injection-over-compute urgency must apply — and compute work must no
-    /// longer displace its claims by class. Entry positions (and the wait
-    /// graph) are untouched.
-    fn promote_runnable_class(&mut self, id: TaskId) {
-        let Some(p) = &self.priority else { return };
-        let injection = p.injection;
-        if self.tasks[id.index()].class >= injection {
-            return; // already injection-or-better (e.g. factory)
-        }
-        self.tasks[id.index()].class = injection;
-        let (num_sites, num_helpers) = match &self.tasks[id.index()].body {
-            TaskBody::Rz {
-                prep_sites,
-                helper_sites,
-                ..
-            } => (prep_sites.len(), helper_sites.len()),
-            _ => return, // only rotations are ever enqueued speculatively
-        };
-        // Indexed re-fetch: `update_class` rewrites ledger entries, never
-        // the task body, so the site lists are stable across iterations.
-        for i in 0..num_sites {
-            let a = match &self.tasks[id.index()].body {
-                TaskBody::Rz { prep_sites, .. } => prep_sites[i].0,
-                _ => unreachable!("task body cannot change kind"),
-            };
-            self.ledger.update_class(a, id, injection);
-        }
-        for i in 0..num_helpers {
-            let a = match &self.tasks[id.index()].body {
-                TaskBody::Rz { helper_sites, .. } => helper_sites[i],
-                _ => unreachable!("task body cannot change kind"),
-            };
-            self.ledger.update_class(a, id, injection);
-        }
-    }
-
-    fn class_preempt_prep_sites(&mut self, id: TaskId) -> bool {
-        let TaskBody::Rz { ref prep_sites, .. } = self.tasks[id.index()].body else {
-            return false;
-        };
-        // Indexed iteration: nothing this loop calls mutates `prep_sites`
-        // (only a Reclaim commit does, in a different phase), and indexing
-        // avoids cloning the site list on a per-dispatch hot path.
-        // Eligibility (position, structural yield, class rule, cycle
-        // check) is entirely `try_preempt`'s job.
-        let mut progress = false;
-        for i in 0..prep_sites.len() {
-            let TaskBody::Rz { ref prep_sites, .. } = self.tasks[id.index()].body else {
-                unreachable!("task body cannot change kind");
-            };
-            let a = prep_sites[i].0;
-            if let Preemption::Applied {
-                displaced_top,
-                class_won,
-            } = self.ledger.try_preempt(id, a)
-            {
-                debug_assert!(
-                    self.ledger.is_acyclic(),
-                    "class preemption broke acyclicity"
-                );
-                self.cancel_displaced_prep(a, displaced_top);
-                if class_won {
-                    self.set_displaced(displaced_top, true);
-                }
-                progress = true;
-            }
-        }
-        progress
     }
 
     fn try_start_injection(&mut self, id: TaskId) -> bool {
@@ -1870,8 +1600,7 @@ impl RtEngine<'_> {
             *injecting = true;
         }
         self.ledger.set_top_status(holder, EntryStatus::Executing);
-        // Also refreshes the stall cause `injecting` changed.
-        self.set_displaced(id, false);
+        self.refresh_stall(id);
         self.counters.injections += 1;
         self.events.push(
             until,
@@ -1912,11 +1641,9 @@ impl RtEngine<'_> {
             _ => unreachable!("checked above"),
         };
         let mut all_ready = self.cnot_path_ready(id, &path);
-        // Preemption for stalled CNOTs: always armed on constrained fabrics
-        // (where routes starve without it), and on any fabric when the
-        // priority lattice is enabled (a factory delivery CNOT may outrank
-        // the compute claims blocking its path).
-        if !all_ready && (self.constrained || self.priority.is_some()) {
+        // Preemption for stalled CNOTs: armed on constrained fabrics, where
+        // routes starve without it.
+        if !all_ready && self.constrained {
             // Seniority-safe preemption (the mechanism the naive yield
             // lacked): ask the ledger to reorder this stalled CNOT ahead of
             // the younger speculative preparations blocking its path. The
@@ -1950,16 +1677,9 @@ impl RtEngine<'_> {
                 let outcome = self
                     .ledger
                     .try_preempt_with(id, a, |e| e.task > id || spec.contains(&e.task));
-                if let Preemption::Applied {
-                    displaced_top,
-                    class_won,
-                } = outcome
-                {
+                if let Preemption::Applied { displaced_top } = outcome {
                     debug_assert!(self.ledger.is_acyclic(), "preemption broke acyclicity");
                     self.cancel_displaced_prep(a, displaced_top);
-                    if class_won {
-                        self.set_displaced(displaced_top, true);
-                    }
                     preempted = true;
                 }
             }
@@ -1982,11 +1702,10 @@ impl RtEngine<'_> {
                 let mut new_path = self.pools.paths.take();
                 self.plan_cnot_path_into(id, control, target, &mut new_path);
                 if new_path != path {
-                    let class = self.tasks[id.index()].class;
                     for &a in &path {
                         self.ledger.remove_task(a, id);
                     }
-                    self.enqueue_route_claims(id, &new_path, class);
+                    self.enqueue_route_claims(id, &new_path);
                     self.emit_with(|| TraceEvent::RoutePlanned {
                         round: self.clock,
                         task: id.0 as u64,
@@ -2210,8 +1929,8 @@ impl RtEngine<'_> {
     // ------------------------------------------------------------------
 
     /// The cause a live, runnable task that cannot make progress is
-    /// blocked on (ancilla contention, decoder backlog, route blocked, or
-    /// class displacement); `None` for a task that is done, waits on a
+    /// blocked on (ancilla contention, decoder backlog or route blocked);
+    /// `None` for a task that is done, waits on a
     /// predecessor, or is executing. Derived purely from simulated state,
     /// so the counters are bit-identical with or without a recorder.
     fn stall_cause(&self, id: TaskId) -> Option<StallCause> {
@@ -2251,8 +1970,6 @@ impl RtEngine<'_> {
                     None // executing
                 } else if *pending_prep_decodes > 0 {
                     Some(StallCause::DecoderBacklog)
-                } else if self.displaced_by_class.contains(id.index()) {
-                    Some(StallCause::ClassDisplacement)
                 } else {
                     Some(StallCause::AncillaContention)
                 }
@@ -2267,7 +1984,7 @@ impl RtEngine<'_> {
     /// counts. Called wherever an input of [`Self::stall_cause`] changes:
     /// creation, the last predecessor finishing, a CNOT's path, rotation
     /// or surgery changing, an Rz's injection, decode waits or ladder
-    /// moving, class displacement, and completion.
+    /// moving, and completion.
     fn refresh_stall(&mut self, id: TaskId) {
         let cause = self.stall_cause(id);
         let slot = &mut self.tasks[id.index()].stall;
@@ -2281,16 +1998,6 @@ impl RtEngine<'_> {
         }
     }
 
-    /// Marks `id` as displaced by a class-won preemption, or not.
-    fn set_displaced(&mut self, id: TaskId, displaced: bool) {
-        if displaced {
-            self.displaced_by_class.insert(id.index());
-        } else {
-            self.displaced_by_class.remove(id.index());
-        }
-        self.refresh_stall(id);
-    }
-
     /// Charges one cycle per stalled live task to its cause's counter. The
     /// counts are kept current by [`Self::refresh_stall`], so untraced
     /// ticks do `O(1)` work; a recorder gets one [`TraceEvent::Stall`] per
@@ -2298,11 +2005,10 @@ impl RtEngine<'_> {
     fn sample_stalls(&mut self) {
         #[cfg(debug_assertions)]
         self.audit_stall_counts();
-        let [ancilla, decoder, route, class] = self.stalled;
+        let [ancilla, decoder, route] = self.stalled;
         self.counters.stall_ancilla_cycles += ancilla;
         self.counters.stall_decoder_cycles += decoder;
         self.counters.stall_route_cycles += route;
-        self.counters.stall_class_cycles += class;
         let Some(rec) = self.recorder else { return };
         let mut next = self.live.first();
         while let Some(i) = next {
@@ -2323,7 +2029,7 @@ impl RtEngine<'_> {
     /// [`Self::refresh_stall`] fails here.
     #[cfg(debug_assertions)]
     fn audit_stall_counts(&self) {
-        let mut recount = [0u64; 4];
+        let mut recount = [0u64; 3];
         let mut next = self.live.next_from(0);
         while let Some(i) = next {
             next = self.live.next_from(i + 1);
@@ -2742,7 +2448,6 @@ impl RtEngine<'_> {
     }
 
     fn complete_task(&mut self, task: TaskId, gate: GateId) {
-        self.displaced_by_class.remove(task.0 as usize);
         self.ledger.recycle_task(task);
         self.tasks[task.index()].done = true;
         self.live.remove(task.index());

@@ -3,10 +3,8 @@
 //! [`RegionPartition`] splits the ancilla index space into contiguous
 //! regions of roughly [`REGION_TARGET`] ancillas. The partition is a
 //! property of the **fabric alone**, so every region-derived quantity —
-//! the analyze region-utilisation report and the priority-class region
-//! overrides — is a pure function of the circuit and fabric.
-
-use rescq_core::TaskClass;
+//! the analyze region-utilisation report — is a pure function of the
+//! fabric.
 
 /// Target ancillas per region: small enough that modest benchmarks span
 /// several regions, large enough that a region is a meaningful share of
@@ -16,18 +14,11 @@ const REGION_TARGET: usize = 32;
 /// A partition of the ancilla index space `0..n` into contiguous regions.
 ///
 /// Regions are balanced to within one ancilla and depend only on `n`, so
-/// the same fabric always produces the same partition. A region may carry
-/// an optional **urgency override** — a [`TaskClass`] that work homed in
-/// the region is promoted to (e.g. regions hosting T-gate factory tiles
-/// outranking compute regions). Overrides are derived from the circuit and
-/// fabric alone.
+/// the same fabric always produces the same partition.
 #[derive(Debug, Clone)]
 pub(crate) struct RegionPartition {
     /// Region boundaries: region `r` covers `bounds[r]..bounds[r + 1]`.
     bounds: Vec<u32>,
-    /// Per-region urgency override (`None` = no promotion). Only populated
-    /// when priority classes are enabled.
-    class_override: Vec<Option<TaskClass>>,
 }
 
 impl RegionPartition {
@@ -51,10 +42,7 @@ impl RegionPartition {
             bounds.push(at as u32);
         }
         debug_assert_eq!(at, num_ancillas);
-        RegionPartition {
-            class_override: vec![None; regions],
-            bounds,
-        }
+        RegionPartition { bounds }
     }
 
     /// Number of regions.
@@ -66,20 +54,6 @@ impl RegionPartition {
     #[cfg(test)]
     pub(crate) fn num_ancillas(&self) -> usize {
         self.bounds[self.num_regions()] as usize
-    }
-
-    /// Promotes region `r` to at least `class` (an existing higher override
-    /// wins — overrides only ever raise urgency).
-    pub(crate) fn raise_region_class(&mut self, r: u32, class: TaskClass) {
-        let slot = &mut self.class_override[r as usize];
-        if slot.is_none_or(|current| current < class) {
-            *slot = Some(class);
-        }
-    }
-
-    /// The urgency override of region `r`, if any.
-    pub(crate) fn region_class(&self, r: u32) -> Option<TaskClass> {
-        self.class_override[r as usize]
     }
 
     /// The ancilla index range of region `r`.

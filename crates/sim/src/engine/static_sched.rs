@@ -481,15 +481,10 @@ fn drain_trace(
                 task: task.0 as u64,
                 ancilla,
             },
-            LedgerEvent::Preempted {
-                task,
-                ancilla,
-                class_won,
-            } => TraceEvent::Preemption {
+            LedgerEvent::Preempted { task, ancilla } => TraceEvent::Preemption {
                 round,
                 task: task.0 as u64,
                 ancilla,
-                class_won,
             },
             LedgerEvent::Rejected { task, ancilla } => TraceEvent::PreemptionRejected {
                 round,

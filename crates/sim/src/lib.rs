@@ -39,7 +39,6 @@ mod config;
 mod engine;
 mod fabric;
 mod metrics;
-mod priority;
 pub mod runner;
 
 pub use artifacts::{build_layout, simulate_prepared, simulate_prepared_traced, SimArtifacts};
@@ -50,4 +49,3 @@ pub use metrics::{
     metrics_snapshot, reports_csv_row, ExecutionReport, LatencyHistogram, RunCounters,
     REPORTS_CSV_HEADER,
 };
-pub use priority::factory_qubits;

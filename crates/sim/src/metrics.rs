@@ -119,15 +119,6 @@ pub struct RunCounters {
     /// Preemptions rejected because the reordered wait-for edges would have
     /// created a cycle (the naive-yield deadlock, caught by the ledger).
     pub preemptions_rejected_cycle: u64,
-    /// Applied preemptions granted by the priority-class lattice — the
-    /// preemptor's class strictly outranked a displaced entry, a reorder
-    /// seniority alone would have refused. Always 0 in class-blind runs.
-    pub preemptions_class: u64,
-    /// Applied preemptions bucketed by the preemptor's class, in the order
-    /// `speculative, compute, injection, factory` whatever ranks the
-    /// lattice gives them. Class-blind runs land everything in the
-    /// `compute` bucket.
-    pub preemptions_by_class: [u64; 4],
     /// Largest number of distinct edges the task wait-for graph ever held.
     pub waitgraph_peak_edges: u64,
     /// Cycles live tasks spent stalled on ancilla availability (runnable,
@@ -141,8 +132,9 @@ pub struct RunCounters {
     /// Cycles live CNOTs spent stalled with a planned route they could not
     /// occupy (route claims queued behind other work).
     pub stall_route_cycles: u64,
-    /// Cycles live tasks spent stalled because a class-lattice preemption
-    /// displaced their preparation (always 0 in class-blind runs).
+    /// Always 0. No engine assigns priority classes any more; the field
+    /// stays only because the out-of-workspace `perfbench` tool reads it
+    /// for its `sim.stall_class_cycles` layer metric. No sink prints it.
     pub stall_class_cycles: u64,
     /// MST computations completed (RESCQ).
     pub mst_computations: u64,
@@ -229,15 +221,13 @@ impl ExecutionReport {
         self.counters.decoder_stall_rounds as f64 / self.distance as f64
     }
 
-    /// Total cycles attributed to stalls, summed over the four causes
-    /// (ancilla contention, decoder backlog, route blocked, class
-    /// displacement). Per-task-per-cycle samples, so concurrent stalls
-    /// count once each.
+    /// Total cycles attributed to stalls, summed over the three causes
+    /// (ancilla contention, decoder backlog, route blocked).
+    /// Per-task-per-cycle samples, so concurrent stalls count once each.
     pub fn stall_cycles(&self) -> u64 {
         self.counters.stall_ancilla_cycles
             + self.counters.stall_decoder_cycles
             + self.counters.stall_route_cycles
-            + self.counters.stall_class_cycles
     }
 
     /// Fraction of data-qubit time spent idle (Fig 11/12 bottom rows):
@@ -297,15 +287,9 @@ report_columns! { |r|
     preemptions = "{}", r.counters.preemptions;
     preemptions_rejected_cycle = "{}", r.counters.preemptions_rejected_cycle;
     waitgraph_peak_edges = "{}", r.counters.waitgraph_peak_edges;
-    preemptions_class = "{}", r.counters.preemptions_class;
-    preempt_speculative = "{}", r.counters.preemptions_by_class[0];
-    preempt_compute = "{}", r.counters.preemptions_by_class[1];
-    preempt_injection = "{}", r.counters.preemptions_by_class[2];
-    preempt_factory = "{}", r.counters.preemptions_by_class[3];
     stall_ancilla = "{}", r.counters.stall_ancilla_cycles;
     stall_decoder = "{}", r.counters.stall_decoder_cycles;
     stall_route = "{}", r.counters.stall_route_cycles;
-    stall_class = "{}", r.counters.stall_class_cycles;
     decode_defects = "{}", r.counters.decode_defects;
     decode_growth_steps = "{}", r.counters.decode_growth_steps;
     decode_failures = "{}", r.counters.decode_failures;
@@ -344,12 +328,10 @@ pub fn metrics_snapshot(report: &ExecutionReport) -> MetricsSnapshot {
         .counter("rescq_cnot_replans", c.cnot_replans)
         .counter("rescq_preemptions", c.preemptions)
         .counter("rescq_preemptions_rejected", c.preemptions_rejected_cycle)
-        .counter("rescq_preemptions_class", c.preemptions_class)
         .counter("rescq_waitgraph_peak_edges", c.waitgraph_peak_edges)
         .counter("rescq_stall_ancilla_cycles", c.stall_ancilla_cycles)
         .counter("rescq_stall_decoder_cycles", c.stall_decoder_cycles)
         .counter("rescq_stall_route_cycles", c.stall_route_cycles)
-        .counter("rescq_stall_class_cycles", c.stall_class_cycles)
         .counter("rescq_decode_windows", c.decode_windows)
         .counter("rescq_decoder_stall_rounds", c.decoder_stall_rounds)
         .counter("rescq_decoder_peak_backlog", c.decoder_peak_backlog)

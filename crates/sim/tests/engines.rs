@@ -2,7 +2,7 @@
 //! rotation-heavy programs, compression robustness, and failure injection.
 
 use rescq_circuit::{Angle, Circuit};
-use rescq_core::{ClassLattice, KPolicy, SchedulerKind};
+use rescq_core::{KPolicy, SchedulerKind};
 use rescq_decoder::DecoderConfig;
 use rescq_rus::PrepCalibration;
 use rescq_sim::{reports_csv_row, simulate, SimConfig};
@@ -186,18 +186,17 @@ fn union_find_realtime_run_is_pinned() {
     assert_eq!(
         reports_csv_row(&r),
         "rescq,7,7,902.571,0.9819,217,158,75,633,327,2,35,25,11,158,9447.000,34,0,0,103,\
-         0,0,0,0,0,317,8947,1186,0,44,252,0"
+         317,8947,1186,44,252,0"
     );
 }
 
 /// One pinned dispatch golden: `name` generated with workload seed 1 and
 /// run by RESCQ with sim seed 1 at `compression`, optionally under a
-/// decoder and the default priority lattice.
+/// decoder.
 struct DispatchGolden {
     name: &'static str,
     compression: f64,
     decoder: Option<DecoderConfig>,
-    lattice: bool,
     total_rounds: u64,
     counters: &'static str,
     row: &'static str,
@@ -218,13 +217,11 @@ fn dispatch_goldens_are_pinned() {
             name: "ising_n420",
             compression: 0.0,
             decoder: None,
-            lattice: false,
             total_rounds: 480,
             counters: "RunCounters { preps_started: 8075, preps_succeeded: 5319, \
                 preps_cancelled: 4902, states_discarded: 3259, injections: 2060, \
                 injection_failures: 1012, edge_rotations: 14, cnot_surgeries: 838, \
                 cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
-                preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
                 waitgraph_peak_edges: 1559, \
                 stall_ancilla_cycles: 743, stall_decoder_cycles: 0, stall_route_cycles: 1765, \
                 stall_class_cycles: 0, mst_computations: 2, mst_incremental_updates: 3194, \
@@ -232,19 +229,17 @@ fn dispatch_goldens_are_pinned() {
                 decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                 decode_growth_steps: 0, decode_failures: 0 }",
             row: "rescq,1,7,68.571,0.7550,2726,2060,1012,8075,4902,14,2,25,18,2060,0.000,1,0,0,\
-                1559,0,0,0,0,0,743,0,1765,0,0,0,0",
+                1559,743,0,1765,0,0,0",
         },
         DispatchGolden {
             name: "ising_n420",
             compression: 0.0,
             decoder: Some(DecoderConfig::union_find(1.0)),
-            lattice: false,
             total_rounds: 10382,
             counters: "RunCounters { preps_started: 8273, preps_succeeded: 6302, \
                 preps_cancelled: 4461, states_discarded: 4218, injections: 2084, \
                 injection_failures: 1036, edge_rotations: 17, cnot_surgeries: 838, \
                 cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
-                preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
                 waitgraph_peak_edges: 1559, \
                 stall_ancilla_cycles: 4647, stall_decoder_cycles: 116410, \
                 stall_route_cycles: 46958, stall_class_cycles: 0, mst_computations: 58, \
@@ -252,8 +247,8 @@ fn dispatch_goldens_are_pinned() {
                 path_cache_misses: 5627, decode_windows: 2084, decoder_stall_rounds: 871332, \
                 decoder_peak_backlog: 420, decode_defects: 406, decode_growth_steps: 2280, \
                 decode_failures: 0 }",
-            row: "rescq,1,7,1483.143,0.9886,2726,2084,1036,8273,4461,17,58,25,18,2084,\
-                124476.000,420,0,0,1559,0,0,0,0,0,4647,116410,46958,0,406,2280,0",
+            row: "rescq,1,7,1483.143,0.9886,2726,2084,1036,8273,4461,17,58,25,18,2084,124476.000,\
+                420,0,0,1559,4647,116410,46958,406,2280,0",
         },
         DispatchGolden {
             // Preparation verification is decoded too (`--decoder-prep`):
@@ -264,81 +259,55 @@ fn dispatch_goldens_are_pinned() {
                 decode_prep: true,
                 ..DecoderConfig::union_find(1.0)
             }),
-            lattice: false,
             total_rounds: 19637,
             counters: "RunCounters { preps_started: 861, preps_succeeded: 495, \
                 preps_cancelled: 475, states_discarded: 318, injections: 177, \
                 injection_failures: 94, edge_rotations: 0, cnot_surgeries: 66, \
                 cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
-                preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
                 waitgraph_peak_edges: 103, \
                 stall_ancilla_cycles: 33, stall_decoder_cycles: 22880, stall_route_cycles: 1162, \
                 stall_class_cycles: 0, mst_computations: 111, mst_incremental_updates: 3231, \
                 path_cache_hits: 496, path_cache_misses: 398, decode_windows: 1038, \
                 decoder_stall_rounds: 435856, decoder_peak_backlog: 99, decode_defects: 163, \
                 decode_growth_steps: 942, decode_failures: 0 }",
-            row: "rescq,1,7,2805.286,0.9938,217,177,94,861,475,0,111,25,11,1038,62265.143,99,\
-                0,0,103,0,0,0,0,0,33,22880,1162,0,163,942,0",
+            row: "rescq,1,7,2805.286,0.9938,217,177,94,861,475,0,111,25,11,1038,62265.143,99,0,0,\
+                103,33,22880,1162,163,942,0",
         },
         DispatchGolden {
             name: "qft_n18",
             compression: 0.75,
             decoder: None,
-            lattice: false,
             total_rounds: 5648,
             counters: "RunCounters { preps_started: 1224, preps_succeeded: 1215, \
                 preps_cancelled: 4, states_discarded: 603, injections: 612, \
                 injection_failures: 333, edge_rotations: 2, cnot_surgeries: 306, \
                 cnot_replans: 7, preemptions: 0, preemptions_rejected_cycle: 0, \
-                preemptions_class: 0, preemptions_by_class: [0, 0, 0, 0], \
                 waitgraph_peak_edges: 23, \
                 stall_ancilla_cycles: 1451, stall_decoder_cycles: 0, stall_route_cycles: 1648, \
                 stall_class_cycles: 0, mst_computations: 31, mst_incremental_updates: 854, \
                 path_cache_hits: 2974, path_cache_misses: 184, decode_windows: 612, \
                 decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                 decode_growth_steps: 0, decode_failures: 0 }",
-            row: "rescq,1,7,806.857,0.8622,647,612,333,1224,4,2,31,25,10,612,0.000,1,0,0,23,\
-                0,0,0,0,0,1451,0,1648,0,0,0,0",
+            row: "rescq,1,7,806.857,0.8622,647,612,333,1224,4,2,31,25,10,612,0.000,1,0,0,23,1451,\
+                0,1648,0,0,0",
         },
         DispatchGolden {
             name: "gcm_n13",
             compression: 0.5,
             decoder: None,
-            lattice: false,
             total_rounds: 21481,
             counters: "RunCounters { preps_started: 6045, preps_succeeded: 6014, \
                 preps_cancelled: 11, states_discarded: 2992, injections: 3022, \
                 injection_failures: 1494, edge_rotations: 60, cnot_surgeries: 762, \
                 cnot_replans: 11, preemptions: 1, preemptions_rejected_cycle: 0, \
-                preemptions_class: 0, preemptions_by_class: [0, 1, 0, 0], \
                 waitgraph_peak_edges: 9, \
                 stall_ancilla_cycles: 3524, stall_decoder_cycles: 0, stall_route_cycles: 1348, \
                 stall_class_cycles: 0, mst_computations: 122, mst_incremental_updates: 2590, \
                 path_cache_hits: 5659, path_cache_misses: 132, decode_windows: 3022, \
                 decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                 decode_growth_steps: 0, decode_failures: 0 }",
-            row: "rescq,1,7,3068.714,0.8163,2290,3022,1494,6045,11,60,122,25,10,3022,0.000,1,\
-                1,0,9,0,0,1,0,0,3524,0,1348,0,0,0,0",
-        },
-        DispatchGolden {
-            name: "factory_n12",
-            compression: 0.25,
-            decoder: None,
-            lattice: true,
-            total_rounds: 832,
-            counters: "RunCounters { preps_started: 509, preps_succeeded: 383, \
-                preps_cancelled: 259, states_discarded: 214, injections: 169, \
-                injection_failures: 85, edge_rotations: 14, cnot_surgeries: 44, \
-                cnot_replans: 0, preemptions: 9, preemptions_rejected_cycle: 142, \
-                preemptions_class: 8, preemptions_by_class: [0, 1, 0, 8], \
-                waitgraph_peak_edges: 21, \
-                stall_ancilla_cycles: 144, stall_decoder_cycles: 0, stall_route_cycles: 95, \
-                stall_class_cycles: 1, mst_computations: 4, mst_incremental_updates: 116, \
-                path_cache_hits: 227, path_cache_misses: 111, decode_windows: 169, \
-                decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
-                decode_growth_steps: 0, decode_failures: 0 }",
-            row: "rescq,1,7,118.857,0.7111,128,169,85,509,259,14,4,25,10,169,0.000,1,9,142,\
-                21,8,0,1,0,8,144,0,95,1,0,0,0",
+            row: "rescq,1,7,3068.714,0.8163,2290,3022,1494,6045,11,60,122,25,10,3022,0.000,1,1,0,\
+                9,3524,0,1348,0,0,0",
         },
     ];
     for g in goldens {
@@ -357,9 +326,6 @@ impl DispatchGolden {
             .seed(1);
         if let Some(d) = self.decoder {
             b = b.decoder(d);
-        }
-        if self.lattice {
-            b = b.priority_classes(Some(ClassLattice::default()));
         }
         let r = simulate(&c, &b.build()).unwrap();
         let label = format!(
@@ -392,21 +358,20 @@ fn static_goldens_are_pinned() {
                 name: "gcm_n13",
                 compression: 0.5,
                 decoder: None,
-                lattice: false,
                 total_rounds: 37161,
                 counters:
                     "RunCounters { preps_started: 3024, preps_succeeded: 3024, preps_cancelled: 0, \
                     states_discarded: 0, injections: 3024, injection_failures: 1496, \
                     edge_rotations: 86, cnot_surgeries: 762, cnot_replans: 0, preemptions: 0, \
-                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
-                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 2, \
+                    preemptions_rejected_cycle: 0, \
+                    waitgraph_peak_edges: 2, \
                     stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
                     stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
                     path_cache_hits: 0, path_cache_misses: 0, decode_windows: 3024, \
                     decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                     decode_growth_steps: 0, decode_failures: 0 }",
-                row: "greedy,1,7,5308.714,0.8725,2290,3024,1496,3024,0,86,0,0,0,\
-                    3024,0.000,1,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0",
+                row: "greedy,1,7,5308.714,0.8725,2290,3024,1496,3024,0,86,0,0,0,3024,0.000,1,0,0,\
+                    2,0,0,0,0,0,0",
             },
         ),
         (
@@ -415,21 +380,20 @@ fn static_goldens_are_pinned() {
                 name: "qft_n18",
                 compression: 0.75,
                 decoder: None,
-                lattice: false,
                 total_rounds: 7155,
                 counters:
                     "RunCounters { preps_started: 609, preps_succeeded: 609, preps_cancelled: 0, \
                     states_discarded: 0, injections: 609, injection_failures: 318, \
                     edge_rotations: 36, cnot_surgeries: 306, cnot_replans: 0, preemptions: 0, \
-                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
-                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 5, \
+                    preemptions_rejected_cycle: 0, \
+                    waitgraph_peak_edges: 5, \
                     stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
                     stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
                     path_cache_hits: 0, path_cache_misses: 0, decode_windows: 609, \
                     decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                     decode_growth_steps: 0, decode_failures: 0 }",
-                row: "greedy,1,7,1022.143,0.8644,647,609,318,609,0,36,0,0,0,609,\
-                    0.000,1,0,0,5,0,0,0,0,0,0,0,0,0,0,0,0",
+                row: "greedy,1,7,1022.143,0.8644,647,609,318,609,0,36,0,0,0,609,0.000,1,0,0,5,0,0,\
+                    0,0,0,0",
             },
         ),
         (
@@ -438,21 +402,20 @@ fn static_goldens_are_pinned() {
                 name: "wstate_n27",
                 compression: 0.0,
                 decoder: Some(decode_prep),
-                lattice: false,
                 total_rounds: 44597,
                 counters:
                     "RunCounters { preps_started: 321, preps_succeeded: 321, preps_cancelled: 0, \
                     states_discarded: 0, injections: 321, injection_failures: 166, \
                     edge_rotations: 0, cnot_surgeries: 52, cnot_replans: 0, preemptions: 0, \
-                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
-                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 0, \
+                    preemptions_rejected_cycle: 0, \
+                    waitgraph_peak_edges: 0, \
                     stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
                     stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
                     path_cache_hits: 0, path_cache_misses: 0, decode_windows: 642, \
                     decoder_stall_rounds: 73805, decoder_peak_backlog: 26, decode_defects: 148, \
                     decode_growth_steps: 864, decode_failures: 0 }",
-                row: "greedy,1,7,6371.000,0.9945,313,321,166,321,0,0,0,0,0,642,\
-                    10543.571,26,0,0,0,0,0,0,0,0,0,0,0,0,148,864,0",
+                row: "greedy,1,7,6371.000,0.9945,313,321,166,321,0,0,0,0,0,642,10543.571,26,0,0,0,\
+                    0,0,0,148,864,0",
             },
         ),
         (
@@ -461,21 +424,20 @@ fn static_goldens_are_pinned() {
                 name: "gcm_n13",
                 compression: 0.5,
                 decoder: None,
-                lattice: false,
                 total_rounds: 37684,
                 counters:
                     "RunCounters { preps_started: 3093, preps_succeeded: 3093, preps_cancelled: 0, \
                     states_discarded: 0, injections: 3093, injection_failures: 1565, \
                     edge_rotations: 85, cnot_surgeries: 762, cnot_replans: 0, preemptions: 0, \
-                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
-                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 1, \
+                    preemptions_rejected_cycle: 0, \
+                    waitgraph_peak_edges: 1, \
                     stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
                     stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
                     path_cache_hits: 0, path_cache_misses: 0, decode_windows: 3093, \
                     decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                     decode_growth_steps: 0, decode_failures: 0 }",
-                row: "autobraid,1,7,5383.429,0.8731,2290,3093,1565,3093,0,85,0,0,\
-                    0,3093,0.000,1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0",
+                row: "autobraid,1,7,5383.429,0.8731,2290,3093,1565,3093,0,85,0,0,0,3093,0.000,1,0,\
+                    0,1,0,0,0,0,0,0",
             },
         ),
         (
@@ -484,21 +446,20 @@ fn static_goldens_are_pinned() {
                 name: "qft_n18",
                 compression: 0.75,
                 decoder: None,
-                lattice: false,
                 total_rounds: 6726,
                 counters:
                     "RunCounters { preps_started: 587, preps_succeeded: 587, preps_cancelled: 0, \
                     states_discarded: 0, injections: 587, injection_failures: 299, \
                     edge_rotations: 16, cnot_surgeries: 306, cnot_replans: 0, preemptions: 0, \
-                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
-                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 2, \
+                    preemptions_rejected_cycle: 0, \
+                    waitgraph_peak_edges: 2, \
                     stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
                     stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
                     path_cache_hits: 0, path_cache_misses: 0, decode_windows: 587, \
                     decoder_stall_rounds: 0, decoder_peak_backlog: 1, decode_defects: 0, \
                     decode_growth_steps: 0, decode_failures: 0 }",
-                row: "autobraid,1,7,960.857,0.8607,647,587,299,587,0,16,0,0,0,587,\
-                    0.000,1,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0",
+                row: "autobraid,1,7,960.857,0.8607,647,587,299,587,0,16,0,0,0,587,0.000,1,0,0,2,0,\
+                    0,0,0,0,0",
             },
         ),
         (
@@ -507,21 +468,20 @@ fn static_goldens_are_pinned() {
                 name: "wstate_n27",
                 compression: 0.0,
                 decoder: Some(decode_prep),
-                lattice: false,
                 total_rounds: 44597,
                 counters:
                     "RunCounters { preps_started: 321, preps_succeeded: 321, preps_cancelled: 0, \
                     states_discarded: 0, injections: 321, injection_failures: 166, \
                     edge_rotations: 0, cnot_surgeries: 52, cnot_replans: 0, preemptions: 0, \
-                    preemptions_rejected_cycle: 0, preemptions_class: 0, \
-                    preemptions_by_class: [0, 0, 0, 0], waitgraph_peak_edges: 0, \
+                    preemptions_rejected_cycle: 0, \
+                    waitgraph_peak_edges: 0, \
                     stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
                     stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
                     path_cache_hits: 0, path_cache_misses: 0, decode_windows: 642, \
                     decoder_stall_rounds: 73805, decoder_peak_backlog: 26, decode_defects: 148, \
                     decode_growth_steps: 864, decode_failures: 0 }",
-                row: "autobraid,1,7,6371.000,0.9945,313,321,166,321,0,0,0,0,0,642,\
-                    10543.571,26,0,0,0,0,0,0,0,0,0,0,0,0,148,864,0",
+                row: "autobraid,1,7,6371.000,0.9945,313,321,166,321,0,0,0,0,0,642,10543.571,26,0,\
+                    0,0,0,0,0,148,864,0",
             },
         ),
     ];
@@ -688,8 +648,11 @@ fn cross_product_digest_is_pinned() {
     // in the 216 runs, which is what a missed wake point in a dispatch
     // frontier tends to cause. Recorded on the engine whose dispatch passes
     // rescanned every gate (static) and walked the start frontier from
-    // word 0 (realtime). Two workers share the runs; the digest reads the
-    // lines in point order.
+    // word 0 (realtime), and recomputed when the two class-lattice
+    // preemption counters left `RunCounters`: on the engine that still had
+    // them, with both cut from each line.
+    // Two workers share the runs; the digest reads the lines in point
+    // order.
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     let circuits: Vec<Circuit> = [
@@ -735,7 +698,7 @@ fn cross_product_digest_is_pinned() {
     let text = lines.into_inner().unwrap().concat();
     let digest = rescq_circuit::fnv1a_64(text.bytes());
     assert_eq!(
-        digest, 0xb494_a8b2_0775_479e,
+        digest, 0x0aa9_cc95_f742_9e03,
         "cross-product digest {digest:#018x}"
     );
 }

@@ -78,7 +78,6 @@ fn event_from_json(ev: &Json) -> Option<Event> {
             round: num("round")?,
             task: num("task")?,
             ancilla: num32("ancilla")?,
-            class_won: flag("class_won")?,
         },
         "preemption_rejected" => Event::PreemptionRejected {
             round: num("round")?,
@@ -255,7 +254,7 @@ pub struct AnalyzeReport {
     /// Rounds covered by the path (overlap-free union of link spans).
     pub covered_rounds: u64,
     /// Stall cycles per cause, indexed by [`StallCause::index`].
-    pub stall_rounds: [u64; 4],
+    pub stall_rounds: [u64; 3],
     /// Per-ancilla occupancy, ascending by ancilla index (only
     /// ancillas that emitted at least one state transition appear).
     pub utilization: Vec<AncillaUtil>,
@@ -551,7 +550,7 @@ impl AnalyzeReport {
 struct TaskInfo {
     first_round: u64,
     last_round: u64,
-    stalls: [u64; 4],
+    stalls: [u64; 3],
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -574,7 +573,7 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
     let mut tasks: BTreeMap<u64, TaskInfo> = BTreeMap::new();
     let mut wait_for: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     let mut ancillas: BTreeMap<u32, AncillaAccum> = BTreeMap::new();
-    let mut stall_rounds = [0u64; 4];
+    let mut stall_rounds = [0u64; 3];
     let mut total_rounds = 0u64;
     let mut queue_depth: Vec<(u64, u64)> = Vec::new();
     let mut total_depth = 0u64;
@@ -583,7 +582,7 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
         let info = map.entry(task).or_insert(TaskInfo {
             first_round: round,
             last_round: round,
-            stalls: [0; 4],
+            stalls: [0; 3],
         });
         info.first_round = info.first_round.min(round);
         info.last_round = info.last_round.max(round);
@@ -715,7 +714,7 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
             .iter()
             .enumerate()
             .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
-            .expect("four causes");
+            .expect("three causes");
         critical_path.push(PathLink {
             task,
             from_round: info.first_round,

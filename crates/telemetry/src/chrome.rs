@@ -69,16 +69,13 @@ fn push_event(out: &mut String, te: &TimedEvent) {
             round,
             task,
             ancilla,
-            class_won,
         } => {
             instant(
                 out,
                 "preemption",
                 TID_LEDGER,
                 te.at_ns,
-                &format!(
-                    "\"round\":{round},\"task\":{task},\"ancilla\":{ancilla},\"class_won\":{class_won}"
-                ),
+                &format!("\"round\":{round},\"task\":{task},\"ancilla\":{ancilla}"),
             );
         }
         Event::PreemptionRejected {

@@ -103,18 +103,14 @@ pub enum StallCause {
     DecoderBacklog,
     /// A CNOT has a planned route but cannot acquire it end to end.
     RouteBlocked,
-    /// The task's resources were preempted by a strictly
-    /// higher-class task (priority-lattice displacement).
-    ClassDisplacement,
 }
 
 impl StallCause {
     /// All causes, in canonical (CSV column) order.
-    pub const ALL: [StallCause; 4] = [
+    pub const ALL: [StallCause; 3] = [
         StallCause::AncillaContention,
         StallCause::DecoderBacklog,
         StallCause::RouteBlocked,
-        StallCause::ClassDisplacement,
     ];
 
     /// Stable snake_case name (trace event / CSV / JSON key).
@@ -123,17 +119,15 @@ impl StallCause {
             StallCause::AncillaContention => "ancilla_contention",
             StallCause::DecoderBacklog => "decoder_backlog",
             StallCause::RouteBlocked => "route_blocked",
-            StallCause::ClassDisplacement => "class_displacement",
         }
     }
 
-    /// Dense index in `0..4`, matching [`StallCause::ALL`] order.
+    /// Dense index in `0..3`, matching [`StallCause::ALL`] order.
     pub fn index(self) -> usize {
         match self {
             StallCause::AncillaContention => 0,
             StallCause::DecoderBacklog => 1,
             StallCause::RouteBlocked => 2,
-            StallCause::ClassDisplacement => 3,
         }
     }
 }
@@ -172,9 +166,6 @@ pub enum Event {
         task: u64,
         /// Ancilla whose queue was reordered.
         ancilla: u32,
-        /// The preemption was granted by the priority-class lattice
-        /// (seniority alone would have refused the reorder).
-        class_won: bool,
     },
     /// The ledger rejected a preemption: the reorder would have closed
     /// a cycle in the task wait-for graph.

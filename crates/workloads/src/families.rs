@@ -394,23 +394,20 @@ pub mod decoder_stress {
 /// T-gate factory scenarios (`factory_nN`): rotation-pipeline tiles feeding
 /// a logical compute block.
 ///
-/// Not a Table 3 family — a synthetic workload for the priority-class
-/// lattice on the reservation ledger. The first [`factory::factory_count`]
+/// Not a Table 3 family — a synthetic workload for ancilla contention
+/// between rotation pipelines and logical compute. The first [`factory::factory_count`]
 /// qubits are *factory tiles*: each runs a long chain of continuous-angle
 /// rotations (a repeat-until-success `|mθ⟩`/T-state production pipeline)
 /// and periodically delivers its output into the compute block through a
 /// CNOT. The remaining qubits are the *compute block*: an entangling CNOT
 /// brickwork with sparse rotations. The factory chains dominate the
-/// critical path, so scheduling policies that keep the factories fed —
-/// e.g. `priority_classes` promoting factory regions over compute regions —
-/// shorten the makespan, while class-blind seniority lets older compute
-/// claims stall the pipelines on contended fabrics.
+/// critical path, and on contended fabrics older compute claims can stall
+/// the pipelines, which exercises ledger preemption and the stall breaker.
 pub mod factory {
     use super::*;
 
     /// Rotation-burst length per factory tile per round (chosen so factory
-    /// chains dominate their tiles: ≥ 4 rotations per delivery CNOT, which
-    /// is what the engine's factory-tile classifier keys on).
+    /// chains dominate their tiles: ≥ 4 rotations per delivery CNOT).
     pub const BURST: u32 = 4;
     /// Production/delivery rounds in the circuit.
     pub const ROUNDS: u32 = 4;
@@ -451,8 +448,8 @@ pub mod factory {
             // Compute block: entangling brickwork plus a rotation layer —
             // plenty of ancilla demand and enough compute-side injection
             // pipelines to contend with the factories for prep ancillas
-            // (each compute qubit stays far below the factory classifier's
-            // rotation dominance threshold thanks to its CNOT endpoints).
+            // (each compute qubit stays far below a factory tile's rotation
+            // dominance thanks to its CNOT endpoints).
             for parity in 0..2 {
                 for q in ((f + parity)..n.saturating_sub(1)).step_by(2) {
                     c.cnot(q, q + 1);
@@ -603,8 +600,8 @@ mod tests {
             }
         }
         for q in 0..f as usize {
-            // The engine's factory classifier requires ≥8 rotations and ≥4
-            // per CNOT endpoint; the generator satisfies it by construction.
+            // A factory tile has ≥8 rotations and ≥4 per CNOT endpoint; the
+            // generator satisfies it by construction.
             assert!(rz[q] >= 8 && rz[q] >= 4 * cnot[q], "tile {q} not factory");
         }
         for q in f as usize..n as usize {

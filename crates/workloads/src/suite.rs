@@ -195,8 +195,8 @@ pub fn find(name: &str) -> Option<&'static BenchmarkSpec> {
 /// Besides the Table 3 rows, two synthetic scenario families are
 /// recognised: `decoder_stress_nN` (any qubit count `N ≥ 2`, exercises the
 /// classical-decoder back-pressure) and `factory_nN` (any `N ≥ 4`, T-gate
-/// factory tiles feeding a compute block — exercises the priority-class
-/// lattice).
+/// factory tiles feeding a compute block — exercises ancilla contention
+/// between rotation pipelines and compute).
 ///
 /// # Example
 ///

@@ -54,41 +54,6 @@ fn rescq_wins_on_compressed_fabrics() {
 }
 
 #[test]
-fn class_aware_scheduling_beats_class_blind_on_factory_workload() {
-    // The priority-class lattice's headline: on the `factory_nN` family
-    // (T-gate factory tiles feeding a logical compute block), enabling the
-    // class lattice (factory > injection > compute > speculative) beats the
-    // class-blind ledger by ≥ 1.1× mean makespan at 25% grid compression —
-    // factory rotations and their delivery CNOTs overtake lower-class
-    // compute claims on the shared ancilla queues (cycle-checked reorders
-    // only), keeping the |mθ⟩ pipelines on the critical path fed. Triage
-    // (arXiv:2605.04459) motivates the same criticality-class split for
-    // decode work.
-    use rescq_repro::core::ClassLattice;
-    let circuit = rescq_repro::workloads::generate("factory_n12", 1).unwrap();
-    let mean = |lattice: Option<ClassLattice>| -> f64 {
-        let config = SimConfig::builder()
-            .compression(0.25)
-            .priority_classes(lattice)
-            .build();
-        run_seeds(&circuit, &config, 1, 10, 4)
-            .unwrap()
-            .mean_cycles()
-    };
-    let blind = mean(None);
-    let aware = mean(Some(ClassLattice::default()));
-    let ratio = blind / aware;
-    println!(
-        "factory-workload class speedup: {ratio:.2}x (class-aware {aware:.0} vs class-blind {blind:.0} cycles)"
-    );
-    assert!(
-        ratio >= 1.1,
-        "class-aware scheduling must beat class-blind by >=1.1x on factory_n12 \
-         at 25% compression, got {ratio:.2}x"
-    );
-}
-
-#[test]
 fn rescq_beats_baselines_on_representative_set() {
     // Fig 10's core claim on the §5.2 representative benchmarks.
     let mut speedups = Vec::new();

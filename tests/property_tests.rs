@@ -263,8 +263,7 @@ fn run_twice(circuit: &Circuit, config: &SimConfig, what: &str) -> ExecutionRepo
 }
 
 /// The realtime engine's determinism contract: random constrained
-/// workloads, congested compressed benchmarks and a class-aware run each
-/// terminate with every gate executed, keep the ledger acyclic (the engine
+/// workloads and congested compressed benchmarks each terminate with every gate executed, keep the ledger acyclic (the engine
 /// `debug_assert`s `ReservationLedger::is_acyclic()` after every applied
 /// preemption, so these debug-profile runs abort on a violation), and
 /// reproduce byte-identical reports run to run — total rounds, latency
@@ -312,16 +311,6 @@ fn realtime_engine_is_run_to_run_deterministic() {
         preemption_activity > 0,
         "the corpus must exercise the preemption machinery at least once"
     );
-    // Class-aware runs obey the same contract, and the factory workload
-    // provably exercises class preemptions.
-    let circuit = rescq_repro::workloads::generate("factory_n12", 1).unwrap();
-    let mut config = build(0.25, 5);
-    config.priority_classes = Some(rescq_repro::core::ClassLattice::default());
-    let r = run_twice(&circuit, &config, "factory_n12 priority");
-    assert!(
-        r.counters.preemptions_class > 0,
-        "the priority case must exercise class preemption"
-    );
 }
 
 /// Regression: the naive move-top-entry-to-back yield that was tried before
@@ -357,95 +346,166 @@ fn ledger_rejects_naive_yield_deadlock_counterexample() {
     assert_eq!(ledger.stats().preemptions, 1);
 }
 
-/// The class-lattice degeneracy contract: when every entry carries the SAME
-/// class — whichever class that is — the class-aware arbitration behaves
-/// exactly like the seed (class-blind) ledger. Random op sequences (pushes,
-/// pops, removals, preemption attempts with the default seniority test) are
-/// replayed against one ledger per uniform class and against the default
-/// ledger; every preemption outcome and every queue order must match, and
-/// no class-granted preemption may ever be counted.
+/// The ledger's one arbitration rule against an in-test reference model.
+/// Random op sequences (pushes that keep the wait-for graph acyclic, pops,
+/// removals, marking a top entry executing, preemption attempts with the
+/// default seniority test) run on
+/// a [`ReservationLedger`] and on plain `Vec` queues. The model grants a
+/// preemption iff every entry ahead of the task's first entry is a
+/// younger preparation that is not executing and the reordered queues
+/// leave the whole wait-for graph acyclic (a full DFS, not the ledger's
+/// incremental walk). Every outcome, every queue order and the counters
+/// must match, and the ledger must stay acyclic after every op. The corpus
+/// must both apply and reject preemptions.
 #[test]
-fn uniform_class_ledgers_reproduce_the_seed_arbitration() {
-    use rescq_repro::core::{QueueEntry, ReservationLedger, Role, TaskClass, TaskId};
+fn ledger_arbitration_matches_the_seniority_reference() {
+    use rescq_repro::core::{EntryStatus, Preemption, QueueEntry, ReservationLedger, Role, TaskId};
 
-    const ANCILLAS: usize = 4;
-    let classes = [
-        None, // the seed ledger: entries keep their default class
-        Some(TaskClass::SPECULATIVE),
-        Some(TaskClass::COMPUTE),
-        Some(TaskClass::INJECTION),
-        Some(TaskClass::FACTORY),
-    ];
+    const ANCILLAS: usize = 3;
+    /// `(task, role, executing)` from top to back.
+    type Model = Vec<Vec<(u32, Role, bool)>>;
+    fn acyclic(queues: &Model) -> bool {
+        let mut succ: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+        for q in queues {
+            for (j, &(waiter, ..)) in q.iter().enumerate() {
+                for &(holder, ..) in &q[..j] {
+                    if holder != waiter {
+                        succ.entry(waiter).or_default().push(holder);
+                    }
+                }
+            }
+        }
+        // Colours: absent = unvisited, false = on the stack, true = done.
+        fn visit(
+            u: u32,
+            succ: &std::collections::BTreeMap<u32, Vec<u32>>,
+            colour: &mut std::collections::BTreeMap<u32, bool>,
+        ) -> bool {
+            colour.insert(u, false);
+            for &v in succ.get(&u).into_iter().flatten() {
+                let done = match colour.get(&v).copied() {
+                    Some(done) => done,
+                    None => visit(v, succ, colour),
+                };
+                if !done {
+                    return false;
+                }
+            }
+            colour.insert(u, true);
+            true
+        }
+        let mut colour = std::collections::BTreeMap::new();
+        succ.keys()
+            .all(|&u| colour.contains_key(&u) || visit(u, &succ, &mut colour))
+    }
+    fn preempt(model: &mut Model, task: u32, a: usize) -> Preemption {
+        let q = &model[a];
+        let Some(pos) = q.iter().position(|e| e.0 == task) else {
+            return Preemption::NotEligible;
+        };
+        let eligible = q[..pos]
+            .iter()
+            .all(|&(t, role, executing)| role.is_prep() && !executing && t > task);
+        if pos == 0 || !eligible {
+            return Preemption::NotEligible;
+        }
+        let mut reordered = model.clone();
+        let moved = reordered[a].remove(pos);
+        reordered[a].insert(0, moved);
+        if !acyclic(&reordered) {
+            return Preemption::RejectedCycle;
+        }
+        let displaced_top = TaskId(model[a][0].0);
+        *model = reordered;
+        Preemption::Applied { displaced_top }
+    }
+
+    let outcomes = std::cell::Cell::new((0u64, 0u64));
     for_each_case(
-        "uniform_class_ledgers_reproduce_the_seed_arbitration",
+        "ledger_arbitration_matches_the_seniority_reference",
         |rng| {
-            // One RNG drives one op sequence, replayed against every ledger.
-            let ops: Vec<(u32, u32, u32)> = (0..rng.gen_range(20usize..80))
-                .map(|_| {
-                    (
-                        rng.gen_range(0u32..4),
-                        rng.gen_range(0u32..ANCILLAS as u32),
-                        rng.gen_range(0u32..12),
-                    )
-                })
-                .collect();
-            let mut ledgers: Vec<ReservationLedger> = classes
-                .iter()
-                .map(|_| ReservationLedger::new(ANCILLAS))
-                .collect();
-            for &(op, a, task) in &ops {
-                let mut outcomes = Vec::new();
-                for (ledger, class) in ledgers.iter_mut().zip(&classes) {
-                    match op {
-                        0 => {
-                            let role = if task % 3 == 0 {
-                                Role::Route
-                            } else {
-                                Role::PrepZz
-                            };
-                            let angle = rescq_repro::circuit::Angle::T;
-                            let mut entry = QueueEntry::new(TaskId(task), role, angle);
-                            if let Some(c) = class {
-                                entry = entry.with_class(*c);
-                            }
-                            ledger.push(a, entry);
+            let mut ledger = ReservationLedger::new(ANCILLAS);
+            let mut model: Model = vec![Vec::new(); ANCILLAS];
+            let (mut applied, mut rejected) = (0u64, 0u64);
+            for _ in 0..rng.gen_range(100usize..200) {
+                // Pushes and preemption attempts dominate; few tasks on few
+                // queues make shared (waiter, holder) pairs, and so rejected
+                // reorders, common.
+                let (op, a, task) = (
+                    [0, 0, 0, 1, 2, 3, 4, 4, 4, 4][rng.gen_range(0usize..10)],
+                    rng.gen_range(0..ANCILLAS),
+                    rng.gen_range(0u32..8),
+                );
+                let ai = a as u32;
+                match op {
+                    0 => {
+                        let role = if task % 3 == 0 {
+                            Role::Route
+                        } else {
+                            Role::PrepZz
+                        };
+                        // The engine enqueues in one global order, so plain
+                        // pushes never close a wait cycle; a push that would is
+                        // skipped here.
+                        model[a].push((task, role, false));
+                        if !acyclic(&model) {
+                            model[a].pop();
+                            continue;
                         }
-                        1 => {
-                            ledger.pop(a);
+                        let angle = rescq_repro::circuit::Angle::T;
+                        ledger.push(ai, QueueEntry::new(TaskId(task), role, angle));
+                    }
+                    1 => {
+                        ledger.pop(ai);
+                        if !model[a].is_empty() {
+                            model[a].remove(0);
                         }
-                        2 => {
-                            ledger.remove_task(a, TaskId(task));
+                    }
+                    2 => {
+                        ledger.remove_task(ai, TaskId(task));
+                        model[a].retain(|e| e.0 != task);
+                    }
+                    3 => {
+                        ledger.set_top_status(ai, EntryStatus::Executing);
+                        if let Some(top) = model[a].first_mut() {
+                            top.2 = true;
                         }
-                        _ => {
-                            outcomes.push(ledger.try_preempt(TaskId(task), a));
+                    }
+                    _ => {
+                        // Mostly a task queued here, so attempts reach the rule.
+                        let task = match model[a].len() {
+                            0 => task,
+                            n => model[a][rng.gen_range(0..n)].0,
+                        };
+                        let want = preempt(&mut model, task, a);
+                        assert_eq!(ledger.try_preempt(TaskId(task), ai), want);
+                        match want {
+                            Preemption::Applied { .. } => applied += 1,
+                            Preemption::RejectedCycle => rejected += 1,
+                            Preemption::NotEligible => {}
                         }
                     }
                 }
-                assert!(
-                    outcomes.windows(2).all(|w| w[0] == w[1]),
-                    "uniform-class preemption outcomes diverged: {outcomes:?}"
-                );
-            }
-            // Every ledger ends in the same queue state with the same counters.
-            let reference = &ledgers[0];
-            for (ledger, class) in ledgers.iter().zip(&classes).skip(1) {
-                for a in 0..ANCILLAS as u32 {
-                    let got: Vec<_> = ledger.queue(a).iter().map(|e| e.task).collect();
-                    let want: Vec<_> = reference.queue(a).iter().map(|e| e.task).collect();
-                    assert_eq!(got, want, "queue {a} diverged under {class:?}");
+                assert!(ledger.is_acyclic());
+                for (a, q) in model.iter().enumerate() {
+                    let got: Vec<(u32, Role, bool)> = ledger
+                        .queue(a as u32)
+                        .iter()
+                        .map(|e| (e.task.0, e.role, e.status == EntryStatus::Executing))
+                        .collect();
+                    assert_eq!(&got, q, "queue {a} diverged from the reference");
                 }
-                assert_eq!(ledger.stats().preemptions, reference.stats().preemptions);
-                assert_eq!(
-                    ledger.stats().preemptions_rejected_cycle,
-                    reference.stats().preemptions_rejected_cycle
-                );
-                assert_eq!(
-                    ledger.stats().preemptions_class,
-                    0,
-                    "uniform classes must never grant a class preemption ({class:?})"
-                );
             }
+            assert_eq!(ledger.stats().preemptions, applied);
+            assert_eq!(ledger.stats().preemptions_rejected_cycle, rejected);
+            let (a, r) = outcomes.get();
+            outcomes.set((a + applied, r + rejected));
         },
+    );
+    let (applied, rejected) = outcomes.get();
+    assert!(
+        applied > 0 && rejected > 0,
+        "{applied} applied, {rejected} rejected"
     );
 }
 

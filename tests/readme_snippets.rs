@@ -3,7 +3,7 @@
 //! from `README.md` itself; the Rust snippet is compiled from a copy here,
 //! so when you edit it, edit the test too.
 
-use rescq_repro::harness::{fmt_priority, SweepSpec};
+use rescq_repro::harness::SweepSpec;
 
 /// The body of the README's fenced `lang` block whose first line is
 /// `first`.
@@ -37,20 +37,16 @@ fn quick_start_snippet_runs() {
     assert!(report.total_cycles() > 0.0);
 }
 
-/// README "Priority classes": the one-point spec `sim run` reads, through
+/// README "Parameter sweeps": the one-point spec `sim run` reads, through
 /// the real parser.
 #[test]
-fn priority_classes_config_snippet_parses() {
+fn run_spec_snippet_parses() {
     let snippet = readme_block("toml", "# run.toml: one sweep point, which `sim run` runs");
     let spec = SweepSpec::parse(&snippet).expect("README run spec must parse");
     assert_eq!(spec.num_points(), 1, "`sim run` takes one point");
     assert_eq!(spec.seeds, 10);
     let job = &spec.expand()[0];
-    assert!((job.config.compression - 0.25).abs() < 1e-12);
-    assert_eq!(
-        fmt_priority(&job.config.priority_classes),
-        "factory>injection>compute>speculative"
-    );
+    assert!((job.config.compression - 0.5).abs() < 1e-12);
     // The workload the snippet names must exist.
     assert!(rescq_repro::workloads::generate(&job.workload, 1).is_some());
 }
@@ -81,11 +77,7 @@ fn sweep_spec_snippet_parses() {
     let spec = SweepSpec::parse(&snippet).expect("README sweep spec parses");
     let decoders: Vec<String> = spec.decoders.iter().map(|d| d.to_string()).collect();
     assert_eq!(decoders, ["ideal", "union_find:8"]);
-    // 2 workloads x 2 schedulers x 2 k x 2 compressions x 2 decoders x
-    // 2 priority points.
-    assert_eq!(spec.num_points(), 2 * 2 * 2 * 2 * 2 * 2);
+    // 2 workloads x 2 schedulers x 2 k x 2 compressions x 2 decoders.
+    assert_eq!(spec.num_points(), 2 * 2 * 2 * 2 * 2);
     assert_eq!(spec.seeds, 10);
-    assert_eq!(spec.priority.len(), 2);
-    assert!(spec.priority[0].is_none());
-    assert!(spec.priority[1].is_some());
 }

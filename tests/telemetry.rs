@@ -302,12 +302,10 @@ fn every_sink_agrees_per_run() {
         preps_cancelled            preps_cancelled      rescq_preps_cancelled
         preemptions                preemptions          rescq_preemptions
         preemptions_rejected_cycle preemptions_rejected rescq_preemptions_rejected
-        preemptions_class          preemptions_class    rescq_preemptions_class
         waitgraph_peak_edges       waitgraph_peak_edges rescq_waitgraph_peak_edges
         stall_ancilla              stall_ancilla        rescq_stall_ancilla_cycles
         stall_decoder              stall_decoder        rescq_stall_decoder_cycles
         stall_route                stall_route          rescq_stall_route_cycles
-        stall_class                stall_class          rescq_stall_class_cycles
         decode_windows             decode_windows       rescq_decode_windows
         decode_defects             decode_defects       rescq_decode_defects
         decode_growth_steps        decode_growth_steps  rescq_decode_growth_steps
@@ -322,9 +320,8 @@ fn every_sink_agrees_per_run() {
             "decode_growth_steps",
         ),
         (
-            "workloads = \"factory_n12\"\ncompressions = 0.25\n\
-             priority_classes = \"factory>injection>compute>speculative\"\nseeds = 1",
-            "preemptions_class",
+            "workloads = \"gcm_n13\"\ncompressions = 0.5\nseeds = 1",
+            "preemptions",
         ),
     ];
     let named = |header: &'static str, row: String| -> HashMap<&'static str, f64> {
@@ -358,5 +355,74 @@ fn every_sink_agrees_per_run() {
                 job.workload
             );
         }
+    }
+}
+
+/// Golden-pins the bytes of every sink over a small corpus: the reports
+/// CSV, the sweep CSV and JSON (wall-clock `elapsed_secs` normalised to 0),
+/// and the metrics snapshot as text and JSON, one document per run. The
+/// corpus is gcm_n13 under rescq, greedy and autobraid, the ideal and
+/// `union_find:4` decoders, at 0% and 50% compression (seed 1; the 50%
+/// rescq runs preempt). Regenerate with
+/// `RESCQ_BLESS=1 cargo test --test telemetry`.
+#[test]
+fn sink_outputs_match_goldens() {
+    use rescq_repro::harness::{run_sweep, ProgressMode, RunOptions};
+    let spec = SweepSpec::parse(
+        "workloads = \"gcm_n13\"\nschedulers = [\"rescq\", \"greedy\", \"autobraid\"]\n\
+         compressions = [0.0, 0.5]\ndecoders = [\"ideal\", \"union_find:4\"]\nseeds = 1",
+    )
+    .unwrap();
+    let opts = RunOptions {
+        threads: 2,
+        progress: ProgressMode::Off,
+        ..RunOptions::default()
+    };
+    let sweep = run_sweep(&spec, &opts).unwrap();
+    assert_eq!(sweep.first_error(), None);
+    let sweep_json = sweep.to_json();
+    let (head, tail) = sweep_json
+        .split_once("\"elapsed_secs\": ")
+        .expect("sweep JSON carries elapsed_secs");
+    let tail = &tail[tail.find(',').expect("elapsed_secs is not last")..];
+    let sweep_json = format!("{head}\"elapsed_secs\": 0{tail}");
+
+    let mut reports = format!("{REPORTS_CSV_HEADER}\n");
+    let (mut snapshot_text, mut snapshot_json) = (String::new(), String::new());
+    for job in spec.expand() {
+        let circuit = rescq_repro::workloads::generate(&job.workload, spec.circuit_seed).unwrap();
+        let report = simulate_traced(&circuit, &job.config, None).unwrap();
+        reports.push_str(&reports_csv_row(&report));
+        reports.push('\n');
+        let label = format!(
+            "## {} {} compression={} decoder={}\n",
+            job.workload, job.config.scheduler, job.config.compression, job.decoder
+        );
+        let snapshot = metrics_snapshot(&report);
+        snapshot_text.push_str(&label);
+        snapshot_text.push_str(&snapshot.to_text());
+        snapshot_json.push_str(&label);
+        snapshot_json.push_str(&snapshot.to_json());
+    }
+    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (file, text) in [
+        ("sinks_reports.csv", reports),
+        ("sinks_sweep.csv", sweep.to_csv()),
+        ("sinks_sweep.json", sweep_json),
+        ("sinks_snapshot.txt", snapshot_text),
+        ("sinks_snapshot.json", snapshot_json),
+    ] {
+        let path = golden_dir.join(file);
+        if std::env::var_os("RESCQ_BLESS").is_some() {
+            std::fs::write(&path, &text).unwrap();
+            continue;
+        }
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|_| panic!("{file} missing — run with RESCQ_BLESS=1 to create it"));
+        assert_eq!(
+            text, golden,
+            "sink output diverged from tests/golden/{file}; if a column or \
+             metric changed intentionally, re-bless with RESCQ_BLESS=1"
+        );
     }
 }
