@@ -13,14 +13,20 @@
 //! by the engines in schedule order, which is itself a pure function of the
 //! seeded run.
 //!
+//! The channel is sampled sparsely: each draw of a window's stream skips
+//! ahead to its next flipped edge (a geometric gap), so a window costs one
+//! draw per flip plus one rather than one per edge, and yields its flipped
+//! edges as a list.
+//!
 //! [`decode_chain`] / [`decode_syndrome`] are the reference implementation:
 //! pure functions that allocate their working state per call. The
 //! [`UnionFindDecoder`] model reaches the same result per window in held
 //! scratch whose cost follows the window's flipped edges: a window with no
-//! flip (≈92% of d = 7 windows at p = 1e-4) costs only its sampling, each
-//! growth step reads only the growing cluster's members and their incident
-//! edges (the reference scans every edge per step), and steady-state
-//! decoding never allocates.
+//! flip (≈92% of d = 7 windows at p = 1e-4) costs one draw and a closed
+//! form, touching no bitset and no Pauli frame; a window with flips builds
+//! its syndrome from the flip list, each growth step reads only the growing
+//! cluster's members and their incident edges (the reference scans every
+//! edge per step), and steady-state decoding never allocates.
 
 use crate::config::BASE_LATENCY;
 use crate::dsu::ClusterDsu;
@@ -30,7 +36,12 @@ use crate::syndrome::SyndromeBits;
 use crate::DecoderConfig;
 use std::collections::VecDeque;
 
-/// The seeded physical error channel a union-find decoder samples.
+/// The seeded physical error channel a union-find decoder samples: every
+/// edge of a window flips independently with probability `error_rate`.
+/// Windows draw their flipped edges by geometric skip-ahead, one draw per
+/// flip plus one, from a SplitMix64 stream seeded by `(seed, tile, window
+/// index)`; a NaN or non-positive rate flips nothing and a rate ≥ 1 flips
+/// every edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorChannel {
     /// Per-edge flip probability per window (data-qubit and measurement
@@ -139,27 +150,51 @@ fn window_seed(channel: u64, tile: u32, window: u64) -> u64 {
 }
 
 /// Samples an iid error configuration over `graph`'s edges at rate `p`
-/// from the deterministic stream `seed`.
+/// from the deterministic stream `seed`. Each draw of the stream skips
+/// ahead to the next flipped edge (see [`ErrorChannel`]), so sampling
+/// costs one draw per flip plus one.
 pub fn sample_error(graph: &DetectorGraph, p: f64, seed: u64) -> SyndromeBits {
+    let mut flips = Vec::new();
+    sample_flips(graph.num_edges(), p, seed, &mut flips);
     let mut error = SyndromeBits::new(graph.num_edges());
-    sample_error_into(graph, p, seed, &mut error);
+    for e in flips {
+        error.set(e);
+    }
     error
 }
 
-/// [`sample_error`] into a held vector, which is reset to `graph`'s edges.
-fn sample_error_into(graph: &DetectorGraph, p: f64, seed: u64, error: &mut SyndromeBits) {
-    error.reset(graph.num_edges());
-    if p <= 0.0 {
+/// Fills `flips` with the edges among `0..edges` that flip at rate `p` in
+/// the stream `seed`, ascending, by geometric skip-ahead: each draw gives
+/// the gap to the next flipped edge, `⌊ln u / ln(1 − p)⌋` with `u` uniform
+/// in (0, 1], which is geometric with success probability `p` — the same
+/// iid channel as one Bernoulli draw per edge, at one draw per flip plus
+/// one. A NaN or non-positive `p` flips nothing and `p ≥ 1` flips every
+/// edge.
+fn sample_flips(edges: u32, p: f64, seed: u64, flips: &mut Vec<u32>) {
+    flips.clear();
+    if p.is_nan() || p <= 0.0 {
         return;
     }
+    if p >= 1.0 {
+        flips.extend(0..edges);
+        return;
+    }
+    // 2⁻⁵³: the spacing of the 53-bit uniform grid `u` is drawn from.
+    const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+    let ln_keep = (-p).ln_1p();
     let mut rng = SplitMix64::new(seed);
-    // Saturating f64→u64 cast: p ≥ 1 flips every edge.
-    let threshold = (p * 18_446_744_073_709_551_616.0) as u64;
-    for e in 0..graph.num_edges() {
-        let draw = rng.next_u64();
-        if p >= 1.0 || draw < threshold {
-            error.set(e);
+    let mut next = 0u32;
+    while next < edges {
+        let u = ((rng.next_u64() >> 11) + 1) as f64 * ULP;
+        // Non-negative; huge (or infinite, for a subnormal `p`) when `p`
+        // is tiny, which ends the window.
+        let gap = (u.ln() / ln_keep).floor();
+        if gap >= (edges - next) as f64 {
+            break;
         }
+        let e = next + gap as u32;
+        flips.push(e);
+        next = e + 1;
     }
 }
 
@@ -330,11 +365,15 @@ pub fn decode_syndrome(graph: &DetectorGraph, syndrome: &SyndromeBits) -> Decode
 /// decoding never allocates.
 #[derive(Debug)]
 struct WindowScratch {
-    /// The sampled error chain (edge space).
+    /// The window's flipped edges, ascending ([`sample_flips`]).
+    flips: Vec<u32>,
+    /// The sampled error chain (edge space), written only for windows
+    /// with a flip.
     error: SyndromeBits,
     /// The observed syndrome, consumed by peeling as the defect marks.
     marks: SyndromeBits,
-    /// The correction chain (edge space).
+    /// The correction chain (edge space), written only for windows with
+    /// a flip.
     correction: SyndromeBits,
     dsu: ClusterDsu,
     defects: Vec<u32>,
@@ -362,6 +401,7 @@ struct WindowScratch {
 impl WindowScratch {
     fn new() -> Self {
         WindowScratch {
+            flips: Vec::new(),
             error: SyndromeBits::new(0),
             marks: SyndromeBits::new(0),
             correction: SyndromeBits::new(0),
@@ -391,6 +431,7 @@ impl WindowScratch {
         self.visited.resize(n, 0);
         self.support.resize(edges, 0);
         self.marks.reset(graph.num_detectors());
+        self.flips.reserve(edges);
         self.defects.reserve(n);
         self.grown.reserve(edges);
         self.members.reserve(n + 2 * edges);
@@ -401,32 +442,38 @@ impl WindowScratch {
         self.queue.reserve(n);
     }
 
-    /// Decodes the chain in `self.error` on `graph` and leaves the
-    /// correction in `self.correction`. Same correction and counts as
-    /// [`decode_chain`], plus the logical verdict of the residual.
+    /// Decodes the chain of `self.flips` on `graph` and, if it flipped
+    /// anything, leaves the chain in `self.error` and the correction in
+    /// `self.correction`. Same correction and counts as [`decode_chain`],
+    /// plus the logical verdict of the residual.
     ///
     /// A window with no flipped edge has a closed form: no defects, growth,
     /// merges or peels, an empty correction, and `syndrome words +
     /// num_nodes` work units, because the reference peeling BFS visits
-    /// every node exactly once (every node is a start). Otherwise only the
-    /// flipped edges' clusters are grown and peeled, each growth step
-    /// costing the growing cluster's frontier rather than every edge: the
-    /// growth order (ascending edges, `(size, root)` tie-break) and the BFS
-    /// discovery order are the reference's, and the BFS skips only starts
-    /// with no fully grown edge, which discover nothing.
+    /// every node exactly once (every node is a start); it touches neither
+    /// chain. Otherwise only the flipped edges' clusters are grown and
+    /// peeled, each growth step costing the growing cluster's frontier
+    /// rather than every edge: the growth order (ascending edges, `(size,
+    /// root)` tie-break) and the BFS discovery order are the reference's,
+    /// and the BFS skips only starts with no fully grown edge, which
+    /// discover nothing.
     fn decode(&mut self, graph: &DetectorGraph) -> DecodeWork {
         let n = graph.num_nodes();
         if self.dsu.len() < n {
             self.grow_to(graph);
         }
         let scan_words = graph.num_detectors().div_ceil(64) as u64;
-        self.correction.reset(graph.num_edges());
-        if self.error.popcount() == 0 {
+        if self.flips.is_empty() {
             return DecodeWork {
                 work_units: scan_words + n as u64,
                 ..DecodeWork::default()
             };
         }
+        self.error.reset(graph.num_edges());
+        for &e in &self.flips {
+            self.error.set(e);
+        }
+        self.correction.reset(graph.num_edges());
         self.mark_defects(graph);
         let (growth_steps, merges) = self.grow(graph);
         let peeled_edges = self.peel(graph);
@@ -446,11 +493,11 @@ impl WindowScratch {
         }
     }
 
-    /// Takes the syndrome of `self.error` as the defect marks and defect
+    /// Takes the syndrome of `self.flips` as the defect marks and defect
     /// list, and seeds the forest: defect parities and the boundaries.
     fn mark_defects(&mut self, graph: &DetectorGraph) {
         self.marks.reset(graph.num_detectors());
-        for e in self.error.iter_ones() {
+        for &e in &self.flips {
             for v in graph.endpoints(e) {
                 if !graph.is_boundary(v) {
                     self.marks.toggle(v);
@@ -712,14 +759,12 @@ impl UnionFindDecoder {
             });
             let seed = window_seed(self.channel.seed, tile, tile_state.windows);
             tile_state.windows += 1;
-            sample_error_into(
-                graph,
-                self.channel.error_rate,
-                seed,
-                &mut self.scratch.error,
-            );
+            let flips = &mut self.scratch.flips;
+            sample_flips(graph.num_edges(), self.channel.error_rate, seed, flips);
             let work = self.scratch.decode(graph);
-            tile_state.frame.absorb(graph, &self.scratch.correction);
+            if !self.scratch.flips.is_empty() {
+                tile_state.frame.absorb(graph, &self.scratch.correction);
+            }
             total.add(&work);
         }
         total
@@ -879,12 +924,17 @@ mod tests {
                     let g = &graphs[(w % d as u64) as usize];
                     let seed = window_seed(0xFACE ^ d as u64, pi as u32, w);
                     let error = sample_error(g, p, seed);
-                    sample_error_into(g, p, seed, &mut scratch.error);
-                    assert_eq!(scratch.error, error);
+                    sample_flips(g.num_edges(), p, seed, &mut scratch.flips);
                     let reference = decode_chain(g, &error);
                     let work = scratch.decode(g);
                     let label = format!("d={d} rounds={} p={p} w={w}", g.rounds());
-                    assert_eq!(scratch.correction, reference.correction, "{label}");
+                    if scratch.flips.is_empty() {
+                        assert_eq!(error.popcount(), 0, "{label}");
+                        assert_eq!(reference.correction.popcount(), 0, "{label}");
+                    } else {
+                        assert_eq!(scratch.error, error, "{label}");
+                        assert_eq!(scratch.correction, reference.correction, "{label}");
+                    }
                     assert_eq!(work.defects, reference.defects as u64, "{label}");
                     assert_eq!(work.growth_steps, reference.growth_steps, "{label}");
                     assert_eq!(work.merges, reference.merges, "{label}");
@@ -933,6 +983,222 @@ mod tests {
         assert!(
             long_merged >= 200,
             "{long_merged} windows merged over 3+ iterations"
+        );
+    }
+
+    /// The per-edge sampler that geometric skip-ahead replaced: one draw
+    /// per edge, which flips when the draw falls below `p · 2⁶⁴`. The
+    /// reference the sparse sampler's distribution is checked against.
+    fn per_edge_flips(edges: u32, p: f64, seed: u64, flips: &mut Vec<u32>) {
+        flips.clear();
+        if p <= 0.0 {
+            return;
+        }
+        let mut rng = SplitMix64::new(seed);
+        // Saturating f64→u64 cast: p ≥ 1 flips every edge.
+        let threshold = (p * 18_446_744_073_709_551_616.0) as u64;
+        for e in 0..edges {
+            let draw = rng.next_u64();
+            if p >= 1.0 || draw < threshold {
+                flips.push(e);
+            }
+        }
+    }
+
+    /// A sampler and the tile whose window streams it reads: one tile per
+    /// sampler, so the two samplers' draws are independent.
+    type Sampler = (fn(u32, f64, u64, &mut Vec<u32>), u32);
+    const SPARSE: Sampler = (sample_flips, 1);
+    const PER_EDGE: Sampler = (per_edge_flips, 2);
+
+    /// Runs `visit` on the flips `sampler` draws for `windows` windows of
+    /// `edges` edges.
+    fn for_each_window(
+        (sampler, stream): Sampler,
+        edges: u32,
+        p: f64,
+        windows: u64,
+        mut visit: impl FnMut(&[u32]),
+    ) {
+        let mut flips = Vec::new();
+        for w in 0..windows {
+            let seed = window_seed(0x5A3F ^ p.to_bits(), stream, w);
+            sampler(edges, p, seed, &mut flips);
+            visit(&flips);
+        }
+    }
+
+    /// The two-proportion z statistic of `x1` in `n1` against `x2` in `n2`.
+    fn two_proportion_z(x1: u64, n1: u64, x2: u64, n2: u64) -> f64 {
+        let pooled = (x1 + x2) as f64 / (n1 + n2) as f64;
+        let se = (pooled * (1.0 - pooled) * (1.0 / n1 as f64 + 1.0 / n2 as f64)).sqrt();
+        let diff = x1 as f64 / n1 as f64 - x2 as f64 / n2 as f64;
+        if se > 0.0 {
+            diff / se
+        } else {
+            0.0
+        }
+    }
+
+    /// About a d = 7 chunk's edge count.
+    const CHUNK_EDGES: u32 = 850;
+
+    #[test]
+    fn flip_counts_match_the_binomial() {
+        // (p, windows): 1.02·10⁶ edge-trials per rate and 1.02·10⁸ at 1e-4,
+        // where the sparse sampler draws ~10⁴ flips in ~1.2·10⁵ windows.
+        let rates = [(1e-4, 120_000), (1e-3, 1_200), (0.05, 1_200), (0.3, 1_200)];
+        for (p, windows) in rates {
+            let mut sparse = 0;
+            for_each_window(SPARSE, CHUNK_EDGES, p, windows, |f| {
+                assert!(f.windows(2).all(|pair| pair[0] < pair[1]), "p={p}");
+                assert!(f.last().is_none_or(|&e| e < CHUNK_EDGES), "p={p}");
+                sparse += f.len() as u64;
+            });
+            let mut per_edge = 0;
+            for_each_window(PER_EDGE, CHUNK_EDGES, p, 1_200, |f| {
+                per_edge += f.len() as u64;
+            });
+            let trials = CHUNK_EDGES as u64 * windows;
+            let (mean, sd) = (trials as f64 * p, (trials as f64 * p * (1.0 - p)).sqrt());
+            let z = (sparse as f64 - mean) / sd;
+            assert!(
+                z.abs() < 4.0,
+                "p={p}: {sparse} flips in {trials} trials, z={z:.2}"
+            );
+            let reference_trials = CHUNK_EDGES as u64 * 1_200;
+            let z = two_proportion_z(sparse, trials, per_edge, reference_trials);
+            assert!(
+                z.abs() < 4.0,
+                "p={p}: {sparse} vs {per_edge} per-edge flips, z={z:.2}"
+            );
+        }
+    }
+
+    #[test]
+    fn per_edge_marginals_pass_a_chi_square_test() {
+        // 2·10⁶ edge-trials over 100 edge indices: ~1000 flips per index.
+        const EDGES: u32 = 100;
+        let (p, windows) = (0.05, 20_000);
+        // The χ² quantile with EDGES degrees of freedom 4σ into the upper
+        // tail (Wilson–Hilferty): ≈ 167.
+        let k = EDGES as f64;
+        let limit = k * (1.0 - 2.0 / (9.0 * k) + 4.0 * (2.0 / (9.0 * k)).sqrt()).powi(3);
+        for sampler in [SPARSE, PER_EDGE] {
+            let mut hits = [0u64; EDGES as usize];
+            for_each_window(sampler, EDGES, p, windows, |f| {
+                f.iter().for_each(|&e| hits[e as usize] += 1);
+            });
+            let expected = windows as f64 * p;
+            let chi2: f64 = hits
+                .iter()
+                .map(|&o| (o as f64 - expected).powi(2) / (expected * (1.0 - p)))
+                .sum();
+            assert!(
+                chi2 < limit,
+                "χ² = {chi2:.1} over {EDGES} edges (limit {limit:.1})"
+            );
+        }
+    }
+
+    #[test]
+    fn adjacent_edges_co_flip_at_p_squared() {
+        // A gap of 0 must mean "the very next edge": an off-by-one there
+        // removes (or doubles) adjacent pairs.
+        const EDGES: u32 = 100;
+        for (p, windows) in [(0.05, 20_000), (0.3, 2_000)] {
+            let mut pairs = 0;
+            for_each_window(SPARSE, EDGES, p, windows, |f| {
+                pairs += f.windows(2).filter(|w| w[1] == w[0] + 1).count() as u64;
+            });
+            // Pair indicators have variance p²(1 − p²); pairs sharing an
+            // edge covary by p³ − p⁴.
+            let (n, overlaps) = ((EDGES - 1) as f64, 2.0 * (EDGES - 2) as f64);
+            let per_window = n * p * p * (1.0 - p * p) + overlaps * (p.powi(3) - p.powi(4));
+            let mean = windows as f64 * n * p * p;
+            let z = (pairs as f64 - mean) / (windows as f64 * per_window).sqrt();
+            assert!(
+                z.abs() < 4.0,
+                "p={p}: {pairs} adjacent co-flips, expected {mean}"
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_rates_flip_like_the_per_edge_sampler() {
+        // NaN and non-positive rates flip nothing (a gap of NaN cast to an
+        // integer would be 0 and flip everything), rates ≥ 1 flip every
+        // edge, and rates too small to flip anything end the window.
+        let rates = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            1e-300,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1.0,
+            1.5,
+            f64::INFINITY,
+        ];
+        let (mut sparse, mut per_edge) = (Vec::new(), Vec::new());
+        for p in rates {
+            for w in 0..100 {
+                let seed = window_seed(0xED6E, 0, w);
+                sample_flips(CHUNK_EDGES, p, seed, &mut sparse);
+                per_edge_flips(CHUNK_EDGES, p, seed, &mut per_edge);
+                assert_eq!(sparse, per_edge, "p={p}");
+                let all = p >= 1.0;
+                assert_eq!(sparse.len(), if all { CHUNK_EDGES as usize } else { 0 });
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_logical_failures_agree_across_samplers() {
+        // The (d, rounds, p) points of the differential corpus
+        // (`tests/differential.rs`): the exact oracle's logical-failure
+        // rate on sparse-sampled windows against per-edge-sampled ones.
+        let points = [
+            (3, 1, 0.02),
+            (3, 1, 0.05),
+            (3, 1, 0.08),
+            (3, 2, 0.02),
+            (3, 2, 0.05),
+            (5, 1, 0.02),
+            (5, 1, 0.04),
+            (5, 2, 0.02),
+        ];
+        let mut failures = 0;
+        for (d, rounds, p) in points {
+            let g = DetectorGraph::new(d, rounds);
+            let rate = |sampler: Sampler| {
+                let (mut failed, mut decoded) = (0u64, 0u64);
+                for_each_window(sampler, g.num_edges(), p, 4_000, |f| {
+                    let mut error = SyndromeBits::new(g.num_edges());
+                    f.iter().for_each(|&e| error.set(e));
+                    let syndrome = g.syndrome_of(&error);
+                    if syndrome.popcount() as usize > crate::MAX_EXACT_DEFECTS {
+                        return;
+                    }
+                    let (mut residual, _) = crate::min_weight_correction(&g, &syndrome);
+                    residual.xor_with(&error);
+                    failed += g.crosses_logical_cut(&residual) as u64;
+                    decoded += 1;
+                });
+                (failed, decoded)
+            };
+            let (x1, n1) = rate(SPARSE);
+            let (x2, n2) = rate(PER_EDGE);
+            let z = two_proportion_z(x1, n1, x2, n2);
+            let label = format!("d={d} rounds={rounds} p={p}: {x1}/{n1} vs {x2}/{n2}");
+            assert!(z.abs() < 4.0, "{label}, z={z:.2}");
+            failures += x1 + x2;
+        }
+        assert!(
+            failures > 100,
+            "the corpus points must fail the oracle: {failures}"
         );
     }
 

@@ -502,6 +502,21 @@ impl RtEngine<'_> {
             }
             self.handle_event(ev);
         }
+        // A speculative preparation whose task finished elsewhere can still
+        // be verifying when the last gate completes (`decode_prep`). No
+        // gate waits on it, but the decoder finishes the window: retire it
+        // at its ready round so every submitted window is accounted for.
+        while self.decoder.backlog().in_flight() > 0 {
+            let Some((t, ev)) = self.events.pop() else {
+                break;
+            };
+            if let Ev::PrepDecoded { window, .. } = ev {
+                self.clock = t;
+                let cycles = self.decoder.retire(window, t);
+                self.trace_window_retired(window);
+                self.decode_latency.record(cycles);
+            }
+        }
 
         Ok(ExecutionReport {
             scheduler: SchedulerKind::Rescq,

@@ -3,7 +3,7 @@
 
 use rescq_circuit::{Angle, Circuit};
 use rescq_core::{KPolicy, SchedulerKind};
-use rescq_decoder::DecoderConfig;
+use rescq_decoder::{DecoderConfig, DecoderKind};
 use rescq_rus::PrepCalibration;
 use rescq_sim::{reports_csv_row, simulate, SimConfig};
 
@@ -172,7 +172,9 @@ fn union_find_realtime_run_is_pinned() {
     // gate back. A `union_find:1.0` run is decoder-bound: it stretches over
     // many more cycles and MST completions, so this pins that path too.
     // Values captured before MST completions were applied as one Kruskal
-    // pass; the batch apply must reproduce them exactly.
+    // pass (the batch apply must reproduce them exactly), and re-recorded
+    // once when the union-find error channel moved to geometric
+    // skip-ahead, whose stream differs.
     let c = rescq_workloads::generate("ising_n34", 1).expect("known benchmark");
     let cfg = SimConfig::builder()
         .scheduler(SchedulerKind::Rescq)
@@ -180,13 +182,13 @@ fn union_find_realtime_run_is_pinned() {
         .seed(7)
         .build();
     let r = simulate(&c, &cfg).unwrap();
-    assert_eq!(r.total_rounds, 6318);
+    assert_eq!(r.total_rounds, 6322);
     assert_eq!(r.counters.mst_computations, 35);
-    assert_eq!(r.counters.mst_incremental_updates, 2334);
+    assert_eq!(r.counters.mst_incremental_updates, 2264);
     assert_eq!(
         reports_csv_row(&r),
-        "rescq,7,7,902.571,0.9819,217,158,75,633,327,2,35,25,11,158,9447.000,34,0,0,103,\
-         317,8947,1186,44,252,0"
+        "rescq,7,7,903.143,0.9821,217,162,79,680,355,1,35,25,11,162,9357.143,34,0,0,103,\
+         414,8818,1816,40,222,0"
     );
 }
 
@@ -212,6 +214,8 @@ fn dispatch_goldens_are_pinned() {
     // parked and decoder windows reused scratch. The path-cache hits/misses
     // count geometric-memo lookups; they were re-recorded when the
     // per-generation tree-path cache was deleted (their sum is unchanged).
+    // The two union-find runs were re-recorded once when the error
+    // channel moved to geometric skip-ahead, whose stream differs.
     let goldens = [
         DispatchGolden {
             name: "ising_n420",
@@ -235,43 +239,46 @@ fn dispatch_goldens_are_pinned() {
             name: "ising_n420",
             compression: 0.0,
             decoder: Some(DecoderConfig::union_find(1.0)),
-            total_rounds: 10382,
-            counters: "RunCounters { preps_started: 8273, preps_succeeded: 6302, \
-                preps_cancelled: 4461, states_discarded: 4218, injections: 2084, \
-                injection_failures: 1036, edge_rotations: 17, cnot_surgeries: 838, \
+            total_rounds: 10133,
+            counters: "RunCounters { preps_started: 8117, preps_succeeded: 6177, \
+                preps_cancelled: 4415, states_discarded: 4117, injections: 2060, \
+                injection_failures: 1012, edge_rotations: 26, cnot_surgeries: 838, \
                 cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
-                waitgraph_peak_edges: 1559, \
-                stall_ancilla_cycles: 4647, stall_decoder_cycles: 116410, \
-                stall_route_cycles: 46958, stall_class_cycles: 0, mst_computations: 58, \
-                mst_incremental_updates: 36063, path_cache_hits: 7183, \
-                path_cache_misses: 5627, decode_windows: 2084, decoder_stall_rounds: 871332, \
-                decoder_peak_backlog: 420, decode_defects: 406, decode_growth_steps: 2280, \
-                decode_failures: 0 }",
-            row: "rescq,1,7,1483.143,0.9886,2726,2084,1036,8273,4461,17,58,25,18,2084,124476.000,\
-                420,0,0,1559,4647,116410,46958,406,2280,0",
+                waitgraph_peak_edges: 1559, stall_ancilla_cycles: 7325, \
+                stall_decoder_cycles: 113655, stall_route_cycles: 47801, \
+                stall_class_cycles: 0, mst_computations: 57, \
+                mst_incremental_updates: 35864, path_cache_hits: 7183, \
+                path_cache_misses: 5627, decode_windows: 2060, \
+                decoder_stall_rounds: 865606, decoder_peak_backlog: 420, \
+                decode_defects: 526, decode_growth_steps: 3028, decode_failures: 0 }",
+            row: "rescq,1,7,1447.571,0.9883,2726,2060,1012,8117,4415,26,57,25,18,2060,\
+                123658.000,420,0,0,1559,7325,113655,47801,526,3028,0",
         },
         DispatchGolden {
             // Preparation verification is decoded too (`--decoder-prep`):
             // prepared states become usable through `PrepDecoded` events.
+            // The run ends with a speculative preparation still verifying,
+            // whose window the engine retires after the last gate (debug
+            // builds assert that no window is left in flight).
             name: "ising_n34",
             compression: 0.0,
             decoder: Some(DecoderConfig {
                 decode_prep: true,
                 ..DecoderConfig::union_find(1.0)
             }),
-            total_rounds: 19637,
-            counters: "RunCounters { preps_started: 861, preps_succeeded: 495, \
-                preps_cancelled: 475, states_discarded: 318, injections: 177, \
-                injection_failures: 94, edge_rotations: 0, cnot_surgeries: 66, \
+            total_rounds: 16278,
+            counters: "RunCounters { preps_started: 802, preps_succeeded: 473, \
+                preps_cancelled: 436, states_discarded: 298, injections: 175, \
+                injection_failures: 92, edge_rotations: 0, cnot_surgeries: 66, \
                 cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
-                waitgraph_peak_edges: 103, \
-                stall_ancilla_cycles: 33, stall_decoder_cycles: 22880, stall_route_cycles: 1162, \
-                stall_class_cycles: 0, mst_computations: 111, mst_incremental_updates: 3231, \
-                path_cache_hits: 496, path_cache_misses: 398, decode_windows: 1038, \
-                decoder_stall_rounds: 435856, decoder_peak_backlog: 99, decode_defects: 163, \
-                decode_growth_steps: 942, decode_failures: 0 }",
-            row: "rescq,1,7,2805.286,0.9938,217,177,94,861,475,0,111,25,11,1038,62265.143,99,0,0,\
-                103,33,22880,1162,163,942,0",
+                waitgraph_peak_edges: 103, stall_ancilla_cycles: 28, \
+                stall_decoder_cycles: 22292, stall_route_cycles: 3483, \
+                stall_class_cycles: 0, mst_computations: 92, mst_incremental_updates: 3091, \
+                path_cache_hits: 496, path_cache_misses: 398, decode_windows: 976, \
+                decoder_stall_rounds: 404376, decoder_peak_backlog: 103, \
+                decode_defects: 173, decode_growth_steps: 992, decode_failures: 0 }",
+            row: "rescq,1,7,2325.429,0.9926,217,175,92,802,436,0,92,25,11,976,57768.000,103,0,\
+                0,103,28,22292,3483,173,992,0",
         },
         DispatchGolden {
             name: "qft_n18",
@@ -346,7 +353,9 @@ fn static_goldens_are_pinned() {
     // engine that rebuilt each qubit's adjacency and allocated a fresh BFS
     // per route attempt. The wstate_n27 point decodes both injections and
     // preparation verification (`decode_prep`) with a backlog, so it
-    // passes through the `DecodeDone` and `PrepDecoded` events.
+    // passes through the `DecodeDone` and `PrepDecoded` events; it was
+    // re-recorded once when the union-find error channel moved to
+    // geometric skip-ahead, whose stream differs.
     let decode_prep = DecoderConfig {
         decode_prep: true,
         ..DecoderConfig::union_find(4.0)
@@ -402,20 +411,19 @@ fn static_goldens_are_pinned() {
                 name: "wstate_n27",
                 compression: 0.0,
                 decoder: Some(decode_prep),
-                total_rounds: 44597,
-                counters:
-                    "RunCounters { preps_started: 321, preps_succeeded: 321, preps_cancelled: 0, \
-                    states_discarded: 0, injections: 321, injection_failures: 166, \
-                    edge_rotations: 0, cnot_surgeries: 52, cnot_replans: 0, preemptions: 0, \
-                    preemptions_rejected_cycle: 0, \
-                    waitgraph_peak_edges: 0, \
-                    stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
-                    stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
-                    path_cache_hits: 0, path_cache_misses: 0, decode_windows: 642, \
-                    decoder_stall_rounds: 73805, decoder_peak_backlog: 26, decode_defects: 148, \
-                    decode_growth_steps: 864, decode_failures: 0 }",
-                row: "greedy,1,7,6371.000,0.9945,313,321,166,321,0,0,0,0,0,642,10543.571,26,0,0,0,\
-                    0,0,0,148,864,0",
+                total_rounds: 44633,
+                counters: "RunCounters { preps_started: 321, preps_succeeded: 321, \
+                    preps_cancelled: 0, states_discarded: 0, injections: 321, \
+                    injection_failures: 166, edge_rotations: 0, cnot_surgeries: 52, \
+                    cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
+                    waitgraph_peak_edges: 0, stall_ancilla_cycles: 0, \
+                    stall_decoder_cycles: 0, stall_route_cycles: 0, stall_class_cycles: 0, \
+                    mst_computations: 0, mst_incremental_updates: 0, path_cache_hits: 0, \
+                    path_cache_misses: 0, decode_windows: 642, decoder_stall_rounds: 73831, \
+                    decoder_peak_backlog: 26, decode_defects: 162, \
+                    decode_growth_steps: 956, decode_failures: 0 }",
+                row: "greedy,1,7,6376.143,0.9945,313,321,166,321,0,0,0,0,0,642,10547.286,26,0,\
+                    0,0,0,0,0,162,956,0",
             },
         ),
         (
@@ -468,20 +476,19 @@ fn static_goldens_are_pinned() {
                 name: "wstate_n27",
                 compression: 0.0,
                 decoder: Some(decode_prep),
-                total_rounds: 44597,
-                counters:
-                    "RunCounters { preps_started: 321, preps_succeeded: 321, preps_cancelled: 0, \
-                    states_discarded: 0, injections: 321, injection_failures: 166, \
-                    edge_rotations: 0, cnot_surgeries: 52, cnot_replans: 0, preemptions: 0, \
-                    preemptions_rejected_cycle: 0, \
-                    waitgraph_peak_edges: 0, \
-                    stall_ancilla_cycles: 0, stall_decoder_cycles: 0, stall_route_cycles: 0, \
-                    stall_class_cycles: 0, mst_computations: 0, mst_incremental_updates: 0, \
-                    path_cache_hits: 0, path_cache_misses: 0, decode_windows: 642, \
-                    decoder_stall_rounds: 73805, decoder_peak_backlog: 26, decode_defects: 148, \
-                    decode_growth_steps: 864, decode_failures: 0 }",
-                row: "autobraid,1,7,6371.000,0.9945,313,321,166,321,0,0,0,0,0,642,10543.571,26,0,\
-                    0,0,0,0,0,148,864,0",
+                total_rounds: 44633,
+                counters: "RunCounters { preps_started: 321, preps_succeeded: 321, \
+                    preps_cancelled: 0, states_discarded: 0, injections: 321, \
+                    injection_failures: 166, edge_rotations: 0, cnot_surgeries: 52, \
+                    cnot_replans: 0, preemptions: 0, preemptions_rejected_cycle: 0, \
+                    waitgraph_peak_edges: 0, stall_ancilla_cycles: 0, \
+                    stall_decoder_cycles: 0, stall_route_cycles: 0, stall_class_cycles: 0, \
+                    mst_computations: 0, mst_incremental_updates: 0, path_cache_hits: 0, \
+                    path_cache_misses: 0, decode_windows: 642, decoder_stall_rounds: 73831, \
+                    decoder_peak_backlog: 26, decode_defects: 162, \
+                    decode_growth_steps: 956, decode_failures: 0 }",
+                row: "autobraid,1,7,6376.143,0.9945,313,321,166,321,0,0,0,0,0,642,10547.286,26,0,\
+                    0,0,0,0,0,162,956,0",
             },
         ),
     ];
@@ -641,17 +648,22 @@ fn idle_fraction_in_unit_range() {
 
 #[test]
 fn cross_product_digest_is_pinned() {
-    // One FNV-1a digest over a cross product of circuits, compressions,
+    // FNV-1a digests over a cross product of circuits, compressions,
     // decoders, schedulers and seeds: each run contributes its
     // `total_rounds` and `RunCounters` Debug text. The named goldens above
-    // pin a few points in detail; this one sees a wrong decision anywhere
-    // in the 216 runs, which is what a missed wake point in a dispatch
-    // frontier tends to cause. Recorded on the engine whose dispatch passes
-    // rescanned every gate (static) and walked the start frontier from
-    // word 0 (realtime), and recomputed when the two class-lattice
-    // preemption counters left `RunCounters`: on the engine that still had
-    // them, with both cut from each line.
-    // Two workers share the runs; the digest reads the lines in point
+    // pin a few points in detail; these see a wrong decision anywhere in
+    // the 216 runs, which is what a missed wake point in a dispatch
+    // frontier tends to cause. The ideal-decoder and union-find runs fold
+    // into one digest each, so a change to the union-find error stream
+    // re-pins only its half. The 216 runs were first pinned as one digest
+    // on the engine whose dispatch passes rescanned every gate (static)
+    // and walked the start frontier from word 0 (realtime), recomputed
+    // when the two class-lattice preemption counters left `RunCounters`
+    // (on the engine that still had them, with both cut from each line),
+    // then split into these two on the same engine. The union-find digest
+    // was re-pinned when the error channel began sampling by geometric
+    // skip-ahead.
+    // Two workers share the runs; each digest reads its lines in point
     // order.
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -677,7 +689,7 @@ fn cross_product_digest_is_pinned() {
                             .decoder(decoder)
                             .seed(seed)
                             .build();
-                        points.push((c, cfg));
+                        points.push((c, cfg, decoder.kind == DecoderKind::UnionFind));
                     }
                 }
             }
@@ -689,16 +701,31 @@ fn cross_product_digest_is_pinned() {
         for _ in 0..2 {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((c, cfg)) = points.get(i) else { break };
+                let Some((c, cfg, _)) = points.get(i) else {
+                    break;
+                };
                 let r = simulate(c, cfg).unwrap();
                 lines.lock().unwrap()[i] = format!("{} {:?}\n", r.total_rounds, r.counters);
             });
         }
     });
-    let text = lines.into_inner().unwrap().concat();
-    let digest = rescq_circuit::fnv1a_64(text.bytes());
+    let lines = lines.into_inner().unwrap();
+    let digest = |union_find: bool| {
+        let text: String = points
+            .iter()
+            .zip(&lines)
+            .filter(|((_, _, uf), _)| *uf == union_find)
+            .map(|(_, line)| line.as_str())
+            .collect();
+        rescq_circuit::fnv1a_64(text.bytes())
+    };
+    let (ideal, union_find) = (digest(false), digest(true));
     assert_eq!(
-        digest, 0x0aa9_cc95_f742_9e03,
-        "cross-product digest {digest:#018x}"
+        ideal, 0xcef4_d6b6_280d_b09c,
+        "ideal-decoder digest {ideal:#018x}"
+    );
+    assert_eq!(
+        union_find, 0x51e4_00e2_f30d_38c6,
+        "union-find digest {union_find:#018x}"
     );
 }
