@@ -32,11 +32,14 @@ pub enum SimError {
     BadInput(String),
     /// A data qubit has no adjacent ancilla (over-compressed layout).
     NoAncillaForQubit(QubitId),
-    /// No event is pending but gates remain — a scheduling deadlock.
+    /// Gates remain but the schedule can no longer change: a realtime
+    /// fixed point its recovery cannot clear, or no pending event in a
+    /// static engine.
     Deadlock {
         /// Round at which progress stopped.
         round: u64,
-        /// Human-readable context.
+        /// Human-readable context (realtime: each stuck task's stall cause,
+        /// holds and the queue tops it waits on).
         detail: String,
     },
     /// The watchdog cycle limit was exceeded.

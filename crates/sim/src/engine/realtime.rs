@@ -70,9 +70,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Cycles without any gate completion before the stall breaker fires.
-const STALL_BREAK_CYCLES: u64 = 300;
-
 /// Activity window `c` in cycles (§4.2): MST edge weights count an
 /// ancilla's active cycles among the last `c`.
 const ACTIVITY_WINDOW: u32 = 100;
@@ -95,8 +92,6 @@ struct EngineScratch {
     route: RouteScratch,
     /// Speculative-task snapshot taken per preemption-eligible ancilla.
     spec_tasks: Vec<TaskId>,
-    /// Stale-holder staging for correction retargets and the stall breaker.
-    stale: Vec<AncillaIndex>,
     /// X-side neighbours while enqueueing a rotation's sites.
     x_side: Vec<AncillaIndex>,
     /// The propose-phase scan frontier: `dirty ∩ nonempty` words snapshot
@@ -271,9 +266,12 @@ struct RtEngine<'a> {
     gate_scheduled: Vec<bool>,
     done_count: usize,
     last_completion: u64,
-    /// Round of the most recent forward progress (gate completion or stall
-    /// break) — drives the stall breaker, not the makespan metric.
-    last_progress: u64,
+    /// `done_count` at the last fixed-point recovery: a second fixed point
+    /// with no gate completed since is a recovery livelock.
+    recovered_at: Option<usize>,
+    /// `(round, cnot_replans)` at the first tick of the current run of
+    /// quiescent ticks with no route re-planned ([`Self::at_fixed_point`]).
+    quiet_since: Option<(u64, u64)>,
 
     tasks: Vec<Task>,
     /// Tasks created and not yet completed.
@@ -417,7 +415,8 @@ pub(crate) fn run_realtime(
         gate_scheduled: vec![false; circuit.len()],
         done_count: 0,
         last_completion: 0,
-        last_progress: 0,
+        recovered_at: None,
+        quiet_since: None,
         tasks: Vec::with_capacity(circuit.len()),
         live: task_set(),
         start_frontier: task_set(),
@@ -470,16 +469,10 @@ impl RtEngine<'_> {
             if self.done_count >= self.circuit.len() {
                 break;
             }
-            let Some((t, ev)) = self.events.pop() else {
-                return Err(SimError::Deadlock {
-                    round: self.clock,
-                    detail: format!(
-                        "{} of {} gates pending with no events",
-                        self.circuit.len() - self.done_count,
-                        self.circuit.len()
-                    ),
-                });
-            };
+            let (t, ev) = self
+                .events
+                .pop()
+                .expect("a cycle tick is pending while gates remain");
             self.clock = t;
             // Fabric occupancies that end at or before the new clock free
             // their ancillas *now*, before any event at this round is
@@ -493,14 +486,19 @@ impl RtEngine<'_> {
                 self.ledger.mark_dirty(a);
             }
             if self.clock > max_rounds {
-                if std::env::var("RESCQ_DEBUG_STUCK").is_ok() {
-                    self.dump_stuck_state();
-                }
                 return Err(SimError::WatchdogExceeded {
                     cycles: self.clock / self.d as u64,
                 });
             }
+            // A tick that was the only pending event, with no occupancy
+            // left to expire, finds the state the last dispatch left: only
+            // the tick's own inputs (the MST, the re-plan clock) can move it.
+            let tick = matches!(ev, Ev::CycleTick);
+            let quiescent = tick && self.events.is_empty() && self.occupancy_expiries.is_empty();
             self.handle_event(ev);
+            if tick && self.at_fixed_point(quiescent) {
+                self.recover_fixed_point()?;
+            }
         }
         // A speculative preparation whose task finished elsewhere can still
         // be verifying when the last gate completes (`decode_prep`). No
@@ -555,103 +553,6 @@ impl RtEngine<'_> {
             },
             phase_nanos: self.phase_nanos,
         })
-    }
-
-    /// Debug helper: prints the state of every incomplete task (enabled via
-    /// `RESCQ_DEBUG_STUCK=1`).
-    fn dump_stuck_state(&self) {
-        eprintln!("--- stuck at round {} ---", self.clock);
-        for (i, t) in self.tasks.iter().enumerate() {
-            if t.done {
-                continue;
-            }
-            if let TaskBody::Rz {
-                qubit,
-                ladder,
-                holders,
-                helper_sites,
-                injecting,
-                ..
-            } = &t.body
-            {
-                eprintln!(
-                    "rz-diag task {i}: injecting={injecting} complete={} qubit_free={} preds_done={}",
-                    ladder.is_complete(),
-                    self.fabric.qubit_free(*qubit, self.clock),
-                    self.dag.preds(t.gate).all(|p| self.gate_done[p.index()]),
-                );
-                let current = ladder.current_angle();
-                let data = self.fabric.layout.data_tile(*qubit);
-                for &(a, angle) in holders {
-                    let tile = self.fabric.graph.tile(a);
-                    let side = self.fabric.layout.grid().side_towards(data, tile);
-                    eprintln!(
-                        "  holder a={a} tile={tile} angle_match={} side={side:?}",
-                        angle == current
-                    );
-                    if side.is_none() {
-                        for &h in helper_sites {
-                            eprintln!(
-                                "    helper h={h} tile={} adj={} free={} top_is_task={}",
-                                self.fabric.graph.tile(h),
-                                self.fabric.graph.neighbors(h).contains(&a),
-                                self.fabric.ancilla_free(h, self.clock),
-                                self.ledger.queue(h).top().map(|e| e.task.0).unwrap_or(9999)
-                            );
-                        }
-                        let adj = self.fabric.layout.data_adjacency(*qubit);
-                        for &(side, h_tile) in &adj.side {
-                            let h = self.fabric.graph.index_of(h_tile);
-                            eprintln!(
-                                "    chan side={side:?} tile={h_tile} dense={h:?} adj={:?} top={:?} free={:?}",
-                                h.map(|h| self.fabric.graph.neighbors(h).contains(&a)),
-                                h.map(|h| self.ledger.queue(h).top().map(|e| e.task.0)),
-                                h.map(|h| self.fabric.ancilla_free(h, self.clock)),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        for (i, t) in self.tasks.iter().enumerate() {
-            if t.done {
-                continue;
-            }
-            eprintln!(
-                "task {i} gate {:?} body {:?}",
-                self.circuit.gate(t.gate),
-                t.body
-            );
-        }
-        for (i, q) in self.ledger.queues() {
-            if !q.is_empty() {
-                let entries: Vec<String> = q
-                    .iter()
-                    .map(|e| format!("{}:{:?}:{:?}", e.task.0, e.role, e.status))
-                    .collect();
-                eprintln!(
-                    "queue {i} free_at={} held={} prepping={:?}: {entries:?}",
-                    self.fabric.ancilla_free_at(i),
-                    self.fabric.is_held(i),
-                    self.prepping[i as usize]
-                );
-            }
-        }
-        for q in 0..self.circuit.num_qubits() {
-            let qq = QubitId(q);
-            let chain = self.dag.qubit_chain(qq);
-            if self.cursor[q as usize] < chain.len() {
-                eprintln!(
-                    "qubit {q} cursor {}/{} free={} next={:?}",
-                    self.cursor[q as usize],
-                    chain.len(),
-                    self.fabric.qubit_free(qq, self.clock),
-                    chain
-                        .get(self.cursor[q as usize])
-                        .map(|&g| self.circuit.gate(g)),
-                );
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1058,7 +959,6 @@ impl RtEngine<'_> {
         self.done_count += 1;
         self.gates_executed += 1;
         self.last_completion = self.last_completion.max(self.clock);
-        self.last_progress = self.clock;
         for q in self.circuit.gate(gid).qubits() {
             self.sched_worklist.push(q);
         }
@@ -1341,14 +1241,13 @@ impl RtEngine<'_> {
             return None; // holding a finished state, waiting for injection
         }
         // Eager correction preparation (Fig 1e) runs even on constrained
-        // fabrics now: PR 1 had to forbid re-preparing while the task's
-        // injection was in flight because the held ancilla could starve CNOT
-        // routes with no safe way to take it back. The ledger changed that —
-        // stalled routes preempt speculative claims (cycle-checked), ready
-        // injections evict speculative holds, and the stall breaker discards
-        // holds whose owner cannot consume them — so the correction ladder
-        // may pipeline its next state behind the in-flight injection, which
-        // is where the constrained-fabric rotation win comes from.
+        // fabrics, although a held ancilla could starve CNOT routes: stalled
+        // routes preempt speculative claims (cycle-checked), ready
+        // injections evict speculative holds, and the fixed-point recovery
+        // discards holds whose owner cannot consume them. So the correction
+        // ladder may pipeline its next state behind the in-flight
+        // injection, which is where the constrained-fabric rotation win
+        // comes from.
         match self.prepping[a as usize] {
             Some(angle) if angle == top.angle => None, // already preparing it
             // In-place rewrite hit a running preparation: restart it.
@@ -1866,77 +1765,153 @@ impl RtEngine<'_> {
         }
     }
 
-    /// Last-resort stall breaker: when no gate has completed for
-    /// [`STALL_BREAK_CYCLES`], speculative eager-correction holds (states for
-    /// an angle the ladder does not currently need) are discarded so the
-    /// ancillas return to the pool — the paper's reclaim rule applied
-    /// globally. States held by tasks whose predecessor gates are incomplete
-    /// are discarded too: they cannot be consumed yet, and such holds can
-    /// close a wait cycle *through the dependency DAG* that the ledger's
-    /// queue-level wait-for graph cannot see. Real work restarts on the next
-    /// dispatch.
-    fn break_stall(&mut self) {
-        let mut stale = std::mem::take(&mut self.scratch.stale);
-        for i in 0..self.tasks.len() {
-            if self.tasks[i].done {
-                continue;
+    /// Whether this tick finds the engine at a fixed point: `quiescent`
+    /// (the tick was the only pending event and no occupancy is left to
+    /// expire) and past the reach of the tick's own inputs. Only a
+    /// route-blocked CNOT on a constrained fabric reads those: it re-plans
+    /// every `cnot_cycles` against the MST, which drifts while the activity
+    /// window slides. With no occupancy and fixed holds, activity is final
+    /// a window into the quiet streak, the MST built from it lands `k + τ`
+    /// later, and one re-plan period on, every such CNOT has re-planned
+    /// against it. A moved route or a recovery restarts the streak. (Route
+    /// costs all shift with the clock, so the clock alone changes no plan.)
+    fn at_fixed_point(&mut self, quiescent: bool) -> bool {
+        let replans = self.counters.cnot_replans;
+        let since = match self.quiet_since {
+            _ if !quiescent => {
+                self.quiet_since = None;
+                return false;
             }
-            let speculative = self.is_speculative(TaskId(i as u32));
+            Some((round, n)) if n == replans => round,
+            _ => {
+                self.quiet_since = Some((self.clock, replans));
+                self.clock
+            }
+        };
+        let settle_cycles =
+            ACTIVITY_WINDOW + self.mst.k() + self.mst.tau() + self.costs.cnot_cycles;
+        !self.constrained
+            || self.stalled[StallCause::RouteBlocked.index()] == 0
+            || self.clock - since >= settle_cycles as u64 * self.d as u64
+    }
+
+    /// The fixed-point recovery: runs when the engine reaches a state that
+    /// no pending event and no further tick can change. Speculative
+    /// eager-correction holds (states for an angle the ladder does not
+    /// currently need) are discarded so the ancillas return to the pool —
+    /// the paper's reclaim rule applied globally. States held by tasks
+    /// whose predecessor gates are incomplete are discarded too: they
+    /// cannot be consumed yet, and such holds can close a wait cycle
+    /// *through the dependency DAG* that the ledger's queue-level wait-for
+    /// graph cannot see. Real work restarts on the next dispatch.
+    ///
+    /// A fixed point the recovery cannot clear is a [`SimError::Deadlock`]:
+    /// one where it would discard nothing, or a second one with no gate
+    /// completed since the last recovery.
+    fn recover_fixed_point(&mut self) -> Result<(), SimError> {
+        if self.recovered_at == Some(self.done_count) {
+            return Err(self.deadlock("no gate completed since the last recovery"));
+        }
+        let mut discarded = 0;
+        for i in 0..self.tasks.len() {
+            let id = TaskId(i as u32);
+            let speculative = self.is_speculative(id);
+            let (fabric, ledger, clock) = (&mut self.fabric, &mut self.ledger, self.clock);
             let TaskBody::Rz {
-                ref ladder,
-                ref holders,
+                ladder,
+                holders,
+                prep_sites,
                 ..
-            } = self.tasks[i].body
+            } = &mut self.tasks[i].body
             else {
                 continue;
             };
             let current = ladder.current_angle();
-            stale.clear();
-            stale.extend(
-                holders
-                    .iter()
-                    .filter(|&&(_, ang)| speculative || ang != current)
-                    .map(|&(a, _)| a),
-            );
-            let discarded = !stale.is_empty();
-            for &a in &stale {
-                self.fabric.release_ancilla(a, self.clock);
-                self.ledger
-                    .set_top_status_if(a, TaskId(i as u32), EntryStatus::Ready);
-                if let TaskBody::Rz { holders, .. } = &mut self.tasks[i].body {
-                    holders.retain(|&(x, _)| x != a);
+            let held = holders.len();
+            holders.retain(|&(a, angle)| {
+                let keep = !speculative && angle == current;
+                if !keep {
+                    fabric.release_ancilla(a, clock);
+                    ledger.set_top_status_if(a, id, EntryStatus::Ready);
                 }
-                self.counters.states_discarded += 1;
+                keep
+            });
+            if holders.len() == held {
+                continue;
             }
-            if discarded {
-                // Retarget the surviving (non-holding) prep-site entries
-                // back to the angle the ladder actually needs. A discarded
-                // state can be the task's only copy of the current angle
-                // while its sibling entries were already rewritten to the
-                // |m2θ⟩ correction (eager preparation, §4.1) — without the
-                // retarget, every restarted preparation reproduces the
-                // stale correction angle and the task livelocks through
-                // the stall breaker forever (pinned regression:
-                // factory_n12 @ 25% compression, seed 8).
-                let num_sites = match &self.tasks[i].body {
-                    TaskBody::Rz { prep_sites, .. } => prep_sites.len(),
-                    _ => unreachable!("loop body is Rz-only"),
-                };
-                for si in 0..num_sites {
-                    let s = match &self.tasks[i].body {
-                        TaskBody::Rz { prep_sites, .. } => prep_sites[si].0,
-                        _ => unreachable!("loop body is Rz-only"),
+            discarded += held - holders.len();
+            #[cfg(test)]
+            if tests::SKIP_RETARGET.get() {
+                continue;
+            }
+            // Retarget the surviving (non-holding) prep-site entries back
+            // to the angle the ladder actually needs. A discarded state can
+            // be the task's only copy of the current angle while its
+            // sibling entries were already rewritten to the |m2θ⟩
+            // correction (eager preparation, §4.1) — without the retarget,
+            // every restarted preparation reproduces the stale correction
+            // angle and the recovery repeats forever (pinned regression:
+            // factory_n12 @ 25% compression, seed 8).
+            for &(s, _) in prep_sites.iter() {
+                if holders.iter().all(|&(h, _)| h != s) {
+                    ledger.update_angle(s, id, current);
+                }
+            }
+        }
+        self.counters.states_discarded += discarded as u64;
+        if discarded == 0 {
+            return Err(self.deadlock("the recovery has no held state to discard"));
+        }
+        self.recovered_at = Some(self.done_count);
+        self.quiet_since = None;
+        Ok(())
+    }
+
+    /// A [`SimError::Deadlock`] at the current round whose detail says
+    /// why, then names each live task with its stall cause, the ancillas
+    /// it holds states on (`*`: the ladder's current angle) and each queue
+    /// it waits in behind another task (`a<-t`: ancilla, top task).
+    fn deadlock(&self, why: &str) -> SimError {
+        use std::fmt::Write;
+        let (total, pending) = (self.circuit.len(), self.circuit.len() - self.done_count);
+        let mut detail = format!("{why}; {pending} of {total} gates pending");
+        let mut next = self.live.next_from(0);
+        while let Some(i) = next {
+            next = self.live.next_from(i + 1);
+            let task = &self.tasks[i];
+            let cause = task
+                .stall
+                .map_or("waiting_on_predecessors", StallCause::name);
+            let _ = write!(
+                detail,
+                "; task {i} ({}) {cause}",
+                self.circuit.gate(task.gate)
+            );
+            if let TaskBody::Rz {
+                ladder, holders, ..
+            } = &task.body
+            {
+                for &(a, angle) in holders {
+                    let mark = if angle == ladder.current_angle() {
+                        "*"
+                    } else {
+                        ""
                     };
-                    if !self.is_holding(TaskId(i as u32), s) {
-                        self.ledger.update_angle(s, TaskId(i as u32), current);
+                    let _ = write!(detail, " holds a{a}{mark}");
+                }
+            }
+            for (a, q) in self.ledger.queues() {
+                if let Some(top) = q.top().filter(|e| e.task.index() != i) {
+                    if q.position(TaskId(i as u32)).is_some() {
+                        let _ = write!(detail, " waits a{a}<-t{}", top.task.0);
                     }
                 }
             }
         }
-        stale.clear();
-        self.scratch.stale = stale;
-        // Reset the stall clock so the breaker does not spin.
-        self.last_progress = self.clock;
+        SimError::Deadlock {
+            round: self.clock,
+            detail,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2137,11 +2112,6 @@ impl RtEngine<'_> {
                             .map(|&(a, b)| counts[a as usize].max(counts[b as usize])),
                     );
                 });
-                if self.clock.saturating_sub(self.last_progress)
-                    > STALL_BREAK_CYCLES * self.d as u64
-                {
-                    self.break_stall();
-                }
                 if let Some(probe) = self.cycle_probe {
                     probe(cycle);
                 }
@@ -2265,38 +2235,27 @@ impl RtEngine<'_> {
         self.counters.preps_succeeded += 1;
         self.ledger.set_top_status(a, EntryStatus::DonePreparing);
         let TaskBody::Rz {
-            ref ladder,
-            ref prep_sites,
+            ladder,
+            prep_sites,
+            holders,
             ..
-        } = self.tasks[task.index()].body
+        } = &mut self.tasks[task.index()].body
         else {
             return;
         };
-        let current = ladder.current_angle();
         let next = ladder.next_correction_angle();
-        let fresh_current = angle == current;
-        let num_sites = prep_sites.len();
-        if let TaskBody::Rz { holders, .. } = &mut self.tasks[task.index()].body {
-            holders.push((a, angle));
+        holders.push((a, angle));
+        if angle == ladder.current_angle() && !next.is_clifford() {
+            // First success for the needed angle: rewrite every sibling prep
+            // entry in place to the correction state |m2θ⟩ (§4.1 / Fig 1e).
+            for &(s, _) in prep_sites.iter() {
+                if holders.iter().all(|&(h, _)| h != s) {
+                    self.ledger.update_angle(s, task, next);
+                }
+            }
         }
         // A new holder may carry the current angle: wake a parked start.
         self.start_frontier.insert(task.index());
-        if fresh_current && !next.is_clifford() {
-            // First success for the needed angle: rewrite every sibling prep
-            // entry in place to the correction state |m2θ⟩ (§4.1 / Fig 1e).
-            // Indexed re-fetch: neither `is_holding` nor `update_angle`
-            // mutates the task body, so the site list is stable.
-            for si in 0..num_sites {
-                let s = match &self.tasks[task.index()].body {
-                    TaskBody::Rz { prep_sites, .. } => prep_sites[si].0,
-                    _ => unreachable!("task body cannot change kind"),
-                };
-                if s == a || self.is_holding(task, s) {
-                    continue;
-                }
-                self.ledger.update_angle(s, task, next);
-            }
-        }
         self.try_start_injection(task);
     }
 
@@ -2379,46 +2338,30 @@ impl RtEngine<'_> {
             LadderStep::NeedCorrection(next) => {
                 // Discard holders of stale angles; retarget every non-holding
                 // site (including the consumed holder) to the new angle.
-                let mut stale = std::mem::take(&mut self.scratch.stale);
-                stale.clear();
-                let num_sites = match &self.tasks[task.index()].body {
-                    TaskBody::Rz {
-                        prep_sites,
-                        holders,
-                        ..
-                    } => {
-                        stale.extend(
-                            holders
-                                .iter()
-                                .filter(|&&(_, ang)| ang != next)
-                                .map(|&(a, _)| a),
-                        );
-                        prep_sites.len()
-                    }
-                    _ => unreachable!(),
+                let (fabric, ledger, clock) = (&mut self.fabric, &mut self.ledger, self.clock);
+                let TaskBody::Rz {
+                    prep_sites,
+                    holders,
+                    ..
+                } = &mut self.tasks[task.index()].body
+                else {
+                    unreachable!("the ladder is an Rz task's");
                 };
-                for &a in &stale {
-                    self.fabric.release_ancilla(a, self.clock);
-                    self.counters.states_discarded += 1;
-                }
-                stale.clear();
-                self.scratch.stale = stale;
-                if let TaskBody::Rz { holders, .. } = &mut self.tasks[task.index()].body {
-                    holders.retain(|&(_, ang)| ang == next);
-                }
-                // Indexed re-fetch: nothing in this loop mutates the task
-                // body, so the site list is stable across iterations.
-                for si in 0..num_sites {
-                    let s = match &self.tasks[task.index()].body {
-                        TaskBody::Rz { prep_sites, .. } => prep_sites[si].0,
-                        _ => unreachable!("task body cannot change kind"),
-                    };
-                    if !self.is_holding(task, s) {
-                        self.ledger.update_angle(s, task, next);
-                        if self.ledger.queue(s).top().is_some_and(|e| {
+                let held = holders.len();
+                holders.retain(|&(a, ang)| {
+                    if ang != next {
+                        fabric.release_ancilla(a, clock);
+                    }
+                    ang == next
+                });
+                self.counters.states_discarded += (held - holders.len()) as u64;
+                for &(s, _) in prep_sites.iter() {
+                    if holders.iter().all(|&(h, _)| h != s) {
+                        ledger.update_angle(s, task, next);
+                        if ledger.queue(s).top().is_some_and(|e| {
                             e.task == task && e.status == EntryStatus::DonePreparing
                         }) {
-                            self.ledger.set_top_status(s, EntryStatus::Ready);
+                            ledger.set_top_status(s, EntryStatus::Ready);
                         }
                     }
                 }
@@ -2469,5 +2412,57 @@ impl RtEngine<'_> {
         self.start_frontier.remove(task.index());
         self.refresh_stall(task);
         self.finish_gate(gate);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{simulate, SimConfig, SimError};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Planted fault: the fixed-point recovery discards holds but skips
+        /// retargeting the surviving prep entries to the current angle.
+        /// Thread-local, so tests running on other threads never see it.
+        pub(super) static SKIP_RETARGET: Cell<bool> = const { Cell::new(false) };
+    }
+
+    #[test]
+    fn recovery_that_cannot_clear_a_fixed_point_is_a_deadlock() {
+        // factory_n12 @ 25%, seed 8 reaches one fixed point (round 427),
+        // which the recovery clears. Without its retarget step, the
+        // recoveries at round 427 and (after ten more gates) at 518 leave
+        // the siblings at the stale correction angle, so the restarted
+        // preparations rebuild the same fixed point one cycle later. With
+        // no gate completed since the last recovery, that ends the run at
+        // round 525 instead of repeating the recovery up to the watchdog.
+        let circuit = rescq_workloads::generate("factory_n12", 1).unwrap();
+        let config = SimConfig::builder()
+            .compression(0.25)
+            .seed(8)
+            .max_cycles(3_000)
+            .build();
+        simulate(&circuit, &config).expect("the recovery clears seed 8");
+        SKIP_RETARGET.set(true);
+        let faulty = simulate(&circuit, &config);
+        SKIP_RETARGET.set(false);
+        let Err(SimError::Deadlock { round, detail }) = faulty else {
+            panic!("expected a deadlock, got {faulty:?}");
+        };
+        assert_eq!(round, 525, "{detail}");
+        assert!(
+            detail.starts_with("no gate completed since the last recovery; 52 of 128"),
+            "{detail}"
+        );
+        // The snapshot names the stuck tasks, their causes, holds and the
+        // queue tops they wait on.
+        assert!(
+            detail.contains("task 68 (rz 1 ") && detail.contains("ancilla_contention holds a13"),
+            "{detail}"
+        );
+        assert!(
+            detail.contains("task 69 (cx 3 4) route_blocked waits a8<-t68"),
+            "{detail}"
+        );
     }
 }

@@ -149,15 +149,6 @@ impl Fabric {
         self.held[a as usize].is_none() && self.ancilla_free_at[a as usize] <= now
     }
 
-    /// The round ancilla `a` frees up (`u64::MAX` while held).
-    pub fn ancilla_free_at(&self, a: AncillaIndex) -> u64 {
-        if self.held[a as usize].is_some() {
-            u64::MAX
-        } else {
-            self.ancilla_free_at[a as usize]
-        }
-    }
-
     /// Occupies qubit `q` for `[now, until)` and accrues its busy time.
     pub fn occupy_qubit(&mut self, q: QubitId, now: u64, until: u64) {
         debug_assert!(self.qubit_free(q, now), "qubit {q} double-booked");
@@ -285,7 +276,7 @@ mod tests {
         assert!(!f.ancilla_free(0, 1000));
         assert!(f.is_held_by(0, 42));
         assert!(!f.is_held_by(0, 43));
-        assert_eq!(f.ancilla_free_at(0), u64::MAX);
+        assert!(!f.ancilla_free(0, u64::MAX));
         f.release_ancilla(0, 21);
         assert!(f.ancilla_free(0, 21));
         assert!(!f.is_held(0));
@@ -325,7 +316,7 @@ mod tests {
 
         fn end_cycle(&mut self, f: &Fabric, boundary_round: u64) {
             for a in 0..self.flags.len() {
-                let carry = f.ancilla_free_at(a as AncillaIndex) > boundary_round;
+                let carry = !f.ancilla_free(a as AncillaIndex, boundary_round);
                 self.cycle[a] = self.flags[a] || carry;
                 self.flags[a] = carry;
             }

@@ -402,7 +402,8 @@ pub mod decoder_stress {
 /// CNOT. The remaining qubits are the *compute block*: an entangling CNOT
 /// brickwork with sparse rotations. The factory chains dominate the
 /// critical path, and on contended fabrics older compute claims can stall
-/// the pipelines, which exercises ledger preemption and the stall breaker.
+/// the pipelines, which exercises ledger preemption and the realtime
+/// engine's fixed-point recovery.
 pub mod factory {
     use super::*;
 

@@ -43,23 +43,23 @@ fn uncompressed_benchmark_run_matches_pre_ledger_golden() {
 }
 
 #[test]
-fn stall_breaker_retargets_lost_current_angle_states() {
-    // Regression: on factory_n12 at 25% compression, seed 8, the stall
-    // breaker used to discard a task's only |mθ⟩ holder *after* its sibling
-    // queue entries had been rewritten to the |m2θ⟩ correction state —
-    // nothing retargeted them back, so every restarted preparation
-    // reproduced the stale correction angle and the run livelocked through
-    // the stall breaker until the watchdog fired. The breaker now retargets
-    // surviving entries to the ladder's current angle whenever it discards
-    // holders. (Class-blind run: the priority lattice is not involved.)
+fn fixed_point_recovery_retargets_lost_current_angle_states() {
+    // Regression: on factory_n12 at 25% compression, seed 8, the engine
+    // reaches a fixed point: a wait cycle through the dependency DAG that
+    // no event or tick can break. The recovery that fires there discards
+    // speculative and stale holds, which can include a task's only |mθ⟩
+    // holder after its sibling queue entries were rewritten to the |m2θ⟩
+    // correction state; it then retargets the surviving entries to the
+    // ladder's current angle. Without the retarget every restarted
+    // preparation reproduces the stale angle and the run deadlocks at its
+    // next fixed point. Recovering at the fixed point (round 427) instead
+    // of after 300 cycles without a completion pins the makespan at 882
+    // rounds (126 cycles; seeds 1–7 and 9–10 take 111–160).
     let circuit = rescq_repro::workloads::generate("factory_n12", 1).unwrap();
-    let config = SimConfig::builder()
-        .compression(0.25)
-        .seed(8)
-        .max_cycles(300_000)
-        .build();
-    let report = simulate(&circuit, &config).expect("run must terminate");
+    let config = SimConfig::builder().compression(0.25).seed(8).build();
+    let report = simulate(&circuit, &config).expect("the recovery clears the fixed point");
     assert_eq!(report.gates_executed, circuit.len());
+    assert_eq!(report.total_rounds, 882);
 }
 
 #[test]
