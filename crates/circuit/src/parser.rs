@@ -89,7 +89,7 @@ fn parse_pi_expr(t: &str) -> Option<Angle> {
             den.trailing_zeros()
         }
     };
-    let num = if neg { -num } else { num };
+    let num = if neg { num.checked_neg()? } else { num };
     Some(Angle::dyadic_pi(num, k))
 }
 
@@ -171,7 +171,13 @@ pub fn parse_circuit(text: &str, num_qubits: Option<u32>) -> Result<Circuit, Par
         }
     }
 
-    let nq = num_qubits.unwrap_or(if gates.is_empty() { 0 } else { max_qubit + 1 });
+    let nq = match num_qubits {
+        Some(n) => n,
+        None if gates.is_empty() => 0,
+        None => max_qubit
+            .checked_add(1)
+            .ok_or_else(|| err(1, format!("qubit index {max_qubit} is too large")))?,
+    };
     Circuit::from_gates(nq, gates).map_err(|e| err(1, e.to_string()))
 }
 

@@ -145,7 +145,9 @@ pub fn parse_qasm(text: &str) -> Result<Circuit, ParseQasmError> {
                     .parse()
                     .map_err(|_| err(lineno, "malformed qreg size"))?;
                 regs.push((name.trim().to_string(), total_qubits, size));
-                total_qubits += size;
+                total_qubits = total_qubits
+                    .checked_add(size)
+                    .ok_or_else(|| err(lineno, "registers exceed 2^32 qubits"))?;
                 continue;
             }
             if stmt.starts_with("creg")

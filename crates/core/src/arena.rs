@@ -161,6 +161,27 @@ impl Bitset {
         &self.words
     }
 
+    /// The words between the watermarks and the index of the first of
+    /// them; every other word is zero. A scan of these sees every member
+    /// (id `64 * (start + i) + bit` for bit `bit` of word `i`).
+    ///
+    /// ```
+    /// use rescq_core::Bitset;
+    ///
+    /// let mut s = Bitset::new();
+    /// s.insert(70);
+    /// s.insert(200);
+    /// let (start, words) = s.live_words();
+    /// assert_eq!((start, words.len()), (1, 3));
+    /// ```
+    pub fn live_words(&self) -> (usize, &[u64]) {
+        if self.lo < self.hi {
+            (self.lo, &self.words[self.lo..self.hi])
+        } else {
+            (0, &[])
+        }
+    }
+
     /// The smallest id in the set, if any. Moves the low watermark up to
     /// that id's word, so later walks skip the zero words below it.
     pub fn first(&mut self) -> Option<usize> {
@@ -176,9 +197,8 @@ impl Bitset {
 
     /// The smallest id `>= from` in the set, if any. Walking a set with
     /// `next_from(last + 1)` visits ids in ascending order and sees
-    /// inserts and removals made between steps, unlike
-    /// [`for_each_set_bit`] over a borrowed word slice. Reads only the
-    /// words between the watermarks.
+    /// inserts and removals made between steps. Reads only the words
+    /// between the watermarks.
     ///
     /// ```
     /// use rescq_core::Bitset;
@@ -208,31 +228,6 @@ impl Bitset {
             w = self.words[wi];
         }
         Some(wi * 64 + w.trailing_zeros() as usize)
-    }
-}
-
-/// Iterates the set bits of packed `u64` words in ascending id order.
-///
-/// This is the word-parallel scan primitive: callers test 64 ids per
-/// word-compare and only pay per-bit work for ids that are actually set.
-///
-/// ```
-/// use rescq_core::for_each_set_bit;
-///
-/// let words = [0b1010u64, 1u64];
-/// let mut ids = Vec::new();
-/// for_each_set_bit(&words, |id| ids.push(id));
-/// assert_eq!(ids, [1, 3, 64]);
-/// ```
-#[inline]
-pub fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &word) in words.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            f(wi * 64 + bit);
-            w &= w - 1;
-        }
     }
 }
 
@@ -292,10 +287,7 @@ mod tests {
         for &id in &ids {
             s.insert(id);
         }
-        let mut seen = Vec::new();
-        for_each_set_bit(s.words(), |id| seen.push(id));
-        assert_eq!(seen, ids);
-        // `next_from` walks the same ids, including across word edges.
+        // `next_from` walks the ids in order, including across word edges.
         let mut walked = Vec::new();
         let mut next = s.next_from(0);
         while let Some(id) = next {

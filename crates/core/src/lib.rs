@@ -38,7 +38,7 @@ mod reservation;
 pub mod routing;
 mod types;
 
-pub use arena::{for_each_set_bit, Bitset, VecPool};
+pub use arena::{Bitset, VecPool};
 pub use dynmst::{KPolicy, MstPipeline, TauModel};
 pub use queue::{AncillaQueue, EntryStatus, QueueEntry, Role};
 pub use reservation::{LedgerEvent, LedgerStats, Preemption, ReservationId, ReservationLedger};

@@ -185,8 +185,9 @@ pub struct ReservationLedger {
     /// preparation completions). Engines use this as the incremental
     /// dispatch frontier: an unmarked ancilla provably proposes the same
     /// (empty) action it proposed last pass, so only marked words need
-    /// rescanning.
-    dirty: Vec<u64>,
+    /// rescanning. The set's watermarks bound those words, so a scan or a
+    /// clear touches only the span of ancillas marked since the last clear.
+    dirty: crate::arena::Bitset,
     /// Scratch buffers reused across calls so the steady-state ledger makes
     /// zero heap allocations (see `arena` module docs).
     scratch_tasks: Vec<TaskId>,
@@ -205,12 +206,17 @@ pub struct ReservationLedger {
 impl ReservationLedger {
     /// Creates a ledger over `num_ancillas` empty queues.
     pub fn new(num_ancillas: usize) -> Self {
+        let mut dirty = crate::arena::Bitset::new();
+        dirty.reserve(num_ancillas);
+        // Everything starts dirty: the first dispatch pass must examine
+        // every ancilla once before the incremental frontier takes over.
+        for a in 0..num_ancillas {
+            dirty.insert(a);
+        }
         ReservationLedger {
             queues: vec![AncillaQueue::new(); num_ancillas],
             nonempty: vec![0u64; num_ancillas.div_ceil(64)],
-            // Everything starts dirty: the first dispatch pass must examine
-            // every ancilla once before the incremental frontier takes over.
-            dirty: vec![u64::MAX; num_ancillas.div_ceil(64)],
+            dirty,
             ..Default::default()
         }
     }
@@ -260,24 +266,32 @@ impl ReservationLedger {
     /// the ledger cannot observe (fabric occupancy expiring, a preparation
     /// finishing, a held state being consumed).
     pub fn mark_dirty(&mut self, a: u32) {
-        let w = (a / 64) as usize;
-        if w >= self.dirty.len() {
-            self.dirty.resize(w + 1, 0);
+        self.dirty.insert(a as usize);
+    }
+
+    /// Calls `f` with every dirty ancilla whose queue is nonempty, in
+    /// ascending order: a word-parallel scan of `dirty ∩ nonempty` over
+    /// only the dirty set's words between its watermarks (every other
+    /// dirty word is zero).
+    pub fn for_each_dirty_nonempty(&self, mut f: impl FnMut(u32)) {
+        let (start, dirty) = self.dirty.live_words();
+        let nonempty = self.nonempty.get(start..).unwrap_or(&[]);
+        for (i, (&d, &n)) in dirty.iter().zip(nonempty).enumerate() {
+            let base = (64 * (start + i)) as u32;
+            let mut w = d & n;
+            while w != 0 {
+                f(base + w.trailing_zeros());
+                w &= w - 1;
+            }
         }
-        self.dirty[w] |= 1u64 << (a % 64);
     }
 
-    /// The packed dirty words (bit `a` of word `a / 64`); same layout as
-    /// [`Self::nonempty_words`].
-    pub fn dirty_words(&self) -> &[u64] {
-        &self.dirty
-    }
-
-    /// Clears the dirty set. Callers snapshot (or intersect) the words
-    /// first, then clear, so mutations made while acting on the snapshot
-    /// re-mark for the next pass.
+    /// Clears the dirty set, zeroing only the words between its
+    /// watermarks. Callers scan first ([`Self::for_each_dirty_nonempty`]),
+    /// then clear, so mutations made while acting on the scan re-mark for
+    /// the next pass.
     pub fn clear_dirty(&mut self) {
-        self.dirty.fill(0);
+        self.dirty.clear();
     }
 
     fn set_nonempty_bit(&mut self, a: u32) {
@@ -1010,6 +1024,86 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    /// The dirty set's watermarks on seeded op streams over 300 ancillas
+    /// (five words): after every push, pop, removal, angle or status write,
+    /// explicit mark and clear, every dirty word outside the watermarks
+    /// must be zero, and [`ReservationLedger::for_each_dirty_nonempty`]
+    /// must visit exactly the ids a full-word scan of `dirty ∩ nonempty`
+    /// visits, which are the ids a `Vec<bool>` reference marks dirty and
+    /// the ledger holds nonempty.
+    #[test]
+    fn watermarked_dirty_scan_matches_a_full_word_scan() {
+        const N: u32 = 300;
+        let mut narrow_scans = 0u32;
+        for seed in 0..30u64 {
+            let mut st = seed;
+            let mut l = ReservationLedger::new(N as usize);
+            let mut dirty = vec![true; N as usize];
+            for step in 0..400 {
+                let r = next(&mut st);
+                // Mostly one neighbourhood, so the watermarks stay narrow.
+                let a = if r.is_multiple_of(3) {
+                    (r >> 8) as u32 % N
+                } else {
+                    (seed as u32 * 37 + (r >> 8) as u32 % 40) % N
+                };
+                let task = TaskId(((r >> 20) % 6) as u32);
+                let marked = match (r >> 32) % 12 {
+                    0..=3 => {
+                        l.push(a, QueueEntry::new(task, Role::PrepZz, Angle::ZERO));
+                        true
+                    }
+                    4 | 5 => {
+                        l.pop(a);
+                        true
+                    }
+                    6 => l.remove_task(a, task) > 0, // a miss marks nothing
+                    7 => {
+                        l.update_angle(a, task, Angle::S);
+                        true
+                    }
+                    8 => {
+                        l.set_top_status(a, EntryStatus::Executing);
+                        true
+                    }
+                    9 => {
+                        l.mark_dirty(a);
+                        true
+                    }
+                    _ => {
+                        l.clear_dirty();
+                        dirty.fill(false);
+                        false
+                    }
+                };
+                dirty[a as usize] |= marked;
+                let at = format!("seed {seed} step {step}");
+                let (start, live) = l.dirty.live_words();
+                for (wi, &w) in l.dirty.words().iter().enumerate() {
+                    assert!(w == 0 || (start..start + live.len()).contains(&wi), "{at}");
+                }
+                narrow_scans += (live.len() < l.dirty.words().len()) as u32;
+                let words = l.dirty.words().iter().zip(l.nonempty_words());
+                let full: Vec<u32> = words
+                    .enumerate()
+                    .flat_map(|(wi, (d, n))| {
+                        (0..64)
+                            .filter(move |b| (d & n) >> b & 1 == 1)
+                            .map(move |b| 64 * wi as u32 + b)
+                    })
+                    .collect();
+                let mut scanned = Vec::new();
+                l.for_each_dirty_nonempty(|id| scanned.push(id));
+                assert_eq!(scanned, full, "{at}");
+                let want: Vec<u32> = (0..N)
+                    .filter(|&i| dirty[i as usize] && !l.queue(i).is_empty())
+                    .collect();
+                assert_eq!(scanned, want, "{at}");
+            }
+        }
+        assert!(narrow_scans > 3000, "only {narrow_scans} narrow scans");
     }
 
     /// `pop`, `remove_task` and `move_to_front` apply pair deltas; the

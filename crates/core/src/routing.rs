@@ -50,6 +50,7 @@ use rescq_lattice::{
     Orientation,
 };
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A chosen CNOT route.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +121,7 @@ impl RoutePlanMeta {
 pub struct PathCache {
     /// Paths keyed by `(smaller id, larger id)` and stored from the smaller
     /// id; `None` when the pair is unreachable or not yet searched.
-    geo_paths: HashMap<(AncillaIndex, AncillaIndex), Option<Vec<AncillaIndex>>>,
+    geo_paths: HashMap<(AncillaIndex, AncillaIndex), Option<Vec<AncillaIndex>>, PairHash>,
     /// Keys that missed since the last [`Self::resolve`].
     pending: Vec<(AncillaIndex, AncillaIndex)>,
     /// One source's targets, staged from `pending`.
@@ -132,6 +133,33 @@ pub struct PathCache {
     misses: u64,
     /// Nodes on the longest memoised path.
     longest: usize,
+}
+
+/// The memo's hasher: a key's two ids packed into one word and mixed by
+/// a multiplication, in place of SipHash. The memo is only probed, never
+/// iterated, so the hash cannot reach any output.
+type PairHash = BuildHasherDefault<PairHasher>;
+
+#[derive(Debug, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = (self.0 << 32) | u64::from(x);
+    }
+
+    fn finish(&self) -> u64 {
+        // Fibonacci hashing, with the high half folded down so the table's
+        // low-bit bucket index sees both ids.
+        let h = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
+    }
 }
 
 /// A memo key: the pair with its smaller id first.

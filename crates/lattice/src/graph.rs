@@ -4,7 +4,7 @@
 use crate::{Grid, TileId};
 use std::collections::VecDeque;
 
-/// Disjoint-set forest with union by rank and path compression.
+/// Disjoint-set forest with union by rank and path halving.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<u32>,
@@ -29,18 +29,18 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set.
-    pub fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
+    /// One pass up the tree that points each visited node at its
+    /// grandparent; roots and ranks are what full compression leaves.
+    pub fn find(&mut self, mut x: u32) -> u32 {
+        loop {
+            let p = self.parent[x as usize];
+            let gp = self.parent[p as usize];
+            if p == gp {
+                return p;
+            }
+            self.parent[x as usize] = gp;
+            x = gp;
         }
-        let mut cur = x;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
     }
 
     /// Merges the sets of `a` and `b`; returns `false` if already merged.
@@ -393,6 +393,57 @@ mod tests {
         uf.reset(4);
         assert!(!uf.connected(0, 1));
         assert!(uf.union(0, 1));
+    }
+
+    /// Path halving against full path compression on seeded unions and
+    /// finds: every find returns the same root, every union the same
+    /// verdict, and the ranks stay equal, so a caller's link order (and
+    /// Kruskal's tree) cannot change.
+    #[test]
+    fn path_halving_keeps_the_roots_of_full_compression() {
+        fn find_compress(parent: &mut [u32], x: u32) -> u32 {
+            let mut root = x;
+            while parent[root as usize] != root {
+                root = parent[root as usize];
+            }
+            let mut cur = x;
+            while parent[cur as usize] != root {
+                let next = parent[cur as usize];
+                parent[cur as usize] = root;
+                cur = next;
+            }
+            root
+        }
+        const N: u32 = 200;
+        for seed in 0..20u64 {
+            let mut st = seed;
+            let mut uf = UnionFind::new(N as usize);
+            let mut parent: Vec<u32> = (0..N).collect();
+            let mut rank = vec![0u8; N as usize];
+            for _ in 0..600 {
+                let r = next(&mut st);
+                let (a, b) = ((r % u64::from(N)) as u32, ((r >> 16) % u64::from(N)) as u32);
+                if (r >> 40).is_multiple_of(3) {
+                    assert_eq!(uf.find(a), find_compress(&mut parent, a), "seed {seed}");
+                    continue;
+                }
+                let (ra, rb) = (find_compress(&mut parent, a), find_compress(&mut parent, b));
+                let merged = ra != rb;
+                if merged {
+                    let (hi, lo) = if rank[ra as usize] < rank[rb as usize] {
+                        (rb, ra)
+                    } else {
+                        (ra, rb)
+                    };
+                    parent[lo as usize] = hi;
+                    if rank[hi as usize] == rank[lo as usize] {
+                        rank[hi as usize] += 1;
+                    }
+                }
+                assert_eq!(uf.union(a, b), merged, "seed {seed}");
+                assert_eq!(uf.rank, rank, "seed {seed}");
+            }
+        }
     }
 
     /// The BFS that `AncillaGraph::shortest_path_into` replaced, kept as

@@ -115,6 +115,10 @@ pub struct IncrementalMst {
     sort_counts: Vec<u32>,
     /// Kruskal's component forest, reset (capacity kept) per rebuild.
     kruskal_uf: UnionFind,
+    /// Edges in every spanning forest of the graph (nodes minus
+    /// components). Weights never change the edge set's connectivity, so
+    /// a Kruskal pass is done once it has linked this many.
+    span: usize,
 }
 
 impl IncrementalMst {
@@ -158,25 +162,34 @@ impl IncrementalMst {
             queue: Vec::with_capacity(num_nodes),
             upd_path: Vec::with_capacity(num_nodes),
             upd_seen: vec![false; num_nodes],
+            span: usize::MAX,
         };
         mst.rebuild();
+        mst.span = mst.tree_size();
         mst
     }
 
     /// Recomputes the tree from the current weights: the radix sort, one
     /// Kruskal pass and re-rooting, all in held scratch, so it allocates
-    /// nothing. Exposed for benchmarking against the incremental path.
+    /// nothing. The pass stops once it has linked a spanning forest's
+    /// edge count: every later edge would close a cycle. Exposed for
+    /// benchmarking against the incremental path.
     pub fn rebuild(&mut self) {
         self.sort_order();
         self.in_tree.fill(false);
         self.adj_end
             .copy_from_slice(&self.adj_start[..self.num_nodes]);
         self.kruskal_uf.reset(self.num_nodes);
+        let mut linked = 0;
         for i in 0..self.kruskal_order.len() {
+            if linked == self.span {
+                break;
+            }
             let id = self.kruskal_order[i];
             let e = self.edges[id as usize];
             if self.kruskal_uf.union(e.a, e.b) {
                 self.link(id);
+                linked += 1;
             }
         }
         self.reroot();
@@ -1023,6 +1036,69 @@ mod tests {
         assert!(mst.tree_path(0, 12).is_none());
         assert_eq!(mst.tree_path(21, 21), Some(vec![21]));
         check_paths_through_random_updates(mst, 4, 7, 12);
+    }
+
+    /// The rebuild before its early exit: the radix order, then Kruskal
+    /// over every edge, with a relabelling component map in place of the
+    /// union-find.
+    fn full_scan_rebuild(mst: &mut IncrementalMst) {
+        mst.sort_order();
+        mst.in_tree.fill(false);
+        mst.adj_end.copy_from_slice(&mst.adj_start[..mst.num_nodes]);
+        let mut comp: Vec<usize> = (0..mst.num_nodes).collect();
+        for i in 0..mst.kruskal_order.len() {
+            let id = mst.kruskal_order[i];
+            let e = mst.edges[id as usize];
+            let (ca, cb) = (comp[e.a as usize], comp[e.b as usize]);
+            if ca != cb {
+                comp.iter_mut().filter(|c| **c == cb).for_each(|c| *c = ca);
+                mst.link(id);
+            }
+        }
+        mst.reroot();
+    }
+
+    /// The early-exit rebuild against [`full_scan_rebuild`] on the
+    /// random-grid and forest corpora, through snapshots of random
+    /// weights: tree edges, slot adjacency, parents and depths must match.
+    #[test]
+    fn early_exit_rebuild_matches_the_full_scan() {
+        let mut forest = grid_edges(4, 3);
+        forest.extend(
+            grid_edges(3, 3)
+                .into_iter()
+                .map(|(a, b, w)| (a + 12, b + 12, w)),
+        );
+        let mut corpora = vec![(22usize, forest, 4u64, 7u64)];
+        for (seed, (w, h), max_weight) in [(1u64, (4, 4), 4), (2, (7, 5), 4), (3, (6, 6), 200)] {
+            corpora.push(((w * h) as usize, grid_edges(w, h), max_weight, seed));
+        }
+        let mut early_exits = 0u32;
+        for (n, edges, max_weight, seed) in corpora {
+            let mut mst = IncrementalMst::new(n, &edges);
+            let mut state = seed;
+            for step in 0..30 {
+                let weights: Vec<u32> = edges
+                    .iter()
+                    .map(|_| (lcg(&mut state) % max_weight) as u32)
+                    .collect();
+                mst.set_weights(&weights);
+                mst.rebuild();
+                let mut reference = mst.clone();
+                full_scan_rebuild(&mut reference);
+                let at = format!("seed {seed} step {step}");
+                assert_eq!(mst.in_tree, reference.in_tree, "{at}");
+                assert_eq!(slot_view(&mst), slot_view(&reference), "{at}");
+                assert_eq!(mst.parent, reference.parent, "{at}");
+                assert_eq!(mst.depth, reference.depth, "{at}");
+                let last = mst.kruskal_order.last().copied();
+                early_exits += u32::from(last.is_some_and(|id| !mst.contains_edge(id)));
+            }
+        }
+        assert!(
+            early_exits > 60,
+            "only {early_exits} rebuilds stopped early"
+        );
     }
 
     #[test]

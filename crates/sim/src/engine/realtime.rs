@@ -58,9 +58,9 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, QubitId};
 use rescq_core::{
-    for_each_set_bit, plan_cnot_route_into, Bitset, EntryStatus, LedgerEvent, MstPipeline,
-    PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch, SchedulerKind,
-    SurgeryCosts, TaskId, TauModel, VecPool,
+    plan_cnot_route_into, Bitset, EntryStatus, LedgerEvent, MstPipeline, PathCache, Preemption,
+    QueueEntry, ReservationLedger, Role, RouteScratch, SchedulerKind, SurgeryCosts, TaskId,
+    TauModel, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::{AncillaIndex, DataAdjacency, EdgeType};
@@ -94,10 +94,6 @@ struct EngineScratch {
     spec_tasks: Vec<TaskId>,
     /// X-side neighbours while enqueueing a rotation's sites.
     x_side: Vec<AncillaIndex>,
-    /// The propose-phase scan frontier: `dirty ∩ nonempty` words snapshot
-    /// taken at pass start (the ledger's dirty set is cleared immediately
-    /// after, so commit-time mutations re-mark for the next pass).
-    scan_words: Vec<u64>,
 }
 
 /// `E[f_a]` (§4.2) memoised for one route plan: an ancilla's expected-free
@@ -659,19 +655,13 @@ impl RtEngine<'_> {
         }
         let (ledger, live) = (&self.ledger, &self.live);
         let frontier = &mut self.start_frontier;
-        let words = ledger.dirty_words().iter().zip(ledger.nonempty_words());
-        for (wi, (&dirty, &nonempty)) in words.enumerate() {
-            let mut w = dirty & nonempty;
-            while w != 0 {
-                let a = (wi * 64) as u32 + w.trailing_zeros();
-                w &= w - 1;
-                if let Some(top) = ledger.queue(a).top() {
-                    if top.role == Role::Route && live.contains(top.task.index()) {
-                        frontier.insert(top.task.index());
-                    }
+        ledger.for_each_dirty_nonempty(|a| {
+            if let Some(top) = ledger.queue(a).top() {
+                if top.role == Role::Route && live.contains(top.task.index()) {
+                    frontier.insert(top.task.index());
                 }
             }
-        }
+        });
     }
 
     /// Whether `task`'s operation is in flight, which makes its start
@@ -824,29 +814,16 @@ impl RtEngine<'_> {
         // propose an action, and an *unmarked* ancilla provably re-proposes
         // the `None` it proposed last pass (every enabling mutation — ledger
         // writes, fabric holds expiring, preparations finishing — marks the
-        // ancilla dirty). Clearing before the scan means commit-time
-        // mutations land in the next pass's frontier, exactly like the
-        // historical full rescan.
-        let mut words = std::mem::take(&mut self.scratch.scan_words);
-        words.clear();
-        words.extend(
-            self.ledger
-                .dirty_words()
-                .iter()
-                .zip(self.ledger.nonempty_words())
-                .map(|(d, n)| d & n),
-        );
-        self.ledger.clear_dirty();
-        // Word-parallel scan over the frontier words: 64 idle or untouched
-        // ancillas are skipped per word-compare.
+        // ancilla dirty). Proposing only reads, and the dirty set is cleared
+        // before any commit, so commit-time mutations land in the next
+        // pass's frontier, exactly like the historical full rescan.
         candidates.clear();
-        for_each_set_bit(&words, |a| {
-            if self.ancilla_action(a as u32).is_some() {
-                candidates.push(a as u32);
+        self.ledger.for_each_dirty_nonempty(|a| {
+            if self.ancilla_action(a).is_some() {
+                candidates.push(a);
             }
         });
-        words.clear();
-        self.scratch.scan_words = words;
+        self.ledger.clear_dirty();
         self.note_phase(Phase::Propose, t0);
         let t1 = traced.then(Instant::now);
         let mut progress = false;
