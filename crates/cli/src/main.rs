@@ -63,7 +63,7 @@ fn print_usage() {
     println!("  sim analyze <trace.json|spec.toml> [--json FILE] [--top K]");
     println!("                                      bottleneck report: critical path with");
     println!("                                   stall-cause attribution, hot ancillas,");
-    println!("                                   region utilization. Accepts a --trace-out");
+    println!("                                   busy-decile histogram. Accepts a --trace-out");
     println!("                                   JSON or a one-point spec (re-runs base seed");
     println!("                                   traced)");
     println!("  sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE]");

@@ -7,8 +7,8 @@
 //! lattice-surgery cycle is `d` rounds (§5.2.1).
 
 mod realtime;
-mod region;
 mod static_sched;
+mod trace;
 
 use crate::artifacts::SimArtifacts;
 use crate::fabric::Fabric;

@@ -49,7 +49,7 @@
 //! - when several gates become schedulable simultaneously, qubits with
 //!   larger remaining circuit depth go first (Fig 7 caption).
 
-use crate::engine::region::RegionPartition;
+use crate::engine::trace::Tracer;
 use crate::engine::{qubit_adjacency, EventQueue};
 use crate::fabric::Fabric;
 use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
@@ -58,17 +58,14 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, QubitId};
 use rescq_core::{
-    plan_cnot_route_into, Bitset, EntryStatus, LedgerEvent, MstPipeline, PathCache, Preemption,
-    QueueEntry, ReservationLedger, Role, RouteScratch, SchedulerKind, SurgeryCosts, TaskId,
-    TauModel, VecPool,
+    plan_cnot_route_into, Bitset, EntryStatus, MstPipeline, PathCache, Preemption, QueueEntry,
+    ReservationLedger, Role, RouteScratch, SchedulerKind, SurgeryCosts, TaskId, TauModel, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::{AncillaIndex, DataAdjacency, EdgeType};
 use rescq_rus::{InjectionLadder, LadderStep, PreparationModel};
 use rescq_telemetry::{Event as TraceEvent, Phase, Recorder, StallCause};
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Activity window `c` in cycles (§4.2): MST edge weights count an
 /// ancilla's active cycles among the last `c`.
@@ -307,10 +304,6 @@ struct RtEngine<'a> {
     /// scarce ancillas stay available for injections and routing.
     constrained: bool,
 
-    /// Contiguous regions of the ancilla network (a function of the fabric
-    /// alone): labels traced occupancy.
-    partition: RegionPartition,
-
     counters: RunCounters,
     cnot_latency: LatencyHistogram,
     rz_latency: LatencyHistogram,
@@ -320,14 +313,10 @@ struct RtEngine<'a> {
     /// Expected rounds an Rz queue entry occupies its ancilla (precomputed).
     rz_entry_cost: u64,
 
-    /// Structured-trace sink. `None` (the default) keeps instrumentation to
-    /// one inlined check per site; the schedule is bit-identical either way
-    /// — recorders only *observe*, every counter they see is also computed
-    /// untraced.
-    recorder: Option<&'a dyn Recorder>,
-    /// Wall-clock nanoseconds per dispatch phase (accumulated only when
-    /// traced; reported through [`ExecutionReport::phase_nanos`]).
-    phase_nanos: [u64; 4],
+    /// The trace path (`None` untraced, the default): one check per
+    /// site, and the schedule is bit-identical either way — the tracer
+    /// only *observes*, every counter it sees is also computed untraced.
+    tracer: Option<Tracer<'a>>,
     /// Optional per-cycle observation hook (the allocation-regression
     /// harness); observes only, never feeds back into the schedule.
     cycle_probe: Option<&'a dyn Fn(u64)>,
@@ -345,13 +334,6 @@ struct RtEngine<'a> {
     /// Live tasks per stall cause ([`StallCause::index`] order): what each
     /// cycle tick adds to the stall counters.
     stalled: [u64; 3],
-    /// Submission round of each in-flight decoder window, kept only while
-    /// traced (drives `WindowRetired::stalled_rounds`).
-    traced_windows: HashMap<WindowId, u64>,
-    /// Last emitted `(depth, busy)` occupancy state per ancilla, kept only
-    /// while traced — the cycle tick emits [`TraceEvent::AncillaState`]
-    /// transitions (not per-cycle dumps) against this. Empty untraced.
-    traced_occupancy: Vec<(u32, bool)>,
 }
 
 /// Runs the realtime RESCQ schedule. `recorder` attaches a structured
@@ -374,18 +356,13 @@ pub(crate) fn run_realtime(
     let rz_entry_cost = prep_model.expected_rounds().ceil() as u64
         + 2 * costs.cnot_injection_cycles as u64 * d as u64;
     let adjacency = qubit_adjacency(&fabric, circuit.num_qubits());
-    let partition = RegionPartition::for_fabric(num_ancillas);
 
     let mut ledger = ReservationLedger::new(num_ancillas);
     // One task per non-free gate at most: sizing the ledger's edge lists
     // (and the task vectors below) up front keeps task creation off the
     // allocator once the run is warm.
     ledger.reserve_tasks(circuit.len());
-    if recorder.is_some() {
-        // Arbitration events are buffered only for traced runs; the engine
-        // drains them (stamped with the current round) after each dispatch.
-        ledger.enable_event_log();
-    }
+    let tracer = Tracer::attach(recorder, &mut ledger, num_ancillas);
 
     let unfinished_preds = (0..circuit.len())
         .map(|g| dag.preds(GateId(g)).count() as u32)
@@ -428,7 +405,6 @@ pub(crate) fn run_realtime(
         scratch: EngineScratch::default(),
         pools: VecPools::default(),
         constrained: 2 * num_ancillas <= 4 * circuit.num_qubits() as usize,
-        partition,
         counters: RunCounters::default(),
         cnot_latency: LatencyHistogram::new(),
         rz_latency: LatencyHistogram::new(),
@@ -436,18 +412,11 @@ pub(crate) fn run_realtime(
         decode_latency: LatencyHistogram::new(),
         gates_executed: 0,
         rz_entry_cost,
-        recorder,
-        phase_nanos: [0; 4],
+        tracer,
         cycle_probe,
         adjacency: &adjacency,
         occupancy_expiries: std::collections::BinaryHeap::new(),
         stalled: [0; 3],
-        traced_windows: HashMap::new(),
-        traced_occupancy: if recorder.is_some() {
-            vec![(0, false); num_ancillas]
-        } else {
-            Vec::new()
-        },
     };
     engine.run(config)
 }
@@ -507,7 +476,7 @@ impl RtEngine<'_> {
             if let Ev::PrepDecoded { window, .. } = ev {
                 self.clock = t;
                 let cycles = self.decoder.retire(window, t);
-                self.trace_window_retired(window);
+                Tracer::window_retired(&mut self.tracer, window, self.clock);
                 self.decode_latency.record(cycles);
             }
         }
@@ -547,7 +516,7 @@ impl RtEngine<'_> {
                 c.waitgraph_peak_edges = ls.waitgraph_peak_edges;
                 c
             },
-            phase_nanos: self.phase_nanos,
+            phase_nanos: Tracer::phase_nanos(&self.tracer),
         })
     }
 
@@ -556,20 +525,19 @@ impl RtEngine<'_> {
     // ------------------------------------------------------------------
 
     fn dispatch(&mut self) {
-        let traced = self.recorder.is_some();
         loop {
             let mut progress = false;
             // Phase 1 — schedule: new tasks claim queue positions.
-            let t0 = traced.then(Instant::now);
+            let t0 = Tracer::phase_start(&self.tracer);
             progress |= self.drain_sched_worklist();
-            self.note_phase(Phase::Schedule, t0);
+            Tracer::phase_end(&mut self.tracer, Phase::Schedule, self.clock, t0);
             // Phase 2 — start: real work (injections, surgeries) grabs
             // resources before new speculative preparations are started.
             // Frontier tasks are tried in ascending id order — the order
             // of a scan over every live task, whose other members would
             // all return `false` without mutating anything. The walk starts
             // at the frontier's low watermark and ends at its high one.
-            let t1 = traced.then(Instant::now);
+            let t1 = Tracer::phase_start(&self.tracer);
             self.wake_route_claimants();
             let mut next = self.start_frontier.first();
             while let Some(i) = next {
@@ -580,7 +548,7 @@ impl RtEngine<'_> {
                 }
                 next = self.start_frontier.next_from(i + 1);
             }
-            self.note_phase(Phase::Start, t1);
+            Tracer::phase_end(&mut self.tracer, Phase::Start, self.clock, t1);
             #[cfg(debug_assertions)]
             self.audit_start_frontier();
             // Phases 3 + 4 — propose against the phase-start state, then
@@ -590,7 +558,9 @@ impl RtEngine<'_> {
                 break;
             }
         }
-        self.drain_ledger_events();
+        Tracer::ledger_events(&self.tracer, &mut self.ledger, self.clock, |t| {
+            self.tasks[t.0 as usize].gate
+        });
     }
 
     /// Whether [`Self::try_start_task`] on `id` is provably a no-op — it
@@ -722,69 +692,6 @@ impl RtEngine<'_> {
         }
     }
 
-    /// Closes a timed phase: accumulates its wall-clock and emits a
-    /// [`TraceEvent::PhaseSpan`]. A no-op for untraced runs (`start` is
-    /// `None`) — wall-clock never feeds back into the schedule.
-    fn note_phase(&mut self, phase: Phase, start: Option<Instant>) {
-        let Some(t0) = start else { return };
-        let dur_ns = t0.elapsed().as_nanos() as u64;
-        self.phase_nanos[phase.index()] += dur_ns;
-        self.emit_with(|| TraceEvent::PhaseSpan {
-            phase,
-            round: self.clock,
-            dur_ns,
-        });
-    }
-
-    /// Records one trace event, built lazily: the closure runs only when
-    /// a recorder is attached, so untraced runs pay one inlined branch and
-    /// never evaluate the payload (the disabled-instrumentation contract,
-    /// pinned by the allocation-count test).
-    #[inline]
-    fn emit_with(&self, ev: impl FnOnce() -> TraceEvent) {
-        if let Some(r) = self.recorder {
-            r.record(ev());
-        }
-    }
-
-    /// Forwards the ledger's buffered arbitration events (claims,
-    /// preemptions, rejected reorders) to the recorder, stamped with the
-    /// current round. Empty — and skipped — for untraced runs, which never
-    /// enable the ledger's event log.
-    fn drain_ledger_events(&mut self) {
-        let Some(rec) = self.recorder else { return };
-        let round = self.clock;
-        for ev in self.ledger.take_events() {
-            rec.record(match ev {
-                LedgerEvent::Claim { task, ancilla } => TraceEvent::Claim {
-                    round,
-                    task: task.0 as u64,
-                    ancilla,
-                },
-                LedgerEvent::Preempted { task, ancilla } => TraceEvent::Preemption {
-                    round,
-                    task: task.0 as u64,
-                    ancilla,
-                },
-                LedgerEvent::Rejected { task, ancilla } => TraceEvent::PreemptionRejected {
-                    round,
-                    task: task.0 as u64,
-                    ancilla,
-                },
-                LedgerEvent::WaitEdge {
-                    waiter,
-                    holder,
-                    ancilla,
-                } => TraceEvent::WaitEdge {
-                    round,
-                    waiter: waiter.0 as u64,
-                    holder: holder.0 as u64,
-                    ancilla,
-                },
-            });
-        }
-    }
-
     /// The propose and commit phases of one dispatch pass: the frontier is
     /// scanned against the phase-start state, producing candidate
     /// ancillas, which are then committed in ascending-ancilla order, each
@@ -807,8 +714,7 @@ impl RtEngine<'_> {
         // The start phase's own ledger and fabric changes, before the dirty
         // set they marked is cleared below.
         self.wake_route_claimants();
-        let traced = self.recorder.is_some();
-        let t0 = traced.then(Instant::now);
+        let t0 = Tracer::phase_start(&self.tracer);
         let mut candidates = std::mem::take(&mut self.scratch.candidates);
         // The scan frontier is `dirty ∩ nonempty`: an empty queue can never
         // propose an action, and an *unmarked* ancilla provably re-proposes
@@ -824,15 +730,15 @@ impl RtEngine<'_> {
             }
         });
         self.ledger.clear_dirty();
-        self.note_phase(Phase::Propose, t0);
-        let t1 = traced.then(Instant::now);
+        Tracer::phase_end(&mut self.tracer, Phase::Propose, self.clock, t0);
+        let t1 = Tracer::phase_start(&self.tracer);
         let mut progress = false;
         for &candidate in &candidates {
             progress |= self.commit_ancilla(candidate);
         }
         candidates.clear();
         self.scratch.candidates = candidates;
-        self.note_phase(Phase::Commit, t1);
+        Tracer::phase_end(&mut self.tracer, Phase::Commit, self.clock, t1);
         progress
     }
 
@@ -980,7 +886,15 @@ impl RtEngine<'_> {
                 }
             }
             Gate::Cnot { control, target } => {
-                let path = self.plan_and_enqueue_cnot(id, control, target);
+                let mut path = self.pools.paths.take();
+                self.plan_cnot_path_into(id, control, target, &mut path);
+                self.enqueue_route_claims(id, &path);
+                Tracer::emit(&self.tracer, || TraceEvent::RoutePlanned {
+                    round: self.clock,
+                    task: gid.index() as u64,
+                    hops: path.len() as u32,
+                    replanned: false,
+                });
                 TaskBody::Cnot {
                     control,
                     target,
@@ -1163,24 +1077,6 @@ impl RtEngine<'_> {
         );
         self.scratch.route = route;
         self.scratch.expected_free = memo;
-    }
-
-    fn plan_and_enqueue_cnot(
-        &mut self,
-        id: TaskId,
-        control: QubitId,
-        target: QubitId,
-    ) -> Vec<AncillaIndex> {
-        let mut path = self.pools.paths.take();
-        self.plan_cnot_path_into(id, control, target, &mut path);
-        self.enqueue_route_claims(id, &path);
-        self.emit_with(|| TraceEvent::RoutePlanned {
-            round: self.clock,
-            task: id.0 as u64,
-            hops: path.len() as u32,
-            replanned: false,
-        });
-        path
     }
 
     /// Registers a CNOT path's Route claims with the ledger.
@@ -1597,9 +1493,9 @@ impl RtEngine<'_> {
                         self.ledger.remove_task(a, id);
                     }
                     self.enqueue_route_claims(id, &new_path);
-                    self.emit_with(|| TraceEvent::RoutePlanned {
+                    Tracer::emit(&self.tracer, || TraceEvent::RoutePlanned {
                         round: self.clock,
-                        task: id.0 as u64,
+                        task: self.tasks[id.0 as usize].gate.index() as u64,
                         hops: new_path.len() as u32,
                         replanned: true,
                     });
@@ -1976,14 +1872,14 @@ impl RtEngine<'_> {
         self.counters.stall_ancilla_cycles += ancilla;
         self.counters.stall_decoder_cycles += decoder;
         self.counters.stall_route_cycles += route;
-        let Some(rec) = self.recorder else { return };
+        let Some(tracer) = &self.tracer else { return };
         let mut next = self.live.first();
         while let Some(i) = next {
             next = self.live.next_from(i + 1);
             if let Some(cause) = self.tasks[i].stall {
-                rec.record(TraceEvent::Stall {
+                tracer.record(TraceEvent::Stall {
                     round: self.clock,
-                    task: i as u64,
+                    task: self.tasks[i].gate.index() as u64,
                     cause,
                 });
             }
@@ -2014,58 +1910,6 @@ impl RtEngine<'_> {
         assert_eq!(recount, self.stalled, "stall counts drifted");
     }
 
-    /// Emits [`TraceEvent::AncillaState`] transitions for every ancilla
-    /// whose occupancy changed since the last cycle tick (traced runs
-    /// only). State is read at the deterministic tick point — fabric
-    /// occupancy and ledger queue depth are pure schedule state — and
-    /// ancillas are scanned in ascending order, so the emitted stream is
-    /// deterministic.
-    fn sample_occupancy(&mut self) {
-        let Some(rec) = self.recorder else { return };
-        let round = self.clock;
-        for a in 0..self.fabric.num_ancillas() as u32 {
-            let busy = !self.fabric.ancilla_free(a, round);
-            let depth = self.ledger.queue(a).len() as u32;
-            let last = &mut self.traced_occupancy[a as usize];
-            if *last != (depth, busy) {
-                *last = (depth, busy);
-                rec.record(TraceEvent::AncillaState {
-                    round,
-                    ancilla: a,
-                    region: self.partition.region_of(a),
-                    depth,
-                    busy,
-                });
-            }
-        }
-    }
-
-    /// Traces a decoder-window submission (traced runs only; the window's
-    /// submission round is kept so retirement can report its stall).
-    fn trace_window_enqueued(&mut self, window: WindowId, ready_at: u64) {
-        if self.recorder.is_some() {
-            self.traced_windows.insert(window, self.clock);
-            self.emit_with(|| TraceEvent::WindowEnqueued {
-                round: self.clock,
-                window: window.0,
-                ready_at,
-            });
-        }
-    }
-
-    /// Traces a decoder-window retirement with the rounds it spent in
-    /// flight (traced runs only).
-    fn trace_window_retired(&mut self, window: WindowId) {
-        if self.recorder.is_some() {
-            let submitted = self.traced_windows.remove(&window).unwrap_or(self.clock);
-            self.emit_with(|| TraceEvent::WindowRetired {
-                round: self.clock,
-                window: window.0,
-                stalled_rounds: self.clock - submitted,
-            });
-        }
-    }
-
     // ------------------------------------------------------------------
     // Event handling
     // ------------------------------------------------------------------
@@ -2075,7 +1919,7 @@ impl RtEngine<'_> {
             Ev::CycleTick => {
                 self.fabric.end_cycle();
                 self.sample_stalls();
-                self.sample_occupancy();
+                Tracer::occupancy(&mut self.tracer, &self.fabric, &self.ledger, self.clock);
                 let cycle = self.clock / self.d as u64;
                 debug_assert_eq!(cycle, self.fabric.cycle(), "one tick per cycle boundary");
                 // The snapshot an MST computation reads (Fig 8): edge weight
@@ -2114,7 +1958,7 @@ impl RtEngine<'_> {
                 // usable only once its one-cycle window is decoded.
                 if self.decoder.decodes_prep() {
                     let (window, ready_at) = self.decoder.submit(ancilla, self.d, self.clock);
-                    self.trace_window_enqueued(window, ready_at);
+                    Tracer::window_enqueued(&mut self.tracer, window, self.clock, ready_at);
                     if ready_at > self.clock {
                         if let TaskBody::Rz {
                             pending_prep_decodes,
@@ -2137,7 +1981,7 @@ impl RtEngine<'_> {
                         return;
                     }
                     let cycles = self.decoder.retire(window, self.clock);
-                    self.trace_window_retired(window);
+                    Tracer::window_retired(&mut self.tracer, window, self.clock);
                     self.decode_latency.record(cycles);
                 }
                 self.on_prep_done(ancilla, task, angle, epoch);
@@ -2152,7 +1996,7 @@ impl RtEngine<'_> {
                 // Retire unconditionally (backlog conservation), then let the
                 // epoch check in `on_prep_done` drop cancelled preparations.
                 let cycles = self.decoder.retire(window, self.clock);
-                self.trace_window_retired(window);
+                Tracer::window_retired(&mut self.tracer, window, self.clock);
                 self.decode_latency.record(cycles);
                 if let TaskBody::Rz {
                     pending_prep_decodes,
@@ -2175,7 +2019,7 @@ impl RtEngine<'_> {
                 window,
             } => {
                 let cycles = self.decoder.retire(window, self.clock);
-                self.trace_window_retired(window);
+                Tracer::window_retired(&mut self.tracer, window, self.clock);
                 self.decode_latency.record(cycles);
                 self.apply_inject_outcome(task, success);
             }
@@ -2260,7 +2104,7 @@ impl RtEngine<'_> {
         // hold survives) — re-examine it on the next dispatch pass.
         self.ledger.mark_dirty(holder);
         let (window, ready_at) = self.decoder.submit(holder, rounds.max(1), self.clock);
-        self.trace_window_enqueued(window, ready_at);
+        Tracer::window_enqueued(&mut self.tracer, window, self.clock, ready_at);
         if ready_at > self.clock {
             if let TaskBody::Rz {
                 awaiting_decode, ..
@@ -2280,7 +2124,7 @@ impl RtEngine<'_> {
             return;
         }
         let cycles = self.decoder.retire(window, self.clock);
-        self.trace_window_retired(window);
+        Tracer::window_retired(&mut self.tracer, window, self.clock);
         self.decode_latency.record(cycles);
         self.apply_inject_outcome(task, success);
     }

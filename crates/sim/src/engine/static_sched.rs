@@ -13,7 +13,7 @@
 //! layer's CNOTs by endpoint distance and routes them as an edge-disjoint
 //! batch, which extracts more parallelism.
 
-use crate::engine::region::RegionPartition;
+use crate::engine::trace::Tracer;
 use crate::engine::{qubit_adjacency, EventQueue};
 use crate::fabric::Fabric;
 use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
@@ -22,15 +22,14 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, QubitId};
 use rescq_core::{
-    plan_static_route, Bitset, LedgerEvent, QueueEntry, ReservationLedger, Role, SchedulerKind,
+    plan_static_route, Bitset, QueueEntry, ReservationLedger, Role, SchedulerKind,
     StaticRouteOutcome, SurgeryCosts, TaskId, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::{AncillaIndex, BfsScratch, DataAdjacency};
 use rescq_rus::{InjectionLadder, PreparationModel};
-use rescq_telemetry::{Event as TraceEvent, Phase, Recorder};
+use rescq_telemetry::{Phase, Recorder};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-gate state within the current layer.
 #[derive(Debug)]
@@ -144,8 +143,8 @@ struct RouteBuffers {
 /// spans — each layer's setup (building, sorting and registering its
 /// gates) as [`Phase::Schedule`] and each dispatch pass as
 /// [`Phase::Start`]. `None` runs untraced with zero instrumentation cost
-/// and reports zero phase time. Task ids in static-engine events are
-/// per-layer slot indices, reused across layers.
+/// and reports zero phase time. Events name each gate by its index in the
+/// circuit, as the realtime engine's do.
 ///
 /// Per-run tables (each qubit's tile adjacency and designated ancilla)
 /// are built once; the layer's gate list, its start frontier, the event
@@ -180,19 +179,9 @@ pub(crate) fn run_static(
     // are comparable across schedulers. Accounting only — no decision below
     // reads the ledger.
     let mut ledger = ReservationLedger::new(fabric.num_ancillas());
-    // Occupancy/ledger tracing mirrors the realtime engine: the same
-    // fabric-derived region partition, the same transition-only
-    // AncillaState stream, all sampled from pure schedule state.
-    let partition = RegionPartition::for_fabric(fabric.num_ancillas());
-    let mut traced_occupancy = if recorder.is_some() {
-        ledger.enable_event_log();
-        vec![(0u32, false); fabric.num_ancillas()]
-    } else {
-        Vec::new()
-    };
-    // Wall-clock per phase, accumulated only when traced.
-    let mut phase_nanos = [0u64; 4];
-    let phase_start = || recorder.is_some().then(Instant::now);
+    // The same trace path as the realtime engine: ledger events and
+    // transition-only occupancy, sampled from pure schedule state.
+    let mut tracer = Tracer::attach(recorder, &mut ledger, fabric.num_ancillas());
     let mut cnot_latency = LatencyHistogram::new();
     let mut rz_latency = LatencyHistogram::new();
     let mut decoder = DecoderRuntime::with_channel(&config.decoder, d, config.decoder_channel());
@@ -217,7 +206,7 @@ pub(crate) fn run_static(
     let mut route = RouteBuffers::default();
 
     for layer in dag.layers() {
-        let t0 = phase_start();
+        let t0 = Tracer::phase_start(&tracer);
         let layer_start = clock;
         gates.clear();
         for &gid in layer {
@@ -288,11 +277,11 @@ pub(crate) fn run_static(
         for i in 0..gates.len() {
             frontier.insert(i);
         }
-        note_phase(recorder, &mut phase_nanos, Phase::Schedule, clock, t0);
+        Tracer::phase_end(&mut tracer, Phase::Schedule, clock, t0);
 
         while remaining > 0 {
             // Dispatch pass: try to advance every gate that can act.
-            let t1 = phase_start();
+            let t1 = Tracer::phase_start(&tracer);
             let mut next = frontier.first();
             while let Some(i) = next {
                 dispatch_gate(
@@ -315,17 +304,11 @@ pub(crate) fn run_static(
                 }
                 next = frontier.next_from(i + 1);
             }
-            note_phase(recorder, &mut phase_nanos, Phase::Start, clock, t1);
+            Tracer::phase_end(&mut tracer, Phase::Start, clock, t1);
             #[cfg(debug_assertions)]
             audit_static_frontier(&gates, &frontier);
-            drain_trace(
-                recorder,
-                &mut ledger,
-                &fabric,
-                &partition,
-                &mut traced_occupancy,
-                clock,
-            );
+            Tracer::ledger_events(&tracer, &mut ledger, clock, |t| gates[t.0 as usize].0);
+            Tracer::occupancy(&mut tracer, &fabric, &ledger, clock);
             if remaining == 0 {
                 break;
             }
@@ -367,14 +350,8 @@ pub(crate) fn run_static(
         // and carries nothing into the next layer.
         debug_assert!(events.is_empty());
         // Catch the final completions of the layer (releases, pops).
-        drain_trace(
-            recorder,
-            &mut ledger,
-            &fabric,
-            &partition,
-            &mut traced_occupancy,
-            clock,
-        );
+        Tracer::ledger_events(&tracer, &mut ledger, clock, |t| gates[t.0 as usize].0);
+        Tracer::occupancy(&mut tracer, &fabric, &ledger, clock);
     }
 
     let dec = decoder.stats();
@@ -409,30 +386,8 @@ pub(crate) fn run_static(
         tau_used: 0,
         counters,
         // Layer setup and dispatch passes, timed only when traced.
-        phase_nanos,
+        phase_nanos: Tracer::phase_nanos(&tracer),
     })
-}
-
-/// Closes a phase timed from `start` (`Some` only when traced): adds its
-/// wall-clock to `phase_nanos` and emits a [`TraceEvent::PhaseSpan`]
-/// stamped with `round`.
-fn note_phase(
-    recorder: Option<&dyn Recorder>,
-    phase_nanos: &mut [u64; 4],
-    phase: Phase,
-    round: u64,
-    start: Option<Instant>,
-) {
-    let (Some(rec), Some(t0)) = (recorder, start) else {
-        return;
-    };
-    let dur_ns = t0.elapsed().as_nanos() as u64;
-    phase_nanos[phase.index()] += dur_ns;
-    rec.record(TraceEvent::PhaseSpan {
-        phase,
-        round,
-        dur_ns,
-    });
 }
 
 /// Debug audit of the static start frontier: every slot outside it must
@@ -458,65 +413,6 @@ fn audit_static_frontier(gates: &[(GateId, LayerGate)], frontier: &Bitset) {
             frontier.contains(i) || in_flight,
             "slot {i} (gate {gid:?}) left the static start frontier while it could act: {state:?}"
         );
-    }
-}
-
-/// Forwards buffered ledger events (stamped with the current round) and
-/// emits ancilla-occupancy transitions, mirroring the realtime engine's
-/// `drain_ledger_events` + `sample_occupancy`. A no-op — one check —
-/// when no recorder is attached.
-fn drain_trace(
-    recorder: Option<&dyn Recorder>,
-    ledger: &mut ReservationLedger,
-    fabric: &Fabric,
-    partition: &RegionPartition,
-    occupancy: &mut [(u32, bool)],
-    round: u64,
-) {
-    let Some(rec) = recorder else { return };
-    for ev in ledger.take_events() {
-        rec.record(match ev {
-            LedgerEvent::Claim { task, ancilla } => TraceEvent::Claim {
-                round,
-                task: task.0 as u64,
-                ancilla,
-            },
-            LedgerEvent::Preempted { task, ancilla } => TraceEvent::Preemption {
-                round,
-                task: task.0 as u64,
-                ancilla,
-            },
-            LedgerEvent::Rejected { task, ancilla } => TraceEvent::PreemptionRejected {
-                round,
-                task: task.0 as u64,
-                ancilla,
-            },
-            LedgerEvent::WaitEdge {
-                waiter,
-                holder,
-                ancilla,
-            } => TraceEvent::WaitEdge {
-                round,
-                waiter: waiter.0 as u64,
-                holder: holder.0 as u64,
-                ancilla,
-            },
-        });
-    }
-    for a in 0..fabric.num_ancillas() as u32 {
-        let busy = !fabric.ancilla_free(a, round);
-        let depth = ledger.queue(a).len() as u32;
-        let last = &mut occupancy[a as usize];
-        if *last != (depth, busy) {
-            *last = (depth, busy);
-            rec.record(TraceEvent::AncillaState {
-                round,
-                ancilla: a,
-                region: partition.region_of(a),
-                depth,
-                busy,
-            });
-        }
     }
 }
 

@@ -14,8 +14,8 @@
 //!   completion order when no recorded edge reaches further back.
 //!   Every link carries the task's dominant stall cause.
 //! - **Utilization** — [`Event::AncillaState`] transitions are
-//!   integrated over sim time into per-ancilla (and per-region)
-//!   busy/contended occupancy fractions and queue-depth statistics.
+//!   integrated over sim time into per-ancilla busy/contended
+//!   occupancy fractions and queue-depth statistics.
 //! - **Stall attribution** — per-cause stall-cycle totals and the
 //!   dominant cause.
 //!
@@ -26,7 +26,7 @@
 //! as [`AnalyzeReport::warnings`] and machine-readable flags.
 
 use crate::chrome::{parse_json, Json};
-use crate::{Event, Phase, StallCause};
+use crate::{Event, StallCause};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 
@@ -41,95 +41,14 @@ pub struct ParsedTrace {
     pub truncated: bool,
 }
 
-fn as_bool(j: &Json) -> Option<bool> {
-    match j {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
 /// Decodes one `traceEvents` element back into an [`Event`].
 /// Metadata records and unknown names decode to `None`.
 fn event_from_json(ev: &Json) -> Option<Event> {
     let name = ev.get("name").and_then(Json::as_str)?;
-    let ph = ev.get("ph").and_then(Json::as_str)?;
-    if ph == "M" {
+    if ev.get("ph").and_then(Json::as_str)? == "M" {
         return None;
     }
-    let args = ev.get("args")?;
-    let num = |key: &str| args.get(key).and_then(Json::as_num).map(|v| v as u64);
-    let num32 = |key: &str| args.get(key).and_then(Json::as_num).map(|v| v as u32);
-    let flag = |key: &str| args.get(key).and_then(as_bool);
-    if let Some(phase) = Phase::ALL.iter().find(|p| p.name() == name) {
-        let dur_us = ev.get("dur").and_then(Json::as_num)?;
-        return Some(Event::PhaseSpan {
-            phase: *phase,
-            round: num("round")?,
-            dur_ns: (dur_us * 1000.0).round() as u64,
-        });
-    }
-    Some(match name {
-        "claim" => Event::Claim {
-            round: num("round")?,
-            task: num("task")?,
-            ancilla: num32("ancilla")?,
-        },
-        "preemption" => Event::Preemption {
-            round: num("round")?,
-            task: num("task")?,
-            ancilla: num32("ancilla")?,
-        },
-        "preemption_rejected" => Event::PreemptionRejected {
-            round: num("round")?,
-            task: num("task")?,
-            ancilla: num32("ancilla")?,
-        },
-        "window_enqueued" => Event::WindowEnqueued {
-            round: num("round")?,
-            window: num("window")?,
-            ready_at: num("ready_at")?,
-        },
-        "window_retired" => Event::WindowRetired {
-            round: num("round")?,
-            window: num("window")?,
-            stalled_rounds: num("stalled_rounds")?,
-        },
-        "route_planned" => Event::RoutePlanned {
-            round: num("round")?,
-            task: num("task")?,
-            hops: num32("hops")?,
-            replanned: flag("replanned")?,
-        },
-        "stall" => {
-            let cause_name = args.get("cause").and_then(Json::as_str)?;
-            let cause = *StallCause::ALL.iter().find(|c| c.name() == cause_name)?;
-            Event::Stall {
-                round: num("round")?,
-                task: num("task")?,
-                cause,
-            }
-        }
-        "wait_edge" => Event::WaitEdge {
-            round: num("round")?,
-            waiter: num("waiter")?,
-            holder: num("holder")?,
-            ancilla: num32("ancilla")?,
-        },
-        "ancilla_state" => Event::AncillaState {
-            round: num("round")?,
-            ancilla: num32("ancilla")?,
-            region: num32("region")?,
-            depth: num32("depth")?,
-            busy: flag("busy")?,
-        },
-        "job_done" => Event::JobDone {
-            index: num("index")?,
-            total: num("total")?,
-            wall_ns: num("wall_ns")?,
-            resumed: flag("resumed")?,
-        },
-        _ => return None,
-    })
+    Event::from_wire(name, ev.get("args")?, ev.get("dur").and_then(Json::as_num))
 }
 
 /// Parses a Chrome trace document (as written by
@@ -144,25 +63,29 @@ fn event_from_json(ev: &Json) -> Option<Event> {
 /// # Errors
 ///
 /// Returns a message when the text is not a trace at all (no
-/// `traceEvents`, nothing recoverable).
+/// `traceEvents`, or no complete record after the header — which
+/// includes a header line nested past [`crate::chrome::MAX_JSON_DEPTH`]).
 pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
-    if let Ok(doc) = parse_json(text) {
-        let events_json = doc
-            .get("traceEvents")
-            .and_then(Json::as_arr)
-            .ok_or("missing `traceEvents` array")?;
-        let events = events_json.iter().filter_map(event_from_json).collect();
-        let dropped = doc
-            .get("otherData")
-            .and_then(|o| o.get("dropped_events"))
-            .and_then(Json::as_num)
-            .unwrap_or(0.0) as u64;
-        return Ok(ParsedTrace {
-            events,
-            dropped,
-            truncated: false,
-        });
-    }
+    let whole = match parse_json(text) {
+        Ok(doc) => {
+            let events_json = doc
+                .get("traceEvents")
+                .and_then(Json::as_arr)
+                .ok_or("missing `traceEvents` array")?;
+            let events = events_json.iter().filter_map(event_from_json).collect();
+            let dropped = doc
+                .get("otherData")
+                .and_then(|o| o.get("dropped_events"))
+                .and_then(Json::as_num)
+                .unwrap_or(0.0) as u64;
+            return Ok(ParsedTrace {
+                events,
+                dropped,
+                truncated: false,
+            });
+        }
+        Err(e) => e,
+    };
     // Whole-document parse failed: recover the one-event-per-line
     // prefix. The first line is the `{"traceEvents":[` header; every
     // following line is one JSON object with the separating comma at
@@ -172,6 +95,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
     if !header.starts_with("{\"traceEvents\":[") {
         return Err("not a trace document (no `traceEvents` header)".into());
     }
+    let mut records = 0;
     let mut events = Vec::new();
     let mut dropped = 0;
     for line in lines {
@@ -179,6 +103,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
         if obj.starts_with('{') {
             match parse_json(obj) {
                 Ok(v) => {
+                    records += 1;
                     if let Some(ev) = event_from_json(&v) {
                         events.push(ev);
                     }
@@ -190,6 +115,10 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
             dropped = digits.parse().unwrap_or(0);
         }
+    }
+    if records == 0 {
+        // Not even a metadata record survived: nothing to recover.
+        return Err(format!("unreadable trace document: {whole}"));
     }
     Ok(ParsedTrace {
         events,
@@ -229,8 +158,6 @@ impl PathLink {
 pub struct AncillaUtil {
     /// Ancilla (dense index).
     pub ancilla: u32,
-    /// Its region in the fabric's region partition.
-    pub region: u32,
     /// Fraction of rounds the ancilla was occupied or held.
     pub busy_fraction: f64,
     /// Fraction of rounds at least two reservations were queued
@@ -258,8 +185,6 @@ pub struct AnalyzeReport {
     /// Per-ancilla occupancy, ascending by ancilla index (only
     /// ancillas that emitted at least one state transition appear).
     pub utilization: Vec<AncillaUtil>,
-    /// Per-region busy fraction (region, fraction), ascending.
-    pub region_busy: Vec<(u32, f64)>,
     /// Total queued reservations over time: `(round, total_depth)`
     /// at every change.
     pub queue_depth: Vec<(u64, u64)>,
@@ -396,19 +321,12 @@ impl AnalyzeReport {
         for u in &hot {
             let _ = writeln!(
                 out,
-                "  a{:<5} region {:<3} busy {:>5.1}%  contended {:>5.1}%  peak depth {}",
+                "  a{:<5} busy {:>5.1}%  contended {:>5.1}%  peak depth {}",
                 u.ancilla,
-                u.region,
                 u.busy_fraction * 100.0,
                 u.contended_fraction * 100.0,
                 u.peak_depth
             );
-        }
-        if !self.region_busy.is_empty() {
-            let _ = writeln!(out, "\n-- region utilization --");
-            for &(region, frac) in &self.region_busy {
-                let _ = writeln!(out, "  region {:<3} busy {:>5.1}%", region, frac * 100.0);
-            }
         }
 
         let _ = writeln!(
@@ -455,29 +373,18 @@ impl AnalyzeReport {
         let _ = writeln!(out, "  \"truncated\": {},", self.truncated);
         let _ = write!(out, "  \"warnings\": [");
         for (i, w) in self.warnings.iter().enumerate() {
-            let comma = if i + 1 < self.warnings.len() {
-                ", "
-            } else {
-                ""
-            };
+            let comma = separator(i, self.warnings.len(), ", ");
             let _ = write!(out, "\"{}\"{comma}", w.replace('"', "'"));
         }
         let _ = writeln!(out, "],");
         let _ = writeln!(
             out,
             "  \"dominant_stall_cause\": {},",
-            match self.dominant_stall_cause() {
-                Some(c) => format!("\"{}\"", c.name()),
-                None => "null".into(),
-            }
+            cause_json(self.dominant_stall_cause())
         );
         let _ = writeln!(out, "  \"stall_rounds\": {{");
         for (i, cause) in StallCause::ALL.iter().enumerate() {
-            let comma = if i + 1 < StallCause::ALL.len() {
-                ","
-            } else {
-                ""
-            };
+            let comma = separator(i, StallCause::ALL.len(), ",");
             let _ = writeln!(
                 out,
                 "    \"{}\": {}{comma}",
@@ -494,21 +401,14 @@ impl AnalyzeReport {
         );
         let _ = writeln!(out, "  \"critical_path\": [");
         for (i, link) in self.critical_path.iter().enumerate() {
-            let comma = if i + 1 < self.critical_path.len() {
-                ","
-            } else {
-                ""
-            };
+            let comma = separator(i, self.critical_path.len(), ",");
             let _ = writeln!(
                 out,
                 "    {{\"task\": {}, \"from_round\": {}, \"to_round\": {}, \"cause\": {}, \"stall_rounds\": {}, \"wait_for\": {}}}{comma}",
                 link.task,
                 link.from_round,
                 link.to_round,
-                match link.cause {
-                    Some(c) => format!("\"{}\"", c.name()),
-                    None => "null".into(),
-                },
+                cause_json(link.cause),
                 link.stall_rounds,
                 link.wait_for
             );
@@ -517,24 +417,11 @@ impl AnalyzeReport {
         let _ = writeln!(out, "  \"hot_ancillas\": [");
         let hot = self.hot_ancillas(top_k);
         for (i, u) in hot.iter().enumerate() {
-            let comma = if i + 1 < hot.len() { "," } else { "" };
+            let comma = separator(i, hot.len(), ",");
             let _ = writeln!(
                 out,
-                "    {{\"ancilla\": {}, \"region\": {}, \"busy_fraction\": {:.6}, \"contended_fraction\": {:.6}, \"peak_depth\": {}}}{comma}",
-                u.ancilla, u.region, u.busy_fraction, u.contended_fraction, u.peak_depth
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"region_busy\": [");
-        for (i, &(region, frac)) in self.region_busy.iter().enumerate() {
-            let comma = if i + 1 < self.region_busy.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"region\": {region}, \"busy_fraction\": {frac:.6}}}{comma}"
+                "    {{\"ancilla\": {}, \"busy_fraction\": {:.6}, \"contended_fraction\": {:.6}, \"peak_depth\": {}}}{comma}",
+                u.ancilla, u.busy_fraction, u.contended_fraction, u.peak_depth
             );
         }
         let _ = writeln!(out, "  ],");
@@ -546,6 +433,21 @@ impl AnalyzeReport {
     }
 }
 
+/// What follows item `i` of `len` in a JSON list: `sep`, or nothing
+/// after the last.
+fn separator(i: usize, len: usize, sep: &str) -> &str {
+    if i + 1 < len {
+        sep
+    } else {
+        ""
+    }
+}
+
+/// A stall cause as a JSON value: its name, or `null`.
+fn cause_json(cause: Option<StallCause>) -> String {
+    cause.map_or("null".into(), |c| format!("\"{}\"", c.name()))
+}
+
 #[derive(Debug, Default, Clone, Copy)]
 struct TaskInfo {
     first_round: u64,
@@ -555,7 +457,6 @@ struct TaskInfo {
 
 #[derive(Debug, Clone, Copy)]
 struct AncillaAccum {
-    region: u32,
     last_round: u64,
     last_busy: bool,
     last_depth: u32,
@@ -590,22 +491,13 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
 
     for ev in events {
         let round = match *ev {
-            Event::PhaseSpan { round, .. } => round,
-            Event::Claim { round, task, .. } => {
-                touch(&mut tasks, task, round);
-                round
-            }
-            Event::Preemption { round, task, .. } => {
-                touch(&mut tasks, task, round);
-                round
-            }
-            Event::PreemptionRejected { round, task, .. } => {
-                touch(&mut tasks, task, round);
-                round
-            }
-            Event::WindowEnqueued { round, .. } => round,
-            Event::WindowRetired { round, .. } => round,
-            Event::RoutePlanned { round, task, .. } => {
+            Event::PhaseSpan { round, .. }
+            | Event::WindowEnqueued { round, .. }
+            | Event::WindowRetired { round, .. } => round,
+            Event::Claim { round, task, .. }
+            | Event::Preemption { round, task, .. }
+            | Event::PreemptionRejected { round, task, .. }
+            | Event::RoutePlanned { round, task, .. } => {
                 touch(&mut tasks, task, round);
                 round
             }
@@ -632,12 +524,10 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
             Event::AncillaState {
                 round,
                 ancilla,
-                region,
                 depth,
                 busy,
             } => {
                 let acc = ancillas.entry(ancilla).or_insert(AncillaAccum {
-                    region,
                     last_round: round,
                     last_busy: false,
                     last_depth: 0,
@@ -646,11 +536,13 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
                     peak_depth: 0,
                 });
                 let delta = round.saturating_sub(acc.last_round);
+                // Saturating: a document whose rounds run backwards
+                // (hand-edited, corrupt) must not overflow the sums.
                 if acc.last_busy {
-                    acc.busy_rounds += delta;
+                    acc.busy_rounds = acc.busy_rounds.saturating_add(delta);
                 }
                 if acc.last_depth >= 2 {
-                    acc.contended_rounds += delta;
+                    acc.contended_rounds = acc.contended_rounds.saturating_add(delta);
                 }
                 total_depth = total_depth + depth as u64 - acc.last_depth as u64;
                 acc.last_round = round;
@@ -673,28 +565,20 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
         .iter()
         .map(|(&ancilla, acc)| {
             let tail = total_rounds.saturating_sub(acc.last_round);
-            let busy = acc.busy_rounds + if acc.last_busy { tail } else { 0 };
-            let contended = acc.contended_rounds + if acc.last_depth >= 2 { tail } else { 0 };
+            let busy = acc
+                .busy_rounds
+                .saturating_add(if acc.last_busy { tail } else { 0 });
+            let contended =
+                acc.contended_rounds
+                    .saturating_add(if acc.last_depth >= 2 { tail } else { 0 });
             let denom = total_rounds.max(1) as f64;
             AncillaUtil {
                 ancilla,
-                region: acc.region,
                 busy_fraction: (busy as f64 / denom).clamp(0.0, 1.0),
                 contended_fraction: (contended as f64 / denom).clamp(0.0, 1.0),
                 peak_depth: acc.peak_depth,
             }
         })
-        .collect();
-
-    let mut region_groups: BTreeMap<u32, (f64, usize)> = BTreeMap::new();
-    for u in &utilization {
-        let slot = region_groups.entry(u.region).or_insert((0.0, 0));
-        slot.0 += u.busy_fraction;
-        slot.1 += 1;
-    }
-    let region_busy = region_groups
-        .into_iter()
-        .map(|(region, (sum, n))| (region, sum / n as f64))
         .collect();
 
     // Critical path: walk backwards from the latest-finishing task.
@@ -779,7 +663,6 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
         covered_rounds,
         stall_rounds,
         utilization,
-        region_busy,
         queue_depth,
         dropped,
         truncated,
@@ -791,7 +674,7 @@ pub fn analyze_events(events: &[Event], dropped: u64, truncated: bool) -> Analyz
 mod tests {
     use super::*;
     use crate::chrome::render;
-    use crate::TimedEvent;
+    use crate::{Phase, TimedEvent};
 
     /// A three-task chain: t2 waits on t1 (recorded edge), t1 starts
     /// after t0 ends (completion order), with stalls attributed.
@@ -884,21 +767,18 @@ mod tests {
             Event::AncillaState {
                 round: 0,
                 ancilla: 3,
-                region: 1,
                 depth: 1,
                 busy: true,
             },
             Event::AncillaState {
                 round: 60,
                 ancilla: 3,
-                region: 1,
                 depth: 3,
                 busy: true,
             },
             Event::AncillaState {
                 round: 80,
                 ancilla: 3,
-                region: 1,
                 depth: 0,
                 busy: false,
             },
@@ -914,29 +794,81 @@ mod tests {
         assert_eq!(report.utilization.len(), 1);
         let u = report.utilization[0];
         assert_eq!(u.ancilla, 3);
-        assert_eq!(u.region, 1);
         // Busy rounds 0..80 of 100.
         assert!((u.busy_fraction - 0.8).abs() < 1e-9, "{u:?}");
         // Depth >= 2 only in rounds 60..80.
         assert!((u.contended_fraction - 0.2).abs() < 1e-9, "{u:?}");
         assert_eq!(u.peak_depth, 3);
         assert_eq!(report.peak_queue_depth(), (60, 3));
-        assert_eq!(report.region_busy, vec![(1, u.busy_fraction)]);
     }
 
     #[test]
     fn trace_round_trips_and_truncation_is_detected() {
-        let timed: Vec<TimedEvent> = chain_events()
+        // The chain plus every variant it lacks: a span (its duration
+        // travels as `dur`), both bool args, a string `cause` and a
+        // harness event.
+        let mut events = chain_events();
+        events.extend([
+            Event::PhaseSpan {
+                phase: Phase::Propose,
+                round: 510,
+                dur_ns: 123_456,
+            },
+            Event::RoutePlanned {
+                round: 511,
+                task: 2,
+                hops: 7,
+                replanned: true,
+            },
+            Event::Stall {
+                round: 512,
+                task: 2,
+                cause: StallCause::RouteBlocked,
+            },
+            Event::Preemption {
+                round: 513,
+                task: 2,
+                ancilla: 4,
+            },
+            Event::PreemptionRejected {
+                round: 513,
+                task: 1,
+                ancilla: 4,
+            },
+            Event::WindowEnqueued {
+                round: 514,
+                window: 3,
+                ready_at: 520,
+            },
+            Event::WindowRetired {
+                round: 520,
+                window: 3,
+                stalled_rounds: 6,
+            },
+            Event::AncillaState {
+                round: 521,
+                ancilla: 4,
+                depth: 2,
+                busy: true,
+            },
+            Event::JobDone {
+                index: 3,
+                total: 9,
+                wall_ns: 42,
+                resumed: true,
+            },
+        ]);
+        let timed: Vec<TimedEvent> = events
             .iter()
             .enumerate()
             .map(|(i, &event)| TimedEvent {
-                at_ns: i as u64 * 1000,
+                at_ns: 1_000_000 + i as u64 * 1000,
                 event,
             })
             .collect();
         let doc = render(&timed, 7);
         let parsed = parse_trace(&doc).unwrap();
-        assert_eq!(parsed.events, chain_events());
+        assert_eq!(parsed.events, events);
         assert_eq!(parsed.dropped, 7);
         assert!(!parsed.truncated);
 
@@ -946,7 +878,7 @@ mod tests {
         let partial = parse_trace(cut).unwrap();
         assert!(partial.truncated);
         assert!(!partial.events.is_empty());
-        assert!(partial.events.len() < chain_events().len());
+        assert!(partial.events.len() < events.len());
         let report = analyze_events(&partial.events, 5, partial.truncated);
         assert_eq!(report.warnings.len(), 2);
         assert!(report.to_json(4).contains("\"truncated\": true"));
@@ -958,20 +890,31 @@ mod tests {
     #[test]
     fn old_claim_events_with_cross_shard_still_parse() {
         // Traces written before the engine became serial tag each claim
-        // with `cross_shard`; the extra key is ignored.
+        // with `cross_shard`, and older occupancy samples carry a `region`;
+        // the extra keys are ignored.
         let doc = "{\"traceEvents\":[\n\
             {\"name\":\"claim\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.000,\"pid\":0,\"tid\":2,\
-            \"args\":{\"round\":7,\"task\":2,\"ancilla\":5,\"cross_shard\":true}}\n\
+            \"args\":{\"round\":7,\"task\":2,\"ancilla\":5,\"cross_shard\":true}},\n\
+            {\"name\":\"ancilla_state\",\"ph\":\"i\",\"s\":\"t\",\"ts\":2.000,\"pid\":0,\"tid\":5,\
+            \"args\":{\"round\":14,\"ancilla\":5,\"region\":0,\"depth\":2,\"busy\":true}}\n\
             ]}";
         let parsed = parse_trace(doc).unwrap();
         assert!(!parsed.truncated);
         assert_eq!(
             parsed.events,
-            vec![Event::Claim {
-                round: 7,
-                task: 2,
-                ancilla: 5
-            }]
+            vec![
+                Event::Claim {
+                    round: 7,
+                    task: 2,
+                    ancilla: 5
+                },
+                Event::AncillaState {
+                    round: 14,
+                    ancilla: 5,
+                    depth: 2,
+                    busy: true
+                }
+            ]
         );
     }
 

@@ -18,13 +18,29 @@
 use crate::{Event, TimedEvent};
 use std::fmt::Write as _;
 
-/// Thread ids used to group events into Perfetto tracks.
-const TID_PHASES: u32 = 0;
-const TID_LEDGER: u32 = 1;
-const TID_DECODER: u32 = 2;
-const TID_TASKS: u32 = 3;
-const TID_HARNESS: u32 = 4;
-const TID_ANCILLA: u32 = 5;
+/// The Perfetto tracks events are grouped on: the `tid` of each is its
+/// position in [`Track::NAMES`], which holds the thread names the trace's
+/// metadata records declare.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Track {
+    Phases,
+    Ledger,
+    Decoder,
+    Tasks,
+    Harness,
+    Ancilla,
+}
+
+impl Track {
+    const NAMES: [&'static str; 6] = [
+        "engine phases",
+        "reservation ledger",
+        "decoder windows",
+        "tasks",
+        "harness",
+        "ancilla occupancy",
+    ];
+}
 
 fn push_ts(out: &mut String, key: &str, ns: u64) {
     // Microseconds with fixed 3-decimal nanosecond precision: the
@@ -33,184 +49,25 @@ fn push_ts(out: &mut String, key: &str, ns: u64) {
     let _ = write!(out, "\"{key}\":{}.{:03}", ns / 1000, ns % 1000);
 }
 
+/// Writes one event record: a complete span (`"ph":"X"`) for a
+/// [`Event::PhaseSpan`], an instant (`"ph":"i"`) for everything else.
 fn push_event(out: &mut String, te: &TimedEvent) {
-    out.push('{');
-    match te.event {
-        Event::PhaseSpan {
-            phase,
-            round,
-            dur_ns,
-        } => {
-            let _ = write!(out, "\"name\":\"{}\",\"ph\":\"X\",", phase.name());
-            // The span is recorded when the phase ends; its start is
-            // the recording instant minus the measured duration.
-            push_ts(out, "ts", te.at_ns.saturating_sub(dur_ns));
-            out.push(',');
-            push_ts(out, "dur", dur_ns);
-            let _ = write!(
-                out,
-                ",\"pid\":0,\"tid\":{TID_PHASES},\"args\":{{\"round\":{round}}}"
-            );
-        }
-        Event::Claim {
-            round,
-            task,
-            ancilla,
-        } => {
-            instant(
-                out,
-                "claim",
-                TID_LEDGER,
-                te.at_ns,
-                &format!("\"round\":{round},\"task\":{task},\"ancilla\":{ancilla}"),
-            );
-        }
-        Event::Preemption {
-            round,
-            task,
-            ancilla,
-        } => {
-            instant(
-                out,
-                "preemption",
-                TID_LEDGER,
-                te.at_ns,
-                &format!("\"round\":{round},\"task\":{task},\"ancilla\":{ancilla}"),
-            );
-        }
-        Event::PreemptionRejected {
-            round,
-            task,
-            ancilla,
-        } => {
-            instant(
-                out,
-                "preemption_rejected",
-                TID_LEDGER,
-                te.at_ns,
-                &format!("\"round\":{round},\"task\":{task},\"ancilla\":{ancilla}"),
-            );
-        }
-        Event::WindowEnqueued {
-            round,
-            window,
-            ready_at,
-        } => {
-            instant(
-                out,
-                "window_enqueued",
-                TID_DECODER,
-                te.at_ns,
-                &format!("\"round\":{round},\"window\":{window},\"ready_at\":{ready_at}"),
-            );
-        }
-        Event::WindowRetired {
-            round,
-            window,
-            stalled_rounds,
-        } => {
-            instant(
-                out,
-                "window_retired",
-                TID_DECODER,
-                te.at_ns,
-                &format!(
-                    "\"round\":{round},\"window\":{window},\"stalled_rounds\":{stalled_rounds}"
-                ),
-            );
-        }
-        Event::RoutePlanned {
-            round,
-            task,
-            hops,
-            replanned,
-        } => {
-            instant(
-                out,
-                "route_planned",
-                TID_TASKS,
-                te.at_ns,
-                &format!(
-                    "\"round\":{round},\"task\":{task},\"hops\":{hops},\"replanned\":{replanned}"
-                ),
-            );
-        }
-        Event::Stall { round, task, cause } => {
-            instant(
-                out,
-                "stall",
-                TID_TASKS,
-                te.at_ns,
-                &format!(
-                    "\"round\":{round},\"task\":{task},\"cause\":\"{}\"",
-                    cause.name()
-                ),
-            );
-        }
-        Event::WaitEdge {
-            round,
-            waiter,
-            holder,
-            ancilla,
-        } => {
-            instant(
-                out,
-                "wait_edge",
-                TID_LEDGER,
-                te.at_ns,
-                &format!(
-                    "\"round\":{round},\"waiter\":{waiter},\"holder\":{holder},\"ancilla\":{ancilla}"
-                ),
-            );
-        }
-        Event::AncillaState {
-            round,
-            ancilla,
-            region,
-            depth,
-            busy,
-        } => {
-            instant(
-                out,
-                "ancilla_state",
-                TID_ANCILLA,
-                te.at_ns,
-                &format!(
-                    "\"round\":{round},\"ancilla\":{ancilla},\"region\":{region},\"depth\":{depth},\"busy\":{busy}"
-                ),
-            );
-        }
-        Event::JobDone {
-            index,
-            total,
-            wall_ns,
-            resumed,
-        } => {
-            instant(
-                out,
-                "job_done",
-                TID_HARNESS,
-                te.at_ns,
-                &format!(
-                    "\"index\":{index},\"total\":{total},\"wall_ns\":{wall_ns},\"resumed\":{resumed}"
-                ),
-            );
-        }
+    let ev = &te.event;
+    let _ = write!(out, "{{\"name\":\"{}\",", ev.name());
+    if let Event::PhaseSpan { dur_ns, .. } = *ev {
+        // The span is recorded when the phase ends; its start is the
+        // recording instant minus the measured duration.
+        out.push_str("\"ph\":\"X\",");
+        push_ts(out, "ts", te.at_ns.saturating_sub(dur_ns));
+        out.push(',');
+        push_ts(out, "dur", dur_ns);
+    } else {
+        out.push_str("\"ph\":\"i\",\"s\":\"t\",");
+        push_ts(out, "ts", te.at_ns);
     }
-    out.push('}');
-}
-
-fn instant(out: &mut String, name: &str, tid: u32, at_ns: u64, args: &str) {
-    let _ = write!(out, "\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",");
-    push_ts(out, "ts", at_ns);
-    let _ = write!(out, ",\"pid\":0,\"tid\":{tid},\"args\":{{{args}}}");
-}
-
-fn thread_name(out: &mut String, tid: u32, name: &str) {
-    let _ = write!(
-        out,
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}}}"
-    );
+    let _ = write!(out, ",\"pid\":0,\"tid\":{},\"args\":{{", ev.track() as u32);
+    ev.write_args(out);
+    out.push_str("}}");
 }
 
 /// Renders timed events as a Chrome trace-event JSON document.
@@ -222,20 +79,15 @@ fn thread_name(out: &mut String, tid: u32, name: &str) {
 pub fn render(events: &[TimedEvent], dropped: u64) -> String {
     let mut out = String::with_capacity(64 + events.len() * 96);
     out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    let meta = |out: &mut String, tid: u32, name: &str, first: &mut bool| {
-        if !*first {
+    for (tid, name) in Track::NAMES.iter().enumerate() {
+        if tid > 0 {
             out.push_str(",\n");
         }
-        *first = false;
-        thread_name(out, tid, name);
-    };
-    meta(&mut out, TID_PHASES, "engine phases", &mut first);
-    meta(&mut out, TID_LEDGER, "reservation ledger", &mut first);
-    meta(&mut out, TID_DECODER, "decoder windows", &mut first);
-    meta(&mut out, TID_TASKS, "tasks", &mut first);
-    meta(&mut out, TID_HARNESS, "harness", &mut first);
-    meta(&mut out, TID_ANCILLA, "ancilla occupancy", &mut first);
+        let _ = write!(
+            out,
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}}}"
+        );
+    }
     for te in events {
         out.push_str(",\n");
         push_event(&mut out, te);
@@ -336,9 +188,16 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so a deeper document is an error instead of
+/// a stack overflow; the documents this crate writes nest four deep.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -368,8 +227,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
@@ -377,6 +236,18 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -527,11 +398,14 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first syntax error.
+/// Returns a message naming the byte offset of the first syntax error,
+/// or of the first array or object nested deeper than
+/// [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -683,6 +557,23 @@ mod tests {
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} trailing").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&deep(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&deep(MAX_JSON_DEPTH + 1))
+            .unwrap_err()
+            .contains("nesting deeper than 128 levels"));
+        // 100k levels, closed and unclosed, through both document readers.
+        let open = format!("{{\"traceEvents\":{}", "[".repeat(100_000));
+        for doc in [deep(100_000), open] {
+            assert!(parse_json(&doc).is_err());
+            assert!(validate_trace(&doc).is_err());
+            assert!(crate::parse_trace(&doc).is_err());
+            assert!(crate::MetricsSnapshot::parse(&doc).is_err());
+        }
     }
 
     #[test]

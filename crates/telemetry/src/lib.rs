@@ -47,6 +47,7 @@ pub use progress::{progress_line, Heartbeat};
 pub use snapshot::{HistogramSummary, MetricsSnapshot, METRICS_SCHEMA_VERSION};
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -81,12 +82,7 @@ impl Phase {
 
     /// Dense index in `0..4`, matching [`Phase::ALL`] order.
     pub fn index(self) -> usize {
-        match self {
-            Phase::Schedule => 0,
-            Phase::Start => 1,
-            Phase::Propose => 2,
-            Phase::Commit => 3,
-        }
+        self as usize
     }
 }
 
@@ -124,79 +120,154 @@ impl StallCause {
 
     /// Dense index in `0..3`, matching [`StallCause::ALL`] order.
     pub fn index(self) -> usize {
-        match self {
-            StallCause::AncillaContention => 0,
-            StallCause::DecoderBacklog => 1,
-            StallCause::RouteBlocked => 2,
-        }
+        self as usize
     }
 }
 
-/// One structured trace event. Every variant is `Copy` and carries only
-/// plain integers — producing an event never allocates.
+/// Declares every trace [`Event`] variant once — its wire name, the
+/// Perfetto track it is drawn on and its ordered args — and derives from
+/// that declaration the enum, [`Event::name`], the track and args the
+/// Chrome writer ([`chrome::render`]) emits and the decoder
+/// [`parse_trace`] reads back (`Event::from_wire`).
 ///
-/// `round` is simulation time in measurement rounds; `task` is the
-/// emitting gate's index in the circuit; `ancilla` is a dense ancilla
-/// index in the routing graph.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    /// One engine dispatch phase completed, taking `dur_ns` wall-clock.
-    PhaseSpan {
-        /// Which of the four phases ran.
-        phase: Phase,
-        /// Simulation round of the dispatch pass.
-        round: u64,
-        /// Wall-clock duration of the phase in nanoseconds.
-        dur_ns: u64,
-    },
+/// `PhaseSpan` is written out by hand inside: its wire name is its
+/// phase's name, and its duration travels as the span's `dur`, not as an
+/// arg. Every other variant is an instant whose fields are its args, in
+/// declaration order, each written and read by [`WireArg`].
+macro_rules! trace_events {
+    (
+        $(
+            $(#[doc = $doc:literal])+
+            $variant:ident = $name:literal on $track:ident {
+                $( $(#[doc = $fdoc:literal])+ $field:ident: $ty:ty, )+
+            }
+        )+
+    ) => {
+        /// One structured trace event. Every variant is `Copy` and carries
+        /// only plain integers — producing an event never allocates.
+        ///
+        /// `round` is simulation time in measurement rounds; `task` is the
+        /// index in the circuit of the gate the event concerns (in every
+        /// engine); `ancilla` is a dense ancilla index in the routing graph.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum Event {
+            /// One engine dispatch phase completed, taking `dur_ns` wall-clock.
+            PhaseSpan {
+                /// Which of the four phases ran.
+                phase: Phase,
+                /// Simulation round of the dispatch pass.
+                round: u64,
+                /// Wall-clock duration of the phase in nanoseconds.
+                dur_ns: u64,
+            },
+            $( $(#[doc = $doc])+ $variant { $( $(#[doc = $fdoc])+ $field: $ty, )+ }, )+
+        }
+
+        impl Event {
+            /// The event's wire name (a span's is its phase's name).
+            pub(crate) fn name(&self) -> &'static str {
+                match self {
+                    Event::PhaseSpan { phase, .. } => phase.name(),
+                    $( Event::$variant { .. } => $name, )+
+                }
+            }
+
+            /// The Perfetto track the event is drawn on.
+            pub(crate) fn track(&self) -> chrome::Track {
+                match self {
+                    Event::PhaseSpan { .. } => chrome::Track::Phases,
+                    $( Event::$variant { .. } => chrome::Track::$track, )+
+                }
+            }
+
+            /// Writes the event's args as comma-separated `"key":value`
+            /// members, in declaration order.
+            pub(crate) fn write_args(&self, out: &mut String) {
+                match self {
+                    Event::PhaseSpan { round, .. } => write_members(out, &[("round", round)]),
+                    $( Event::$variant { $($field),+ } => write_members(
+                        out,
+                        &[$( (stringify!($field), $field as &dyn WireArg) ),+],
+                    ), )+
+                }
+            }
+
+            /// Decodes an event from its wire name, its `args` object and,
+            /// for a span, its `dur` in microseconds. Unknown names and
+            /// missing or mistyped args decode to `None`; extra args are
+            /// ignored.
+            pub(crate) fn from_wire(
+                name: &str,
+                args: &chrome::Json,
+                dur_us: Option<f64>,
+            ) -> Option<Event> {
+                if let Some(&phase) = Phase::ALL.iter().find(|p| p.name() == name) {
+                    return Some(Event::PhaseSpan {
+                        phase,
+                        round: WireArg::read(args.get("round")?)?,
+                        dur_ns: (dur_us? * 1000.0).round() as u64,
+                    });
+                }
+                match name {
+                    $( $name => Some(Event::$variant {
+                        $( $field: WireArg::read(args.get(stringify!($field))?)?, )+
+                    }), )+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
     /// A ledger claim was registered on an ancilla queue.
-    Claim {
+    Claim = "claim" on Ledger {
         /// Simulation round.
         round: u64,
         /// Claiming task (gate index).
         task: u64,
         /// Claimed ancilla (dense index).
         ancilla: u32,
-    },
+    }
     /// The ledger applied a preemption (queue reorder).
-    Preemption {
+    Preemption = "preemption" on Ledger {
         /// Simulation round.
         round: u64,
         /// Preempting task (gate index).
         task: u64,
         /// Ancilla whose queue was reordered.
         ancilla: u32,
-    },
+    }
     /// The ledger rejected a preemption: the reorder would have closed
     /// a cycle in the task wait-for graph.
-    PreemptionRejected {
+    PreemptionRejected = "preemption_rejected" on Ledger {
         /// Simulation round.
         round: u64,
         /// The task whose preemption attempt was refused.
         task: u64,
         /// Ancilla whose queue would have been reordered.
         ancilla: u32,
-    },
+    }
     /// A syndrome window was submitted to the classical decoder.
-    WindowEnqueued {
+    WindowEnqueued = "window_enqueued" on Decoder {
         /// Simulation round of submission.
         round: u64,
         /// Decoder window id.
         window: u64,
         /// Round the decode result becomes visible.
         ready_at: u64,
-    },
+    }
     /// A decode window's result was consumed (retired).
-    WindowRetired {
+    WindowRetired = "window_retired" on Decoder {
         /// Simulation round of retirement.
         round: u64,
         /// Decoder window id.
         window: u64,
         /// Rounds the consumer stalled waiting for the result.
         stalled_rounds: u64,
-    },
+    }
     /// A CNOT route was planned (or re-planned after a stall).
-    RoutePlanned {
+    RoutePlanned = "route_planned" on Tasks {
         /// Simulation round.
         round: u64,
         /// The CNOT task (gate index).
@@ -205,20 +276,20 @@ pub enum Event {
         hops: u32,
         /// This was a re-plan of a previously stalled route.
         replanned: bool,
-    },
+    }
     /// A live task made no progress this cycle, attributed to `cause`.
-    Stall {
+    Stall = "stall" on Tasks {
         /// Simulation round of the cycle tick.
         round: u64,
         /// The stalled task (gate index).
         task: u64,
         /// The attributed cause.
         cause: StallCause,
-    },
+    }
     /// A wait-for edge was inserted into the ledger's task graph:
     /// `waiter` enqueued behind `holder` on an ancilla queue. The
     /// analytics layer reconstructs blocking chains from these.
-    WaitEdge {
+    WaitEdge = "wait_edge" on Ledger {
         /// Simulation round.
         round: u64,
         /// The task that now waits (gate index).
@@ -227,24 +298,22 @@ pub enum Event {
         holder: u64,
         /// The ancilla queue carrying the edge.
         ancilla: u32,
-    },
+    }
     /// An ancilla's occupancy state changed (sampled on the cycle
     /// tick; emitted only on change, so the stream is a compact
     /// state-transition series, not a per-cycle dump).
-    AncillaState {
+    AncillaState = "ancilla_state" on Ancilla {
         /// Simulation round of the sample.
         round: u64,
         /// Ancilla (dense index).
         ancilla: u32,
-        /// The ancilla's region in the fabric's region partition.
-        region: u32,
         /// Reservation-queue depth at the sample.
         depth: u32,
         /// The ancilla is occupied or held (not free this round).
         busy: bool,
-    },
+    }
     /// A harness sweep job finished (progress heartbeat payload).
-    JobDone {
+    JobDone = "job_done" on Harness {
         /// Global job index.
         index: u64,
         /// Total jobs in the sweep.
@@ -253,7 +322,65 @@ pub enum Event {
         wall_ns: u64,
         /// The job was restored from a checkpoint instead of run.
         resumed: bool,
-    },
+    }
+}
+
+/// One trace-event arg's wire form: how an [`Event`] field is written
+/// into, and read back from, the `args` object of its Chrome trace
+/// record. Numbers and booleans are JSON literals; a [`StallCause`] is
+/// its name as a JSON string.
+pub(crate) trait WireArg {
+    /// Appends the JSON value.
+    fn write(&self, out: &mut String);
+
+    /// Reads the value back; `None` when the JSON value has another type.
+    fn read(v: &chrome::Json) -> Option<Self>
+    where
+        Self: Sized;
+}
+
+/// Writes `"key":value` JSON object members separated by commas.
+fn write_members(out: &mut String, args: &[(&str, &dyn WireArg)]) {
+    for (i, (key, value)) in args.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{key}\":");
+        value.write(out);
+    }
+}
+
+/// Numbers and booleans: their `Display` form is their JSON literal.
+macro_rules! wire_literal {
+    ($($ty:ty => |$v:ident| $read:expr;)+) => {
+        $(impl WireArg for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn read($v: &chrome::Json) -> Option<Self> {
+                $read
+            }
+        })+
+    };
+}
+
+wire_literal! {
+    u64 => |v| v.as_num().map(|n| n as u64);
+    u32 => |v| v.as_num().map(|n| n as u32);
+    bool => |v| match v {
+        chrome::Json::Bool(b) => Some(*b),
+        _ => None,
+    };
+}
+
+impl WireArg for StallCause {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.name());
+    }
+    fn read(v: &chrome::Json) -> Option<Self> {
+        let name = v.as_str()?;
+        StallCause::ALL.iter().copied().find(|c| c.name() == name)
+    }
 }
 
 /// A sink for trace [`Event`]s.

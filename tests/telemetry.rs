@@ -185,6 +185,46 @@ fn utilization_fractions_are_valid_and_deterministic() {
     });
 }
 
+/// `task` is the gate index in every engine's events. Every gate of an
+/// H-free circuit reaches the reservation ledger (an Rz claims its prep
+/// ancillas, a CNOT its route), so its trace analyzes to exactly one task
+/// per gate — for the static engines too, whose layer slots are reused in
+/// every layer, and for the realtime engine, whose task ids skip free gates.
+#[test]
+fn traced_tasks_are_gate_indices_in_every_engine() {
+    for_each_case("traced_tasks_are_gate_indices_in_every_engine", |rng| {
+        let n = rng.gen_range(2u32..6);
+        let gates: Vec<Gate> = (0..rng.gen_range(4usize..28))
+            .map(|_| {
+                let c = rng.gen_range(0..n);
+                match rng.gen_range(0..3u32) {
+                    0 => Gate::rz(c, Angle::T),
+                    1 => Gate::rz(c, Angle::radians(rng.gen_range(0.01f64..1.5))),
+                    _ => Gate::cnot(c, (c + rng.gen_range(1..n)) % n),
+                }
+            })
+            .collect();
+        let circuit = Circuit::from_gates(n, gates).unwrap();
+        for scheduler in [
+            SchedulerKind::Greedy,
+            SchedulerKind::Autobraid,
+            SchedulerKind::Rescq,
+        ] {
+            let config = SimConfig::builder().scheduler(scheduler).seed(3).build();
+            let report = analyze_run(&circuit, &config);
+            assert_eq!(report.tasks, circuit.len(), "{scheduler:?}");
+            assert!(
+                report
+                    .critical_path
+                    .iter()
+                    .all(|l| (l.task as usize) < circuit.len()),
+                "{scheduler:?}: {:?}",
+                report.critical_path
+            );
+        }
+    });
+}
+
 /// The same run traced twice yields the same normalized trace: event
 /// structure and ordering are functions of the schedule alone, only the
 /// wall-clock timestamps differ.
