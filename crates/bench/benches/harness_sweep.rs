@@ -8,7 +8,6 @@
 //! hiccup on a shared CI runner cannot fail the threshold spuriously; the
 //! sweep itself is deterministic, so repeat runs produce identical rows.
 
-use rescq_bench::print_header;
 use rescq_harness::{csv_row, run_sweep, JobMetrics, RunOptions, SweepSpec, CSV_HEADER};
 use std::time::Instant;
 
@@ -57,10 +56,8 @@ fn best_of<T>(n: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 fn main() {
-    print_header(
-        "Harness sweep — parallel shared-artifact vs sequential per-point",
-        "4 decoder points x 4 seeds; harness on 4 workers vs the PR-1 path",
-    );
+    println!("=== Harness sweep — parallel shared-artifact vs sequential per-point ===");
+    println!("    4 decoder points x 4 seeds; harness on 4 workers vs the PR-1 path");
     let spec = spec();
 
     let (seq_secs, seq_csv) = best_of(ITERATIONS, || run_sequential(&spec));

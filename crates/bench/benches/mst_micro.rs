@@ -162,10 +162,8 @@ fn benches(c: &mut Criterion) {
     // The paper's two measurement points at k = 200.
     bench_updates(c, 100, 200);
     bench_rebuild(c, 100);
-    if std::env::var("RESCQ_BENCH_FULL").is_ok() {
-        bench_updates(c, 1000, 200);
-        bench_rebuild(c, 1000);
-    }
+    bench_updates(c, 1000, 200);
+    bench_rebuild(c, 1000);
     // A grid about as large as the 420-qubit fabric's 1260 ancillas.
     bench_updates(c, 36, 200);
     bench_completion(c, 420);

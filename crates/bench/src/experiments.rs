@@ -1,18 +1,21 @@
 //! Experiment drivers regenerating every table and figure of the paper.
 //!
-//! Each function returns plain row structs; the bench targets and the `sim`
-//! CLI print them (and write CSV). Sizes are controlled by
-//! [`ExperimentScale`] so `cargo bench` stays fast by default while
-//! `RESCQ_BENCH_FULL=1` (or the CLI) runs the paper-sized sweep.
+//! Each driver returns plain row structs; [`render`] turns one figure's rows
+//! into the text `sim fig <id>` and `sim table3` print. Sizes are controlled
+//! by [`ExperimentScale`]: reduced by default, paper-sized under
+//! `sim fig --full`.
 
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use rescq_core::{KPolicy, SchedulerKind};
 use rescq_decoder::{DecoderConfig, DecoderKind};
 use rescq_harness::{run_sweep, CacheStats, DecoderPoint, RunOptions, SweepSpec};
 use rescq_lattice::Layout;
-use rescq_rus::{PreparationModel, RusParams, TFactoryModel};
+use rescq_rus::{fig3_series, InjectionStrategy, PreparationModel, RusParams, TFactoryModel};
 use rescq_sim::runner::{geomean, run_seeds, SweepSummary};
 use rescq_sim::{build_layout, LatencyHistogram, SimConfig, SimError};
 use rescq_workloads::{BenchmarkSpec, ALL_BENCHMARKS, REPRESENTATIVE};
+use std::fmt::{self, Write};
 
 /// The `k` values the paper evaluates (§5.1).
 pub const K_VALUES: [u32; 4] = [25, 50, 100, 200];
@@ -35,8 +38,8 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Reduced scale for `cargo bench` (3 seeds, representative subset plus
-    /// a few small extras).
+    /// Reduced scale (3 seeds, representative subset plus a few small
+    /// extras), so each simulated figure regenerates in seconds.
     pub fn reduced() -> Self {
         ExperimentScale {
             seeds: 3,
@@ -51,14 +54,6 @@ impl ExperimentScale {
             seeds: 10,
             threads: num_threads(),
             quick: false,
-        }
-    }
-
-    /// Reads `RESCQ_BENCH_FULL` to pick a scale.
-    pub fn from_env() -> Self {
-        match std::env::var("RESCQ_BENCH_FULL") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Self::full(),
-            _ => Self::reduced(),
         }
     }
 
@@ -401,18 +396,12 @@ pub struct DecoderSweepRow {
 }
 
 /// Sweeps classical-decoder throughput on the decoder-stress workload under
-/// the RESCQ scheduler. Returns the rows (throughput descending) and whether
+/// the RESCQ scheduler. Returns the rows (throughput descending), whether
 /// mean total cycles were monotonically non-decreasing as throughput
 /// dropped — the decoder-limited regime emerging from the
-/// preparation-limited one.
-pub fn decoder_sweep(scale: &ExperimentScale) -> Result<(Vec<DecoderSweepRow>, bool), SimError> {
-    decoder_sweep_with_stats(scale).map(|(rows, monotone, _)| (rows, monotone))
-}
-
-/// [`decoder_sweep`] plus the harness's artifact-cache counters: the whole
-/// grid shares one circuit generation and one fabric build, which is the
-/// point of routing the sweep through `rescq-harness`.
-pub fn decoder_sweep_with_stats(
+/// preparation-limited one — and the harness's artifact-cache counters:
+/// the whole grid shares one circuit generation and one fabric build.
+pub fn decoder_sweep(
     scale: &ExperimentScale,
 ) -> Result<(Vec<DecoderSweepRow>, bool, CacheStats), SimError> {
     let name: &'static str = if scale.quick {
@@ -479,19 +468,36 @@ pub struct Fig16Row {
     pub expected_cycles: f64,
     /// Analytic expected attempts.
     pub expected_attempts: f64,
+    /// Monte-Carlo mean cycles over [`FIG16_SAMPLES`] sampled preparations.
+    pub sampled_cycles: f64,
+    /// Monte-Carlo mean attempts over [`FIG16_SAMPLES`] samples.
+    pub sampled_attempts: f64,
 }
 
-/// The Fig 16 grid: expected preparation cycles and attempts over d and p.
+/// Samples per Fig 16 point in the Monte-Carlo check of the analytic model.
+pub const FIG16_SAMPLES: u64 = 4000;
+
+/// The Fig 16 grid: expected preparation cycles and attempts over d and p,
+/// each checked against a seeded Monte-Carlo estimate.
 pub fn fig16() -> Vec<Fig16Row> {
+    let mut rng = ChaCha8Rng::seed_from_u64(161616);
     let mut out = Vec::new();
     for d in DISTANCES {
         for p in ERROR_RATES {
             let m = PreparationModel::new(RusParams::new(d, p));
+            let (mut rounds, mut attempts) = (0u64, 0u64);
+            for _ in 0..FIG16_SAMPLES {
+                rounds += m.sample_prep_rounds(&mut rng);
+                attempts += m.sample_attempts(&mut rng);
+            }
+            let n = FIG16_SAMPLES as f64;
             out.push(Fig16Row {
                 d,
                 p,
                 expected_cycles: m.expected_cycles(),
                 expected_attempts: m.expected_attempts(),
+                sampled_cycles: rounds as f64 / n / d as f64,
+                sampled_attempts: attempts as f64 / n,
             });
         }
     }
@@ -560,6 +566,363 @@ pub fn table3() -> Vec<Table3Row> {
         .collect()
 }
 
+// ---------------------------------------------------------------------
+// Rendering — the text `sim fig` and `sim table3` print
+// ---------------------------------------------------------------------
+
+/// Runs the driver of one result and renders its rows as text: figure ids
+/// `3`, `5`, `10`–`16`, `a2` and `decoder`, plus `table3`. `16` also
+/// renders Table 1 and Appendix A.2.
+///
+/// # Errors
+///
+/// Returns a message for an unknown id or a failed simulation.
+pub fn render(figure: &str, scale: &ExperimentScale) -> Result<String, String> {
+    let sim = |e: SimError| e.to_string();
+    let mut out = String::new();
+    let written = match figure {
+        "3" => render_fig3(&mut out),
+        "5" => render_fig5(&mut out, &fig5(scale).map_err(sim)?),
+        "10" => render_fig10(&mut out, &fig10(scale).map_err(sim)?),
+        "11" => render_sensitivity(
+            &mut out,
+            (
+                "Figure 11 — sensitivity to code distance d",
+                "cycles fall with d for all schedulers; RESCQ is least sensitive",
+            ),
+            "   d",
+            |p| format!("{:>4}", p.x),
+            &fig11(scale).map_err(sim)?,
+        ),
+        "12" => render_sensitivity(
+            &mut out,
+            (
+                "Figure 12 — sensitivity to physical error rate p",
+                "all schemes relatively insensitive to p (paper §5.2.2)",
+            ),
+            "       p",
+            |p| format!("{:>8}", format!("1e-{:.0}", p.x)),
+            &fig12(scale).map_err(sim)?,
+        ),
+        "13" => render_sensitivity(
+            &mut out,
+            (
+                "Figure 13 — RESCQ sensitivity to k (MST period)",
+                "performance is near-optimal at k=25 and degrades negligibly (§5.2.3)",
+            ),
+            "    k    d",
+            // fig13 encodes (k, d) as x = k + d/100.
+            |p| format!("{:>5} {:>4}", p.x.trunc(), (p.x.fract() * 100.0).round()),
+            &fig13(scale).map_err(sim)?,
+        ),
+        "14" => render_sensitivity(
+            &mut out,
+            (
+                "Figure 14 — sensitivity to grid compression",
+                "RESCQ degrades mildly; baselines suffer congestion (§5.3)",
+            ),
+            " requested   achieved",
+            |p| format!("{:>9.0}% {:>9.0}%", p.x, p.achieved_compression * 100.0),
+            &fig14(scale).map_err(sim)?,
+        ),
+        "15" => render_fig15(&mut out, &fig15().map_err(sim)?),
+        "16" => render_fig16(&mut out),
+        "a2" => render_a2(&mut out),
+        "decoder" => render_decoder_sweep(&mut out, &decoder_sweep(scale).map_err(sim)?),
+        "table3" => render_table3(&mut out),
+        other => return Err(format!("unknown figure `{other}`")),
+    };
+    written.expect("writing to a String cannot fail");
+    Ok(out)
+}
+
+fn header(out: &mut String, title: &str, detail: &str) -> fmt::Result {
+    writeln!(out, "=== {title} ===")?;
+    if !detail.is_empty() {
+        writeln!(out, "    {detail}")?;
+    }
+    Ok(())
+}
+
+fn render_fig3(out: &mut String) -> fmt::Result {
+    header(
+        out,
+        "Figure 3 — rotation budget vs logical error rate",
+        "Clifford+Rz (solid) vs Clifford+T (dashed); ratio ≈ 2 orders of magnitude",
+    )?;
+    let lers: Vec<f64> = (4..=12).map(|e| 10f64.powi(-e)).collect();
+    for fidelity in [0.9, 0.99] {
+        writeln!(out, "target fidelity {fidelity}:")?;
+        writeln!(
+            out,
+            "{:>10} {:>16} {:>16} {:>8}",
+            "LER", "Rz rotations", "T rotations", "ratio"
+        )?;
+        for row in fig3_series(fidelity, &lers) {
+            writeln!(
+                out,
+                "{:>10.0e} {:>16} {:>16} {:>8.1}",
+                row.logical_error_rate,
+                row.rz_rotations,
+                row.t_rotations,
+                row.rz_rotations as f64 / row.t_rotations.max(1) as f64
+            )?;
+        }
+    }
+    Ok(())
+}
+
+fn render_histogram(out: &mut String, label: &str, h: &LatencyHistogram) -> fmt::Result {
+    writeln!(
+        out,
+        "  {label}: n={} mean={:.2} p50={} p90={} ≤2cy={:.0}% ≤6cy={:.0}%",
+        h.count(),
+        h.mean(),
+        h.percentile(0.5),
+        h.percentile(0.9),
+        h.fraction_at_most(2) * 100.0,
+        h.fraction_at_most(6) * 100.0
+    )?;
+    let max = h.iter().map(|(_, n)| n).max().unwrap_or(1);
+    for (lat, n) in h.iter().take(16) {
+        let bar = "#".repeat((n * 40 / max.max(1)) as usize);
+        writeln!(out, "    {lat:>3} cycles | {bar} {n}")?;
+    }
+    Ok(())
+}
+
+fn render_fig5(out: &mut String, data: &[Fig5Data]) -> fmt::Result {
+    header(
+        out,
+        "Figure 5 — gate completion latency histograms",
+        "expected: RESCQ CNOTs mostly 2 cycles; AutoBraid modes at 5 and 8",
+    )?;
+    for d in data {
+        writeln!(out, "{}:", d.scheduler)?;
+        render_histogram(out, "CNOT", &d.cnot)?;
+        render_histogram(out, "Rz  ", &d.rz)?;
+    }
+    Ok(())
+}
+
+fn render_fig10(out: &mut String, (rows, geomean): &(Vec<Fig10Row>, f64)) -> fmt::Result {
+    header(
+        out,
+        "Figure 10 — execution time vs baselines (d=7, p=1e-4)",
+        "normalized to greedy = 1.0, then mean cycles (cy); RESCQ* = best k in {25,50,100,200}",
+    )?;
+    writeln!(
+        out,
+        "{:<28} {:>9} {:>10} {:>9} {:>7} {:>9} {:>12} {:>12} {:>12}",
+        "benchmark",
+        "greedy",
+        "autobraid",
+        "rescq*",
+        "k*",
+        "speedup",
+        "greedy cy",
+        "autobraid cy",
+        "rescq* cy"
+    )?;
+    for r in rows {
+        let base = r.mean_cycles[0];
+        writeln!(
+            out,
+            "{:<28} {:>9.3} {:>10.3} {:>9.3} {:>7} {:>8.2}x {:>12.0} {:>12.0} {:>12.0}",
+            r.name,
+            1.0,
+            r.mean_cycles[1] / base,
+            r.mean_cycles[2] / base,
+            r.best_k,
+            r.speedup(),
+            r.mean_cycles[0],
+            r.mean_cycles[1],
+            r.mean_cycles[2]
+        )?;
+    }
+    writeln!(
+        out,
+        "geomean RESCQ speedup over best baseline: {geomean:.2}x (paper: ≈2x)"
+    )
+}
+
+/// One sensitivity table (Figs 11–14): `axis` heads the swept-parameter
+/// columns that `x` formats for each point.
+fn render_sensitivity(
+    out: &mut String,
+    (title, detail): (&str, &str),
+    axis: &str,
+    x: impl Fn(&SensitivityPoint) -> String,
+    points: &[SensitivityPoint],
+) -> fmt::Result {
+    header(out, title, detail)?;
+    writeln!(
+        out,
+        "{:<20} {:>10} {axis} {:>12} {:>8}",
+        "benchmark", "scheduler", "cycles", "idle"
+    )?;
+    for p in points {
+        writeln!(
+            out,
+            "{:<20} {:>10} {} {:>12.0} {:>7.0}%",
+            p.name,
+            p.scheduler.to_string(),
+            x(p),
+            p.mean_cycles,
+            p.idle_fraction * 100.0
+        )?;
+    }
+    Ok(())
+}
+
+fn render_fig15(out: &mut String, grids: &[Fig15Grid]) -> fmt::Result {
+    header(
+        out,
+        "Figure 15 — grids of 8 data qubits at different compressions",
+        "D = data qubit, . = ancilla, blank = removed by compression",
+    )?;
+    for g in grids {
+        writeln!(
+            out,
+            "requested {:.0}% → achieved {:.0}% (ancilla/data = {:.2}):",
+            g.requested * 100.0,
+            g.layout.compression() * 100.0,
+            g.layout.ancilla_ratio()
+        )?;
+        writeln!(out, "{}", g.layout.render_ascii())?;
+    }
+    Ok(())
+}
+
+fn render_fig16(out: &mut String) -> fmt::Result {
+    header(
+        out,
+        "Figure 16 — |mθ⟩ preparation cost vs d and p",
+        "cycles fall with d (rise with p); attempts rise with d — with Monte-Carlo check",
+    )?;
+    writeln!(
+        out,
+        "{:>4} {:>8} {:>12} {:>12} {:>12} {:>12}",
+        "d", "p", "E[cycles]", "MC cycles", "E[attempts]", "MC attempts"
+    )?;
+    for row in fig16() {
+        writeln!(
+            out,
+            "{:>4} {:>8.0e} {:>12.3} {:>12.3} {:>12.4} {:>12.4}",
+            row.d,
+            row.p,
+            row.expected_cycles,
+            row.sampled_cycles,
+            row.expected_attempts,
+            row.sampled_attempts
+        )?;
+    }
+    writeln!(out)?;
+    header(out, "Table 1 — injection strategies", "")?;
+    writeln!(
+        out,
+        "{:>10} {:>12} {:>10} {:>8}",
+        "strategy", "exposed edge", "ancillas", "cycles"
+    )?;
+    for s in [InjectionStrategy::Zz, InjectionStrategy::Cnot] {
+        writeln!(
+            out,
+            "{:>10} {:>12} {:>10} {:>8}",
+            s.to_string(),
+            s.exposed_edge_name(),
+            s.ancillas_required(),
+            s.cycles()
+        )?;
+    }
+    writeln!(out)?;
+    render_a2(out)
+}
+
+fn render_a2(out: &mut String) -> fmt::Result {
+    header(out, "Appendix A.2 — |mθ⟩ vs T injection", "")?;
+    let a2 = appendix_a2();
+    writeln!(
+        out,
+        "RUS Rz cost: {:.1} cycles (paper: ≈8.4)",
+        a2.rus_cycles
+    )?;
+    writeln!(
+        out,
+        "Clifford+T Rz cost: {}–{} cycles (paper: 200–1300)",
+        a2.t_range.0, a2.t_range.1
+    )?;
+    writeln!(
+        out,
+        "overhead: {:.0}×–{:.0}× (paper: 20–150×)",
+        a2.overhead.0, a2.overhead.1
+    )
+}
+
+fn render_decoder_sweep(
+    out: &mut String,
+    (rows, monotone, cache): &(Vec<DecoderSweepRow>, bool, CacheStats),
+) -> fmt::Result {
+    header(
+        out,
+        "Decoder sweep — total cycles vs decoder throughput",
+        "RESCQ on decoder_stress; union-find decoder, ideal at tp=inf",
+    )?;
+    writeln!(
+        out,
+        "{:<18} {:<9} {:>11} {:>12} {:>14} {:>13}",
+        "workload", "decoder", "throughput", "mean cycles", "stall cycles", "peak backlog"
+    )?;
+    for r in rows {
+        writeln!(
+            out,
+            "{:<18} {:<9} {:>11} {:>12.1} {:>14.1} {:>13}",
+            r.name,
+            r.decoder.to_string(),
+            r.throughput,
+            r.mean_cycles,
+            r.mean_stall_cycles,
+            r.peak_backlog
+        )?;
+    }
+    writeln!(
+        out,
+        "cycles monotonically non-decreasing as throughput drops: {}",
+        if *monotone { "yes" } else { "NO" }
+    )?;
+    writeln!(out, "artifact cache: {cache}")
+}
+
+fn render_table3(out: &mut String) -> fmt::Result {
+    header(
+        out,
+        "Table 3 — benchmark suite",
+        "paper (#Rz, #CNOT) vs generated; ✓ = exact match",
+    )?;
+    writeln!(
+        out,
+        "{:<28} {:>6} {:>9} {:>9} {:>11} {:>11}  match",
+        "benchmark", "qubits", "paper Rz", "paper CX", "gen Rz", "gen CX"
+    )?;
+    let rows = table3();
+    let mut exact = 0;
+    for r in &rows {
+        let ok = r.paper == r.generated;
+        exact += usize::from(ok);
+        writeln!(
+            out,
+            "{:<28} {:>6} {:>9} {:>9} {:>11} {:>11}  {}",
+            format!("{} ({})", r.name, r.suite),
+            r.qubits,
+            r.paper.0,
+            r.paper.1,
+            r.generated.0,
+            r.generated.1,
+            if ok { "✓" } else { "≈" }
+        )?;
+    }
+    writeln!(out, "{exact}/{} rows exact", rows.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,7 +974,7 @@ mod tests {
             threads: num_threads(),
             quick: true,
         };
-        let (rows, monotone) = decoder_sweep(&scale).expect("sweep runs");
+        let (rows, monotone, _) = decoder_sweep(&scale).expect("sweep runs");
         assert_eq!(rows.len(), DECODER_THROUGHPUTS.len());
         assert!(
             monotone,
@@ -634,7 +997,7 @@ mod tests {
             threads: 2,
             quick: true,
         };
-        let (rows, _, stats) = decoder_sweep_with_stats(&scale).expect("sweep runs");
+        let (rows, _, stats) = decoder_sweep(&scale).expect("sweep runs");
         // The whole 5-point grid shares one circuit and one fabric build.
         assert_eq!(stats.circuit_builds, 1);
         assert_eq!(stats.layout_builds, 1);

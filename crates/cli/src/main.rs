@@ -8,7 +8,7 @@
 //! sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...>  merge shard checkpoints
 //! sim bench <name> [options]               one Table 3 benchmark, all schedulers
 //! sim list                                  list Table 3 benchmarks
-//! sim fig <3|5|10|11|12|13|14|15|16|a2>     regenerate a figure (--full for paper scale)
+//! sim fig <3|5|10|...|16|a2|decoder>       regenerate a figure (--full for paper scale)
 //! sim table3                                regenerate Table 3
 //! ```
 
@@ -21,6 +21,34 @@ use rescq_sim::runner::{run_seeds, SweepSummary};
 use rescq_sim::SimConfig;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// `println!` to stdout through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Set once stdout's reader has gone away (`sim … | head`).
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Prints `text` to stdout. Once the reader has gone away, output is
+/// dropped instead of a "Broken pipe" panic: the command still finishes,
+/// writes the files it was asked for and exits with success.
+fn emit(text: &str) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match output::print_to(&mut std::io::stdout().lock(), text) {
+        Ok(true) => {}
+        Ok(false) => STDOUT_CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,11 +58,11 @@ fn main() -> ExitCode {
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("merge-checkpoints") => cmd_merge_checkpoints(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
-        Some("list") => cmd_list(),
-        Some("table3") => cmd_table3(),
+        Some("list") => cmd_list(&args[1..]),
+        Some("table3") => cmd_table3(&args[1..]),
         Some("fig") => cmd_fig(&args[1..]),
         Some("help") | None => {
-            print_usage();
+            emit(HELP);
             Ok(())
         }
         Some(other) => Err(format!("unknown command `{other}`; try `sim help`")),
@@ -48,38 +76,43 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!("sim — RESCQ scheduling simulator (paper reproduction)");
-    println!();
-    println!("Usage:");
-    println!("  sim run <spec.toml> [--csv DIR]");
-    println!("            [--trace-out FILE]     write a Chrome trace-event JSON of one");
-    println!("                                   traced run (base seed; open in");
-    println!("                                   chrome://tracing or Perfetto)");
-    println!("            [--metrics-out FILE]   write the base-seed metrics snapshot");
-    println!("                                   (.json = JSON, else text exposition)");
-    println!("                                      run the one point of a sweep spec");
-    println!("                                   (spec.toml syntax as for sim sweep)");
-    println!("  sim analyze <trace.json|spec.toml> [--json FILE] [--top K]");
-    println!("                                      bottleneck report: critical path with");
-    println!("                                   stall-cause attribution, hot ancillas,");
-    println!("                                   busy-decile histogram. Accepts a --trace-out");
-    println!("                                   JSON or a one-point spec (re-runs base seed");
-    println!("                                   traced)");
-    println!("  sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE]");
-    println!("            [--checkpoint FILE] [--shard i/n] [--quiet | --progress]");
-    println!("                                      run a declarative parameter sweep");
-    println!("  sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...> [--json FILE]");
-    println!("            [--allow-missing]         merge shard checkpoints into one CSV/JSON");
-    println!("  sim bench <name> [--seeds N] [--compression F] [--distance D] [--csv DIR]");
-    println!("            [--decoder ideal|union_find] [--decoder-throughput F]");
-    println!("            [--decoder-prep]");
-    println!("                                      one benchmark under all three schedulers;");
-    println!("                                   values obey the sweep-spec rules");
-    println!("  sim list                            list Table 3 benchmarks");
-    println!("  sim table3                          regenerate Table 3");
-    println!("  sim fig <3|5|10|11|12|13|14|15|16|a2|decoder> [--full]");
-}
+const HELP: &str = "\
+sim — RESCQ scheduling simulator (paper reproduction)
+
+Usage:
+  sim run <spec.toml> [--csv DIR]
+            [--trace-out FILE]     write a Chrome trace-event JSON of one
+                                   traced run (base seed; open in
+                                   chrome://tracing or Perfetto)
+            [--metrics-out FILE]   write the base-seed metrics snapshot
+                                   (.json = JSON, else text exposition)
+                                      run the one point of a sweep spec
+                                   (spec.toml syntax as for sim sweep)
+  sim analyze <trace.json|spec.toml> [--json FILE] [--top K]
+                                      bottleneck report: critical path with
+                                   stall-cause attribution, hot ancillas,
+                                   busy-decile histogram. Accepts a --trace-out
+                                   JSON or a one-point spec (re-runs base seed
+                                   traced)
+  sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE]
+            [--checkpoint FILE] [--shard i/n] [--quiet | --progress]
+                                      run a declarative parameter sweep
+  sim merge-checkpoints <spec.toml> <out.csv> <in.ckpt...> [--json FILE]
+            [--allow-missing]         merge shard checkpoints into one CSV/JSON
+  sim bench <name> [--seeds N] [--compression F] [--distance D] [--csv DIR]
+            [--decoder ideal|union_find] [--decoder-throughput F]
+            [--decoder-prep]
+                                      one benchmark under all three schedulers;
+                                   values obey the sweep-spec rules
+  sim list                            list Table 3 benchmarks
+  sim table3                          regenerate Table 3 (gate counts, paper vs
+                                   generated)
+  sim fig <3|5|10|11|12|13|14|15|16|a2|decoder> [--full]
+                                      regenerate one figure (16 adds Table 1 and
+                                   Appendix A.2; decoder = cycles vs decoder
+                                   throughput); --full runs all 23 benchmarks
+                                   at 10 seeds instead of a reduced subset
+";
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -123,7 +156,7 @@ fn run_point(
     seeds: u64,
     csv_dir: Option<&Path>,
 ) -> Result<SweepSummary, String> {
-    println!(
+    outln!(
         "{}: {} qubits, {} gates ({})",
         workload,
         circuit.num_qubits(),
@@ -141,9 +174,9 @@ fn run_point(
     )
     .map_err(|e| e.to_string())?;
     for r in &summary.reports {
-        println!("  {}", output::summarize(r));
+        outln!("  {}", output::summarize(r));
     }
-    println!("  => {summary}");
+    outln!("  => {summary}");
     if let Some(dir) = csv_dir {
         let base = dir.join(format!("{workload}_{}", config.scheduler));
         std::fs::create_dir_all(dir)
@@ -157,7 +190,7 @@ fn run_point(
                 output::write_histogram_csv(&base.with_extension("rz_hist.csv"), &rz)
             })
             .map_err(|e| e.to_string())?;
-        println!("  csv written under {}", dir.display());
+        outln!("  csv written under {}", dir.display());
     }
     Ok(summary)
 }
@@ -193,7 +226,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             snapshot.to_text()
         };
         std::fs::write(&out, body).map_err(|e| format!("{out}: {e}"))?;
-        println!("  metrics snapshot written to {out}");
+        outln!("  metrics snapshot written to {out}");
     }
     if let Some(out) = flag_value(args, "--trace-out") {
         write_trace(&circuit, &job.config, Path::new(&out))?;
@@ -203,8 +236,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
 /// Produces the bottleneck report of `sim analyze`: from a `--trace-out`
 /// Chrome trace file (first positional starting with `{`), or from a
-/// one-point spec, in which case the base seed re-runs with a recorder
-/// attached (tracing is inert, so this reproduces the main run's schedule
+/// one-point spec, in which case the base seed re-runs with an unbounded
+/// recorder attached, so no event is dropped (tracing is inert, so this reproduces the main run's schedule
 /// exactly).
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     use rescq_telemetry::{analyze_events, parse_trace, RingRecorder};
@@ -221,7 +254,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         analyze_events(&parsed.events, parsed.dropped, parsed.truncated)
     } else {
         let (_, job, circuit) = load_point(&text, path)?;
-        let recorder = RingRecorder::new();
+        let recorder = RingRecorder::with_capacity(usize::MAX);
         rescq_sim::simulate_traced(&circuit, &job.config, Some(&recorder))
             .map_err(|e| e.to_string())?;
         let events: Vec<_> = recorder.events().iter().map(|t| t.event).collect();
@@ -230,40 +263,40 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     for w in &report.warnings {
         eprintln!("warning: {w}");
     }
-    print!("{}", report.render_text(top_k));
+    emit(&report.render_text(top_k));
     if let Some(json) = flag_value(args, "--json") {
         std::fs::write(&json, report.to_json(top_k)).map_err(|e| format!("{json}: {e}"))?;
-        println!("machine-readable report written to {json}");
+        outln!("machine-readable report written to {json}");
     }
     Ok(())
 }
 
-/// Re-runs `config` (the base seed) with a [`rescq_telemetry::RingRecorder`]
-/// attached and writes the captured stream as Chrome trace-event JSON.
-/// Tracing never perturbs the schedule, so this run reproduces the first
-/// seed of the main run exactly.
+/// Re-runs `config` (the base seed) with an unbounded
+/// [`rescq_telemetry::RingRecorder`] attached and writes the captured
+/// stream as Chrome trace-event JSON. Tracing never perturbs the schedule,
+/// so this run reproduces the first seed of the main run exactly.
 fn write_trace(circuit: &Circuit, config: &SimConfig, out: &Path) -> Result<(), String> {
     use rescq_telemetry::RingRecorder;
-    let recorder = RingRecorder::new();
+    let recorder = RingRecorder::with_capacity(usize::MAX);
     let report =
         rescq_sim::simulate_traced(circuit, config, Some(&recorder)).map_err(|e| e.to_string())?;
     std::fs::write(out, recorder.to_chrome_trace())
         .map_err(|e| format!("{}: {e}", out.display()))?;
-    println!(
+    outln!(
         "trace: {} events ({} dropped) written to {}",
         recorder.len(),
         recorder.dropped(),
         out.display()
     );
     let ms = |ns: u64| ns as f64 / 1e6;
-    println!(
+    outln!(
         "  phase wall-clock: schedule {:.1}ms, start {:.1}ms, propose {:.1}ms, commit {:.1}ms",
         ms(report.phase_nanos[0]),
         ms(report.phase_nanos[1]),
         ms(report.phase_nanos[2]),
         ms(report.phase_nanos[3]),
     );
-    println!(
+    outln!(
         "  stall attribution: ancilla {}cy, decoder {}cy, route {}cy",
         report.counters.stall_ancilla_cycles,
         report.counters.stall_decoder_cycles,
@@ -303,7 +336,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .shard
         .map(|shard| format!(" (running shard {shard})"))
         .unwrap_or_default();
-    println!(
+    outln!(
         "sweep: {} points x {} seeds = {} jobs{shard}",
         spec.num_points(),
         spec.seeds,
@@ -314,11 +347,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
     if let Some(csv) = flag_value(args, "--csv") {
         std::fs::write(&csv, results.to_csv()).map_err(|e| format!("{csv}: {e}"))?;
-        println!("per-job rows written to {csv}");
+        outln!("per-job rows written to {csv}");
     }
     if let Some(json) = flag_value(args, "--json") {
         std::fs::write(&json, results.to_json()).map_err(|e| format!("{json}: {e}"))?;
-        println!("summary json written to {json}");
+        outln!("summary json written to {json}");
     }
     if let Some(first) = results.first_error() {
         let failed = results
@@ -335,7 +368,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn print_sweep_results(results: &rescq_harness::SweepResults) {
-    println!(
+    outln!(
         "{:<20} {:<10} {:>5} {:>6} {:>8} {:>10} {:>10} {:>10} {:>8} {:>8} {:>7}",
         "workload",
         "scheduler",
@@ -350,7 +383,7 @@ fn print_sweep_results(results: &rescq_harness::SweepResults) {
         "seeds"
     );
     for s in results.summaries() {
-        println!(
+        outln!(
             "{:<20} {:<10} {:>5} {:>5.0}% {:>8} {:>10.1} {:>10.1} {:>10.1} {:>7.1}% {:>8} {:>7}",
             s.job.workload,
             s.job.config.scheduler.to_string(),
@@ -366,7 +399,7 @@ fn print_sweep_results(results: &rescq_harness::SweepResults) {
         );
     }
     let resumed = results.resumed_count();
-    println!(
+    outln!(
         "{} jobs in {:.2}s ({} resumed from checkpoint); cache: {}",
         results.records.len(),
         results.elapsed_secs,
@@ -409,14 +442,14 @@ fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
     }
     print_sweep_results(&results);
     std::fs::write(out, results.to_csv()).map_err(|e| format!("{out}: {e}"))?;
-    println!(
+    outln!(
         "merged {} rows from {} checkpoint(s) into {out}",
         results.resumed_count(),
         input_paths.len()
     );
     if let Some(json) = json_out {
         std::fs::write(&json, results.to_json()).map_err(|e| format!("{json}: {e}"))?;
-        println!("summary json written to {json}");
+        outln!("summary json written to {json}");
     }
     Ok(())
 }
@@ -482,13 +515,18 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list() -> Result<(), String> {
-    println!(
+fn cmd_list(args: &[String]) -> Result<(), String> {
+    flags::positionals(args, &[], &[], "usage: sim list")?;
+    outln!(
         "{:<28} {:>6} {:>8} {:>8} {:>10}",
-        "benchmark", "qubits", "#Rz", "#CNOT", "Rz/CNOT"
+        "benchmark",
+        "qubits",
+        "#Rz",
+        "#CNOT",
+        "Rz/CNOT"
     );
     for b in rescq_workloads::ALL_BENCHMARKS {
-        println!(
+        outln!(
             "{:<28} {:>6} {:>8} {:>8} {:>10.2}",
             b.name,
             b.qubits,
@@ -500,125 +538,25 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_table3() -> Result<(), String> {
-    for r in experiments::table3() {
-        let m = if r.paper == r.generated {
-            "exact"
-        } else {
-            "approx"
-        };
-        println!(
-            "{:<28} paper=({}, {}) generated=({}, {}) [{m}]",
-            r.name, r.paper.0, r.paper.1, r.generated.0, r.generated.1
-        );
-    }
+fn cmd_table3(args: &[String]) -> Result<(), String> {
+    flags::positionals(args, &[], &[], "usage: sim table3")?;
+    emit(&experiments::render("table3", &ExperimentScale::reduced())?);
     Ok(())
 }
 
 fn cmd_fig(args: &[String]) -> Result<(), String> {
-    let which = args.first().ok_or("usage: sim fig <N> [--full]")?;
+    const USAGE: &str = "usage: sim fig <3|5|10|11|12|13|14|15|16|a2|decoder> [--full]";
+    let [figure] = flags::positionals(args, &[], &["--full"], USAGE)?[..] else {
+        return Err(USAGE.into());
+    };
+    if figure == "table3" {
+        return Err("Table 3 is `sim table3`, not a figure".into());
+    }
     let scale = if args.iter().any(|a| a == "--full") {
         ExperimentScale::full()
     } else {
         ExperimentScale::reduced()
     };
-    match which.as_str() {
-        "3" => {
-            let lers: Vec<f64> = (4..=12).map(|e| 10f64.powi(-e)).collect();
-            for row in rescq_rus::fig3_series(0.9, &lers) {
-                println!(
-                    "ler={:.0e} rz={} t={}",
-                    row.logical_error_rate, row.rz_rotations, row.t_rotations
-                );
-            }
-        }
-        "5" => {
-            for d in experiments::fig5(&scale).map_err(|e| e.to_string())? {
-                println!(
-                    "{}: cnot mean {:.2} (≤2cy {:.0}%), rz mean {:.2}",
-                    d.scheduler,
-                    d.cnot.mean(),
-                    d.cnot.fraction_at_most(2) * 100.0,
-                    d.rz.mean()
-                );
-            }
-        }
-        "10" => {
-            let (rows, gm) = experiments::fig10(&scale).map_err(|e| e.to_string())?;
-            for r in &rows {
-                println!(
-                    "{}: greedy={:.0} autobraid={:.0} rescq*={:.0} (k={}) speedup={:.2}x",
-                    r.name,
-                    r.mean_cycles[0],
-                    r.mean_cycles[1],
-                    r.mean_cycles[2],
-                    r.best_k,
-                    r.speedup()
-                );
-            }
-            println!("geomean speedup: {gm:.2}x");
-        }
-        "11" => print_sensitivity(experiments::fig11(&scale).map_err(|e| e.to_string())?),
-        "12" => print_sensitivity(experiments::fig12(&scale).map_err(|e| e.to_string())?),
-        "13" => print_sensitivity(experiments::fig13(&scale).map_err(|e| e.to_string())?),
-        "14" => print_sensitivity(experiments::fig14(&scale).map_err(|e| e.to_string())?),
-        "15" => {
-            for g in experiments::fig15().map_err(|e| e.to_string())? {
-                println!(
-                    "-- {:.0}% requested, {:.0}% achieved --",
-                    g.requested * 100.0,
-                    g.layout.compression() * 100.0
-                );
-                println!("{}", g.layout.render_ascii());
-            }
-        }
-        "16" => {
-            for r in experiments::fig16() {
-                println!(
-                    "d={} p={:.0e}: E[cycles]={:.3} E[attempts]={:.4}",
-                    r.d, r.p, r.expected_cycles, r.expected_attempts
-                );
-            }
-        }
-        "decoder" => {
-            let (rows, monotone) = experiments::decoder_sweep(&scale).map_err(|e| e.to_string())?;
-            for r in &rows {
-                println!(
-                    "{:<14} {:<10} tp={:<6} {:>8.1} cycles  stall {:>7.1}cy  backlog≤{}",
-                    r.name,
-                    r.decoder,
-                    r.throughput,
-                    r.mean_cycles,
-                    r.mean_stall_cycles,
-                    r.peak_backlog
-                );
-            }
-            println!(
-                "cycles monotonically non-decreasing as throughput drops: {}",
-                if monotone { "yes" } else { "NO" }
-            );
-        }
-        "a2" => {
-            let a2 = experiments::appendix_a2();
-            println!(
-                "RUS {:.1} cycles vs Clifford+T {}–{} cycles ⇒ {:.0}×–{:.0}×",
-                a2.rus_cycles, a2.t_range.0, a2.t_range.1, a2.overhead.0, a2.overhead.1
-            );
-        }
-        other => return Err(format!("unknown figure `{other}`")),
-    }
+    emit(&experiments::render(figure, &scale)?);
     Ok(())
-}
-
-fn print_sensitivity(points: Vec<experiments::SensitivityPoint>) {
-    for p in points {
-        println!(
-            "{} {} x={:.2}: {:.0} cycles (idle {:.0}%)",
-            p.name,
-            p.scheduler,
-            p.x,
-            p.mean_cycles,
-            p.idle_fraction * 100.0
-        );
-    }
 }

@@ -32,6 +32,21 @@ pub fn write_histogram_csv(path: &Path, hist: &LatencyHistogram) -> std::io::Res
     Ok(())
 }
 
+/// Writes `text` to `out` and flushes. Returns `Ok(false)` when the reader
+/// has closed the pipe (`sim … | head`): nothing more can be read, so the
+/// caller stops printing, which is not an error.
+///
+/// # Errors
+///
+/// Propagates any other I/O error.
+pub fn print_to(out: &mut impl Write, text: &str) -> std::io::Result<bool> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
 /// Renders a one-line textual summary of a report.
 pub fn summarize(r: &ExecutionReport) -> String {
     let mut s = format!(
@@ -109,6 +124,29 @@ mod tests {
         write_histogram_csv(&hpath, &r.cnot_latency).unwrap();
         let htext = std::fs::read_to_string(&hpath).unwrap();
         assert!(htext.starts_with("latency_cycles,count"));
+    }
+
+    /// A writer whose reader is gone, or that fails some other way.
+    struct Failing(std::io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn closed_pipe_is_a_clean_stop_and_other_errors_propagate() {
+        let mut buf = Vec::new();
+        assert!(print_to(&mut buf, "table\n").unwrap());
+        assert_eq!(buf, b"table\n");
+        let closed = print_to(&mut Failing(std::io::ErrorKind::BrokenPipe), "row\n");
+        assert!(!closed.unwrap());
+        let full = print_to(&mut Failing(std::io::ErrorKind::StorageFull), "row\n");
+        assert_eq!(full.unwrap_err().kind(), std::io::ErrorKind::StorageFull);
     }
 
     #[test]

@@ -436,7 +436,9 @@ impl RingRecorder {
         Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Creates a recorder holding at most `capacity` events.
+    /// Creates a recorder holding at most `capacity` events. It
+    /// preallocates room for at most 4096, so `usize::MAX` gives a
+    /// recorder that grows with the run and never drops an event.
     pub fn with_capacity(capacity: usize) -> Self {
         RingRecorder {
             capacity: capacity.max(1),
@@ -524,6 +526,25 @@ mod tests {
         let evs = rec.events();
         assert!(matches!(evs[0].event, Event::Stall { round: 3, .. }));
         assert!(matches!(evs[1].event, Event::Stall { round: 4, .. }));
+    }
+
+    #[test]
+    fn unbounded_recorder_keeps_more_than_the_default_capacity() {
+        let rec = RingRecorder::with_capacity(usize::MAX);
+        let n = RingRecorder::DEFAULT_CAPACITY + 10;
+        for round in 0..n as u64 {
+            rec.record(Event::Stall {
+                round,
+                task: 0,
+                cause: StallCause::DecoderBacklog,
+            });
+        }
+        assert_eq!(rec.len(), n);
+        assert_eq!(rec.dropped(), 0);
+        assert!(matches!(
+            rec.events()[0].event,
+            Event::Stall { round: 0, .. }
+        ));
     }
 
     #[test]

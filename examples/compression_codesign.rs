@@ -6,22 +6,17 @@
 //! cargo run --release --example compression_codesign
 //! ```
 
-use rescq_bench::experiments::fig15;
+use rescq_bench::experiments::{self, ExperimentScale};
 use rescq_repro::core::SchedulerKind;
 use rescq_repro::sim::runner::run_seeds;
 use rescq_repro::sim::SimConfig;
 
 fn main() {
     // Fig 15: what compression does to an 8-qubit fabric.
-    for g in fig15().expect("fig 15 grids build") {
-        println!(
-            "--- requested {:.0}%, achieved {:.0}%, {:.2} ancilla/data ---",
-            g.requested * 100.0,
-            g.layout.compression() * 100.0,
-            g.layout.ancilla_ratio()
-        );
-        println!("{}", g.layout.render_ascii());
-    }
+    print!(
+        "{}",
+        experiments::render("15", &ExperimentScale::reduced()).expect("fig 15 grids build")
+    );
 
     // Fig 14: execution time under compression for a rotation-dense circuit.
     let circuit = rescq_repro::workloads::generate("gcm_n13", 1).expect("known benchmark");
